@@ -29,13 +29,10 @@ from .patterns import (
     normalize_pattern,
 )
 from .sphere_opt import (
-    SolverOptions,
     SphereProblem,
     SphereResult,
     minimize_on_sphere,
     reduced_coefficient_problem,
-    retract,
-    tangent_gradient,
 )
 from .sphharm import (
     FOUR_PI,

@@ -14,6 +14,7 @@ import configparser
 import csv
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +23,7 @@ import numpy as np
 from .baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
 from .channel import (
     ScenarioConfig,
+    assemble_channel,
     compose,
     generate_scenario,
     selection_effective_channel,
@@ -31,7 +33,8 @@ from .channel import (
 from .decomp import decompose_precoder
 from .exceptions import ConfigurationError
 from .metrics import audit_constraints
-from .patterns import gaussian_beam_grid, most_square_factors
+from .patterns import CandidateSet, gaussian_beam_grid, most_square_factors
+from .sphharm import default_grid
 from .units import dbm_to_milliwatts
 from .wmmse import SolverConfig, run_selection, run_synthesis, split_precoder, weighted_sum_rate
 
@@ -51,7 +54,6 @@ RESULT_COLUMNS = (
     "objective",
     "outer_iterations",
     "converged",
-    "warnings",
     "max_power_violation",
     "modulus_deviation",
     "antenna_deviation",
@@ -87,9 +89,6 @@ _SOLVER_KEYS = {
     "power_dbm",
     "streams_per_user",
     "decomp_iterations",
-    "manifold_max_iterations",
-    "manifold_tol",
-    "manifold_restarts",
     "seed",
     "warm_start",
 }
@@ -113,9 +112,6 @@ class ExperimentConfig:
     max_outer_iterations: int
     objective_tol: float
     decomp_iterations: int
-    manifold_max_iterations: int
-    manifold_tol: float
-    manifold_restarts: int
     solver_seed: int
     warm_start: bool
     axis: str
@@ -224,9 +220,6 @@ def load_config(path) -> ExperimentConfig:
         max_outer_iterations=get(so, "max_outer_iterations", int, 50),
         objective_tol=get(so, "objective_tol", float, 1e-6),
         decomp_iterations=get(so, "decomp_iterations", int, 30),
-        manifold_max_iterations=get(so, "manifold_max_iterations", int, 150),
-        manifold_tol=get(so, "manifold_tol", float, 1e-6),
-        manifold_restarts=get(so, "manifold_restarts", int, 1),
         solver_seed=get(so, "seed", int, 0),
         warm_start=get(so, "warm_start", lambda v: v.lower() in ("1", "true", "yes"), False),
         axis=axis,
@@ -274,7 +267,7 @@ def _float_repr(value) -> str:
     return repr(float(value))
 
 
-def _scenario_for(config: ExperimentConfig, value: float, seed: int) -> ScenarioConfig:
+def _scenario_for(config: ExperimentConfig, value: float) -> ScenarioConfig:
     scenario = config.scenario
     if config.axis == "antennas":
         scenario = replace(scenario, bs_shape=most_square_factors(int(value)))
@@ -282,8 +275,6 @@ def _scenario_for(config: ExperimentConfig, value: float, seed: int) -> Scenario
 
 
 def _solver_for(config: ExperimentConfig, value: float, n_antennas: int) -> SolverConfig:
-    from .sphere_opt import SolverOptions
-
     streams = config.streams_per_user * config.scenario.n_users
     power_dbm = config.power_dbm
     offset = config.rf_chains_offset
@@ -306,20 +297,13 @@ def _solver_for(config: ExperimentConfig, value: float, n_antennas: int) -> Solv
         rho=config.rho,
         seed=config.solver_seed,
         decomp_iterations=config.decomp_iterations,
-        manifold=SolverOptions(
-            max_iterations=config.manifold_max_iterations,
-            gradient_tol=config.manifold_tol,
-            restarts=config.manifold_restarts,
-        ),
     )
 
 
 def run_point(config: ExperimentConfig, value: float, method: str, seed: int) -> RunResult:
     """Run one (sweep value, method, scenario seed) cell."""
-    import time
-
     started = time.perf_counter()
-    scenario_cfg = _scenario_for(config, value, seed)
+    scenario_cfg = _scenario_for(config, value)
     scenario = generate_scenario(scenario_cfg, seed)
     n_antennas = scenario.bs_layout.size
     solver = _solver_for(config, value, n_antennas)
@@ -354,16 +338,10 @@ def run_point(config: ExperimentConfig, value: float, method: str, seed: int) ->
         channels = [compose(e, state.coefficients) for e in effs]
         audit_set = None
     elif method == "wmmse_fixed":
-        from .channel import assemble_channel
-        from .patterns import CandidateSet
-
         state, trace = fixed_pattern_wmmse(scenario, fixed, streams, solver)
         channels = [assemble_channel(g, fixed) for g in scenario.geometries]
         audit_set = CandidateSet((fixed,))
     elif method == "zf":
-        from .channel import assemble_channel
-        from .sphharm import default_grid
-
         channels = [assemble_channel(g, fixed) for g in scenario.geometries]
         f_d = bd_zero_forcing(channels, streams, solver.power)
         decomp = decompose_precoder(
@@ -387,7 +365,6 @@ def run_point(config: ExperimentConfig, value: float, method: str, seed: int) ->
             "objective": "",
             "outer_iterations": 0,
             "converged": 1,
-            "warnings": 0,
             "max_power_violation": _float_repr(max(np.max(per_antenna / solver.power - 1.0), 0.0)),
             "modulus_deviation": _float_repr(
                 np.max(np.abs(np.abs(decomp.f_rf) ** 2 * n_antennas - 1.0))
@@ -421,7 +398,6 @@ def run_point(config: ExperimentConfig, value: float, method: str, seed: int) ->
         "objective": _float_repr(trace.objective[-1]),
         "outer_iterations": trace.n_iterations,
         "converged": int(trace.converged),
-        "warnings": trace.warnings,
         "max_power_violation": _float_repr(report.max_power_violation()),
         "modulus_deviation": _float_repr(
             -report.modulus_margin if report.modulus_margin is not None else 0.0

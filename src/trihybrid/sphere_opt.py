@@ -1,32 +1,31 @@
-"""Gradient descent on the unit sphere for the reduced coefficient step.
+"""Exact minimization of a quadratic over the unit sphere for the reduced
+coefficient step.
 
-Minimizes x^T B x + v^T x subject to ||x|| = 1 by projected-gradient descent
-with Armijo backtracking: the Euclidean gradient is projected onto the
-tangent plane, a step is taken against it, and the iterate is retracted back
-to the sphere by renormalization.
+Minimizes x^T B x + v^T x subject to ||x|| = 1 globally (Moré & Sorensen,
+"Computing a trust region step", 1983; Hager, "Minimizing a quadratic over a
+sphere", SIAM J. Optim. 2001).  With B = Q diag(lam) Q^T and w = Q^T v, a
+global minimizer is x = -Q (diag(lam) - mu)^{-1} w / 2 for the multiplier
+mu < lam_min at which that vector has unit norm.  Writing t = lam_min - mu,
+the root of the secular equation 1/||x(t)|| = 1 is found by safeguarded
+Newton iteration.  In the hard case, where w has no component in the bottom
+eigenspace and ||x|| stays below one as mu approaches lam_min, mu = lam_min
+and a bottom eigenvector fills the missing norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sphharm import FOUR_PI
-
-
-@dataclass
-class SolverOptions:
-    """Descent controls.  `gradient_tol` is relative: the stopping threshold
-    is gradient_tol times the problem's gradient scale (2||B||_F + ||v||),
-    so tolerances carry across objective magnitudes."""
-
-    max_iterations: int = 150
-    gradient_tol: float = 1e-6
-    restarts: int = 1
-    armijo_constant: float = 1e-4
-    contraction: float = 0.5
-    max_backtracks: int = 30
+# Relative to the problem scale ||B||_F + ||v||.  Eigenvalues this close to
+# the smallest form the bottom eigenspace, and a bottom component of w this
+# small counts as none; either approximation moves the objective by at most
+# this much times the scale anywhere on the sphere.
+_CLUSTER_TOL = 1e-9
+_SECULAR_TOL = 1e-12  # on | ||x(t)|| - 1 |
+_MAX_NEWTON = 50
 
 
 @dataclass
@@ -36,7 +35,6 @@ class SphereProblem:
     quadratic: np.ndarray  # (n, n) real
     linear: np.ndarray  # (n,) real
     start: np.ndarray  # (n,) unit vector
-    options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self) -> None:
         self.quadratic = np.asarray(self.quadratic, dtype=float)
@@ -56,107 +54,85 @@ class SphereProblem:
 class SphereResult:
     point: np.ndarray
     value: float
-    iterations: int
-    converged: bool
+    iterations: int  # Newton steps on the secular equation
+    converged: bool  # the secular residual met its tolerance
 
 
-def tangent_gradient(point: np.ndarray, quadratic: np.ndarray, linear: np.ndarray) -> np.ndarray:
-    """Euclidean gradient projected onto the tangent plane at `point`."""
-    grad = (quadratic + quadratic.T) @ point + linear
-    return grad - (point @ grad) * point
+def minimize_on_sphere(problem: SphereProblem) -> SphereResult:
+    """Global minimizer of the problem's objective on the unit sphere.
 
-
-def retract(point: np.ndarray, tangent: np.ndarray, step: float) -> np.ndarray:
-    """Step against the tangent direction and renormalize onto the sphere."""
-    moved = point - step * tangent
-    norm = np.linalg.norm(moved)
-    if norm == 0.0:
-        raise ValueError("retraction hit the origin; reduce the step")
-    return moved / norm
-
-
-def _descend(problem: SphereProblem, start: np.ndarray) -> SphereResult:
-    opts = problem.options
-    point = start / np.linalg.norm(start)
-    # Minimizers are invariant to a positive rescaling of the objective, so
-    # descend on the unit-scale problem; steps and tolerances then carry
-    # across objective magnitudes.
+    The start point only breaks ties: in the hard case the bottom-eigenspace
+    component points along the start's projection onto that space.  The
+    returned value never exceeds the objective at the start.
+    """
+    start = problem.start
+    start_value = problem.objective(start)
     scale = np.linalg.norm(problem.quadratic, "fro") + np.linalg.norm(problem.linear)
     if scale == 0.0:
-        return SphereResult(point=point, value=0.0, iterations=0, converged=True)
+        return SphereResult(point=start.copy(), value=0.0, iterations=0, converged=True)
     quad = problem.quadratic / scale
-    linear = problem.linear / scale
-    threshold = opts.gradient_tol * (
-        2.0 * np.linalg.norm(quad, "fro") + np.linalg.norm(linear)
-    )
-    initial_step = 1.0 / (np.linalg.norm(quad, "fro") + np.linalg.norm(linear) + 1.0)
+    lam, basis = np.linalg.eigh(0.5 * (quad + quad.T))
+    half_w = 0.5 * (basis.T @ problem.linear) / scale
+    gaps = lam - lam[0]
+    # Eigenvalues come sorted, so the bottom eigenspace is the first m.
+    m = int(np.searchsorted(gaps, _CLUSTER_TOL, side="right"))
+    gaps[:m] = 0.0
+    w_bottom = 2.0 * math.sqrt(half_w[:m] @ half_w[:m])
 
-    def objective(x):
-        return float(x @ quad @ x + linear @ x)
-
-    value = objective(point)
-    best_point, best_value = point, value
-    converged = False
+    # Coordinates of x(t) in the eigenbasis: y = -half_w / (gaps + t), t >= 0.
+    y = np.zeros_like(half_w)
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        grad = tangent_gradient(point, quad, linear)
-        grad_norm = np.linalg.norm(grad)
-        if grad_norm <= threshold:
-            converged = True
-            break
-        step = initial_step
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            moved = point - step * grad
-            norm = np.linalg.norm(moved)
-            if norm == 0.0:
-                step *= opts.contraction
-                continue
-            candidate = moved / norm
-            cand_value = objective(candidate)
-            if cand_value <= value - opts.armijo_constant * step * grad_norm**2:
-                point, value = candidate, cand_value
-                accepted = True
+    converged = True
+    if w_bottom <= _CLUSTER_TOL:
+        # No bottom component: x(t) stays finite at t = 0, and if it is
+        # inside the sphere there, a bottom eigenvector fills the norm.
+        w_bottom, first = 0.0, m
+        y[m:] = -half_w[m:] / gaps[m:]
+        hard = y @ y <= 1.0
+    else:
+        first, hard = 0, False
+    if hard:
+        fill = basis[:, :m].T @ start
+        fill_norm = math.sqrt(fill @ fill)
+        if fill_norm <= _CLUSTER_TOL:
+            fill[:] = 0.0
+            fill[0] = fill_norm = 1.0
+        y[:m] = math.sqrt(max(0.0, 1.0 - y @ y)) * fill / fill_norm
+    else:
+        g, hw = gaps[first:], half_w[first:]
+        # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`.
+        low = max(0.5 * w_bottom, float(np.max(np.abs(hw) - g)), 0.0)
+        high = math.sqrt(hw @ hw)
+        t = low
+        converged = False
+        while iterations < _MAX_NEWTON:
+            iterations += 1
+            denom = g + t
+            ya = hw / denom
+            norm_sq = float(ya @ ya)
+            norm = math.sqrt(norm_sq)
+            if abs(norm - 1.0) <= _SECULAR_TOL:
+                converged = True
                 break
-            step *= opts.contraction
-        if not accepted:
-            # No acceptable step at this scale; treat as stationary.
-            break
-        if value < best_value:
-            best_point, best_value = point, value
-    return SphereResult(
-        point=best_point,
-        value=best_value * scale,
-        iterations=iterations,
-        converged=converged,
-    )
+            if norm > 1.0:
+                low = t
+            else:
+                high = t
+            # 1/||x(t)|| is concave and increasing in t, so Newton steps from
+            # the left of the root stay left of it; bisect if rounding
+            # throws a step out of the bracket.
+            slope = float(ya @ (ya / denom)) / (norm * norm_sq)
+            t += (1.0 - 1.0 / norm) / slope
+            if not low <= t <= high:
+                t = 0.5 * (low + high)
+        y[first:] = -ya
 
-
-def minimize_on_sphere(
-    problem: SphereProblem,
-    restarts: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> SphereResult:
-    """Run the descent from the problem's start point, optionally followed by
-    random restarts, and return the best local solution found.
-
-    The first run always starts from `problem.start`, so the returned value
-    never exceeds the objective there.  Non-convergence (iteration cap hit)
-    is reported through the flag, not as an error.
-    """
-    restarts = problem.options.restarts if restarts is None else restarts
-    best = _descend(problem, problem.start)
-    if restarts > 1:
-        rng = rng or np.random.default_rng(0)
-        for _ in range(restarts - 1):
-            start = rng.standard_normal(problem.linear.size)
-            norm = np.linalg.norm(start)
-            if norm == 0.0:
-                continue
-            result = _descend(problem, start / norm)
-            if result.value < best.value:
-                best = result
-    return best
+    point = basis @ y
+    point /= math.sqrt(point @ point)
+    value = problem.objective(point)
+    if value > start_value:
+        point, value = start.copy(), start_value
+    return SphereResult(point=point, value=value, iterations=iterations, converged=converged)
 
 
 def reduced_coefficient_problem(
@@ -166,7 +142,6 @@ def reduced_coefficient_problem(
     row: np.ndarray,
     rho: float,
     start: np.ndarray,
-    options: SolverOptions | None = None,
 ) -> SphereProblem:
     """Reduce the per-antenna pattern subproblem to the unit sphere.
 
@@ -190,12 +165,7 @@ def reduced_coefficient_problem(
         * row_power
         * np.real(quad_term[1:, 0])
     )
-    return SphereProblem(
-        quadratic=quad,
-        linear=v1 + v2,
-        start=start,
-        options=options or SolverOptions(),
-    )
+    return SphereProblem(quadratic=quad, linear=v1 + v2, start=start)
 
 
 def lift_coefficients(point: np.ndarray, rho: float) -> np.ndarray:
@@ -214,8 +184,3 @@ def isotropic_coefficients(width: int, rho: float) -> np.ndarray:
     start = np.zeros(width - 1)
     start[0] = 1.0
     return lift_coefficients(start, rho)
-
-
-def coefficient_power_deviation(coeffs: np.ndarray) -> float:
-    """Absolute deviation of the squared norm from the 4*pi power budget."""
-    return abs(float(coeffs @ coeffs) - FOUR_PI)

@@ -24,7 +24,6 @@ import numpy as np
 from .channel import compose, selection_matrix
 from .decomp import decompose_precoder
 from .sphere_opt import (
-    SolverOptions,
     isotropic_coefficients,
     lift_coefficients,
     minimize_on_sphere,
@@ -57,7 +56,6 @@ class SolverConfig:
     rho: float = 0.7
     seed: int = 0
     decomp_iterations: int = 30
-    manifold: SolverOptions = field(default_factory=SolverOptions)
 
 
 @dataclass
@@ -70,7 +68,6 @@ class Trace:
     antenna_deviation: list[float] = field(default_factory=list)
     iter_seconds: list[float] = field(default_factory=list)
     converged: bool = False
-    warnings: int = 0
 
     @property
     def n_iterations(self) -> int:
@@ -367,21 +364,19 @@ def synthesize_pattern_and_row(
     coefficients: np.ndarray,
     budget: float,
     rho: float,
-    options: SolverOptions,
-    rng: np.random.Generator | None = None,
 ):
     """One row update followed by one pattern-coefficient update.
 
     The row update is closed form for the current coefficients; the
-    coefficient update keeps the pinned constant component and descends the
-    reduced problem on the unit sphere, starting from the current
-    coefficients so the block objective cannot increase.  Returns
-    (coefficients, row, manifold-converged flag).
+    coefficient update keeps the pinned constant component and solves the
+    reduced problem on the unit sphere exactly, never ending above the
+    current coefficients, so the block objective cannot increase.  Returns
+    (coefficients, row).
     """
     row = solve_antenna_row(terms, coefficients, budget)
     width = coefficients.size
     if rho >= 1.0 or width == 1 or not np.any(row):
-        return coefficients, row, True
+        return coefficients, row
     tail = coefficients[1:]
     tail_norm = np.linalg.norm(tail)
     if tail_norm == 0.0:
@@ -390,10 +385,9 @@ def synthesize_pattern_and_row(
     else:
         start = tail / tail_norm
     problem = reduced_coefficient_problem(
-        terms.quad_term, terms.cross_term, terms.align_term, row, rho, start, options
+        terms.quad_term, terms.cross_term, terms.align_term, row, rho, start
     )
-    result = minimize_on_sphere(problem, rng=rng)
-    return lift_coefficients(result.point, rho), row, result.converged
+    return lift_coefficients(minimize_on_sphere(problem).point, rho), row
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +428,7 @@ def _run_bcd(
     """Common outer loop: auxiliaries, antenna sweep, trace, decomposition.
 
     `update_antenna(workspace, n, budget)` performs one antenna block update
-    through the workspace and returns the number of warnings raised.
+    through the workspace.
     """
     K = len(effs)
     n_antennas = effs[0].n_antennas
@@ -489,7 +483,7 @@ def _run_bcd(
             effs, antenna_matrix, f_d, receivers, weight_matrices, beta
         )
         for n in range(n_antennas):
-            trace.warnings += update_antenna(workspace, n, power[n])
+            update_antenna(workspace, n, power[n])
             if block_monitor is not None:
                 chans = [compose(eff, antenna_matrix) for eff in effs]
                 block_monitor(
@@ -555,7 +549,6 @@ def run_selection(
         one_hot = np.zeros(width)
         one_hot[index] = 1.0
         workspace.apply(n, one_hot, row)
-        return 0
 
     f_d, decomp, receivers, weights_w, beta, noise, power, trace = _run_bcd(
         effs, stream_counts, config, update, antenna_matrix, 1.0, init_f_d, block_monitor
@@ -608,20 +601,13 @@ def run_synthesis(
             raise ValueError(
                 f"init_coefficients must have shape {(n_antennas, width)}"
             )
-    manifold_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
 
     def update(workspace, n, budget):
         terms = workspace.terms(n)
-        coeffs, row, converged = synthesize_pattern_and_row(
-            terms,
-            workspace.antenna_matrix[n],
-            budget,
-            config.rho,
-            config.manifold,
-            manifold_rng,
+        coeffs, row = synthesize_pattern_and_row(
+            terms, workspace.antenna_matrix[n], budget, config.rho
         )
         workspace.apply(n, coeffs, row)
-        return 0 if converged else 1
 
     f_d, decomp, receivers, weights_w, beta, noise, power, trace = _run_bcd(
         effs, stream_counts, config, update, coefficients, FOUR_PI, init_f_d, block_monitor

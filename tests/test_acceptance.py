@@ -26,7 +26,7 @@ from trihybrid.channel import (
     synthesis_effective_channel,
 )
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_pattern, isotropic_pattern, most_square_factors
-from trihybrid.sphere_opt import SolverOptions, SphereProblem, minimize_on_sphere
+from trihybrid.sphere_opt import SphereProblem, minimize_on_sphere
 from trihybrid.sphharm import FOUR_PI, SHCoefficients, default_grid, scale_to_sphere_power
 from trihybrid.wmmse import (
     PerAntennaTerms,
@@ -289,23 +289,20 @@ def test_criterion_08_sphere_solver_oracle():
     grid_points = rng.standard_normal((1_000_000, 8))
     grid_points /= np.linalg.norm(grid_points, axis=1, keepdims=True)
     worst_gap = -np.inf
-    options = SolverOptions(max_iterations=300, restarts=8)
-    restart_rng = np.random.default_rng(9)
     for _ in range(50):
         a = rng.standard_normal((8, 8))
         quad = (a + a.T) / 2
         linear = rng.standard_normal(8)
         start = rng.standard_normal(8)
         start /= np.linalg.norm(start)
-        problem = SphereProblem(quad, linear, start, options)
-        result = minimize_on_sphere(problem, rng=restart_rng)
+        result = minimize_on_sphere(SphereProblem(quad, linear, start))
         sampled = (
             np.einsum("ij,jk,ik->i", grid_points, quad, grid_points)
             + grid_points @ linear
         )
         worst_gap = max(worst_gap, result.value - float(np.min(sampled)))
     ok = worst_gap <= 1e-4
-    report(8, ok, f"sphere descent vs 1e6-point grid: worst gap {worst_gap:.2e}")
+    report(8, ok, f"sphere solve vs 1e6-point grid: worst gap {worst_gap:.2e}")
     assert ok
 
 

@@ -54,9 +54,14 @@ class TestConfig:
         assert config.scenario.bs_shape == (3, 3)
 
     def test_unknown_key_rejected(self, tmp_path):
-        bad = MINI.replace("candidates = 4", "candidats = 4")
-        with pytest.raises(ConfigurationError, match="candidats"):
-            load_config(write_config(tmp_path, bad))
+        # A typo, and a key the runner no longer has.
+        for line, key in (
+            ("candidats = 4", "candidats"),
+            ("candidates = 4\nmanifold_restarts = 1", "manifold_restarts"),
+        ):
+            bad = MINI.replace("candidates = 4", line)
+            with pytest.raises(ConfigurationError, match=key):
+                load_config(write_config(tmp_path, bad))
 
     def test_unknown_method_rejected(self, tmp_path):
         bad = MINI.replace("methods = model1 model2 wmmse_fixed zf", "methods = magic")

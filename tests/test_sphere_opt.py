@@ -6,108 +6,85 @@ from numpy.testing import assert_allclose
 
 from helpers import block_objective, random_complex, random_psd
 from trihybrid.sphere_opt import (
-    SolverOptions,
     SphereProblem,
-    coefficient_power_deviation,
     isotropic_coefficients,
     lift_coefficients,
     minimize_on_sphere,
     reduced_coefficient_problem,
-    retract,
-    tangent_gradient,
 )
+from trihybrid.sphharm import FOUR_PI
 from trihybrid.wmmse import PerAntennaTerms
-
-
-class TestGradient:
-    def test_radial_component_removed(self, rng):
-        n = 5
-        c = rng.standard_normal(n)
-        c /= np.linalg.norm(c)
-        # Euclidean gradient parallel to the point projects to zero.
-        quad = np.zeros((n, n))
-        g = tangent_gradient(c, quad, 3.0 * c)
-        assert np.linalg.norm(g) < 1e-12
-
-    def test_tangent_vector_passes_through(self, rng):
-        n = 4
-        c = np.zeros(n)
-        c[0] = 1.0
-        v = np.array([0.0, 1.0, -2.0, 0.5])
-        g = tangent_gradient(c, np.zeros((n, n)), v)
-        assert_allclose(g, v, atol=1e-15)
-
-    def test_orthogonality(self, rng):
-        for _ in range(10):
-            n = 6
-            c = rng.standard_normal(n)
-            c /= np.linalg.norm(c)
-            quad = rng.standard_normal((n, n))
-            v = rng.standard_normal(n)
-            g = tangent_gradient(c, quad, v)
-            assert abs(g @ c) < 1e-12
-
-    def test_projection_idempotent(self, rng):
-        n = 6
-        c = rng.standard_normal(n)
-        c /= np.linalg.norm(c)
-        quad = rng.standard_normal((n, n))
-        v = rng.standard_normal(n)
-        g = tangent_gradient(c, quad, v)
-        again = g - (c @ g) * c
-        assert np.linalg.norm(again - g) < 1e-14
-
-
-class TestRetract:
-    def test_zero_tangent(self, rng):
-        c = rng.standard_normal(4)
-        c /= np.linalg.norm(c)
-        assert_allclose(retract(c, np.zeros(4), 0.5), c)
-
-    def test_unit_norm(self, rng):
-        for _ in range(5):
-            c = rng.standard_normal(5)
-            c /= np.linalg.norm(c)
-            g = rng.standard_normal(5)
-            out = retract(c, g, 0.3)
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-14
-
-    def test_first_order_in_step(self, rng):
-        c = rng.standard_normal(4)
-        c /= np.linalg.norm(c)
-        g = rng.standard_normal(4)
-        g -= (c @ g) * c
-        eps = 1e-7
-        out = retract(c, g, eps)
-        assert np.linalg.norm(out - c) < 2 * eps * np.linalg.norm(g)
-
-    def test_origin_rejected(self):
-        c = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            retract(c, c / 0.5, 0.5)
 
 
 class TestMinimize:
     def test_linear_objective_closed_form(self):
         v = np.array([3.0, 4.0, 0.0])
-        problem = SphereProblem(
-            np.zeros((3, 3)), v, np.array([0.0, 0.0, 1.0]),
-            SolverOptions(max_iterations=500),
-        )
+        problem = SphereProblem(np.zeros((3, 3)), v, np.array([0.0, 0.0, 1.0]))
         result = minimize_on_sphere(problem)
-        assert result.value == pytest.approx(-5.0, abs=1e-6)
-        assert_allclose(result.point, -v / 5.0, atol=1e-4)
+        assert result.value == pytest.approx(-5.0, abs=1e-12)
+        assert_allclose(result.point, -v / 5.0, atol=1e-12)
 
     def test_rayleigh_quotient(self, rng):
         lam = np.array([2.0, -1.5, 0.3, 4.0])
         start = rng.standard_normal(4)
         start /= np.linalg.norm(start)
-        problem = SphereProblem(
-            np.diag(lam), np.zeros(4), start, SolverOptions(max_iterations=500)
-        )
+        problem = SphereProblem(np.diag(lam), np.zeros(4), start)
         result = minimize_on_sphere(problem)
-        assert result.value == pytest.approx(-1.5, abs=1e-6)
-        assert abs(abs(result.point[1]) - 1.0) < 1e-3
+        assert result.value == pytest.approx(-1.5, abs=1e-12)
+        assert abs(abs(result.point[1]) - 1.0) < 1e-12
+        # The sign follows the start's component in the bottom eigenspace.
+        assert result.point[1] * start[1] > 0.0
+
+    def test_hard_case_simple_bottom_eigenvalue(self):
+        # v has no component along the bottom eigenvector e_0 and the
+        # stationary point of the shifted problem lies inside the sphere, so
+        # the minimizer is that point plus +-tau e_0.
+        lam = np.array([1.0, 2.0, 3.0])
+        v = np.array([0.0, 0.8, 1.2])
+        tail = -v[1:] / (2.0 * (lam[1:] - lam[0]))  # (-0.4, -0.3)
+        tau = np.sqrt(1.0 - tail @ tail)
+        start = np.array([-0.6, 0.0, 0.8])
+        result = minimize_on_sphere(SphereProblem(np.diag(lam), v, start))
+        expected = np.concatenate([[-tau], tail])  # sign of start[0]
+        assert_allclose(result.point, expected, atol=1e-12)
+        assert result.value == pytest.approx(
+            expected @ np.diag(lam) @ expected + v @ expected, abs=1e-12
+        )
+        assert result.converged and result.iterations == 0
+
+    def test_hard_case_repeated_bottom_eigenvalue(self, rng):
+        # A rotated problem whose smallest eigenvalue has multiplicity three
+        # and whose linear term lies in the top eigenspace: every minimizer
+        # has the analytic top part and bottom part of norm tau.
+        lam = np.array([-1.0, -1.0, -1.0, 0.5, 2.0])
+        rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        quad = rotation @ np.diag(lam) @ rotation.T
+        w = np.array([0.0, 0.0, 0.0, 1.5, -2.0])
+        tail = -w[3:] / (2.0 * (lam[3:] - lam[0]))  # (-0.5, 1/3)
+        tau = np.sqrt(1.0 - tail @ tail)
+        start = rng.standard_normal(5)
+        start /= np.linalg.norm(start)
+        result = minimize_on_sphere(SphereProblem(quad, rotation @ w, start))
+        y = rotation.T @ result.point
+        assert_allclose(y[3:], tail, atol=1e-9)
+        assert np.linalg.norm(y[:3]) == pytest.approx(tau, abs=1e-9)
+        # The bottom part follows the start's projection onto that space.
+        bottom_start = (rotation.T @ start)[:3]
+        assert_allclose(y[:3], tau * bottom_start / np.linalg.norm(bottom_start), atol=1e-9)
+        expected = lam[0] * tau**2 + lam[3:] @ tail**2 + w[3:] @ tail
+        assert result.value == pytest.approx(expected, abs=1e-12)
+
+    def test_near_hard_case_is_continuous(self):
+        # A vanishing bottom component of v moves the minimizer continuously
+        # onto the hard-case solution.
+        lam = np.array([1.0, 2.0, 3.0])
+        start = np.array([-0.6, 0.0, 0.8])
+        hard = minimize_on_sphere(SphereProblem(np.diag(lam), np.array([0.0, 0.8, 1.2]), start))
+        near = minimize_on_sphere(
+            SphereProblem(np.diag(lam), np.array([1e-6, 0.8, 1.2]), start)
+        )
+        assert near.converged and near.iterations > 0
+        assert_allclose(near.point, hard.point, atol=1e-5)
 
     def test_zero_problem_keeps_start(self, rng):
         start = rng.standard_normal(5)
@@ -115,6 +92,7 @@ class TestMinimize:
         problem = SphereProblem(np.zeros((5, 5)), np.zeros(5), start)
         result = minimize_on_sphere(problem)
         assert_allclose(result.point, start)
+        assert result.value == 0.0
         assert result.converged
 
     def test_never_worse_than_start(self, rng):
@@ -137,8 +115,7 @@ class TestMinimize:
             v = rng.standard_normal(3)
             start = rng.standard_normal(3)
             start /= np.linalg.norm(start)
-            problem = SphereProblem(quad, v, start, SolverOptions(max_iterations=300))
-            result = minimize_on_sphere(problem, restarts=8, rng=np.random.default_rng(0))
+            result = minimize_on_sphere(SphereProblem(quad, v, start))
             pts = rng.standard_normal((1_000_000, 3))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             sampled = np.einsum("ij,jk,ik->i", pts, quad, pts) + pts @ v
@@ -151,9 +128,10 @@ class TestMinimize:
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
         base = minimize_on_sphere(SphereProblem(quad, v, start))
-        scaled = minimize_on_sphere(SphereProblem(1e-8 * quad, 1e-8 * v, start))
-        assert_allclose(scaled.point, base.point, atol=1e-9)
-        assert scaled.value == pytest.approx(1e-8 * base.value, rel=1e-9)
+        for factor in (1e-8, 3.7, 1e6):
+            scaled = minimize_on_sphere(SphereProblem(factor * quad, factor * v, start))
+            assert_allclose(scaled.point, base.point, atol=1e-9)
+            assert scaled.value == pytest.approx(factor * base.value, rel=1e-9)
 
     def test_start_norm_validated(self):
         with pytest.raises(ValueError):
@@ -222,12 +200,12 @@ class TestReducedProblem:
         point = rng.standard_normal(8)
         point /= np.linalg.norm(point)
         c = lift_coefficients(point, 0.7)
-        assert coefficient_power_deviation(c) < 1e-12
+        assert abs(c @ c - FOUR_PI) < 1e-12
         assert c[0] == pytest.approx(2 * np.sqrt(0.7 * np.pi))
 
     def test_isotropic_default(self):
         c = isotropic_coefficients(9, 0.7)
-        assert coefficient_power_deviation(c) < 1e-12
+        assert abs(c @ c - FOUR_PI) < 1e-12
         c1 = isotropic_coefficients(1, 0.7)
         assert_allclose(c1, [2 * np.sqrt(np.pi)])
 
@@ -275,11 +253,20 @@ class TestPositivityAudit:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=12))
-def test_retraction_always_unit(dim):
-    rng = np.random.default_rng(dim)
-    c = rng.standard_normal(dim)
-    c /= np.linalg.norm(c)
-    g = rng.standard_normal(dim)
-    out = retract(c, g, 0.7)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+def test_global_minimum_any_dimension(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    quad = (a + a.T) / 2
+    v = rng.standard_normal(dim) * rng.choice([0.0, 1e-3, 1.0, 10.0])
+    start = rng.standard_normal(dim)
+    start /= np.linalg.norm(start)
+    problem = SphereProblem(quad, v, start)
+    result = minimize_on_sphere(problem)
+    assert result.converged
+    assert abs(np.linalg.norm(result.point) - 1.0) < 1e-12
+    assert result.value <= problem.objective(start) + 1e-12
+    pts = rng.standard_normal((10_000, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    sampled = np.einsum("ij,jk,ik->i", pts, quad, pts) + pts @ v
+    assert result.value <= float(np.min(sampled)) + 1e-12

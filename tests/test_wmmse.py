@@ -13,7 +13,6 @@ from trihybrid.channel import (
     synthesis_effective_channel,
 )
 from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
-from trihybrid.sphere_opt import SolverOptions
 from trihybrid.sphharm import FOUR_PI
 from trihybrid.wmmse import (
     PerAntennaTerms,
@@ -388,9 +387,7 @@ class TestSynthesizeUpdate:
         terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
         coeffs = np.zeros(width)
         coeffs[0] = 2.0 * np.sqrt(np.pi)
-        out, row, _ = synthesize_pattern_and_row(
-            terms, coeffs, 1.0, 1.0, SolverOptions()
-        )
+        out, row = synthesize_pattern_and_row(terms, coeffs, 1.0, 1.0)
         assert_allclose(out, coeffs)
         assert np.any(row != 0)
 
@@ -409,8 +406,8 @@ class TestSynthesizeUpdate:
             )
             row0 = random_complex(rng, 3)
             before = block_objective(terms, row0, coeffs)
-            out, row, _ = synthesize_pattern_and_row(
-                terms, coeffs, float(np.real(row0 @ row0.conj())), rho, SolverOptions()
+            out, row = synthesize_pattern_and_row(
+                terms, coeffs, float(np.real(row0 @ row0.conj())), rho
             )
             after = block_objective(terms, row, out)
             assert after <= before + 1e-9
@@ -428,12 +425,9 @@ class TestSynthesizeUpdate:
         coeffs = np.concatenate(
             [[2 * np.sqrt(rho * np.pi)], 2 * np.sqrt((1 - rho) * np.pi) * np.array([1.0, 0, 0])]
         )
-        out, row, converged = synthesize_pattern_and_row(
-            terms, coeffs, 1.0, rho, SolverOptions()
-        )
+        out, row = synthesize_pattern_and_row(terms, coeffs, 1.0, rho)
         assert_allclose(out, coeffs)
         assert_allclose(row, 0.0)
-        assert converged
 
 
 # ---------------------------------------------------------------------------
