@@ -9,7 +9,6 @@ from .channel import (
     ScenarioConfig,
     assemble_channel,
     compose,
-    compose_selection,
     far_field_channel,
     generate_scenario,
     selection_effective_channel,
@@ -56,7 +55,6 @@ from .wmmse import (
     mmse_receivers,
     mse_matrix,
     mse_weights,
-    per_antenna_terms,
     run_selection,
     run_synthesis,
     select_pattern_and_row,

@@ -21,9 +21,6 @@ def fixed_pattern_wmmse(
     pattern: RadiationPattern,
     stream_counts,
     config: SolverConfig,
-    rx_pattern: RadiationPattern | None = None,
-    init_f_d: np.ndarray | None = None,
-    block_monitor=None,
 ) -> tuple[PrecoderState, Trace]:
     """Weighted-MMSE precoding with one fixed pattern on every antenna.
 
@@ -31,17 +28,8 @@ def fixed_pattern_wmmse(
     selection step is forced and only the precoder rows move.
     """
     single = CandidateSet((pattern,))
-    effs = [
-        selection_effective_channel(geom, single, rx_pattern)
-        for geom in scenario.geometries
-    ]
-    return run_selection(
-        effs,
-        stream_counts,
-        config,
-        init_f_d=init_f_d,
-        block_monitor=block_monitor,
-    )
+    effs = [selection_effective_channel(geom, single) for geom in scenario.geometries]
+    return run_selection(effs, stream_counts, config)
 
 
 def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:

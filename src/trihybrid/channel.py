@@ -509,13 +509,6 @@ def compose(eff: EffectiveChannel, antenna_matrix: np.ndarray) -> np.ndarray:
     return np.einsum("mnw,nw->mn", eff.blocks(), antenna_matrix)
 
 
-def compose_selection(eff: EffectiveChannel, selection: np.ndarray) -> np.ndarray:
-    """Plain channel for per-antenna candidate indices (0-based)."""
-    selection = np.asarray(selection, dtype=int)
-    cols = np.arange(eff.n_antennas) * eff.block_width + selection
-    return eff.matrix[:, cols]
-
-
 def selection_matrix(selection: np.ndarray, width: int) -> np.ndarray:
     """One-hot rows encoding per-antenna candidate indices."""
     selection = np.asarray(selection, dtype=int)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exceptions import ConfigurationError, GenerationError
+from .exceptions import ConfigurationError, GenerationError, SweepError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (GenerationError, OSError) as exc:
+    except (GenerationError, SweepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

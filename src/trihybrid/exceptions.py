@@ -9,5 +9,9 @@ class GenerationError(RuntimeError):
     """Scenario geometry could not be generated (degenerate placement)."""
 
 
+class SweepError(RuntimeError):
+    """One or more sweep cells failed; the completed cells were written."""
+
+
 class ResolutionError(ValueError):
     """Quadrature grid too coarse for the requested operation."""

@@ -2,10 +2,12 @@
 
 Reads a flat key-value config (INI sections: scenario, solver, sweep), runs
 every sweep point x method x scenario seed, and appends one row per run to a
-results CSV.  Runs are deterministic for a fixed config: scenario seeds are
-taken from the config, solver seeds are fixed, and rows are written in sweep
-order regardless of worker count.  Wall-clock timings go to a sidecar file
-so the results CSV is byte-reproducible.
+results CSV.  The methods of one (sweep point, scenario seed) cell share its
+scenario, candidate grid and fixed-pattern solve.  Runs are deterministic
+for a fixed config: scenario seeds are taken from the config, solver seeds
+are fixed, and rows are written in sweep order regardless of worker count.
+Wall-clock timings go to a sidecar file so the results CSV is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
 from .channel import (
+    Scenario,
     ScenarioConfig,
     assemble_channel,
     compose,
@@ -31,12 +35,19 @@ from .channel import (
     synthesis_effective_channel,
 )
 from .decomp import decompose_precoder
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, SweepError
 from .metrics import audit_constraints
 from .patterns import CandidateSet, gaussian_beam_grid, most_square_factors
-from .sphharm import default_grid
 from .units import dbm_to_milliwatts
-from .wmmse import SolverConfig, run_selection, run_synthesis, split_precoder, weighted_sum_rate
+from .wmmse import (
+    PrecoderState,
+    SolverConfig,
+    Trace,
+    run_selection,
+    run_synthesis,
+    split_precoder,
+    weighted_sum_rate,
+)
 
 WORKER_ENV = "TRIHYBRID_WORKERS"
 
@@ -300,90 +311,114 @@ def _solver_for(config: ExperimentConfig, value: float, n_antennas: int) -> Solv
     )
 
 
-def run_point(config: ExperimentConfig, value: float, method: str, seed: int) -> RunResult:
-    """Run one (sweep value, method, scenario seed) cell."""
-    started = time.perf_counter()
-    scenario_cfg = _scenario_for(config, value)
-    scenario = generate_scenario(scenario_cfg, seed)
-    n_antennas = scenario.bs_layout.size
-    solver = _solver_for(config, value, n_antennas)
-    streams = (config.streams_per_user,) * scenario_cfg.n_users
-    candidates = gaussian_beam_grid(
-        config.candidates,
-        beamwidth=np.deg2rad(config.beamwidth_deg),
-        baseline_first=True,
-    )
-    fixed = candidates.baseline
+@dataclass
+class _Cell:
+    """What every method of one (sweep value, scenario seed) cell shares.
 
+    Each part is built on first use, inside the `run_point` call that first
+    needs it, so its time counts in that row.  The fixed-pattern WMMSE solve
+    serves both the `wmmse_fixed` row and the warm starts.
+    """
+
+    config: ExperimentConfig
+    value: float
+    seed: int
+
+    @cached_property
+    def scenario(self) -> Scenario:
+        return generate_scenario(_scenario_for(self.config, self.value), self.seed)
+
+    @cached_property
+    def solver(self) -> SolverConfig:
+        return _solver_for(self.config, self.value, self.scenario.bs_layout.size)
+
+    @cached_property
+    def streams(self) -> tuple[int, ...]:
+        return (self.config.streams_per_user,) * self.config.scenario.n_users
+
+    @cached_property
+    def candidates(self) -> CandidateSet:
+        return gaussian_beam_grid(
+            self.config.candidates,
+            beamwidth=np.deg2rad(self.config.beamwidth_deg),
+            baseline_first=True,
+        )
+
+    @cached_property
+    def fixed_channels(self) -> list[np.ndarray]:
+        baseline = self.candidates.baseline
+        return [assemble_channel(g, baseline) for g in self.scenario.geometries]
+
+    @cached_property
+    def fixed_solve(self) -> tuple[PrecoderState, Trace]:
+        return fixed_pattern_wmmse(
+            self.scenario, self.candidates.baseline, self.streams, self.solver
+        )
+
+
+def _zero_forcing_state(cell: _Cell) -> PrecoderState:
+    """BD zero forcing on the baseline pattern, with its decomposition."""
+    solver = cell.solver
+    f_d = bd_zero_forcing(cell.fixed_channels, cell.streams, solver.power)
+    decomp = decompose_precoder(
+        f_d, solver.rf_chains, solver.power, solver.decomp_iterations, seed=solver.seed
+    )
+    n_antennas, n_users = f_d.shape[0], len(cell.streams)
+    return PrecoderState(
+        f_d=f_d,
+        f_rf=decomp.f_rf,
+        f_bb=decomp.f_bb,
+        selection=np.zeros(n_antennas, dtype=int),
+        coefficients=None,
+        beta=np.ones(n_users) / n_users,
+        noise=np.full(n_users, solver.noise),
+        power=np.full(n_antennas, solver.power),
+        decomp_residual=decomp.residual,
+    )
+
+
+def run_point(
+    config: ExperimentConfig, value: float, method: str, seed: int, cell: _Cell | None = None
+) -> RunResult:
+    """Run one method on one (sweep value, scenario seed) cell.
+
+    `cell` carries the inputs the cell's other methods already built; a
+    fresh one is made when it is omitted.
+    """
+    started = time.perf_counter()
+    if cell is None:
+        cell = _Cell(config, value, seed)
     warm_f_d = None
     if config.warm_start and method in ("model1", "model2"):
-        warm_state, _ = fixed_pattern_wmmse(scenario, fixed, streams, solver)
-        warm_f_d = warm_state.f_d
+        warm_f_d = cell.fixed_solve[0].f_d
+    geometries = cell.scenario.geometries
 
-    state = None
-    trace = None
-    audit_set = candidates
     if method == "model1":
-        effs = [
-            selection_effective_channel(g, candidates) for g in scenario.geometries
-        ]
-        state, trace = run_selection(effs, streams, solver, init_f_d=warm_f_d)
-        channels = [compose(e, selection_matrix(state.selection, candidates.size)) for e in effs]
+        effs = [selection_effective_channel(g, cell.candidates) for g in geometries]
+        state, trace = run_selection(effs, cell.streams, cell.solver, init_f_d=warm_f_d)
+        width = cell.candidates.size
+        channels = [compose(e, selection_matrix(state.selection, width)) for e in effs]
+        audit_set = cell.candidates
     elif method == "model2":
-        effs = [
-            synthesis_effective_channel(g, config.sh_degree)
-            for g in scenario.geometries
-        ]
-        state, trace = run_synthesis(effs, streams, solver, init_f_d=warm_f_d)
+        effs = [synthesis_effective_channel(g, config.sh_degree) for g in geometries]
+        state, trace = run_synthesis(effs, cell.streams, cell.solver, init_f_d=warm_f_d)
         channels = [compose(e, state.coefficients) for e in effs]
         audit_set = None
     elif method == "wmmse_fixed":
-        state, trace = fixed_pattern_wmmse(scenario, fixed, streams, solver)
-        channels = [assemble_channel(g, fixed) for g in scenario.geometries]
-        audit_set = CandidateSet((fixed,))
+        state, trace = cell.fixed_solve
+        channels = cell.fixed_channels
+        audit_set = CandidateSet((cell.candidates.baseline,))
     elif method == "zf":
-        channels = [assemble_channel(g, fixed) for g in scenario.geometries]
-        f_d = bd_zero_forcing(channels, streams, solver.power)
-        decomp = decompose_precoder(
-            f_d, solver.rf_chains, solver.power, solver.decomp_iterations, seed=solver.seed
-        )
-        digital, _ = weighted_sum_rate(channels, split_precoder(f_d, streams), solver.noise)
-        hybrid, _ = weighted_sum_rate(
-            channels, split_precoder(decomp.f_rf @ decomp.f_bb, streams), solver.noise
-        )
-        per_antenna = np.sum(np.abs(f_d) ** 2, axis=1)
-        tg, pg = default_grid().mesh()
-        row = {
-            "axis": config.axis,
-            "sweep_value": _float_repr(value),
-            "method": method,
-            "scenario_seed": seed,
-            "n_antennas": n_antennas,
-            "rf_chains": solver.rf_chains,
-            "sum_rate_digital": _float_repr(digital),
-            "sum_rate_hybrid": _float_repr(hybrid),
-            "objective": "",
-            "outer_iterations": 0,
-            "converged": 1,
-            "max_power_violation": _float_repr(max(np.max(per_antenna / solver.power - 1.0), 0.0)),
-            "modulus_deviation": _float_repr(
-                np.max(np.abs(np.abs(decomp.f_rf) ** 2 * n_antennas - 1.0))
-            ),
-            "antenna_deviation": _float_repr(0.0),
-            "min_pattern_gain": _float_repr(float(np.min(fixed.gain(tg, pg)))),
-            "decomp_residual": _float_repr(decomp.residual),
-        }
-        leakage = interference_leakage(channels, f_d, streams)
-        row["zf_leakage"] = _float_repr(leakage)
-        return RunResult(row=row, seconds=time.perf_counter() - started)
+        state, trace = _zero_forcing_state(cell), Trace(converged=True)
+        channels = cell.fixed_channels
+        audit_set = CandidateSet((cell.candidates.baseline,))
     else:
         raise ConfigurationError(f"unknown method {method!r}")
 
-    digital, _ = weighted_sum_rate(
-        channels, split_precoder(state.f_d, streams), solver.noise
-    )
+    noise = cell.solver.noise
+    digital, _ = weighted_sum_rate(channels, split_precoder(state.f_d, cell.streams), noise)
     hybrid, _ = weighted_sum_rate(
-        channels, split_precoder(state.f_rf @ state.f_bb, streams), solver.noise
+        channels, split_precoder(state.f_rf @ state.f_bb, cell.streams), noise
     )
     report = audit_constraints(state, audit_set)
     row = {
@@ -391,25 +426,23 @@ def run_point(config: ExperimentConfig, value: float, method: str, seed: int) ->
         "sweep_value": _float_repr(value),
         "method": method,
         "scenario_seed": seed,
-        "n_antennas": n_antennas,
-        "rf_chains": solver.rf_chains,
+        "n_antennas": state.n_antennas,
+        "rf_chains": cell.solver.rf_chains,
         "sum_rate_digital": _float_repr(digital),
         "sum_rate_hybrid": _float_repr(hybrid),
-        "objective": _float_repr(trace.objective[-1]),
+        "objective": _float_repr(trace.objective[-1]) if trace.objective else "",
         "outer_iterations": trace.n_iterations,
         "converged": int(trace.converged),
         "max_power_violation": _float_repr(report.max_power_violation()),
-        "modulus_deviation": _float_repr(
-            -report.modulus_margin if report.modulus_margin is not None else 0.0
-        ),
-        "antenna_deviation": _float_repr(
-            -report.antenna_margin if report.antenna_margin is not None else 0.0
-        ),
+        "modulus_deviation": _float_repr(report.modulus_deviation()),
+        "antenna_deviation": _float_repr(report.antenna_deviation()),
         "min_pattern_gain": _float_repr(
             report.positivity_min if report.positivity_min is not None else 0.0
         ),
         "decomp_residual": _float_repr(state.decomp_residual),
     }
+    if method == "zf":
+        row["zf_leakage"] = _float_repr(interference_leakage(channels, state.f_d, cell.streams))
     trace_rows = [
         (i, _float_repr(o), _float_repr(r), _float_repr(v))
         for (i, o, r, v) in trace.rows()
@@ -417,9 +450,21 @@ def run_point(config: ExperimentConfig, value: float, method: str, seed: int) ->
     return RunResult(row=row, trace_rows=trace_rows, seconds=time.perf_counter() - started)
 
 
-def _run_job(args):
-    config, value, method, seed = args
-    return run_point(config, value, method, seed)
+def _run_cell(args) -> tuple[list[RunResult], str | None]:
+    """Every method of one (sweep value, scenario seed) cell, one
+    `run_point` call per results row.
+
+    Returns the rows in method order and no error, or no rows and the error
+    of the run that raised.  A configuration error ends the whole sweep.
+    """
+    config, value, seed = args
+    cell = _Cell(config, value, seed)
+    try:
+        return [run_point(config, value, method, seed, cell) for method in config.methods], None
+    except ConfigurationError:
+        raise
+    except Exception as exc:  # any other failure is reported with its cell
+        return [], f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -429,48 +474,60 @@ def _run_job(args):
 def run_experiment(config_path, worker_count: int | None = None) -> str:
     """Run every sweep cell and write the results CSV.
 
-    Returns the path of the results file.  Worker count comes from the
+    Returns the path of the results file.  The job unit is one (sweep
+    value, scenario seed) cell.  Worker count comes from the
     TRIHYBRID_WORKERS environment variable unless given; results are merged
-    in sweep order so the output does not depend on parallelism.
+    in sweep order so the output does not depend on parallelism, and the
+    timing sidecar lists the runs in the order they executed.  The rows of
+    every cell that completed are written even when others fail; a
+    SweepError naming each failed cell is raised afterwards.
     """
     config = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_path = os.path.join(base_dir, config.output)
 
-    jobs = [
-        (config, value, method, seed)
-        for value in config.values
-        for method in config.methods
-        for seed in config.seeds
-    ]
+    cells = [(config, value, seed) for value in config.values for seed in config.seeds]
     if worker_count is None:
         worker_count = int(os.environ.get(WORKER_ENV, "1"))
     if worker_count > 1:
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            results = list(pool.map(_run_job, jobs))
+            outcomes = list(pool.map(_run_cell, cells))
     else:
-        results = [_run_job(job) for job in jobs]
+        outcomes = [_run_cell(cell) for cell in cells]
 
+    n_seeds = len(config.seeds)
+    rows = [  # sweep order: value, then method, then seed
+        results[m].row
+        for start in range(0, len(cells), n_seeds)
+        for m in range(len(config.methods))
+        for results, error in outcomes[start : start + n_seeds]
+        if error is None
+    ]
     columns = list(RESULT_COLUMNS)
-    if any("zf_leakage" in r.row for r in results):
+    if any("zf_leakage" in row for row in rows):
         columns.append("zf_leakage")
     with open(out_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
-        for result in results:
-            writer.writerow({k: result.row.get(k, "") for k in columns})
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in columns})
 
+    runs = [  # (value, method, seed, result) in the order the runs executed
+        (value, method, seed, result)
+        for (_, value, seed), (results, _) in zip(cells, outcomes)
+        for method, result in zip(config.methods, results)
+    ]
     timing_path = os.path.splitext(out_path)[0] + "_timing.csv"
     with open(timing_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep_value", "method", "scenario_seed", "seconds"])
-        for (cfg, value, method, seed), result in zip(jobs, results):
+        for value, method, seed, result in runs:
             writer.writerow([value, method, seed, f"{result.seconds:.6f}"])
 
     if config.traces_dir:
         traces_dir = os.path.join(base_dir, config.traces_dir)
         os.makedirs(traces_dir, exist_ok=True)
-        for index, ((cfg, value, method, seed), result) in enumerate(zip(jobs, results)):
+        for value, method, seed, result in runs:
             if not result.trace_rows:
                 continue
             name = f"trace_v{config.values.index(value)}_{method}_s{seed}.csv"
@@ -478,6 +535,17 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
                 writer = csv.writer(fh)
                 writer.writerow(["iter", "objective", "sum_rate_bps_hz", "max_power_violation"])
                 writer.writerows(result.trace_rows)
+
+    failed = [
+        f"value {value!r}, seed {seed}: {error}"
+        for (_, value, seed), (_, error) in zip(cells, outcomes)
+        if error is not None
+    ]
+    if failed:
+        raise SweepError(
+            f"{len(failed)} of {len(cells)} sweep cells failed; the rows of the others "
+            f"are in {out_path}:\n  " + "\n  ".join(failed)
+        )
     return out_path
 
 

@@ -109,6 +109,12 @@ class ConstraintReport:
     def max_power_violation(self) -> float:
         return max(0.0, -self.power_margin)
 
+    def modulus_deviation(self) -> float:
+        return 0.0 if self.modulus_margin is None else max(0.0, -self.modulus_margin)
+
+    def antenna_deviation(self) -> float:
+        return 0.0 if self.antenna_margin is None else max(0.0, -self.antenna_margin)
+
 
 def audit_constraints(
     state: PrecoderState,

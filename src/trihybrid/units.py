@@ -8,14 +8,3 @@ import numpy as np
 def dbm_to_milliwatts(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
-
-def milliwatts_to_dbm(mw):
-    return 10.0 * np.log10(np.asarray(mw, dtype=float))
-
-
-def db_to_linear(db):
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(value):
-    return 10.0 * np.log10(np.asarray(value, dtype=float))

@@ -88,20 +88,17 @@ class Trace:
 @dataclass
 class PrecoderState:
     """Solver output: digital precoder, its analog/digital factorization,
-    the antenna-domain configuration and the final auxiliaries."""
+    the antenna-domain configuration and the power, noise and user weights
+    it was solved for."""
 
     f_d: np.ndarray
     f_rf: np.ndarray | None
     f_bb: np.ndarray | None
     selection: np.ndarray | None
     coefficients: np.ndarray | None
-    receivers: list[np.ndarray]
-    mse_weights: list[np.ndarray]
-    stream_counts: tuple[int, ...]
     beta: np.ndarray
     noise: np.ndarray
     power: np.ndarray
-    mode: str
     decomp_residual: float | None = None
 
     @property
@@ -293,20 +290,6 @@ class _SweepWorkspace:
         self.f_d[n] = row.conj()
 
 
-def per_antenna_terms(
-    n: int,
-    effs,
-    antenna_matrix: np.ndarray,
-    f_d: np.ndarray,
-    receivers,
-    weight_matrices,
-    beta,
-) -> PerAntennaTerms:
-    """Terms of antenna n's block subproblem for the given solver state."""
-    ws = _SweepWorkspace(effs, antenna_matrix.copy(), f_d.copy(), receivers, weight_matrices, beta)
-    return ws.terms(n)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form row update and pattern updates
 # ---------------------------------------------------------------------------
@@ -424,11 +407,13 @@ def _run_bcd(
     row_power_target: float,
     init_f_d: np.ndarray | None,
     block_monitor=None,
-):
+) -> tuple[PrecoderState, Trace]:
     """Common outer loop: auxiliaries, antenna sweep, trace, decomposition.
 
     `update_antenna(workspace, n, budget)` performs one antenna block update
-    through the workspace.
+    through the workspace, which writes the new pattern vector into
+    `antenna_matrix`.  The state reports selection-lifted runs by candidate
+    index and synthesis-lifted runs by coefficient rows.
     """
     K = len(effs)
     n_antennas = effs[0].n_antennas
@@ -513,7 +498,18 @@ def _run_bcd(
     decomp = decompose_precoder(
         f_d, config.rf_chains, power, config.decomp_iterations, seed=config.seed
     )
-    return f_d, decomp, receivers, weight_matrices, beta, noise, power, trace
+    selected = effs[0].mode == "sel"
+    return PrecoderState(
+        f_d=f_d,
+        f_rf=decomp.f_rf,
+        f_bb=decomp.f_bb,
+        selection=np.argmax(antenna_matrix, axis=1) if selected else None,
+        coefficients=None if selected else antenna_matrix,
+        beta=beta,
+        noise=noise,
+        power=power,
+        decomp_residual=decomp.residual,
+    ), trace
 
 
 def run_selection(
@@ -521,54 +517,30 @@ def run_selection(
     stream_counts,
     config: SolverConfig,
     init_f_d: np.ndarray | None = None,
-    init_selection: np.ndarray | None = None,
     block_monitor=None,
 ) -> tuple[PrecoderState, Trace]:
     """Precoding over a finite per-antenna pattern candidate set.
 
     `effs` holds one selection-lifted channel per user.  Antennas start on
-    candidate 0 unless `init_selection` is given; `init_f_d` overrides the
-    random digital initialization (used for paired comparisons against a
-    fixed-pattern run).
+    candidate 0; `init_f_d` overrides the random digital initialization
+    (used for paired comparisons against a fixed-pattern run).
     """
     if any(eff.mode != "sel" for eff in effs):
         raise ValueError("run_selection expects selection-lifted channels")
     n_antennas = effs[0].n_antennas
     width = effs[0].block_width
-    selection = (
-        np.zeros(n_antennas, dtype=int)
-        if init_selection is None
-        else np.asarray(init_selection, dtype=int).copy()
-    )
-    antenna_matrix = selection_matrix(selection, width)
+    antenna_matrix = selection_matrix(np.zeros(n_antennas, dtype=int), width)
 
     def update(workspace, n, budget):
         terms = workspace.terms(n)
         index, row, _ = select_pattern_and_row(terms, budget)
-        selection[n] = index
         one_hot = np.zeros(width)
         one_hot[index] = 1.0
         workspace.apply(n, one_hot, row)
 
-    f_d, decomp, receivers, weights_w, beta, noise, power, trace = _run_bcd(
+    return _run_bcd(
         effs, stream_counts, config, update, antenna_matrix, 1.0, init_f_d, block_monitor
     )
-    state = PrecoderState(
-        f_d=f_d,
-        f_rf=decomp.f_rf,
-        f_bb=decomp.f_bb,
-        selection=selection,
-        coefficients=None,
-        receivers=receivers,
-        mse_weights=weights_w,
-        stream_counts=tuple(stream_counts),
-        beta=beta,
-        noise=noise,
-        power=power,
-        mode="sel",
-        decomp_residual=decomp.residual,
-    )
-    return state, trace
 
 
 def run_synthesis(
@@ -576,16 +548,15 @@ def run_synthesis(
     stream_counts,
     config: SolverConfig,
     init_f_d: np.ndarray | None = None,
-    init_coefficients: np.ndarray | None = None,
     block_monitor=None,
 ) -> tuple[PrecoderState, Trace]:
     """Precoding with per-antenna harmonic pattern synthesis.
 
-    `effs` holds one synthesis-lifted channel per user.  Every antenna's
-    coefficient vector keeps its constant component pinned by `rho`; the
-    remaining coefficients are optimized on the power sphere.  With rho = 1
-    (or a single basis function) patterns stay isotropic and only the
-    precoder rows are updated.
+    `effs` holds one synthesis-lifted channel per user.  Every antenna starts
+    isotropic, and its coefficient vector keeps the constant component
+    pinned by `rho`; the remaining coefficients are optimized on the power
+    sphere.  With rho = 1 (or a single basis function) patterns stay
+    isotropic and only the precoder rows are updated.
     """
     if any(eff.mode != "cof" for eff in effs):
         raise ValueError("run_synthesis expects synthesis-lifted channels")
@@ -593,14 +564,7 @@ def run_synthesis(
     width = effs[0].block_width
     if not 0.0 < config.rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {config.rho}")
-    if init_coefficients is None:
-        coefficients = np.tile(isotropic_coefficients(width, config.rho), (n_antennas, 1))
-    else:
-        coefficients = np.asarray(init_coefficients, dtype=float).copy()
-        if coefficients.shape != (n_antennas, width):
-            raise ValueError(
-                f"init_coefficients must have shape {(n_antennas, width)}"
-            )
+    coefficients = np.tile(isotropic_coefficients(width, config.rho), (n_antennas, 1))
 
     def update(workspace, n, budget):
         terms = workspace.terms(n)
@@ -609,22 +573,6 @@ def run_synthesis(
         )
         workspace.apply(n, coeffs, row)
 
-    f_d, decomp, receivers, weights_w, beta, noise, power, trace = _run_bcd(
+    return _run_bcd(
         effs, stream_counts, config, update, coefficients, FOUR_PI, init_f_d, block_monitor
     )
-    state = PrecoderState(
-        f_d=f_d,
-        f_rf=decomp.f_rf,
-        f_bb=decomp.f_bb,
-        selection=None,
-        coefficients=coefficients,
-        receivers=receivers,
-        mse_weights=weights_w,
-        stream_counts=tuple(stream_counts),
-        beta=beta,
-        noise=noise,
-        power=power,
-        mode="cof",
-        decomp_residual=decomp.residual,
-    )
-    return state, trace

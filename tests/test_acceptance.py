@@ -20,9 +20,9 @@ from trihybrid.channel import (
     ScenarioConfig,
     assemble_channel,
     compose,
-    compose_selection,
     generate_scenario,
     selection_effective_channel,
+    selection_matrix,
     synthesis_effective_channel,
 )
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_pattern, isotropic_pattern, most_square_factors
@@ -80,13 +80,7 @@ def suite():
             scenario, candidates.baseline, STREAMS, config
         )
         effs1 = [selection_effective_channel(g, candidates) for g in scenario.geometries]
-        m1_state, m1_trace = run_selection(
-            effs1,
-            STREAMS,
-            config,
-            init_f_d=fixed_state.f_d,
-            init_selection=np.zeros(scenario.bs_layout.size, dtype=int),
-        )
+        m1_state, m1_trace = run_selection(effs1, STREAMS, config, init_f_d=fixed_state.f_d)
         effs2 = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
         m2_state, m2_trace = run_synthesis(
             effs2, STREAMS, config, init_f_d=fixed_state.f_d
@@ -107,7 +101,8 @@ def suite():
                 m1_state=m1_state,
                 m1_trace=m1_trace,
                 m1_channels=[
-                    compose_selection(e, m1_state.selection) for e in effs1
+                    compose(e, selection_matrix(m1_state.selection, candidates.size))
+                    for e in effs1
                 ],
                 m2_state=m2_state,
                 m2_trace=m2_trace,
@@ -160,7 +155,7 @@ def test_criterion_03_effective_channel_identities():
         for geom in scenario.geometries:
             eff_s = selection_effective_channel(geom, candidates)
             sel = rng.integers(0, candidates.size, geom.n_tx)
-            lifted = compose_selection(eff_s, sel)
+            lifted = compose(eff_s, selection_matrix(sel, candidates.size))
             direct = assemble_channel(geom, [candidates.patterns[s] for s in sel])
             worst_sel = max(
                 worst_sel,

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trihybrid import experiments
 from trihybrid.cli import main
-from trihybrid.exceptions import ConfigurationError
+from trihybrid.exceptions import ConfigurationError, GenerationError
 from trihybrid.experiments import audit_results, emit_plotdata, load_config, run_experiment
 
 MINI = """
@@ -44,6 +45,12 @@ def write_config(tmp_path: Path, text: str = MINI, name: str = "config.ini") -> 
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+# Two sweep values by two scenario seeds, every method, warm-started.
+GRID = MINI.replace("values = 0", "values = -10 0").replace("seeds = 1", "seeds = 1 2").replace(
+    "seed = 0", "seed = 0\nwarm_start = true"
+)
 
 
 class TestConfig:
@@ -141,11 +148,50 @@ class TestRun:
         assert len(rows) == 4
         assert all(float(r["seconds"]) > 0 for r in rows)
 
+    def test_results_in_sweep_order_timing_in_execution_order(self, tmp_path):
+        out = run_experiment(write_config(tmp_path, GRID))
+        methods = ("model1", "model2", "wmmse_fixed", "zf")
+        values, seeds = ("-10.0", "0.0"), ("1", "2")
+        rows = read_rows(out)
+        assert [(r["sweep_value"], r["method"], r["scenario_seed"]) for r in rows] == [
+            (v, m, s) for v in values for m in methods for s in seeds
+        ]
+        timing = read_rows(Path(out).with_name("results_timing.csv"))
+        assert [(r["sweep_value"], r["scenario_seed"], r["method"]) for r in timing] == [
+            (v, s, m) for v in values for s in seeds for m in methods
+        ]
+
     def test_worker_pool_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, GRID)
         serial = Path(run_experiment(cfg, worker_count=1)).read_bytes()
         parallel = Path(run_experiment(cfg, worker_count=2)).read_bytes()
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "methods", ["model1 model2 wmmse_fixed zf", "model1 model2 zf"]
+    )
+    def test_one_fixed_solve_per_cell(self, tmp_path, monkeypatch, methods):
+        calls = []
+        solve = experiments.fixed_pattern_wmmse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fixed_pattern_wmmse", counted)
+        text = GRID.replace("methods = model1 model2 wmmse_fixed zf", f"methods = {methods}")
+        rows = read_rows(run_experiment(write_config(tmp_path, text)))
+        assert len(calls) == 4  # 2 values x 2 seeds
+        monkeypatch.setattr(experiments, "fixed_pattern_wmmse", solve)
+        reference = read_rows(run_experiment(write_config(tmp_path, GRID, "all.ini")))
+        warm = [r for r in rows if r["method"] in ("model1", "model2")]
+        assert warm == [r for r in reference if r["method"] in ("model1", "model2")]
+
+    def test_satisfied_constraints_read_positive_zero(self, tmp_path):
+        rows = read_rows(run_experiment(write_config(tmp_path)))
+        for row in rows:
+            for column in ("max_power_violation", "modulus_deviation", "antenna_deviation"):
+                assert not row[column].startswith("-"), (row["method"], column)
 
 
 class TestPlotdata:
@@ -221,3 +267,25 @@ class TestCli:
         bad = write_config(tmp_path, MINI.replace("axis = power", "axis = nope"))
         assert main(["run", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_cell_named_and_others_written(self, tmp_path, capsys, monkeypatch):
+        generate = experiments.generate_scenario
+
+        def flaky(config, seed):
+            if seed == 2:
+                raise GenerationError("no room for the users")
+            return generate(config, seed)
+
+        monkeypatch.setattr(experiments, "generate_scenario", flaky)
+        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
+        cfg = write_config(tmp_path, MINI.replace("seeds = 1", "seeds = 1 2"))
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "1 of 2 sweep cells failed" in err
+        assert "value 0.0, seed 2: GenerationError: no room for the users" in err
+        rows = read_rows(tmp_path / "results.csv")
+        assert [(r["method"], r["scenario_seed"]) for r in rows] == [
+            (method, "1") for method in ("model1", "model2", "wmmse_fixed", "zf")
+        ]
+        timing = read_rows(tmp_path / "results_timing.csv")
+        assert [r["scenario_seed"] for r in timing] == ["1"] * 4

@@ -16,10 +16,10 @@ from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
 from trihybrid.sphharm import FOUR_PI
 from trihybrid.wmmse import (
     PerAntennaTerms,
+    _SweepWorkspace,
     mmse_receivers,
     mse_matrix,
     mse_weights,
-    per_antenna_terms,
     run_selection,
     run_synthesis,
     select_pattern_and_row,
@@ -247,7 +247,7 @@ class TestPerAntennaTerms:
     def test_zero_receivers_zero_terms(self, rng):
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         receivers = [np.zeros_like(u) for u in receivers]
-        terms = per_antenna_terms(1, effs, antenna_matrix, f_d, receivers, weights, beta)
+        terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(1)
         assert_allclose(terms.quad_term, 0.0, atol=1e-15)
         assert_allclose(terms.cross_term, 0.0, atol=1e-15)
         assert_allclose(terms.align_term, 0.0, atol=1e-15)
@@ -255,12 +255,12 @@ class TestPerAntennaTerms:
     def test_single_antenna_has_no_cross_coupling(self, rng):
         effs, _, f_d, receivers, weights, beta, users = _random_block_state(rng, n=1)
         antenna_matrix = selection_matrix(np.zeros(1, dtype=int), 2)
-        terms = per_antenna_terms(0, effs, antenna_matrix, f_d[:1], receivers, weights, beta)
+        terms = _SweepWorkspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta).terms(0)
         assert_allclose(terms.cross_term, 0.0, atol=1e-12)
 
     def test_quad_term_hermitian_psd(self, rng):
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
-        terms = per_antenna_terms(0, effs, antenna_matrix, f_d, receivers, weights, beta)
+        terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(0)
         assert_allclose(terms.quad_term, terms.quad_term.conj().T, atol=1e-13)
         assert np.min(np.linalg.eigvalsh(terms.quad_term)) >= -1e-12
 
@@ -269,7 +269,7 @@ class TestPerAntennaTerms:
         # differ by a value independent of this antenna's variables.
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         n = 1
-        terms = per_antenna_terms(n, effs, antenna_matrix, f_d, receivers, weights, beta)
+        terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(n)
         width = antenna_matrix.shape[1]
         gaps = []
         for _ in range(10):
@@ -544,7 +544,6 @@ class TestRunSynthesis:
         )
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         state_m, trace_m = run_selection(
-            effs, streams, config, init_f_d=state_f.f_d,
-            init_selection=np.zeros(scenario.bs_layout.size, dtype=int),
+            effs, streams, config, init_f_d=state_f.f_d
         )
         assert trace_m.sum_rate[-1] >= trace_f.sum_rate[-1] - 1e-6
