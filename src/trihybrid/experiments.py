@@ -52,6 +52,7 @@ from .wmmse import (
 WORKER_ENV = "TRIHYBRID_WORKERS"
 
 METHODS = ("model1", "model2", "wmmse_fixed", "zf")
+_WMMSE_METHODS = ("model1", "model2", "wmmse_fixed")
 
 RESULT_COLUMNS = (
     "axis",
@@ -105,6 +106,9 @@ _SOLVER_KEYS = {
 }
 
 _SWEEP_KEYS = {"axis", "values", "methods", "seeds", "output", "traces_dir"}
+
+# Solver phase seconds of the timing sidecar, named as the `Trace` fields.
+_PHASE_COLUMNS = ("receivers_s", "sweep_s", "objective_s", "decomp_s")
 
 _AXES = ("power", "rfchains", "antennas")
 
@@ -245,22 +249,21 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    streams = config.streams_per_user * config.scenario.n_users
     if config.candidates < 1:
         raise ConfigurationError("need at least one pattern candidate")
     if config.sh_degree < 0:
         raise ConfigurationError("sh_degree must be nonnegative")
     if not 0.0 < config.rho <= 1.0:
         raise ConfigurationError(f"rho must lie in (0, 1], got {config.rho}")
-    if config.axis == "antennas":
-        sizes = [int(v) for v in config.values]
-        if any(s < 1 for s in sizes):
-            raise ConfigurationError("antenna counts must be positive")
-    n_antennas = math.prod(config.scenario.bs_shape)
-    if config.axis != "rfchains" and streams + config.rf_chains_offset > n_antennas:
-        raise ConfigurationError(
-            f"{streams + config.rf_chains_offset} chains exceed {n_antennas} antennas"
-        )
+    if config.axis == "antennas" and any(int(v) < 1 for v in config.values):
+        raise ConfigurationError("antenna counts must be positive")
+    for value in config.values:
+        rf_chains = _rf_chains_for(config, value)
+        n_antennas = math.prod(_scenario_for(config, value).bs_shape)
+        if rf_chains > n_antennas:
+            raise ConfigurationError(
+                f"{rf_chains} chains exceed {n_antennas} antennas at sweep value {value}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +275,7 @@ class RunResult:
     row: dict
     trace_rows: list = field(default_factory=list)
     seconds: float = 0.0
+    phase_seconds: tuple[float, ...] = ()  # one per _PHASE_COLUMNS entry
 
 
 def _float_repr(value) -> str:
@@ -285,24 +289,18 @@ def _scenario_for(config: ExperimentConfig, value: float) -> ScenarioConfig:
     return scenario
 
 
-def _solver_for(config: ExperimentConfig, value: float, n_antennas: int) -> SolverConfig:
-    streams = config.streams_per_user * config.scenario.n_users
-    power_dbm = config.power_dbm
-    offset = config.rf_chains_offset
-    if config.axis == "power":
-        power_dbm = value
-    elif config.axis == "rfchains":
-        offset = int(value)
-    rf_chains = streams + offset
-    if rf_chains > n_antennas:
-        raise ConfigurationError(
-            f"{rf_chains} chains exceed {n_antennas} antennas at sweep value {value}"
-        )
+def _rf_chains_for(config: ExperimentConfig, value: float) -> int:
+    offset = int(value) if config.axis == "rfchains" else config.rf_chains_offset
+    return config.streams_per_user * config.scenario.n_users + offset
+
+
+def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
+    power_dbm = value if config.axis == "power" else config.power_dbm
     return SolverConfig(
         power=float(dbm_to_milliwatts(power_dbm)),
         noise=float(dbm_to_milliwatts(config.noise_dbm)),
         weights=None,
-        rf_chains=rf_chains,
+        rf_chains=_rf_chains_for(config, value),
         max_outer_iterations=config.max_outer_iterations,
         objective_tol=config.objective_tol,
         rho=config.rho,
@@ -330,7 +328,7 @@ class _Cell:
 
     @cached_property
     def solver(self) -> SolverConfig:
-        return _solver_for(self.config, self.value, self.scenario.bs_layout.size)
+        return _solver_for(self.config, self.value)
 
     @cached_property
     def streams(self) -> tuple[int, ...]:
@@ -447,7 +445,12 @@ def run_point(
         (i, _float_repr(o), _float_repr(r), _float_repr(v))
         for (i, o, r, v) in trace.rows()
     ]
-    return RunResult(row=row, trace_rows=trace_rows, seconds=time.perf_counter() - started)
+    return RunResult(
+        row=row,
+        trace_rows=trace_rows,
+        seconds=time.perf_counter() - started,
+        phase_seconds=tuple(getattr(trace, name) for name in _PHASE_COLUMNS),
+    )
 
 
 def _run_cell(args) -> tuple[list[RunResult], str | None]:
@@ -520,9 +523,10 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
     timing_path = os.path.splitext(out_path)[0] + "_timing.csv"
     with open(timing_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sweep_value", "method", "scenario_seed", "seconds"])
+        writer.writerow(["sweep_value", "method", "scenario_seed", "seconds", *_PHASE_COLUMNS])
         for value, method, seed, result in runs:
-            writer.writerow([value, method, seed, f"{result.seconds:.6f}"])
+            seconds = (result.seconds, *result.phase_seconds)
+            writer.writerow([value, method, seed, *(f"{s:.6f}" for s in seconds)])
 
     if config.traces_dir:
         traces_dir = os.path.join(base_dir, config.traces_dir)
@@ -639,9 +643,10 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
     """Check recorded constraint columns.
 
     Returns (failures, warnings): power, modulus and pattern-constraint
-    deviations are failures; a non-positive synthesized pattern gain is
+    deviations are failures.  A non-positive synthesized pattern gain is
     reported as a warning only, since the solvers bound the constant
-    component but do not enforce pointwise positivity.
+    component but do not enforce pointwise positivity; so is a WMMSE run
+    that stopped at the iteration cap without converging.
     """
     failures = []
     warnings = []
@@ -657,4 +662,9 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
                 failures.append(f"{where}: pattern constraint deviates")
             if float(row["min_pattern_gain"]) <= 0.0:
                 warnings.append(f"{where}: synthesized pattern dips non-positive")
+            if row["method"] in _WMMSE_METHODS and row["converged"] == "0":
+                warnings.append(
+                    f"{where}: stopped at the cap of {row['outer_iterations']} "
+                    "outer iterations without converging"
+                )
     return failures, warnings

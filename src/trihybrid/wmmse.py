@@ -68,6 +68,11 @@ class Trace:
     antenna_deviation: list[float] = field(default_factory=list)
     iter_seconds: list[float] = field(default_factory=list)
     converged: bool = False
+    # Seconds per phase, summed over iterations.
+    receivers_s: float = 0.0  # receivers and weights
+    sweep_s: float = 0.0  # the per-antenna sweep
+    objective_s: float = 0.0  # objective and rate
+    decomp_s: float = 0.0  # the final analog/digital decomposition
 
     @property
     def n_iterations(self) -> int:
@@ -234,58 +239,61 @@ class PerAntennaTerms:
 class _SweepWorkspace:
     """Caches shared factors for a full antenna sweep.
 
-    Holds, per user, the weighted receive quadratic form applied to the
-    lifted channel and the running product of the composed channel with the
-    digital precoder; the latter gets a rank-one correction whenever an
+    The users' lifted channels are stacked into one (sum M_k) x N W matrix
+    and their weighted receive projections beta_k U_k W_k U_k^H beside it.
+    The quad and align terms of every antenna depend only on these, so they
+    are built once per sweep.  The cross term also needs the received
+    signal of the composed channel times the digital precoder; one stacked
+    copy of it (kept conjugated) gets a rank-two correction whenever an
     antenna is updated, keeping each antenna's terms O(1) in N.
     """
 
     def __init__(self, effs, antenna_matrix, f_d, receivers, weight_matrices, beta):
-        self.effs = effs
-        self.width = effs[0].block_width
-        self.n = effs[0].n_antennas
+        width = effs[0].block_width
+        n_antennas = effs[0].n_antennas
         self.antenna_matrix = antenna_matrix
         self.f_d = f_d
         beta = np.asarray(beta, dtype=float)
-        self.proj = []  # beta * U W U^H applied to the lifted channel
-        self.align_base = []  # beta * W U^H applied to the lifted channel
-        self.received = []  # composed channel times digital precoder
-        for eff, u, w, b in zip(effs, receivers, weight_matrices, beta):
-            j = b * (u @ w @ u.conj().T)
-            self.proj.append(j @ eff.matrix)
-            self.align_base.append(b * (w @ u.conj().T @ eff.matrix))
-            self.received.append(compose(eff, antenna_matrix) @ f_d)
+        lifted = np.vstack([eff.matrix for eff in effs])
+        proj = np.vstack(  # beta * U W U^H applied to the lifted channel
+            [
+                (b * (u @ w @ u.conj().T)) @ eff.matrix
+                for eff, u, w, b in zip(effs, receivers, weight_matrices, beta)
+            ]
+        )
+        align = np.vstack(  # beta * W U^H applied to the lifted channel
+            [
+                b * (w @ u.conj().T @ eff.matrix)
+                for eff, u, w, b in zip(effs, receivers, weight_matrices, beta)
+            ]
+        )
 
-    def _slice(self, n: int) -> slice:
-        return slice(n * self.width, (n + 1) * self.width)
+        def per_antenna(matrix):  # (rows, N W) -> (N, rows, W)
+            blocks = matrix.reshape(matrix.shape[0], n_antennas, width)
+            return np.ascontiguousarray(blocks.transpose(1, 0, 2))
+
+        self.blocks_conj = per_antenna(lifted.conj())
+        self.proj = per_antenna(proj)
+        self.align = per_antenna(align)
+        quad = self.blocks_conj.transpose(0, 2, 1) @ self.proj
+        self.quad = 0.5 * (quad + quad.conj().transpose(0, 2, 1))
+        channel_conj = np.einsum("nmw,nw->mn", self.blocks_conj, antenna_matrix)
+        self.received_conj = channel_conj @ f_d.conj()
 
     def terms(self, n: int) -> PerAntennaTerms:
-        sl = self._slice(n)
-        width = self.width
-        d_total = self.f_d.shape[1]
-        quad = np.zeros((width, width), dtype=complex)
-        full = np.zeros((d_total, width), dtype=complex)
-        aligns = []
-        for eff, proj, base, y in zip(self.effs, self.proj, self.align_base, self.received):
-            block = eff.matrix[:, sl]
-            quad += block.conj().T @ proj[:, sl]
-            full += y.conj().T @ proj[:, sl]
-            aligns.append(base[:, sl])
-        quad = 0.5 * (quad + quad.conj().T)
+        quad = self.quad[n]
         row = self.f_d[n].conj()  # f_(n)
-        cross = full - np.outer(row, self.antenna_matrix[n] @ quad)
-        return PerAntennaTerms(
-            quad_term=quad, cross_term=cross, align_term=np.vstack(aligns)
+        cross = self.received_conj.T @ self.proj[n] - row[:, None] * (
+            self.antenna_matrix[n] @ quad
         )
+        return PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=self.align[n])
 
     def apply(self, n: int, vector: np.ndarray, row: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row."""
-        sl = self._slice(n)
         old_row = self.f_d[n].conj()
-        for eff, y in zip(self.effs, self.received):
-            block = eff.matrix[:, sl]
-            y += np.outer(block @ vector, row.conj())
-            y -= np.outer(block @ self.antenna_matrix[n], old_row.conj())
+        self.received_conj += self.blocks_conj[n] @ (
+            vector[:, None] * row - self.antenna_matrix[n][:, None] * old_row
+        )
         self.antenna_matrix[n] = vector
         self.f_d[n] = row.conj()
 
@@ -321,24 +329,20 @@ def solve_antenna_row(terms: PerAntennaTerms, vector: np.ndarray, budget: float)
 def select_pattern_and_row(terms: PerAntennaTerms, budget: float):
     """Enumerate candidate patterns and pick the jointly optimal pair.
 
-    Returns (candidate index, row, objective value).  Ties go to the lowest
-    index.
+    Returns (candidate index, row, objective value).  Each candidate gets
+    the closed-form row of :func:`_row_solution`: a zero direction gives a
+    zero row and value 0, a vanishing quadratic coefficient the boundary
+    step.  Ties go to the lowest index.
     """
-    quads = np.real(np.diag(terms.quad_term))
+    quads = terms.quad_term.diagonal().real
     dmat = terms.cross_term - terms.align_term
-    norms_sq = np.sum(np.abs(dmat) ** 2, axis=0)
-    steps = np.zeros_like(norms_sq)
-    values = np.zeros_like(norms_sq)
-    positive = norms_sq > 0.0
-    boundary = np.sqrt(budget / norms_sq[positive])
-    inv_quad = np.where(
-        quads[positive] > _TINY_QUAD, 1.0 / np.maximum(quads[positive], _TINY_QUAD), np.inf
-    )
-    steps[positive] = np.minimum(inv_quad, boundary)
-    values[positive] = norms_sq[positive] * (
-        quads[positive] * steps[positive] ** 2 - 2.0 * steps[positive]
-    )
-    best = int(np.argmin(values))
+    norms_sq = np.square(np.abs(dmat)).sum(axis=0)
+    # A zero direction divides by 1 instead: its value is 0 whatever the step.
+    boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
+    inv_quad = np.where(quads > _TINY_QUAD, 1.0 / np.maximum(quads, _TINY_QUAD), np.inf)
+    steps = np.minimum(inv_quad, boundary)
+    values = norms_sq * (quads * steps**2 - 2.0 * steps)
+    best = int(values.argmin())
     return best, -steps[best] * dmat[:, best], float(values[best])
 
 
@@ -452,17 +456,19 @@ def _run_bcd(
         ]
         return wmmse_objective(weight_matrices, mses, beta)
 
+    started = time.perf_counter()
+    channels = [compose(eff, antenna_matrix) for eff in effs]
+    precoders = split_precoder(f_d, stream_counts)
     previous = None
     for _ in range(config.max_outer_iterations):
-        started = time.perf_counter()
-        channels = [compose(eff, antenna_matrix) for eff in effs]
-        precoders = split_precoder(f_d, stream_counts)
         receivers = mmse_receivers(channels, precoders, noise)
         if block_monitor is not None:
             block_monitor("receivers", current_objective(channels, precoders))
         weight_matrices = mse_weights(channels, precoders, receivers)
         if block_monitor is not None:
             block_monitor("weights", current_objective(channels, precoders))
+        swept = time.perf_counter()
+        trace.receivers_s += swept - started
 
         workspace = _SweepWorkspace(
             effs, antenna_matrix, f_d, receivers, weight_matrices, beta
@@ -475,7 +481,10 @@ def _run_bcd(
                     f"antenna_{n}",
                     current_objective(chans, split_precoder(f_d, stream_counts)),
                 )
+        evaluated = time.perf_counter()
+        trace.sweep_s += evaluated - swept
 
+        # Also the channels and precoders of the next iteration's receivers.
         channels = [compose(eff, antenna_matrix) for eff in effs]
         precoders = split_precoder(f_d, stream_counts)
         objective = current_objective(channels, precoders)
@@ -486,7 +495,10 @@ def _run_bcd(
         trace.antenna_deviation.append(
             float(np.max(np.abs(np.sum(antenna_matrix**2, axis=1) - row_power_target)))
         )
-        trace.iter_seconds.append(time.perf_counter() - started)
+        finished = time.perf_counter()
+        trace.objective_s += finished - evaluated
+        trace.iter_seconds.append(finished - started)
+        started = finished
 
         if previous is not None:
             drop = (previous - objective) / max(1.0, abs(previous))
@@ -495,9 +507,11 @@ def _run_bcd(
                 break
         previous = objective
 
+    decomposed = time.perf_counter()
     decomp = decompose_precoder(
         f_d, config.rf_chains, power, config.decomp_iterations, seed=config.seed
     )
+    trace.decomp_s = time.perf_counter() - decomposed
     selected = effs[0].mode == "sel"
     return PrecoderState(
         f_d=f_d,
@@ -530,13 +544,12 @@ def run_selection(
     n_antennas = effs[0].n_antennas
     width = effs[0].block_width
     antenna_matrix = selection_matrix(np.zeros(n_antennas, dtype=int), width)
+    one_hot = np.eye(width)
 
     def update(workspace, n, budget):
         terms = workspace.terms(n)
         index, row, _ = select_pattern_and_row(terms, budget)
-        one_hot = np.zeros(width)
-        one_hot[index] = 1.0
-        workspace.apply(n, one_hot, row)
+        workspace.apply(n, one_hot[index], row)
 
     return _run_bcd(
         effs, stream_counts, config, update, antenna_matrix, 1.0, init_f_d, block_monitor

@@ -144,9 +144,21 @@ class TestRun:
         out = run_experiment(write_config(tmp_path))
         sidecar = Path(out).with_name("results_timing.csv")
         assert sidecar.exists()
+        phases = ["receivers_s", "sweep_s", "objective_s", "decomp_s"]
+        with open(sidecar) as fh:
+            header = next(csv.reader(fh))
+        assert header == ["sweep_value", "method", "scenario_seed", "seconds", *phases]
         rows = read_rows(sidecar)
         assert len(rows) == 4
         assert all(float(r["seconds"]) > 0 for r in rows)
+        for row in rows:
+            spent = [float(row[p]) for p in phases]
+            if row["method"] == "zf":
+                assert spent == [0.0] * 4
+            else:  # each solve is timed inside its own row here
+                assert all(t > 0 for t in spent), row
+                assert sum(spent) <= float(row["seconds"]) + 1e-5, row
+        assert not set(phases) & set(read_rows(out)[0])  # timings stay out of the results
 
     def test_results_in_sweep_order_timing_in_execution_order(self, tmp_path):
         out = run_experiment(write_config(tmp_path, GRID))
@@ -244,6 +256,24 @@ class TestAuditCommand:
         failures, _ = audit_results(out)
         assert failures == []
 
+    def test_capped_wmmse_rows_warn_only(self, tmp_path, capsys):
+        text = MINI.replace("max_outer_iterations = 6", "max_outer_iterations = 2")
+        out = run_experiment(write_config(tmp_path, text))
+        rows = read_rows(out)
+        capped = [
+            i + 1
+            for i, r in enumerate(rows)
+            if r["method"] != "zf" and r["converged"] == "0"
+        ]
+        assert capped  # two iterations cannot meet the tolerance
+        failures, warnings = audit_results(out)
+        assert failures == []
+        cap_warnings = [w for w in warnings if "without converging" in w]
+        assert [int(w.split()[1]) for w in cap_warnings] == capped
+        assert all("cap of 2 outer iterations" in w for w in cap_warnings)
+        assert main(["audit", str(out)]) == 0
+        assert "without converging" in capsys.readouterr().out
+
     def test_tampered_power_flagged(self, tmp_path):
         out = run_experiment(write_config(tmp_path))
         text = Path(out).read_text().splitlines()
@@ -267,6 +297,23 @@ class TestCli:
         bad = write_config(tmp_path, MINI.replace("axis = power", "axis = nope"))
         assert main(["run", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            "axis = rfchains\nvalues = 0 1 2 9",  # 4 streams + 9 > 9 antennas
+            "axis = antennas\nvalues = 9 16 4",  # 4 streams + 2 > 4 antennas
+        ],
+        ids=["rfchains", "antennas"],
+    )
+    def test_bad_sweep_value_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, sweep):
+        calls = []
+        monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
+        text = MINI.replace("axis = power\nvalues = 0", sweep)
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "chains exceed" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "results.csv").exists()
 
     def test_failed_cell_named_and_others_written(self, tmp_path, capsys, monkeypatch):
         generate = experiments.generate_scenario

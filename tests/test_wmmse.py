@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
 from trihybrid.sphharm import FOUR_PI
 from trihybrid.wmmse import (
     PerAntennaTerms,
+    _TINY_QUAD,
+    _row_solution,
     _SweepWorkspace,
     mmse_receivers,
     mse_matrix,
@@ -285,6 +288,32 @@ class TestPerAntennaTerms:
             gaps.append(full - reduced)
         assert np.ptp(gaps) < 1e-8 * max(1.0, abs(gaps[0]))
 
+    @pytest.mark.parametrize("one_hot", [True, False], ids=["selection", "coefficients"])
+    def test_running_terms_match_fresh_workspace(self, rng, one_hot):
+        # After antenna updates, the rank-two corrected received signal must
+        # give the terms a workspace built from scratch on the new state gives.
+        width = 4
+        effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(
+            rng, n=5, width=width
+        )
+        if not one_hot:
+            antenna_matrix = rng.standard_normal(antenna_matrix.shape)
+        running = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta)
+        for n in (3, 0, 4, 3, 1):
+            if one_hot:
+                vector = np.eye(width)[rng.integers(0, width)]
+            else:
+                vector = rng.standard_normal(width)
+            running.apply(n, vector, random_complex(rng, f_d.shape[1]))
+        fresh = _SweepWorkspace(
+            effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta
+        )
+        for n in range(5):
+            got, want = running.terms(n), fresh.terms(n)
+            for name in ("quad_term", "cross_term", "align_term"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (n, name)
+
 
 class TestClosedFormRow:
     def test_zero_direction_gives_zero(self, rng):
@@ -376,6 +405,51 @@ class TestSelectPattern:
         terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
         index, _, _ = select_pattern_and_row(terms, 1.0)
         assert index == 0
+
+    def test_zero_direction_and_zero_quad_candidates(self, rng):
+        # In one call, candidate 1 has no direction, candidate 2 no quadratic
+        # coefficient, and candidate 3 one below _TINY_QUAD with a boundary
+        # step beyond its inverse.  Every candidate must get the closed form
+        # of _row_solution, and nothing may warn.
+        d_streams, width, budget = 3, 5, 0.7
+        quad = random_psd(rng, width)
+        quad[2:4, :] = quad[:, 2:4] = 0.0
+        quad[3, 3] = 0.5 * _TINY_QUAD
+        align = random_complex(rng, d_streams, width)
+        direction = random_complex(rng, d_streams, width)
+        direction[:, 1] = 0.0
+        direction[:, 2] *= 10.0  # the boundary step of candidate 2 wins
+        direction[:, 3] *= 1e-14
+        cross = align + direction
+        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        expected = [
+            _row_solution(float(quad[s, s].real), cross[:, s] - align[:, s], budget)
+            for s in range(width)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index, row, value = select_pattern_and_row(terms, budget)
+            singles = [
+                select_pattern_and_row(
+                    PerAntennaTerms(
+                        quad_term=quad[s : s + 1, s : s + 1],
+                        cross_term=cross[:, s : s + 1],
+                        align_term=align[:, s : s + 1],
+                    ),
+                    budget,
+                )
+                for s in range(width)
+            ]
+        values = [v for _, v in expected]
+        assert values[1] == 0.0
+        assert np.linalg.norm(expected[2][0]) ** 2 == pytest.approx(budget, rel=1e-14)
+        assert index == 2 == int(np.argmin(values))
+        assert_allclose(row, expected[2][0], rtol=1e-13, atol=0.0)
+        assert value == pytest.approx(values[2], rel=1e-13, abs=0.0)
+        for s, (single_index, single_row, single_value) in enumerate(singles):
+            assert single_index == 0
+            assert_allclose(single_row, expected[s][0], rtol=1e-13, atol=0.0)
+            assert single_value == pytest.approx(expected[s][1], rel=1e-13, abs=0.0)
 
 
 class TestSynthesizeUpdate:
