@@ -9,15 +9,13 @@ from .channel import (
     ScenarioConfig,
     assemble_channel,
     compose,
-    far_field_channel,
     generate_scenario,
     selection_effective_channel,
     synthesis_effective_channel,
     upa_layout,
-    upa_response,
 )
 from .decomp import DecompositionResult, decompose_precoder, rescale_per_antenna
-from .metrics import ConstraintReport, array_beampattern, audit_constraints, azimuth_envelope
+from .metrics import ConstraintReport, audit_constraints
 from .patterns import (
     CandidateSet,
     RadiationPattern,
@@ -36,10 +34,8 @@ from .sphere_opt import (
 from .sphharm import (
     FOUR_PI,
     SHCoefficients,
-    SHIndex,
     SphereGrid,
     assoc_legendre,
-    decompose_gain,
     default_grid,
     pattern_energy,
     real_sph_harm,

@@ -11,12 +11,11 @@ angles, and assembles three channel representations per user:
   channel through each harmonic basis function at antenna n.
 
 Multiplying a lifted channel by the corresponding block-diagonal antenna
-precoder reproduces the plain channel exactly.
+precoder reproduces the plain channel exactly.  Receive antennas are
+isotropic.
 
 Conventions: arrays lie in the y-z plane of their body frame, inclination is
-measured from +z and azimuth from +x in the x-y plane.  Arrival angles point
-from the receiver toward the last hop (look-back direction); that is the
-direction at which receive patterns are evaluated.
+measured from +z and azimuth from +x in the x-y plane.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import sphharm
 from .exceptions import GenerationError
-from .patterns import CandidateSet, RadiationPattern, isotropic_pattern
+from .patterns import CandidateSet, RadiationPattern
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -129,8 +128,6 @@ class PathGeometry:
     ref_distances: np.ndarray
     aod_inclination: np.ndarray
     aod_azimuth: np.ndarray
-    aoa_inclination: np.ndarray
-    aoa_azimuth: np.ndarray
     phases: np.ndarray
 
     @property
@@ -172,31 +169,23 @@ def _box_uniform(rng: np.random.Generator, box, size: int) -> np.ndarray:
 
 
 def _pair_geometry(bs_pos, ue_pos, hop):
-    """Distances and angles from every tx antenna to every rx antenna.
+    """Distances and departure angles from every tx antenna to every rx
+    antenna.
 
     `hop` is None for line of sight, otherwise the scatterer position.
     Returns per-pair (M, N) arrays.
     """
     if hop is None:
         diff = ue_pos[:, None, :] - bs_pos[None, :, :]  # (M, N, 3)
-        dist = np.linalg.norm(diff, axis=-1)
-        aod = to_spherical(diff)
-        aoa = to_spherical(-diff)
-        return dist, aod, aoa
+        return np.linalg.norm(diff, axis=-1), to_spherical(diff)
     to_hop_tx = hop[None, :] - bs_pos  # (N, 3)
-    to_hop_rx = hop[None, :] - ue_pos  # (M, 3)
     d_tx = np.linalg.norm(to_hop_tx, axis=-1)
-    d_rx = np.linalg.norm(to_hop_rx, axis=-1)
+    d_rx = np.linalg.norm(hop[None, :] - ue_pos, axis=-1)
     dist = d_rx[:, None] + d_tx[None, :]
     aod_i, aod_a = to_spherical(to_hop_tx)
-    aoa_i, aoa_a = to_spherical(to_hop_rx)
     M, N = d_rx.size, d_tx.size
     aod = (np.broadcast_to(aod_i, (M, N)).copy(), np.broadcast_to(aod_a, (M, N)).copy())
-    aoa = (
-        np.broadcast_to(aoa_i[:, None], (M, N)).copy(),
-        np.broadcast_to(aoa_a[:, None], (M, N)).copy(),
-    )
-    return dist, aod, aoa
+    return dist, aod
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -237,15 +226,12 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         dist = np.empty((n_paths, M, N))
         aod_i = np.empty_like(dist)
         aod_a = np.empty_like(dist)
-        aoa_i = np.empty_like(dist)
-        aoa_a = np.empty_like(dist)
         ref = np.empty(n_paths)
         for ell in range(n_paths):
             hop = None if ell == 0 else hops[ell - 1]
-            d, aod, aoa = _pair_geometry(bs.positions, ue.positions, hop)
+            d, aod = _pair_geometry(bs.positions, ue.positions, hop)
             dist[ell] = d
             aod_i[ell], aod_a[ell] = aod
-            aoa_i[ell], aoa_a[ell] = aoa
             if hop is None:
                 ref[ell] = np.linalg.norm(ue.centroid - bs.centroid)
             else:
@@ -265,8 +251,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                 ref_distances=ref,
                 aod_inclination=aod_i,
                 aod_azimuth=aod_a,
-                aoa_inclination=aoa_i,
-                aoa_azimuth=aoa_a,
                 phases=np.broadcast_to(phases[:, None, None], dist.shape).copy(),
             )
         )
@@ -285,8 +269,8 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
 # Channel assembly
 # ---------------------------------------------------------------------------
 
-def _base_factors(geom: PathGeometry, rx_pattern: RadiationPattern):
-    """Complex gain, manifold phase and receive gain per pair: C * A * G_ue."""
+def _base_factors(geom: PathGeometry):
+    """Complex gain times manifold phase per pair: C * A."""
     lam = geom.wavelength
     M, N = geom.n_rx, geom.n_tx
     amplitude = (lam / (4.0 * np.pi * geom.distances)) ** (geom.pathloss_exponent / 2.0)
@@ -294,28 +278,22 @@ def _base_factors(geom: PathGeometry, rx_pattern: RadiationPattern):
     manifold = np.exp(
         -2j * np.pi / lam * (geom.distances - geom.ref_distances[:, None, None])
     ) / np.sqrt(N * M)
-    g_rx = rx_pattern.gain(geom.aoa_inclination, geom.aoa_azimuth)
-    return gain * manifold * g_rx
+    return gain * manifold
 
 
-def assemble_channel(
-    geom: PathGeometry,
-    tx_patterns,
-    rx_pattern: RadiationPattern | None = None,
-) -> np.ndarray:
+def assemble_channel(geom: PathGeometry, tx_patterns) -> np.ndarray:
     """Plain per-antenna channel (M x N) from exact pair geometry.
 
     `tx_patterns` is either one pattern shared by all transmit antennas or a
     sequence with one pattern per antenna.
     """
-    rx_pattern = rx_pattern or isotropic_pattern()
     if isinstance(tx_patterns, RadiationPattern):
         tx_patterns = [tx_patterns] * geom.n_tx
     if len(tx_patterns) != geom.n_tx:
         raise ValueError(
             f"need {geom.n_tx} transmit patterns, got {len(tx_patterns)}"
         )
-    base = _base_factors(geom, rx_pattern)
+    base = _base_factors(geom)
     g_tx = np.empty_like(geom.distances)
     for n, pattern in enumerate(tx_patterns):
         g_tx[:, :, n] = pattern.gain(
@@ -323,117 +301,6 @@ def assemble_channel(
         )
     M, N, L = geom.n_rx, geom.n_tx, geom.n_paths
     return np.sqrt(N * M / L) * (base * g_tx).sum(axis=0)
-
-
-def upa_response(theta, phi, n_horizontal, n_vertical, spacing, wavelength) -> np.ndarray:
-    """Far-field response of a planar array, referenced to element 0.
-
-    Horizontal and vertical spatial frequencies are
-    (spacing / wavelength) * sin(phi) * sin(theta) and
-    (spacing / wavelength) * cos(theta); the result is the normalized
-    Kronecker product of the two linear-array responses.
-    """
-    w_h = spacing / wavelength * np.sin(phi) * np.sin(theta)
-    w_v = spacing / wavelength * np.cos(theta)
-    resp_h = np.exp(-2j * np.pi * w_h * np.arange(n_horizontal))
-    resp_v = np.exp(-2j * np.pi * w_v * np.arange(n_vertical))
-    return np.kron(resp_h, resp_v) / np.sqrt(n_horizontal * n_vertical)
-
-
-def _centered_response(layout: ArrayLayout, theta, phi, wavelength) -> np.ndarray:
-    """Array response referenced to the centroid, from actual positions."""
-    direction = np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
-    offsets = layout.positions - layout.centroid
-    return np.exp(-2j * np.pi / wavelength * offsets @ direction) / np.sqrt(layout.size)
-
-
-def far_field_channel(
-    bs_layout: ArrayLayout,
-    ue_layout: ArrayLayout,
-    wavelength: float,
-    path_gains,
-    tx_gains,
-    rx_gains,
-    departure,
-    arrival,
-) -> np.ndarray:
-    """Far-field multipath channel with shared per-path angles and gains.
-
-    `departure` and `arrival` are (L, 2) arrays of (inclination, azimuth);
-    arrival angles follow the look-back convention (pointing from the
-    receiver toward the transmitter side).  Responses are referenced to the
-    array centroids so this is the exact long-distance limit of
-    :func:`assemble_channel` with centroid reference distances.
-    """
-    path_gains = np.asarray(path_gains, dtype=complex)
-    tx_gains = np.asarray(tx_gains, dtype=float)
-    rx_gains = np.asarray(rx_gains, dtype=float)
-    departure = np.atleast_2d(np.asarray(departure, dtype=float))
-    arrival = np.atleast_2d(np.asarray(arrival, dtype=float))
-    L = path_gains.size
-    M, N = ue_layout.size, bs_layout.size
-    out = np.zeros((M, N), dtype=complex)
-    for ell in range(L):
-        a_tx = _centered_response(bs_layout, *departure[ell], wavelength)
-        # The wave continues through the receiver: evaluate the manifold at
-        # the propagation direction, the antipode of the look-back angles.
-        a_rx = _centered_response(
-            ue_layout, np.pi - arrival[ell, 0], arrival[ell, 1] + np.pi, wavelength
-        )
-        out += path_gains[ell] * tx_gains[ell] * rx_gains[ell] * np.outer(
-            a_rx, a_tx.conj()
-        )
-    return np.sqrt(N * M / L) * out
-
-
-def far_field_from_scenario(
-    scenario: Scenario,
-    user: int,
-    tx_pattern: RadiationPattern,
-    rx_pattern: RadiationPattern | None = None,
-) -> np.ndarray:
-    """Far-field approximation of a scenario user channel.
-
-    Per-path angles are taken between array centroids and the path's hop
-    point; gains and complex path coefficients use the reference distances.
-    """
-    rx_pattern = rx_pattern or isotropic_pattern()
-    geom = scenario.geometries[user]
-    bs_c = scenario.bs_layout.centroid
-    ue_c = scenario.ue_layouts[user].centroid
-    lam = scenario.wavelength
-
-    departure = []
-    arrival = []
-    path_gains = []
-    tx_gains = []
-    rx_gains = []
-    for ell in range(geom.n_paths):
-        hop = ue_c if ell == 0 else scenario.scatterers[user][ell - 1]
-        dep = to_spherical(hop - bs_c)
-        arr = to_spherical(hop - ue_c) if ell > 0 else to_spherical(bs_c - ue_c)
-        departure.append(dep)
-        arrival.append(arr)
-        d_ref = geom.ref_distances[ell]
-        psi = geom.phases[ell, 0, 0]
-        path_gains.append(
-            (lam / (4.0 * np.pi * d_ref)) ** (geom.pathloss_exponent / 2.0)
-            * np.exp(1j * psi)
-        )
-        tx_gains.append(tx_pattern.gain(*dep))
-        rx_gains.append(rx_pattern.gain(*arr))
-    return far_field_channel(
-        scenario.bs_layout,
-        scenario.ue_layouts[user],
-        lam,
-        path_gains,
-        tx_gains,
-        rx_gains,
-        np.array(departure),
-        np.array(arrival),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,23 +323,14 @@ class EffectiveChannel:
     def n_antennas(self) -> int:
         return self.matrix.shape[1] // self.block_width
 
-    def block(self, n: int) -> np.ndarray:
-        w = self.block_width
-        return self.matrix[:, n * w : (n + 1) * w]
-
     def blocks(self) -> np.ndarray:
         """View shaped (M, N, block_width)."""
         return self.matrix.reshape(self.n_rx, self.n_antennas, self.block_width)
 
 
-def selection_effective_channel(
-    geom: PathGeometry,
-    candidates: CandidateSet,
-    rx_pattern: RadiationPattern | None = None,
-) -> EffectiveChannel:
+def selection_effective_channel(geom: PathGeometry, candidates: CandidateSet) -> EffectiveChannel:
     """Lifted channel over a finite candidate set (M x N*S)."""
-    rx_pattern = rx_pattern or isotropic_pattern()
-    base = _base_factors(geom, rx_pattern)  # (L, M, N)
+    base = _base_factors(geom)  # (L, M, N)
     gains = candidates.gain_vector(geom.aod_inclination, geom.aod_azimuth)  # (L, M, N, S)
     lifted = (base[..., None] * gains).sum(axis=0)
     M, N, L = geom.n_rx, geom.n_tx, geom.n_paths
@@ -480,14 +338,9 @@ def selection_effective_channel(
     return EffectiveChannel(matrix=matrix, mode="sel", block_width=candidates.size)
 
 
-def synthesis_effective_channel(
-    geom: PathGeometry,
-    degree: int,
-    rx_pattern: RadiationPattern | None = None,
-) -> EffectiveChannel:
+def synthesis_effective_channel(geom: PathGeometry, degree: int) -> EffectiveChannel:
     """Lifted channel over the harmonic basis up to `degree` (M x N*T)."""
-    rx_pattern = rx_pattern or isotropic_pattern()
-    base = _base_factors(geom, rx_pattern)
+    base = _base_factors(geom)
     basis = sphharm.sh_basis(geom.aod_inclination, geom.aod_azimuth, degree)
     lifted = (base[..., None] * basis).sum(axis=0)
     M, N, L = geom.n_rx, geom.n_tx, geom.n_paths
@@ -515,21 +368,3 @@ def selection_matrix(selection: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros((selection.size, width))
     out[np.arange(selection.size), selection] = 1.0
     return out
-
-
-def save_effective_channel(path, eff: EffectiveChannel) -> None:
-    np.savez(
-        path,
-        matrix=eff.matrix,
-        mode=np.array(eff.mode),
-        block_width=np.array(eff.block_width),
-    )
-
-
-def load_effective_channel(path) -> EffectiveChannel:
-    with np.load(path) as data:
-        return EffectiveChannel(
-            matrix=data["matrix"],
-            mode=str(data["mode"]),
-            block_width=int(data["block_width"]),
-        )

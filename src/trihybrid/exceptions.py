@@ -11,7 +11,3 @@ class GenerationError(RuntimeError):
 
 class SweepError(RuntimeError):
     """One or more sweep cells failed; the completed cells were written."""
-
-
-class ResolutionError(ValueError):
-    """Quadrature grid too coarse for the requested operation."""

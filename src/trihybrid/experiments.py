@@ -141,6 +141,23 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split())
 
 
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split())
+
+
+def _parse_paths(text: str) -> int | tuple[int, ...]:
+    counts = _parse_ints(text)
+    return counts[0] if len(counts) == 1 else counts
+
+
+def _parse_positions(text: str) -> np.ndarray:
+    """`x y z` rows separated by semicolons."""
+    rows = [_parse_floats(r) for r in text.split(";") if r.strip()]
+    if any(len(r) != 3 for r in rows):
+        raise ConfigurationError("every user position needs 3 values (x y z)")
+    return np.array(rows).reshape(len(rows), 3)
+
+
 def _parse_box(text: str) -> tuple[float, ...]:
     values = _parse_floats(text)
     if len(values) != 6:
@@ -188,14 +205,6 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigurationError(f"bad value for {key}: {exc}") from exc
         return default
 
-    user_positions = None
-    if "user_positions" in sc:
-        rows = [r.strip() for r in sc["user_positions"].split(";") if r.strip()]
-        user_positions = np.array([_parse_floats(r) for r in rows])
-
-    paths_raw = get(sc, "paths_per_user", str, "4").split()
-    paths = int(paths_raw[0]) if len(paths_raw) == 1 else tuple(int(p) for p in paths_raw)
-
     scenario = ScenarioConfig(
         carrier_hz=get(sc, "carrier_hz", float, 30e9),
         bs_shape=(get(sc, "bs_rows", int, 4), get(sc, "bs_cols", int, 4)),
@@ -203,8 +212,8 @@ def load_config(path) -> ExperimentConfig:
         ue_shape=(get(sc, "ue_rows", int, 2), get(sc, "ue_cols", int, 1)),
         ue_spacing_wavelengths=get(sc, "ue_spacing_wl", float, 0.5),
         n_users=get(sc, "users", int, 2),
-        paths_per_user=paths,
-        user_positions=user_positions,
+        paths_per_user=get(sc, "paths_per_user", _parse_paths, 4),
+        user_positions=get(sc, "user_positions", _parse_positions, None),
         user_box=get(sc, "user_box", _parse_box, ScenarioConfig.user_box),
         scatterer_box=get(sc, "scatterer_box", _parse_box, ScenarioConfig.scatterer_box),
         pathloss_exponent=get(sc, "pathloss_exponent", float, 2.0),
@@ -220,7 +229,7 @@ def load_config(path) -> ExperimentConfig:
     values = get(sw, "values", _parse_floats, None)
     if values is None:
         values = (get(so, "power_dbm", float, 0.0),) if axis == "power" else (0.0,)
-    seeds = tuple(int(s) for s in get(sw, "seeds", str, "1").split())
+    seeds = get(sw, "seeds", _parse_ints, (1,))
 
     config = ExperimentConfig(
         scenario=scenario,
@@ -249,6 +258,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> None:
+    scenario = config.scenario
+    n_users = scenario.n_users
+    positions = scenario.user_positions
+    if positions is not None and len(positions) != n_users:
+        raise ConfigurationError(f"user_positions has {len(positions)} rows for {n_users} users")
+    paths = scenario.paths_per_user
+    if not isinstance(paths, int) and len(paths) != n_users:
+        raise ConfigurationError(f"paths_per_user lists {len(paths)} counts for {n_users} users")
+    if not config.values or not config.seeds:
+        raise ConfigurationError("the sweep needs at least one value and one seed")
     if config.candidates < 1:
         raise ConfigurationError("need at least one pattern candidate")
     if config.sh_degree < 0:
@@ -299,7 +318,6 @@ def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
     return SolverConfig(
         power=float(dbm_to_milliwatts(power_dbm)),
         noise=float(dbm_to_milliwatts(config.noise_dbm)),
-        weights=None,
         rf_chains=_rf_chains_for(config, value),
         max_outer_iterations=config.max_outer_iterations,
         objective_tol=config.objective_tol,
@@ -337,9 +355,7 @@ class _Cell:
     @cached_property
     def candidates(self) -> CandidateSet:
         return gaussian_beam_grid(
-            self.config.candidates,
-            beamwidth=np.deg2rad(self.config.beamwidth_deg),
-            baseline_first=True,
+            self.config.candidates, beamwidth=np.deg2rad(self.config.beamwidth_deg)
         )
 
     @cached_property
@@ -361,15 +377,13 @@ def _zero_forcing_state(cell: _Cell) -> PrecoderState:
     decomp = decompose_precoder(
         f_d, solver.rf_chains, solver.power, solver.decomp_iterations, seed=solver.seed
     )
-    n_antennas, n_users = f_d.shape[0], len(cell.streams)
+    n_antennas = f_d.shape[0]
     return PrecoderState(
         f_d=f_d,
         f_rf=decomp.f_rf,
         f_bb=decomp.f_bb,
         selection=np.zeros(n_antennas, dtype=int),
         coefficients=None,
-        beta=np.ones(n_users) / n_users,
-        noise=np.full(n_users, solver.noise),
         power=np.full(n_antennas, solver.power),
         decomp_residual=decomp.residual,
     )
@@ -557,21 +571,21 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
 # Aggregation and audits
 # ---------------------------------------------------------------------------
 
-_FIGURES = {"power": "power", "rfchains": "rfchains", "antennas": "antennas"}
-
-
 def emit_plotdata(results_path, figure: str, out_path=None) -> str:
     """Aggregate a results CSV to mean and standard error per sweep point.
 
-    Emits one row per (sweep value, method) with digital and hybrid columns;
-    for the rfchains figure the sweep value is labeled as an offset from the
+    Emits one row per (sweep value, method) with digital and hybrid columns
+    and the number of its runs that did not converge (`converged = 0`); for
+    the rfchains figure the sweep value is labeled as an offset from the
     total stream count D.
     """
-    if figure not in _FIGURES:
-        raise ConfigurationError(f"figure must be one of {sorted(_FIGURES)}")
+    if figure not in _AXES:
+        raise ConfigurationError(f"figure must be one of {sorted(_AXES)}")
     with open(results_path, "r", encoding="ascii") as fh:
         reader = csv.DictReader(fh)
-        required = {"axis", "sweep_value", "method", "sum_rate_digital", "sum_rate_hybrid"}
+        required = {
+            "axis", "sweep_value", "method", "sum_rate_digital", "sum_rate_hybrid", "converged"
+        }
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ConfigurationError(
                 f"{results_path}: missing columns {sorted(required - set(reader.fieldnames or []))}"
@@ -582,7 +596,8 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
             f"results were swept over {rows[0]['axis']!r}, not {figure!r}"
         )
 
-    groups: dict[tuple[float, str], list[tuple[float, float]]] = {}
+    # (sweep value, method) -> (digital rate, hybrid rate, unconverged) per run
+    groups: dict[tuple[float, str], list[tuple[float, float, bool]]] = {}
     order: list[tuple[float, str]] = []
     for row in rows:
         key = (float(row["sweep_value"]), row["method"])
@@ -590,7 +605,11 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
             groups[key] = []
             order.append(key)
         groups[key].append(
-            (float(row["sum_rate_digital"]), float(row["sum_rate_hybrid"]))
+            (
+                float(row["sum_rate_digital"]),
+                float(row["sum_rate_hybrid"]),
+                row["converged"] == "0",
+            )
         )
 
     def stats(samples):
@@ -609,6 +628,7 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
                 "label",
                 "method",
                 "n_runs",
+                "n_unconverged",
                 "digital_mean",
                 "digital_stderr",
                 "hybrid_mean",
@@ -630,6 +650,7 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
                     label,
                     method,
                     len(samples),
+                    sum(s[2] for s in samples),
                     repr(d_mean),
                     repr(d_err),
                     repr(h_mean),

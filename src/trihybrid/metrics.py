@@ -1,92 +1,14 @@
-"""Evaluation artifacts: array beampatterns, envelopes, constraint audits."""
+"""Constraint audits of solver states."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayLayout
 from .patterns import CandidateSet
 from .sphharm import FOUR_PI, SphereGrid, default_grid
 from .wmmse import PrecoderState
-
-
-def array_beampattern(
-    layout: ArrayLayout,
-    tx_patterns,
-    f_rf: np.ndarray,
-    f_bb_user: np.ndarray,
-    theta,
-    phi,
-    wavelength: float,
-) -> np.ndarray:
-    """Transmit field amplitude toward (theta, phi) for one user's streams.
-
-    Element n contributes its pattern gain times the geometric phase
-    exp(j 2 pi / lambda * p_n . u); the amplitude is the 2-norm of the
-    steered composite precoder response, so common stream phase rotations do
-    not matter.  Accepts broadcastable angle arrays.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    theta_b, phi_b = np.broadcast_arrays(theta, phi)
-    direction = np.stack(
-        [
-            np.sin(theta_b) * np.cos(phi_b),
-            np.sin(theta_b) * np.sin(phi_b),
-            np.cos(theta_b),
-        ],
-        axis=-1,
-    )  # (..., 3)
-    phase = np.exp(2j * np.pi / wavelength * direction @ layout.positions.T)  # (..., N)
-    gains = np.stack(
-        [p.gain(theta_b, phi_b) for p in tx_patterns], axis=-1
-    )  # (..., N)
-    response = (gains * phase) @ (f_rf @ f_bb_user)  # (..., D_k)
-    out = np.linalg.norm(response, axis=-1)
-    return out if out.ndim else float(out)
-
-
-def azimuth_envelope(field: np.ndarray) -> np.ndarray:
-    """Envelope over inclination: per-azimuth maximum of a (theta x phi) field."""
-    field = np.asarray(field)
-    if field.ndim != 2 or field.shape[0] < 1:
-        raise ValueError("expected a nonempty (theta x phi) field")
-    return field.max(axis=0)
-
-
-def write_beampattern_csv(
-    path,
-    layout: ArrayLayout,
-    tx_patterns,
-    f_rf: np.ndarray,
-    f_bb_users,
-    wavelength: float,
-    resolution_deg: float = 1.0,
-) -> None:
-    """Azimuth envelopes per user, normalized to the global peak, in dB.
-
-    Columns: phi_deg, user, envelope_db_normalized.
-    """
-    theta = np.deg2rad(np.arange(0.0, 180.0 + resolution_deg, resolution_deg))
-    phi = np.deg2rad(np.arange(-180.0, 180.0, resolution_deg))
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    envelopes = []
-    for f_bb_k in f_bb_users:
-        field = array_beampattern(layout, tx_patterns, f_rf, f_bb_k, tg, pg, wavelength)
-        envelopes.append(azimuth_envelope(field))
-    peak = max(float(np.max(env)) for env in envelopes)
-    if peak <= 0.0:
-        peak = 1.0
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi_deg", "user", "envelope_db_normalized"])
-        for user, env in enumerate(envelopes):
-            db = 20.0 * np.log10(np.maximum(env / peak, 1e-12))
-            for p, value in zip(np.rad2deg(phi), db):
-                writer.writerow([f"{float(p)!r}", user, f"{float(value)!r}"])
 
 
 @dataclass

@@ -9,13 +9,10 @@ fixed-baseline pattern.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import sphharm
 from .exceptions import ConfigurationError
@@ -24,6 +21,13 @@ from .sphharm import FOUR_PI, SHCoefficients, SphereGrid, default_grid
 _LN2 = float(np.log(2.0))
 
 BROADSIDE = (np.pi / 2.0, 0.0)
+
+# Candidate beam centers cover the quarter sphere in front of the array
+# (+x) and below its horizon, where the users are; every beam carries the
+# same small gain floor, keeping it strictly positive.
+BEAM_THETA_RANGE = (np.pi / 2.0, np.pi)
+BEAM_PHI_RANGE = (-np.pi / 2.0, np.pi / 2.0)
+BEAM_FLOOR = 1e-3
 
 
 def great_circle_angle(theta1, phi1, theta2, phi2):
@@ -49,10 +53,8 @@ class RadiationPattern:
     """Magnitude gain over the sphere.
 
     `kind` selects the representation: "isotropic", "gaussian" (a parametric
-    beam), "harmonic" (coefficients of the real spherical basis), or
-    "tabulated" (samples on a tensor grid, bilinearly interpolated with
-    azimuth wraparound).  `scale` is the multiplicative factor applied by
-    normalization.
+    beam) or "harmonic" (coefficients of the real spherical basis).  `scale`
+    is the multiplicative factor applied by normalization.
     """
 
     kind: str
@@ -75,40 +77,12 @@ class RadiationPattern:
             raw = np.asarray(
                 sphharm.synthesize_gain(self.params["coefficients"], theta, phi)
             )
-        elif self.kind == "tabulated":
-            raw = self._interpolator(theta, phi)
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         out = self.scale * raw
         return out if out.ndim else float(out)
 
     __call__ = gain
-
-    @cached_property
-    def _interpolator(self):
-        theta_nodes = self.params["theta_nodes"]
-        phi_nodes = self.params["phi_nodes"]
-        values = self.params["values"]
-        # Wrap the azimuth axis so interpolation is periodic.
-        phi_ext = np.concatenate([phi_nodes, [phi_nodes[0] + 2.0 * np.pi]])
-        values_ext = np.concatenate([values, values[:, :1]], axis=1)
-        interp = RegularGridInterpolator(
-            (theta_nodes, phi_ext),
-            values_ext,
-            method="linear",
-            bounds_error=False,
-            fill_value=None,
-        )
-
-        def evaluate(theta, phi):
-            theta = np.asarray(theta, dtype=float)
-            phi = np.asarray(phi, dtype=float)
-            phi = np.mod(phi - phi_nodes[0], 2.0 * np.pi) + phi_nodes[0]
-            theta_b, phi_b = np.broadcast_arrays(theta, phi)
-            pts = np.stack([theta_b.ravel(), phi_b.ravel()], axis=-1)
-            return interp(pts).reshape(theta_b.shape)
-
-        return evaluate
 
     def scaled(self, factor: float, normalized: bool = False) -> "RadiationPattern":
         return replace(self, scale=self.scale * factor, normalized=normalized)
@@ -155,24 +129,6 @@ def harmonic_pattern(coeffs: SHCoefficients) -> RadiationPattern:
     return RadiationPattern(kind="harmonic", params={"coefficients": coeffs})
 
 
-def tabulated_pattern(theta_nodes, phi_nodes, values) -> RadiationPattern:
-    theta_nodes = np.asarray(theta_nodes, dtype=float)
-    phi_nodes = np.asarray(phi_nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (theta_nodes.size, phi_nodes.size):
-        raise ValueError("tabulated values must be laid out theta x phi")
-    if np.any(values <= 0.0):
-        raise ValueError("tabulated magnitude gains must be strictly positive")
-    return RadiationPattern(
-        kind="tabulated",
-        params={
-            "theta_nodes": theta_nodes,
-            "phi_nodes": phi_nodes,
-            "values": values,
-        },
-    )
-
-
 def normalize_pattern(
     pattern: RadiationPattern, grid: SphereGrid | None = None
 ) -> RadiationPattern:
@@ -193,9 +149,6 @@ class CandidateSet:
 
     patterns: tuple[RadiationPattern, ...]
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
     @property
     def size(self) -> int:
         return len(self.patterns)
@@ -209,135 +162,33 @@ class CandidateSet:
         return np.stack([p.gain(theta, phi) for p in self.patterns], axis=-1)
 
 
-def gaussian_beam_grid(
-    count: int,
-    theta_range: tuple[float, float] = (np.pi / 2.0, np.pi),
-    phi_range: tuple[float, float] = (-np.pi / 2.0, np.pi / 2.0),
-    beamwidth: float = np.deg2rad(85.0),
-    floor: float = 1e-3,
-    grid_shape: tuple[int, int] | None = None,
-    baseline_first: bool = False,
-    quad: SphereGrid | None = None,
-) -> CandidateSet:
+def gaussian_beam_grid(count: int, beamwidth: float = np.deg2rad(85.0)) -> CandidateSet:
     """Candidate set of Gaussian beams with centers on a uniform tensor grid.
 
-    Beam centers sit at the cell midpoints of a (count_theta x count_phi)
-    partition of the given ranges, inclination-major.  With `baseline_first`
-    the candidate whose center is closest to array broadside is moved to
+    Beam centers sit at the cell midpoints of the most nearly square
+    (count_theta x count_phi) partition of `BEAM_THETA_RANGE` x
+    `BEAM_PHI_RANGE`, inclination-major, each beam with gain floor
+    `BEAM_FLOOR` and normalized on the default quadrature grid.  The
+    candidate whose center is closest to array broadside is then moved to
     index 0, where it doubles as the fixed-baseline pattern.
     """
     if count < 1:
         raise ConfigurationError(f"candidate count must be positive, got {count}")
-    if grid_shape is None:
-        n_theta, n_phi = most_square_factors(count)
-    else:
-        n_theta, n_phi = grid_shape
-        if n_theta * n_phi != count:
-            raise ConfigurationError(
-                f"grid shape {n_theta}x{n_phi} does not factor count {count}"
-            )
-    quad = quad or default_grid()
+    n_theta, n_phi = most_square_factors(count)
+    quad = default_grid()
 
-    theta_lo, theta_hi = theta_range
-    phi_lo, phi_hi = phi_range
+    theta_lo, theta_hi = BEAM_THETA_RANGE
+    phi_lo, phi_hi = BEAM_PHI_RANGE
     theta_centers = theta_lo + (np.arange(n_theta) + 0.5) * (theta_hi - theta_lo) / n_theta
     phi_centers = phi_lo + (np.arange(n_phi) + 0.5) * (phi_hi - phi_lo) / n_phi
 
     beams = []
     for t0 in theta_centers:
         for p0 in phi_centers:
-            beam = gaussian_beam(t0, p0, beamwidth, floor)
+            beam = gaussian_beam(t0, p0, beamwidth, BEAM_FLOOR)
             beams.append(normalize_pattern(beam, quad))
 
-    if baseline_first and len(beams) > 1:
-        centers = np.array(
-            [(b.params["theta0"], b.params["phi0"]) for b in beams]
-        )
-        dist = great_circle_angle(centers[:, 0], centers[:, 1], *BROADSIDE)
-        best = int(np.argmin(dist))
-        beams[0], beams[best] = beams[best], beams[0]
+    centers = np.array([(b.params["theta0"], b.params["phi0"]) for b in beams])
+    best = int(np.argmin(great_circle_angle(centers[:, 0], centers[:, 1], *BROADSIDE)))
+    beams[0], beams[best] = beams[best], beams[0]
     return CandidateSet(tuple(beams))
-
-
-# ---------------------------------------------------------------------------
-# Plain-text pattern files
-# ---------------------------------------------------------------------------
-
-def save_tabulated(path, pattern: RadiationPattern, grid: SphereGrid | None = None) -> None:
-    """Sample a pattern on a grid and write `theta phi gain` rows."""
-    grid = grid or default_grid()
-    tg, pg = grid.mesh()
-    values = pattern.gain(tg, pg)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("theta phi gain\n")
-        for t, p, g in zip(tg.ravel(), pg.ravel(), np.asarray(values).ravel()):
-            fh.write(f"{float(t)!r} {float(p)!r} {float(g)!r}\n")
-
-
-def load_tabulated(path) -> RadiationPattern:
-    data = np.loadtxt(path, skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected rows of 'theta phi gain'")
-    theta_nodes = np.unique(data[:, 0])
-    phi_nodes = np.unique(data[:, 1])
-    if theta_nodes.size * phi_nodes.size != data.shape[0]:
-        raise ValueError(f"{path}: samples do not form a complete tensor grid")
-    values = np.full((theta_nodes.size, phi_nodes.size), np.nan)
-    ti = np.searchsorted(theta_nodes, data[:, 0])
-    pi = np.searchsorted(phi_nodes, data[:, 1])
-    values[ti, pi] = data[:, 2]
-    if np.any(np.isnan(values)):
-        raise ValueError(f"{path}: samples do not form a complete tensor grid")
-    return tabulated_pattern(theta_nodes, phi_nodes, values)
-
-
-def save_candidate_manifest(path, candidates: CandidateSet) -> None:
-    """Write a manifest: `S <count>` then one line per pattern.
-
-    Gaussian members are stored by their parameters; other representations
-    are sampled to sidecar tabulation files next to the manifest.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"S {candidates.size}\n")
-        for s, pattern in enumerate(candidates.patterns, start=1):
-            if pattern.kind == "gaussian":
-                p = pattern.params
-                fh.write(
-                    f"{s} {p['theta0']!r} {p['phi0']!r} "
-                    f"{p['beamwidth']!r} {p['floor']!r}\n"
-                )
-            else:
-                sidecar = f"{os.path.splitext(os.path.basename(path))[0]}_pattern{s}.txt"
-                save_tabulated(os.path.join(directory, sidecar), pattern)
-                fh.write(f"{s} tabulated {sidecar}\n")
-
-
-def load_candidate_manifest(path, quad: SphereGrid | None = None) -> CandidateSet:
-    """Read a manifest written by :func:`save_candidate_manifest`.
-
-    Every member is (re-)normalized on load, so the manifest need not store
-    normalization scales.
-    """
-    quad = quad or default_grid()
-    directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "S":
-            raise ValueError(f"{path}: expected an 'S <count>' header line")
-        count = int(header[1])
-        patterns: list[RadiationPattern | None] = [None] * count
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            s = int(parts[0])
-            if parts[1] == "tabulated":
-                pattern = load_tabulated(os.path.join(directory, parts[2]))
-            else:
-                theta0, phi0, beamwidth, floor = map(float, parts[1:5])
-                pattern = gaussian_beam(theta0, phi0, beamwidth, floor)
-            patterns[s - 1] = normalize_pattern(pattern, quad)
-    if any(p is None for p in patterns):
-        raise ValueError(f"{path}: manifest is missing pattern entries")
-    return CandidateSet(tuple(patterns))

@@ -1,7 +1,7 @@
 """Real spherical harmonics and surface quadrature.
 
 Provides the orthonormal real harmonic basis on the unit sphere, synthesis
-and decomposition of gain functions, and numerical integration over the
+of gain functions from coefficients, and numerical integration over the
 sphere on a Gauss-Legendre (inclination) x uniform (azimuth) grid.
 
 Basis ordering: the pair (degree u, order q) with u >= 0 and |q| <= u is
@@ -19,8 +19,6 @@ from math import factorial, isqrt
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exceptions import ResolutionError
-
 FOUR_PI = 4.0 * np.pi
 
 
@@ -33,45 +31,6 @@ def truncation_length(degree: int) -> int:
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     return (degree + 1) ** 2
-
-
-def flat_index(degree: int, order: int) -> int:
-    """1-based flat index of the harmonic (degree, order)."""
-    if abs(order) > degree:
-        raise ValueError(f"|order| <= degree required, got ({degree}, {order})")
-    return degree * degree + degree + order + 1
-
-
-def degree_order(flat: int) -> tuple[int, int]:
-    """Inverse of :func:`flat_index`."""
-    if flat < 1:
-        raise ValueError(f"flat index must be >= 1, got {flat}")
-    u = isqrt(flat - 1)
-    q = flat - 1 - u * u - u
-    return u, q
-
-
-@dataclass(frozen=True)
-class SHIndex:
-    """A harmonic index: (degree, order) together with its flat position."""
-
-    degree: int
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.degree < 0 or abs(self.order) > self.degree:
-            raise ValueError(
-                f"invalid harmonic index ({self.degree}, {self.order})"
-            )
-
-    @property
-    def flat(self) -> int:
-        return flat_index(self.degree, self.order)
-
-    @classmethod
-    def from_flat(cls, flat: int) -> "SHIndex":
-        u, q = degree_order(flat)
-        return cls(u, q)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +134,6 @@ class SHCoefficients:
                 f"expected {expected} coefficients for degree {self.degree}, "
                 f"got shape {self.values.shape}"
             )
-
-    @classmethod
-    def from_values(cls, values) -> "SHCoefficients":
-        values = np.asarray(values, dtype=float)
-        degree = isqrt(values.size) - 1
-        return cls(values, degree)
 
     def total_power(self) -> float:
         """Squared 2-norm; equals the surface integral of the squared gain."""
@@ -291,68 +244,9 @@ def default_grid() -> SphereGrid:
     return _DEFAULT_GRID
 
 
-def _sample(gain, grid: SphereGrid) -> np.ndarray:
-    if callable(gain):
-        tg, pg = grid.mesh()
-        return np.asarray(gain(tg, pg), dtype=float)
-    values = np.asarray(gain, dtype=float)
-    if values.shape != (grid.n_theta, grid.n_phi):
-        raise ValueError(
-            f"tabulated gain must have shape {(grid.n_theta, grid.n_phi)}, "
-            f"got {values.shape}"
-        )
-    return values
-
-
 def pattern_energy(gain, grid: SphereGrid | None = None) -> float:
-    """Total radiated power: surface integral of the squared gain.
-
-    `gain` is either a callable gain(theta, phi) or samples on the grid.
-    """
+    """Total radiated power: surface integral of the squared gain(theta, phi)."""
     grid = grid or default_grid()
-    values = _sample(gain, grid)
+    tg, pg = grid.mesh()
+    values = np.asarray(gain(tg, pg), dtype=float)
     return grid.integrate(values**2)
-
-
-def decompose_gain(gain, degree: int, grid: SphereGrid | None = None) -> SHCoefficients:
-    """Project a gain function onto the harmonic basis up to `degree`.
-
-    Requires at least 2*(degree+1) inclination nodes and 4*(degree+1)
-    azimuth nodes to avoid aliasing.
-    """
-    grid = grid or default_grid()
-    if grid.n_theta < 2 * (degree + 1) or grid.n_phi < 4 * (degree + 1):
-        raise ResolutionError(
-            f"grid {grid.n_theta}x{grid.n_phi} too coarse for degree {degree}; "
-            f"need at least {2 * (degree + 1)}x{4 * (degree + 1)}"
-        )
-    values = _sample(gain, grid)
-    coeffs = np.einsum("ij,ij,ijt->t", grid.weights(), values, grid.basis(degree))
-    return SHCoefficients(coeffs, degree)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text coefficient files
-# ---------------------------------------------------------------------------
-
-def save_coefficients(path, coeffs: SHCoefficients) -> None:
-    """Write `U <degree>` followed by one `t c_t` row per coefficient."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"U {coeffs.degree}\n")
-        for t, value in enumerate(coeffs.values, start=1):
-            fh.write(f"{t} {float(value)!r}\n")
-
-
-def load_coefficients(path) -> SHCoefficients:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "U":
-            raise ValueError(f"{path}: expected a 'U <degree>' header line")
-        degree = int(header[1])
-        values = np.zeros(truncation_length(degree))
-        for line in fh:
-            if not line.strip():
-                continue
-            t_str, c_str = line.split()
-            values[int(t_str) - 1] = float(c_str)
-    return SHCoefficients(values, degree)

@@ -43,13 +43,13 @@ class SolverConfig:
     """Knobs shared by both solvers.
 
     Powers are linear per-antenna budgets (scalar or length N); noise powers
-    are linear per-user values (scalar or length K).  `rho` pins the
-    constant-component share of synthesized patterns.
+    are linear per-user values (scalar or length K).  Users are weighted
+    equally.  `rho` pins the constant-component share of synthesized
+    patterns.
     """
 
     power: float | np.ndarray = 1.0
     noise: float | np.ndarray = 1e-9
-    weights: np.ndarray | None = None
     rf_chains: int = 1
     max_outer_iterations: int = 50
     objective_tol: float = 1e-6
@@ -93,16 +93,14 @@ class Trace:
 @dataclass
 class PrecoderState:
     """Solver output: digital precoder, its analog/digital factorization,
-    the antenna-domain configuration and the power, noise and user weights
-    it was solved for."""
+    the antenna-domain configuration and the per-antenna power budgets it
+    was solved for."""
 
     f_d: np.ndarray
     f_rf: np.ndarray | None
     f_bb: np.ndarray | None
     selection: np.ndarray | None
     coefficients: np.ndarray | None
-    beta: np.ndarray
-    noise: np.ndarray
     power: np.ndarray
     decomp_residual: float | None = None
 
@@ -425,11 +423,7 @@ def _run_bcd(
     d_total = sum(stream_counts)
     power = np.broadcast_to(np.asarray(config.power, dtype=float), (n_antennas,)).copy()
     noise = _as_per_user(config.noise, K)
-    beta = (
-        np.ones(K) / K
-        if config.weights is None
-        else np.asarray(config.weights, dtype=float)
-    )
+    beta = np.ones(K) / K
     if config.rf_chains < 1 or config.rf_chains > n_antennas:
         raise ValueError(
             f"rf_chains must lie in [1, {n_antennas}], got {config.rf_chains}"
@@ -519,8 +513,6 @@ def _run_bcd(
         f_bb=decomp.f_bb,
         selection=np.argmax(antenna_matrix, axis=1) if selected else None,
         coefficients=None if selected else antenna_matrix,
-        beta=beta,
-        noise=noise,
         power=power,
         decomp_residual=decomp.residual,
     ), trace

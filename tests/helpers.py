@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: Legendre functions
 come from the Rodrigues formula evaluated symbolically, surface integrals
-from dense trapezoid grids, and channels from entry-by-entry loops.
+from dense trapezoid grids, and channels from entry-by-entry loops or from
+their far-field limit with shared per-path angles.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 import sympy as sp
+
+from trihybrid.channel import to_spherical
 
 
 def legendre_rodrigues(degree: int, order: int, x: float) -> float:
@@ -51,8 +54,9 @@ def trapezoid_sphere_integral(fn, n_theta: int = 400, n_phi: int = 800) -> float
     return float(np.trapezoid(np.trapezoid(values, phi, axis=1), theta))
 
 
-def channel_entry_loops(geom, tx_patterns, rx_pattern) -> np.ndarray:
-    """Entry-by-entry reimplementation of the per-antenna channel."""
+def channel_entry_loops(geom, tx_patterns) -> np.ndarray:
+    """Entry-by-entry reimplementation of the per-antenna channel with
+    isotropic receive antennas."""
     lam = geom.wavelength
     zeta = geom.pathloss_exponent
     L, M, N = geom.distances.shape
@@ -70,11 +74,66 @@ def channel_entry_loops(geom, tx_patterns, rx_pattern) -> np.ndarray:
                 g_bs = tx_patterns[n].gain(
                     geom.aod_inclination[ell, m, n], geom.aod_azimuth[ell, m, n]
                 )
-                g_ue = rx_pattern.gain(
-                    geom.aoa_inclination[ell, m, n], geom.aoa_azimuth[ell, m, n]
-                )
-                out[m, n] += c * a * g_ue * g_bs
+                out[m, n] += c * a * g_bs
     return np.sqrt(N * M / L) * out
+
+
+def _centered_response(layout, theta, phi, wavelength) -> np.ndarray:
+    """Array response toward (theta, phi), referenced to the centroid."""
+    direction = np.array(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
+    offsets = layout.positions - layout.centroid
+    return np.exp(-2j * np.pi / wavelength * offsets @ direction) / np.sqrt(layout.size)
+
+
+def far_field_channel(bs_layout, ue_layout, wavelength, path_gains, departure, arrival):
+    """Far-field multipath channel between isotropic arrays.
+
+    Every path has one complex gain and one (inclination, azimuth) pair per
+    side, shared by all antenna pairs: (L, 2) `departure` angles and (L, 2)
+    `arrival` angles, the latter pointing from the receiver back toward the
+    transmitter side.  Responses are referenced to the array centroids.
+    """
+    departure = np.atleast_2d(np.asarray(departure, dtype=float))
+    arrival = np.atleast_2d(np.asarray(arrival, dtype=float))
+    L = len(path_gains)
+    M, N = ue_layout.size, bs_layout.size
+    out = np.zeros((M, N), dtype=complex)
+    for ell in range(L):
+        a_tx = _centered_response(bs_layout, *departure[ell], wavelength)
+        # The wave continues through the receiver: evaluate the manifold at
+        # the propagation direction, the antipode of the look-back angles.
+        a_rx = _centered_response(
+            ue_layout, np.pi - arrival[ell, 0], arrival[ell, 1] + np.pi, wavelength
+        )
+        out += path_gains[ell] * np.outer(a_rx, a_tx.conj())
+    return np.sqrt(N * M / L) * out
+
+
+def far_field_from_scenario(scenario, user: int) -> np.ndarray:
+    """Far-field limit of a scenario user's channel with isotropic antennas.
+
+    Per-path angles are taken between the array centroids and the path's
+    hop point; path gains use the reference distances, so this is the
+    long-distance limit of the exact per-pair assembly.
+    """
+    geom = scenario.geometries[user]
+    bs_c = scenario.bs_layout.centroid
+    ue_c = scenario.ue_layouts[user].centroid
+    lam = scenario.wavelength
+    departure, arrival, path_gains = [], [], []
+    for ell in range(geom.n_paths):
+        hop = ue_c if ell == 0 else scenario.scatterers[user][ell - 1]
+        departure.append(to_spherical(hop - bs_c))
+        arrival.append(to_spherical((bs_c if ell == 0 else hop) - ue_c))
+        path_gains.append(
+            (lam / (4.0 * np.pi * geom.ref_distances[ell])) ** (geom.pathloss_exponent / 2.0)
+            * np.exp(1j * geom.phases[ell, 0, 0])
+        )
+    return far_field_channel(
+        scenario.bs_layout, scenario.ue_layouts[user], lam, path_gains, departure, arrival
+    )
 
 
 def random_psd(rng, size: int, scale: float = 1.0) -> np.ndarray:

@@ -71,7 +71,7 @@ def suite():
     """Twenty seeded scenarios solved with all four methods, paired by a
     shared fixed-pattern warm start."""
     started = time.perf_counter()
-    candidates = gaussian_beam_grid(8, baseline_first=True)
+    candidates = gaussian_beam_grid(8)
     config = desk_solver(max_outer_iterations=40, objective_tol=1e-6, rf_chains=RF_CHAINS)
     runs = []
     for seed in range(N_SUITE):
@@ -147,7 +147,7 @@ def test_criterion_02_energy_law():
 
 
 def test_criterion_03_effective_channel_identities():
-    candidates = gaussian_beam_grid(8, baseline_first=True)
+    candidates = gaussian_beam_grid(8)
     rng = np.random.default_rng(7)
     worst_sel, worst_cof = 0.0, 0.0
     for seed in range(20):
@@ -231,7 +231,7 @@ def test_criterion_05_bcd_monotone(suite):
 
 
 def test_criterion_06_reductions():
-    candidates = gaussian_beam_grid(8, baseline_first=True)
+    candidates = gaussian_beam_grid(8)
     config = desk_solver(
         max_outer_iterations=12, objective_tol=0.0, rf_chains=RF_CHAINS
     )
@@ -350,7 +350,7 @@ def _median_iteration_seconds(method: str, n_antennas: int) -> float:
         max_outer_iterations=6, objective_tol=0.0, rf_chains=RF_CHAINS
     )
     if method == "selection":
-        candidates = gaussian_beam_grid(8, baseline_first=True)
+        candidates = gaussian_beam_grid(8)
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         _, trace = run_selection(effs, STREAMS, config)
     else:

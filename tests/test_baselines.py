@@ -59,7 +59,7 @@ class TestZeroForcing:
 class TestFixedPatternWmmse:
     def test_rate_grows_with_power(self):
         scenario = desk_scenario(4)
-        pattern = gaussian_beam_grid(8, baseline_first=True).baseline
+        pattern = gaussian_beam_grid(8).baseline
         rates = []
         for power in (0.01, 0.1, 1.0, 10.0):
             config = desk_solver(power=power, max_outer_iterations=15)

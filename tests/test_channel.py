@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import channel_entry_loops
+from helpers import (
+    _centered_response,
+    channel_entry_loops,
+    far_field_channel,
+    far_field_from_scenario,
+)
 from trihybrid.channel import (
     ScenarioConfig,
     assemble_channel,
     compose,
-    far_field_channel,
-    far_field_from_scenario,
     generate_scenario,
-    load_effective_channel,
-    save_effective_channel,
     selection_effective_channel,
     selection_matrix,
     synthesis_effective_channel,
     to_spherical,
     upa_layout,
-    upa_response,
 )
 from trihybrid.exceptions import GenerationError
 from trihybrid.patterns import gaussian_beam_grid, harmonic_pattern, isotropic_pattern
@@ -134,37 +134,42 @@ class TestAssemble:
         )
         assert_allclose(h[0, 0], expected, rtol=1e-12)
 
-    def test_matches_entry_loops(self, grid):
+    def test_matches_entry_loops(self):
         config = ScenarioConfig(
             n_users=1, bs_shape=(2, 2), ue_shape=(2, 1), paths_per_user=3
         )
         scenario = generate_scenario(config, seed=7)
         geom = scenario.geometries[0]
-        cands = gaussian_beam_grid(4, quad=grid)
+        cands = gaussian_beam_grid(4)
         tx = [cands.patterns[i % 4] for i in range(geom.n_tx)]
-        rx = cands.patterns[1]
         assert_allclose(
-            assemble_channel(geom, tx, rx), channel_entry_loops(geom, tx, rx), rtol=1e-12
+            assemble_channel(geom, tx), channel_entry_loops(geom, tx), rtol=1e-12
         )
 
 
 class TestUpaResponse:
+    """The far-field oracle's planar-array response, on `upa_layout` arrays."""
+
     def test_broadside(self):
-        v = upa_response(np.pi / 2, 0.0, 2, 2, 0.005, 0.01)
+        v = _centered_response(upa_layout(2, 2, 0.005), np.pi / 2, 0.0, 0.01)
         assert_allclose(v, np.full(4, 0.5), atol=1e-15)
 
     def test_phase_arithmetic(self):
         # Quarter-wavelength spatial frequency along the horizontal axis.
         theta = np.pi / 2
         phi = np.arcsin(0.5)  # gives w_h = 0.25 at half-wavelength spacing
-        v = upa_response(theta, phi, 2, 1, 0.005, 0.01)
-        assert_allclose(v, np.array([1.0, -1j]) / np.sqrt(2.0), atol=1e-12)
+        v = _centered_response(upa_layout(2, 1, 0.005), theta, phi, 0.01)
+        # Referenced to the centroid, the two elements sit a quarter cycle
+        # either side of zero phase.
+        assert_allclose(v, np.exp(0.25j * np.pi * np.array([1, -1])) / np.sqrt(2.0), atol=1e-12)
+        assert_allclose(v[1] / v[0], -1j, atol=1e-12)
 
     def test_unit_norm(self, rng):
+        layout = upa_layout(4, 4, 0.005)
         for _ in range(5):
             theta = rng.uniform(0, np.pi)
             phi = rng.uniform(-np.pi, np.pi)
-            v = upa_response(theta, phi, 4, 4, 0.005, 0.01)
+            v = _centered_response(layout, theta, phi, 0.01)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -172,9 +177,7 @@ class TestFarField:
     def test_single_path_rank_one(self):
         bs = upa_layout(2, 2, 0.005)
         ue = upa_layout(2, 1, 0.005, center=(50.0, 0.0, 0.0))
-        h = far_field_channel(
-            bs, ue, 0.01, [0.5 + 0.1j], [1.0], [1.0], [[1.2, 0.3]], [[1.8, -2.5]]
-        )
+        h = far_field_channel(bs, ue, 0.01, [0.5 + 0.1j], [[1.2, 0.3]], [[1.8, -2.5]])
         singulars = np.linalg.svd(h, compute_uv=False)
         assert singulars[1] < 1e-12
         assert singulars[0] == pytest.approx(
@@ -189,8 +192,6 @@ class TestFarField:
             bs,
             ue,
             0.01,
-            [1.0, 1.0],
-            [1.0, 1.0],
             [1.0, 1.0],
             [[np.pi / 2, 0.0], [np.pi / 2, np.arcsin(0.5)]],
             [[np.pi / 2, np.pi], [np.pi / 2, np.pi - 0.4]],
@@ -211,9 +212,8 @@ class TestFarField:
             user_positions=np.array([[1e4 * lam, 7.0 * lam, -5.0 * lam]]),
         )
         scenario = generate_scenario(config, seed=3)
-        iso = isotropic_pattern()
-        exact = assemble_channel(scenario.geometries[0], iso)
-        limit = far_field_from_scenario(scenario, 0, iso)
+        exact = assemble_channel(scenario.geometries[0], isotropic_pattern())
+        limit = far_field_from_scenario(scenario, 0)
         assert np.linalg.norm(exact - limit) / np.linalg.norm(exact) < 1e-3
 
     def test_far_field_limit_with_scatterers(self):
@@ -228,9 +228,8 @@ class TestFarField:
             scatterer_box=(80.0, 120.0, 40.0, 80.0, -60.0, -30.0),
         )
         scenario = generate_scenario(config, seed=11)
-        iso = isotropic_pattern()
-        exact = assemble_channel(scenario.geometries[0], iso)
-        limit = far_field_from_scenario(scenario, 0, iso)
+        exact = assemble_channel(scenario.geometries[0], isotropic_pattern())
+        limit = far_field_from_scenario(scenario, 0)
         assert np.linalg.norm(exact - limit) / np.linalg.norm(exact) < 1e-3
 
 
@@ -298,15 +297,3 @@ class TestSynthesisLift:
         assert_allclose(
             compose(eff, 2.0 * coeffs), 2.0 * compose(eff, coeffs), rtol=1e-14
         )
-
-
-class TestChannelIO:
-    def test_roundtrip(self, tmp_path, lifted_setup):
-        scenario, cands = lifted_setup
-        eff = selection_effective_channel(scenario.geometries[0], cands)
-        path = tmp_path / "eff.npz"
-        save_effective_channel(path, eff)
-        loaded = load_effective_channel(path)
-        assert loaded.mode == "sel"
-        assert loaded.block_width == cands.size
-        assert np.array_equal(loaded.matrix, eff.matrix)

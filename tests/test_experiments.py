@@ -217,17 +217,23 @@ class TestPlotdata:
             assert row["n_runs"] == "1"
 
     def test_two_seed_stats_match_hand_computation(self, tmp_path):
+        # Two iterations leave some fixed-pattern runs short of converging.
         text = MINI.replace("seeds = 1", "seeds = 1 2").replace(
-            "methods = model1 model2 wmmse_fixed zf", "methods = zf"
-        )
+            "methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf"
+        ).replace("max_outer_iterations = 6", "max_outer_iterations = 2")
         out = run_experiment(write_config(tmp_path, text))
         raw = read_rows(out)
-        values = [float(r["sum_rate_digital"]) for r in raw]
-        plot = emit_plotdata(out, "power")
-        row = read_rows(plot)[0]
-        assert float(row["digital_mean"]) == pytest.approx(np.mean(values))
-        expected_err = np.std(values, ddof=1) / np.sqrt(2)
-        assert float(row["digital_stderr"]) == pytest.approx(expected_err)
+        plot = read_rows(emit_plotdata(out, "power"))
+        assert [row["method"] for row in plot] == ["wmmse_fixed", "zf"]
+        for row in plot:
+            runs = [r for r in raw if r["method"] == row["method"]]
+            values = [float(r["sum_rate_digital"]) for r in runs]
+            assert float(row["digital_mean"]) == pytest.approx(np.mean(values))
+            expected_err = np.std(values, ddof=1) / np.sqrt(2)
+            assert float(row["digital_stderr"]) == pytest.approx(expected_err)
+            assert int(row["n_unconverged"]) == sum(r["converged"] == "0" for r in runs)
+        assert [int(row["n_unconverged"]) for row in plot][0] > 0
+        assert plot[1]["n_unconverged"] == "0"  # zero forcing is not iterative
 
     def test_rfchain_labels_offset_from_streams(self, tmp_path):
         text = MINI.replace("axis = power", "axis = rfchains").replace(
@@ -248,6 +254,15 @@ class TestPlotdata:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigurationError):
             emit_plotdata(bad, "power")
+        rows = read_rows(run_experiment(write_config(tmp_path)))
+        columns = [c for c in rows[0] if c != "converged"]
+        without_converged = tmp_path / "no_converged.csv"
+        with open(without_converged, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(ConfigurationError, match="converged"):
+            emit_plotdata(without_converged, "power")
 
 
 class TestAuditCommand:
@@ -297,6 +312,33 @@ class TestCli:
         bad = write_config(tmp_path, MINI.replace("axis = power", "axis = nope"))
         assert main(["run", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seeds = 1", "seeds = 1 x"),
+            ("seeds = 1", "seeds ="),
+            ("values = 0", "values ="),
+            ("paths_per_user = 3", "paths_per_user = 4 x"),
+            ("paths_per_user = 3", "paths_per_user = 3 3 3"),  # 3 counts, 2 users
+            ("paths_per_user = 3", "paths_per_user = 3\nuser_positions = 30 0 -10; 40 5"),
+            # 1 row, 2 users
+            ("paths_per_user = 3", "paths_per_user = 3\nuser_positions = 30 0 -10"),
+        ],
+        ids=[
+            "seeds",
+            "no_seeds",
+            "no_values",
+            "paths_per_user",
+            "path_count",
+            "ragged_positions",
+            "position_rows",
+        ],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, old, new):
+        assert main(["run", str(write_config(tmp_path, MINI.replace(old, new)))]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize(
         "sweep",

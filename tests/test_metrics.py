@@ -1,99 +1,16 @@
-import csv
-
-import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from conftest import desk_scenario, desk_solver
-from helpers import random_complex
-from trihybrid.channel import selection_effective_channel, synthesis_effective_channel, upa_layout, upa_response
-from trihybrid.metrics import (
-    array_beampattern,
-    audit_constraints,
-    azimuth_envelope,
-    write_beampattern_csv,
-)
-from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
+from trihybrid.channel import selection_effective_channel, synthesis_effective_channel
+from trihybrid.metrics import audit_constraints
+from trihybrid.patterns import gaussian_beam_grid
 from trihybrid.wmmse import run_selection, run_synthesis
-
-
-class TestBeampattern:
-    def test_single_isotropic_element_unity(self):
-        layout = upa_layout(1, 1, 0.005)
-        f_rf = np.ones((1, 1), dtype=complex)
-        f_bb = np.ones((1, 1), dtype=complex)
-        for theta, phi in [(0.3, 0.1), (2.0, -1.0)]:
-            value = array_beampattern(
-                layout, [isotropic_pattern()], f_rf, f_bb, theta, phi, 0.01
-            )
-            assert value == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_precoder(self, rng):
-        layout = upa_layout(2, 2, 0.005)
-        f_rf = random_complex(rng, 4, 2)
-        f_bb = np.zeros((2, 2), dtype=complex)
-        value = array_beampattern(
-            layout, [isotropic_pattern()] * 4, f_rf, f_bb, 0.5, 0.5, 0.01
-        )
-        assert value == 0.0
-
-    def test_steered_array_peaks_at_steering_angle(self):
-        lam = 0.01
-        layout = upa_layout(4, 4, lam / 2)
-        target = (np.pi / 2 + 0.3, 0.4)
-        # The response vector's phases cancel the geometric phases at the
-        # steering direction, so it is itself the matched analog column.
-        steer = upa_response(*target, 4, 4, lam / 2, lam)
-        f_rf = steer[:, None]
-        f_bb = np.ones((1, 1), dtype=complex)
-        theta = np.linspace(np.pi / 4, 3 * np.pi / 4, 61)
-        phi = np.linspace(-np.pi / 2, np.pi / 2, 61)
-        tg, pg = np.meshgrid(theta, phi, indexing="ij")
-        field = array_beampattern(
-            layout, [isotropic_pattern()] * 16, f_rf, f_bb, tg, pg, lam
-        )
-        peak = np.unravel_index(np.argmax(field), field.shape)
-        assert abs(tg[peak] - target[0]) < 0.05
-        assert abs(pg[peak] - target[1]) < 0.05
-
-    def test_invariant_to_common_stream_phase(self, rng):
-        layout = upa_layout(2, 2, 0.005)
-        f_rf = random_complex(rng, 4, 3)
-        f_bb = random_complex(rng, 3, 2)
-        a = array_beampattern(layout, [isotropic_pattern()] * 4, f_rf, f_bb, 1.0, 0.3, 0.01)
-        b = array_beampattern(
-            layout, [isotropic_pattern()] * 4, f_rf, f_bb * np.exp(0.7j), 1.0, 0.3, 0.01
-        )
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-class TestEnvelope:
-    def test_constant_field(self):
-        field = np.full((5, 7), 2.5)
-        assert_allclose(azimuth_envelope(field), np.full(7, 2.5))
-
-    def test_single_row_identity(self, rng):
-        field = rng.uniform(0, 1, (1, 9))
-        assert_allclose(azimuth_envelope(field), field[0])
-
-    def test_matches_direct_max(self, rng):
-        field = rng.uniform(0, 1, (11, 13))
-        assert_allclose(azimuth_envelope(field), field.max(axis=0))
-
-    def test_monotone_under_domination(self, rng):
-        field = rng.uniform(0, 1, (6, 8))
-        bigger = field + rng.uniform(0, 1, (6, 8))
-        assert np.all(azimuth_envelope(bigger) >= azimuth_envelope(field))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            azimuth_envelope(np.zeros((0, 4)))
 
 
 @pytest.fixture(scope="module")
 def solved_selection():
     scenario = desk_scenario(6)
-    candidates = gaussian_beam_grid(8, baseline_first=True)
+    candidates = gaussian_beam_grid(8)
     effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
     state, _ = run_selection(effs, (2, 2), desk_solver(max_outer_iterations=8))
     return state, candidates
@@ -126,21 +43,3 @@ class TestAudit:
         report = audit_constraints(state)
         assert report.positivity_min == pytest.approx(1.0, abs=1e-12)
         assert report.antenna_margin == pytest.approx(0.0, abs=1e-9)
-
-
-class TestBeampatternCsv:
-    def test_schema_and_normalization(self, tmp_path, rng):
-        layout = upa_layout(2, 2, 0.005)
-        f_rf = random_complex(rng, 4, 2)
-        f_bb_users = [random_complex(rng, 2, 1), random_complex(rng, 2, 1)]
-        path = tmp_path / "beampattern.csv"
-        write_beampattern_csv(
-            path, layout, [isotropic_pattern()] * 4, f_rf, f_bb_users, 0.01,
-            resolution_deg=15.0,
-        )
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert set(rows[0]) == {"phi_deg", "user", "envelope_db_normalized"}
-        values = [float(r["envelope_db_normalized"]) for r in rows]
-        assert max(values) == pytest.approx(0.0, abs=1e-9)
-        assert {r["user"] for r in rows} == {"0", "1"}

@@ -5,19 +5,16 @@ from numpy.testing import assert_allclose
 from helpers import trapezoid_sphere_integral
 from trihybrid.exceptions import ConfigurationError
 from trihybrid.patterns import (
+    BEAM_PHI_RANGE,
+    BEAM_THETA_RANGE,
     CandidateSet,
     gaussian_beam,
     gaussian_beam_grid,
     great_circle_angle,
     harmonic_pattern,
     isotropic_pattern,
-    load_candidate_manifest,
-    load_tabulated,
     most_square_factors,
     normalize_pattern,
-    save_candidate_manifest,
-    save_tabulated,
-    tabulated_pattern,
 )
 from trihybrid.sphharm import FOUR_PI, SHCoefficients, pattern_energy
 
@@ -96,7 +93,7 @@ class TestFactors:
 
 class TestBeamGrid:
     def test_default_64(self, grid):
-        cands = gaussian_beam_grid(64, quad=grid)
+        cands = gaussian_beam_grid(64)
         assert cands.size == 64
         centers_theta = sorted({p.params["theta0"] for p in cands.patterns})
         centers_phi = sorted({p.params["phi0"] for p in cands.patterns})
@@ -105,23 +102,24 @@ class TestBeamGrid:
             assert p.params["beamwidth"] == pytest.approx(np.deg2rad(85.0))
             assert abs(pattern_energy(p, grid) - FOUR_PI) < 1e-6
 
-    def test_single_beam(self, grid):
-        cands = gaussian_beam_grid(1, quad=grid)
+    def test_single_beam(self):
+        cands = gaussian_beam_grid(1)
         assert cands.size == 1
 
-    def test_2x2_midpoints(self, grid):
-        cands = gaussian_beam_grid(
-            4, theta_range=(0.0, 1.0), phi_range=(0.0, 2.0), quad=grid
-        )
-        centers = {(p.params["theta0"], p.params["phi0"]) for p in cands.patterns}
-        assert centers == {(0.25, 0.5), (0.25, 1.5), (0.75, 0.5), (0.75, 1.5)}
-
-    def test_grid_shape_mismatch(self):
+    def test_nonpositive_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            gaussian_beam_grid(8, grid_shape=(3, 3))
+            gaussian_beam_grid(0)
 
-    def test_baseline_first_swaps_broadside_closest(self, grid):
-        cands = gaussian_beam_grid(16, baseline_first=True, quad=grid)
+    def test_2x2_midpoints(self):
+        cands = gaussian_beam_grid(4)
+        (t_lo, t_hi), (p_lo, p_hi) = BEAM_THETA_RANGE, BEAM_PHI_RANGE
+        thetas = (t_lo + 0.25 * (t_hi - t_lo), t_lo + 0.75 * (t_hi - t_lo))
+        phis = (p_lo + 0.25 * (p_hi - p_lo), p_lo + 0.75 * (p_hi - p_lo))
+        centers = {(p.params["theta0"], p.params["phi0"]) for p in cands.patterns}
+        assert centers == {(t, p) for t in thetas for p in phis}
+
+    def test_baseline_first_swaps_broadside_closest(self):
+        cands = gaussian_beam_grid(16)
         distances = [
             great_circle_angle(p.params["theta0"], p.params["phi0"], np.pi / 2, 0.0)
             for p in cands.patterns
@@ -129,7 +127,7 @@ class TestBeamGrid:
         assert distances[0] == min(distances)
 
     def test_positive_everywhere(self, grid):
-        cands = gaussian_beam_grid(4, quad=grid)
+        cands = gaussian_beam_grid(4)
         tg, pg = grid.mesh()
         for p in cands.patterns:
             assert np.min(p.gain(tg, pg)) > 0.0
@@ -140,20 +138,20 @@ class TestCandidateSet:
         cands = CandidateSet((isotropic_pattern(),))
         assert_allclose(cands.gain_vector(0.3, 0.7), [1.0])
 
-    def test_antipodal_points_differ(self, grid):
-        cands = gaussian_beam_grid(4, quad=grid)
+    def test_antipodal_points_differ(self):
+        cands = gaussian_beam_grid(4)
         a = cands.gain_vector(0.6, 0.2)
         b = cands.gain_vector(np.pi - 0.6, 0.2 + np.pi)
         assert not np.allclose(a, b)
 
-    def test_center_entry_is_max(self, grid):
-        cands = gaussian_beam_grid(4, quad=grid)
+    def test_center_entry_is_max(self):
+        cands = gaussian_beam_grid(4)
         p = cands.patterns[2]
         vec = cands.gain_vector(p.params["theta0"], p.params["phi0"])
         assert int(np.argmax(vec)) == 2
 
-    def test_entries_reproducible(self, grid, rng):
-        cands = gaussian_beam_grid(6, quad=grid)
+    def test_entries_reproducible(self, rng):
+        cands = gaussian_beam_grid(6)
         theta, phi = rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)
         vec = cands.gain_vector(theta, phi)
         for s, p in enumerate(cands.patterns):
@@ -168,52 +166,3 @@ class TestHarmonicPattern:
         pattern = harmonic_pattern(c)
         theta, phi = 1.3, -0.4
         assert_allclose(pattern.gain(theta, phi), synthesize_gain(c, theta, phi))
-
-
-class TestTabulated:
-    def test_interpolates_nodes(self, rng):
-        theta = np.linspace(0.1, 3.0, 12)
-        phi = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-        tg, pg = np.meshgrid(theta, phi, indexing="ij")
-        values = 1.0 + 0.3 * np.sin(tg) * np.cos(pg)
-        pattern = tabulated_pattern(theta, phi, values)
-        assert_allclose(pattern.gain(tg, pg), values, rtol=1e-12)
-
-    def test_positivity_required(self):
-        theta = np.linspace(0.1, 3.0, 4)
-        phi = np.linspace(0.0, 6.0, 4)
-        values = np.ones((4, 4))
-        values[1, 2] = -0.1
-        with pytest.raises(ValueError):
-            tabulated_pattern(theta, phi, values)
-
-    def test_file_roundtrip(self, tmp_path, grid):
-        beam = normalize_pattern(gaussian_beam(1.9, 0.2, np.deg2rad(85.0), 1e-3), grid)
-        path = tmp_path / "beam.txt"
-        save_tabulated(path, beam, grid)
-        loaded = load_tabulated(path)
-        tg, pg = grid.mesh()
-        assert np.abs(loaded.gain(tg, pg) - beam.gain(tg, pg)).max() < 1e-9
-
-
-class TestManifest:
-    def test_gaussian_roundtrip(self, tmp_path, grid):
-        cands = gaussian_beam_grid(4, baseline_first=True, quad=grid)
-        path = tmp_path / "set.txt"
-        save_candidate_manifest(path, cands)
-        loaded = load_candidate_manifest(path, quad=grid)
-        assert loaded.size == 4
-        tg, pg = grid.mesh()
-        for a, b in zip(cands.patterns, loaded.patterns):
-            assert np.abs(a.gain(tg, pg) - b.gain(tg, pg)).max() < 1e-9
-
-    def test_tabulated_member(self, tmp_path, grid):
-        iso = isotropic_pattern()
-        beam = normalize_pattern(gaussian_beam(2.0, 0.0, np.deg2rad(85.0), 1e-3), grid)
-        # Force the isotropic member through the tabulated sidecar path.
-        cands = CandidateSet((beam, iso))
-        path = tmp_path / "mixed.txt"
-        save_candidate_manifest(path, cands)
-        loaded = load_candidate_manifest(path, quad=grid)
-        assert loaded.size == 2
-        assert_allclose(loaded.patterns[1].gain(1.0, 1.0), 1.0, atol=1e-6)

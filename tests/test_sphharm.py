@@ -1,4 +1,5 @@
 import math
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,19 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import legendre_rodrigues, real_sh_oracle, trapezoid_sphere_integral
-from trihybrid.exceptions import ResolutionError
 from trihybrid.sphharm import (
     FOUR_PI,
     SHCoefficients,
-    SHIndex,
     assoc_legendre,
-    decompose_gain,
-    degree_order,
-    flat_index,
-    load_coefficients,
     pattern_energy,
     real_sph_harm,
-    save_coefficients,
     scale_to_sphere_power,
     sh_basis,
     sphere_grid,
@@ -28,13 +22,27 @@ from trihybrid.sphharm import (
 )
 
 
+def harmonic_indices(degree: int):
+    """(position, degree u, order q) of every harmonic up to `degree`; the
+    position along the basis axis is t - 1 = u^2 + u + q."""
+    return [(u * u + u + q, u, q) for u in range(degree + 1) for q in range(-u, u + 1)]
+
+
+def project_gain(gain, degree: int, grid) -> np.ndarray:
+    """Harmonic coefficients of `gain` by quadrature on `grid`: the surface
+    integral of gain times each basis function."""
+    tg, pg = grid.mesh()
+    samples = np.asarray(gain(tg, pg), dtype=float)
+    return np.einsum("ij,ij,ijt->t", grid.weights(), samples, grid.basis(degree))
+
+
 class TestIndexing:
     def test_flat_index_examples(self):
-        assert flat_index(0, 0) == 1
-        assert flat_index(1, -1) == 2
-        assert flat_index(1, 0) == 3
-        assert flat_index(1, 1) == 4
-        assert flat_index(2, -2) == 5
+        # Flat index t = u^2 + u + q + 1 sits at position t - 1 of the basis.
+        theta, phi = 1.1, 0.7
+        values = sh_basis(theta, phi, 2)
+        for t, u, q in [(1, 0, 0), (2, 1, -1), (3, 1, 0), (4, 1, 1), (5, 2, -2), (8, 2, 1)]:
+            assert values[t - 1] == pytest.approx(real_sph_harm(u, q, theta, phi), abs=1e-14)
 
     def test_truncation_length(self):
         assert truncation_length(0) == 1
@@ -43,15 +51,12 @@ class TestIndexing:
 
     @given(st.integers(min_value=1, max_value=10_000))
     def test_roundtrip(self, t):
-        u, q = degree_order(t)
+        u = isqrt(t - 1)
+        q = t - 1 - u * u - u
         assert abs(q) <= u
-        assert flat_index(u, q) == t
-
-    def test_shindex_validation(self):
-        with pytest.raises(ValueError):
-            SHIndex(1, 2)
-        assert SHIndex.from_flat(8) == SHIndex(2, 1)
-        assert SHIndex(2, 1).flat == 8
+        # Degree u's block of the flat order starts right after degree u - 1's.
+        assert (0 if u == 0 else truncation_length(u - 1)) < t <= truncation_length(u)
+        assert harmonic_indices(u)[t - 1] == (t - 1, u, q)
 
 
 class TestAssocLegendre:
@@ -130,9 +135,8 @@ class TestBasis:
         theta, phi = math.pi / 2, math.pi / 2
         values = sh_basis(theta, phi, 2)
         assert values.shape == (9,)
-        for t in range(1, 10):
-            u, q = degree_order(t)
-            assert_allclose(values[t - 1], real_sh_oracle(u, q, theta, phi), atol=1e-12)
+        for i, u, q in harmonic_indices(2):
+            assert_allclose(values[i], real_sh_oracle(u, q, theta, phi), atol=1e-12)
 
     def test_broadcasting(self):
         theta = np.linspace(0.1, 3.0, 4).reshape(2, 2)
@@ -156,9 +160,7 @@ class TestSynthesize:
     def test_termwise_sum(self, rng):
         c = rng.standard_normal(16)
         theta, phi = 1.1, 2.2
-        direct = sum(
-            c[t - 1] * real_sph_harm(*degree_order(t), theta, phi) for t in range(1, 17)
-        )
+        direct = sum(c[i] * real_sph_harm(u, q, theta, phi) for i, u, q in harmonic_indices(3))
         assert_allclose(synthesize_gain(c, theta, phi), direct, rtol=1e-12)
 
 
@@ -201,21 +203,21 @@ class TestEnergy:
 
 class TestDecompose:
     def test_constant_gain(self, grid):
-        coeffs = decompose_gain(lambda t, p: np.ones_like(t), 2, grid)
+        coeffs = project_gain(lambda t, p: np.ones_like(t), 2, grid)
         expected = np.zeros(9)
         expected[0] = 2.0 * math.sqrt(math.pi)
-        assert np.abs(coeffs.values - expected).max() < 1e-8
+        assert np.abs(coeffs - expected).max() < 1e-8
 
     def test_picks_out_harmonic(self, grid):
-        coeffs = decompose_gain(lambda t, p: real_sph_harm(2, 1, t, p), 2, grid)
+        coeffs = project_gain(lambda t, p: real_sph_harm(2, 1, t, p), 2, grid)
         expected = np.zeros(9)
-        expected[flat_index(2, 1) - 1] = 1.0
-        assert np.abs(coeffs.values - expected).max() < 1e-8
+        expected[7] = 1.0  # flat index 8 of (u, q) = (2, 1)
+        assert np.abs(coeffs - expected).max() < 1e-8
 
     def test_roundtrip_identity(self, grid, rng):
         c = rng.standard_normal(25)
-        out = decompose_gain(lambda t, p: synthesize_gain(c, t, p), 4, grid)
-        assert np.abs(out.values - c).max() < 1e-8
+        out = project_gain(lambda t, p: synthesize_gain(c, t, p), 4, grid)
+        assert np.abs(out - c).max() < 1e-8
 
     def test_gaussian_beam_error_decreases_with_degree(self, grid):
         from trihybrid.patterns import gaussian_beam, normalize_pattern
@@ -225,37 +227,17 @@ class TestDecompose:
         target = beam.gain(tg, pg)
         errors = []
         for degree in (2, 4, 8):
-            coeffs = decompose_gain(beam, degree, grid)
-            recon = grid.basis(degree) @ coeffs.values
+            coeffs = project_gain(beam.gain, degree, grid)
+            recon = grid.basis(degree) @ coeffs
             errors.append(np.linalg.norm(recon - target) / np.linalg.norm(target))
         assert errors[0] > errors[1] > errors[2]
-
-    def test_resolution_guard(self):
-        coarse = sphere_grid(8, 16)
-        with pytest.raises(ResolutionError):
-            decompose_gain(lambda t, p: np.ones_like(t), 6, coarse)
-
-
-class TestCoefficientIO:
-    def test_roundtrip(self, tmp_path, rng):
-        coeffs = SHCoefficients(rng.standard_normal(16), 3)
-        path = tmp_path / "coeffs.txt"
-        save_coefficients(path, coeffs)
-        loaded = load_coefficients(path)
-        assert loaded.degree == 3
-        assert_allclose(loaded.values, coeffs.values, rtol=0, atol=0)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 0.5\n")
-        with pytest.raises(ValueError):
-            load_coefficients(path)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.05, max_value=3.1), st.floats(min_value=-3.1, max_value=3.1))
 def test_basis_vector_matches_scalar_calls(theta, phi):
     values = sh_basis(theta, phi, 3)
-    for t in (1, 4, 9, 16):
-        u, q = degree_order(t)
-        assert values[t - 1] == pytest.approx(real_sph_harm(u, q, theta, phi), abs=1e-14)
+    for u in range(4):  # flat indices 1, 4, 9, 16
+        assert values[u * u + 2 * u] == pytest.approx(
+            real_sph_harm(u, u, theta, phi), abs=1e-14
+        )

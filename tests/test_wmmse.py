@@ -511,7 +511,7 @@ class TestSynthesizeUpdate:
 @pytest.fixture(scope="module")
 def small_setup():
     scenario = desk_scenario(5)
-    candidates = gaussian_beam_grid(8, baseline_first=True)
+    candidates = gaussian_beam_grid(8)
     streams = (2, 2)
     return scenario, candidates, streams
 
@@ -541,9 +541,7 @@ class TestRunSelection:
         config = desk_solver(max_outer_iterations=10)
         state, trace = run_selection(effs, streams, config)
         channels = [compose(e, selection_matrix(state.selection, candidates.size)) for e in effs]
-        rate, _ = weighted_sum_rate(
-            channels, split_precoder(state.f_d, streams), state.noise, state.beta
-        )
+        rate, _ = weighted_sum_rate(channels, split_precoder(state.f_d, streams), config.noise)
         assert rate == pytest.approx(trace.sum_rate[-1], abs=1e-9)
 
     def test_single_candidate_matches_fixed_baseline(self, small_setup):
