@@ -25,12 +25,7 @@ from .patterns import (
     isotropic_pattern,
     normalize_pattern,
 )
-from .sphere_opt import (
-    SphereProblem,
-    SphereResult,
-    minimize_on_sphere,
-    reduced_coefficient_problem,
-)
+from .sphere_opt import SphereResult, minimize_on_sphere, reduced_coefficient_problem
 from .sphharm import (
     FOUR_PI,
     SHCoefficients,

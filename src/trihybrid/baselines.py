@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Scenario, selection_effective_channel
+from .decomp import feasibility_scale
 from .exceptions import ConfigurationError
 from .patterns import CandidateSet, RadiationPattern
 from .wmmse import PrecoderState, SolverConfig, Trace, run_selection
@@ -76,12 +77,7 @@ def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:
         blocks.append(np.sqrt(per_stream) * directions)
 
     f_d = np.hstack(blocks)
-    per_antenna = np.sum(np.abs(f_d) ** 2, axis=1)
-    positive = per_antenna > 0.0
-    if np.any(positive):
-        scale = min(1.0, float(np.min(np.sqrt(power[positive] / per_antenna[positive]))))
-        f_d = f_d * scale
-    return f_d
+    return f_d * min(1.0, feasibility_scale(f_d, power))
 
 
 def interference_leakage(channels, f_d: np.ndarray, stream_counts) -> float:

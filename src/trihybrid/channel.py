@@ -360,11 +360,3 @@ def compose(eff: EffectiveChannel, antenna_matrix: np.ndarray) -> np.ndarray:
             f"got {antenna_matrix.shape}"
         )
     return np.einsum("mnw,nw->mn", eff.blocks(), antenna_matrix)
-
-
-def selection_matrix(selection: np.ndarray, width: int) -> np.ndarray:
-    """One-hot rows encoding per-antenna candidate indices."""
-    selection = np.asarray(selection, dtype=int)
-    out = np.zeros((selection.size, width))
-    out[np.arange(selection.size), selection] = 1.0
-    return out

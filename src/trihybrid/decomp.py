@@ -32,6 +32,17 @@ def _relative_residual(f_d, f_rf, f_bb) -> float:
     return float(np.linalg.norm(f_d - f_rf @ f_bb) / denom)
 
 
+def feasibility_scale(f: np.ndarray, power) -> float:
+    """Largest factor that keeps every row of `f` within its per-antenna
+    power budget (a scalar or one per row); inf when every row is zero."""
+    per_antenna = np.sum(np.abs(f) ** 2, axis=1)
+    positive = per_antenna > 0.0
+    if not np.any(positive):
+        return np.inf
+    power = np.broadcast_to(np.asarray(power, dtype=float), per_antenna.shape)
+    return float(np.min(np.sqrt(power[positive] / per_antenna[positive])))
+
+
 def rescale_per_antenna(
     f_rf: np.ndarray, f_bb: np.ndarray, power
 ) -> tuple[np.ndarray, float]:
@@ -40,13 +51,7 @@ def rescale_per_antenna(
     Returns the scaled digital stage and the scalar applied (never above 1,
     so no entry grows).
     """
-    power = np.broadcast_to(np.asarray(power, dtype=float), (f_rf.shape[0],))
-    composite = f_rf @ f_bb
-    per_antenna = np.sum(np.abs(composite) ** 2, axis=1)
-    scale = 1.0
-    positive = per_antenna > 0.0
-    if np.any(positive):
-        scale = min(1.0, float(np.min(np.sqrt(power[positive] / per_antenna[positive]))))
+    scale = min(1.0, feasibility_scale(f_rf @ f_bb, power))
     return f_bb * scale, scale
 
 

@@ -25,13 +25,12 @@ import numpy as np
 
 from .baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
 from .channel import (
+    EffectiveChannel,
     Scenario,
     ScenarioConfig,
-    assemble_channel,
     compose,
     generate_scenario,
     selection_effective_channel,
-    selection_matrix,
     synthesis_effective_channel,
 )
 from .decomp import decompose_precoder
@@ -100,7 +99,6 @@ _SOLVER_KEYS = {
     "noise_dbm",
     "power_dbm",
     "streams_per_user",
-    "decomp_iterations",
     "seed",
     "warm_start",
 }
@@ -126,7 +124,6 @@ class ExperimentConfig:
     rf_chains_offset: int
     max_outer_iterations: int
     objective_tol: float
-    decomp_iterations: int
     solver_seed: int
     warm_start: bool
     axis: str
@@ -137,8 +134,22 @@ class ExperimentConfig:
     traces_dir: str | None = None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{text.strip()} is not a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ConfigurationError(f"counts must be at least 1, got {value}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split())
+    return tuple(_finite(v) for v in text.split())
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -146,7 +157,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_paths(text: str) -> int | tuple[int, ...]:
-    counts = _parse_ints(text)
+    counts = tuple(_count(v) for v in text.split())
     return counts[0] if len(counts) == 1 else counts
 
 
@@ -206,17 +217,17 @@ def load_config(path) -> ExperimentConfig:
         return default
 
     scenario = ScenarioConfig(
-        carrier_hz=get(sc, "carrier_hz", float, 30e9),
-        bs_shape=(get(sc, "bs_rows", int, 4), get(sc, "bs_cols", int, 4)),
-        bs_spacing_wavelengths=get(sc, "bs_spacing_wl", float, 0.5),
-        ue_shape=(get(sc, "ue_rows", int, 2), get(sc, "ue_cols", int, 1)),
-        ue_spacing_wavelengths=get(sc, "ue_spacing_wl", float, 0.5),
-        n_users=get(sc, "users", int, 2),
+        carrier_hz=get(sc, "carrier_hz", _finite, 30e9),
+        bs_shape=(get(sc, "bs_rows", _count, 4), get(sc, "bs_cols", _count, 4)),
+        bs_spacing_wavelengths=get(sc, "bs_spacing_wl", _finite, 0.5),
+        ue_shape=(get(sc, "ue_rows", _count, 2), get(sc, "ue_cols", _count, 1)),
+        ue_spacing_wavelengths=get(sc, "ue_spacing_wl", _finite, 0.5),
+        n_users=get(sc, "users", _count, 2),
         paths_per_user=get(sc, "paths_per_user", _parse_paths, 4),
         user_positions=get(sc, "user_positions", _parse_positions, None),
         user_box=get(sc, "user_box", _parse_box, ScenarioConfig.user_box),
         scatterer_box=get(sc, "scatterer_box", _parse_box, ScenarioConfig.scatterer_box),
-        pathloss_exponent=get(sc, "pathloss_exponent", float, 2.0),
+        pathloss_exponent=get(sc, "pathloss_exponent", _finite, 2.0),
     )
 
     axis = get(sw, "axis", str, "power").strip()
@@ -228,22 +239,21 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigurationError(f"unknown method {m!r}; choose from {METHODS}")
     values = get(sw, "values", _parse_floats, None)
     if values is None:
-        values = (get(so, "power_dbm", float, 0.0),) if axis == "power" else (0.0,)
+        values = (get(so, "power_dbm", _finite, 0.0),) if axis == "power" else (0.0,)
     seeds = get(sw, "seeds", _parse_ints, (1,))
 
     config = ExperimentConfig(
         scenario=scenario,
-        streams_per_user=get(so, "streams_per_user", int, 2),
-        candidates=get(so, "candidates", int, 8),
-        beamwidth_deg=get(so, "beamwidth_deg", float, 85.0),
+        streams_per_user=get(so, "streams_per_user", _count, 2),
+        candidates=get(so, "candidates", _count, 8),
+        beamwidth_deg=get(so, "beamwidth_deg", _finite, 85.0),
         sh_degree=get(so, "sh_degree", int, 2),
-        rho=get(so, "rho", float, 0.7),
-        power_dbm=get(so, "power_dbm", float, 0.0),
-        noise_dbm=get(so, "noise_dbm", float, -90.0),
+        rho=get(so, "rho", _finite, 0.7),
+        power_dbm=get(so, "power_dbm", _finite, 0.0),
+        noise_dbm=get(so, "noise_dbm", _finite, -90.0),
         rf_chains_offset=get(so, "rf_chains_offset", int, 3),
-        max_outer_iterations=get(so, "max_outer_iterations", int, 50),
-        objective_tol=get(so, "objective_tol", float, 1e-6),
-        decomp_iterations=get(so, "decomp_iterations", int, 30),
+        max_outer_iterations=get(so, "max_outer_iterations", _count, 50),
+        objective_tol=get(so, "objective_tol", _finite, 1e-6),
         solver_seed=get(so, "seed", int, 0),
         warm_start=get(so, "warm_start", lambda v: v.lower() in ("1", "true", "yes"), False),
         axis=axis,
@@ -268,8 +278,10 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError(f"paths_per_user lists {len(paths)} counts for {n_users} users")
     if not config.values or not config.seeds:
         raise ConfigurationError("the sweep needs at least one value and one seed")
-    if config.candidates < 1:
-        raise ConfigurationError("need at least one pattern candidate")
+    if config.solver_seed < 0 or min(config.seeds) < 0:
+        raise ConfigurationError("seeds must be nonnegative")
+    if not 0.0 < config.beamwidth_deg < 180.0:
+        raise ConfigurationError(f"beamwidth_deg must lie in (0, 180), got {config.beamwidth_deg}")
     if config.sh_degree < 0:
         raise ConfigurationError("sh_degree must be nonnegative")
     if not 0.0 < config.rho <= 1.0:
@@ -279,6 +291,8 @@ def _validate(config: ExperimentConfig) -> None:
     for value in config.values:
         rf_chains = _rf_chains_for(config, value)
         n_antennas = math.prod(_scenario_for(config, value).bs_shape)
+        if rf_chains < 1:
+            raise ConfigurationError(f"{rf_chains} chains at sweep value {value}; need 1 or more")
         if rf_chains > n_antennas:
             raise ConfigurationError(
                 f"{rf_chains} chains exceed {n_antennas} antennas at sweep value {value}"
@@ -323,7 +337,6 @@ def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
         objective_tol=config.objective_tol,
         rho=config.rho,
         seed=config.solver_seed,
-        decomp_iterations=config.decomp_iterations,
     )
 
 
@@ -359,9 +372,9 @@ class _Cell:
         )
 
     @cached_property
-    def fixed_channels(self) -> list[np.ndarray]:
-        baseline = self.candidates.baseline
-        return [assemble_channel(g, baseline) for g in self.scenario.geometries]
+    def fixed_effs(self) -> list[EffectiveChannel]:
+        single = CandidateSet((self.candidates.baseline,))
+        return [selection_effective_channel(g, single) for g in self.scenario.geometries]
 
     @cached_property
     def fixed_solve(self) -> tuple[PrecoderState, Trace]:
@@ -373,33 +386,28 @@ class _Cell:
 def _zero_forcing_state(cell: _Cell) -> PrecoderState:
     """BD zero forcing on the baseline pattern, with its decomposition."""
     solver = cell.solver
-    f_d = bd_zero_forcing(cell.fixed_channels, cell.streams, solver.power)
-    decomp = decompose_precoder(
-        f_d, solver.rf_chains, solver.power, solver.decomp_iterations, seed=solver.seed
-    )
-    n_antennas = f_d.shape[0]
+    antenna_matrix = np.ones((cell.fixed_effs[0].n_antennas, 1))
+    channels = [compose(e, antenna_matrix) for e in cell.fixed_effs]
+    f_d = bd_zero_forcing(channels, cell.streams, solver.power)
+    decomp = decompose_precoder(f_d, solver.rf_chains, solver.power, seed=solver.seed)
     return PrecoderState(
         f_d=f_d,
         f_rf=decomp.f_rf,
         f_bb=decomp.f_bb,
-        selection=np.zeros(n_antennas, dtype=int),
-        coefficients=None,
-        power=np.full(n_antennas, solver.power),
+        antenna_matrix=antenna_matrix,
+        power=np.full(f_d.shape[0], solver.power),
         decomp_residual=decomp.residual,
     )
 
 
 def run_point(
-    config: ExperimentConfig, value: float, method: str, seed: int, cell: _Cell | None = None
+    config: ExperimentConfig, value: float, method: str, seed: int, cell: _Cell
 ) -> RunResult:
     """Run one method on one (sweep value, scenario seed) cell.
 
-    `cell` carries the inputs the cell's other methods already built; a
-    fresh one is made when it is omitted.
+    `cell` carries the inputs the cell's other methods already built.
     """
     started = time.perf_counter()
-    if cell is None:
-        cell = _Cell(config, value, seed)
     warm_f_d = None
     if config.warm_start and method in ("model1", "model2"):
         warm_f_d = cell.fixed_solve[0].f_d
@@ -408,25 +416,23 @@ def run_point(
     if method == "model1":
         effs = [selection_effective_channel(g, cell.candidates) for g in geometries]
         state, trace = run_selection(effs, cell.streams, cell.solver, init_f_d=warm_f_d)
-        width = cell.candidates.size
-        channels = [compose(e, selection_matrix(state.selection, width)) for e in effs]
         audit_set = cell.candidates
     elif method == "model2":
         effs = [synthesis_effective_channel(g, config.sh_degree) for g in geometries]
         state, trace = run_synthesis(effs, cell.streams, cell.solver, init_f_d=warm_f_d)
-        channels = [compose(e, state.coefficients) for e in effs]
         audit_set = None
     elif method == "wmmse_fixed":
         state, trace = cell.fixed_solve
-        channels = cell.fixed_channels
+        effs = cell.fixed_effs
         audit_set = CandidateSet((cell.candidates.baseline,))
     elif method == "zf":
         state, trace = _zero_forcing_state(cell), Trace(converged=True)
-        channels = cell.fixed_channels
+        effs = cell.fixed_effs
         audit_set = CandidateSet((cell.candidates.baseline,))
     else:
         raise ConfigurationError(f"unknown method {method!r}")
 
+    channels = [compose(e, state.antenna_matrix) for e in effs]
     noise = cell.solver.noise
     digital, _ = weighted_sum_rate(channels, split_precoder(state.f_d, cell.streams), noise)
     hybrid, _ = weighted_sum_rate(
@@ -445,12 +451,7 @@ def run_point(
         "objective": _float_repr(trace.objective[-1]) if trace.objective else "",
         "outer_iterations": trace.n_iterations,
         "converged": int(trace.converged),
-        "max_power_violation": _float_repr(report.max_power_violation()),
-        "modulus_deviation": _float_repr(report.modulus_deviation()),
-        "antenna_deviation": _float_repr(report.antenna_deviation()),
-        "min_pattern_gain": _float_repr(
-            report.positivity_min if report.positivity_min is not None else 0.0
-        ),
+        **{name: _float_repr(v) for name, v in vars(report).items()},
         "decomp_residual": _float_repr(state.decomp_residual),
     }
     if method == "zf":

@@ -60,7 +60,6 @@ class RadiationPattern:
     kind: str
     params: dict = field(default_factory=dict)
     scale: float = 1.0
-    normalized: bool = False
 
     def gain(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
@@ -84,12 +83,12 @@ class RadiationPattern:
 
     __call__ = gain
 
-    def scaled(self, factor: float, normalized: bool = False) -> "RadiationPattern":
-        return replace(self, scale=self.scale * factor, normalized=normalized)
+    def scaled(self, factor: float) -> "RadiationPattern":
+        return replace(self, scale=self.scale * factor)
 
 
 def isotropic_pattern() -> RadiationPattern:
-    return RadiationPattern(kind="isotropic", normalized=True)
+    return RadiationPattern(kind="isotropic")
 
 
 def gaussian_beam(
@@ -136,7 +135,7 @@ def normalize_pattern(
     energy = sphharm.pattern_energy(pattern, grid)
     if energy <= 0.0:
         raise ValueError("cannot normalize a pattern with zero radiated power")
-    return pattern.scaled(float(np.sqrt(FOUR_PI / energy)), normalized=True)
+    return pattern.scaled(float(np.sqrt(FOUR_PI / energy)))
 
 
 # ---------------------------------------------------------------------------

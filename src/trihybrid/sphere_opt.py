@@ -29,28 +29,6 @@ _MAX_NEWTON = 50
 
 
 @dataclass
-class SphereProblem:
-    """Quadratic-plus-linear objective restricted to the unit sphere."""
-
-    quadratic: np.ndarray  # (n, n) real
-    linear: np.ndarray  # (n,) real
-    start: np.ndarray  # (n,) unit vector
-
-    def __post_init__(self) -> None:
-        self.quadratic = np.asarray(self.quadratic, dtype=float)
-        self.linear = np.asarray(self.linear, dtype=float)
-        self.start = np.asarray(self.start, dtype=float)
-        n = self.linear.size
-        if self.quadratic.shape != (n, n) or self.start.shape != (n,):
-            raise ValueError("inconsistent problem dimensions")
-        if abs(np.linalg.norm(self.start) - 1.0) > 1e-9:
-            raise ValueError("start point must have unit norm")
-
-    def objective(self, point: np.ndarray) -> float:
-        return float(point @ self.quadratic @ point + self.linear @ point)
-
-
-@dataclass
 class SphereResult:
     point: np.ndarray
     value: float
@@ -58,21 +36,30 @@ class SphereResult:
     converged: bool  # the secular residual met its tolerance
 
 
-def minimize_on_sphere(problem: SphereProblem) -> SphereResult:
-    """Global minimizer of the problem's objective on the unit sphere.
+def minimize_on_sphere(
+    quadratic: np.ndarray, linear: np.ndarray, start: np.ndarray
+) -> SphereResult:
+    """Global minimizer of x^T quadratic x + linear^T x over ||x|| = 1.
 
-    The start point only breaks ties: in the hard case the bottom-eigenspace
-    component points along the start's projection onto that space.  The
-    returned value never exceeds the objective at the start.
+    `quadratic` is (n, n) and real, `linear` and the unit vector `start` are
+    (n,) and real.  The start point only breaks ties: in the hard case the
+    bottom-eigenspace component points along the start's projection onto
+    that space.  The returned value never exceeds the objective at the
+    start.
     """
-    start = problem.start
-    start_value = problem.objective(start)
-    scale = np.linalg.norm(problem.quadratic, "fro") + np.linalg.norm(problem.linear)
+    n = linear.shape[0]
+    if quadratic.shape != (n, n) or start.shape != (n,):
+        raise ValueError("inconsistent problem dimensions")
+    if abs(math.sqrt(start @ start) - 1.0) > 1e-9:
+        raise ValueError("start point must have unit norm")
+
+    start_value = float(start @ quadratic @ start + linear @ start)
+    scale = np.linalg.norm(quadratic, "fro") + np.linalg.norm(linear)
     if scale == 0.0:
         return SphereResult(point=start.copy(), value=0.0, iterations=0, converged=True)
-    quad = problem.quadratic / scale
+    quad = quadratic / scale
     lam, basis = np.linalg.eigh(0.5 * (quad + quad.T))
-    half_w = 0.5 * (basis.T @ problem.linear) / scale
+    half_w = 0.5 * (basis.T @ linear) / scale
     gaps = lam - lam[0]
     # Eigenvalues come sorted, so the bottom eigenspace is the first m.
     m = int(np.searchsorted(gaps, _CLUSTER_TOL, side="right"))
@@ -129,7 +116,7 @@ def minimize_on_sphere(problem: SphereProblem) -> SphereResult:
 
     point = basis @ y
     point /= math.sqrt(point @ point)
-    value = problem.objective(point)
+    value = float(point @ quadratic @ point + linear @ point)
     if value > start_value:
         point, value = start.copy(), start_value
     return SphereResult(point=point, value=value, iterations=iterations, converged=converged)
@@ -137,12 +124,10 @@ def minimize_on_sphere(problem: SphereProblem) -> SphereResult:
 
 def reduced_coefficient_problem(
     quad_term: np.ndarray,
-    cross_term: np.ndarray,
-    align_term: np.ndarray,
+    linear_term: np.ndarray,
     row: np.ndarray,
     rho: float,
-    start: np.ndarray,
-) -> SphereProblem:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the per-antenna pattern subproblem to the unit sphere.
 
     With the constant-component coefficient pinned at 2*sqrt(rho*pi) and the
@@ -150,13 +135,14 @@ def reduced_coefficient_problem(
     the quadratic-form objective in the full coefficient vector becomes a
     quadratic plus linear objective in that unit vector (constant terms
     dropped).  `row` is the precoder row of the antenna being updated.
+    Returns the (quadratic, linear) pair of :func:`minimize_on_sphere`.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     row_power = float(np.real(row @ row.conj()))
     quad = 4.0 * np.pi * (1.0 - rho) * row_power * np.real(quad_term[1:, 1:])
     v1 = 4.0 * np.sqrt((1.0 - rho) * np.pi) * np.real(
-        row.conj() @ (cross_term - align_term)[:, 1:]
+        row.conj() @ linear_term[:, 1:]
     )
     v2 = (
         8.0
@@ -165,7 +151,7 @@ def reduced_coefficient_problem(
         * row_power
         * np.real(quad_term[1:, 0])
     )
-    return SphereProblem(quadratic=quad, linear=v1 + v2, start=start)
+    return quad, v1 + v2
 
 
 def lift_coefficients(point: np.ndarray, rho: float) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import compose, selection_matrix
-from .decomp import decompose_precoder
+from .channel import compose
+from .decomp import decompose_precoder, feasibility_scale
 from .sphere_opt import (
     isotropic_coefficients,
     lift_coefficients,
@@ -55,7 +55,6 @@ class SolverConfig:
     objective_tol: float = 1e-6
     rho: float = 0.7
     seed: int = 0
-    decomp_iterations: int = 30
 
 
 @dataclass
@@ -93,16 +92,19 @@ class Trace:
 @dataclass
 class PrecoderState:
     """Solver output: digital precoder, its analog/digital factorization,
-    the antenna-domain configuration and the per-antenna power budgets it
-    was solved for."""
+    the antenna-domain precoder and the per-antenna power budgets it was
+    solved for.
+
+    `antenna_matrix` (N x W) holds one row per antenna: a one-hot candidate
+    selection, or the harmonic coefficients of a synthesized pattern.
+    """
 
     f_d: np.ndarray
-    f_rf: np.ndarray | None
-    f_bb: np.ndarray | None
-    selection: np.ndarray | None
-    coefficients: np.ndarray | None
+    f_rf: np.ndarray
+    f_bb: np.ndarray
+    antenna_matrix: np.ndarray
     power: np.ndarray
-    decomp_residual: float | None = None
+    decomp_residual: float
 
     @property
     def n_antennas(self) -> int:
@@ -124,24 +126,17 @@ def _as_per_user(value, n_users: int) -> np.ndarray:
 
 
 def weighted_sum_rate(
-    channels,
-    precoders,
-    noise_powers,
-    weights=None,
-    f_rf: np.ndarray | None = None,
+    channels, precoders, noise_powers, weights=None
 ) -> tuple[float, np.ndarray]:
     """Weighted sum of per-user log-det rates in bps/Hz.
 
-    `precoders` holds one N x D_k matrix per user; pass `f_rf` to compose a
-    digital precoder list expressed at the chain inputs.  Treats residual
+    `precoders` holds one N x D_k matrix per user.  Treats residual
     interference from the other users plus noise as the effective noise
     covariance.
     """
     K = len(channels)
     noise_powers = _as_per_user(noise_powers, K)
     weights = np.ones(K) / K if weights is None else np.asarray(weights, dtype=float)
-    if f_rf is not None:
-        precoders = [f_rf @ p for p in precoders]
     received = [[h @ p for p in precoders] for h in channels]
     rates = np.zeros(K)
     for k, h in enumerate(channels):
@@ -223,15 +218,14 @@ def wmmse_objective(weight_matrices, mse_matrices, beta) -> float:
 
 @dataclass
 class PerAntennaTerms:
-    """Quadratic, cross and alignment terms of one antenna's subproblem.
+    """Quadratic and linear terms of one antenna's subproblem.
 
     The block objective for precoder row f and pattern vector v is
-    ||f||^2 v^T quad v + 2 Re(f^H (cross - align) v).
+    ||f||^2 v^T quad v + 2 Re(f^H linear v).
     """
 
     quad_term: np.ndarray  # (W, W) Hermitian PSD
-    cross_term: np.ndarray  # (D, W)
-    align_term: np.ndarray  # (D, W)
+    linear_term: np.ndarray  # (D, W)
 
 
 class _SweepWorkspace:
@@ -239,11 +233,13 @@ class _SweepWorkspace:
 
     The users' lifted channels are stacked into one (sum M_k) x N W matrix
     and their weighted receive projections beta_k U_k W_k U_k^H beside it.
-    The quad and align terms of every antenna depend only on these, so they
-    are built once per sweep.  The cross term also needs the received
-    signal of the composed channel times the digital precoder; one stacked
-    copy of it (kept conjugated) gets a rank-two correction whenever an
-    antenna is updated, keeping each antenna's terms O(1) in N.
+    The quad term and the alignment part of the linear term of every
+    antenna depend only on these, so they are built once per sweep.  The
+    cross part of the linear term, the coupling to the other antennas, also
+    needs the received signal of the composed channel times the digital
+    precoder; one stacked copy of it (kept conjugated) gets a rank-two
+    correction whenever an antenna is updated, keeping each antenna's terms
+    O(1) in N.
     """
 
     def __init__(self, effs, antenna_matrix, f_d, receivers, weight_matrices, beta):
@@ -284,7 +280,7 @@ class _SweepWorkspace:
         cross = self.received_conj.T @ self.proj[n] - row[:, None] * (
             self.antenna_matrix[n] @ quad
         )
-        return PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=self.align[n])
+        return PerAntennaTerms(quad_term=quad, linear_term=cross - self.align[n])
 
     def apply(self, n: int, vector: np.ndarray, row: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row."""
@@ -319,8 +315,7 @@ def _row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):
 def solve_antenna_row(terms: PerAntennaTerms, vector: np.ndarray, budget: float) -> np.ndarray:
     """Optimal precoder row for a fixed pattern vector under a power budget."""
     quad = float(np.real(vector @ terms.quad_term @ vector))
-    dvec = (terms.cross_term - terms.align_term) @ vector
-    row, _ = _row_solution(quad, dvec, budget)
+    row, _ = _row_solution(quad, terms.linear_term @ vector, budget)
     return row
 
 
@@ -333,7 +328,7 @@ def select_pattern_and_row(terms: PerAntennaTerms, budget: float):
     step.  Ties go to the lowest index.
     """
     quads = terms.quad_term.diagonal().real
-    dmat = terms.cross_term - terms.align_term
+    dmat = terms.linear_term
     norms_sq = np.square(np.abs(dmat)).sum(axis=0)
     # A zero direction divides by 1 instead: its value is 0 whatever the step.
     boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
@@ -369,10 +364,10 @@ def synthesize_pattern_and_row(
         start[0] = 1.0
     else:
         start = tail / tail_norm
-    problem = reduced_coefficient_problem(
-        terms.quad_term, terms.cross_term, terms.align_term, row, rho, start
+    quadratic, linear = reduced_coefficient_problem(
+        terms.quad_term, terms.linear_term, row, rho
     )
-    return lift_coefficients(minimize_on_sphere(problem).point, rho), row
+    return lift_coefficients(minimize_on_sphere(quadratic, linear, start).point, rho), row
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +384,7 @@ def _initial_precoders(rng, n_antennas, n_chains, n_streams, power):
         + 1j * rng.standard_normal((n_chains, n_streams))
     ) / np.sqrt(2.0 * n_chains)
     f_d = f_rf @ f_bb
-    per_antenna = np.sum(np.abs(f_d) ** 2, axis=1)
-    positive = per_antenna > 0.0
-    scale = float(np.min(np.sqrt(power[positive] / per_antenna[positive])))
-    return f_d * scale
+    return f_d * feasibility_scale(f_d, power)
 
 
 def _power_violation(f_d: np.ndarray, power: np.ndarray) -> float:
@@ -414,8 +406,7 @@ def _run_bcd(
 
     `update_antenna(workspace, n, budget)` performs one antenna block update
     through the workspace, which writes the new pattern vector into
-    `antenna_matrix`.  The state reports selection-lifted runs by candidate
-    index and synthesis-lifted runs by coefficient rows.
+    `antenna_matrix`; the state returns that matrix.
     """
     K = len(effs)
     n_antennas = effs[0].n_antennas
@@ -502,17 +493,13 @@ def _run_bcd(
         previous = objective
 
     decomposed = time.perf_counter()
-    decomp = decompose_precoder(
-        f_d, config.rf_chains, power, config.decomp_iterations, seed=config.seed
-    )
+    decomp = decompose_precoder(f_d, config.rf_chains, power, seed=config.seed)
     trace.decomp_s = time.perf_counter() - decomposed
-    selected = effs[0].mode == "sel"
     return PrecoderState(
         f_d=f_d,
         f_rf=decomp.f_rf,
         f_bb=decomp.f_bb,
-        selection=np.argmax(antenna_matrix, axis=1) if selected else None,
-        coefficients=None if selected else antenna_matrix,
+        antenna_matrix=antenna_matrix,
         power=power,
         decomp_residual=decomp.residual,
     ), trace
@@ -533,10 +520,8 @@ def run_selection(
     """
     if any(eff.mode != "sel" for eff in effs):
         raise ValueError("run_selection expects selection-lifted channels")
-    n_antennas = effs[0].n_antennas
-    width = effs[0].block_width
-    antenna_matrix = selection_matrix(np.zeros(n_antennas, dtype=int), width)
-    one_hot = np.eye(width)
+    one_hot = np.eye(effs[0].block_width)
+    antenna_matrix = one_hot[np.zeros(effs[0].n_antennas, dtype=int)]
 
     def update(workspace, n, budget):
         terms = workspace.terms(n)
@@ -557,11 +542,16 @@ def run_synthesis(
 ) -> tuple[PrecoderState, Trace]:
     """Precoding with per-antenna harmonic pattern synthesis.
 
-    `effs` holds one synthesis-lifted channel per user.  Every antenna starts
-    isotropic, and its coefficient vector keeps the constant component
-    pinned by `rho`; the remaining coefficients are optimized on the power
-    sphere.  With rho = 1 (or a single basis function) patterns stay
-    isotropic and only the precoder rows are updated.
+    `effs` holds one synthesis-lifted channel per user.  Every antenna's
+    coefficient vector keeps the constant component pinned at the power
+    share `rho`; the remaining coefficients are optimized on the power
+    sphere.  Antennas start from :func:`isotropic_coefficients`, which puts
+    the remaining power on the first non-constant harmonic, so the start
+    pattern is isotropic only for rho = 1: its gain dips to
+    sqrt(rho) - sqrt(3 (1 - rho)), -0.11 at rho = 0.7.  Positive gain is
+    not enforced; the audit reports the smallest gain.  With rho = 1 (or a
+    single basis function) patterns stay isotropic and only the precoder
+    rows are updated.
     """
     if any(eff.mode != "cof" for eff in effs):
         raise ValueError("run_synthesis expects synthesis-lifted channels")

@@ -156,9 +156,9 @@ def ball_samples(rng, count: int, dim: int, radius: float) -> np.ndarray:
 
 
 def block_objective(terms, row: np.ndarray, vector: np.ndarray) -> float:
-    """||f||^2 v^T B v + 2 Re(f^H (Q - D) v) computed directly."""
+    """||f||^2 v^T B v + 2 Re(f^H L v) computed directly."""
     quad = float(np.real(vector @ terms.quad_term @ vector))
-    dvec = (terms.cross_term - terms.align_term) @ vector
+    dvec = terms.linear_term @ vector
     return float(
         np.real(row @ row.conj()) * quad + 2.0 * float(np.real(row.conj() @ dvec))
     )

@@ -22,11 +22,10 @@ from trihybrid.channel import (
     compose,
     generate_scenario,
     selection_effective_channel,
-    selection_matrix,
     synthesis_effective_channel,
 )
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_pattern, isotropic_pattern, most_square_factors
-from trihybrid.sphere_opt import SphereProblem, minimize_on_sphere
+from trihybrid.sphere_opt import minimize_on_sphere
 from trihybrid.sphharm import FOUR_PI, SHCoefficients, default_grid, scale_to_sphere_power
 from trihybrid.wmmse import (
     PerAntennaTerms,
@@ -100,13 +99,10 @@ def suite():
                 fixed_trace=fixed_trace,
                 m1_state=m1_state,
                 m1_trace=m1_trace,
-                m1_channels=[
-                    compose(e, selection_matrix(m1_state.selection, candidates.size))
-                    for e in effs1
-                ],
+                m1_channels=[compose(e, m1_state.antenna_matrix) for e in effs1],
                 m2_state=m2_state,
                 m2_trace=m2_trace,
-                m2_channels=[compose(e, m2_state.coefficients) for e in effs2],
+                m2_channels=[compose(e, m2_state.antenna_matrix) for e in effs2],
                 fixed_channels=fixed_channels,
                 zf_f_d=zf_f_d,
                 zf_rate=zf_rate,
@@ -155,7 +151,7 @@ def test_criterion_03_effective_channel_identities():
         for geom in scenario.geometries:
             eff_s = selection_effective_channel(geom, candidates)
             sel = rng.integers(0, candidates.size, geom.n_tx)
-            lifted = compose(eff_s, selection_matrix(sel, candidates.size))
+            lifted = compose(eff_s, np.eye(candidates.size)[sel])
             direct = assemble_channel(geom, [candidates.patterns[s] for s in sel])
             worst_sel = max(
                 worst_sel,
@@ -185,12 +181,12 @@ def test_criterion_04_closed_form_row_oracle():
     for _ in range(n_instances):
         terms = PerAntennaTerms(
             quad_term=random_psd(rng, width),
-            cross_term=random_complex(rng, d_streams, width),
-            align_term=random_complex(rng, d_streams, width),
+            linear_term=random_complex(rng, d_streams, width)
+            - random_complex(rng, d_streams, width),
         )
         budget = float(rng.uniform(0.5, 4.0))
         _, _, value = select_pattern_and_row(terms, budget)
-        dmat = terms.cross_term - terms.align_term
+        dmat = terms.linear_term
         best_sampled = np.inf
         for s in range(width):
             a = float(np.real(terms.quad_term[s, s]))
@@ -290,7 +286,7 @@ def test_criterion_08_sphere_solver_oracle():
         linear = rng.standard_normal(8)
         start = rng.standard_normal(8)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(SphereProblem(quad, linear, start))
+        result = minimize_on_sphere(quad, linear, start)
         sampled = (
             np.einsum("ij,jk,ik->i", grid_points, quad, grid_points)
             + grid_points @ linear

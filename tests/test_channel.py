@@ -14,7 +14,6 @@ from trihybrid.channel import (
     compose,
     generate_scenario,
     selection_effective_channel,
-    selection_matrix,
     synthesis_effective_channel,
     to_spherical,
     upa_layout,
@@ -256,7 +255,7 @@ class TestSelectionLift:
         geom = scenario.geometries[0]
         eff = selection_effective_channel(geom, cands)
         sel = rng.integers(0, cands.size, geom.n_tx)
-        composed = compose(eff, selection_matrix(sel, cands.size))
+        composed = compose(eff, np.eye(cands.size)[sel])
         direct = assemble_channel(geom, [cands.patterns[s] for s in sel])
         assert np.linalg.norm(composed - direct) / np.linalg.norm(direct) < 1e-12
 

@@ -324,6 +324,19 @@ class TestCli:
             ("paths_per_user = 3", "paths_per_user = 3\nuser_positions = 30 0 -10; 40 5"),
             # 1 row, 2 users
             ("paths_per_user = 3", "paths_per_user = 3\nuser_positions = 30 0 -10"),
+            ("users = 2", "users = 0"),
+            ("streams_per_user = 2", "streams_per_user = 0"),
+            ("paths_per_user = 3", "paths_per_user = 0"),
+            ("paths_per_user = 3", "paths_per_user = 3 0"),
+            ("ue_rows = 2", "ue_rows = 0"),
+            ("max_outer_iterations = 6", "max_outer_iterations = 0"),
+            ("rf_chains_offset = 2", "rf_chains_offset = -5"),  # 4 streams - 5 chains
+            ("values = 0", "values = nan"),
+            ("values = 0", "values = 0 inf"),
+            ("objective_tol = 1e-6", "objective_tol = nan"),
+            ("seed = 0", "seed = -1"),
+            ("seeds = 1", "seeds = 1 -1"),
+            ("seed = 0", "seed = 0\nbeamwidth_deg = 180"),
         ],
         ids=[
             "seeds",
@@ -333,6 +346,19 @@ class TestCli:
             "path_count",
             "ragged_positions",
             "position_rows",
+            "zero_users",
+            "zero_streams",
+            "zero_paths",
+            "one_zero_path_count",
+            "zero_ue_rows",
+            "zero_iterations",
+            "no_chains",
+            "nan_value",
+            "inf_value",
+            "nan_tol",
+            "negative_solver_seed",
+            "negative_seed",
+            "beamwidth",
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, old, new):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import desk_scenario, desk_solver
@@ -20,20 +22,24 @@ class TestAudit:
     def test_fresh_state_passes(self, solved_selection):
         state, candidates = solved_selection
         report = audit_constraints(state, candidates)
-        assert report.power_margin >= -1e-9
-        assert report.modulus_margin >= -1e-9
-        assert report.antenna_margin == 0.0
-        assert report.positivity_min > 0.0
-        assert report.max_power_violation() <= 1e-12
+        assert report.max_power_violation <= 1e-12
+        assert report.modulus_deviation <= 1e-9
+        assert report.antenna_deviation == 0.0
+        assert report.min_pattern_gain > 0.0
 
     def test_scaled_precoder_flagged(self, solved_selection):
-        import dataclasses
-
         state, candidates = solved_selection
         bad = dataclasses.replace(state, f_d=2.0 * state.f_d)
         report = audit_constraints(bad, candidates)
-        assert report.power_margin < 0.0
-        assert report.max_power_violation() > 0.0
+        assert report.max_power_violation > 0.0
+
+    def test_non_one_hot_selection_flagged(self, solved_selection):
+        state, candidates = solved_selection
+        blended = state.antenna_matrix.copy()
+        blended[2] = 0.0
+        blended[2, :2] = (0.75, 0.25)
+        report = audit_constraints(dataclasses.replace(state, antenna_matrix=blended), candidates)
+        assert report.antenna_deviation == 0.25
 
     def test_isotropic_synthesis_margin(self):
         scenario = desk_scenario(6)
@@ -41,5 +47,5 @@ class TestAudit:
         config = desk_solver(max_outer_iterations=5, rho=1.0)
         state, _ = run_synthesis(effs, (2, 2), config)
         report = audit_constraints(state)
-        assert report.positivity_min == pytest.approx(1.0, abs=1e-12)
-        assert report.antenna_margin == pytest.approx(0.0, abs=1e-9)
+        assert report.min_pattern_gain == pytest.approx(1.0, abs=1e-12)
+        assert report.antenna_deviation == pytest.approx(0.0, abs=1e-9)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from helpers import block_objective, random_complex, random_psd
 from trihybrid.sphere_opt import (
-    SphereProblem,
     isotropic_coefficients,
     lift_coefficients,
     minimize_on_sphere,
@@ -19,8 +18,7 @@ from trihybrid.wmmse import PerAntennaTerms
 class TestMinimize:
     def test_linear_objective_closed_form(self):
         v = np.array([3.0, 4.0, 0.0])
-        problem = SphereProblem(np.zeros((3, 3)), v, np.array([0.0, 0.0, 1.0]))
-        result = minimize_on_sphere(problem)
+        result = minimize_on_sphere(np.zeros((3, 3)), v, np.array([0.0, 0.0, 1.0]))
         assert result.value == pytest.approx(-5.0, abs=1e-12)
         assert_allclose(result.point, -v / 5.0, atol=1e-12)
 
@@ -28,8 +26,7 @@ class TestMinimize:
         lam = np.array([2.0, -1.5, 0.3, 4.0])
         start = rng.standard_normal(4)
         start /= np.linalg.norm(start)
-        problem = SphereProblem(np.diag(lam), np.zeros(4), start)
-        result = minimize_on_sphere(problem)
+        result = minimize_on_sphere(np.diag(lam), np.zeros(4), start)
         assert result.value == pytest.approx(-1.5, abs=1e-12)
         assert abs(abs(result.point[1]) - 1.0) < 1e-12
         # The sign follows the start's component in the bottom eigenspace.
@@ -44,7 +41,7 @@ class TestMinimize:
         tail = -v[1:] / (2.0 * (lam[1:] - lam[0]))  # (-0.4, -0.3)
         tau = np.sqrt(1.0 - tail @ tail)
         start = np.array([-0.6, 0.0, 0.8])
-        result = minimize_on_sphere(SphereProblem(np.diag(lam), v, start))
+        result = minimize_on_sphere(np.diag(lam), v, start)
         expected = np.concatenate([[-tau], tail])  # sign of start[0]
         assert_allclose(result.point, expected, atol=1e-12)
         assert result.value == pytest.approx(
@@ -64,7 +61,7 @@ class TestMinimize:
         tau = np.sqrt(1.0 - tail @ tail)
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(SphereProblem(quad, rotation @ w, start))
+        result = minimize_on_sphere(quad, rotation @ w, start)
         y = rotation.T @ result.point
         assert_allclose(y[3:], tail, atol=1e-9)
         assert np.linalg.norm(y[:3]) == pytest.approx(tau, abs=1e-9)
@@ -79,18 +76,15 @@ class TestMinimize:
         # onto the hard-case solution.
         lam = np.array([1.0, 2.0, 3.0])
         start = np.array([-0.6, 0.0, 0.8])
-        hard = minimize_on_sphere(SphereProblem(np.diag(lam), np.array([0.0, 0.8, 1.2]), start))
-        near = minimize_on_sphere(
-            SphereProblem(np.diag(lam), np.array([1e-6, 0.8, 1.2]), start)
-        )
+        hard = minimize_on_sphere(np.diag(lam), np.array([0.0, 0.8, 1.2]), start)
+        near = minimize_on_sphere(np.diag(lam), np.array([1e-6, 0.8, 1.2]), start)
         assert near.converged and near.iterations > 0
         assert_allclose(near.point, hard.point, atol=1e-5)
 
     def test_zero_problem_keeps_start(self, rng):
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
-        problem = SphereProblem(np.zeros((5, 5)), np.zeros(5), start)
-        result = minimize_on_sphere(problem)
+        result = minimize_on_sphere(np.zeros((5, 5)), np.zeros(5), start)
         assert_allclose(result.point, start)
         assert result.value == 0.0
         assert result.converged
@@ -103,9 +97,8 @@ class TestMinimize:
             v = rng.standard_normal(n)
             start = rng.standard_normal(n)
             start /= np.linalg.norm(start)
-            problem = SphereProblem(quad, v, start)
-            result = minimize_on_sphere(problem)
-            assert result.value <= problem.objective(start) + 1e-12
+            result = minimize_on_sphere(quad, v, start)
+            assert result.value <= _objective(quad, v, start) + 1e-12
 
     def test_small_brute_force(self, rng):
         # 3-dimensional sphere: dense sampling is a meaningful oracle.
@@ -115,7 +108,7 @@ class TestMinimize:
             v = rng.standard_normal(3)
             start = rng.standard_normal(3)
             start /= np.linalg.norm(start)
-            result = minimize_on_sphere(SphereProblem(quad, v, start))
+            result = minimize_on_sphere(quad, v, start)
             pts = rng.standard_normal((1_000_000, 3))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             sampled = np.einsum("ij,jk,ik->i", pts, quad, pts) + pts @ v
@@ -127,51 +120,49 @@ class TestMinimize:
         v = rng.standard_normal(5)
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
-        base = minimize_on_sphere(SphereProblem(quad, v, start))
+        base = minimize_on_sphere(quad, v, start)
         for factor in (1e-8, 3.7, 1e6):
-            scaled = minimize_on_sphere(SphereProblem(factor * quad, factor * v, start))
+            scaled = minimize_on_sphere(factor * quad, factor * v, start)
             assert_allclose(scaled.point, base.point, atol=1e-9)
             assert scaled.value == pytest.approx(factor * base.value, rel=1e-9)
 
     def test_start_norm_validated(self):
-        with pytest.raises(ValueError):
-            SphereProblem(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="unit norm"):
+            minimize_on_sphere(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
+
+    def test_dimensions_validated(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            minimize_on_sphere(np.zeros((3, 3)), np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="dimensions"):
+            minimize_on_sphere(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 0.0, 0.0]))
 
 
 class TestReducedProblem:
     def test_rho_domain(self, rng):
         terms = _random_terms(rng, 4)
-        start = np.zeros(3)
-        start[0] = 1.0
         for rho in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 reduced_coefficient_problem(
-                    terms.quad_term, terms.cross_term, terms.align_term,
-                    np.ones(2, dtype=complex), rho, start,
+                    terms.quad_term, terms.linear_term, np.ones(2, dtype=complex), rho
                 )
 
     def test_zero_row_zeroes_problem(self, rng):
         terms = _random_terms(rng, 4)
-        start = np.zeros(3)
-        start[0] = 1.0
-        problem = reduced_coefficient_problem(
-            terms.quad_term, terms.cross_term, terms.align_term,
-            np.zeros(2, dtype=complex), 0.5, start,
+        quadratic, linear = reduced_coefficient_problem(
+            terms.quad_term, terms.linear_term, np.zeros(2, dtype=complex), 0.5
         )
-        assert_allclose(problem.quadratic, 0.0)
-        assert_allclose(problem.linear, 0.0)
+        assert_allclose(quadratic, 0.0)
+        assert_allclose(linear, 0.0)
 
     def test_prefactors_vanish_as_rho_approaches_one(self, rng):
         terms = _random_terms(rng, 4)
-        start = np.zeros(3)
-        start[0] = 1.0
         row = random_complex(rng, 2)
         sizes = []
         for rho in (0.9, 0.99, 0.999):
-            p = reduced_coefficient_problem(
-                terms.quad_term, terms.cross_term, terms.align_term, row, rho, start
+            quadratic, linear = reduced_coefficient_problem(
+                terms.quad_term, terms.linear_term, row, rho
             )
-            sizes.append(np.linalg.norm(p.quadratic) + np.linalg.norm(p.linear))
+            sizes.append(np.linalg.norm(quadratic) + np.linalg.norm(linear))
         assert sizes[0] > sizes[1] > sizes[2]
 
     def test_lift_matches_full_objective_up_to_constant(self, rng):
@@ -181,10 +172,8 @@ class TestReducedProblem:
         terms = _random_terms(rng, width)
         row = random_complex(rng, 3)
         rho = 0.6
-        start = np.zeros(width - 1)
-        start[0] = 1.0
-        problem = reduced_coefficient_problem(
-            terms.quad_term, terms.cross_term, terms.align_term, row, rho, start
+        quadratic, linear = reduced_coefficient_problem(
+            terms.quad_term, terms.linear_term, row, rho
         )
         gaps = []
         for _ in range(10):
@@ -192,7 +181,7 @@ class TestReducedProblem:
             point /= np.linalg.norm(point)
             lifted = lift_coefficients(point, rho)
             full = block_objective(terms, row, lifted)
-            reduced = problem.objective(point)
+            reduced = _objective(quadratic, linear, point)
             gaps.append(full - reduced)
         assert np.ptp(gaps) < 1e-9 * max(1.0, abs(gaps[0]))
 
@@ -211,15 +200,15 @@ class TestReducedProblem:
 
 
 def _random_terms(rng, width):
+    streams = 2 if width == 4 else 3
     return PerAntennaTerms(
         quad_term=random_psd(rng, width),
-        cross_term=random_complex(rng, 3, width)
-        if width != 4
-        else random_complex(rng, 2, width),
-        align_term=random_complex(rng, 3, width)
-        if width != 4
-        else random_complex(rng, 2, width),
+        linear_term=random_complex(rng, streams, width) - random_complex(rng, streams, width),
     )
+
+
+def _objective(quadratic, linear, point):
+    return float(point @ quadratic @ point + linear @ point)
 
 
 class TestPositivityAudit:
@@ -261,11 +250,10 @@ def test_global_minimum_any_dimension(dim, seed):
     v = rng.standard_normal(dim) * rng.choice([0.0, 1e-3, 1.0, 10.0])
     start = rng.standard_normal(dim)
     start /= np.linalg.norm(start)
-    problem = SphereProblem(quad, v, start)
-    result = minimize_on_sphere(problem)
+    result = minimize_on_sphere(quad, v, start)
     assert result.converged
     assert abs(np.linalg.norm(result.point) - 1.0) < 1e-12
-    assert result.value <= problem.objective(start) + 1e-12
+    assert result.value <= _objective(quad, v, start) + 1e-12
     pts = rng.standard_normal((10_000, dim))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     sampled = np.einsum("ij,jk,ik->i", pts, quad, pts) + pts @ v

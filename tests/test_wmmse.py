@@ -10,7 +10,6 @@ from helpers import ball_samples, block_objective, random_complex, random_psd
 from trihybrid.channel import (
     compose,
     selection_effective_channel,
-    selection_matrix,
     synthesis_effective_channel,
 )
 from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
@@ -227,7 +226,7 @@ def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
         for _ in users
     ]
     selection = rng.integers(0, width, n)
-    antenna_matrix = selection_matrix(selection, width)
+    antenna_matrix = np.eye(width)[selection]
     d_total = sum(users)
     f_d = random_complex(rng, n, d_total)
     receivers = [random_complex(rng, m, dk) for dk in users]
@@ -252,14 +251,15 @@ class TestPerAntennaTerms:
         receivers = [np.zeros_like(u) for u in receivers]
         terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(1)
         assert_allclose(terms.quad_term, 0.0, atol=1e-15)
-        assert_allclose(terms.cross_term, 0.0, atol=1e-15)
-        assert_allclose(terms.align_term, 0.0, atol=1e-15)
+        assert_allclose(terms.linear_term, 0.0, atol=1e-15)
 
     def test_single_antenna_has_no_cross_coupling(self, rng):
+        # With no other antenna, the linear term is the alignment term alone.
         effs, _, f_d, receivers, weights, beta, users = _random_block_state(rng, n=1)
-        antenna_matrix = selection_matrix(np.zeros(1, dtype=int), 2)
-        terms = _SweepWorkspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta).terms(0)
-        assert_allclose(terms.cross_term, 0.0, atol=1e-12)
+        antenna_matrix = np.eye(2)[[0]]
+        workspace = _SweepWorkspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta)
+        terms = workspace.terms(0)
+        assert_allclose(terms.linear_term, -workspace.align[0], atol=1e-12)
 
     def test_quad_term_hermitian_psd(self, rng):
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
@@ -310,7 +310,7 @@ class TestPerAntennaTerms:
         )
         for n in range(5):
             got, want = running.terms(n), fresh.terms(n)
-            for name in ("quad_term", "cross_term", "align_term"):
+            for name in ("quad_term", "linear_term"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (n, name)
 
@@ -320,8 +320,7 @@ class TestClosedFormRow:
         width = 3
         terms = PerAntennaTerms(
             quad_term=np.eye(width, dtype=complex),
-            cross_term=np.zeros((4, width), dtype=complex),
-            align_term=np.zeros((4, width), dtype=complex),
+            linear_term=np.zeros((4, width), dtype=complex),
         )
         v = np.zeros(width)
         v[0] = 1.0
@@ -332,7 +331,7 @@ class TestClosedFormRow:
         quad = np.eye(1, dtype=complex)
         d = np.zeros((3, 1), dtype=complex)
         d[0, 0] = 1.0
-        terms = PerAntennaTerms(quad_term=quad, cross_term=d, align_term=np.zeros_like(d))
+        terms = PerAntennaTerms(quad_term=quad, linear_term=d)
         row = solve_antenna_row(terms, np.ones(1), 100.0)
         assert_allclose(row, -d[:, 0], atol=1e-14)
 
@@ -340,7 +339,7 @@ class TestClosedFormRow:
         quad = 0.1 * np.eye(1, dtype=complex)
         d = np.zeros((2, 1), dtype=complex)
         d[1, 0] = 1.0
-        terms = PerAntennaTerms(quad_term=quad, cross_term=d, align_term=np.zeros_like(d))
+        terms = PerAntennaTerms(quad_term=quad, linear_term=d)
         row = solve_antenna_row(terms, np.ones(1), 4.0)
         # Step is min(1/0.1, sqrt(4)/1) = 2.
         assert_allclose(row, -2.0 * d[:, 0], atol=1e-14)
@@ -350,7 +349,7 @@ class TestClosedFormRow:
         quad = random_psd(rng, width)
         cross = random_complex(rng, d_streams, width)
         align = random_complex(rng, d_streams, width)
-        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         v = np.zeros(width)
         v[1] = 1.0
         row = solve_antenna_row(terms, v, budget)
@@ -370,7 +369,7 @@ class TestSelectPattern:
         quad = random_psd(rng, 1)
         cross = random_complex(rng, 3, 1)
         align = random_complex(rng, 3, 1)
-        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         index, row, value = select_pattern_and_row(terms, 1.0)
         assert index == 0
         assert_allclose(row, solve_antenna_row(terms, np.ones(1), 1.0))
@@ -380,7 +379,7 @@ class TestSelectPattern:
         quad = random_psd(rng, width)
         cross = random_complex(rng, d_streams, width)
         align = random_complex(rng, d_streams, width)
-        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         index, row, value = select_pattern_and_row(terms, budget)
         best_sampled = np.inf
         for s in range(width):
@@ -402,7 +401,7 @@ class TestSelectPattern:
         cross = np.hstack([cross, cross])  # identical candidates
         align = np.zeros_like(cross)
         quad[0, 1] = quad[1, 0] = quad[0, 0]
-        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         index, _, _ = select_pattern_and_row(terms, 1.0)
         assert index == 0
 
@@ -421,7 +420,7 @@ class TestSelectPattern:
         direction[:, 2] *= 10.0  # the boundary step of candidate 2 wins
         direction[:, 3] *= 1e-14
         cross = align + direction
-        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         expected = [
             _row_solution(float(quad[s, s].real), cross[:, s] - align[:, s], budget)
             for s in range(width)
@@ -433,8 +432,7 @@ class TestSelectPattern:
                 select_pattern_and_row(
                     PerAntennaTerms(
                         quad_term=quad[s : s + 1, s : s + 1],
-                        cross_term=cross[:, s : s + 1],
-                        align_term=align[:, s : s + 1],
+                        linear_term=(cross - align)[:, s : s + 1],
                     ),
                     budget,
                 )
@@ -458,7 +456,7 @@ class TestSynthesizeUpdate:
         quad = random_psd(rng, width)
         cross = random_complex(rng, 4, width)
         align = random_complex(rng, 4, width)
-        terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         coeffs = np.zeros(width)
         coeffs[0] = 2.0 * np.sqrt(np.pi)
         out, row = synthesize_pattern_and_row(terms, coeffs, 1.0, 1.0)
@@ -471,7 +469,7 @@ class TestSynthesizeUpdate:
             quad = random_psd(rng, width)
             cross = random_complex(rng, 3, width)
             align = random_complex(rng, 3, width)
-            terms = PerAntennaTerms(quad_term=quad, cross_term=cross, align_term=align)
+            terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
             start = np.zeros(width - 1)
             start[0] = 1.0
             rho = 0.7
@@ -492,8 +490,7 @@ class TestSynthesizeUpdate:
         width = 4
         terms = PerAntennaTerms(
             quad_term=np.zeros((width, width), dtype=complex),
-            cross_term=np.zeros((2, width), dtype=complex),
-            align_term=np.zeros((2, width), dtype=complex),
+            linear_term=np.zeros((2, width), dtype=complex),
         )
         rho = 0.8
         coeffs = np.concatenate(
@@ -540,7 +537,7 @@ class TestRunSelection:
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         config = desk_solver(max_outer_iterations=10)
         state, trace = run_selection(effs, streams, config)
-        channels = [compose(e, selection_matrix(state.selection, candidates.size)) for e in effs]
+        channels = [compose(e, state.antenna_matrix) for e in effs]
         rate, _ = weighted_sum_rate(channels, split_precoder(state.f_d, streams), config.noise)
         assert rate == pytest.approx(trace.sum_rate[-1], abs=1e-9)
 
@@ -578,9 +575,9 @@ class TestRunSynthesis:
         effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
         config = desk_solver(max_outer_iterations=6)
         state, trace = run_synthesis(effs, streams, config)
-        norms = np.sum(state.coefficients**2, axis=1)
+        norms = np.sum(state.antenna_matrix**2, axis=1)
         assert np.abs(norms - FOUR_PI).max() < 1e-9
-        assert_allclose(state.coefficients[:, 0], 2 * np.sqrt(config.rho * np.pi))
+        assert_allclose(state.antenna_matrix[:, 0], 2 * np.sqrt(config.rho * np.pi))
         assert max(trace.max_power_violation) <= 1e-12
 
     def test_rho_one_matches_fixed_isotropic(self, small_setup):
