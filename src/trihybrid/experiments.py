@@ -269,6 +269,8 @@ def load_config(path) -> ExperimentConfig:
 
 def _validate(config: ExperimentConfig) -> None:
     scenario = config.scenario
+    if scenario.carrier_hz <= 0.0:
+        raise ConfigurationError(f"carrier_hz must be positive, got {scenario.carrier_hz}")
     n_users = scenario.n_users
     positions = scenario.user_positions
     if positions is not None and len(positions) != n_users:

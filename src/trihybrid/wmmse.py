@@ -16,6 +16,8 @@ the optimized digital precoder into analog and digital stages at the end.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +30,7 @@ from .sphere_opt import (
     lift_coefficients,
     minimize_on_sphere,
     reduced_coefficient_problem,
+    reduced_spectrum,
 )
 from .sphharm import FOUR_PI
 
@@ -239,7 +242,9 @@ class _SweepWorkspace:
     needs the received signal of the composed channel times the digital
     precoder; one stacked copy of it (kept conjugated) gets a rank-two
     correction whenever an antenna is updated, keeping each antenna's terms
-    O(1) in N.
+    O(1) in N.  Synthesis sweeps also read `tail_spectrum`, which
+    decomposes every antenna in one batched call on first use, so other
+    sweeps do not pay for it.
     """
 
     def __init__(self, effs, antenna_matrix, f_d, receivers, weight_matrices, beta):
@@ -273,6 +278,16 @@ class _SweepWorkspace:
         self.quad = 0.5 * (quad + quad.conj().transpose(0, 2, 1))
         channel_conj = np.einsum("nmw,nw->mn", self.blocks_conj, antenna_matrix)
         self.received_conj = channel_conj @ f_d.conj()
+
+    @functools.cached_property
+    def _tail_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        return reduced_spectrum(self.quad)
+
+    def tail_spectrum(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Antenna n's :func:`reduced_spectrum`, from the sweep's batched
+        decomposition."""
+        eigenvalues, eigenvectors = self._tail_spectra
+        return eigenvalues[n], eigenvectors[n]
 
     def terms(self, n: int) -> PerAntennaTerms:
         quad = self.quad[n]
@@ -341,6 +356,7 @@ def select_pattern_and_row(terms: PerAntennaTerms, budget: float):
 
 def synthesize_pattern_and_row(
     terms: PerAntennaTerms,
+    tail_spectrum,
     coefficients: np.ndarray,
     budget: float,
     rho: float,
@@ -350,24 +366,28 @@ def synthesize_pattern_and_row(
     The row update is closed form for the current coefficients; the
     coefficient update keeps the pinned constant component and solves the
     reduced problem on the unit sphere exactly, never ending above the
-    current coefficients, so the block objective cannot increase.  Returns
-    (coefficients, row).
+    current coefficients, so the block objective cannot increase.
+    `tail_spectrum()` returns the :func:`reduced_spectrum` of
+    terms.quad_term; it is called only when the coefficients are solved
+    for.  Returns (coefficients, row).
     """
     row = solve_antenna_row(terms, coefficients, budget)
     width = coefficients.size
     if rho >= 1.0 or width == 1 or not np.any(row):
         return coefficients, row
     tail = coefficients[1:]
-    tail_norm = np.linalg.norm(tail)
+    tail_norm = math.sqrt(tail @ tail)
     if tail_norm == 0.0:
         start = np.zeros(width - 1)
         start[0] = 1.0
     else:
         start = tail / tail_norm
-    quadratic, linear = reduced_coefficient_problem(
+    scale, linear = reduced_coefficient_problem(
         terms.quad_term, terms.linear_term, row, rho
     )
-    return lift_coefficients(minimize_on_sphere(quadratic, linear, start).point, rho), row
+    eigenvalues, eigenvectors = tail_spectrum()
+    result = minimize_on_sphere(scale * eigenvalues, eigenvectors, linear, start)
+    return lift_coefficients(result.point, rho), row
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +582,12 @@ def run_synthesis(
     coefficients = np.tile(isotropic_coefficients(width, config.rho), (n_antennas, 1))
 
     def update(workspace, n, budget):
-        terms = workspace.terms(n)
         coeffs, row = synthesize_pattern_and_row(
-            terms, workspace.antenna_matrix[n], budget, config.rho
+            workspace.terms(n),
+            functools.partial(workspace.tail_spectrum, n),
+            workspace.antenna_matrix[n],
+            budget,
+            config.rho,
         )
         workspace.apply(n, coeffs, row)
 

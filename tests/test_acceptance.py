@@ -286,7 +286,7 @@ def test_criterion_08_sphere_solver_oracle():
         linear = rng.standard_normal(8)
         start = rng.standard_normal(8)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(quad, linear, start)
+        result = minimize_on_sphere(*np.linalg.eigh(quad), linear, start)
         sampled = (
             np.einsum("ij,jk,ik->i", grid_points, quad, grid_points)
             + grid_points @ linear

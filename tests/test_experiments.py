@@ -337,6 +337,8 @@ class TestCli:
             ("seed = 0", "seed = -1"),
             ("seeds = 1", "seeds = 1 -1"),
             ("seed = 0", "seed = 0\nbeamwidth_deg = 180"),
+            ("users = 2", "users = 2\ncarrier_hz = 0"),
+            ("users = 2", "users = 2\ncarrier_hz = -3e9"),
         ],
         ids=[
             "seeds",
@@ -359,6 +361,8 @@ class TestCli:
             "negative_solver_seed",
             "negative_seed",
             "beamwidth",
+            "zero_carrier",
+            "negative_carrier",
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, old, new):

@@ -10,6 +10,7 @@ from trihybrid.sphere_opt import (
     lift_coefficients,
     minimize_on_sphere,
     reduced_coefficient_problem,
+    reduced_spectrum,
 )
 from trihybrid.sphharm import FOUR_PI
 from trihybrid.wmmse import PerAntennaTerms
@@ -18,7 +19,7 @@ from trihybrid.wmmse import PerAntennaTerms
 class TestMinimize:
     def test_linear_objective_closed_form(self):
         v = np.array([3.0, 4.0, 0.0])
-        result = minimize_on_sphere(np.zeros((3, 3)), v, np.array([0.0, 0.0, 1.0]))
+        result = _solve(np.zeros((3, 3)), v, np.array([0.0, 0.0, 1.0]))
         assert result.value == pytest.approx(-5.0, abs=1e-12)
         assert_allclose(result.point, -v / 5.0, atol=1e-12)
 
@@ -26,7 +27,7 @@ class TestMinimize:
         lam = np.array([2.0, -1.5, 0.3, 4.0])
         start = rng.standard_normal(4)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(np.diag(lam), np.zeros(4), start)
+        result = _solve(np.diag(lam), np.zeros(4), start)
         assert result.value == pytest.approx(-1.5, abs=1e-12)
         assert abs(abs(result.point[1]) - 1.0) < 1e-12
         # The sign follows the start's component in the bottom eigenspace.
@@ -41,7 +42,7 @@ class TestMinimize:
         tail = -v[1:] / (2.0 * (lam[1:] - lam[0]))  # (-0.4, -0.3)
         tau = np.sqrt(1.0 - tail @ tail)
         start = np.array([-0.6, 0.0, 0.8])
-        result = minimize_on_sphere(np.diag(lam), v, start)
+        result = _solve(np.diag(lam), v, start)
         expected = np.concatenate([[-tau], tail])  # sign of start[0]
         assert_allclose(result.point, expected, atol=1e-12)
         assert result.value == pytest.approx(
@@ -61,7 +62,7 @@ class TestMinimize:
         tau = np.sqrt(1.0 - tail @ tail)
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(quad, rotation @ w, start)
+        result = _solve(quad, rotation @ w, start)
         y = rotation.T @ result.point
         assert_allclose(y[3:], tail, atol=1e-9)
         assert np.linalg.norm(y[:3]) == pytest.approx(tau, abs=1e-9)
@@ -76,15 +77,15 @@ class TestMinimize:
         # onto the hard-case solution.
         lam = np.array([1.0, 2.0, 3.0])
         start = np.array([-0.6, 0.0, 0.8])
-        hard = minimize_on_sphere(np.diag(lam), np.array([0.0, 0.8, 1.2]), start)
-        near = minimize_on_sphere(np.diag(lam), np.array([1e-6, 0.8, 1.2]), start)
+        hard = _solve(np.diag(lam), np.array([0.0, 0.8, 1.2]), start)
+        near = _solve(np.diag(lam), np.array([1e-6, 0.8, 1.2]), start)
         assert near.converged and near.iterations > 0
         assert_allclose(near.point, hard.point, atol=1e-5)
 
     def test_zero_problem_keeps_start(self, rng):
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(np.zeros((5, 5)), np.zeros(5), start)
+        result = _solve(np.zeros((5, 5)), np.zeros(5), start)
         assert_allclose(result.point, start)
         assert result.value == 0.0
         assert result.converged
@@ -97,7 +98,7 @@ class TestMinimize:
             v = rng.standard_normal(n)
             start = rng.standard_normal(n)
             start /= np.linalg.norm(start)
-            result = minimize_on_sphere(quad, v, start)
+            result = _solve(quad, v, start)
             assert result.value <= _objective(quad, v, start) + 1e-12
 
     def test_small_brute_force(self, rng):
@@ -108,7 +109,7 @@ class TestMinimize:
             v = rng.standard_normal(3)
             start = rng.standard_normal(3)
             start /= np.linalg.norm(start)
-            result = minimize_on_sphere(quad, v, start)
+            result = _solve(quad, v, start)
             pts = rng.standard_normal((1_000_000, 3))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             sampled = np.einsum("ij,jk,ik->i", pts, quad, pts) + pts @ v
@@ -120,21 +121,24 @@ class TestMinimize:
         v = rng.standard_normal(5)
         start = rng.standard_normal(5)
         start /= np.linalg.norm(start)
-        base = minimize_on_sphere(quad, v, start)
+        base = _solve(quad, v, start)
         for factor in (1e-8, 3.7, 1e6):
-            scaled = minimize_on_sphere(factor * quad, factor * v, start)
+            scaled = _solve(factor * quad, factor * v, start)
             assert_allclose(scaled.point, base.point, atol=1e-9)
             assert scaled.value == pytest.approx(factor * base.value, rel=1e-9)
 
     def test_start_norm_validated(self):
         with pytest.raises(ValueError, match="unit norm"):
-            minimize_on_sphere(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
+            _solve(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
 
     def test_dimensions_validated(self):
+        lam, vectors = np.zeros(3), np.eye(3)
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(np.zeros((3, 3)), np.zeros(2), np.array([1.0, 0.0]))
+            minimize_on_sphere(lam, vectors, np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 0.0, 0.0]))
+            minimize_on_sphere(lam[:2], vectors, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="dimensions"):
+            minimize_on_sphere(lam, vectors, np.zeros(3), np.array([1.0, 0.0]))
 
 
 class TestReducedProblem:
@@ -148,10 +152,10 @@ class TestReducedProblem:
 
     def test_zero_row_zeroes_problem(self, rng):
         terms = _random_terms(rng, 4)
-        quadratic, linear = reduced_coefficient_problem(
+        scale, linear = reduced_coefficient_problem(
             terms.quad_term, terms.linear_term, np.zeros(2, dtype=complex), 0.5
         )
-        assert_allclose(quadratic, 0.0)
+        assert scale == 0.0
         assert_allclose(linear, 0.0)
 
     def test_prefactors_vanish_as_rho_approaches_one(self, rng):
@@ -159,9 +163,10 @@ class TestReducedProblem:
         row = random_complex(rng, 2)
         sizes = []
         for rho in (0.9, 0.99, 0.999):
-            quadratic, linear = reduced_coefficient_problem(
+            scale, linear = reduced_coefficient_problem(
                 terms.quad_term, terms.linear_term, row, rho
             )
+            quadratic = _reduced_quadratic(terms, scale)
             sizes.append(np.linalg.norm(quadratic) + np.linalg.norm(linear))
         assert sizes[0] > sizes[1] > sizes[2]
 
@@ -172,9 +177,10 @@ class TestReducedProblem:
         terms = _random_terms(rng, width)
         row = random_complex(rng, 3)
         rho = 0.6
-        quadratic, linear = reduced_coefficient_problem(
+        scale, linear = reduced_coefficient_problem(
             terms.quad_term, terms.linear_term, row, rho
         )
+        quadratic = _reduced_quadratic(terms, scale)
         gaps = []
         for _ in range(10):
             point = rng.standard_normal(width - 1)
@@ -205,6 +211,15 @@ def _random_terms(rng, width):
         quad_term=random_psd(rng, width),
         linear_term=random_complex(rng, streams, width) - random_complex(rng, streams, width),
     )
+
+
+def _reduced_quadratic(terms, scale):
+    eigenvalues, eigenvectors = reduced_spectrum(terms.quad_term)
+    return (eigenvectors * (scale * eigenvalues)) @ eigenvectors.T
+
+
+def _solve(quadratic, linear, start):
+    return minimize_on_sphere(*np.linalg.eigh(quadratic), linear, start)
 
 
 def _objective(quadratic, linear, point):
@@ -250,7 +265,7 @@ def test_global_minimum_any_dimension(dim, seed):
     v = rng.standard_normal(dim) * rng.choice([0.0, 1e-3, 1.0, 10.0])
     start = rng.standard_normal(dim)
     start /= np.linalg.norm(start)
-    result = minimize_on_sphere(quad, v, start)
+    result = _solve(quad, v, start)
     assert result.converged
     assert abs(np.linalg.norm(result.point) - 1.0) < 1e-12
     assert result.value <= _objective(quad, v, start) + 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -13,6 +14,12 @@ from trihybrid.channel import (
     synthesis_effective_channel,
 )
 from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
+from trihybrid.sphere_opt import (
+    lift_coefficients,
+    minimize_on_sphere,
+    reduced_coefficient_problem,
+    reduced_spectrum,
+)
 from trihybrid.sphharm import FOUR_PI
 from trihybrid.wmmse import (
     PerAntennaTerms,
@@ -459,7 +466,7 @@ class TestSynthesizeUpdate:
         terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         coeffs = np.zeros(width)
         coeffs[0] = 2.0 * np.sqrt(np.pi)
-        out, row = synthesize_pattern_and_row(terms, coeffs, 1.0, 1.0)
+        out, row = synthesize_pattern_and_row(terms, _never_called, coeffs, 1.0, 1.0)
         assert_allclose(out, coeffs)
         assert np.any(row != 0)
 
@@ -479,7 +486,7 @@ class TestSynthesizeUpdate:
             row0 = random_complex(rng, 3)
             before = block_objective(terms, row0, coeffs)
             out, row = synthesize_pattern_and_row(
-                terms, coeffs, float(np.real(row0 @ row0.conj())), rho
+                terms, _tail_spectrum(terms), coeffs, float(np.real(row0 @ row0.conj())), rho
             )
             after = block_objective(terms, row, out)
             assert after <= before + 1e-9
@@ -496,9 +503,43 @@ class TestSynthesizeUpdate:
         coeffs = np.concatenate(
             [[2 * np.sqrt(rho * np.pi)], 2 * np.sqrt((1 - rho) * np.pi) * np.array([1.0, 0, 0])]
         )
-        out, row = synthesize_pattern_and_row(terms, coeffs, 1.0, rho)
+        out, row = synthesize_pattern_and_row(terms, _tail_spectrum(terms), coeffs, 1.0, rho)
         assert_allclose(out, coeffs)
         assert_allclose(row, 0.0)
+
+    def test_per_sweep_spectrum_matches_dense_solve(self, rng):
+        # The step built from the eigenpairs of Re Q[1:, 1:], as one sweep
+        # decomposes them, equals the sphere solve on eigh of the dense
+        # reduced quadratic c Re Q[1:, 1:].
+        width = 9
+        for _ in range(20):
+            quad = random_psd(rng, width)
+            terms = PerAntennaTerms(
+                quad_term=quad,
+                linear_term=random_complex(rng, 4, width) - random_complex(rng, 4, width),
+            )
+            rho = float(rng.uniform(0.05, 0.95))
+            tail = rng.standard_normal(width - 1)
+            start = tail / np.linalg.norm(tail)
+            coeffs = lift_coefficients(start, rho)
+            budget = float(rng.uniform(0.1, 4.0))
+            out, row = synthesize_pattern_and_row(
+                terms, _tail_spectrum(terms), coeffs, budget, rho
+            )
+            assert np.array_equal(row, solve_antenna_row(terms, coeffs, budget))
+            scale, linear = reduced_coefficient_problem(quad, terms.linear_term, row, rho)
+            dense = minimize_on_sphere(
+                *np.linalg.eigh(scale * np.real(quad[1:, 1:])), linear, start
+            )
+            assert_allclose(out, lift_coefficients(dense.point, rho), rtol=0.0, atol=1e-12)
+
+
+def _tail_spectrum(terms):
+    return functools.partial(reduced_spectrum, terms.quad_term)
+
+
+def _never_called():
+    raise AssertionError("the spectrum is read only when coefficients are solved for")
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +601,27 @@ class TestRunSelection:
 
 
 class TestRunSynthesis:
+    def test_one_eigendecomposition_per_sweep(self, small_setup, monkeypatch):
+        scenario, candidates, streams = small_setup
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
+        effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+        run_selection(effs, streams, config)
+        assert calls == []  # selection sweeps never decompose
+        effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
+        run_synthesis(effs, streams, dataclasses.replace(config, rho=1.0))
+        assert calls == []  # nor do synthesis sweeps that keep the patterns
+        _, trace = run_synthesis(effs, streams, config)
+        assert trace.n_iterations == 3
+        assert calls == [(effs[0].n_antennas, 8, 8)] * 3
+
     def test_monotone_blockwise(self, small_setup):
         scenario, _, streams = small_setup
         effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]

@@ -1,0 +1,117 @@
+"""Record alternating base/change runs of perfbench into one BENCH file.
+
+Usage, from anywhere:
+
+    python3 tools/bench_pairs.py --base PARENT_CHECKOUT --change CHANGE_CHECKOUT \
+        --workload power_sweep --seeds 11 12 13 --trace 0 --out BENCH_7.json
+
+For each workload seed, runs `python3 perfbench/run.py` once in each
+checkout: one pair per seed, the first pair base first, the next change
+first, and so on.  Both checkouts run their own perfbench with the same
+options and its own run length.  Every run's record line (workload, seed, machine, results digest)
+and result line (metrics) go into the `runs` list of `--out`, with the side,
+the pair number and which side ran first.  An existing file is extended, so
+one file collects every workload and the traced runs.
+
+The file's `summary` is recomputed from all its untraced runs: per workload
+and end-to-end metric, each side's median and quartiles, and the number of
+pairs the change won by the direction `BENCHMARK.json` gives the metric
+(ties count for neither side).
+
+Given the same checkout as `--base` and `--change`, the file is an A/A
+record: its summary shows how far the host alone moves each metric between
+two runs of one program.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("base", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--trace", str(trace),
+    ]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(command)} in {checkout} failed:\n{done.stderr}")
+    return {"record": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(runs: list[dict], directions: dict) -> dict:
+    """Per workload and metric: each side's quartiles and the pairs won."""
+    pairs: dict = {}  # (workload, pair) -> side -> metrics
+    for run in runs:
+        if run["record"]["trace"]:
+            continue
+        key = (run["record"]["workload"], run["pair"])
+        pairs.setdefault(key, {})[run["side"]] = run["result"]["metrics"]
+    summary: dict = {}
+    for (workload, _), sides in sorted(pairs.items()):
+        if set(sides) != set(SIDES):
+            continue
+        for name, better in directions.items():
+            if name not in sides["base"] or name not in sides["change"]:
+                continue
+            base = sides["base"][name]["value"]
+            change = sides["change"][name]["value"]
+            entry = summary.setdefault(workload, {}).setdefault(
+                name, {"base": [], "change": [], "change_wins": 0, "base_wins": 0}
+            )
+            entry["base"].append(base)
+            entry["change"].append(change)
+            if base != change:
+                change_better = change < base if better == "lower" else change > base
+                entry["change_wins" if change_better else "base_wins"] += 1
+    for metrics in summary.values():
+        for entry in metrics.values():
+            entry["pairs"] = len(entry["base"])
+            for side in SIDES:
+                entry[side] = dict(zip(("q1", "median", "q3"), _quartiles(entry[side])))
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    first_pair = 1 + max((run["pair"] for run in data["runs"]), default=0)
+    checkouts = {"base": args.base, "change": args.change}
+    for offset, seed in enumerate(args.seeds):
+        pair = first_pair + offset
+        order = SIDES if offset % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            run = run_once(checkouts[side], args.workload, seed, args.trace)
+            data["runs"].append({"pair": pair, "side": side, "first": position == 0, **run})
+            print(f"pair {pair} seed {seed} {side}: correct={run['result']['correct']}", flush=True)
+        data["summary"] = summarize(data["runs"], directions)
+        args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
