@@ -2,11 +2,11 @@
 
 The analog stage is phase-only with entries of squared modulus 1/N; the
 digital stage is unconstrained.  Alternating minimization under a relaxed
-total-power view: the digital stage is the exact least-squares fit, and the
-analog stage is refined one entry at a time, each phase set to its exact
-per-coordinate minimizer, so the Frobenius mismatch never increases.  A
-final scalar rescaling of the digital stage restores the per-antenna power
-budgets.
+total-power view: the digital stage is the least-squares fit (minimum norm,
+singular values below 1e-9 of the largest dropped), and the analog stage is
+refined one entry at a time, each phase set to its exact per-coordinate
+minimizer, so the Frobenius mismatch never increases.  A final scalar
+rescaling of the digital stage restores the per-antenna power budgets.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Relative singular-value cutoff of the digital least-squares fit.  Nearly
+# parallel analog columns (a rank-deficient target) would otherwise scale
+# last-bit differences of the target into different alternation paths.
+_LSTSQ_RCOND = 1e-9
 
 
 @dataclass
@@ -107,14 +112,14 @@ def decompose_precoder(
     f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
 
     history: list[float] = []
-    f_bb, *_ = np.linalg.lstsq(f_rf, f_d, rcond=None)
+    f_bb, *_ = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)
     residual = _relative_residual(f_d, f_rf, f_bb)
     history.append(residual)
     for _ in range(iterations):
         if residual < 1e-15:
             break
         f_rf = _refine_phases(f_d, f_rf, f_bb)
-        f_bb, *_ = np.linalg.lstsq(f_rf, f_d, rcond=None)
+        f_bb, *_ = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)
         new_residual = _relative_residual(f_d, f_rf, f_bb)
         history.append(min(new_residual, residual))
         if new_residual >= residual - 1e-15:

@@ -21,6 +21,20 @@ class TestDecompose:
         result = decompose_precoder(f_d, n, power=1e6)
         assert result.residual < 1e-10
 
+    def test_rank_deficient_target_stable_under_last_bit_noise(self, rng):
+        # Two parallel column pairs plus 1e-11 noise: the analog start has
+        # nearly parallel columns, and a 1e-16 change of the target must not
+        # send the alternation down a different path.
+        base = random_complex(rng, 16, 2)
+        f_d = 0.1 * np.hstack([base, 0.5 * np.exp(0.7j) * base])
+        f_d += 1e-11 * random_complex(rng, 16, 4)
+        assert np.linalg.matrix_rank(f_d, tol=1e-9) == 2
+        perturbed = f_d + 1e-16 * random_complex(rng, 16, 4)
+        a = decompose_precoder(f_d, 7, power=1.0)
+        b = decompose_precoder(perturbed, 7, power=1.0)
+        product_a, product_b = a.f_rf @ a.f_bb, b.f_rf @ b.f_bb
+        assert np.linalg.norm(product_a - product_b) <= 1e-12 * np.linalg.norm(product_a)
+
     def test_residual_history_monotone(self, rng):
         f_d = random_complex(rng, 16, 4)
         result = decompose_precoder(f_d, 6, power=1e6, iterations=40)
