@@ -39,6 +39,7 @@ from .sphharm import (
     synthesize_gain,
 )
 from .wmmse import (
+    Covariances,
     PerAntennaTerms,
     PrecoderState,
     SolverConfig,
@@ -46,10 +47,12 @@ from .wmmse import (
     mmse_receivers,
     mse_matrix,
     mse_weights,
+    received_covariances,
     run_selection,
     run_synthesis,
     select_pattern_and_row,
     solve_antenna_row,
+    stream_masks,
     synthesize_pattern_and_row,
     weighted_sum_rate,
     wmmse_objective,

@@ -42,9 +42,10 @@ from .wmmse import (
     PrecoderState,
     SolverConfig,
     Trace,
+    received_covariances,
     run_selection,
     run_synthesis,
-    split_precoder,
+    stream_masks,
     weighted_sum_rate,
 )
 
@@ -436,9 +437,10 @@ def run_point(
 
     channels = [compose(e, state.antenna_matrix) for e in effs]
     noise = cell.solver.noise
-    digital, _ = weighted_sum_rate(channels, split_precoder(state.f_d, cell.streams), noise)
+    masks = stream_masks(cell.streams)
+    digital, _ = weighted_sum_rate(received_covariances(channels, state.f_d, masks, noise))
     hybrid, _ = weighted_sum_rate(
-        channels, split_precoder(state.f_rf @ state.f_bb, cell.streams), noise
+        received_covariances(channels, state.f_rf @ state.f_bb, masks, noise)
     )
     report = audit_constraints(state, audit_set)
     row = {

@@ -3,10 +3,11 @@
 Weighted sum-rate maximization is handled through its weighted-MSE
 reformulation: with auxiliary receive filters U_k and weight matrices W_k,
 the objective sum_k beta_k (tr(W_k E_k) - ln det W_k) is minimized by block
-coordinate descent.  The receiver and weight blocks have closed forms; the
-transmit side is swept one antenna at a time, jointly updating that
-antenna's precoder row f and its pattern variable (a candidate selection or
-a harmonic coefficient vector).
+coordinate descent.  The receiver and weight blocks have closed forms,
+fed with the objective and the rate by one covariance pass per outer
+iteration that is batched over users; the transmit side is swept one
+antenna at a time, jointly updating that antenna's precoder row f and its
+pattern variable (a candidate selection or a harmonic coefficient vector).
 
 Two solvers are provided: :func:`run_selection` for a finite candidate set
 per antenna and :func:`run_synthesis` for freely synthesized patterns with a
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import compose
+from .channel import EffectiveChannel, compose
 from .decomp import decompose_precoder, feasibility_scale
 from .sphere_opt import (
     isotropic_coefficients,
@@ -115,104 +116,123 @@ class PrecoderState:
 
 
 # ---------------------------------------------------------------------------
-# Rates, auxiliaries and the scalar objective
+# The covariance pass: rates, auxiliaries and the scalar objective
 # ---------------------------------------------------------------------------
+#
+# Every user's quantities are batched over a leading user axis.  The users'
+# streams are the columns of the stacked N x D precoder, so user k's receive
+# filter is M x D with zero columns outside its own streams, and its weight
+# and MSE matrices are D x D and equal the identity outside its diagonal
+# block.  Users with unequal stream counts thus share one batched call.
 
-def split_precoder(f_d: np.ndarray, stream_counts) -> list[np.ndarray]:
-    """Per-user column blocks of a stacked precoder."""
-    offsets = np.cumsum([0, *stream_counts])
-    return [f_d[:, offsets[k] : offsets[k + 1]] for k in range(len(stream_counts))]
+def _herm(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def _as_per_user(value, n_users: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (n_users,)).copy()
 
 
-def weighted_sum_rate(
-    channels, precoders, noise_powers, weights=None
-) -> tuple[float, np.ndarray]:
+def _stack_users(matrices) -> np.ndarray:
+    """(K, M, ...) stack of per-user matrices with equal receive counts."""
+    if isinstance(matrices, np.ndarray):
+        return matrices
+    shapes = sorted({np.shape(m) for m in matrices})
+    if len(shapes) > 1:
+        raise ValueError(
+            f"every user needs the same number of receive antennas, got shapes {shapes}"
+        )
+    return np.asarray(matrices)
+
+
+def stream_masks(stream_counts) -> np.ndarray:
+    """(K, D) 0/1 masks of each user's columns in the stacked precoder."""
+    counts = tuple(stream_counts)
+    return np.repeat(np.eye(len(counts)), counts, axis=1)
+
+
+@dataclass(frozen=True)
+class Covariances:
+    """Every user's received signal and covariances for one precoder."""
+
+    received: np.ndarray  # (K, M, D) H_k F: all streams at user k
+    own: np.ndarray  # (K, M, D) H_k F with the other users' columns zeroed
+    interference: np.ndarray  # (K, M, M) noise plus the other users' signals
+    total: np.ndarray  # (K, M, M) interference plus the own signal
+    masks: np.ndarray  # (K, D) from :func:`stream_masks`
+
+
+def received_covariances(channels, f_d: np.ndarray, masks: np.ndarray, noise) -> Covariances:
+    """One stacked product S = H F and the users' covariances.
+
+    `channels` is (K, M, N), or K channels with equal M; `noise` is one
+    power or one per user.
+    """
+    channels = _stack_users(channels)
+    n_users, n_rx, n_antennas = channels.shape
+    received = (channels.reshape(n_users * n_rx, n_antennas) @ f_d).reshape(
+        n_users, n_rx, -1
+    )
+    own = received * masks[:, None, :]
+    leak = received - own
+    interference = np.reshape(noise, (-1, 1, 1)) * np.eye(n_rx) + leak @ _herm(leak)
+    total = interference + own @ _herm(own)
+    return Covariances(received, own, interference, total, masks)
+
+
+def weighted_sum_rate(cov: Covariances, weights=None) -> tuple[float, np.ndarray]:
     """Weighted sum of per-user log-det rates in bps/Hz.
 
-    `precoders` holds one N x D_k matrix per user.  Treats residual
-    interference from the other users plus noise as the effective noise
-    covariance.
+    Residual interference from the other users plus noise is the effective
+    noise covariance.  Users are weighted equally unless `weights` is given.
     """
-    K = len(channels)
-    noise_powers = _as_per_user(noise_powers, K)
-    weights = np.ones(K) / K if weights is None else np.asarray(weights, dtype=float)
-    received = [[h @ p for p in precoders] for h in channels]
-    rates = np.zeros(K)
-    for k, h in enumerate(channels):
-        m = h.shape[0]
-        interference = noise_powers[k] * np.eye(m, dtype=complex)
-        for i in range(K):
-            if i != k:
-                s = received[k][i]
-                interference += s @ s.conj().T
-        signal = received[k][k]
-        total = interference + signal @ signal.conj().T
-        rates[k] = (
-            np.linalg.slogdet(total)[1] - np.linalg.slogdet(interference)[1]
-        ) / np.log(2.0)
+    n_users = cov.total.shape[0]
+    weights = np.ones(n_users) / n_users if weights is None else np.asarray(weights, dtype=float)
+    _, log_dets = np.linalg.slogdet(np.concatenate([cov.total, cov.interference]))
+    rates = (log_dets[:n_users] - log_dets[n_users:]) / np.log(2.0)
     return float(weights @ rates), rates
 
 
-def mmse_receivers(channels, precoders, noise_powers) -> list[np.ndarray]:
-    """Per-user linear MMSE receive filters for the current precoders."""
-    K = len(channels)
-    noise_powers = _as_per_user(noise_powers, K)
-    receivers = []
-    for k, h in enumerate(channels):
-        m = h.shape[0]
-        cov = noise_powers[k] * np.eye(m, dtype=complex)
-        for p in precoders:
-            s = h @ p
-            cov += s @ s.conj().T
-        receivers.append(np.linalg.solve(cov, h @ precoders[k]))
-    return receivers
+def mmse_receivers(cov: Covariances) -> np.ndarray:
+    """Linear MMSE receive filters, (K, M, D)."""
+    return np.linalg.solve(cov.total, cov.own)
 
 
-def mse_matrix(channel, precoders, k: int, receiver, noise_power: float) -> np.ndarray:
-    """Error covariance of user k's streams under the given receive filter."""
-    signal = channel @ precoders[k]
-    d_k = signal.shape[1]
-    mismatch = np.eye(d_k, dtype=complex) - receiver.conj().T @ signal
-    cov = noise_power * np.eye(channel.shape[0], dtype=complex)
-    for i, p in enumerate(precoders):
-        if i != k:
-            s = channel @ p
-            cov += s @ s.conj().T
-    return mismatch @ mismatch.conj().T + receiver.conj().T @ cov @ receiver
+def mse_weights(cov: Covariances, receivers: np.ndarray) -> np.ndarray:
+    """Optimal weight matrices (I - U^H H F)^{-1}, symmetrized: (K, D, D)."""
+    gram = np.eye(cov.masks.shape[1]) - _herm(receivers) @ cov.own
+    try:
+        w = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        user = int(np.argmin(np.linalg.matrix_rank(gram)))
+        raise np.linalg.LinAlgError(
+            f"weight update singular for user {user}; the receive filter is "
+            "inconsistent with the current precoders"
+        ) from exc
+    return 0.5 * (w + _herm(w))
 
 
-def mse_weights(channels, precoders, receivers) -> list[np.ndarray]:
-    """Optimal weight matrices (I - U^H H F)^{-1}, symmetrized."""
-    out = []
-    for k, (h, u) in enumerate(zip(channels, receivers)):
-        d_k = precoders[k].shape[1]
-        gram = np.eye(d_k, dtype=complex) - u.conj().T @ h @ precoders[k]
-        try:
-            w = np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"weight update singular for user {k}; the receive filter is "
-                "inconsistent with the current precoders"
-            ) from exc
-        out.append(0.5 * (w + w.conj().T))
-    return out
+def mse_matrix(cov: Covariances, receivers: np.ndarray) -> np.ndarray:
+    """Error covariances of the users' streams under the given receive
+    filters, (K, D, D): (I - U^H H_k F_k)(I - U^H H_k F_k)^H + U^H C_k U,
+    with C_k user k's interference covariance."""
+    receivers_h = _herm(receivers)
+    mismatch = np.eye(cov.masks.shape[1]) - receivers_h @ cov.own
+    return mismatch @ _herm(mismatch) + receivers_h @ cov.interference @ receivers
 
 
-def wmmse_objective(weight_matrices, mse_matrices, beta) -> float:
-    """sum_k beta_k (tr(W_k E_k) - ln det W_k); requires positive definite W."""
-    beta = np.asarray(beta, dtype=float)
-    total = 0.0
-    for b, w, e in zip(beta, weight_matrices, mse_matrices):
-        try:
-            np.linalg.cholesky(w)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("weight matrix must be positive definite") from exc
-        total += b * (float(np.trace(w @ e).real) - np.linalg.slogdet(w)[1])
-    return float(total)
+def wmmse_objective(weights: np.ndarray, mse: np.ndarray, masks: np.ndarray, beta) -> float:
+    """sum_k beta_k (tr(W_k E_k) - ln det W_k), the trace over user k's own
+    streams (`masks` from :func:`stream_masks`); requires positive definite
+    W."""
+    try:
+        chol = np.linalg.cholesky(weights)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("weight matrix must be positive definite") from exc
+    log_dets = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2).real).sum(axis=1)
+    own_block = masks[:, :, None] * masks[:, None, :]
+    traces = np.einsum("kij,kji->k", own_block * weights, mse).real
+    return float(np.asarray(beta, dtype=float) @ (traces - log_dets))
 
 
 # ---------------------------------------------------------------------------
@@ -231,53 +251,71 @@ class PerAntennaTerms:
     linear_term: np.ndarray  # (D, W)
 
 
+def _per_antenna(matrix: np.ndarray, n_antennas: int) -> np.ndarray:
+    """(rows, N W) -> (N, rows, W)."""
+    blocks = matrix.reshape(matrix.shape[0], n_antennas, -1)
+    return np.ascontiguousarray(blocks.transpose(1, 0, 2))
+
+
+class _Users:
+    """What one solve keeps of its users: their lifted channels stacked into
+    one (K M) x N W channel, its conjugated per-antenna blocks, the stream
+    masks and the noise powers."""
+
+    def __init__(self, effs, stream_counts, noise):
+        self.lifted = _stack_users([eff.matrix for eff in effs])  # (K, M, N W)
+        n_users, n_rx, n_cols = self.lifted.shape
+        self.stacked = EffectiveChannel(
+            matrix=self.lifted.reshape(n_users * n_rx, n_cols),
+            mode=effs[0].mode,
+            block_width=effs[0].block_width,
+        )
+        self.blocks_conj = _per_antenna(self.stacked.matrix.conj(), effs[0].n_antennas)
+        self.masks = stream_masks(stream_counts)
+        self.noise = _as_per_user(noise, n_users)
+
+    def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
+        """The covariance pass of the composed channel and `f_d`."""
+        channel = compose(self.stacked, antenna_matrix).reshape(*self.lifted.shape[:2], -1)
+        return received_covariances(channel, f_d, self.masks, self.noise)
+
+
 class _SweepWorkspace:
     """Caches shared factors for a full antenna sweep.
 
-    The users' lifted channels are stacked into one (sum M_k) x N W matrix
-    and their weighted receive projections beta_k U_k W_k U_k^H beside it.
-    The quad term and the alignment part of the linear term of every
-    antenna depend only on these, so they are built once per sweep.  The
-    cross part of the linear term, the coupling to the other antennas, also
-    needs the received signal of the composed channel times the digital
-    precoder; one stacked copy of it (kept conjugated) gets a rank-two
-    correction whenever an antenna is updated, keeping each antenna's terms
-    O(1) in N.  Synthesis sweeps also read `tail_spectrum`, which
-    decomposes every antenna in one batched call on first use, so other
-    sweeps do not pay for it.
+    The users' weighted receive projections beta_k U_k W_k U_k^H are applied
+    to the stacked lifted channel.  The quad term and the alignment part of
+    the linear term of every antenna depend only on these, so they are built
+    once per sweep.  The cross part of the linear term, the coupling to the
+    other antennas, also needs the received signal of the composed channel
+    times the digital precoder; the sweep starts from the covariance pass's
+    copy of it (kept conjugated) and gives it a rank-two correction
+    whenever an antenna is updated, keeping each antenna's terms O(1) in N.
+    Synthesis sweeps also read `tail_spectrum`, which decomposes every
+    antenna in one batched call on first use, so other sweeps do not pay
+    for it.
     """
 
-    def __init__(self, effs, antenna_matrix, f_d, receivers, weight_matrices, beta):
-        width = effs[0].block_width
-        n_antennas = effs[0].n_antennas
+    def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
+        n_users, n_rx, n_cols = users.lifted.shape
+        n_antennas = antenna_matrix.shape[0]
         self.antenna_matrix = antenna_matrix
         self.f_d = f_d
+        self.blocks_conj = users.blocks_conj
         beta = np.asarray(beta, dtype=float)
-        lifted = np.vstack([eff.matrix for eff in effs])
-        proj = np.vstack(  # beta * U W U^H applied to the lifted channel
-            [
-                (b * (u @ w @ u.conj().T)) @ eff.matrix
-                for eff, u, w, b in zip(effs, receivers, weight_matrices, beta)
-            ]
+        receivers_h = _herm(receivers)
+        proj = beta[:, None, None] * (receivers @ weights @ receivers_h)  # beta U W U^H
+        # W U^H of every user side by side, (D, K M): user k's rows are zero
+        # outside its own streams.
+        align = (weights @ receivers_h).transpose(1, 0, 2).reshape(-1, n_users * n_rx)
+        stream_beta = beta @ users.masks
+        self.proj = _per_antenna((proj @ users.lifted).reshape(n_users * n_rx, n_cols), n_antennas)
+        self.align = _per_antenna(
+            stream_beta[:, None] * (align @ users.stacked.matrix), n_antennas
         )
-        align = np.vstack(  # beta * W U^H applied to the lifted channel
-            [
-                b * (w @ u.conj().T @ eff.matrix)
-                for eff, u, w, b in zip(effs, receivers, weight_matrices, beta)
-            ]
-        )
-
-        def per_antenna(matrix):  # (rows, N W) -> (N, rows, W)
-            blocks = matrix.reshape(matrix.shape[0], n_antennas, width)
-            return np.ascontiguousarray(blocks.transpose(1, 0, 2))
-
-        self.blocks_conj = per_antenna(lifted.conj())
-        self.proj = per_antenna(proj)
-        self.align = per_antenna(align)
         quad = self.blocks_conj.transpose(0, 2, 1) @ self.proj
         self.quad = 0.5 * (quad + quad.conj().transpose(0, 2, 1))
-        channel_conj = np.einsum("nmw,nw->mn", self.blocks_conj, antenna_matrix)
-        self.received_conj = channel_conj @ f_d.conj()
+        self.received_conj = received.reshape(n_users * n_rx, -1).conj()
 
     @functools.cached_property
     def _tail_spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -430,15 +468,14 @@ def _run_bcd(
     """
     K = len(effs)
     n_antennas = effs[0].n_antennas
-    stream_counts = tuple(stream_counts)
     d_total = sum(stream_counts)
     power = np.broadcast_to(np.asarray(config.power, dtype=float), (n_antennas,)).copy()
-    noise = _as_per_user(config.noise, K)
     beta = np.ones(K) / K
     if config.rf_chains < 1 or config.rf_chains > n_antennas:
         raise ValueError(
             f"rf_chains must lie in [1, {n_antennas}], got {config.rf_chains}"
         )
+    users = _Users(effs, stream_counts, config.noise)
 
     rng = np.random.default_rng(config.seed)
     if init_f_d is None:
@@ -451,49 +488,41 @@ def _run_bcd(
             )
 
     trace = Trace()
-    receivers = [None] * K
-    weight_matrices = [np.eye(d_k, dtype=complex) for d_k in stream_counts]
+    weights = np.broadcast_to(np.eye(d_total, dtype=complex), (K, d_total, d_total))
 
-    def current_objective(channels, precoders):
-        mses = [
-            mse_matrix(channels[k], precoders, k, receivers[k], noise[k])
-            for k in range(K)
-        ]
-        return wmmse_objective(weight_matrices, mses, beta)
+    def objective_of(cov, receivers, weights):
+        return wmmse_objective(weights, mse_matrix(cov, receivers), users.masks, beta)
 
     started = time.perf_counter()
-    channels = [compose(eff, antenna_matrix) for eff in effs]
-    precoders = split_precoder(f_d, stream_counts)
+    cov = users.covariances(antenna_matrix, f_d)
     previous = None
     for _ in range(config.max_outer_iterations):
-        receivers = mmse_receivers(channels, precoders, noise)
+        receivers = mmse_receivers(cov)
         if block_monitor is not None:
-            block_monitor("receivers", current_objective(channels, precoders))
-        weight_matrices = mse_weights(channels, precoders, receivers)
+            block_monitor("receivers", objective_of(cov, receivers, weights))
+        weights = mse_weights(cov, receivers)
         if block_monitor is not None:
-            block_monitor("weights", current_objective(channels, precoders))
+            block_monitor("weights", objective_of(cov, receivers, weights))
         swept = time.perf_counter()
         trace.receivers_s += swept - started
 
         workspace = _SweepWorkspace(
-            effs, antenna_matrix, f_d, receivers, weight_matrices, beta
+            users, antenna_matrix, f_d, cov.received, receivers, weights, beta
         )
         for n in range(n_antennas):
             update_antenna(workspace, n, power[n])
             if block_monitor is not None:
-                chans = [compose(eff, antenna_matrix) for eff in effs]
                 block_monitor(
                     f"antenna_{n}",
-                    current_objective(chans, split_precoder(f_d, stream_counts)),
+                    objective_of(users.covariances(antenna_matrix, f_d), receivers, weights),
                 )
         evaluated = time.perf_counter()
         trace.sweep_s += evaluated - swept
 
-        # Also the channels and precoders of the next iteration's receivers.
-        channels = [compose(eff, antenna_matrix) for eff in effs]
-        precoders = split_precoder(f_d, stream_counts)
-        objective = current_objective(channels, precoders)
-        rate, _ = weighted_sum_rate(channels, precoders, noise, beta)
+        # Also the covariances of the next iteration's receivers.
+        cov = users.covariances(antenna_matrix, f_d)
+        objective = objective_of(cov, receivers, weights)
+        rate, _ = weighted_sum_rate(cov, beta)
         trace.objective.append(objective)
         trace.sum_rate.append(rate)
         trace.max_power_violation.append(_power_violation(f_d, power))

@@ -162,3 +162,114 @@ def block_objective(terms, row: np.ndarray, vector: np.ndarray) -> float:
     return float(
         np.real(row @ row.conj()) * quad + 2.0 * float(np.real(row.conj() @ dvec))
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-user weighted-MMSE loops: references for the batched covariance pass
+# ---------------------------------------------------------------------------
+
+def split_precoder(f_d: np.ndarray, stream_counts) -> list[np.ndarray]:
+    """Per-user column blocks of a stacked precoder."""
+    offsets = np.cumsum([0, *stream_counts])
+    return [f_d[:, offsets[k] : offsets[k + 1]] for k in range(len(stream_counts))]
+
+
+def weighted_sum_rate_loop(channels, precoders, noise_powers, weights) -> tuple[float, np.ndarray]:
+    """Weighted sum of per-user log-det rates, user by user."""
+    K = len(channels)
+    noise_powers = np.broadcast_to(np.asarray(noise_powers, dtype=float), (K,))
+    rates = np.zeros(K)
+    for k, h in enumerate(channels):
+        interference = noise_powers[k] * np.eye(h.shape[0], dtype=complex)
+        for i, p in enumerate(precoders):
+            if i != k:
+                s = h @ p
+                interference += s @ s.conj().T
+        signal = h @ precoders[k]
+        total = interference + signal @ signal.conj().T
+        rates[k] = (
+            np.linalg.slogdet(total)[1] - np.linalg.slogdet(interference)[1]
+        ) / np.log(2.0)
+    return float(np.asarray(weights, dtype=float) @ rates), rates
+
+
+def mmse_receivers_loop(channels, precoders, noise_powers) -> list[np.ndarray]:
+    """Per-user linear MMSE receive filters, M x D_k each."""
+    K = len(channels)
+    noise_powers = np.broadcast_to(np.asarray(noise_powers, dtype=float), (K,))
+    receivers = []
+    for k, h in enumerate(channels):
+        cov = noise_powers[k] * np.eye(h.shape[0], dtype=complex)
+        for p in precoders:
+            s = h @ p
+            cov += s @ s.conj().T
+        receivers.append(np.linalg.solve(cov, h @ precoders[k]))
+    return receivers
+
+
+def mse_matrix_loop(channel, precoders, k: int, receiver, noise_power: float) -> np.ndarray:
+    """Error covariance of user k's streams under the given receive filter."""
+    signal = channel @ precoders[k]
+    mismatch = np.eye(signal.shape[1], dtype=complex) - receiver.conj().T @ signal
+    cov = noise_power * np.eye(channel.shape[0], dtype=complex)
+    for i, p in enumerate(precoders):
+        if i != k:
+            s = channel @ p
+            cov += s @ s.conj().T
+    return mismatch @ mismatch.conj().T + receiver.conj().T @ cov @ receiver
+
+
+def mse_weights_loop(channels, precoders, receivers) -> list[np.ndarray]:
+    """Per-user weight matrices (I - U^H H F)^{-1}, symmetrized."""
+    out = []
+    for k, (h, u) in enumerate(zip(channels, receivers)):
+        gram = np.eye(precoders[k].shape[1], dtype=complex) - u.conj().T @ h @ precoders[k]
+        w = np.linalg.inv(gram)
+        out.append(0.5 * (w + w.conj().T))
+    return out
+
+
+def wmmse_objective_loop(weight_matrices, mse_matrices, beta) -> float:
+    """sum_k beta_k (tr(W_k E_k) - ln det W_k)."""
+    return float(
+        sum(
+            b * (float(np.trace(w @ e).real) - np.linalg.slogdet(w)[1])
+            for b, w, e in zip(beta, weight_matrices, mse_matrices)
+        )
+    )
+
+
+def embed_receivers(receivers, stream_counts) -> np.ndarray:
+    """(K, M, D) stack of per-user M x D_k filters, zero outside each
+    user's streams."""
+    offsets = np.cumsum([0, *stream_counts])
+    out = np.zeros((len(receivers), receivers[0].shape[0], offsets[-1]), dtype=complex)
+    for k, u in enumerate(receivers):
+        out[k, :, offsets[k] : offsets[k + 1]] = u
+    return out
+
+
+def embed_weights(weights, stream_counts) -> np.ndarray:
+    """(K, D, D) stack of per-user D_k x D_k matrices, identity outside
+    each user's diagonal block."""
+    offsets = np.cumsum([0, *stream_counts])
+    out = np.tile(np.eye(offsets[-1], dtype=complex), (len(weights), 1, 1))
+    for k, w in enumerate(weights):
+        out[k, offsets[k] : offsets[k + 1], offsets[k] : offsets[k + 1]] = w
+    return out
+
+
+def _stream_slice(k: int, stream_counts) -> slice:
+    offsets = np.cumsum([0, *stream_counts])
+    return slice(offsets[k], offsets[k + 1])
+
+
+def receiver_block(receivers: np.ndarray, k: int, stream_counts) -> np.ndarray:
+    """User k's M x D_k filter from a (K, M, D) stack."""
+    return receivers[k, :, _stream_slice(k, stream_counts)]
+
+
+def stream_block(stacked: np.ndarray, k: int, stream_counts) -> np.ndarray:
+    """User k's D_k x D_k block of a (K, D, D) stack."""
+    cols = _stream_slice(k, stream_counts)
+    return stacked[k, cols, cols]

@@ -31,8 +31,9 @@ from trihybrid.wmmse import (
     PerAntennaTerms,
     run_selection,
     run_synthesis,
+    received_covariances,
     select_pattern_and_row,
-    split_precoder,
+    stream_masks,
     weighted_sum_rate,
 )
 
@@ -45,6 +46,10 @@ RF_CHAINS = D_TOTAL + 3
 def report(number: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {number:2d}] {status}: {detail}")
+
+
+def _covariances(channels, f_d, config):
+    return received_covariances(channels, f_d, stream_masks(STREAMS), config.noise)
 
 
 @dataclasses.dataclass
@@ -88,9 +93,7 @@ def suite():
             assemble_channel(g, candidates.baseline) for g in scenario.geometries
         ]
         zf_f_d = bd_zero_forcing(fixed_channels, STREAMS, config.power)
-        zf_rate, _ = weighted_sum_rate(
-            fixed_channels, split_precoder(zf_f_d, STREAMS), config.noise
-        )
+        zf_rate, _ = weighted_sum_rate(_covariances(fixed_channels, zf_f_d, config))
         runs.append(
             SuiteRun(
                 scenario=scenario,
@@ -307,13 +310,9 @@ def test_criterion_09_decomposition_quality(suite):
             (run.m2_state, run.m2_channels),
             (run.fixed_state, run.fixed_channels),
         ):
-            digital, _ = weighted_sum_rate(
-                channels, split_precoder(state.f_d, STREAMS), config.noise
-            )
+            digital, _ = weighted_sum_rate(_covariances(channels, state.f_d, config))
             hybrid, _ = weighted_sum_rate(
-                channels,
-                split_precoder(state.f_rf @ state.f_bb, STREAMS),
-                config.noise,
+                _covariances(channels, state.f_rf @ state.f_bb, config)
             )
             worst_ratio = min(worst_ratio, hybrid / digital)
             n = state.f_rf.shape[0]

@@ -7,8 +7,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import desk_scenario, desk_solver
-from helpers import ball_samples, block_objective, random_complex, random_psd
+from helpers import (
+    ball_samples,
+    block_objective,
+    embed_receivers,
+    embed_weights,
+    mmse_receivers_loop,
+    mse_matrix_loop,
+    mse_weights_loop,
+    random_complex,
+    random_psd,
+    receiver_block,
+    split_precoder,
+    stream_block,
+    weighted_sum_rate_loop,
+    wmmse_objective_loop,
+)
 from trihybrid.channel import (
+    EffectiveChannel,
     compose,
     selection_effective_channel,
     synthesis_effective_channel,
@@ -26,18 +42,26 @@ from trihybrid.wmmse import (
     _TINY_QUAD,
     _row_solution,
     _SweepWorkspace,
+    _Users,
     mmse_receivers,
     mse_matrix,
     mse_weights,
+    received_covariances,
     run_selection,
     run_synthesis,
     select_pattern_and_row,
     solve_antenna_row,
-    split_precoder,
+    stream_masks,
     synthesize_pattern_and_row,
     weighted_sum_rate,
     wmmse_objective,
 )
+
+
+def _pass(channels, precoders, noise):
+    """Covariance pass of per-user channels and per-user precoders."""
+    counts = [p.shape[1] for p in precoders]
+    return received_covariances(channels, np.hstack(precoders), stream_masks(counts), noise)
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +71,14 @@ from trihybrid.wmmse import (
 class TestSumRate:
     def test_zero_precoder(self, rng):
         h = [random_complex(rng, 2, 4)]
-        total, rates = weighted_sum_rate(h, [np.zeros((4, 2))], 1e-3, [1.0])
+        total, rates = weighted_sum_rate(_pass(h, [np.zeros((4, 2))], 1e-3), [1.0])
         assert total == 0.0 and rates[0] == 0.0
 
     def test_scalar_snr_one(self):
         # |hf|^2 / sigma^2 = 1 gives exactly one bit.
         h = [np.array([[2.0 + 0j]])]
         f = [np.array([[0.5 + 0j]])]
-        total, _ = weighted_sum_rate(h, f, 1.0, [1.0])
+        total, _ = weighted_sum_rate(_pass(h, f, 1.0), [1.0])
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_eigenvalue_evaluation(self, rng):
@@ -63,7 +87,7 @@ class TestSumRate:
         precoders = [random_complex(rng, N, Dk) for _ in range(K)]
         sigma = 0.1
         beta = np.array([0.5, 0.3, 0.2])
-        total, rates = weighted_sum_rate(channels, precoders, sigma, beta)
+        total, rates = weighted_sum_rate(_pass(channels, precoders, sigma), beta)
         for k in range(K):
             interference = sigma * np.eye(M, dtype=complex)
             for i in range(K):
@@ -80,6 +104,82 @@ class TestSumRate:
             assert rates[k] == pytest.approx(expected, rel=1e-9)
         assert total == pytest.approx(float(beta @ rates), rel=1e-12)
 
+    def test_equal_weights_by_default(self, rng):
+        channels = [random_complex(rng, 2, 4) for _ in range(2)]
+        cov = _pass(channels, [random_complex(rng, 4, 1) for _ in range(2)], 0.2)
+        total, rates = weighted_sum_rate(cov)
+        assert total == pytest.approx(0.5 * (rates[0] + rates[1]), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The covariance pass against the per-user loops
+# ---------------------------------------------------------------------------
+
+class TestCovariancePass:
+    STREAMS = (1, 2, 1)
+
+    def _state(self, rng):
+        M, N = 2, 6
+        channels = [random_complex(rng, M, N) for _ in self.STREAMS]
+        f_d = random_complex(rng, N, sum(self.STREAMS))
+        noise = np.array([0.1, 0.3, 0.05])
+        cov = received_covariances(channels, f_d, stream_masks(self.STREAMS), noise)
+        return channels, split_precoder(f_d, self.STREAMS), noise, cov
+
+    def test_receivers_and_weights_match_loops(self, rng):
+        channels, precoders, noise, cov = self._state(rng)
+        receivers = mmse_receivers(cov)
+        weights = mse_weights(cov, receivers)
+        want_u = mmse_receivers_loop(channels, precoders, noise)
+        want_w = mse_weights_loop(channels, precoders, want_u)
+        for k in range(len(self.STREAMS)):
+            got_u = receiver_block(receivers, k, self.STREAMS)
+            got_w = stream_block(weights, k, self.STREAMS)
+            assert np.linalg.norm(got_u - want_u[k]) <= 1e-12 * np.linalg.norm(want_u[k])
+            assert np.linalg.norm(got_w - want_w[k]) <= 1e-12 * np.linalg.norm(want_w[k])
+        # Outside each user's streams: zero filters and identity weights.
+        assert_allclose(embed_receivers(want_u, self.STREAMS), receivers, rtol=1e-12, atol=0.0)
+        outside = ~stream_masks(self.STREAMS).astype(bool)
+        for k, rows in enumerate(outside):
+            assert np.array_equal(weights[k][np.ix_(rows, rows)], np.eye(rows.sum()))
+
+    def test_objective_and_rate_match_loops(self, rng):
+        channels, precoders, noise, cov = self._state(rng)
+        beta = np.array([0.2, 0.5, 0.3])
+        # Arbitrary filters and weights as well as the optimal ones.
+        receivers = [random_complex(rng, 2, d) for d in self.STREAMS]
+        weights = [random_psd(rng, d) + np.eye(d) for d in self.STREAMS]
+        for _ in range(2):
+            mses = [
+                mse_matrix_loop(channels[k], precoders, k, receivers[k], noise[k])
+                for k in range(len(self.STREAMS))
+            ]
+            want = wmmse_objective_loop(weights, mses, beta)
+            got = wmmse_objective(
+                embed_weights(weights, self.STREAMS),
+                mse_matrix(cov, embed_receivers(receivers, self.STREAMS)),
+                cov.masks,
+                beta,
+            )
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            receivers = mmse_receivers_loop(channels, precoders, noise)
+            weights = mse_weights_loop(channels, precoders, receivers)
+        want_total, want_rates = weighted_sum_rate_loop(channels, precoders, noise, beta)
+        total, rates = weighted_sum_rate(cov, beta)
+        assert_allclose(rates, want_rates, rtol=1e-12, atol=0.0)
+        assert total == pytest.approx(want_total, rel=1e-12, abs=0.0)
+
+    def test_unequal_receive_counts_rejected(self, rng):
+        channels = [random_complex(rng, 2, 4), random_complex(rng, 3, 4)]
+        with pytest.raises(ValueError, match="same number of receive antennas"):
+            received_covariances(channels, random_complex(rng, 4, 2), stream_masks((1, 1)), 0.1)
+        effs = [
+            EffectiveChannel(matrix=random_complex(rng, m, 4 * 2), mode="sel", block_width=2)
+            for m in (2, 3)
+        ]
+        with pytest.raises(ValueError, match="same number of receive antennas"):
+            run_selection(effs, (1, 1), desk_solver(max_outer_iterations=1, rf_chains=2))
+
 
 # ---------------------------------------------------------------------------
 # Auxiliaries
@@ -88,14 +188,14 @@ class TestSumRate:
 class TestReceivers:
     def test_zero_precoder(self, rng):
         h = [random_complex(rng, 2, 4)]
-        u = mmse_receivers(h, [np.zeros((4, 2))], 1e-2)
+        u = mmse_receivers(_pass(h, [np.zeros((4, 2))], 1e-2))
         assert_allclose(u[0], 0.0)
 
     def test_scalar_wiener(self):
         h = [np.array([[3.0 + 0j]])]
         f = [np.array([[0.4 + 0j]])]
         sigma = 0.7
-        u = mmse_receivers(h, f, sigma)[0]
+        u = mmse_receivers(_pass(h, f, sigma))[0]
         hf = 1.2
         assert u[0, 0] == pytest.approx(hf / (hf**2 + sigma), rel=1e-12)
 
@@ -104,19 +204,21 @@ class TestReceivers:
         channels = [random_complex(rng, M, N) for _ in range(K)]
         precoders = [random_complex(rng, N, Dk) for _ in range(K)]
         sigma = 0.3
-        receivers = mmse_receivers(channels, precoders, sigma)
+        cov = _pass(channels, precoders, sigma)
+        receivers = mmse_receivers(cov)
 
         def trace_mse(u, k):
-            return float(np.trace(mse_matrix(channels[k], precoders, k, u, sigma)).real)
+            return float(np.trace(stream_block(mse_matrix(cov, u), k, (Dk,) * K)).real)
 
         k = 0
-        base = trace_mse(receivers[k], k)
+        base = trace_mse(receivers, k)
         eps = 1e-6
         for _ in range(4):
-            direction = random_complex(rng, M, Dk)
+            direction = np.zeros_like(receivers)
+            direction[k, :, :Dk] = random_complex(rng, M, Dk)
             direction /= np.linalg.norm(direction)
-            up = trace_mse(receivers[k] + eps * direction, k)
-            down = trace_mse(receivers[k] - eps * direction, k)
+            up = trace_mse(receivers + eps * direction, k)
+            down = trace_mse(receivers - eps * direction, k)
             derivative = (up - down) / (2 * eps)
             assert abs(derivative) < 1e-6
             assert up >= base - 1e-12 and down >= base - 1e-12
@@ -124,18 +226,17 @@ class TestReceivers:
 
 class TestMseMatrix:
     def test_zero_receiver_gives_identity(self, rng):
-        h = random_complex(rng, 2, 4)
-        precoders = [random_complex(rng, 4, 2)]
-        e = mse_matrix(h, precoders, 0, np.zeros((2, 2)), 0.5)
-        assert_allclose(e, np.eye(2), atol=1e-12)
+        h = [random_complex(rng, 2, 4)]
+        cov = _pass(h, [random_complex(rng, 4, 2)], 0.5)
+        e = mse_matrix(cov, np.zeros((1, 2, 2)))
+        assert_allclose(e[0], np.eye(2), atol=1e-12)
 
     def test_perfect_scalar_equalization(self):
-        h = np.array([[2.0 + 0j]])
+        h = [np.array([[2.0 + 0j]])]
         f = [np.array([[0.5 + 0j]])]
-        sigma = 1e-12
-        u = mmse_receivers([h], f, sigma)[0]
-        e = mse_matrix(h, f, 0, u, sigma)
-        assert abs(e[0, 0]) < 1e-9
+        cov = _pass(h, f, 1e-12)
+        e = mse_matrix(cov, mmse_receivers(cov))
+        assert abs(e[0, 0, 0]) < 1e-9
 
     def test_matches_expanded_expectation(self, rng):
         # E[(s - U^H y)(s - U^H y)^H] expanded over unit-power streams and
@@ -157,23 +258,24 @@ class TestMseMatrix:
             )
             + sigma * u.conj().T @ u
         )
-        assert_allclose(mse_matrix(h, precoders, k, u, sigma), expected, rtol=1e-10)
+        receivers = embed_receivers([u, np.zeros((M, Dk))], (Dk, Dk))
+        e = mse_matrix(_pass(channels, precoders, sigma), receivers)
+        assert_allclose(stream_block(e, k, (Dk, Dk)), expected, rtol=1e-10)
 
 
 class TestWeights:
     def test_zero_precoder_gives_identity(self, rng):
         h = [random_complex(rng, 2, 4)]
-        f = [np.zeros((4, 2))]
-        receivers = mmse_receivers(h, f, 0.1)
-        w = mse_weights(h, f, receivers)[0]
+        cov = _pass(h, [np.zeros((4, 2))], 0.1)
+        w = mse_weights(cov, mmse_receivers(cov))[0]
         assert_allclose(w, np.eye(2), atol=1e-12)
 
     def test_scalar_closed_form(self):
         h = [np.array([[2.0 + 0j]])]
         f = [np.array([[0.5 + 0j]])]
         sigma = 0.3
-        receivers = mmse_receivers(h, f, sigma)
-        w = mse_weights(h, f, receivers)[0]
+        cov = _pass(h, f, sigma)
+        w = mse_weights(cov, mmse_receivers(cov))[0]
         hf = 1.0
         assert w[0, 0].real == pytest.approx((hf**2 + sigma) / sigma, rel=1e-12)
 
@@ -181,28 +283,41 @@ class TestWeights:
         K, M, N, Dk = 2, 3, 6, 2
         channels = [random_complex(rng, M, N) for _ in range(K)]
         precoders = [random_complex(rng, N, Dk) for _ in range(K)]
-        receivers = mmse_receivers(channels, precoders, 0.2)
-        for w in mse_weights(channels, precoders, receivers):
+        cov = _pass(channels, precoders, 0.2)
+        for w in mse_weights(cov, mmse_receivers(cov)):
             assert_allclose(w, w.conj().T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(w)) >= 1.0 - 1e-9
+
+    def test_singular_update_names_the_user(self):
+        # Both users see their own stream with unit gain; user 1's filter
+        # cancels it exactly, so its weight update I - U^H H F is zero.
+        channels = [np.array([[1.0 + 0j, 0.0]]), np.array([[0.0, 2.0 + 0j]])]
+        f_d = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
+        cov = received_covariances(channels, f_d, stream_masks((1, 1)), 0.1)
+        receivers = np.array([[[0.5, 0.0]], [[0.0, 1.0]]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="for user 1"):
+            mse_weights(cov, receivers)
 
 
 class TestObjective:
     def test_identity_case(self):
-        w = [np.eye(2, dtype=complex), np.eye(3, dtype=complex)]
-        e = [np.eye(2, dtype=complex), np.eye(3, dtype=complex)]
-        assert wmmse_objective(w, e, [0.25, 0.75]) == pytest.approx(0.25 * 2 + 0.75 * 3)
+        streams = (2, 3)
+        w = np.tile(np.eye(5, dtype=complex), (2, 1, 1))
+        e = np.tile(np.eye(5, dtype=complex), (2, 1, 1))
+        value = wmmse_objective(w, e, stream_masks(streams), [0.25, 0.75])
+        assert value == pytest.approx(0.25 * 2 + 0.75 * 3)
 
     def test_scales_linearly_in_weights(self, rng):
-        w = [random_psd(rng, 2) + np.eye(2)]
-        e = [random_psd(rng, 2)]
-        a = wmmse_objective(w, e, [1.0])
-        b = wmmse_objective(w, e, [2.0])
+        w = (random_psd(rng, 2) + np.eye(2))[None]
+        e = random_psd(rng, 2)[None]
+        a = wmmse_objective(w, e, stream_masks((2,)), [1.0])
+        b = wmmse_objective(w, e, stream_masks((2,)), [2.0])
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_requires_positive_definite(self):
+        w = np.diag([1.0, -1.0]).astype(complex)[None]
         with pytest.raises(ValueError):
-            wmmse_objective([np.diag([1.0, -1.0]).astype(complex)], [np.eye(2, dtype=complex)], [1.0])
+            wmmse_objective(w, np.eye(2, dtype=complex)[None], stream_masks((2,)), [1.0])
 
     def test_decreases_as_rate_increases_along_power_sweep(self, rng):
         h = [random_complex(rng, 2, 4)]
@@ -210,12 +325,12 @@ class TestObjective:
         sigma = 0.5
         objectives, rates = [], []
         for scale in np.linspace(0.2, 2.0, 8):
-            f = [scale * base]
-            receivers = mmse_receivers(h, f, sigma)
-            weights = mse_weights(h, f, receivers)
-            mses = [mse_matrix(h[0], f, 0, receivers[0], sigma)]
-            objectives.append(wmmse_objective(weights, mses, [1.0]))
-            rates.append(weighted_sum_rate(h, f, sigma, [1.0])[0])
+            cov = _pass(h, [scale * base], sigma)
+            receivers = mmse_receivers(cov)
+            weights = mse_weights(cov, receivers)
+            mse = mse_matrix(cov, receivers)
+            objectives.append(wmmse_objective(weights, mse, cov.masks, [1.0]))
+            rates.append(weighted_sum_rate(cov, [1.0])[0])
         assert np.all(np.diff(rates) > 0)
         assert np.all(np.diff(objectives) < 0)
 
@@ -226,8 +341,6 @@ class TestObjective:
 
 def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
     """Random consistent solver state on tiny dimensions."""
-    from trihybrid.channel import EffectiveChannel
-
     effs = [
         EffectiveChannel(matrix=random_complex(rng, m, n * width), mode="sel", block_width=width)
         for _ in users
@@ -236,27 +349,30 @@ def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
     antenna_matrix = np.eye(width)[selection]
     d_total = sum(users)
     f_d = random_complex(rng, n, d_total)
-    receivers = [random_complex(rng, m, dk) for dk in users]
-    weights = [random_psd(rng, dk) + np.eye(dk) for dk in users]
+    receivers = embed_receivers([random_complex(rng, m, dk) for dk in users], users)
+    weights = embed_weights([random_psd(rng, dk) + np.eye(dk) for dk in users], users)
     beta = rng.uniform(0.5, 1.5, len(users))
     return effs, antenna_matrix, f_d, receivers, weights, beta, users
 
 
+def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users):
+    stack = _Users(effs, users, 0.3)
+    received = stack.covariances(antenna_matrix, f_d).received
+    return _SweepWorkspace(stack, antenna_matrix, f_d, received, receivers, weights, beta)
+
+
 def _full_objective(effs, antenna_matrix, f_d, receivers, weights, beta, users, sigma=0.3):
     channels = [compose(e, antenna_matrix) for e in effs]
-    precoders = split_precoder(f_d, users)
-    mses = [
-        mse_matrix(channels[k], precoders, k, receivers[k], sigma)
-        for k in range(len(users))
-    ]
-    return wmmse_objective(weights, mses, beta)
+    cov = received_covariances(channels, f_d, stream_masks(users), sigma)
+    return wmmse_objective(weights, mse_matrix(cov, receivers), cov.masks, beta)
 
 
 class TestPerAntennaTerms:
     def test_zero_receivers_zero_terms(self, rng):
-        effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
-        receivers = [np.zeros_like(u) for u in receivers]
-        terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(1)
+        state = _random_block_state(rng)
+        effs, antenna_matrix, f_d, receivers, weights, beta, users = state
+        receivers = np.zeros_like(receivers)
+        terms = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users).terms(1)
         assert_allclose(terms.quad_term, 0.0, atol=1e-15)
         assert_allclose(terms.linear_term, 0.0, atol=1e-15)
 
@@ -264,13 +380,13 @@ class TestPerAntennaTerms:
         # With no other antenna, the linear term is the alignment term alone.
         effs, _, f_d, receivers, weights, beta, users = _random_block_state(rng, n=1)
         antenna_matrix = np.eye(2)[[0]]
-        workspace = _SweepWorkspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta)
+        workspace = _workspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta, users)
         terms = workspace.terms(0)
         assert_allclose(terms.linear_term, -workspace.align[0], atol=1e-12)
 
     def test_quad_term_hermitian_psd(self, rng):
-        effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
-        terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(0)
+        state = _random_block_state(rng)
+        terms = _workspace(*state).terms(0)
         assert_allclose(terms.quad_term, terms.quad_term.conj().T, atol=1e-13)
         assert np.min(np.linalg.eigvalsh(terms.quad_term)) >= -1e-12
 
@@ -279,7 +395,9 @@ class TestPerAntennaTerms:
         # differ by a value independent of this antenna's variables.
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         n = 1
-        terms = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta).terms(n)
+        terms = _workspace(
+            effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta, users
+        ).terms(n)
         width = antenna_matrix.shape[1]
         gaps = []
         for _ in range(10):
@@ -305,15 +423,15 @@ class TestPerAntennaTerms:
         )
         if not one_hot:
             antenna_matrix = rng.standard_normal(antenna_matrix.shape)
-        running = _SweepWorkspace(effs, antenna_matrix, f_d, receivers, weights, beta)
+        running = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
         for n in (3, 0, 4, 3, 1):
             if one_hot:
                 vector = np.eye(width)[rng.integers(0, width)]
             else:
                 vector = rng.standard_normal(width)
             running.apply(n, vector, random_complex(rng, f_d.shape[1]))
-        fresh = _SweepWorkspace(
-            effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta
+        fresh = _workspace(
+            effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta, users
         )
         for n in range(5):
             got, want = running.terms(n), fresh.terms(n)
@@ -579,7 +697,8 @@ class TestRunSelection:
         config = desk_solver(max_outer_iterations=10)
         state, trace = run_selection(effs, streams, config)
         channels = [compose(e, state.antenna_matrix) for e in effs]
-        rate, _ = weighted_sum_rate(channels, split_precoder(state.f_d, streams), config.noise)
+        cov = received_covariances(channels, state.f_d, stream_masks(streams), config.noise)
+        rate, _ = weighted_sum_rate(cov)
         assert rate == pytest.approx(trace.sum_rate[-1], abs=1e-9)
 
     def test_single_candidate_matches_fixed_baseline(self, small_setup):
@@ -598,6 +717,27 @@ class TestRunSelection:
         assert trace_a.objective == trace_b.objective
         assert trace_a.sum_rate == trace_b.sum_rate
         assert np.array_equal(state_a.f_d, state_b.f_d)
+
+
+    def test_one_batched_call_per_outer_iteration(self, monkeypatch):
+        # Receivers, weights, objective and rate of all users come from one
+        # solve, inv, cholesky and slogdet per outer iteration.
+        scenario = desk_scenario(5, n_users=3)
+        candidates = gaussian_beam_grid(4)
+        effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+        calls = {}
+        for name in ("solve", "inv", "cholesky", "slogdet"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
+        _, trace = run_selection(effs, (1, 2, 1), config)
+        assert trace.n_iterations == 3
+        assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 3}
 
 
 class TestRunSynthesis:
