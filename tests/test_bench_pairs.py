@@ -1,0 +1,91 @@
+"""Summary of the paired benchmark runs that tools/bench_pairs.py records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DIRECTIONS = {"wall_s": "lower", "pattern_gain": "higher"}
+
+
+def _run(pair, side, wall, gain=1.0, trace=0, correct=True, attempted=4, failed=0):
+    return {
+        "pair": pair,
+        "side": side,
+        "first": side == "base",
+        "record": {"workload": "power_sweep", "seed": pair, "trace": trace},
+        "result": {
+            "correct": correct,
+            "attempted": attempted,
+            "failed": failed,
+            "metrics": {
+                "wall_s": {"value": wall, "unit": "s_ref"},
+                "pattern_gain": {"value": gain, "unit": "ratio"},
+            },
+        },
+    }
+
+
+def test_totals_count_failed_and_incorrect_runs_per_side():
+    runs = [
+        _run(1, "base", 3.0),
+        _run(1, "change", 2.0, correct=False, failed=1),
+        _run(2, "change", 2.5),
+        _run(2, "base", 3.5),
+        _run(3, "base", 9.0, trace=1),
+        _run(3, "change", 9.0, trace=1, correct=False, failed=2, attempted=5),
+    ]
+    summary = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]
+    assert summary["runs"] == {
+        "base": {"runs": 3, "attempted": 12, "failed": 0, "incorrect": 0},
+        "change": {"runs": 3, "attempted": 13, "failed": 3, "incorrect": 2},
+    }
+    assert bench_pairs.incorrect_runs({"power_sweep": summary}) == 2
+
+
+def test_metrics_from_untraced_pairs_only():
+    runs = [
+        _run(1, "base", 3.0, gain=1.1),
+        _run(1, "change", 2.0, gain=1.0),
+        _run(2, "change", 2.5, gain=1.1),
+        _run(2, "base", 3.5, gain=1.1),
+        _run(3, "base", 1.0, trace=1),
+        _run(3, "change", 9.0, trace=1),
+        _run(4, "base", 1.0),  # no change side: not a pair
+    ]
+    metrics = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]["metrics"]
+    wall = metrics["wall_s"]
+    assert wall["pairs"] == 2
+    assert (wall["change_wins"], wall["base_wins"]) == (2, 0)
+    assert wall["base"]["median"] == pytest.approx(3.25)
+    assert wall["change"] == {"q1": 2.125, "median": 2.25, "q3": 2.375}
+    gain = metrics["pattern_gain"]
+    assert (gain["change_wins"], gain["base_wins"]) == (0, 1)  # a tie counts for neither
+    assert bench_pairs.incorrect_runs({"power_sweep": {"runs": {}, "metrics": metrics}}) == 0
+
+
+def test_exits_1_after_writing_when_a_run_is_incorrect(tmp_path, monkeypatch):
+    outcomes = iter([_run(1, "base", 3.0), _run(1, "change", 2.0, correct=False, failed=1)])
+    monkeypatch.setattr(
+        bench_pairs,
+        "run_once",
+        lambda checkout, workload, seed, trace: {
+            key: value for key, value in next(outcomes).items() if key in ("record", "result")
+        },
+    )
+    out = tmp_path / "BENCH.json"
+    root = str(_PATH.parents[1])
+    code = bench_pairs.main(
+        ["--base", root, "--change", root, "--workload", "power_sweep", "--seeds", "1",
+         "--out", str(out)]
+    )
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert len(data["runs"]) == 2
+    assert data["summary"]["power_sweep"]["runs"]["change"]["incorrect"] == 1

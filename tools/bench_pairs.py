@@ -13,10 +13,14 @@ and result line (metrics) go into the `runs` list of `--out`, with the side,
 the pair number and which side ran first.  An existing file is extended, so
 one file collects every workload and the traced runs.
 
-The file's `summary` is recomputed from all its untraced runs: per workload
-and end-to-end metric, each side's median and quartiles, and the number of
-pairs the change won by the direction `BENCHMARK.json` gives the metric
-(ties count for neither side).
+The file's `summary` is recomputed from all its runs.  Per workload, `runs`
+gives each side's totals over every run, traced ones included: cells
+attempted, cells failed, and runs perfbench did not report correct.
+`metrics` gives, from the untraced runs, each end-to-end metric's median and
+quartiles per side and the number of pairs the change won by the direction
+`BENCHMARK.json` gives the metric (ties count for neither side).  The medians
+include every run; the script exits 1 after writing the file when any run
+in it is incorrect.
 
 Given the same checkout as `--base` and `--change`, the file is an A/A
 record: its summary shows how far the host alone moves each metric between
@@ -54,14 +58,23 @@ def _quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(runs: list[dict], directions: dict) -> dict:
-    """Per workload and metric: each side's quartiles and the pairs won."""
+    """Per workload: each side's run totals, and per metric each side's
+    quartiles and the pairs won."""
+    summary: dict = {}
     pairs: dict = {}  # (workload, pair) -> side -> metrics
     for run in runs:
-        if run["record"]["trace"]:
-            continue
-        key = (run["record"]["workload"], run["pair"])
-        pairs.setdefault(key, {})[run["side"]] = run["result"]["metrics"]
-    summary: dict = {}
+        workload = run["record"]["workload"]
+        result = run["result"]
+        totals = (
+            summary.setdefault(workload, {"runs": {}, "metrics": {}})["runs"]
+            .setdefault(run["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect": 0})
+        )
+        totals["runs"] += 1
+        totals["attempted"] += result["attempted"]
+        totals["failed"] += result["failed"]
+        totals["incorrect"] += not result["correct"]
+        if not run["record"]["trace"]:
+            pairs.setdefault((workload, run["pair"]), {})[run["side"]] = result["metrics"]
     for (workload, _), sides in sorted(pairs.items()):
         if set(sides) != set(SIDES):
             continue
@@ -70,7 +83,7 @@ def summarize(runs: list[dict], directions: dict) -> dict:
                 continue
             base = sides["base"][name]["value"]
             change = sides["change"][name]["value"]
-            entry = summary.setdefault(workload, {}).setdefault(
+            entry = summary[workload]["metrics"].setdefault(
                 name, {"base": [], "change": [], "change_wins": 0, "base_wins": 0}
             )
             entry["base"].append(base)
@@ -78,12 +91,20 @@ def summarize(runs: list[dict], directions: dict) -> dict:
             if base != change:
                 change_better = change < base if better == "lower" else change > base
                 entry["change_wins" if change_better else "base_wins"] += 1
-    for metrics in summary.values():
-        for entry in metrics.values():
+    for workload in summary.values():
+        for entry in workload["metrics"].values():
             entry["pairs"] = len(entry["base"])
             for side in SIDES:
                 entry[side] = dict(zip(("q1", "median", "q3"), _quartiles(entry[side])))
     return summary
+
+
+def incorrect_runs(summary: dict) -> int:
+    return sum(
+        totals["incorrect"]
+        for workload in summary.values()
+        for totals in workload["runs"].values()
+    )
 
 
 def main(argv=None) -> int:
@@ -110,6 +131,10 @@ def main(argv=None) -> int:
             print(f"pair {pair} seed {seed} {side}: correct={run['result']['correct']}", flush=True)
         data["summary"] = summarize(data["runs"], directions)
         args.out.write_text(json.dumps(data, indent=1) + "\n")
+    incorrect = incorrect_runs(data["summary"])
+    if incorrect:
+        print(f"error: {incorrect} run(s) in {args.out} are not correct", file=sys.stderr)
+        return 1
     return 0
 
 
