@@ -39,7 +39,6 @@ from .sphharm import (
     synthesize_gain,
 )
 from .wmmse import (
-    Covariances,
     PerAntennaTerms,
     PrecoderState,
     SolverConfig,

@@ -129,10 +129,6 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _as_per_user(value, n_users: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=float), (n_users,)).copy()
-
-
 def _stack_users(matrices) -> np.ndarray:
     """(K, M, ...) stack of per-user matrices with equal receive counts."""
     if isinstance(matrices, np.ndarray):
@@ -272,7 +268,7 @@ class _Users:
         )
         self.blocks_conj = _per_antenna(self.stacked.matrix.conj(), effs[0].n_antennas)
         self.masks = stream_masks(stream_counts)
-        self.noise = _as_per_user(noise, n_users)
+        self.noise = noise
 
     def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
         """The covariance pass of the composed channel and `f_d`."""
