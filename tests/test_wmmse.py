@@ -369,8 +369,7 @@ def _full_objective(effs, antenna_matrix, f_d, receivers, weights, beta, users, 
 
 class TestPerAntennaTerms:
     def test_zero_receivers_zero_terms(self, rng):
-        state = _random_block_state(rng)
-        effs, antenna_matrix, f_d, receivers, weights, beta, users = state
+        effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         receivers = np.zeros_like(receivers)
         terms = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users).terms(1)
         assert_allclose(terms.quad_term, 0.0, atol=1e-15)
@@ -395,9 +394,7 @@ class TestPerAntennaTerms:
         # differ by a value independent of this antenna's variables.
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         n = 1
-        terms = _workspace(
-            effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta, users
-        ).terms(n)
+        terms = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users).terms(n)
         width = antenna_matrix.shape[1]
         gaps = []
         for _ in range(10):
@@ -717,7 +714,6 @@ class TestRunSelection:
         assert trace_a.objective == trace_b.objective
         assert trace_a.sum_rate == trace_b.sum_rate
         assert np.array_equal(state_a.f_d, state_b.f_d)
-
 
     def test_one_batched_call_per_outer_iteration(self, monkeypatch):
         # Receivers, weights, objective and rate of all users come from one
