@@ -39,10 +39,10 @@ from .sphharm import (
     synthesize_gain,
 )
 from .wmmse import (
-    PerAntennaTerms,
     PrecoderState,
     SolverConfig,
     Trace,
+    candidate_quads,
     mmse_receivers,
     mse_matrix,
     mse_weights,
@@ -50,7 +50,6 @@ from .wmmse import (
     run_selection,
     run_synthesis,
     select_pattern_and_row,
-    solve_antenna_row,
     stream_masks,
     synthesize_pattern_and_row,
     weighted_sum_rate,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -493,24 +494,40 @@ def _run_cell(args) -> tuple[list[RunResult], str | None]:
 # Full experiments
 # ---------------------------------------------------------------------------
 
+def _worker_count(worker_count: int | None) -> int:
+    """The given worker count, or TRIHYBRID_WORKERS (default 1) when none is
+    given; anything but an integer of at least 1 is a configuration error."""
+    if worker_count is None:
+        text = os.environ.get(WORKER_ENV, "1")
+        try:
+            worker_count = int(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"worker count {WORKER_ENV}={text!r} is not an integer"
+            ) from None
+    if not isinstance(worker_count, numbers.Integral) or worker_count < 1:
+        raise ConfigurationError(f"worker count must be an integer >= 1, got {worker_count!r}")
+    return worker_count
+
+
 def run_experiment(config_path, worker_count: int | None = None) -> str:
     """Run every sweep cell and write the results CSV.
 
     Returns the path of the results file.  The job unit is one (sweep
     value, scenario seed) cell.  Worker count comes from the
-    TRIHYBRID_WORKERS environment variable unless given; results are merged
+    TRIHYBRID_WORKERS environment variable unless given, and anything but
+    an integer of at least 1 raises ConfigurationError; results are merged
     in sweep order so the output does not depend on parallelism, and the
     timing sidecar lists the runs in the order they executed.  The rows of
     every cell that completed are written even when others fail; a
     SweepError naming each failed cell is raised afterwards.
     """
+    worker_count = _worker_count(worker_count)
     config = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_path = os.path.join(base_dir, config.output)
 
     cells = [(config, value, seed) for value in config.values for seed in config.seeds]
-    if worker_count is None:
-        worker_count = int(os.environ.get(WORKER_ENV, "1"))
     if worker_count > 1:
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             outcomes = list(pool.map(_run_cell, cells))

@@ -158,7 +158,7 @@ def _value(lam, w, y) -> float:
 
 
 def reduced_coefficient_problem(
-    quad_term: np.ndarray,
+    pinned: np.ndarray,
     linear_term: np.ndarray,
     row: np.ndarray,
     rho: float,
@@ -169,16 +169,17 @@ def reduced_coefficient_problem(
     remaining coefficients written as 2*sqrt((1-rho)*pi) times a unit vector,
     the quadratic-form objective in the full coefficient vector becomes a
     quadratic plus linear objective in that unit vector (constant terms
-    dropped).  `row` is the precoder row of the antenna being updated.
-    Returns (scale, linear): the quadratic is scale * Re quad_term[1:, 1:],
-    so its eigenpairs are scale times the eigenvalues of
-    :func:`reduced_spectrum` with the same eigenvectors.
+    dropped).  `pinned` is Re quad_term[1:, 0], the coupling of the free
+    coefficients to the pinned one; `row` is the precoder row of the
+    antenna being updated.  Returns (scale, linear): the quadratic is
+    scale * Re quad_term[1:, 1:], so its eigenpairs are scale times the
+    eigenvalues of :func:`reduced_spectrum` with the same eigenvectors.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     row_power = float(np.vdot(row, row).real)
     v1 = 4.0 * math.sqrt((1.0 - rho) * math.pi) * (row.conj() @ linear_term[:, 1:]).real
-    v2 = (8.0 * math.pi * math.sqrt(rho * (1.0 - rho)) * row_power) * quad_term[1:, 0].real
+    v2 = (8.0 * math.pi * math.sqrt(rho * (1.0 - rho)) * row_power) * pinned
     return 4.0 * math.pi * (1.0 - rho) * row_power, v1 + v2
 
 

@@ -234,18 +234,10 @@ def wmmse_objective(weights: np.ndarray, mse: np.ndarray, masks: np.ndarray, bet
 # ---------------------------------------------------------------------------
 # Per-antenna block terms
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PerAntennaTerms:
-    """Quadratic and linear terms of one antenna's subproblem.
-
-    The block objective for precoder row f and pattern vector v is
-    ||f||^2 v^T quad v + 2 Re(f^H linear v).
-    """
-
-    quad_term: np.ndarray  # (W, W) Hermitian PSD
-    linear_term: np.ndarray  # (D, W)
-
+#
+# The block objective of antenna n for precoder row f and pattern vector v is
+# ||f||^2 v^T Q_n v + 2 Re(f^H L_n v), with Q_n the (W, W) Hermitian PSD quad
+# term and L_n the (D, W) linear term.
 
 def _per_antenna(matrix: np.ndarray, n_antennas: int) -> np.ndarray:
     """(rows, N W) -> (N, rows, W)."""
@@ -277,19 +269,28 @@ class _Users:
 
 
 class _SweepWorkspace:
-    """Caches shared factors for a full antenna sweep.
+    """What one antenna sweep shares, built once per sweep and batched over
+    antennas.
 
-    The users' weighted receive projections beta_k U_k W_k U_k^H are applied
-    to the stacked lifted channel.  The quad term and the alignment part of
-    the linear term of every antenna depend only on these, so they are built
-    once per sweep.  The cross part of the linear term, the coupling to the
-    other antennas, also needs the received signal of the composed channel
-    times the digital precoder; the sweep starts from the covariance pass's
-    copy of it (kept conjugated) and gives it a rank-two correction
-    whenever an antenna is updated, keeping each antenna's terms O(1) in N.
-    Synthesis sweeps also read `tail_spectrum`, which decomposes every
-    antenna in one batched call on first use, so other sweeps do not pay
-    for it.
+    The users' weighted receive projections beta_k U_k W_k U_k^H applied to
+    the stacked lifted channel give `proj`; antenna n's quad term Q_n and the
+    alignment part of its linear term depend only on these.  The linear
+    term is R^T P_n - O_n: R is the received signal of the composed channel
+    times the digital precoder, kept conjugated, and the offset
+    O_n = conj(f_n) (a_n^T Q_n) + align_n takes antenna n's own signal out
+    of the coupling.  In a Gauss-Seidel sweep f_n and a_n do not change
+    before antenna n's own step, so every offset is built here, once; each
+    antenna reads its linear term once, before it commits.  R starts from
+    the covariance pass's copy and is corrected at every commit (rank two,
+    or one column per one-hot vector for a selection), so it stays exact
+    under any order of commits.
+
+    The step closed forms read what else the sweep cannot change: the real
+    diagonals of the quad terms and their guarded inverses
+    (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n) and
+    Re Q_n[1:, 0] for synthesis.  `tail_spectrum` decomposes every antenna
+    in one batched call on first use, so only sweeps that solve on the
+    sphere pay for it.
     """
 
     def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
@@ -312,10 +313,19 @@ class _SweepWorkspace:
         quad = self.blocks_conj.transpose(0, 2, 1) @ self.proj
         self.quad = 0.5 * (quad + quad.conj().transpose(0, 2, 1))
         self.received_conj = received.reshape(n_users * n_rx, -1).conj()
+        pattern_quad = (antenna_matrix[:, None, :] @ self.quad)[:, 0]  # a_n^T Q_n
+        self.offset = f_d.conj()[:, :, None] * pattern_quad[:, None, :] + self.align
+        self.quads, self.inv_quads = candidate_quads(self.quad)
+        self.row_quads = np.einsum("nw,nw->n", pattern_quad.real, antenna_matrix)
+        self.pinned = self.quad[:, 1:, 0].real
 
     @functools.cached_property
     def _tail_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         return reduced_spectrum(self.quad)
+
+    @functools.cached_property
+    def _selection(self) -> np.ndarray:
+        return self.antenna_matrix.argmax(axis=1)
 
     def tail_spectrum(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Antenna n's :func:`reduced_spectrum`, from the sweep's batched
@@ -323,13 +333,10 @@ class _SweepWorkspace:
         eigenvalues, eigenvectors = self._tail_spectra
         return eigenvalues[n], eigenvectors[n]
 
-    def terms(self, n: int) -> PerAntennaTerms:
-        quad = self.quad[n]
-        row = self.f_d[n].conj()  # f_(n)
-        cross = self.received_conj.T @ self.proj[n] - row[:, None] * (
-            self.antenna_matrix[n] @ quad
-        )
-        return PerAntennaTerms(quad_term=quad, linear_term=cross - self.align[n])
+    def linear(self, n: int) -> np.ndarray:
+        """Antenna n's (D, W) linear term: one cross-term product and the
+        offset."""
+        return self.received_conj.T @ self.proj[n] - self.offset[n]
 
     def apply(self, n: int, vector: np.ndarray, row: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row."""
@@ -338,6 +345,22 @@ class _SweepWorkspace:
             vector[:, None] * row - self.antenna_matrix[n][:, None] * old_row
         )
         self.antenna_matrix[n] = vector
+        self.f_d[n] = row.conj()
+
+    def select(self, n: int, index: int, row: np.ndarray) -> None:
+        """Commit candidate `index` and precoder row of a one-hot antenna n:
+        the received signal moves by one column of the antenna's block per
+        vector."""
+        old = self._selection[n]
+        blocks = self.blocks_conj[n]
+        old_row = self.f_d[n].conj()
+        if index == old:
+            self.received_conj += blocks[:, index, None] * (row - old_row)
+        else:
+            self.received_conj += blocks[:, index, None] * row - blocks[:, old, None] * old_row
+            self.antenna_matrix[n, old] = 0.0
+            self.antenna_matrix[n, index] = 1.0
+            self._selection[n] = index
         self.f_d[n] = row.conj()
 
 
@@ -352,44 +375,54 @@ def _row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):
     when the quadratic coefficient vanishes the step sits on the power
     boundary.  Returns the row and its objective value.
     """
-    norm = np.linalg.norm(dvec)
-    if norm == 0.0:
+    norm_sq = float(np.vdot(dvec, dvec).real)
+    if norm_sq == 0.0:
         return np.zeros_like(dvec), 0.0
-    boundary = np.sqrt(budget) / norm
+    boundary = math.sqrt(budget / norm_sq)
     step = boundary if quad_scalar <= _TINY_QUAD else min(1.0 / quad_scalar, boundary)
-    value = norm**2 * (quad_scalar * step**2 - 2.0 * step)
+    value = norm_sq * (quad_scalar * step**2 - 2.0 * step)
     return -step * dvec, value
 
 
-def solve_antenna_row(terms: PerAntennaTerms, vector: np.ndarray, budget: float) -> np.ndarray:
-    """Optimal precoder row for a fixed pattern vector under a power budget."""
-    quad = float(np.real(vector @ terms.quad_term @ vector))
-    row, _ = _row_solution(quad, terms.linear_term @ vector, budget)
-    return row
+def candidate_quads(quad_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real diagonal of one (W, W) quad term or of a stack, and its guarded
+    inverse.
+
+    Entry s is candidate s's row-step coefficient a = Re Q[s, s]; the
+    inverse is 1/a, or inf where a is at most `_TINY_QUAD`, so that the
+    step min(inverse, boundary) is the closed form of :func:`_row_solution`.
+    """
+    quads = quad_terms.diagonal(axis1=-2, axis2=-1).real
+    inv_quads = np.where(quads > _TINY_QUAD, 1.0 / np.maximum(quads, _TINY_QUAD), np.inf)
+    return quads, inv_quads
 
 
-def select_pattern_and_row(terms: PerAntennaTerms, budget: float):
+def select_pattern_and_row(
+    linear: np.ndarray, quads: np.ndarray, inv_quads: np.ndarray, budget: float
+):
     """Enumerate candidate patterns and pick the jointly optimal pair.
 
-    Returns (candidate index, row, objective value).  Each candidate gets
-    the closed-form row of :func:`_row_solution`: a zero direction gives a
-    zero row and value 0, a vanishing quadratic coefficient the boundary
-    step.  Ties go to the lowest index.
+    `linear` is the antenna's (D, W) linear term, and `quads` and
+    `inv_quads` the diagonal of its quad term and the guarded inverse from
+    :func:`candidate_quads`.  Returns (candidate index, row, objective
+    value).  Each candidate gets the closed-form row of
+    :func:`_row_solution`: a zero direction gives a zero row and value 0, a
+    vanishing quadratic coefficient the boundary step.  Ties go to the
+    lowest index.
     """
-    quads = terms.quad_term.diagonal().real
-    dmat = terms.linear_term
-    norms_sq = np.square(np.abs(dmat)).sum(axis=0)
+    norms_sq = np.square(np.abs(linear)).sum(axis=0)
     # A zero direction divides by 1 instead: its value is 0 whatever the step.
     boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
-    inv_quad = np.where(quads > _TINY_QUAD, 1.0 / np.maximum(quads, _TINY_QUAD), np.inf)
-    steps = np.minimum(inv_quad, boundary)
+    steps = np.minimum(inv_quads, boundary)
     values = norms_sq * (quads * steps**2 - 2.0 * steps)
     best = int(values.argmin())
-    return best, -steps[best] * dmat[:, best], float(values[best])
+    return best, -steps[best] * linear[:, best], float(values[best])
 
 
 def synthesize_pattern_and_row(
-    terms: PerAntennaTerms,
+    linear: np.ndarray,
+    row_quad: float,
+    pinned: np.ndarray,
     tail_spectrum,
     coefficients: np.ndarray,
     budget: float,
@@ -397,17 +430,22 @@ def synthesize_pattern_and_row(
 ):
     """One row update followed by one pattern-coefficient update.
 
-    The row update is closed form for the current coefficients; the
-    coefficient update keeps the pinned constant component and solves the
-    reduced problem on the unit sphere exactly, never ending above the
-    current coefficients, so the block objective cannot increase.
-    `tail_spectrum()` returns the :func:`reduced_spectrum` of
-    terms.quad_term; it is called only when the coefficients are solved
-    for.  Returns (coefficients, row).
+    `linear` is the antenna's (D, W) linear term, `row_quad` the row step's
+    coefficient Re(c^T Q c) at the current coefficients c, and `pinned`
+    Re Q[1:, 0] of its quad term Q.  The row update is closed form for the
+    current coefficients; the coefficient update keeps the pinned constant
+    component and solves the reduced problem on the unit sphere exactly,
+    never ending above the current coefficients, so the block objective
+    cannot increase.  `tail_spectrum()` returns the
+    :func:`reduced_spectrum` of Q; it is called only when the coefficients
+    are solved for.  Returns (coefficients, row).
     """
-    row = solve_antenna_row(terms, coefficients, budget)
+    row, _ = _row_solution(row_quad, linear @ coefficients, budget)
     width = coefficients.size
-    if rho >= 1.0 or width == 1 or not np.any(row):
+    if rho >= 1.0 or width == 1:
+        return coefficients, row
+    scale, reduced_linear = reduced_coefficient_problem(pinned, linear, row, rho)
+    if scale == 0.0:  # a zero row: every coefficient vector scores the same
         return coefficients, row
     tail = coefficients[1:]
     tail_norm = math.sqrt(tail @ tail)
@@ -416,11 +454,8 @@ def synthesize_pattern_and_row(
         start[0] = 1.0
     else:
         start = tail / tail_norm
-    scale, linear = reduced_coefficient_problem(
-        terms.quad_term, terms.linear_term, row, rho
-    )
     eigenvalues, eigenvectors = tail_spectrum()
-    result = minimize_on_sphere(scale * eigenvalues, eigenvectors, linear, start)
+    result = minimize_on_sphere(scale * eigenvalues, eigenvectors, reduced_linear, start)
     return lift_coefficients(result.point, rho), row
 
 
@@ -512,6 +547,7 @@ def _run_bcd(
                     f"antenna_{n}",
                     objective_of(users.covariances(antenna_matrix, f_d), receivers, weights),
                 )
+        del workspace  # so the next sweep does not build its own beside it
         evaluated = time.perf_counter()
         trace.sweep_s += evaluated - swept
 
@@ -565,13 +601,13 @@ def run_selection(
     """
     if any(eff.mode != "sel" for eff in effs):
         raise ValueError("run_selection expects selection-lifted channels")
-    one_hot = np.eye(effs[0].block_width)
-    antenna_matrix = one_hot[np.zeros(effs[0].n_antennas, dtype=int)]
+    antenna_matrix = np.eye(effs[0].block_width)[np.zeros(effs[0].n_antennas, dtype=int)]
 
     def update(workspace, n, budget):
-        terms = workspace.terms(n)
-        index, row, _ = select_pattern_and_row(terms, budget)
-        workspace.apply(n, one_hot[index], row)
+        index, row, _ = select_pattern_and_row(
+            workspace.linear(n), workspace.quads[n], workspace.inv_quads[n], budget
+        )
+        workspace.select(n, index, row)
 
     return _run_bcd(
         effs, stream_counts, config, update, antenna_matrix, 1.0, init_f_d, block_monitor
@@ -608,7 +644,9 @@ def run_synthesis(
 
     def update(workspace, n, budget):
         coeffs, row = synthesize_pattern_and_row(
-            workspace.terms(n),
+            workspace.linear(n),
+            workspace.row_quads[n],
+            workspace.pinned[n],
             functools.partial(workspace.tail_spectrum, n),
             workspace.antenna_matrix[n],
             budget,

@@ -155,13 +155,27 @@ def ball_samples(rng, count: int, dim: int, radius: float) -> np.ndarray:
     return scaled[:, :dim] + 1j * scaled[:, dim:]
 
 
-def block_objective(terms, row: np.ndarray, vector: np.ndarray) -> float:
-    """||f||^2 v^T B v + 2 Re(f^H L v) computed directly."""
-    quad = float(np.real(vector @ terms.quad_term @ vector))
-    dvec = terms.linear_term @ vector
-    return float(
-        np.real(row @ row.conj()) * quad + 2.0 * float(np.real(row.conj() @ dvec))
+def block_objective(quad, linear, row: np.ndarray, vector: np.ndarray) -> float:
+    """||f||^2 v^T Q v + 2 Re(f^H L v) computed directly."""
+    a = float(np.real(vector @ quad @ vector))
+    dvec = linear @ vector
+    return float(np.real(row @ row.conj()) * a + 2.0 * float(np.real(row.conj() @ dvec)))
+
+
+def antenna_terms(workspace, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Antenna n's quad and linear terms formed from the sweep workspace's
+    current state: its running received signal, rows and pattern vectors.
+
+    The coupling to the other antennas is R^T P_n minus antenna n's own
+    signal conj(f_n) (a_n^T Q_n), and the alignment term is subtracted
+    after it, all taken afresh, with no offset cached at the sweep start.
+    """
+    quad = workspace.quad[n]
+    row = workspace.f_d[n].conj()
+    cross = workspace.received_conj.T @ workspace.proj[n] - row[:, None] * (
+        workspace.antenna_matrix[n] @ quad
     )
+    return quad, cross - workspace.align[n]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_patter
 from trihybrid.sphere_opt import minimize_on_sphere
 from trihybrid.sphharm import FOUR_PI, SHCoefficients, default_grid, scale_to_sphere_power
 from trihybrid.wmmse import (
-    PerAntennaTerms,
+    candidate_quads,
     run_selection,
     run_synthesis,
     received_covariances,
@@ -182,17 +182,13 @@ def test_criterion_04_closed_form_row_oracle():
     width, d_streams = 4, 4
     worst_gap = -np.inf
     for _ in range(n_instances):
-        terms = PerAntennaTerms(
-            quad_term=random_psd(rng, width),
-            linear_term=random_complex(rng, d_streams, width)
-            - random_complex(rng, d_streams, width),
-        )
+        quad = random_psd(rng, width)
+        dmat = random_complex(rng, d_streams, width) - random_complex(rng, d_streams, width)
         budget = float(rng.uniform(0.5, 4.0))
-        _, _, value = select_pattern_and_row(terms, budget)
-        dmat = terms.linear_term
+        _, _, value = select_pattern_and_row(dmat, *candidate_quads(quad), budget)
         best_sampled = np.inf
         for s in range(width):
-            a = float(np.real(terms.quad_term[s, s]))
+            a = float(np.real(quad[s, s]))
             dvec = dmat[:, s]
             pts = ball_samples(rng, samples_per_state, d_streams, np.sqrt(budget))
             sampled = a * np.sum(np.abs(pts) ** 2, axis=1) + 2.0 * np.real(

@@ -70,6 +70,27 @@ def test_metrics_from_untraced_pairs_only():
     assert bench_pairs.incorrect_runs({"power_sweep": {"runs": {}, "metrics": metrics}}) == 0
 
 
+def test_largest_relative_pair_difference():
+    runs = [
+        _run(1, "base", 3.0, gain=1.0),
+        _run(1, "change", 2.0, gain=1.0 + 6.5e-9),
+        _run(2, "change", 3.3, gain=1.25),
+        _run(2, "base", 3.0, gain=1.25),
+        _run(3, "base", 1.0, trace=1),  # traced pairs do not count
+        _run(3, "change", 9.0, trace=1),
+    ]
+    metrics = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]["metrics"]
+    assert metrics["wall_s"]["max_rel_diff"] == pytest.approx(1.0 / 3.0)
+    gain = metrics["pattern_gain"]
+    assert (gain["change_wins"], gain["base_wins"]) == (1, 0)  # a last-bit win
+    assert gain["max_rel_diff"] == pytest.approx(6.5e-9, rel=1e-6)
+    # Where base is 0 the difference is taken as it is.
+    runs += [_run(4, "base", 0.0, gain=0.0), _run(4, "change", 0.5, gain=0.0)]
+    metrics = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]["metrics"]
+    assert metrics["wall_s"]["max_rel_diff"] == 0.5
+    assert metrics["pattern_gain"]["max_rel_diff"] == pytest.approx(6.5e-9, rel=1e-6)
+
+
 def test_exits_1_after_writing_when_a_run_is_incorrect(tmp_path, monkeypatch):
     outcomes = iter([_run(1, "base", 3.0), _run(1, "change", 2.0, correct=False, failed=1)])
     monkeypatch.setattr(

@@ -371,6 +371,37 @@ class TestCli:
         assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize(
+        "env, flag",
+        [
+            ("abc", None),
+            ("1.5", None),
+            ("0", None),
+            ("-2", None),
+            (None, "0"),
+            (None, "-1"),
+            ("2", "0"),  # the flag wins over the environment
+        ],
+        ids=["env_text", "env_fraction", "env_zero", "env_negative", "flag_zero", "flag_negative",
+             "flag_over_env"],
+    )
+    def test_bad_worker_count_exits_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, env, flag
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
+        if env is None:
+            monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
+        else:
+            monkeypatch.setenv(experiments.WORKER_ENV, env)
+        argv = ["run", str(write_config(tmp_path))] + (["--workers", flag] if flag else [])
+        assert main(argv) == 2
+        assert "configuration error: worker count" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "results.csv").exists()
+        with pytest.raises(ConfigurationError):
+            run_experiment(write_config(tmp_path), None if flag is None else int(flag))
+
+    @pytest.mark.parametrize(
         "sweep",
         [
             "axis = rfchains\nvalues = 0 1 2 9",  # 4 streams + 9 > 9 antennas

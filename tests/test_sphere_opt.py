@@ -13,7 +13,6 @@ from trihybrid.sphere_opt import (
     reduced_spectrum,
 )
 from trihybrid.sphharm import FOUR_PI
-from trihybrid.wmmse import PerAntennaTerms
 
 
 class TestMinimize:
@@ -143,30 +142,28 @@ class TestMinimize:
 
 class TestReducedProblem:
     def test_rho_domain(self, rng):
-        terms = _random_terms(rng, 4)
+        quad, linear = _random_terms(rng, 4)
         for rho in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 reduced_coefficient_problem(
-                    terms.quad_term, terms.linear_term, np.ones(2, dtype=complex), rho
+                    _pinned(quad), linear, np.ones(2, dtype=complex), rho
                 )
 
     def test_zero_row_zeroes_problem(self, rng):
-        terms = _random_terms(rng, 4)
+        quad, linear_term = _random_terms(rng, 4)
         scale, linear = reduced_coefficient_problem(
-            terms.quad_term, terms.linear_term, np.zeros(2, dtype=complex), 0.5
+            _pinned(quad), linear_term, np.zeros(2, dtype=complex), 0.5
         )
         assert scale == 0.0
         assert_allclose(linear, 0.0)
 
     def test_prefactors_vanish_as_rho_approaches_one(self, rng):
-        terms = _random_terms(rng, 4)
+        quad, linear_term = _random_terms(rng, 4)
         row = random_complex(rng, 2)
         sizes = []
         for rho in (0.9, 0.99, 0.999):
-            scale, linear = reduced_coefficient_problem(
-                terms.quad_term, terms.linear_term, row, rho
-            )
-            quadratic = _reduced_quadratic(terms, scale)
+            scale, linear = reduced_coefficient_problem(_pinned(quad), linear_term, row, rho)
+            quadratic = _reduced_quadratic(quad, scale)
             sizes.append(np.linalg.norm(quadratic) + np.linalg.norm(linear))
         assert sizes[0] > sizes[1] > sizes[2]
 
@@ -174,19 +171,17 @@ class TestReducedProblem:
         # The reduced objective and the full per-antenna block objective at
         # the lifted coefficients differ by a constant in the free variables.
         width = 5
-        terms = _random_terms(rng, width)
+        quad, linear_term = _random_terms(rng, width)
         row = random_complex(rng, 3)
         rho = 0.6
-        scale, linear = reduced_coefficient_problem(
-            terms.quad_term, terms.linear_term, row, rho
-        )
-        quadratic = _reduced_quadratic(terms, scale)
+        scale, linear = reduced_coefficient_problem(_pinned(quad), linear_term, row, rho)
+        quadratic = _reduced_quadratic(quad, scale)
         gaps = []
         for _ in range(10):
             point = rng.standard_normal(width - 1)
             point /= np.linalg.norm(point)
             lifted = lift_coefficients(point, rho)
-            full = block_objective(terms, row, lifted)
+            full = block_objective(quad, linear_term, row, lifted)
             reduced = _objective(quadratic, linear, point)
             gaps.append(full - reduced)
         assert np.ptp(gaps) < 1e-9 * max(1.0, abs(gaps[0]))
@@ -206,15 +201,20 @@ class TestReducedProblem:
 
 
 def _random_terms(rng, width):
+    """A random quad term and linear term."""
     streams = 2 if width == 4 else 3
-    return PerAntennaTerms(
-        quad_term=random_psd(rng, width),
-        linear_term=random_complex(rng, streams, width) - random_complex(rng, streams, width),
+    return (
+        random_psd(rng, width),
+        random_complex(rng, streams, width) - random_complex(rng, streams, width),
     )
 
 
-def _reduced_quadratic(terms, scale):
-    eigenvalues, eigenvectors = reduced_spectrum(terms.quad_term)
+def _pinned(quad):
+    return quad[1:, 0].real
+
+
+def _reduced_quadratic(quad, scale):
+    eigenvalues, eigenvectors = reduced_spectrum(quad)
     return (eigenvectors * (scale * eigenvalues)) @ eigenvectors.T
 
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import desk_scenario, desk_solver
 from helpers import (
+    antenna_terms,
     ball_samples,
     block_objective,
     embed_receivers,
@@ -37,12 +38,13 @@ from trihybrid.sphere_opt import (
     reduced_spectrum,
 )
 from trihybrid.sphharm import FOUR_PI
+from trihybrid import wmmse
 from trihybrid.wmmse import (
-    PerAntennaTerms,
     _TINY_QUAD,
     _row_solution,
     _SweepWorkspace,
     _Users,
+    candidate_quads,
     mmse_receivers,
     mse_matrix,
     mse_weights,
@@ -50,7 +52,6 @@ from trihybrid.wmmse import (
     run_selection,
     run_synthesis,
     select_pattern_and_row,
-    solve_antenna_row,
     stream_masks,
     synthesize_pattern_and_row,
     weighted_sum_rate,
@@ -371,30 +372,29 @@ class TestPerAntennaTerms:
     def test_zero_receivers_zero_terms(self, rng):
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         receivers = np.zeros_like(receivers)
-        terms = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users).terms(1)
-        assert_allclose(terms.quad_term, 0.0, atol=1e-15)
-        assert_allclose(terms.linear_term, 0.0, atol=1e-15)
+        workspace = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
+        assert_allclose(workspace.quad[1], 0.0, atol=1e-15)
+        assert_allclose(workspace.linear(1), 0.0, atol=1e-15)
 
     def test_single_antenna_has_no_cross_coupling(self, rng):
         # With no other antenna, the linear term is the alignment term alone.
         effs, _, f_d, receivers, weights, beta, users = _random_block_state(rng, n=1)
         antenna_matrix = np.eye(2)[[0]]
         workspace = _workspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta, users)
-        terms = workspace.terms(0)
-        assert_allclose(terms.linear_term, -workspace.align[0], atol=1e-12)
+        assert_allclose(workspace.linear(0), -workspace.align[0], atol=1e-12)
 
     def test_quad_term_hermitian_psd(self, rng):
-        state = _random_block_state(rng)
-        terms = _workspace(*state).terms(0)
-        assert_allclose(terms.quad_term, terms.quad_term.conj().T, atol=1e-13)
-        assert np.min(np.linalg.eigvalsh(terms.quad_term)) >= -1e-12
+        quad = _workspace(*_random_block_state(rng)).quad[0]
+        assert_allclose(quad, quad.conj().T, atol=1e-13)
+        assert np.min(np.linalg.eigvalsh(quad)) >= -1e-12
 
     def test_block_objective_differs_from_full_by_constant(self, rng):
         # The reduced quadratic form and the full weighted-MSE objective must
         # differ by a value independent of this antenna's variables.
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         n = 1
-        terms = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users).terms(n)
+        workspace = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
+        quad, linear = workspace.quad[n], workspace.linear(n)
         width = antenna_matrix.shape[1]
         gaps = []
         for _ in range(10):
@@ -406,14 +406,16 @@ class TestPerAntennaTerms:
             am_mod = antenna_matrix.copy()
             am_mod[n] = vector
             full = _full_objective(effs, am_mod, f_mod, receivers, weights, beta, users)
-            reduced = block_objective(terms, row, vector)
+            reduced = block_objective(quad, linear, row, vector)
             gaps.append(full - reduced)
         assert np.ptp(gaps) < 1e-8 * max(1.0, abs(gaps[0]))
 
     @pytest.mark.parametrize("one_hot", [True, False], ids=["selection", "coefficients"])
     def test_running_terms_match_fresh_workspace(self, rng, one_hot):
-        # After antenna updates, the rank-two corrected received signal must
-        # give the terms a workspace built from scratch on the new state gives.
+        # After antenna updates, the running received signal must give the
+        # terms that a workspace built from scratch on the new state gives.
+        # Antenna 3 commits twice, so a selection commit must also find the
+        # candidate it replaces after an earlier commit.
         width = 4
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(
             rng, n=5, width=width
@@ -422,68 +424,110 @@ class TestPerAntennaTerms:
             antenna_matrix = rng.standard_normal(antenna_matrix.shape)
         running = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
         for n in (3, 0, 4, 3, 1):
+            row = random_complex(rng, f_d.shape[1])
             if one_hot:
-                vector = np.eye(width)[rng.integers(0, width)]
+                running.select(n, int(rng.integers(0, width)), row)
             else:
-                vector = rng.standard_normal(width)
-            running.apply(n, vector, random_complex(rng, f_d.shape[1]))
+                running.apply(n, rng.standard_normal(width), row)
         fresh = _workspace(
             effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta, users
         )
         for n in range(5):
-            got, want = running.terms(n), fresh.terms(n)
-            for name in ("quad_term", "linear_term"):
-                a, b = getattr(got, name), getattr(want, name)
+            got, want = antenna_terms(running, n), antenna_terms(fresh, n)
+            for name, a, b in zip(("quad", "linear"), got, want):
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (n, name)
+
+    @pytest.mark.parametrize("mode", ["selection", "synthesis"])
+    def test_sweep_steps_match_oracle(self, monkeypatch, mode):
+        # One real sweep through the solver's own step functions: at every
+        # antenna step the linear term built from the sweep's offsets, and
+        # the row the step picks, match the terms formed afresh from the
+        # running state.
+        scenario = desk_scenario(5, n_users=3)
+        if mode == "selection":
+            candidates = gaussian_beam_grid(4)
+            effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+            solve, step_name = run_selection, "select_pattern_and_row"
+        else:
+            effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
+            solve, step_name = run_synthesis, "synthesize_pattern_and_row"
+        workspaces = []
+
+        class Recorded(wmmse._SweepWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workspaces.append(self)
+
+        step = getattr(wmmse, step_name)
+        checked = []
+
+        def checked_step(linear, *args):
+            workspace, n = workspaces[-1], len(checked)
+            quad, want = antenna_terms(workspace, n)
+            assert np.linalg.norm(linear - want) <= 1e-12 * np.linalg.norm(want), n
+            out = step(linear, *args)
+            budget = args[-1] if mode == "selection" else args[-2]
+            if mode == "selection":
+                rows = [_row_solution(float(quad[s, s].real), want[:, s], budget) for s in range(4)]
+                index = int(np.argmin([value for _, value in rows]))
+                assert out[0] == index, n
+                want_row, row = rows[index][0], out[1]
+            else:
+                vector = workspace.antenna_matrix[n]
+                a = float(np.real(vector @ quad @ vector))
+                want_row, _ = _row_solution(a, want @ vector, budget)
+                row = out[1]
+            assert np.linalg.norm(row - want_row) <= 1e-12 * np.linalg.norm(want_row), n
+            checked.append(n)
+            return out
+
+        monkeypatch.setattr(wmmse, "_SweepWorkspace", Recorded)
+        monkeypatch.setattr(wmmse, step_name, checked_step)
+        solve(effs, (1, 2, 1), desk_solver(max_outer_iterations=1))
+        assert checked == list(range(effs[0].n_antennas))
 
 
 class TestClosedFormRow:
-    def test_zero_direction_gives_zero(self, rng):
-        width = 3
-        terms = PerAntennaTerms(
-            quad_term=np.eye(width, dtype=complex),
-            linear_term=np.zeros((4, width), dtype=complex),
-        )
-        v = np.zeros(width)
-        v[0] = 1.0
-        assert_allclose(solve_antenna_row(terms, v, 5.0), 0.0)
+    def test_zero_direction_gives_zero(self):
+        row, value = _row_solution(1.0, np.zeros(4, dtype=complex), 5.0)
+        assert_allclose(row, 0.0)
+        assert value == 0.0
 
     def test_interior_optimum(self):
         # Unit quadratic, unit direction, large budget: step length one.
-        quad = np.eye(1, dtype=complex)
-        d = np.zeros((3, 1), dtype=complex)
-        d[0, 0] = 1.0
-        terms = PerAntennaTerms(quad_term=quad, linear_term=d)
-        row = solve_antenna_row(terms, np.ones(1), 100.0)
-        assert_allclose(row, -d[:, 0], atol=1e-14)
+        d = np.zeros(3, dtype=complex)
+        d[0] = 1.0
+        row, _ = _row_solution(1.0, d, 100.0)
+        assert_allclose(row, -d, atol=1e-14)
 
     def test_power_limited_branch(self):
-        quad = 0.1 * np.eye(1, dtype=complex)
-        d = np.zeros((2, 1), dtype=complex)
-        d[1, 0] = 1.0
-        terms = PerAntennaTerms(quad_term=quad, linear_term=d)
-        row = solve_antenna_row(terms, np.ones(1), 4.0)
+        d = np.zeros(2, dtype=complex)
+        d[1] = 1.0
+        row, _ = _row_solution(0.1, d, 4.0)
         # Step is min(1/0.1, sqrt(4)/1) = 2.
-        assert_allclose(row, -2.0 * d[:, 0], atol=1e-14)
+        assert_allclose(row, -2.0 * d, atol=1e-14)
 
     def test_beats_dense_ball_sampling(self, rng):
         d_streams, width, budget = 3, 2, 2.0
         quad = random_psd(rng, width)
         cross = random_complex(rng, d_streams, width)
         align = random_complex(rng, d_streams, width)
-        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         v = np.zeros(width)
         v[1] = 1.0
-        row = solve_antenna_row(terms, v, budget)
-        assert np.real(row @ row.conj()) <= budget * (1 + 1e-12)
-        value = block_objective(terms, row, v)
-        samples = ball_samples(rng, 200_000, d_streams, np.sqrt(budget))
         a = float(np.real(v @ quad @ v))
         dvec = (cross - align) @ v
+        row, _ = _row_solution(a, dvec, budget)
+        assert np.real(row @ row.conj()) <= budget * (1 + 1e-12)
+        value = block_objective(quad, cross - align, row, v)
+        samples = ball_samples(rng, 200_000, d_streams, np.sqrt(budget))
         sampled = a * np.sum(np.abs(samples) ** 2, axis=1) + 2.0 * np.real(
             samples.conj() @ dvec
         )
         assert value <= float(np.min(sampled)) + 1e-6
+
+
+def _select(quad, linear, budget):
+    return select_pattern_and_row(linear, *candidate_quads(quad), budget)
 
 
 class TestSelectPattern:
@@ -491,18 +535,16 @@ class TestSelectPattern:
         quad = random_psd(rng, 1)
         cross = random_complex(rng, 3, 1)
         align = random_complex(rng, 3, 1)
-        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
-        index, row, value = select_pattern_and_row(terms, 1.0)
+        index, row, value = _select(quad, cross - align, 1.0)
         assert index == 0
-        assert_allclose(row, solve_antenna_row(terms, np.ones(1), 1.0))
+        assert_allclose(row, _row_solution(float(quad[0, 0].real), (cross - align)[:, 0], 1.0)[0])
 
     def test_matches_joint_brute_force(self, rng):
         d_streams, width, budget = 3, 4, 1.5
         quad = random_psd(rng, width)
         cross = random_complex(rng, d_streams, width)
         align = random_complex(rng, d_streams, width)
-        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
-        index, row, value = select_pattern_and_row(terms, budget)
+        index, row, value = _select(quad, cross - align, budget)
         best_sampled = np.inf
         for s in range(width):
             v = np.zeros(width)
@@ -523,8 +565,7 @@ class TestSelectPattern:
         cross = np.hstack([cross, cross])  # identical candidates
         align = np.zeros_like(cross)
         quad[0, 1] = quad[1, 0] = quad[0, 0]
-        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
-        index, _, _ = select_pattern_and_row(terms, 1.0)
+        index, _, _ = _select(quad, cross - align, 1.0)
         assert index == 0
 
     def test_zero_direction_and_zero_quad_candidates(self, rng):
@@ -542,22 +583,15 @@ class TestSelectPattern:
         direction[:, 2] *= 10.0  # the boundary step of candidate 2 wins
         direction[:, 3] *= 1e-14
         cross = align + direction
-        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         expected = [
             _row_solution(float(quad[s, s].real), cross[:, s] - align[:, s], budget)
             for s in range(width)
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            index, row, value = select_pattern_and_row(terms, budget)
+            index, row, value = _select(quad, cross - align, budget)
             singles = [
-                select_pattern_and_row(
-                    PerAntennaTerms(
-                        quad_term=quad[s : s + 1, s : s + 1],
-                        linear_term=(cross - align)[:, s : s + 1],
-                    ),
-                    budget,
-                )
+                _select(quad[s : s + 1, s : s + 1], (cross - align)[:, s : s + 1], budget)
                 for s in range(width)
             ]
         values = [v for _, v in expected]
@@ -572,16 +606,24 @@ class TestSelectPattern:
             assert single_value == pytest.approx(expected[s][1], rel=1e-13, abs=0.0)
 
 
+def _synthesize(quad, linear, tail_spectrum, coefficients, budget, rho):
+    """synthesize_pattern_and_row with the row coefficient and the pinned
+    coupling read off a dense quad term."""
+    row_quad = float(np.real(coefficients @ quad @ coefficients))
+    return synthesize_pattern_and_row(
+        linear, row_quad, quad[1:, 0].real, tail_spectrum, coefficients, budget, rho
+    )
+
+
 class TestSynthesizeUpdate:
     def test_rho_one_keeps_coefficients(self, rng):
         width = 9
         quad = random_psd(rng, width)
         cross = random_complex(rng, 4, width)
         align = random_complex(rng, 4, width)
-        terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
         coeffs = np.zeros(width)
         coeffs[0] = 2.0 * np.sqrt(np.pi)
-        out, row = synthesize_pattern_and_row(terms, _never_called, coeffs, 1.0, 1.0)
+        out, row = _synthesize(quad, cross - align, _never_called, coeffs, 1.0, 1.0)
         assert_allclose(out, coeffs)
         assert np.any(row != 0)
 
@@ -591,7 +633,7 @@ class TestSynthesizeUpdate:
             quad = random_psd(rng, width)
             cross = random_complex(rng, 3, width)
             align = random_complex(rng, 3, width)
-            terms = PerAntennaTerms(quad_term=quad, linear_term=cross - align)
+            linear = cross - align
             start = np.zeros(width - 1)
             start[0] = 1.0
             rho = 0.7
@@ -599,26 +641,25 @@ class TestSynthesizeUpdate:
                 [[2 * np.sqrt(rho * np.pi)], 2 * np.sqrt((1 - rho) * np.pi) * start]
             )
             row0 = random_complex(rng, 3)
-            before = block_objective(terms, row0, coeffs)
-            out, row = synthesize_pattern_and_row(
-                terms, _tail_spectrum(terms), coeffs, float(np.real(row0 @ row0.conj())), rho
+            before = block_objective(quad, linear, row0, coeffs)
+            out, row = _synthesize(
+                quad, linear, _tail_spectrum(quad), coeffs, float(np.real(row0 @ row0.conj())), rho
             )
-            after = block_objective(terms, row, out)
+            after = block_objective(quad, linear, row, out)
             assert after <= before + 1e-9
             assert abs(out @ out - FOUR_PI) < 1e-9
             assert out[0] == pytest.approx(2 * np.sqrt(rho * np.pi))
 
     def test_zero_terms_keep_start(self):
         width = 4
-        terms = PerAntennaTerms(
-            quad_term=np.zeros((width, width), dtype=complex),
-            linear_term=np.zeros((2, width), dtype=complex),
-        )
+        quad = np.zeros((width, width), dtype=complex)
         rho = 0.8
         coeffs = np.concatenate(
             [[2 * np.sqrt(rho * np.pi)], 2 * np.sqrt((1 - rho) * np.pi) * np.array([1.0, 0, 0])]
         )
-        out, row = synthesize_pattern_and_row(terms, _tail_spectrum(terms), coeffs, 1.0, rho)
+        out, row = _synthesize(
+            quad, np.zeros((2, width), dtype=complex), _never_called, coeffs, 1.0, rho
+        )
         assert_allclose(out, coeffs)
         assert_allclose(row, 0.0)
 
@@ -629,28 +670,26 @@ class TestSynthesizeUpdate:
         width = 9
         for _ in range(20):
             quad = random_psd(rng, width)
-            terms = PerAntennaTerms(
-                quad_term=quad,
-                linear_term=random_complex(rng, 4, width) - random_complex(rng, 4, width),
-            )
+            linear = random_complex(rng, 4, width) - random_complex(rng, 4, width)
             rho = float(rng.uniform(0.05, 0.95))
             tail = rng.standard_normal(width - 1)
             start = tail / np.linalg.norm(tail)
             coeffs = lift_coefficients(start, rho)
             budget = float(rng.uniform(0.1, 4.0))
-            out, row = synthesize_pattern_and_row(
-                terms, _tail_spectrum(terms), coeffs, budget, rho
+            out, row = _synthesize(quad, linear, _tail_spectrum(quad), coeffs, budget, rho)
+            want_row, _ = _row_solution(
+                float(np.real(coeffs @ quad @ coeffs)), linear @ coeffs, budget
             )
-            assert np.array_equal(row, solve_antenna_row(terms, coeffs, budget))
-            scale, linear = reduced_coefficient_problem(quad, terms.linear_term, row, rho)
+            assert np.array_equal(row, want_row)
+            scale, reduced = reduced_coefficient_problem(quad[1:, 0].real, linear, row, rho)
             dense = minimize_on_sphere(
-                *np.linalg.eigh(scale * np.real(quad[1:, 1:])), linear, start
+                *np.linalg.eigh(scale * np.real(quad[1:, 1:])), reduced, start
             )
             assert_allclose(out, lift_coefficients(dense.point, rho), rtol=0.0, atol=1e-12)
 
 
-def _tail_spectrum(terms):
-    return functools.partial(reduced_spectrum, terms.quad_term)
+def _tail_spectrum(quad):
+    return functools.partial(reduced_spectrum, quad)
 
 
 def _never_called():
@@ -734,6 +773,49 @@ class TestRunSelection:
         _, trace = run_selection(effs, (1, 2, 1), config)
         assert trace.n_iterations == 3
         assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 3}
+
+
+class TestTracedStepNames:
+    def test_step_functions_called_once_per_antenna_step(self, small_setup, monkeypatch):
+        # perfbench's tracer times the antenna step and the sphere solve by
+        # wrapping these module-level names, so the sweep must call them:
+        # one selection or synthesis call per antenna step, and one sphere
+        # solve per synthesis step that solves on the sphere (rho < 1 and a
+        # nonzero row).
+        scenario, candidates, streams = small_setup
+        calls = {"select": 0, "synthesize": 0, "solving": 0, "sphere": 0}
+        select = wmmse.select_pattern_and_row
+        synthesize = wmmse.synthesize_pattern_and_row
+        sphere = wmmse.minimize_on_sphere
+
+        def counted_select(*args):
+            calls["select"] += 1
+            return select(*args)
+
+        def counted_synthesize(*args):
+            calls["synthesize"] += 1
+            coefficients, row = synthesize(*args)
+            calls["solving"] += bool(np.any(row))
+            return coefficients, row
+
+        def counted_sphere(*args):
+            calls["sphere"] += 1
+            return sphere(*args)
+
+        monkeypatch.setattr(wmmse, "select_pattern_and_row", counted_select)
+        monkeypatch.setattr(wmmse, "synthesize_pattern_and_row", counted_synthesize)
+        monkeypatch.setattr(wmmse, "minimize_on_sphere", counted_sphere)
+        config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
+        assert config.rho < 1.0
+        sel = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+        syn = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
+        _, trace_sel = run_selection(sel, streams, config)
+        _, trace_syn = run_synthesis(syn, streams, config)
+        n_antennas = sel[0].n_antennas
+        assert trace_sel.n_iterations == trace_syn.n_iterations == 3
+        assert calls["select"] == 3 * n_antennas
+        assert calls["synthesize"] == 3 * n_antennas
+        assert calls["sphere"] == calls["solving"] > 0
 
 
 class TestRunSynthesis:

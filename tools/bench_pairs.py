@@ -17,10 +17,12 @@ The file's `summary` is recomputed from all its runs.  Per workload, `runs`
 gives each side's totals over every run, traced ones included: cells
 attempted, cells failed, and runs perfbench did not report correct.
 `metrics` gives, from the untraced runs, each end-to-end metric's median and
-quartiles per side and the number of pairs the change won by the direction
-`BENCHMARK.json` gives the metric (ties count for neither side).  The medians
-include every run; the script exits 1 after writing the file when any run
-in it is incorrect.
+quartiles per side, the number of pairs the change won by the direction
+`BENCHMARK.json` gives the metric (ties count for neither side), and
+`max_rel_diff`, the largest |change - base| / |base| over the pairs (the
+absolute difference where base is 0), which shows whether a metric moved
+by more than its last bits.  The medians include every run; the script
+exits 1 after writing the file when any run in it is incorrect.
 
 Given the same checkout as `--base` and `--change`, the file is an A/A
 record: its summary shows how far the host alone moves each metric between
@@ -57,9 +59,14 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _relative_difference(base: float, change: float) -> float:
+    """|change - base| / |base|, or the absolute difference where base is 0."""
+    return abs(change - base) / (abs(base) or 1.0)
+
+
 def summarize(runs: list[dict], directions: dict) -> dict:
     """Per workload: each side's run totals, and per metric each side's
-    quartiles and the pairs won."""
+    quartiles, the pairs won and the largest relative pair difference."""
     summary: dict = {}
     pairs: dict = {}  # (workload, pair) -> side -> metrics
     for run in runs:
@@ -84,10 +91,12 @@ def summarize(runs: list[dict], directions: dict) -> dict:
             base = sides["base"][name]["value"]
             change = sides["change"][name]["value"]
             entry = summary[workload]["metrics"].setdefault(
-                name, {"base": [], "change": [], "change_wins": 0, "base_wins": 0}
+                name,
+                {"base": [], "change": [], "change_wins": 0, "base_wins": 0, "max_rel_diff": 0.0},
             )
             entry["base"].append(base)
             entry["change"].append(change)
+            entry["max_rel_diff"] = max(entry["max_rel_diff"], _relative_difference(base, change))
             if base != change:
                 change_better = change < base if better == "lower" else change > base
                 entry["change_wins" if change_better else "base_wins"] += 1
