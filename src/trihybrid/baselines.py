@@ -66,13 +66,13 @@ def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:
             null_basis = vh[rank:].conj().T  # (N, N - rank)
         else:
             null_basis = np.eye(n, dtype=complex)
-        if null_basis.shape[1] < stream_counts[k]:
-            raise ConfigurationError(
-                f"user {k}: null space dimension {null_basis.shape[1]} cannot "
-                f"carry {stream_counts[k]} streams"
-            )
         projected = channels[k] @ null_basis
         _, _, vh_proj = np.linalg.svd(projected, full_matrices=False)
+        if vh_proj.shape[0] < stream_counts[k]:  # min(M_k, null space dimension)
+            raise ConfigurationError(
+                f"user {k}: the projected channel has {vh_proj.shape[0]} directions for "
+                f"{stream_counts[k]} streams"
+            )
         directions = null_basis @ vh_proj.conj().T[:, : stream_counts[k]]
         blocks.append(np.sqrt(per_stream) * directions)
 

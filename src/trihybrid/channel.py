@@ -328,25 +328,26 @@ class EffectiveChannel:
         return self.matrix.reshape(self.n_rx, self.n_antennas, self.block_width)
 
 
+def _lift(geom: PathGeometry, gains: np.ndarray, mode: str) -> EffectiveChannel:
+    """Lifted channel (M x N*W) through W gain functions per antenna, sampled
+    at every pair's departure angles: `gains` is (L, M, N, W)."""
+    lifted = (_base_factors(geom)[..., None] * gains).sum(axis=0)
+    M, N, L = geom.n_rx, geom.n_tx, geom.n_paths
+    width = gains.shape[-1]
+    matrix = np.sqrt(N * M / L) * lifted.reshape(M, N * width)
+    return EffectiveChannel(matrix=matrix, mode=mode, block_width=width)
+
+
 def selection_effective_channel(geom: PathGeometry, candidates: CandidateSet) -> EffectiveChannel:
     """Lifted channel over a finite candidate set (M x N*S)."""
-    base = _base_factors(geom)  # (L, M, N)
-    gains = candidates.gain_vector(geom.aod_inclination, geom.aod_azimuth)  # (L, M, N, S)
-    lifted = (base[..., None] * gains).sum(axis=0)
-    M, N, L = geom.n_rx, geom.n_tx, geom.n_paths
-    matrix = np.sqrt(N * M / L) * lifted.reshape(M, N * candidates.size)
-    return EffectiveChannel(matrix=matrix, mode="sel", block_width=candidates.size)
+    gains = candidates.gain_vector(geom.aod_inclination, geom.aod_azimuth)
+    return _lift(geom, gains, "sel")
 
 
 def synthesis_effective_channel(geom: PathGeometry, degree: int) -> EffectiveChannel:
     """Lifted channel over the harmonic basis up to `degree` (M x N*T)."""
-    base = _base_factors(geom)
     basis = sphharm.sh_basis(geom.aod_inclination, geom.aod_azimuth, degree)
-    lifted = (base[..., None] * basis).sum(axis=0)
-    M, N, L = geom.n_rx, geom.n_tx, geom.n_paths
-    width = sphharm.truncation_length(degree)
-    matrix = np.sqrt(N * M / L) * lifted.reshape(M, N * width)
-    return EffectiveChannel(matrix=matrix, mode="cof", block_width=width)
+    return _lift(geom, basis, "cof")
 
 
 def compose(eff: EffectiveChannel, antenna_matrix: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,6 @@ from .channel import (
     selection_effective_channel,
     synthesis_effective_channel,
 )
-from .decomp import decompose_precoder
 from .exceptions import ConfigurationError, SweepError
 from .metrics import audit_constraints
 from .patterns import CandidateSet, gaussian_beam_grid, most_square_factors
@@ -116,17 +115,14 @@ _AXES = ("power", "rfchains", "antennas")
 @dataclass
 class ExperimentConfig:
     scenario: ScenarioConfig
+    solver: SolverConfig  # template; each cell sets its power, noise and chain count
     streams_per_user: int
     candidates: int
     beamwidth_deg: float
     sh_degree: int
-    rho: float
     power_dbm: float
     noise_dbm: float
     rf_chains_offset: int
-    max_outer_iterations: int
-    objective_tol: float
-    solver_seed: int
     warm_start: bool
     axis: str
     values: tuple[float, ...]
@@ -177,6 +173,8 @@ def _parse_box(text: str) -> tuple[float, ...]:
         raise ConfigurationError(
             f"boxes need 6 values (xmin xmax ymin ymax zmin zmax), got {len(values)}"
         )
+    if any(low > high for low, high in zip(values[0::2], values[1::2])):
+        raise ConfigurationError(f"box {text.strip()} has a minimum above its maximum")
     return values
 
 
@@ -214,22 +212,25 @@ def load_config(path) -> ExperimentConfig:
         if key in section:
             try:
                 return cast(section[key])
-            except (ValueError, ConfigurationError) as exc:
+            except (ValueError, KeyError, ConfigurationError) as exc:
                 raise ConfigurationError(f"bad value for {key}: {exc}") from exc
         return default
 
+    d, s = ScenarioConfig(), SolverConfig()  # the defaults of absent keys
     scenario = ScenarioConfig(
-        carrier_hz=get(sc, "carrier_hz", _finite, 30e9),
-        bs_shape=(get(sc, "bs_rows", _count, 4), get(sc, "bs_cols", _count, 4)),
-        bs_spacing_wavelengths=get(sc, "bs_spacing_wl", _finite, 0.5),
-        ue_shape=(get(sc, "ue_rows", _count, 2), get(sc, "ue_cols", _count, 1)),
-        ue_spacing_wavelengths=get(sc, "ue_spacing_wl", _finite, 0.5),
-        n_users=get(sc, "users", _count, 2),
-        paths_per_user=get(sc, "paths_per_user", _parse_paths, 4),
-        user_positions=get(sc, "user_positions", _parse_positions, None),
-        user_box=get(sc, "user_box", _parse_box, ScenarioConfig.user_box),
-        scatterer_box=get(sc, "scatterer_box", _parse_box, ScenarioConfig.scatterer_box),
-        pathloss_exponent=get(sc, "pathloss_exponent", _finite, 2.0),
+        carrier_hz=get(sc, "carrier_hz", _finite, d.carrier_hz),
+        bs_shape=(get(sc, "bs_rows", _count, d.bs_shape[0]),
+                  get(sc, "bs_cols", _count, d.bs_shape[1])),
+        bs_spacing_wavelengths=get(sc, "bs_spacing_wl", _finite, d.bs_spacing_wavelengths),
+        ue_shape=(get(sc, "ue_rows", _count, d.ue_shape[0]),
+                  get(sc, "ue_cols", _count, d.ue_shape[1])),
+        ue_spacing_wavelengths=get(sc, "ue_spacing_wl", _finite, d.ue_spacing_wavelengths),
+        n_users=get(sc, "users", _count, d.n_users),
+        paths_per_user=get(sc, "paths_per_user", _parse_paths, d.paths_per_user),
+        user_positions=get(sc, "user_positions", _parse_positions, d.user_positions),
+        user_box=get(sc, "user_box", _parse_box, d.user_box),
+        scatterer_box=get(sc, "scatterer_box", _parse_box, d.scatterer_box),
+        pathloss_exponent=get(sc, "pathloss_exponent", _finite, d.pathloss_exponent),
     )
 
     axis = get(sw, "axis", str, "power").strip()
@@ -246,18 +247,20 @@ def load_config(path) -> ExperimentConfig:
 
     config = ExperimentConfig(
         scenario=scenario,
+        solver=SolverConfig(
+            max_outer_iterations=get(so, "max_outer_iterations", _count, s.max_outer_iterations),
+            objective_tol=get(so, "objective_tol", _finite, s.objective_tol),
+            rho=get(so, "rho", _finite, s.rho),
+            seed=get(so, "seed", int, s.seed),
+        ),
         streams_per_user=get(so, "streams_per_user", _count, 2),
         candidates=get(so, "candidates", _count, 8),
         beamwidth_deg=get(so, "beamwidth_deg", _finite, 85.0),
         sh_degree=get(so, "sh_degree", int, 2),
-        rho=get(so, "rho", _finite, 0.7),
         power_dbm=get(so, "power_dbm", _finite, 0.0),
         noise_dbm=get(so, "noise_dbm", _finite, -90.0),
         rf_chains_offset=get(so, "rf_chains_offset", int, 3),
-        max_outer_iterations=get(so, "max_outer_iterations", _count, 50),
-        objective_tol=get(so, "objective_tol", _finite, 1e-6),
-        solver_seed=get(so, "seed", int, 0),
-        warm_start=get(so, "warm_start", lambda v: v.lower() in ("1", "true", "yes"), False),
+        warm_start=get(so, "warm_start", lambda v: parser.BOOLEAN_STATES[v.lower()], False),
         axis=axis,
         values=values,
         methods=methods,
@@ -282,19 +285,33 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError(f"paths_per_user lists {len(paths)} counts for {n_users} users")
     if not config.values or not config.seeds:
         raise ConfigurationError("the sweep needs at least one value and one seed")
-    if config.solver_seed < 0 or min(config.seeds) < 0:
+    solver = config.solver
+    if solver.seed < 0 or min(config.seeds) < 0:
         raise ConfigurationError("seeds must be nonnegative")
+    if solver.objective_tol < 0.0:
+        raise ConfigurationError(f"objective_tol must be nonnegative, got {solver.objective_tol}")
     if not 0.0 < config.beamwidth_deg < 180.0:
         raise ConfigurationError(f"beamwidth_deg must lie in (0, 180), got {config.beamwidth_deg}")
     if config.sh_degree < 0:
         raise ConfigurationError("sh_degree must be nonnegative")
-    if not 0.0 < config.rho <= 1.0:
-        raise ConfigurationError(f"rho must lie in (0, 1], got {config.rho}")
+    if not 0.0 < solver.rho <= 1.0:
+        raise ConfigurationError(f"rho must lie in (0, 1], got {solver.rho}")
+    if config.axis != "power" and not all(v.is_integer() for v in config.values):
+        raise ConfigurationError(f"{config.axis} values must be integers, got {config.values}")
     if config.axis == "antennas" and any(int(v) < 1 for v in config.values):
         raise ConfigurationError("antenna counts must be positive")
+    if config.streams_per_user > math.prod(scenario.ue_shape):
+        raise ConfigurationError("streams_per_user exceeds the antennas of a user")
+    n_streams = config.streams_per_user * n_users
     for value in config.values:
-        rf_chains = _rf_chains_for(config, value)
+        with np.errstate(over="ignore"):  # a power of inf mW is rejected below
+            cell_solver = _solver_for(config, value)
         n_antennas = math.prod(_scenario_for(config, value).bs_shape)
+        if not (0.0 < cell_solver.power < math.inf and 0.0 < cell_solver.noise < math.inf):
+            raise ConfigurationError(f"power or noise is not finite and positive at {value}")
+        if n_streams > n_antennas:
+            raise ConfigurationError(f"{n_streams} streams exceed {n_antennas} antennas at {value}")
+        rf_chains = cell_solver.rf_chains
         if rf_chains < 1:
             raise ConfigurationError(f"{rf_chains} chains at sweep value {value}; need 1 or more")
         if rf_chains > n_antennas:
@@ -310,9 +327,8 @@ def _validate(config: ExperimentConfig) -> None:
 @dataclass
 class RunResult:
     row: dict
-    trace_rows: list = field(default_factory=list)
-    seconds: float = 0.0
-    phase_seconds: tuple[float, ...] = ()  # one per _PHASE_COLUMNS entry
+    trace: Trace
+    seconds: float
 
 
 def _float_repr(value) -> str:
@@ -326,21 +342,14 @@ def _scenario_for(config: ExperimentConfig, value: float) -> ScenarioConfig:
     return scenario
 
 
-def _rf_chains_for(config: ExperimentConfig, value: float) -> int:
-    offset = int(value) if config.axis == "rfchains" else config.rf_chains_offset
-    return config.streams_per_user * config.scenario.n_users + offset
-
-
 def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
     power_dbm = value if config.axis == "power" else config.power_dbm
-    return SolverConfig(
+    offset = int(value) if config.axis == "rfchains" else config.rf_chains_offset
+    return replace(
+        config.solver,
         power=float(dbm_to_milliwatts(power_dbm)),
         noise=float(dbm_to_milliwatts(config.noise_dbm)),
-        rf_chains=_rf_chains_for(config, value),
-        max_outer_iterations=config.max_outer_iterations,
-        objective_tol=config.objective_tol,
-        rho=config.rho,
-        seed=config.solver_seed,
+        rf_chains=config.streams_per_user * config.scenario.n_users + offset,
     )
 
 
@@ -376,9 +385,14 @@ class _Cell:
         )
 
     @cached_property
+    def baseline_set(self) -> CandidateSet:
+        return CandidateSet((self.candidates.baseline,))
+
+    @cached_property
     def fixed_effs(self) -> list[EffectiveChannel]:
-        single = CandidateSet((self.candidates.baseline,))
-        return [selection_effective_channel(g, single) for g in self.scenario.geometries]
+        return [
+            selection_effective_channel(g, self.baseline_set) for g in self.scenario.geometries
+        ]
 
     @cached_property
     def fixed_solve(self) -> tuple[PrecoderState, Trace]:
@@ -393,15 +407,8 @@ def _zero_forcing_state(cell: _Cell) -> PrecoderState:
     antenna_matrix = np.ones((cell.fixed_effs[0].n_antennas, 1))
     channels = [compose(e, antenna_matrix) for e in cell.fixed_effs]
     f_d = bd_zero_forcing(channels, cell.streams, solver.power)
-    decomp = decompose_precoder(f_d, solver.rf_chains, solver.power, seed=solver.seed)
-    return PrecoderState(
-        f_d=f_d,
-        f_rf=decomp.f_rf,
-        f_bb=decomp.f_bb,
-        antenna_matrix=antenna_matrix,
-        power=np.full(f_d.shape[0], solver.power),
-        decomp_residual=decomp.residual,
-    )
+    power = np.full(f_d.shape[0], solver.power)
+    return PrecoderState.decomposed(f_d, antenna_matrix, power, solver)
 
 
 def run_point(
@@ -428,11 +435,11 @@ def run_point(
     elif method == "wmmse_fixed":
         state, trace = cell.fixed_solve
         effs = cell.fixed_effs
-        audit_set = CandidateSet((cell.candidates.baseline,))
+        audit_set = cell.baseline_set
     elif method == "zf":
         state, trace = _zero_forcing_state(cell), Trace(converged=True)
         effs = cell.fixed_effs
-        audit_set = CandidateSet((cell.candidates.baseline,))
+        audit_set = cell.baseline_set
     else:
         raise ConfigurationError(f"unknown method {method!r}")
 
@@ -461,16 +468,7 @@ def run_point(
     }
     if method == "zf":
         row["zf_leakage"] = _float_repr(interference_leakage(channels, state.f_d, cell.streams))
-    trace_rows = [
-        (i, _float_repr(o), _float_repr(r), _float_repr(v))
-        for (i, o, r, v) in trace.rows()
-    ]
-    return RunResult(
-        row=row,
-        trace_rows=trace_rows,
-        seconds=time.perf_counter() - started,
-        phase_seconds=tuple(getattr(trace, name) for name in _PHASE_COLUMNS),
-    )
+    return RunResult(row=row, trace=trace, seconds=time.perf_counter() - started)
 
 
 def _run_cell(args) -> tuple[list[RunResult], str | None]:
@@ -561,20 +559,22 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
         writer = csv.writer(fh)
         writer.writerow(["sweep_value", "method", "scenario_seed", "seconds", *_PHASE_COLUMNS])
         for value, method, seed, result in runs:
-            seconds = (result.seconds, *result.phase_seconds)
+            seconds = (result.seconds, *(getattr(result.trace, p) for p in _PHASE_COLUMNS))
             writer.writerow([value, method, seed, *(f"{s:.6f}" for s in seconds)])
 
     if config.traces_dir:
         traces_dir = os.path.join(base_dir, config.traces_dir)
         os.makedirs(traces_dir, exist_ok=True)
         for value, method, seed, result in runs:
-            if not result.trace_rows:
+            if not result.trace.n_iterations:
                 continue
             name = f"trace_v{config.values.index(value)}_{method}_s{seed}.csv"
             with open(os.path.join(traces_dir, name), "w", newline="", encoding="ascii") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["iter", "objective", "sum_rate_bps_hz", "max_power_violation"])
-                writer.writerows(result.trace_rows)
+                writer.writerows(
+                    (i, *map(_float_repr, values)) for i, *values in result.trace.rows()
+                )
 
     failed = [
         f"value {value!r}, seed {seed}: {error}"
@@ -620,13 +620,8 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
 
     # (sweep value, method) -> (digital rate, hybrid rate, unconverged) per run
     groups: dict[tuple[float, str], list[tuple[float, float, bool]]] = {}
-    order: list[tuple[float, str]] = []
     for row in rows:
-        key = (float(row["sweep_value"]), row["method"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(
+        groups.setdefault((float(row["sweep_value"]), row["method"]), []).append(
             (
                 float(row["sum_rate_digital"]),
                 float(row["sum_rate_hybrid"]),
@@ -657,8 +652,8 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
                 "hybrid_stderr",
             ]
         )
-        for value, method in sorted(order, key=lambda k: (k[0], order.index(k))):
-            samples = groups[(value, method)]
+        # Sweep values ascending; a stable sort keeps each value's methods in file order.
+        for (value, method), samples in sorted(groups.items(), key=lambda g: g[0][0]):
             d_mean, d_err = stats([s[0] for s in samples])
             h_mean, h_err = stats([s[1] for s in samples])
             if figure == "rfchains":

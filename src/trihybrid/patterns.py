@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sphharm
 from .exceptions import ConfigurationError
-from .sphharm import FOUR_PI, SHCoefficients, SphereGrid, default_grid
+from .sphharm import FOUR_PI, SphereGrid, default_grid
 
 _LN2 = float(np.log(2.0))
 
@@ -81,8 +81,6 @@ class RadiationPattern:
         out = self.scale * raw
         return out if out.ndim else float(out)
 
-    __call__ = gain
-
     def scaled(self, factor: float) -> "RadiationPattern":
         return replace(self, scale=self.scale * factor)
 
@@ -119,8 +117,8 @@ def gaussian_beam(
     )
 
 
-def harmonic_pattern(coeffs: SHCoefficients) -> RadiationPattern:
-    """Pattern synthesized from harmonic coefficients.
+def harmonic_pattern(coeffs: np.ndarray) -> RadiationPattern:
+    """Pattern synthesized from a harmonic coefficient vector.
 
     Positivity is the caller's responsibility; audit with
     :func:`trihybrid.metrics.audit_constraints` when in doubt.
@@ -132,7 +130,7 @@ def normalize_pattern(
     pattern: RadiationPattern, grid: SphereGrid | None = None
 ) -> RadiationPattern:
     """Rescale so the squared gain integrates to 4*pi over the sphere."""
-    energy = sphharm.pattern_energy(pattern, grid)
+    energy = sphharm.pattern_energy(pattern.gain, grid)
     if energy <= 0.0:
         raise ValueError("cannot normalize a pattern with zero radiated power")
     return pattern.scaled(float(np.sqrt(FOUR_PI / energy)))

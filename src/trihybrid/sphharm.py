@@ -115,52 +115,13 @@ def sh_basis(theta, phi, degree: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Coefficient vectors
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SHCoefficients:
-    """Coefficient vector of a truncated harmonic expansion."""
-
-    values: np.ndarray
-    degree: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        expected = truncation_length(self.degree)
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} coefficients for degree {self.degree}, "
-                f"got shape {self.values.shape}"
-            )
-
-    def total_power(self) -> float:
-        """Squared 2-norm; equals the surface integral of the squared gain."""
-        return float(self.values @ self.values)
-
-
-def scale_to_sphere_power(coeffs: SHCoefficients) -> SHCoefficients:
-    """Rescale so the synthesized gain carries total power 4*pi."""
-    power = coeffs.total_power()
-    if power <= 0.0:
-        raise ValueError("cannot normalize a zero coefficient vector")
-    return SHCoefficients(coeffs.values * np.sqrt(FOUR_PI / power), coeffs.degree)
-
-
 def synthesize_gain(coeffs, theta, phi):
     """Evaluate the gain synthesized from harmonic coefficients at (theta, phi)."""
-    if isinstance(coeffs, SHCoefficients):
-        values, degree = coeffs.values, coeffs.degree
-    else:
-        values = np.asarray(coeffs, dtype=float)
-        degree = isqrt(values.size) - 1
-        if truncation_length(degree) != values.size:
-            raise ValueError(
-                f"coefficient length {values.size} is not a perfect square"
-            )
-    out = sh_basis(theta, phi, degree) @ values
-    out = np.asarray(out)
+    values = np.asarray(coeffs, dtype=float)
+    degree = isqrt(values.size) - 1
+    if truncation_length(degree) != values.size:
+        raise ValueError(f"coefficient length {values.size} is not a perfect square")
+    out = np.asarray(sh_basis(theta, phi, degree) @ values)
     return out if out.ndim else float(out)
 
 
@@ -209,9 +170,6 @@ class SphereGrid:
                 f"got {values.shape}"
             )
         return float(np.sum(values * self.weights()))
-
-    def area(self) -> float:
-        return self.integrate(np.ones((self.n_theta, self.n_phi)))
 
     def basis(self, degree: int) -> np.ndarray:
         """Cached harmonic basis sampled on the grid, shape (n_theta, n_phi, T)."""

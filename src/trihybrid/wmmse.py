@@ -110,6 +110,13 @@ class PrecoderState:
     power: np.ndarray
     decomp_residual: float
 
+    @classmethod
+    def decomposed(cls, f_d, antenna_matrix, power, config: SolverConfig) -> "PrecoderState":
+        """State of the digital precoder `f_d`, factored into analog and
+        digital stages with `config.rf_chains` chains."""
+        decomp = decompose_precoder(f_d, config.rf_chains, power, seed=config.seed)
+        return cls(f_d, decomp.f_rf, decomp.f_bb, antenna_matrix, power, decomp.residual)
+
     @property
     def n_antennas(self) -> int:
         return self.f_d.shape[0]
@@ -574,16 +581,9 @@ def _run_bcd(
         previous = objective
 
     decomposed = time.perf_counter()
-    decomp = decompose_precoder(f_d, config.rf_chains, power, seed=config.seed)
+    state = PrecoderState.decomposed(f_d, antenna_matrix, power, config)
     trace.decomp_s = time.perf_counter() - decomposed
-    return PrecoderState(
-        f_d=f_d,
-        f_rf=decomp.f_rf,
-        f_bb=decomp.f_bb,
-        antenna_matrix=antenna_matrix,
-        power=power,
-        decomp_residual=decomp.residual,
-    ), trace
+    return state, trace
 
 
 def run_selection(

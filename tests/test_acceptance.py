@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_solver
-from helpers import ball_samples, random_complex, random_psd
+from helpers import random_complex, random_psd
 from trihybrid.baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
 from trihybrid.channel import (
     ScenarioConfig,
@@ -26,7 +26,7 @@ from trihybrid.channel import (
 )
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_pattern, isotropic_pattern, most_square_factors
 from trihybrid.sphere_opt import minimize_on_sphere
-from trihybrid.sphharm import FOUR_PI, SHCoefficients, default_grid, scale_to_sphere_power
+from trihybrid.sphharm import FOUR_PI, default_grid
 from trihybrid.wmmse import (
     candidate_quads,
     run_selection,
@@ -134,10 +134,9 @@ def test_criterion_02_energy_law():
     worst = 0.0
     for _ in range(100):
         degree = int(rng.integers(0, 7))
-        coeffs = scale_to_sphere_power(
-            SHCoefficients(rng.standard_normal((degree + 1) ** 2), degree)
-        )
-        gains = grid.basis(degree) @ coeffs.values
+        coeffs = rng.standard_normal((degree + 1) ** 2)
+        coeffs *= np.sqrt(FOUR_PI / (coeffs @ coeffs))
+        gains = grid.basis(degree) @ coeffs
         energy = grid.integrate(gains**2)
         worst = max(worst, abs(energy - FOUR_PI))
     ok = worst < 1e-6
@@ -164,7 +163,7 @@ def test_criterion_03_effective_channel_identities():
             coeffs = rng.standard_normal((geom.n_tx, 9))
             lifted = compose(eff_c, coeffs)
             direct = assemble_channel(
-                geom, [harmonic_pattern(SHCoefficients(c, 2)) for c in coeffs]
+                geom, [harmonic_pattern(c) for c in coeffs]
             )
             worst_cof = max(
                 worst_cof,
@@ -189,11 +188,17 @@ def test_criterion_04_closed_form_row_oracle():
         best_sampled = np.inf
         for s in range(width):
             a = float(np.real(quad[s, s]))
-            dvec = dmat[:, s]
-            pts = ball_samples(rng, samples_per_state, d_streams, np.sqrt(budget))
-            sampled = a * np.sum(np.abs(pts) ** 2, axis=1) + 2.0 * np.real(
-                pts.conj() @ dvec
+            # The draws of `ball_samples`: the sample r u, with u a normalized
+            # real Gaussian vector (its real parts, then its imaginary parts),
+            # scores a r^2 + 2 r (u_re . Re d + u_im . Im d), so no complex
+            # copy of the samples is needed.
+            raw = rng.standard_normal((samples_per_state, 2 * d_streams))
+            radii = np.sqrt(budget) * rng.uniform(0.0, 1.0, samples_per_state) ** (
+                1.0 / (2 * d_streams)
             )
+            along = raw @ np.concatenate([dmat[:, s].real, dmat[:, s].imag])
+            along /= np.sqrt(np.einsum("ij,ij->i", raw, raw))
+            sampled = radii * (a * radii + 2.0 * along)
             best_sampled = min(best_sampled, float(np.min(sampled)))
         worst_gap = max(worst_gap, value - best_sampled)
     ok = worst_gap <= 1e-6

@@ -49,6 +49,13 @@ class TestZeroForcing:
         with pytest.raises(ConfigurationError):
             bd_zero_forcing(channels, (3, 3), power=1.0)
 
+    def test_fewer_user_antennas_than_streams_rejected(self, rng):
+        # Each 2 x 16 user has a 14-dimensional null space of the other user
+        # but only 2 directions to carry its 3 streams.
+        channels = [random_complex(rng, 2, 16) for _ in range(2)]
+        with pytest.raises(ConfigurationError, match="2 directions for 3 streams"):
+            bd_zero_forcing(channels, (3, 3), power=1.0)
+
     def test_on_scenario_channels(self):
         scenario = desk_scenario(2, n_users=3, bs_shape=(4, 4), paths_per_user=4)
         channels = [assemble_channel(g, isotropic_pattern()) for g in scenario.geometries]

@@ -80,6 +80,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "word, expected", [("on", True), ("TRUE", True), ("1", True), ("off", False), ("No", False)]
+    )
+    def test_warm_start_takes_configparser_booleans(self, tmp_path, word, expected):
+        text = MINI.replace("seed = 0", f"seed = 0\nwarm_start = {word}")
+        assert load_config(write_config(tmp_path, text)).warm_start is expected
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "nope.ini")
@@ -339,6 +346,16 @@ class TestCli:
             ("seed = 0", "seed = 0\nbeamwidth_deg = 180"),
             ("users = 2", "users = 2\ncarrier_hz = 0"),
             ("users = 2", "users = 2\ncarrier_hz = -3e9"),
+            ("seed = 0", "seed = 0\nwarm_start = ture"),
+            ("axis = power\nvalues = 0", "axis = antennas\nvalues = 16.7"),
+            ("axis = power\nvalues = 0", "axis = rfchains\nvalues = 1.9"),
+            ("objective_tol = 1e-6", "objective_tol = -1"),
+            ("users = 2", "users = 2\nuser_box = 60 25 -20 20 -20 -5"),
+            ("users = 2", "users = 2\nscatterer_box = 5 70 30 -30 -25 0"),
+            ("streams_per_user = 2", "streams_per_user = 3"),  # 2-antenna users
+            ("values = 0", "values = 0 4000"),  # inf mW
+            ("seed = 0", "seed = 0\nnoise_dbm = -4000"),  # 0 mW
+            ("seed = 0", "seed = 0\nnoise_dbm = 4000"),  # inf mW
         ],
         ids=[
             "seeds",
@@ -363,11 +380,38 @@ class TestCli:
             "beamwidth",
             "zero_carrier",
             "negative_carrier",
+            "warm_start_typo",
+            "fractional_antennas",
+            "fractional_offset",
+            "negative_tol",
+            "inverted_user_box",
+            "inverted_scatterer_box",
+            "streams_above_user_antennas",
+            "infinite_power",
+            "zero_noise",
+            "infinite_noise",
         ],
     )
-    def test_malformed_value_exits_2(self, tmp_path, capsys, old, new):
+    def test_malformed_value_exits_2(self, tmp_path, capsys, monkeypatch, old, new):
+        calls = []
+        monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
         assert main(["run", str(write_config(tmp_path, MINI.replace(old, new)))]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_more_streams_than_antennas_exits_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 4 streams on a 1 x 3 array; 4 - 2 chains alone would pass.
+        calls = []
+        monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
+        text = MINI.replace("bs_rows = 3", "bs_rows = 1").replace(
+            "rf_chains_offset = 2", "rf_chains_offset = -2"
+        )
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "4 streams exceed 3 antennas" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
 
 import trihybrid
 
@@ -14,3 +17,21 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_section_runs_as_written_and_names_every_export():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    state, trace = namespace["state"], namespace["trace"]
+    matrix = state.antenna_matrix
+    assert np.array_equal(matrix, np.eye(matrix.shape[1])[matrix.argmax(axis=1)])  # one-hot
+    assert trace.n_iterations >= 1
+    exports = {
+        name
+        for name, value in vars(trihybrid).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert not {name for name in exports if name not in section}
