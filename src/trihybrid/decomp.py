@@ -70,13 +70,13 @@ def _refine_phases(f_d, f_rf, f_bb) -> np.ndarray:
     f_rf = f_rf.copy()
     residual = f_d - f_rf @ f_bb
     for j in range(f_rf.shape[1]):
-        without = residual + np.outer(f_rf[:, j], f_bb[j])
+        without = residual + f_rf[:, j, None] * f_bb[j]
         match = without @ f_bb[j].conj()
         keep = np.abs(match) == 0.0
         column = np.exp(1j * np.angle(match)) / np.sqrt(n)
         column[keep] = f_rf[keep, j]
         f_rf[:, j] = column
-        residual = without - np.outer(column, f_bb[j])
+        residual = without - column[:, None] * f_bb[j]
     return f_rf
 
 

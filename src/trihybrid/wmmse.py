@@ -290,14 +290,17 @@ class _SweepWorkspace:
     antenna reads its linear term once, before it commits.  R starts from
     the covariance pass's copy and is corrected at every commit (rank two,
     or one column per one-hot vector for a selection), so it stays exact
-    under any order of commits.
+    under any order of commits.  The correction reads the old row from a
+    running conjugate copy of the rows, `rows_conj`, which every commit
+    updates along with `f_d`; a selection also keeps each antenna's
+    current candidate as a Python list.
 
     The step closed forms read what else the sweep cannot change: the real
     diagonals of the quad terms and their guarded inverses
-    (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n) and
-    Re Q_n[1:, 0] for synthesis.  `tail_spectrum` decomposes every antenna
-    in one batched call on first use, so only sweeps that solve on the
-    sphere pay for it.
+    (:func:`candidate_quads`), as nested Python lists, for selection, and
+    Re(a_n^T Q_n a_n) and Re Q_n[1:, 0] for synthesis.  `tail_spectrum`
+    decomposes every antenna in one batched call on first use, so only
+    sweeps that solve on the sphere pay for it.
     """
 
     def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
@@ -320,9 +323,10 @@ class _SweepWorkspace:
         quad = self.blocks_conj.transpose(0, 2, 1) @ self.proj
         self.quad = 0.5 * (quad + quad.conj().transpose(0, 2, 1))
         self.received_conj = received.reshape(n_users * n_rx, -1).conj()
+        self.rows_conj = f_d.conj()
         pattern_quad = (antenna_matrix[:, None, :] @ self.quad)[:, 0]  # a_n^T Q_n
-        self.offset = f_d.conj()[:, :, None] * pattern_quad[:, None, :] + self.align
-        self.quads, self.inv_quads = candidate_quads(self.quad)
+        self.offset = self.rows_conj[:, :, None] * pattern_quad[:, None, :] + self.align
+        self.quads, self.inv_quads = (terms.tolist() for terms in candidate_quads(self.quad))
         self.row_quads = np.einsum("nw,nw->n", pattern_quad.real, antenna_matrix)
         self.pinned = self.quad[:, 1:, 0].real
 
@@ -331,8 +335,8 @@ class _SweepWorkspace:
         return reduced_spectrum(self.quad)
 
     @functools.cached_property
-    def _selection(self) -> np.ndarray:
-        return self.antenna_matrix.argmax(axis=1)
+    def _selection(self) -> list[int]:
+        return self.antenna_matrix.argmax(axis=1).tolist()
 
     def tail_spectrum(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Antenna n's :func:`reduced_spectrum`, from the sweep's batched
@@ -347,12 +351,11 @@ class _SweepWorkspace:
 
     def apply(self, n: int, vector: np.ndarray, row: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row."""
-        old_row = self.f_d[n].conj()
         self.received_conj += self.blocks_conj[n] @ (
-            vector[:, None] * row - self.antenna_matrix[n][:, None] * old_row
+            vector[:, None] * row - self.antenna_matrix[n][:, None] * self.rows_conj[n]
         )
         self.antenna_matrix[n] = vector
-        self.f_d[n] = row.conj()
+        self._commit_row(n, row)
 
     def select(self, n: int, index: int, row: np.ndarray) -> None:
         """Commit candidate `index` and precoder row of a one-hot antenna n:
@@ -360,7 +363,7 @@ class _SweepWorkspace:
         vector."""
         old = self._selection[n]
         blocks = self.blocks_conj[n]
-        old_row = self.f_d[n].conj()
+        old_row = self.rows_conj[n]
         if index == old:
             self.received_conj += blocks[:, index, None] * (row - old_row)
         else:
@@ -368,6 +371,10 @@ class _SweepWorkspace:
             self.antenna_matrix[n, old] = 0.0
             self.antenna_matrix[n, index] = 1.0
             self._selection[n] = index
+        self._commit_row(n, row)
+
+    def _commit_row(self, n: int, row: np.ndarray) -> None:
+        self.rows_conj[n] = row
         self.f_d[n] = row.conj()
 
 
@@ -411,19 +418,36 @@ def select_pattern_and_row(
 
     `linear` is the antenna's (D, W) linear term, and `quads` and
     `inv_quads` the diagonal of its quad term and the guarded inverse from
-    :func:`candidate_quads`.  Returns (candidate index, row, objective
-    value).  Each candidate gets the closed-form row of
-    :func:`_row_solution`: a zero direction gives a zero row and value 0, a
-    vanishing quadratic coefficient the boundary step.  Ties go to the
-    lowest index.
+    :func:`candidate_quads` (lists or arrays); `budget` is non-negative.
+    Returns (candidate index, row, objective value).  Each candidate gets
+    the closed-form row of :func:`_row_solution`: a zero direction gives a
+    zero row and value 0, a vanishing quadratic coefficient the boundary
+    step.  Ties go to the lowest index.
+
+    The W candidates are scored one by one on Python floats, which costs
+    less than numpy's dispatch on arrays this small.  Every boundary, step
+    and value takes the same IEEE operations in the same order as the
+    whole-array form, so the result is the same to the bit.  A value is NaN
+    only for non-finite input or when a direction so small that its
+    boundary step overflows meets a quad at most `_TINY_QUAD`; as with
+    numpy's `argmin`, the first NaN is then taken.
     """
-    norms_sq = np.square(np.abs(linear)).sum(axis=0)
-    # A zero direction divides by 1 instead: its value is 0 whatever the step.
-    boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
-    steps = np.minimum(inv_quads, boundary)
-    values = norms_sq * (quads * steps**2 - 2.0 * steps)
-    best = int(values.argmin())
-    return best, -steps[best] * linear[:, best], float(values[best])
+    norms_sq = np.abs(linear)
+    np.square(norms_sq, out=norms_sq)
+    best, best_value, best_step = 0, math.nan, 0.0
+    for s, (norm_sq, quad, inv_quad) in enumerate(
+        zip(np.add.reduce(norms_sq, axis=0).tolist(), quads, inv_quads)
+    ):
+        # A zero direction divides by 1 instead: its value is 0 whatever the step.
+        boundary = math.sqrt(budget / (norm_sq if norm_sq > 0.0 else 1.0))
+        step = min(inv_quad, boundary)
+        value = norm_sq * (quad * (step * step) - 2.0 * step)
+        if value != value:  # NaN: numpy's argmin takes the first one
+            best, best_value, best_step = s, value, step
+            break
+        if s == 0 or value < best_value:
+            best, best_value, best_step = s, value, step
+    return best, -best_step * linear[:, best], float(best_value)
 
 
 def synthesize_pattern_and_row(
@@ -508,6 +532,7 @@ def _run_bcd(
     n_antennas = effs[0].n_antennas
     d_total = sum(stream_counts)
     power = np.broadcast_to(np.asarray(config.power, dtype=float), (n_antennas,)).copy()
+    budgets = power.tolist()
     beta = np.ones(K) / K
     if config.rf_chains < 1 or config.rf_chains > n_antennas:
         raise ValueError(
@@ -548,7 +573,7 @@ def _run_bcd(
             users, antenna_matrix, f_d, cov.received, receivers, weights, beta
         )
         for n in range(n_antennas):
-            update_antenna(workspace, n, power[n])
+            update_antenna(workspace, n, budgets[n])
             if block_monitor is not None:
                 block_monitor(
                     f"antenna_{n}",

@@ -162,6 +162,20 @@ def block_objective(quad, linear, row: np.ndarray, vector: np.ndarray) -> float:
     return float(np.real(row @ row.conj()) * a + 2.0 * float(np.real(row.conj() @ dvec)))
 
 
+def select_pattern_and_row_vectorized(linear, quads, inv_quads, budget: float):
+    """The selection step of :func:`trihybrid.wmmse.select_pattern_and_row`
+    computed on whole arrays: every candidate's boundary, step and value at
+    once, then `argmin`.  The library scores the candidates one by one on
+    Python floats; the two must agree bit for bit."""
+    norms_sq = np.square(np.abs(linear)).sum(axis=0)
+    # A zero direction divides by 1 instead: its value is 0 whatever the step.
+    boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
+    steps = np.minimum(inv_quads, boundary)
+    values = norms_sq * (quads * steps**2 - 2.0 * steps)
+    best = int(values.argmin())
+    return best, -steps[best] * linear[:, best], float(values[best])
+
+
 def antenna_terms(workspace, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Antenna n's quad and linear terms formed from the sweep workspace's
     current state: its running received signal, rows and pattern vectors.

@@ -14,12 +14,19 @@ _spec.loader.exec_module(bench_pairs)
 DIRECTIONS = {"wall_s": "lower", "pattern_gain": "higher"}
 
 
-def _run(pair, side, wall, gain=1.0, trace=0, correct=True, attempted=4, failed=0):
+def _run(
+    pair, side, wall, gain=1.0, trace=0, correct=True, attempted=4, failed=0, digests=("aa",)
+):
     return {
         "pair": pair,
         "side": side,
         "first": side == "base",
-        "record": {"workload": "power_sweep", "seed": pair, "trace": trace},
+        "record": {
+            "workload": "power_sweep",
+            "seed": pair,
+            "trace": trace,
+            "results_sha256": list(digests),
+        },
         "result": {
             "correct": correct,
             "attempted": attempted,
@@ -89,6 +96,21 @@ def test_largest_relative_pair_difference():
     metrics = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]["metrics"]
     assert metrics["wall_s"]["max_rel_diff"] == 0.5
     assert metrics["pattern_gain"]["max_rel_diff"] == pytest.approx(6.5e-9, rel=1e-6)
+
+
+def test_digest_mismatches_count_untraced_pairs_with_different_results():
+    runs = [
+        _run(1, "base", 3.0, digests=("aa", "aa")),
+        _run(1, "change", 2.0, digests=("aa",)),  # fewer runs, same results
+        _run(2, "change", 2.5, digests=("bb", "bb")),
+        _run(2, "base", 3.5, digests=("aa", "aa")),
+        _run(3, "base", 1.0, trace=1, digests=("cc",)),  # traced pairs do not count
+        _run(3, "change", 9.0, trace=1, digests=("dd",)),
+        _run(4, "change", 1.0, digests=("ee",)),  # no base side: not a pair
+    ]
+    summary = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]
+    assert summary["digest_mismatches"] == 1
+    assert bench_pairs.summarize(runs[:2], DIRECTIONS)["power_sweep"]["digest_mismatches"] == 0
 
 
 def test_exits_1_after_writing_when_a_run_is_incorrect(tmp_path, monkeypatch):

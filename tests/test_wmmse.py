@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import desk_scenario, desk_solver
@@ -19,6 +21,7 @@ from helpers import (
     random_complex,
     random_psd,
     receiver_block,
+    select_pattern_and_row_vectorized,
     split_precoder,
     stream_block,
     weighted_sum_rate_loop,
@@ -30,7 +33,7 @@ from trihybrid.channel import (
     selection_effective_channel,
     synthesis_effective_channel,
 )
-from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
+from trihybrid.patterns import CandidateSet, gaussian_beam_grid, isotropic_pattern
 from trihybrid.sphere_opt import (
     lift_coefficients,
     minimize_on_sphere,
@@ -606,6 +609,57 @@ class TestSelectPattern:
             assert single_value == pytest.approx(expected[s][1], rel=1e-13, abs=0.0)
 
 
+# Entries and quad diagonals that reach every branch of the step: zero and
+# subnormal-sized directions, quads at, below and just above _TINY_QUAD (an
+# infinite inverse), and huge directions whose boundary step underflows.  A
+# tiny direction over a vanishing quad overflows the boundary to inf and
+# scores NaN, as do NaN entries.
+_STEP_ENTRIES = st.sampled_from([0.0, 1e-170, -3e-9, 0.5, -1.25, 1e150, np.nan]) | st.floats(
+    -10.0, 10.0
+)
+_STEP_QUADS = st.sampled_from(
+    [0.0, -1e-15, 0.5 * _TINY_QUAD, _TINY_QUAD, 2.0 * _TINY_QUAD, 1e-3, 0.25, 1.0, 7.5, 1e6]
+) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def _selection_steps(draw):
+    """A (D, W) linear term, its quad diagonal and guarded inverse (as
+    lists or arrays) and a budget.  Candidates are copies of a few distinct
+    ones, so exact ties occur, and some distinct columns are zero."""
+    d_streams = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 8))
+    distinct = draw(st.integers(1, width))
+    ids = draw(st.lists(st.integers(0, distinct - 1), min_size=width, max_size=width))
+    size = 2 * d_streams * distinct
+    parts = np.array(draw(st.lists(_STEP_ENTRIES, min_size=size, max_size=size)))
+    parts = parts.reshape(2, d_streams, distinct)
+    columns = parts[0] + 1j * parts[1]
+    zero = np.array(draw(st.lists(st.booleans(), min_size=distinct, max_size=distinct)))
+    columns[:, zero] = 0.0
+    pool = np.array(draw(st.lists(_STEP_QUADS, min_size=distinct, max_size=distinct)))
+    quads, inv_quads = candidate_quads(np.diag(pool[ids]))
+    if draw(st.booleans()):
+        quads, inv_quads = quads.tolist(), inv_quads.tolist()
+    budget = draw(st.sampled_from([1e-3, 0.7, 1.0, 4.0]) | st.floats(1e-6, 1e3))
+    return columns[:, ids], quads, inv_quads, budget
+
+
+@settings(max_examples=400, deadline=None)
+@given(_selection_steps())
+def test_select_matches_vectorized_step_bit_for_bit(step):
+    # The step scores candidates one by one on Python floats; the same
+    # operations in the same order as the whole-array form give the same
+    # index (ties and NaN values go to the lowest index, as with argmin)
+    # and the same bits in the row and the value.
+    with np.errstate(all="ignore"):
+        want = select_pattern_and_row_vectorized(*step)
+        got = select_pattern_and_row(*step)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+    assert type(got[2]) is float
+
 def _synthesize(quad, linear, tail_spectrum, coefficients, budget, rho):
     """synthesize_pattern_and_row with the row coefficient and the pinned
     coupling read off a dense quad term."""
@@ -774,6 +828,27 @@ class TestRunSelection:
         assert trace.n_iterations == 3
         assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 3}
 
+
+class TestSelectionStepIdentity:
+    @pytest.mark.parametrize("fixed", [False, True], ids=["grid", "fixed_pattern"])
+    def test_solver_matches_vectorized_step_bit_for_bit(self, small_setup, monkeypatch, fixed):
+        # Five outer iterations with the whole-array step in place of the
+        # library's give the same bits in every output, on the 8-candidate
+        # grid and on the single candidate of the fixed-pattern baseline.
+        scenario, candidates, streams = small_setup
+        if fixed:
+            candidates = CandidateSet((candidates.baseline,))
+        effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+        config = desk_solver(max_outer_iterations=5, objective_tol=0.0)
+        state, trace = run_selection(effs, streams, config)
+        monkeypatch.setattr(wmmse, "select_pattern_and_row", select_pattern_and_row_vectorized)
+        want_state, want_trace = run_selection(effs, streams, config)
+        assert trace.n_iterations == 5
+        if not fixed:  # the sweep does move antennas off candidate 0
+            assert np.any(state.antenna_matrix[:, 1:])
+        for name in ("f_d", "antenna_matrix", "f_rf", "f_bb"):
+            assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes(), name
+        assert trace.objective == want_trace.objective
 
 class TestTracedStepNames:
     def test_step_functions_called_once_per_antenna_step(self, small_setup, monkeypatch):

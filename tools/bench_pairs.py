@@ -21,8 +21,11 @@ quartiles per side, the number of pairs the change won by the direction
 `BENCHMARK.json` gives the metric (ties count for neither side), and
 `max_rel_diff`, the largest |change - base| / |base| over the pairs (the
 absolute difference where base is 0), which shows whether a metric moved
-by more than its last bits.  The medians include every run; the script
-exits 1 after writing the file when any run in it is incorrect.
+by more than its last bits.  `digest_mismatches` counts the untraced pairs
+whose two sides wrote different results CSVs (different `results_sha256`),
+so 0 means the change kept the results byte-identical on every seed.  The
+medians include every run; the script exits 1 after writing the file when
+any run in it is incorrect.
 
 Given the same checkout as `--base` and `--change`, the file is an A/A
 record: its summary shows how far the host alone moves each metric between
@@ -65,31 +68,39 @@ def _relative_difference(base: float, change: float) -> float:
 
 
 def summarize(runs: list[dict], directions: dict) -> dict:
-    """Per workload: each side's run totals, and per metric each side's
-    quartiles, the pairs won and the largest relative pair difference."""
+    """Per workload: each side's run totals, the pairs whose results
+    digests differ, and per metric each side's quartiles, the pairs won and
+    the largest relative pair difference."""
     summary: dict = {}
-    pairs: dict = {}  # (workload, pair) -> side -> metrics
+    pairs: dict = {}  # (workload, pair) -> side -> run
     for run in runs:
         workload = run["record"]["workload"]
         result = run["result"]
-        totals = (
-            summary.setdefault(workload, {"runs": {}, "metrics": {}})["runs"]
-            .setdefault(run["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect": 0})
+        sides = summary.setdefault(
+            workload, {"runs": {}, "digest_mismatches": 0, "metrics": {}}
+        )["runs"]
+        totals = sides.setdefault(
+            run["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect": 0}
         )
         totals["runs"] += 1
         totals["attempted"] += result["attempted"]
         totals["failed"] += result["failed"]
         totals["incorrect"] += not result["correct"]
         if not run["record"]["trace"]:
-            pairs.setdefault((workload, run["pair"]), {})[run["side"]] = result["metrics"]
+            pairs.setdefault((workload, run["pair"]), {})[run["side"]] = run
     for (workload, _), sides in sorted(pairs.items()):
         if set(sides) != set(SIDES):
             continue
+        # A process that runs the sweep several times records one digest per
+        # run; they all agree unless the run is incorrect.
+        digests = {side: set(sides[side]["record"]["results_sha256"]) for side in SIDES}
+        summary[workload]["digest_mismatches"] += digests["base"] != digests["change"]
+        metrics = {side: sides[side]["result"]["metrics"] for side in SIDES}
         for name, better in directions.items():
-            if name not in sides["base"] or name not in sides["change"]:
+            if name not in metrics["base"] or name not in metrics["change"]:
                 continue
-            base = sides["base"][name]["value"]
-            change = sides["change"][name]["value"]
+            base = metrics["base"][name]["value"]
+            change = metrics["change"][name]["value"]
             entry = summary[workload]["metrics"].setdefault(
                 name,
                 {"base": [], "change": [], "change_wins": 0, "base_wins": 0, "max_rel_diff": 0.0},
