@@ -532,6 +532,10 @@ def _run_bcd(
     n_antennas = effs[0].n_antennas
     d_total = sum(stream_counts)
     power = np.broadcast_to(np.asarray(config.power, dtype=float), (n_antennas,)).copy()
+    if not np.all((power > 0.0) & (power < np.inf)):
+        raise ValueError(
+            f"per-antenna power budgets must be positive and finite, got {config.power}"
+        )
     budgets = power.tolist()
     beta = np.ones(K) / K
     if config.rf_chains < 1 or config.rf_chains > n_antennas:

@@ -184,6 +184,19 @@ class TestCovariancePass:
         with pytest.raises(ValueError, match="same number of receive antennas"):
             run_selection(effs, (1, 1), desk_solver(max_outer_iterations=1, rf_chains=2))
 
+    @pytest.mark.parametrize("power", [-1.0, 0.0, np.nan, np.inf, [1.0, 1.0, -1.0, 1.0]])
+    def test_power_budgets_must_be_positive_and_finite(self, rng, power):
+        # The step takes the square root of each budget; a negative or NaN
+        # one must be rejected before any sweep, whichever solver runs.
+        for mode, solve in (("sel", run_selection), ("cof", run_synthesis)):
+            effs = [
+                EffectiveChannel(matrix=random_complex(rng, 2, 4 * 2), mode=mode, block_width=2)
+                for _ in range(2)
+            ]
+            config = desk_solver(max_outer_iterations=1, rf_chains=2, power=power)
+            with pytest.raises(ValueError, match="positive and finite"):
+                solve(effs, (1, 1), config)
+
 
 # ---------------------------------------------------------------------------
 # Auxiliaries
@@ -610,11 +623,11 @@ class TestSelectPattern:
 
 
 # Entries and quad diagonals that reach every branch of the step: zero and
-# subnormal-sized directions, quads at, below and just above _TINY_QUAD (an
-# infinite inverse), and huge directions whose boundary step underflows.  A
-# tiny direction over a vanishing quad overflows the boundary to inf and
-# scores NaN, as do NaN entries.
-_STEP_ENTRIES = st.sampled_from([0.0, 1e-170, -3e-9, 0.5, -1.25, 1e150, np.nan]) | st.floats(
+# tiny directions, quads at, below and just above _TINY_QUAD (an infinite
+# inverse), and huge directions with a tiny boundary step.  A tiny direction
+# over a vanishing quad overflows the boundary to inf and scores NaN, as do
+# NaN entries.
+_STEP_ENTRIES = st.sampled_from([0.0, 1e-160, -3e-9, 0.5, -1.25, 1e150, np.nan]) | st.floats(
     -10.0, 10.0
 )
 _STEP_QUADS = st.sampled_from(
@@ -659,6 +672,7 @@ def test_select_matches_vectorized_step_bit_for_bit(step):
     assert got[1].tobytes() == want[1].tobytes()
     assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
     assert type(got[2]) is float
+
 
 def _synthesize(quad, linear, tail_spectrum, coefficients, budget, rho):
     """synthesize_pattern_and_row with the row coefficient and the pinned
@@ -849,6 +863,7 @@ class TestSelectionStepIdentity:
         for name in ("f_d", "antenna_matrix", "f_rf", "f_bb"):
             assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes(), name
         assert trace.objective == want_trace.objective
+
 
 class TestTracedStepNames:
     def test_step_functions_called_once_per_antenna_step(self, small_setup, monkeypatch):
