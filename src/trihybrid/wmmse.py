@@ -297,10 +297,11 @@ class _SweepWorkspace:
 
     The step closed forms read what else the sweep cannot change: the real
     diagonals of the quad terms and their guarded inverses
-    (:func:`candidate_quads`), as nested Python lists, for selection, and
-    Re(a_n^T Q_n a_n) and Re Q_n[1:, 0] for synthesis.  `tail_spectrum`
-    decomposes every antenna in one batched call on first use, so only
-    sweeps that solve on the sphere pay for it.
+    (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n) and
+    Re Q_n[1:, 0] for synthesis.  `step_quads` builds the former as nested
+    Python lists and `tail_spectrum` decomposes every antenna in one
+    batched call, each on first use, so only selection sweeps pay for the
+    lists and only sweeps that solve on the sphere for the decomposition.
     """
 
     def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
@@ -326,13 +327,18 @@ class _SweepWorkspace:
         self.rows_conj = f_d.conj()
         pattern_quad = (antenna_matrix[:, None, :] @ self.quad)[:, 0]  # a_n^T Q_n
         self.offset = self.rows_conj[:, :, None] * pattern_quad[:, None, :] + self.align
-        self.quads, self.inv_quads = (terms.tolist() for terms in candidate_quads(self.quad))
         self.row_quads = np.einsum("nw,nw->n", pattern_quad.real, antenna_matrix)
         self.pinned = self.quad[:, 1:, 0].real
 
     @functools.cached_property
     def _tail_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         return reduced_spectrum(self.quad)
+
+    @functools.cached_property
+    def step_quads(self) -> tuple[list[list[float]], list[list[float]]]:
+        """Every antenna's :func:`candidate_quads` as nested Python lists."""
+        quads, inv_quads = candidate_quads(self.quad)
+        return quads.tolist(), inv_quads.tolist()
 
     @functools.cached_property
     def _selection(self) -> list[int]:
@@ -633,9 +639,8 @@ def run_selection(
     antenna_matrix = np.eye(effs[0].block_width)[np.zeros(effs[0].n_antennas, dtype=int)]
 
     def update(workspace, n, budget):
-        index, row, _ = select_pattern_and_row(
-            workspace.linear(n), workspace.quads[n], workspace.inv_quads[n], budget
-        )
+        quads, inv_quads = workspace.step_quads
+        index, row, _ = select_pattern_and_row(workspace.linear(n), quads[n], inv_quads[n], budget)
         workspace.select(n, index, row)
 
     return _run_bcd(

@@ -930,6 +930,24 @@ class TestRunSynthesis:
         assert trace.n_iterations == 3
         assert calls == [(effs[0].n_antennas, 8, 8)] * 3
 
+    def test_only_selection_sweeps_build_candidate_quads(self, small_setup, monkeypatch):
+        scenario, candidates, streams = small_setup
+        calls = []
+        build = wmmse.candidate_quads
+
+        def counted(quad_terms):
+            calls.append(quad_terms.shape)
+            return build(quad_terms)
+
+        monkeypatch.setattr(wmmse, "candidate_quads", counted)
+        config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
+        effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
+        run_synthesis(effs, streams, config)
+        assert calls == []
+        effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+        run_selection(effs, streams, config)
+        assert calls == [(effs[0].n_antennas, 8, 8)] * 3
+
     def test_monotone_blockwise(self, small_setup):
         scenario, _, streams = small_setup
         effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
