@@ -3,11 +3,13 @@
 Reads a flat key-value config (INI sections: scenario, solver, sweep), runs
 every sweep point x method x scenario seed, and appends one row per run to a
 results CSV.  The methods of one (sweep point, scenario seed) cell share its
-scenario, candidate grid and fixed-pattern solve.  Runs are deterministic
+scenario and fixed-pattern solve, and every cell shares the candidate grid.
+The WMMSE runs of all cells that share a solver and array shapes are solved
+in one lockstep batch before the rows are made.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
-are fixed, and rows are written in sweep order regardless of worker count.
-Wall-clock timings go to a sidecar file so the results CSV is
-byte-reproducible.
+are fixed, a run's results do not depend on its batch, and rows are written
+in sweep order regardless of worker count.  Wall-clock timings go to a
+sidecar file so the results CSV is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
+from .baselines import bd_zero_forcing, interference_leakage
 from .channel import (
     EffectiveChannel,
     Scenario,
@@ -40,11 +42,12 @@ from .patterns import CandidateSet, gaussian_beam_grid, most_square_factors
 from .units import dbm_to_milliwatts
 from .wmmse import (
     PrecoderState,
+    Run,
     SolverConfig,
     Trace,
     received_covariances,
-    run_selection,
-    run_synthesis,
+    solve_selection,
+    solve_synthesis,
     stream_masks,
     weighted_sum_rate,
 )
@@ -329,6 +332,7 @@ class RunResult:
     row: dict
     trace: Trace
     seconds: float
+    phases: tuple[float, ...]  # the _PHASE_COLUMNS of the solves timed in this row
 
 
 def _float_repr(value) -> str:
@@ -354,17 +358,43 @@ def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
 
 
 @dataclass
+class _Sweep:
+    """What every cell of a sweep, or of one worker's share of it, shares:
+    the config and the candidate grid, built on first use."""
+
+    config: ExperimentConfig
+
+    @cached_property
+    def candidates(self) -> CandidateSet:
+        return gaussian_beam_grid(
+            self.config.candidates, beamwidth=np.deg2rad(self.config.beamwidth_deg)
+        )
+
+
+@dataclass
 class _Cell:
     """What every method of one (sweep value, scenario seed) cell shares.
 
-    Each part is built on first use, inside the `run_point` call that first
-    needs it, so its time counts in that row.  The fixed-pattern WMMSE solve
-    serves both the `wmmse_fixed` row and the warm starts.
+    Each part is built on first use.  The fixed-pattern WMMSE solve serves
+    both the `wmmse_fixed` row and the warm starts.  The runner solves the
+    cell's WMMSE runs in batches with other cells' before any of its rows
+    (`solved`); the seconds it spends on the cell then, building the cell's
+    inputs and the cell's share of each batch, wait in `owed` for the row
+    that first reads the run, in method order, and so do the solve's phase
+    seconds.  A run its batch did not give is solved alone, inside the row
+    that first needs it.
     """
 
-    config: ExperimentConfig
+    sweep: _Sweep
     value: float
     seed: int
+    runs: dict = field(default_factory=dict)  # method -> Run
+    solved: dict = field(default_factory=dict)  # method -> (PrecoderState, Trace)
+    owed: dict = field(default_factory=dict)  # method -> [seconds, *phase seconds]
+
+    @property
+    def config(self) -> ExperimentConfig:
+        return self.sweep.config
 
     @cached_property
     def scenario(self) -> Scenario:
@@ -378,11 +408,9 @@ class _Cell:
     def streams(self) -> tuple[int, ...]:
         return (self.config.streams_per_user,) * self.config.scenario.n_users
 
-    @cached_property
+    @property
     def candidates(self) -> CandidateSet:
-        return gaussian_beam_grid(
-            self.config.candidates, beamwidth=np.deg2rad(self.config.beamwidth_deg)
-        )
+        return self.sweep.candidates
 
     @cached_property
     def baseline_set(self) -> CandidateSet:
@@ -394,11 +422,41 @@ class _Cell:
             selection_effective_channel(g, self.baseline_set) for g in self.scenario.geometries
         ]
 
-    @cached_property
-    def fixed_solve(self) -> tuple[PrecoderState, Trace]:
-        return fixed_pattern_wmmse(
-            self.scenario, self.candidates.baseline, self.streams, self.solver
-        )
+    def run(self, method: str) -> Run:
+        """The WMMSE run of `method`, warm-started from the fixed-pattern
+        solve when the config asks for it."""
+        if method not in self.runs:
+            geometries = self.scenario.geometries
+            if method == "model1":
+                effs = [selection_effective_channel(g, self.candidates) for g in geometries]
+            elif method == "model2":
+                effs = [synthesis_effective_channel(g, self.config.sh_degree) for g in geometries]
+            else:
+                effs = self.fixed_effs
+            warm = self.config.warm_start and method != "wmmse_fixed"
+            init_f_d = self.solve("wmmse_fixed")[0].f_d if warm else None
+            self.runs[method] = Run(effs, self.solver, init_f_d)
+        return self.runs[method]
+
+    def solve(self, method: str) -> tuple[PrecoderState, Trace]:
+        """The solve of `method`'s run: from its batch, or alone."""
+        if method not in self.solved:
+            self.solved[method] = _solver(method)([self.run(method)], self.streams)[0]
+            # Its seconds count in the row or the batch set-up that asked for it.
+            self.owe(_reader(self.config, method), 0.0, self.solved[method][1])
+        return self.solved[method]
+
+    def owe(self, method: str, seconds: float, trace: Trace | None = None) -> None:
+        """Add seconds, and the phase seconds of a solve, to `method`'s row."""
+        owed = self.owed.setdefault(method, [0.0] * (1 + len(_PHASE_COLUMNS)))
+        owed[0] += seconds
+        if trace is not None:
+            for i, phase in enumerate(_PHASE_COLUMNS, 1):
+                owed[i] += getattr(trace, phase)
+
+
+def _solver(method: str):
+    return solve_synthesis if method == "model2" else solve_selection
 
 
 def _zero_forcing_state(cell: _Cell) -> PrecoderState:
@@ -416,26 +474,20 @@ def run_point(
 ) -> RunResult:
     """Run one method on one (sweep value, scenario seed) cell.
 
-    `cell` carries the inputs the cell's other methods already built.
+    `cell` carries the inputs and solves the cell's other methods or the
+    runner's batches already built; the row's seconds include what the
+    runner spent on them for this row.
     """
     started = time.perf_counter()
-    warm_f_d = None
-    if config.warm_start and method in ("model1", "model2"):
-        warm_f_d = cell.fixed_solve[0].f_d
-    geometries = cell.scenario.geometries
-
-    if method == "model1":
-        effs = [selection_effective_channel(g, cell.candidates) for g in geometries]
-        state, trace = run_selection(effs, cell.streams, cell.solver, init_f_d=warm_f_d)
-        audit_set = cell.candidates
-    elif method == "model2":
-        effs = [synthesis_effective_channel(g, config.sh_degree) for g in geometries]
-        state, trace = run_synthesis(effs, cell.streams, cell.solver, init_f_d=warm_f_d)
-        audit_set = None
-    elif method == "wmmse_fixed":
-        state, trace = cell.fixed_solve
-        effs = cell.fixed_effs
-        audit_set = cell.baseline_set
+    if method in _WMMSE_METHODS:
+        state, trace = cell.solve(method)
+        effs = cell.run(method).effs
+        if method == "model1":
+            audit_set = cell.candidates
+        elif method == "model2":
+            audit_set = None
+        else:
+            audit_set = cell.baseline_set
     elif method == "zf":
         state, trace = _zero_forcing_state(cell), Trace(converged=True)
         effs = cell.fixed_effs
@@ -468,24 +520,98 @@ def run_point(
     }
     if method == "zf":
         row["zf_leakage"] = _float_repr(interference_leakage(channels, state.f_d, cell.streams))
-    return RunResult(row=row, trace=trace, seconds=time.perf_counter() - started)
+    owed = cell.owed.pop(method, [0.0] * (1 + len(_PHASE_COLUMNS)))
+    seconds = time.perf_counter() - started + owed[0]
+    return RunResult(row=row, trace=trace, seconds=seconds, phases=tuple(owed[1:]))
 
 
-def _run_cell(args) -> tuple[list[RunResult], str | None]:
-    """Every method of one (sweep value, scenario seed) cell, one
-    `run_point` call per results row.
+def _solve_order(config: ExperimentConfig) -> list[str]:
+    """The WMMSE methods in the order their batches run: method order, with
+    the fixed-pattern solve first when the others start from it."""
+    methods = [m for m in config.methods if m in _WMMSE_METHODS]
+    if config.warm_start and any(m != "wmmse_fixed" for m in methods):
+        return ["wmmse_fixed"] + [m for m in methods if m != "wmmse_fixed"]
+    return methods
 
-    Returns the rows in method order and no error, or no rows and the error
-    of the run that raised.  A configuration error ends the whole sweep.
+
+def _reader(config: ExperimentConfig, method: str) -> str:
+    """The first method, in method order, whose row reads `method`'s run."""
+    readers = {method}
+    if method == "wmmse_fixed" and config.warm_start:
+        readers |= {"model1", "model2"}
+    return next(m for m in config.methods if m in readers)
+
+
+def _solve_batches(cells: list[_Cell], method: str) -> None:
+    """Solve `method`'s run of every cell, one lockstep batch per set of
+    array shapes.
+
+    A cell whose inputs cannot be built, or whose batch raises, is left
+    unsolved: its rows solve it alone and name the cell if it fails again.
+    A configuration error ends the sweep.  The seconds spent on a cell are
+    owed to the first row that reads the run; a batch's seconds outside its
+    runs' iterations and decompositions are split evenly among its runs.
     """
-    config, value, seed = args
-    cell = _Cell(config, value, seed)
-    try:
-        return [run_point(config, value, method, seed, cell) for method in config.methods], None
-    except ConfigurationError:
-        raise
-    except Exception as exc:  # any other failure is reported with its cell
-        return [], f"{type(exc).__name__}: {exc}"
+    reader = _reader(cells[0].config, method)
+    batches: dict = {}
+    for cell in cells:
+        started = time.perf_counter()
+        try:
+            run = cell.run(method)
+        except ConfigurationError:
+            raise
+        except Exception:  # raised again, and named, by the cell's own rows
+            continue
+        finally:
+            cell.owe(reader, time.perf_counter() - started)
+        shapes = tuple((eff.block_width, eff.matrix.shape) for eff in run.effs)
+        batches.setdefault(shapes, []).append(cell)
+    for batch in batches.values():
+        started = time.perf_counter()
+        try:
+            solved = _solver(method)([cell.run(method) for cell in batch], batch[0].streams)
+        except ConfigurationError:
+            raise
+        except Exception:  # each run is solved alone in its cell's rows
+            solved = []
+        own = [sum(trace.iter_seconds) + trace.decomp_s for _, trace in solved]
+        shared = (time.perf_counter() - started - sum(own)) / len(batch)
+        if not solved:
+            for cell in batch:
+                cell.owe(reader, shared)
+        for cell, seconds, outcome in zip(batch, own, solved):
+            cell.solved[method] = outcome
+            cell.owe(reader, seconds + shared, outcome[1])
+
+
+def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
+    """Every method of the given (sweep value, scenario seed) cells, one
+    `run_point` call per results row, after the cells' WMMSE runs are
+    solved in batches.
+
+    Returns, per cell, its rows in method order and no error, or no rows
+    and the error of the run that raised.  A configuration error ends the
+    whole sweep.
+    """
+    config, keys = args
+    sweep = _Sweep(config)
+    cells = [_Cell(sweep, value, seed) for value, seed in keys]
+    for method in _solve_order(config):
+        _solve_batches(cells, method)
+    outcomes = []
+    for cell in cells:
+        try:
+            rows = [
+                run_point(config, cell.value, method, cell.seed, cell)
+                for method in config.methods
+            ]
+        except ConfigurationError:
+            raise
+        except Exception as exc:  # any other failure is reported with its cell
+            outcomes.append(([], f"{type(exc).__name__}: {exc}"))
+        else:
+            outcomes.append((rows, None))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +640,11 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
     Returns the path of the results file.  The job unit is one (sweep
     value, scenario seed) cell.  Worker count comes from the
     TRIHYBRID_WORKERS environment variable unless given, and anything but
-    an integer of at least 1 raises ConfigurationError; results are merged
-    in sweep order so the output does not depend on parallelism, and the
-    timing sidecar lists the runs in the order they executed.  The rows of
+    an integer of at least 1 raises ConfigurationError; each worker solves
+    the WMMSE runs of its share of the cells in batches.  Results are
+    merged in sweep order so the output does not depend on parallelism,
+    and the timing sidecar lists the rows cell by cell, in the order of the
+    `run_point` calls of each cell.  The rows of
     every cell that completed are written even when others fail; a
     SweepError naming each failed cell is raised afterwards.
     """
@@ -525,12 +653,17 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_path = os.path.join(base_dir, config.output)
 
-    cells = [(config, value, seed) for value in config.values for seed in config.seeds]
+    cells = [(value, seed) for value in config.values for seed in config.seeds]
     if worker_count > 1:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+        # Each worker batches its own share of the cells.
+        shares = min(worker_count, len(cells))
+        with ProcessPoolExecutor(max_workers=shares) as pool:
+            done = list(pool.map(_run_cells, [(config, cells[w::shares]) for w in range(shares)]))
+        outcomes = [None] * len(cells)
+        for w, share in enumerate(done):
+            outcomes[w::shares] = share
     else:
-        outcomes = [_run_cell(cell) for cell in cells]
+        outcomes = _run_cells((config, cells))
 
     n_seeds = len(config.seeds)
     rows = [  # sweep order: value, then method, then seed
@@ -549,9 +682,9 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in columns})
 
-    runs = [  # (value, method, seed, result) in the order the runs executed
+    runs = [  # (value, method, seed, result) in the order of the run_point calls
         (value, method, seed, result)
-        for (_, value, seed), (results, _) in zip(cells, outcomes)
+        for (value, seed), (results, _) in zip(cells, outcomes)
         for method, result in zip(config.methods, results)
     ]
     timing_path = os.path.splitext(out_path)[0] + "_timing.csv"
@@ -559,7 +692,7 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
         writer = csv.writer(fh)
         writer.writerow(["sweep_value", "method", "scenario_seed", "seconds", *_PHASE_COLUMNS])
         for value, method, seed, result in runs:
-            seconds = (result.seconds, *(getattr(result.trace, p) for p in _PHASE_COLUMNS))
+            seconds = (result.seconds, *result.phases)
             writer.writerow([value, method, seed, *(f"{s:.6f}" for s in seconds)])
 
     if config.traces_dir:
@@ -578,7 +711,7 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
 
     failed = [
         f"value {value!r}, seed {seed}: {error}"
-        for (_, value, seed), (_, error) in zip(cells, outcomes)
+        for (value, seed), (_, error) in zip(cells, outcomes)
         if error is not None
     ]
     if failed:

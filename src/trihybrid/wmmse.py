@@ -13,6 +13,9 @@ Two solvers are provided: :func:`run_selection` for a finite candidate set
 per antenna and :func:`run_synthesis` for freely synthesized patterns with a
 pinned constant component.  Both record a per-iteration trace and decompose
 the optimized digital precoder into analog and digital stages at the end.
+:func:`solve_selection` and :func:`solve_synthesis` run a batch of
+same-shape solves in lockstep through the same loop, one array operation
+for every run at once; a run's results do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EffectiveChannel, compose
 from .decomp import decompose_precoder, feasibility_scale
 from .sphere_opt import (
     isotropic_coefficients,
@@ -130,7 +132,9 @@ class PrecoderState:
 # streams are the columns of the stacked N x D precoder, so user k's receive
 # filter is M x D with zero columns outside its own streams, and its weight
 # and MSE matrices are D x D and equal the identity outside its diagonal
-# block.  Users with unequal stream counts thus share one batched call.
+# block.  Users with unequal stream counts thus share one batched call.  A
+# batch of solves puts a run axis in front of the user axis; every function
+# here acts on each run alone, with the same operations as for one run.
 
 def _herm(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
@@ -156,7 +160,8 @@ def stream_masks(stream_counts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Covariances:
-    """Every user's received signal and covariances for one precoder."""
+    """Every user's received signal and covariances for one precoder, or
+    for each run of a batch with a leading run axis."""
 
     received: np.ndarray  # (K, M, D) H_k F: all streams at user k
     own: np.ndarray  # (K, M, D) H_k F with the other users' columns zeroed
@@ -164,36 +169,56 @@ class Covariances:
     total: np.ndarray  # (K, M, M) interference plus the own signal
     masks: np.ndarray  # (K, D) from :func:`stream_masks`
 
+    def take(self, runs) -> "Covariances":
+        """The covariances of the given runs of a batch."""
+        return Covariances(
+            self.received[runs], self.own[runs], self.interference[runs], self.total[runs],
+            self.masks,
+        )
+
 
 def received_covariances(channels, f_d: np.ndarray, masks: np.ndarray, noise) -> Covariances:
     """One stacked product S = H F and the users' covariances.
 
-    `channels` is (K, M, N), or K channels with equal M; `noise` is one
-    power or one per user.
+    `channels` is (K, M, N), or K channels with equal M, and `f_d` is
+    (N, D); a batch adds a leading run axis to both.  `noise` is one power,
+    one per user, or an array that broadcasts as (..., K, 1, 1).
     """
     channels = _stack_users(channels)
-    n_users, n_rx, n_antennas = channels.shape
-    received = (channels.reshape(n_users * n_rx, n_antennas) @ f_d).reshape(
-        n_users, n_rx, -1
+    *runs, n_users, n_rx, n_antennas = channels.shape
+    received = (channels.reshape(*runs, n_users * n_rx, n_antennas) @ f_d).reshape(
+        *runs, n_users, n_rx, -1
     )
     own = received * masks[:, None, :]
     leak = received - own
-    interference = np.reshape(noise, (-1, 1, 1)) * np.eye(n_rx) + leak @ _herm(leak)
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim < 3:
+        noise = noise.reshape(-1, 1, 1)
+    interference = noise * np.eye(n_rx) + leak @ _herm(leak)
     total = interference + own @ _herm(own)
     return Covariances(received, own, interference, total, masks)
 
 
-def weighted_sum_rate(cov: Covariances, weights=None) -> tuple[float, np.ndarray]:
-    """Weighted sum of per-user log-det rates in bps/Hz.
+def _weighted(terms: np.ndarray, weights: np.ndarray):
+    """weights @ terms as a float, or a list of floats, one per run, for a
+    leading run axis."""
+    if terms.ndim == 1:
+        return float(weights @ terms)
+    return [float(weights @ t) for t in terms]
+
+
+def weighted_sum_rate(cov: Covariances, weights=None):
+    """Weighted sum of per-user log-det rates in bps/Hz, and the rates.
 
     Residual interference from the other users plus noise is the effective
     noise covariance.  Users are weighted equally unless `weights` is given.
+    For a batch the sum is a list with one float per run.
     """
-    n_users = cov.total.shape[0]
+    n_users = cov.total.shape[-3]
     weights = np.ones(n_users) / n_users if weights is None else np.asarray(weights, dtype=float)
-    _, log_dets = np.linalg.slogdet(np.concatenate([cov.total, cov.interference]))
-    rates = (log_dets[:n_users] - log_dets[n_users:]) / np.log(2.0)
-    return float(weights @ rates), rates
+    _, log_dets = np.linalg.slogdet(np.concatenate([cov.total, cov.interference], axis=-3))
+    rates = (log_dets[..., :n_users] - log_dets[..., n_users:]) / np.log(2.0)
+    return _weighted(rates, weights), rates
 
 
 def mmse_receivers(cov: Covariances) -> np.ndarray:
@@ -207,7 +232,8 @@ def mse_weights(cov: Covariances, receivers: np.ndarray) -> np.ndarray:
     try:
         w = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
-        user = int(np.argmin(np.linalg.matrix_rank(gram)))
+        ranks = np.linalg.matrix_rank(gram)
+        user = int(np.argmin(ranks)) % ranks.shape[-1]
         raise np.linalg.LinAlgError(
             f"weight update singular for user {user}; the receive filter is "
             "inconsistent with the current precoders"
@@ -224,18 +250,18 @@ def mse_matrix(cov: Covariances, receivers: np.ndarray) -> np.ndarray:
     return mismatch @ _herm(mismatch) + receivers_h @ cov.interference @ receivers
 
 
-def wmmse_objective(weights: np.ndarray, mse: np.ndarray, masks: np.ndarray, beta) -> float:
+def wmmse_objective(weights: np.ndarray, mse: np.ndarray, masks: np.ndarray, beta):
     """sum_k beta_k (tr(W_k E_k) - ln det W_k), the trace over user k's own
     streams (`masks` from :func:`stream_masks`); requires positive definite
-    W."""
+    W.  For a batch, a list with one float per run."""
     try:
         chol = np.linalg.cholesky(weights)
     except np.linalg.LinAlgError as exc:
         raise ValueError("weight matrix must be positive definite") from exc
-    log_dets = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2).real).sum(axis=1)
+    log_dets = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
     own_block = masks[:, :, None] * masks[:, None, :]
-    traces = np.einsum("kij,kji->k", own_block * weights, mse).real
-    return float(np.asarray(beta, dtype=float) @ (traces - log_dets))
+    traces = np.einsum("...kij,...kji->...k", own_block * weights, mse).real
+    return _weighted(traces - log_dets, np.asarray(beta, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -247,37 +273,99 @@ def wmmse_objective(weights: np.ndarray, mse: np.ndarray, masks: np.ndarray, bet
 # term and L_n the (D, W) linear term.
 
 def _per_antenna(matrix: np.ndarray, n_antennas: int) -> np.ndarray:
-    """(rows, N W) -> (N, rows, W)."""
-    blocks = matrix.reshape(matrix.shape[0], n_antennas, -1)
-    return np.ascontiguousarray(blocks.transpose(1, 0, 2))
+    """(B, rows, N W) -> (N, B, rows, W): antenna-major, so that one
+    antenna's blocks of every run are one contiguous slice."""
+    blocks = matrix.reshape(*matrix.shape[:2], n_antennas, -1)
+    return np.ascontiguousarray(blocks.transpose(2, 0, 1, 3))
 
 
+@dataclass(frozen=True)
 class _Users:
-    """What one solve keeps of its users: their lifted channels stacked into
-    one (K M) x N W channel, its conjugated per-antenna blocks, the stream
-    masks and the noise powers."""
+    """What a batch of solves keeps of its runs' users and budgets.
 
-    def __init__(self, effs, stream_counts, noise):
-        self.lifted = _stack_users([eff.matrix for eff in effs])  # (K, M, N W)
-        n_users, n_rx, n_cols = self.lifted.shape
-        self.stacked = EffectiveChannel(
-            matrix=self.lifted.reshape(n_users * n_rx, n_cols),
-            mode=effs[0].mode,
-            block_width=effs[0].block_width,
+    Per run: the users' lifted channels, (B, K, M, N W), their conjugated
+    per-antenna blocks from :func:`_per_antenna`, the noise powers, the
+    per-antenna power budgets and the synthesis power share rho; the stream
+    masks are shared.
+    """
+
+    lifted: np.ndarray
+    blocks_conj: np.ndarray
+    masks: np.ndarray
+    noise: np.ndarray  # (B, K, 1, 1)
+    power: np.ndarray  # (B, N)
+    rho: list[float]
+
+    @classmethod
+    def of(cls, runs, stream_counts) -> "_Users":
+        lifted = np.stack([_stack_users([eff.matrix for eff in run.effs]) for run in runs])
+        n_runs, n_users, n_rx, n_cols = lifted.shape
+        n_antennas = runs[0].effs[0].n_antennas
+        noise = [
+            np.broadcast_to(np.reshape(run.config.noise, (-1, 1, 1)), (n_users, 1, 1))
+            for run in runs
+        ]
+        return cls(
+            lifted=lifted,
+            blocks_conj=_per_antenna(
+                lifted.reshape(n_runs, n_users * n_rx, n_cols).conj(), n_antennas
+            ),
+            masks=stream_masks(stream_counts),
+            noise=np.stack(noise),
+            power=np.stack([_budgets(run.config, n_antennas) for run in runs]),
+            rho=[run.config.rho for run in runs],
         )
-        self.blocks_conj = _per_antenna(self.stacked.matrix.conj(), effs[0].n_antennas)
-        self.masks = stream_masks(stream_counts)
-        self.noise = noise
+
+    @property
+    def n_antennas(self) -> int:
+        return self.blocks_conj.shape[0]
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """Every run's users stacked into one (K M) x N W channel."""
+        n_runs, n_users, n_rx, n_cols = self.lifted.shape
+        return self.lifted.reshape(n_runs, n_users * n_rx, n_cols)
+
+    @property
+    def budgets(self) -> list[list[float]]:
+        """Antenna n's power budget in run b at [n][b], as Python floats."""
+        return self.power.T.tolist()
+
+    def take(self, runs: list[int]) -> "_Users":
+        """The users of the given runs of the batch."""
+        return _Users(
+            self.lifted[runs], self.blocks_conj[:, runs], self.masks, self.noise[runs],
+            self.power[runs], [self.rho[b] for b in runs],
+        )
 
     def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
-        """The covariance pass of the composed channel and `f_d`."""
-        channel = compose(self.stacked, antenna_matrix).reshape(*self.lifted.shape[:2], -1)
-        return received_covariances(channel, f_d, self.masks, self.noise)
+        """The covariance pass of every run's composed channel and `f_d`."""
+        n_runs, n_users, n_rx, _ = self.lifted.shape
+        blocks = self.lifted.reshape(n_runs, n_users * n_rx, self.n_antennas, -1)
+        channel = np.einsum("bmnw,bnw->bmn", blocks, antenna_matrix)
+        return received_covariances(
+            channel.reshape(n_runs, n_users, n_rx, -1), f_d, self.masks, self.noise
+        )
+
+
+def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
+    power = np.broadcast_to(np.asarray(config.power, dtype=float), (n_antennas,)).copy()
+    if not np.all((power > 0.0) & (power < np.inf)):
+        raise ValueError(
+            f"per-antenna power budgets must be positive and finite, got {config.power}"
+        )
+    return power
 
 
 class _SweepWorkspace:
-    """What one antenna sweep shares, built once per sweep and batched over
-    antennas.
+    """What one antenna sweep of a batch shares, built once per sweep and
+    batched over antennas and runs.
+
+    Arrays are antenna-major, (N, B, ...), so that an antenna step reads one
+    contiguous slice for every run.  `antenna_matrix` (B, N, W) is the
+    solver loop's own array and every commit updates it in place; the rows
+    are kept in `rows_conj`, and :meth:`precoders` hands them back as the
+    loop's (B, N, D) digital precoders.
 
     The users' weighted receive projections beta_k U_k W_k U_k^H applied to
     the stacked lifted channel give `proj`; antenna n's quad term Q_n and the
@@ -292,96 +380,140 @@ class _SweepWorkspace:
     or one column per one-hot vector for a selection), so it stays exact
     under any order of commits.  The correction reads the old row from a
     running conjugate copy of the rows, `rows_conj`, which every commit
-    updates along with `f_d`; a selection also keeps each antenna's
-    current candidate as a Python list.
+    updates; a selection also keeps each antenna's current candidate as a
+    Python list and its block column as an array.
 
     The step closed forms read what else the sweep cannot change: the real
     diagonals of the quad terms and their guarded inverses
     (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n) and
-    Re Q_n[1:, 0] for synthesis.  `step_quads` builds the former as nested
-    Python lists and `tail_spectrum` decomposes every antenna in one
-    batched call, each on first use, so only selection sweeps pay for the
-    lists and only sweeps that solve on the sphere for the decomposition.
+    Re Q_n[1:, 0] for synthesis.  Each is built on first use:
+    `step_quads` as nested Python lists and the selection state only by
+    selection steps, `row_quads` and `pinned` only by synthesis steps, and
+    `tail_spectrum` decomposes every antenna in one batched call only in
+    sweeps that solve on the sphere.  `rows` and `vectors` are buffers the
+    steps fill with every run's new row and pattern vector before one
+    commit.
     """
 
     def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
-        n_users, n_rx, n_cols = users.lifted.shape
-        n_antennas = antenna_matrix.shape[0]
+        n_runs, n_users, n_rx, n_cols = users.lifted.shape
+        n_antennas = users.n_antennas
         self.antenna_matrix = antenna_matrix
-        self.f_d = f_d
+        self.budgets = users.budgets
+        self.rho = users.rho
         self.blocks_conj = users.blocks_conj
         beta = np.asarray(beta, dtype=float)
         receivers_h = _herm(receivers)
         proj = beta[:, None, None] * (receivers @ weights @ receivers_h)  # beta U W U^H
-        # W U^H of every user side by side, (D, K M): user k's rows are zero
-        # outside its own streams.
-        align = (weights @ receivers_h).transpose(1, 0, 2).reshape(-1, n_users * n_rx)
-        stream_beta = beta @ users.masks
-        self.proj = _per_antenna((proj @ users.lifted).reshape(n_users * n_rx, n_cols), n_antennas)
-        self.align = _per_antenna(
-            stream_beta[:, None] * (align @ users.stacked.matrix), n_antennas
+        # W U^H of every user side by side, (B, D, K M): user k's rows are
+        # zero outside its own streams.
+        align = (weights @ receivers_h).transpose(0, 2, 1, 3).reshape(
+            n_runs, -1, n_users * n_rx
         )
-        quad = self.blocks_conj.transpose(0, 2, 1) @ self.proj
-        self.quad = 0.5 * (quad + quad.conj().transpose(0, 2, 1))
-        self.received_conj = received.reshape(n_users * n_rx, -1).conj()
-        self.rows_conj = f_d.conj()
-        pattern_quad = (antenna_matrix[:, None, :] @ self.quad)[:, 0]  # a_n^T Q_n
-        self.offset = self.rows_conj[:, :, None] * pattern_quad[:, None, :] + self.align
-        self.row_quads = np.einsum("nw,nw->n", pattern_quad.real, antenna_matrix)
-        self.pinned = self.quad[:, 1:, 0].real
+        stream_beta = beta @ users.masks
+        self.proj = _per_antenna(
+            (proj @ users.lifted).reshape(n_runs, n_users * n_rx, n_cols), n_antennas
+        )
+        self.align = _per_antenna(stream_beta[:, None] * (align @ users.stacked), n_antennas)
+        self.quad = self.blocks_conj.swapaxes(-1, -2) @ self.proj
+        self.quad += self.quad.conj().swapaxes(-1, -2)  # Hermitian part, in place
+        self.quad *= 0.5
+        self.received_conj = received.reshape(n_runs, n_users * n_rx, -1).conj()
+        self._received_t = self.received_conj.swapaxes(1, 2)
+        self.rows_conj = np.ascontiguousarray(f_d.swapaxes(0, 1)).conj()
+        # a_n^T Q_n, (N, B, W)
+        self._pattern_quad = (antenna_matrix.swapaxes(0, 1)[..., None, :] @ self.quad)[..., 0, :]
+        self.offset = self.rows_conj[..., None] * self._pattern_quad[..., None, :]
+        self.offset += self.align
+        self.rows = np.empty(f_d.shape[::2], dtype=complex)
+        self.vectors = np.empty(antenna_matrix.shape[::2])
+        self.indices = [0] * n_runs
+
+    @functools.cached_property
+    def row_quads(self) -> np.ndarray:
+        """Re(a_n^T Q_n a_n) of every antenna and run, (N, B)."""
+        return np.einsum(
+            "...w,...w->...", self._pattern_quad.real, self.antenna_matrix.swapaxes(0, 1)
+        )
+
+    @functools.cached_property
+    def pinned(self) -> np.ndarray:
+        """Re Q_n[1:, 0] of every antenna and run, (N, B, W - 1)."""
+        return self.quad[..., 1:, 0].real
 
     @functools.cached_property
     def _tail_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         return reduced_spectrum(self.quad)
 
     @functools.cached_property
-    def step_quads(self) -> tuple[list[list[float]], list[list[float]]]:
-        """Every antenna's :func:`candidate_quads` as nested Python lists."""
+    def step_quads(self) -> tuple[list, list]:
+        """Every antenna's :func:`candidate_quads` as nested Python lists,
+        indexed [n][b][s]."""
         quads, inv_quads = candidate_quads(self.quad)
         return quads.tolist(), inv_quads.tolist()
 
     @functools.cached_property
-    def _selection(self) -> list[int]:
-        return self.antenna_matrix.argmax(axis=1).tolist()
+    def _selection(self) -> tuple[list[list[int]], np.ndarray]:
+        """Every antenna's current candidate, indexed [n][b], and its block
+        column, (N, B, K M, 1)."""
+        selected = self.antenna_matrix.argmax(axis=2).T
+        n_antennas, n_runs = selected.shape
+        columns = self.blocks_conj[np.arange(n_antennas)[:, None], np.arange(n_runs), :, selected]
+        return selected.tolist(), columns[..., None]
 
-    def tail_spectrum(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Antenna n's :func:`reduced_spectrum`, from the sweep's batched
-        decomposition."""
+    def tail_spectrum(self, n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Antenna n's :func:`reduced_spectrum` in run b, from the sweep's
+        batched decomposition."""
         eigenvalues, eigenvectors = self._tail_spectra
-        return eigenvalues[n], eigenvectors[n]
+        return eigenvalues[n, b], eigenvectors[n, b]
 
     def linear(self, n: int) -> np.ndarray:
-        """Antenna n's (D, W) linear term: one cross-term product and the
+        """Antenna n's (B, D, W) linear terms: one cross-term product and the
         offset."""
-        return self.received_conj.T @ self.proj[n] - self.offset[n]
+        return self._received_t @ self.proj[n] - self.offset[n]
 
-    def apply(self, n: int, vector: np.ndarray, row: np.ndarray) -> None:
-        """Commit antenna n's new pattern vector and precoder row."""
+    def apply(self, n: int, vectors: np.ndarray, rows: np.ndarray) -> None:
+        """Commit antenna n's new pattern vector and precoder row in every
+        run, (B, W) and (B, D)."""
         self.received_conj += self.blocks_conj[n] @ (
-            vector[:, None] * row - self.antenna_matrix[n][:, None] * self.rows_conj[n]
+            vectors[:, :, None] * rows[:, None, :]
+            - self.antenna_matrix[:, n, :, None] * self.rows_conj[n][:, None, :]
         )
-        self.antenna_matrix[n] = vector
-        self._commit_row(n, row)
+        self.antenna_matrix[:, n] = vectors
+        self.rows_conj[n] = rows
 
-    def select(self, n: int, index: int, row: np.ndarray) -> None:
-        """Commit candidate `index` and precoder row of a one-hot antenna n:
-        the received signal moves by one column of the antenna's block per
-        vector."""
-        old = self._selection[n]
-        blocks = self.blocks_conj[n]
-        old_row = self.rows_conj[n]
-        if index == old:
-            self.received_conj += blocks[:, index, None] * (row - old_row)
+    def select(self, n: int, indices: list[int], rows: np.ndarray) -> None:
+        """Commit candidate indices[b] and precoder row rows[b] of a one-hot
+        antenna n in every run b: the received signal moves by one column of
+        the antenna's block per vector, col (row - old_row) in a run that
+        keeps its candidate and col_new row - col_old old_row in one that
+        changes it.  A step that keeps every run's candidate, by far the
+        most common, commits all runs in one operation; one that changes
+        some commits run by run."""
+        selection, columns = self._selection
+        selection, columns, old_rows = selection[n], columns[n], self.rows_conj[n]
+        if indices == selection:
+            self.received_conj += columns * (rows - old_rows)[:, None]
         else:
-            self.received_conj += blocks[:, index, None] * row - blocks[:, old, None] * old_row
-            self.antenna_matrix[n, old] = 0.0
-            self.antenna_matrix[n, index] = 1.0
-            self._selection[n] = index
-        self._commit_row(n, row)
+            for b, (new, old) in enumerate(zip(indices, selection)):
+                if new == old:
+                    self.received_conj[b] += columns[b] * (rows[b] - old_rows[b])
+                    continue
+                blocks = self.blocks_conj[n, b]
+                self.received_conj[b] += (
+                    blocks[:, new, None] * rows[b] - blocks[:, old, None] * old_rows[b]
+                )
+                columns[b] = blocks[:, new, None]
+                self.antenna_matrix[b, n, old] = 0.0
+                self.antenna_matrix[b, n, new] = 1.0
+                selection[b] = new
+        self.rows_conj[n] = rows
 
-    def _commit_row(self, n: int, row: np.ndarray) -> None:
-        self.rows_conj[n] = row
-        self.f_d[n] = row.conj()
+    def precoders(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Every run's digital precoder with the rows committed so far,
+        (B, N, D), written into `out` when given."""
+        rows = self.rows_conj.swapaxes(0, 1)
+        return np.conjugate(rows, out=np.empty(rows.shape, dtype=complex) if out is None else out)
 
 
 # ---------------------------------------------------------------------------
@@ -513,63 +645,87 @@ def _initial_precoders(rng, n_antennas, n_chains, n_streams, power):
     return f_d * feasibility_scale(f_d, power)
 
 
-def _power_violation(f_d: np.ndarray, power: np.ndarray) -> float:
-    per_antenna = np.sum(np.abs(f_d) ** 2, axis=1)
-    return float(np.max(per_antenna / power - 1.0))
+def _power_violation(f_d: np.ndarray, power: np.ndarray) -> list[float]:
+    """Every run's largest relative excess of an antenna's power."""
+    per_antenna = np.sum(np.abs(f_d) ** 2, axis=-1)
+    return np.max(per_antenna / power - 1.0, axis=-1).tolist()
 
 
-def _run_bcd(
-    effs,
-    stream_counts,
-    config: SolverConfig,
-    update_antenna,
-    antenna_matrix: np.ndarray,
-    row_power_target: float,
-    init_f_d: np.ndarray | None,
-    block_monitor=None,
-) -> tuple[PrecoderState, Trace]:
-    """Common outer loop: auxiliaries, antenna sweep, trace, decomposition.
+@dataclass(frozen=True)
+class Run:
+    """One solve of a batch: one lifted channel per user, the solver
+    config, and a digital precoder that replaces the random start."""
 
-    `update_antenna(workspace, n, budget)` performs one antenna block update
-    through the workspace, which writes the new pattern vector into
-    `antenna_matrix`; the state returns that matrix.
-    """
-    K = len(effs)
-    n_antennas = effs[0].n_antennas
-    d_total = sum(stream_counts)
-    power = np.broadcast_to(np.asarray(config.power, dtype=float), (n_antennas,)).copy()
-    if not np.all((power > 0.0) & (power < np.inf)):
-        raise ValueError(
-            f"per-antenna power budgets must be positive and finite, got {config.power}"
-        )
-    budgets = power.tolist()
-    beta = np.ones(K) / K
+    effs: list
+    config: SolverConfig
+    init_f_d: np.ndarray | None = None
+
+
+def _initial_f_d(run: Run, n_antennas: int, d_total: int, power: np.ndarray) -> np.ndarray:
+    config = run.config
     if config.rf_chains < 1 or config.rf_chains > n_antennas:
         raise ValueError(
             f"rf_chains must lie in [1, {n_antennas}], got {config.rf_chains}"
         )
-    users = _Users(effs, stream_counts, config.noise)
+    if run.init_f_d is None:
+        rng = np.random.default_rng(config.seed)
+        return _initial_precoders(rng, n_antennas, config.rf_chains, d_total, power)
+    f_d = np.array(run.init_f_d, dtype=complex)
+    if f_d.shape != (n_antennas, d_total):
+        raise ValueError(f"init_f_d must have shape {(n_antennas, d_total)}, got {f_d.shape}")
+    return f_d
 
-    rng = np.random.default_rng(config.seed)
-    if init_f_d is None:
-        f_d = _initial_precoders(rng, n_antennas, config.rf_chains, d_total, power)
-    else:
-        f_d = np.array(init_f_d, dtype=complex)
-        if f_d.shape != (n_antennas, d_total):
-            raise ValueError(
-                f"init_f_d must have shape {(n_antennas, d_total)}, got {f_d.shape}"
-            )
 
-    trace = Trace()
-    weights = np.broadcast_to(np.eye(d_total, dtype=complex), (K, d_total, d_total))
+def _run_bcd(
+    runs: list[Run],
+    stream_counts,
+    step,
+    antenna_matrix: np.ndarray,
+    row_power_target: float,
+    block_monitor=None,
+) -> list[tuple[PrecoderState, Trace]]:
+    """Common outer loop of a batch of same-shape runs, in lockstep:
+    auxiliaries, antenna sweep, trace, decomposition.
+
+    `antenna_matrix` (B, N, W) holds every run's start pattern vectors.
+    `step(workspace, n)` updates antenna n of every run through the
+    workspace, which writes the new pattern vectors into `antenna_matrix`.
+    Every batched operation acts on each run alone, so a run's iterates do
+    not depend on which runs share its batch.  A run leaves the batch in
+    the iteration where its own stop test fires or it reaches its own
+    iteration cap, and is decomposed then.  Each iteration's seconds, and
+    each of its phase seconds, are split evenly among the runs active in
+    it.  `block_monitor(label, objectives)` gets every active run's
+    objective after each block.  Returns one (state, trace) per run.
+    """
+    shapes = {tuple((eff.block_width, eff.matrix.shape) for eff in run.effs) for run in runs}
+    if len(shapes) > 1:
+        raise ValueError(f"the runs of a batch need the same array shapes, got {sorted(shapes)}")
+    n_users = len(runs[0].effs)
+    d_total = sum(stream_counts)
+    users = _Users.of(runs, stream_counts)
+    n_antennas = users.n_antennas
+    f_d = np.stack(
+        [_initial_f_d(run, n_antennas, d_total, power) for run, power in zip(runs, users.power)]
+    )
+    beta = np.ones(n_users) / n_users
+
+    active = list(range(len(runs)))  # the run of each row of the batch arrays
+    traces = [Trace() for _ in runs]
+    results: list = [None] * len(runs)
+    previous: list = [None] * len(runs)
+    weights = np.broadcast_to(
+        np.eye(d_total, dtype=complex), (len(runs), n_users, d_total, d_total)
+    )
 
     def objective_of(cov, receivers, weights):
         return wmmse_objective(weights, mse_matrix(cov, receivers), users.masks, beta)
 
     started = time.perf_counter()
     cov = users.covariances(antenna_matrix, f_d)
-    previous = None
-    for _ in range(config.max_outer_iterations):
+    iteration = 0
+    while active:
+        iteration += 1
         receivers = mmse_receivers(cov)
         if block_monitor is not None:
             block_monitor("receivers", objective_of(cov, receivers, weights))
@@ -577,48 +733,141 @@ def _run_bcd(
         if block_monitor is not None:
             block_monitor("weights", objective_of(cov, receivers, weights))
         swept = time.perf_counter()
-        trace.receivers_s += swept - started
 
         workspace = _SweepWorkspace(
             users, antenna_matrix, f_d, cov.received, receivers, weights, beta
         )
         for n in range(n_antennas):
-            update_antenna(workspace, n, budgets[n])
+            step(workspace, n)
             if block_monitor is not None:
                 block_monitor(
                     f"antenna_{n}",
-                    objective_of(users.covariances(antenna_matrix, f_d), receivers, weights),
+                    objective_of(
+                        users.covariances(antenna_matrix, workspace.precoders()), receivers, weights
+                    ),
                 )
+        workspace.precoders(out=f_d)
         del workspace  # so the next sweep does not build its own beside it
         evaluated = time.perf_counter()
-        trace.sweep_s += evaluated - swept
 
         # Also the covariances of the next iteration's receivers.
         cov = users.covariances(antenna_matrix, f_d)
-        objective = objective_of(cov, receivers, weights)
-        rate, _ = weighted_sum_rate(cov, beta)
-        trace.objective.append(objective)
-        trace.sum_rate.append(rate)
-        trace.max_power_violation.append(_power_violation(f_d, power))
-        trace.antenna_deviation.append(
-            float(np.max(np.abs(np.sum(antenna_matrix**2, axis=1) - row_power_target)))
-        )
+        objectives = objective_of(cov, receivers, weights)
+        rates, _ = weighted_sum_rate(cov, beta)
+        violations = _power_violation(f_d, users.power)
+        deviations = np.max(
+            np.abs(np.sum(antenna_matrix**2, axis=-1) - row_power_target), axis=-1
+        ).tolist()
         finished = time.perf_counter()
-        trace.objective_s += finished - evaluated
-        trace.iter_seconds.append(finished - started)
-        started = finished
 
-        if previous is not None:
-            drop = (previous - objective) / max(1.0, abs(previous))
-            if drop < config.objective_tol:
-                trace.converged = True
-                break
-        previous = objective
+        leaving = []
+        for b, r in enumerate(active):
+            trace, objective = traces[r], objectives[b]
+            trace.objective.append(objective)
+            trace.sum_rate.append(rates[b])
+            trace.max_power_violation.append(violations[b])
+            trace.antenna_deviation.append(deviations[b])
+            trace.receivers_s += (swept - started) / len(active)
+            trace.sweep_s += (evaluated - swept) / len(active)
+            trace.objective_s += (finished - evaluated) / len(active)
+            trace.iter_seconds.append((finished - started) / len(active))
+            if previous[r] is not None:
+                drop = (previous[r] - objective) / max(1.0, abs(previous[r]))
+                if drop < runs[r].config.objective_tol:
+                    trace.converged = True
+            previous[r] = objective
+            if trace.converged or iteration >= runs[r].config.max_outer_iterations:
+                leaving.append(b)
 
-    decomposed = time.perf_counter()
-    state = PrecoderState.decomposed(f_d, antenna_matrix, power, config)
-    trace.decomp_s = time.perf_counter() - decomposed
-    return state, trace
+        for b in leaving:
+            r = active[b]
+            decomposed = time.perf_counter()
+            results[r] = PrecoderState.decomposed(
+                f_d[b].copy(), antenna_matrix[b].copy(), users.power[b].copy(), runs[r].config
+            )
+            traces[r].decomp_s = time.perf_counter() - decomposed
+        if leaving and len(leaving) < len(active):
+            kept = [b for b in range(len(active)) if b not in leaving]
+            active = [active[b] for b in kept]
+            users, cov = users.take(kept), cov.take(kept)
+            f_d, antenna_matrix, weights = f_d[kept], antenna_matrix[kept], weights[kept]
+        elif leaving:
+            active = []
+        started = time.perf_counter()
+    return [(state, trace) for state, trace in zip(results, traces)]
+
+
+def _select_step(workspace: _SweepWorkspace, n: int) -> None:
+    quads, inv_quads = workspace.step_quads
+    linear, quads, inv_quads = workspace.linear(n), quads[n], inv_quads[n]
+    indices, rows = workspace.indices, workspace.rows
+    for b, budget in enumerate(workspace.budgets[n]):
+        indices[b], rows[b], _ = select_pattern_and_row(linear[b], quads[b], inv_quads[b], budget)
+    workspace.select(n, indices, rows)
+
+
+def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
+    linear, row_quads, pinned = workspace.linear(n), workspace.row_quads[n], workspace.pinned[n]
+    current, vectors, rows = workspace.antenna_matrix[:, n], workspace.vectors, workspace.rows
+    for b, (budget, rho) in enumerate(zip(workspace.budgets[n], workspace.rho)):
+        vectors[b], rows[b] = synthesize_pattern_and_row(
+            linear[b],
+            row_quads[b],
+            pinned[b],
+            functools.partial(workspace.tail_spectrum, n, b),
+            current[b],
+            budget,
+            rho,
+        )
+    workspace.apply(n, vectors, rows)
+
+
+def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
+    """Precoding over a finite per-antenna pattern candidate set for a batch
+    of runs with the same array shapes, solved in lockstep.
+
+    Each run's `effs` holds one selection-lifted channel per user.  Antennas
+    start on candidate 0; a run's `init_f_d` overrides its random digital
+    initialization (used for paired comparisons against a fixed-pattern
+    run).  Returns one (state, trace) per run, each equal to the bit to
+    :func:`run_selection` of that run alone.
+    """
+    if any(eff.mode != "sel" for run in runs for eff in run.effs):
+        raise ValueError("run_selection expects selection-lifted channels")
+    effs = runs[0].effs
+    antenna_matrix = np.eye(effs[0].block_width)[
+        np.zeros((len(runs), effs[0].n_antennas), dtype=int)
+    ]
+    return _run_bcd(runs, stream_counts, _select_step, antenna_matrix, 1.0, block_monitor)
+
+
+def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
+    """Precoding with per-antenna harmonic pattern synthesis for a batch of
+    runs with the same array shapes, solved in lockstep; see
+    :func:`run_synthesis`.  Returns one (state, trace) per run, each equal
+    to the bit to :func:`run_synthesis` of that run alone.
+    """
+    if any(eff.mode != "cof" for run in runs for eff in run.effs):
+        raise ValueError("run_synthesis expects synthesis-lifted channels")
+    for run in runs:
+        if not 0.0 < run.config.rho <= 1.0:
+            raise ValueError(f"rho must lie in (0, 1], got {run.config.rho}")
+    effs = runs[0].effs
+    antenna_matrix = np.stack(
+        [
+            np.tile(isotropic_coefficients(effs[0].block_width, run.config.rho),
+                    (effs[0].n_antennas, 1))
+            for run in runs
+        ]
+    )
+    return _run_bcd(runs, stream_counts, _synthesize_step, antenna_matrix, FOUR_PI, block_monitor)
+
+
+def _single(block_monitor):
+    """A batch monitor that hands a one-run monitor its run's objective."""
+    if block_monitor is None:
+        return None
+    return lambda label, objectives: block_monitor(label, objectives[0])
 
 
 def run_selection(
@@ -632,20 +881,10 @@ def run_selection(
 
     `effs` holds one selection-lifted channel per user.  Antennas start on
     candidate 0; `init_f_d` overrides the random digital initialization
-    (used for paired comparisons against a fixed-pattern run).
+    (used for paired comparisons against a fixed-pattern run).  This is
+    :func:`solve_selection` on a batch of one.
     """
-    if any(eff.mode != "sel" for eff in effs):
-        raise ValueError("run_selection expects selection-lifted channels")
-    antenna_matrix = np.eye(effs[0].block_width)[np.zeros(effs[0].n_antennas, dtype=int)]
-
-    def update(workspace, n, budget):
-        quads, inv_quads = workspace.step_quads
-        index, row, _ = select_pattern_and_row(workspace.linear(n), quads[n], inv_quads[n], budget)
-        workspace.select(n, index, row)
-
-    return _run_bcd(
-        effs, stream_counts, config, update, antenna_matrix, 1.0, init_f_d, block_monitor
-    )
+    return solve_selection([Run(effs, config, init_f_d)], stream_counts, _single(block_monitor))[0]
 
 
 def run_synthesis(
@@ -666,28 +905,6 @@ def run_synthesis(
     sqrt(rho) - sqrt(3 (1 - rho)), -0.11 at rho = 0.7.  Positive gain is
     not enforced; the audit reports the smallest gain.  With rho = 1 (or a
     single basis function) patterns stay isotropic and only the precoder
-    rows are updated.
+    rows are updated.  This is :func:`solve_synthesis` on a batch of one.
     """
-    if any(eff.mode != "cof" for eff in effs):
-        raise ValueError("run_synthesis expects synthesis-lifted channels")
-    n_antennas = effs[0].n_antennas
-    width = effs[0].block_width
-    if not 0.0 < config.rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {config.rho}")
-    coefficients = np.tile(isotropic_coefficients(width, config.rho), (n_antennas, 1))
-
-    def update(workspace, n, budget):
-        coeffs, row = synthesize_pattern_and_row(
-            workspace.linear(n),
-            workspace.row_quads[n],
-            workspace.pinned[n],
-            functools.partial(workspace.tail_spectrum, n),
-            workspace.antenna_matrix[n],
-            budget,
-            config.rho,
-        )
-        workspace.apply(n, coeffs, row)
-
-    return _run_bcd(
-        effs, stream_counts, config, update, coefficients, FOUR_PI, init_f_d, block_monitor
-    )
+    return solve_synthesis([Run(effs, config, init_f_d)], stream_counts, _single(block_monitor))[0]

@@ -176,20 +176,21 @@ def select_pattern_and_row_vectorized(linear, quads, inv_quads, budget: float):
     return best, -steps[best] * linear[:, best], float(values[best])
 
 
-def antenna_terms(workspace, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Antenna n's quad and linear terms formed from the sweep workspace's
-    current state: its running received signal, rows and pattern vectors.
+def antenna_terms(workspace, n: int, run: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Antenna n's quad and linear terms in one run of the sweep workspace,
+    formed from its current state: its running received signal, rows and
+    pattern vectors.
 
     The coupling to the other antennas is R^T P_n minus antenna n's own
     signal conj(f_n) (a_n^T Q_n), and the alignment term is subtracted
     after it, all taken afresh, with no offset cached at the sweep start.
     """
-    quad = workspace.quad[n]
-    row = workspace.f_d[n].conj()
-    cross = workspace.received_conj.T @ workspace.proj[n] - row[:, None] * (
-        workspace.antenna_matrix[n] @ quad
+    quad = workspace.quad[n, run]
+    row = workspace.rows_conj[n, run]
+    cross = workspace.received_conj[run].T @ workspace.proj[n, run] - row[:, None] * (
+        workspace.antenna_matrix[run, n] @ quad
     )
-    return quad, cross - workspace.align[n]
+    return quad, cross - workspace.align[n, run]
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,62 @@ def test_digest_mismatches_count_untraced_pairs_with_different_results():
     assert bench_pairs.summarize(runs[:2], DIRECTIONS)["power_sweep"]["digest_mismatches"] == 0
 
 
+def _pairs(walls, gains=None):
+    """Untraced pairs with the given (base, change) walls and gains."""
+    gains = gains or [(1.0, 1.0)] * len(walls)
+    runs = []
+    for pair, ((base, change), (base_gain, change_gain)) in enumerate(zip(walls, gains), 1):
+        runs += [_run(pair, "base", base, gain=base_gain), _run(pair, "change", change, gain=change_gain)]
+    return runs
+
+
+def test_gain_holds_needs_nine_of_ten_wins_and_a_gap_beyond_the_parent_spread():
+    base = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]  # q1 3.225, median 3.45, q3 3.675
+    metrics = bench_pairs.summarize(_pairs([(b, b - 1.0) for b in base]), DIRECTIONS)
+    wall = metrics["power_sweep"]["metrics"]["wall_s"]
+    assert wall["change_wins"] == 10 and wall["gain_holds"] is True
+    # Nine wins and one tie still hold; eight wins do not.
+    nine = [(b, b - 1.0) for b in base[:9]] + [(base[9], base[9])]
+    assert bench_pairs.summarize(_pairs(nine), DIRECTIONS)["power_sweep"]["metrics"]["wall_s"][
+        "gain_holds"
+    ]
+    eight = [(b, b - 1.0) for b in base[:8]] + [(b, b + 1.0) for b in base[8:]]
+    assert not bench_pairs.summarize(_pairs(eight), DIRECTIONS)["power_sweep"]["metrics"][
+        "wall_s"
+    ]["gain_holds"]
+    # Ten wins by a median gap of 0.4, inside the parent's spread of 0.45.
+    small = [(b, b - 0.4) for b in base]
+    wall = bench_pairs.summarize(_pairs(small), DIRECTIONS)["power_sweep"]["metrics"]["wall_s"]
+    assert wall["change_wins"] == 10 and wall["gain_holds"] is False
+    # For a higher-is-better metric the change must rise.
+    gains = [(1.0 + i / 100, 1.5 + i / 100) for i in range(10)]
+    gain = bench_pairs.summarize(_pairs([(3.0, 3.0)] * 10, gains), DIRECTIONS)["power_sweep"][
+        "metrics"
+    ]["pattern_gain"]
+    assert gain["gain_holds"] is True
+
+
+def test_within_bound_compares_medians_with_the_relative_bound():
+    bounds = {"wall_s": 0.25, "pattern_gain": 0.08}
+    walls = [(4.0, 4.9)] * 5 + [(4.0, 5.0)] * 5  # change median 4.95: 23.75 % worse
+    gains = [(1.0, 0.93)] * 10  # 7 % worse
+    metrics = bench_pairs.summarize(_pairs(walls, gains), DIRECTIONS, bounds)["power_sweep"][
+        "metrics"
+    ]
+    assert metrics["wall_s"]["within_bound"] is True
+    assert metrics["pattern_gain"]["within_bound"] is True
+    walls = [(4.0, 5.1)] * 10  # 27.5 % worse
+    gains = [(1.0, 0.91)] * 10  # 9 % worse
+    metrics = bench_pairs.summarize(_pairs(walls, gains), DIRECTIONS, bounds)["power_sweep"][
+        "metrics"
+    ]
+    assert metrics["wall_s"]["within_bound"] is False
+    assert metrics["pattern_gain"]["within_bound"] is False
+    # A metric without a bound gets no within_bound flag.
+    metrics = bench_pairs.summarize(_pairs(walls), DIRECTIONS)["power_sweep"]["metrics"]
+    assert "within_bound" not in metrics["wall_s"]
+
+
 def test_exits_1_after_writing_when_a_run_is_incorrect(tmp_path, monkeypatch):
     outcomes = iter([_run(1, "base", 3.0), _run(1, "change", 2.0, correct=False, failed=1)])
     monkeypatch.setattr(

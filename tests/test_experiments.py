@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trihybrid import experiments
+from trihybrid import channel, experiments
 from trihybrid.cli import main
 from trihybrid.exceptions import ConfigurationError, GenerationError
 from trihybrid.experiments import audit_results, emit_plotdata, load_config, run_experiment
@@ -190,21 +190,76 @@ class TestRun:
         "methods", ["model1 model2 wmmse_fixed zf", "model1 model2 zf"]
     )
     def test_one_fixed_solve_per_cell(self, tmp_path, monkeypatch, methods):
+        # The fixed-pattern runs are the selection runs over one candidate.
         calls = []
-        solve = experiments.fixed_pattern_wmmse
+        solve = experiments.solve_selection
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counted(runs, *args, **kwargs):
+            calls.extend(run for run in runs if run.effs[0].block_width == 1)
+            return solve(runs, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "fixed_pattern_wmmse", counted)
+        monkeypatch.setattr(experiments, "solve_selection", counted)
         text = GRID.replace("methods = model1 model2 wmmse_fixed zf", f"methods = {methods}")
         rows = read_rows(run_experiment(write_config(tmp_path, text)))
         assert len(calls) == 4  # 2 values x 2 seeds
-        monkeypatch.setattr(experiments, "fixed_pattern_wmmse", solve)
+        monkeypatch.setattr(experiments, "solve_selection", solve)
         reference = read_rows(run_experiment(write_config(tmp_path, GRID, "all.ini")))
         warm = [r for r in rows if r["method"] in ("model1", "model2")]
         assert warm == [r for r in reference if r["method"] in ("model1", "model2")]
+
+    def test_each_channel_lifted_once_per_cell(self, tmp_path, monkeypatch):
+        lifts = []
+        lift = channel._lift
+
+        def counted(geom, gains, mode):
+            lifts.append(mode)
+            return lift(geom, gains, mode)
+
+        monkeypatch.setattr(channel, "_lift", counted)
+        run_experiment(write_config(tmp_path, GRID))
+        # 4 cells x 2 users: the candidate grid and the baseline pattern
+        # (selection), the harmonic basis (synthesis); the warm starts and
+        # the wmmse_fixed and zf rows share the baseline lift.
+        assert lifts.count("sel") == 4 * 2 * 2
+        assert lifts.count("cof") == 4 * 2
+
+    def test_candidate_grid_built_once_per_sweep_after_the_first_scenario(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        grid, generate = experiments.gaussian_beam_grid, experiments.generate_scenario
+
+        def counted_grid(*args, **kwargs):
+            events.append("grid")
+            return grid(*args, **kwargs)
+
+        def counted_scenario(*args, **kwargs):
+            events.append("scenario")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "gaussian_beam_grid", counted_grid)
+        monkeypatch.setattr(experiments, "generate_scenario", counted_scenario)
+        run_experiment(write_config(tmp_path, GRID), worker_count=1)
+        assert events.count("grid") == 1
+        assert events.count("scenario") == 4
+        assert events[0] == "scenario"
+
+    @pytest.mark.parametrize("text", [MINI, GRID], ids=["cold", "warm"])
+    def test_every_timing_row_phases_within_its_seconds(self, tmp_path, text):
+        # Each batched solve's seconds and phase seconds land in the one row
+        # that first reads it: with warm starts, model1 pays for the
+        # fixed-pattern solve and the wmmse_fixed row holds no solve.
+        out = run_experiment(write_config(tmp_path, text.replace("seeds = 1", "seeds = 1 2")))
+        phases = ["receivers_s", "sweep_s", "objective_s", "decomp_s"]
+        timing = read_rows(Path(out).with_name("results_timing.csv"))
+        assert len(timing) == len(read_rows(out))
+        for row in timing:
+            spent = [float(row[p]) for p in phases]
+            assert sum(spent) <= float(row["seconds"]) + 1e-5, row
+            paid = row["method"] in ("model1", "model2") or (
+                row["method"] == "wmmse_fixed" and text is MINI
+            )
+            assert all(t > 0 for t in spent) if paid else spent == [0.0] * 4, row
 
     def test_satisfied_constraints_read_positive_zero(self, tmp_path):
         rows = read_rows(run_experiment(write_config(tmp_path)))
@@ -461,6 +516,35 @@ class TestCli:
         assert "chains exceed" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "results.csv").exists()
+
+    def test_run_that_raises_in_a_batch_is_named_and_others_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        batches = []
+        solve = experiments.solve_selection
+
+        def flaky(runs, *args, **kwargs):
+            batches.append(len(runs))
+            if any(run.config.power < 1.0 for run in runs):  # the -10 dBm cell
+                raise FloatingPointError("diverged")
+            return solve(runs, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_selection", flaky)
+        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
+        text = MINI.replace("values = 0", "values = -10 0").replace(
+            "methods = model1 model2 wmmse_fixed zf", "methods = model1 zf"
+        )
+        assert main(["run", str(write_config(tmp_path, text))]) == 1
+        assert batches == [2, 1, 1]  # the batch, then each run alone
+        err = capsys.readouterr().err
+        assert "1 of 2 sweep cells failed" in err
+        assert "value -10.0, seed 1: FloatingPointError: diverged" in err
+        rows = read_rows(tmp_path / "results.csv")
+        assert [(r["sweep_value"], r["method"]) for r in rows] == [("0.0", "model1"), ("0.0", "zf")]
+        alone = read_rows(run_experiment(write_config(
+            tmp_path, text.replace("values = -10 0", "values = 0"), "alone.ini"
+        )))
+        assert rows == alone
 
     def test_failed_cell_named_and_others_written(self, tmp_path, capsys, monkeypatch):
         generate = experiments.generate_scenario

@@ -27,6 +27,7 @@ from helpers import (
     weighted_sum_rate_loop,
     wmmse_objective_loop,
 )
+from trihybrid.baselines import fixed_pattern_wmmse
 from trihybrid.channel import (
     EffectiveChannel,
     compose,
@@ -44,6 +45,8 @@ from trihybrid.sphharm import FOUR_PI
 from trihybrid import wmmse
 from trihybrid.wmmse import (
     _TINY_QUAD,
+    Run,
+    SolverConfig,
     _row_solution,
     _SweepWorkspace,
     _Users,
@@ -55,6 +58,8 @@ from trihybrid.wmmse import (
     run_selection,
     run_synthesis,
     select_pattern_and_row,
+    solve_selection,
+    solve_synthesis,
     stream_masks,
     synthesize_pattern_and_row,
     weighted_sum_rate,
@@ -373,9 +378,14 @@ def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
 
 
 def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users):
-    stack = _Users(effs, users, 0.3)
+    """The sweep workspace of a batch of one run; it updates `antenna_matrix`
+    in place."""
+    stack = _Users.of([Run(effs, SolverConfig(noise=0.3))], users)
+    antenna_matrix, f_d = antenna_matrix[None], f_d[None]
     received = stack.covariances(antenna_matrix, f_d).received
-    return _SweepWorkspace(stack, antenna_matrix, f_d, received, receivers, weights, beta)
+    return _SweepWorkspace(
+        stack, antenna_matrix, f_d, received, receivers[None], weights[None], beta
+    )
 
 
 def _full_objective(effs, antenna_matrix, f_d, receivers, weights, beta, users, sigma=0.3):
@@ -389,18 +399,18 @@ class TestPerAntennaTerms:
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         receivers = np.zeros_like(receivers)
         workspace = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
-        assert_allclose(workspace.quad[1], 0.0, atol=1e-15)
-        assert_allclose(workspace.linear(1), 0.0, atol=1e-15)
+        assert_allclose(workspace.quad[1, 0], 0.0, atol=1e-15)
+        assert_allclose(workspace.linear(1)[0], 0.0, atol=1e-15)
 
     def test_single_antenna_has_no_cross_coupling(self, rng):
         # With no other antenna, the linear term is the alignment term alone.
         effs, _, f_d, receivers, weights, beta, users = _random_block_state(rng, n=1)
         antenna_matrix = np.eye(2)[[0]]
         workspace = _workspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta, users)
-        assert_allclose(workspace.linear(0), -workspace.align[0], atol=1e-12)
+        assert_allclose(workspace.linear(0)[0], -workspace.align[0, 0], atol=1e-12)
 
     def test_quad_term_hermitian_psd(self, rng):
-        quad = _workspace(*_random_block_state(rng)).quad[0]
+        quad = _workspace(*_random_block_state(rng)).quad[0, 0]
         assert_allclose(quad, quad.conj().T, atol=1e-13)
         assert np.min(np.linalg.eigvalsh(quad)) >= -1e-12
 
@@ -410,7 +420,7 @@ class TestPerAntennaTerms:
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         n = 1
         workspace = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
-        quad, linear = workspace.quad[n], workspace.linear(n)
+        quad, linear = workspace.quad[n, 0], workspace.linear(n)[0]
         width = antenna_matrix.shape[1]
         gaps = []
         for _ in range(10):
@@ -442,11 +452,11 @@ class TestPerAntennaTerms:
         for n in (3, 0, 4, 3, 1):
             row = random_complex(rng, f_d.shape[1])
             if one_hot:
-                running.select(n, int(rng.integers(0, width)), row)
+                running.select(n, [int(rng.integers(0, width))], row[None])
             else:
-                running.apply(n, rng.standard_normal(width), row)
+                running.apply(n, rng.standard_normal((1, width)), row[None])
         fresh = _workspace(
-            effs, antenna_matrix.copy(), f_d.copy(), receivers, weights, beta, users
+            effs, antenna_matrix.copy(), running.precoders()[0], receivers, weights, beta, users
         )
         for n in range(5):
             got, want = antenna_terms(running, n), antenna_terms(fresh, n)
@@ -489,7 +499,7 @@ class TestPerAntennaTerms:
                 assert out[0] == index, n
                 want_row, row = rows[index][0], out[1]
             else:
-                vector = workspace.antenna_matrix[n]
+                vector = workspace.antenna_matrix[0, n]
                 a = float(np.real(vector @ quad @ vector))
                 want_row, _ = _row_solution(a, want @ vector, budget)
                 row = out[1]
@@ -806,7 +816,6 @@ class TestRunSelection:
         assert rate == pytest.approx(trace.sum_rate[-1], abs=1e-9)
 
     def test_single_candidate_matches_fixed_baseline(self, small_setup):
-        from trihybrid.baselines import fixed_pattern_wmmse
         from trihybrid.patterns import CandidateSet
 
         scenario, candidates, streams = small_setup
@@ -928,7 +937,7 @@ class TestRunSynthesis:
         assert calls == []  # nor do synthesis sweeps that keep the patterns
         _, trace = run_synthesis(effs, streams, config)
         assert trace.n_iterations == 3
-        assert calls == [(effs[0].n_antennas, 8, 8)] * 3
+        assert calls == [(effs[0].n_antennas, 1, 8, 8)] * 3  # (N, runs, W - 1, W - 1)
 
     def test_only_selection_sweeps_build_candidate_quads(self, small_setup, monkeypatch):
         scenario, candidates, streams = small_setup
@@ -946,7 +955,27 @@ class TestRunSynthesis:
         assert calls == []
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         run_selection(effs, streams, config)
-        assert calls == [(effs[0].n_antennas, 8, 8)] * 3
+        assert calls == [(effs[0].n_antennas, 1, 8, 8)] * 3  # (N, runs, W, W)
+
+    def test_selection_sweeps_never_build_synthesis_terms(self, small_setup, monkeypatch):
+        # A spy in place of the workspace's lazy synthesis inputs.
+        scenario, candidates, streams = small_setup
+        built = []
+        for name in ("row_quads", "pinned"):
+            build = getattr(wmmse._SweepWorkspace, name).func
+
+            def spy(workspace, name=name, build=build):
+                built.append(name)
+                return build(workspace)
+
+            monkeypatch.setattr(wmmse._SweepWorkspace, name, property(spy))
+        config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
+        effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
+        run_selection(effs, streams, config)
+        assert built == []
+        effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
+        run_synthesis(effs, streams, config)
+        assert set(built) == {"row_quads", "pinned"}
 
     def test_monotone_blockwise(self, small_setup):
         scenario, _, streams = small_setup
@@ -969,8 +998,6 @@ class TestRunSynthesis:
         assert max(trace.max_power_violation) <= 1e-12
 
     def test_rho_one_matches_fixed_isotropic(self, small_setup):
-        from trihybrid.baselines import fixed_pattern_wmmse
-
         scenario, _, streams = small_setup
         config = desk_solver(max_outer_iterations=8, objective_tol=0.0, rho=1.0)
         effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
@@ -992,8 +1019,6 @@ class TestRunSynthesis:
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_warm_start_dominates_fixed(self, small_setup):
-        from trihybrid.baselines import fixed_pattern_wmmse
-
         scenario, candidates, streams = small_setup
         config = desk_solver(max_outer_iterations=15)
         state_f, trace_f = fixed_pattern_wmmse(
@@ -1004,3 +1029,83 @@ class TestRunSynthesis:
             effs, streams, config, init_f_d=state_f.f_d
         )
         assert trace_m.sum_rate[-1] >= trace_f.sum_rate[-1] - 1e-6
+
+
+class TestBatchedSolves:
+    """A run solved in a lockstep batch gets exactly the bits of its solve
+    alone, whatever else is in the batch."""
+
+    STREAMS = (2, 2)
+
+    @pytest.fixture(scope="class")
+    def drops(self):
+        return [desk_scenario(seed) for seed in (1, 2, 3, 4)]
+
+    def _runs(self, drops, lift, **overrides):
+        """One run per drop with its own budgets, seed and stop rule: a
+        loose tolerance that stops within a few iterations, per-antenna
+        budgets, a warm start from the fixed-pattern solve, and a run that
+        goes to its cap."""
+        baseline = gaussian_beam_grid(8).baseline
+        runs = []
+        for i, scenario in enumerate(drops):
+            n_antennas = scenario.geometries[0].n_tx
+            config = desk_solver(
+                power=[1e-2, np.linspace(0.5, 2.0, n_antennas), 1.0, 10.0][i],
+                seed=i,
+                max_outer_iterations=12,
+                objective_tol=[1e-2, 1e-6, 1e-6, 0.0][i],
+                **overrides,
+            )
+            init_f_d = None
+            if i == 2:
+                init_f_d = fixed_pattern_wmmse(scenario, baseline, self.STREAMS, config)[0].f_d
+            runs.append(Run([lift(g) for g in scenario.geometries], config, init_f_d))
+        return runs
+
+    def _check(self, solve, single, runs):
+        batched = solve(runs, self.STREAMS)
+        iterations = []
+        for run, (state, trace) in zip(runs, batched):
+            want_state, want_trace = single(
+                run.effs, self.STREAMS, run.config, init_f_d=run.init_f_d
+            )
+            for name in ("f_d", "f_rf", "f_bb", "antenna_matrix"):
+                assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
+            assert trace.objective == want_trace.objective
+            assert trace.n_iterations == want_trace.n_iterations
+            assert trace.converged == want_trace.converged
+            iterations.append(trace.n_iterations)
+        # The runs leave the batch in different iterations.
+        assert iterations[0] < max(iterations) and iterations[-1] == 12
+        return batched
+
+    @pytest.mark.parametrize("width", [8, 1])
+    def test_selection(self, drops, width):
+        candidates = gaussian_beam_grid(8)
+        if width == 1:
+            candidates = CandidateSet((candidates.baseline,))
+        runs = self._runs(drops, lambda g: selection_effective_channel(g, candidates))
+        self._check(solve_selection, run_selection, runs)
+
+    @pytest.mark.parametrize("rho", [0.7, 1.0])
+    def test_synthesis(self, drops, rho):
+        runs = self._runs(drops, lambda g: synthesis_effective_channel(g, 2), rho=rho)
+        self._check(solve_synthesis, run_synthesis, runs)
+
+    def test_batch_order_does_not_matter(self, drops):
+        candidates = gaussian_beam_grid(8)
+        runs = self._runs(drops, lambda g: selection_effective_channel(g, candidates))
+        forward = solve_selection(runs, self.STREAMS)
+        backward = solve_selection(runs[::-1], self.STREAMS)[::-1]
+        for (a, trace_a), (b, trace_b) in zip(forward, backward):
+            assert np.array_equal(a.f_d, b.f_d) and trace_a.objective == trace_b.objective
+
+    def test_runs_of_unequal_shapes_rejected(self, drops):
+        candidates = gaussian_beam_grid(8)
+        runs = self._runs(drops[:2], lambda g: selection_effective_channel(g, candidates))
+        fewer = CandidateSet(candidates.patterns[:4])
+        runs[1] = Run([selection_effective_channel(g, fewer) for g in drops[1].geometries],
+                      runs[1].config)
+        with pytest.raises(ValueError, match="same array shapes"):
+            solve_selection(runs, self.STREAMS)

@@ -21,7 +21,12 @@ quartiles per side, the number of pairs the change won by the direction
 `BENCHMARK.json` gives the metric (ties count for neither side), and
 `max_rel_diff`, the largest |change - base| / |base| over the pairs (the
 absolute difference where base is 0), which shows whether a metric moved
-by more than its last bits.  `digest_mismatches` counts the untraced pairs
+by more than its last bits.  Two flags judge each metric: `gain_holds`
+when the change won at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's quartile spread (q3 - q1), and
+`within_bound` when the change median is worse than the parent's by at
+most the metric's relative `bound` in `BENCHMARK.json`.
+`digest_mismatches` counts the untraced pairs
 whose two sides wrote different results CSVs (different `results_sha256`),
 so 0 means the change kept the results byte-identical on every seed.  The
 medians include every run; the script exits 1 after writing the file when
@@ -67,10 +72,26 @@ def _relative_difference(base: float, change: float) -> float:
     return abs(change - base) / (abs(base) or 1.0)
 
 
-def summarize(runs: list[dict], directions: dict) -> dict:
+def _verdicts(entry: dict, better: str, bound: float | None) -> dict:
+    """`gain_holds` and, given a relative bound, `within_bound` of one
+    summarized metric."""
+    sign = 1.0 if better == "lower" else -1.0
+    base = entry["base"]
+    gain = sign * (base["median"] - entry["change"]["median"])  # > 0 when the change is better
+    verdicts = {
+        "gain_holds": 10 * entry["change_wins"] >= 9 * entry["pairs"]
+        and gain > base["q3"] - base["q1"]
+    }
+    if bound is not None:
+        verdicts["within_bound"] = -gain <= bound * abs(base["median"])
+    return verdicts
+
+
+def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) -> dict:
     """Per workload: each side's run totals, the pairs whose results
-    digests differ, and per metric each side's quartiles, the pairs won and
-    the largest relative pair difference."""
+    digests differ, and per metric each side's quartiles, the pairs won,
+    the largest relative pair difference and the verdicts of
+    :func:`_verdicts`; `bounds` maps a metric to its relative bound."""
     summary: dict = {}
     pairs: dict = {}  # (workload, pair) -> side -> run
     for run in runs:
@@ -112,10 +133,11 @@ def summarize(runs: list[dict], directions: dict) -> dict:
                 change_better = change < base if better == "lower" else change > base
                 entry["change_wins" if change_better else "base_wins"] += 1
     for workload in summary.values():
-        for entry in workload["metrics"].values():
+        for name, entry in workload["metrics"].items():
             entry["pairs"] = len(entry["base"])
             for side in SIDES:
                 entry[side] = dict(zip(("q1", "median", "q3"), _quartiles(entry[side])))
+            entry.update(_verdicts(entry, directions[name], (bounds or {}).get(name)))
     return summary
 
 
@@ -139,6 +161,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     first_pair = 1 + max((run["pair"] for run in data["runs"]), default=0)
     checkouts = {"base": args.base, "change": args.change}
@@ -149,7 +172,7 @@ def main(argv=None) -> int:
             run = run_once(checkouts[side], args.workload, seed, args.trace)
             data["runs"].append({"pair": pair, "side": side, "first": position == 0, **run})
             print(f"pair {pair} seed {seed} {side}: correct={run['result']['correct']}", flush=True)
-        data["summary"] = summarize(data["runs"], directions)
+        data["summary"] = summarize(data["runs"], directions, bounds)
         args.out.write_text(json.dumps(data, indent=1) + "\n")
     incorrect = incorrect_runs(data["summary"])
     if incorrect:
