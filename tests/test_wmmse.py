@@ -1093,14 +1093,6 @@ class TestBatchedSolves:
         runs = self._runs(drops, lambda g: synthesis_effective_channel(g, 2), rho=rho)
         self._check(solve_synthesis, run_synthesis, runs)
 
-    def test_batch_order_does_not_matter(self, drops):
-        candidates = gaussian_beam_grid(8)
-        runs = self._runs(drops, lambda g: selection_effective_channel(g, candidates))
-        forward = solve_selection(runs, self.STREAMS)
-        backward = solve_selection(runs[::-1], self.STREAMS)[::-1]
-        for (a, trace_a), (b, trace_b) in zip(forward, backward):
-            assert np.array_equal(a.f_d, b.f_d) and trace_a.objective == trace_b.objective
-
     def test_runs_of_unequal_shapes_rejected(self, drops):
         candidates = gaussian_beam_grid(8)
         runs = self._runs(drops[:2], lambda g: selection_effective_channel(g, candidates))
