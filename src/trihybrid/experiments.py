@@ -564,8 +564,7 @@ def _solve_batches(cells: list[_Cell], method: str) -> None:
             continue
         finally:
             cell.owe(reader, time.perf_counter() - started)
-        shapes = tuple((eff.block_width, eff.matrix.shape) for eff in run.effs)
-        batches.setdefault(shapes, []).append(cell)
+        batches.setdefault(run.shapes, []).append(cell)
     for batch in batches.values():
         started = time.perf_counter()
         try:

@@ -660,6 +660,11 @@ class Run:
     config: SolverConfig
     init_f_d: np.ndarray | None = None
 
+    @property
+    def shapes(self) -> tuple:
+        """The array shapes that the runs of one batch share."""
+        return tuple((eff.block_width, eff.matrix.shape) for eff in self.effs)
+
 
 def _initial_f_d(run: Run, n_antennas: int, d_total: int, power: np.ndarray) -> np.ndarray:
     config = run.config
@@ -698,7 +703,7 @@ def _run_bcd(
     it.  `block_monitor(label, objectives)` gets every active run's
     objective after each block.  Returns one (state, trace) per run.
     """
-    shapes = {tuple((eff.block_width, eff.matrix.shape) for eff in run.effs) for run in runs}
+    shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
         raise ValueError(f"the runs of a batch need the same array shapes, got {sorted(shapes)}")
     n_users = len(runs[0].effs)
@@ -786,15 +791,13 @@ def _run_bcd(
                 f_d[b].copy(), antenna_matrix[b].copy(), users.power[b].copy(), runs[r].config
             )
             traces[r].decomp_s = time.perf_counter() - decomposed
-        if leaving and len(leaving) < len(active):
+        if leaving:
             kept = [b for b in range(len(active)) if b not in leaving]
             active = [active[b] for b in kept]
             users, cov = users.take(kept), cov.take(kept)
             f_d, antenna_matrix, weights = f_d[kept], antenna_matrix[kept], weights[kept]
-        elif leaving:
-            active = []
         started = time.perf_counter()
-    return [(state, trace) for state, trace in zip(results, traces)]
+    return list(zip(results, traces))
 
 
 def _select_step(workspace: _SweepWorkspace, n: int) -> None:
