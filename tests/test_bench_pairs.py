@@ -118,7 +118,10 @@ def _pairs(walls, gains=None):
     gains = gains or [(1.0, 1.0)] * len(walls)
     runs = []
     for pair, ((base, change), (base_gain, change_gain)) in enumerate(zip(walls, gains), 1):
-        runs += [_run(pair, "base", base, gain=base_gain), _run(pair, "change", change, gain=change_gain)]
+        runs += [
+            _run(pair, "base", base, gain=base_gain),
+            _run(pair, "change", change, gain=change_gain),
+        ]
     return runs
 
 
