@@ -7,6 +7,8 @@ singular values below 1e-9 of the largest dropped), and the analog stage is
 refined one entry at a time, each phase set to its exact per-coordinate
 minimizer, so the Frobenius mismatch never increases.  A final scalar
 rescaling of the digital stage restores the per-antenna power budgets.
+A stack of precoders is factored in one batched alternation, each run
+with the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -61,23 +63,100 @@ def rescale_per_antenna(
 
 
 def _refine_phases(f_d, f_rf, f_bb) -> np.ndarray:
-    """One cyclic pass of exact per-column phase updates on the analog stage.
+    """One cyclic pass of exact per-column phase updates on the analog stage
+    of every run of a stack, (B, N, N_RF), in place.
 
     Column j's entries each minimize the true mismatch with everything else
     held fixed, so the pass cannot increase the residual.
     """
-    n = f_rf.shape[0]
-    f_rf = f_rf.copy()
+    root = np.sqrt(f_rf.shape[1])
+    targets = f_bb.conj()[..., None]  # conj(f_bb[:, j]) as (B, D, 1) columns
     residual = f_d - f_rf @ f_bb
-    for j in range(f_rf.shape[1]):
-        without = residual + f_rf[:, j, None] * f_bb[j]
-        match = without @ f_bb[j].conj()
-        keep = np.abs(match) == 0.0
-        column = np.exp(1j * np.angle(match)) / np.sqrt(n)
-        column[keep] = f_rf[keep, j]
-        f_rf[:, j] = column
-        residual = without - column[:, None] * f_bb[j]
+    for j in range(f_rf.shape[2]):
+        old, gains = f_rf[:, :, j, None], f_bb[:, j, None, :]
+        without = residual + old * gains
+        match = without @ targets[:, j]
+        column = np.exp(1j * np.angle(match))
+        column /= root
+        if np.count_nonzero(match) < match.size:  # a zero match keeps its phase
+            keep = match == 0.0
+            column[keep] = old[keep]
+        old[...] = column
+        residual = without - column * gains
     return f_rf
+
+
+def decompose_precoders(
+    f_d: np.ndarray,
+    n_rf: int,
+    power,
+    seeds,
+    iterations: int = 30,
+) -> list[DecompositionResult]:
+    """Alternate digital least squares and analog phase refinement on a
+    stack of precoders, (B, N, D), all with `n_rf` chains.
+
+    `power` holds each run's budgets (a scalar or one per antenna) and
+    `seeds` each run's seed.  The analog stage starts from the phases of
+    the leading columns of the target; random phases from the run's own
+    generator pad any extra chains.  The phase refinement of every run
+    still alternating is one batched pass; the least-squares fit and the
+    residual stay per run.  A run stops on its own tests: a residual below
+    1e-15, an improvement that stalls, or the iteration cap.  Its recorded
+    residual history is non-increasing.  After the alternation each run's
+    digital stage is rescaled for per-antenna feasibility.  Returns one
+    result per run, each equal to the bit to the run decomposed alone.
+    """
+    f_d = np.asarray(f_d, dtype=complex)
+    n_runs, n_antennas, n_streams = f_d.shape
+    if n_rf > n_antennas:
+        raise ValueError(f"cannot use {n_rf} chains with {n_antennas} antennas")
+    if n_rf < 1:
+        raise ValueError("need at least one chain")
+
+    lead = min(n_rf, n_streams)
+    phases = np.angle(f_d[:, :, :lead])
+    if n_rf > lead:
+        pads = [
+            np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n_antennas, n_rf - lead))
+            for seed in seeds
+        ]
+        phases = np.concatenate([phases, np.stack(pads)], axis=2)
+    f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
+
+    f_bb = np.stack([np.linalg.lstsq(a, b, rcond=_LSTSQ_RCOND)[0] for a, b in zip(f_rf, f_d)])
+    residuals = [_relative_residual(*parts) for parts in zip(f_d, f_rf, f_bb)]
+    histories = [[residual] for residual in residuals]
+    active = [b for b, residual in enumerate(residuals) if not residual < 1e-15]
+    for _ in range(iterations):
+        if not active:
+            break
+        if len(active) == n_runs:  # no run has stopped: refine in place, with no gather
+            _refine_phases(f_d, f_rf, f_bb)
+        else:
+            f_rf[active] = _refine_phases(f_d[active], f_rf[active], f_bb[active])
+        going = []
+        for b in active:
+            f_bb[b] = np.linalg.lstsq(f_rf[b], f_d[b], rcond=_LSTSQ_RCOND)[0]
+            residual, new_residual = residuals[b], _relative_residual(f_d[b], f_rf[b], f_bb[b])
+            histories[b].append(min(new_residual, residual))
+            if new_residual >= residual - 1e-15:
+                residuals[b] = min(new_residual, residual)
+                continue
+            residuals[b] = new_residual
+            if not new_residual < 1e-15:
+                going.append(b)
+        active = going
+
+    results = []
+    for b, (residual, history) in enumerate(zip(residuals, histories)):
+        f_bb_scaled, scale = rescale_per_antenna(f_rf[b], f_bb[b], power[b])
+        results.append(
+            DecompositionResult(
+                f_rf=f_rf[b], f_bb=f_bb_scaled, residual=residual, scale=scale, history=history
+            )
+        )
+    return results
 
 
 def decompose_precoder(
@@ -87,7 +166,8 @@ def decompose_precoder(
     iterations: int = 30,
     seed: int = 0,
 ) -> DecompositionResult:
-    """Alternate digital least squares and analog phase refinement.
+    """Alternate digital least squares and analog phase refinement: the
+    decomposition of :func:`decompose_precoders` on a stack of one.
 
     The analog stage starts from the phases of the leading columns of the
     target (random phases pad any extra chains).  The recorded residual
@@ -95,43 +175,4 @@ def decompose_precoder(
     stalls.  After the alternation the digital stage is rescaled for
     per-antenna feasibility.
     """
-    f_d = np.asarray(f_d, dtype=complex)
-    n_antennas, n_streams = f_d.shape
-    if n_rf > n_antennas:
-        raise ValueError(f"cannot use {n_rf} chains with {n_antennas} antennas")
-    if n_rf < 1:
-        raise ValueError("need at least one chain")
-
-    rng = np.random.default_rng(seed)
-    lead = min(n_rf, n_streams)
-    phases = np.angle(f_d[:, :lead])
-    if n_rf > lead:
-        phases = np.concatenate(
-            [phases, rng.uniform(0.0, 2.0 * np.pi, (n_antennas, n_rf - lead))], axis=1
-        )
-    f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
-
-    history: list[float] = []
-    f_bb, *_ = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)
-    residual = _relative_residual(f_d, f_rf, f_bb)
-    history.append(residual)
-    for _ in range(iterations):
-        if residual < 1e-15:
-            break
-        f_rf = _refine_phases(f_d, f_rf, f_bb)
-        f_bb, *_ = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)
-        new_residual = _relative_residual(f_d, f_rf, f_bb)
-        history.append(min(new_residual, residual))
-        if new_residual >= residual - 1e-15:
-            residual = min(new_residual, residual)
-            break
-        residual = new_residual
-
-    f_bb_scaled, scale = rescale_per_antenna(f_rf, f_bb, power)
-    return DecompositionResult(
-        f_rf=f_rf,
-        f_bb=f_bb_scaled,
-        residual=residual,
-        scale=scale,
-        history=history,
-    )
+    return decompose_precoders(np.asarray(f_d)[None], n_rf, [power], [seed], iterations)[0]

@@ -5,7 +5,8 @@ every sweep point x method x scenario seed, and appends one row per run to a
 results CSV.  The methods of one (sweep point, scenario seed) cell share its
 scenario and fixed-pattern solve, and every cell shares the candidate grid.
 The WMMSE runs of all cells that share a solver and array shapes are solved
-in one lockstep batch before the rows are made.  Runs are deterministic
+in one lockstep batch, and their zero-forcing precoders decomposed in one
+batch, before the rows are made.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
 are fixed, a run's results do not depend on its batch, and rows are written
 in sweep order regardless of worker count.  Wall-clock timings go to a
@@ -45,6 +46,7 @@ from .wmmse import (
     Run,
     SolverConfig,
     Trace,
+    decompose_states,
     received_covariances,
     solve_selection,
     solve_synthesis,
@@ -377,12 +379,12 @@ class _Cell:
 
     Each part is built on first use.  The fixed-pattern WMMSE solve serves
     both the `wmmse_fixed` row and the warm starts.  The runner solves the
-    cell's WMMSE runs in batches with other cells' before any of its rows
-    (`solved`); the seconds it spends on the cell then, building the cell's
-    inputs and the cell's share of each batch, wait in `owed` for the row
-    that first reads the run, in method order, and so do the solve's phase
-    seconds.  A run its batch did not give is solved alone, inside the row
-    that first needs it.
+    cell's runs, the WMMSE runs and the zero-forcing one, in batches with
+    other cells' before any of its rows (`solved`); the seconds it spends
+    on the cell then, building the cell's inputs and the cell's share of
+    each batch, wait in `owed` for the row that first reads the run, in
+    method order, and so do the solve's phase seconds.  A run its batch did
+    not give is solved alone, inside the row that first needs it.
     """
 
     sweep: _Sweep
@@ -423,8 +425,9 @@ class _Cell:
         ]
 
     def run(self, method: str) -> Run:
-        """The WMMSE run of `method`, warm-started from the fixed-pattern
-        solve when the config asks for it."""
+        """The run of `method`: a WMMSE run, warm-started from the
+        fixed-pattern solve when the config asks for it, or the zero-forcing
+        one on the baseline channels."""
         if method not in self.runs:
             geometries = self.scenario.geometries
             if method == "model1":
@@ -433,7 +436,7 @@ class _Cell:
                 effs = [synthesis_effective_channel(g, self.config.sh_degree) for g in geometries]
             else:
                 effs = self.fixed_effs
-            warm = self.config.warm_start and method != "wmmse_fixed"
+            warm = self.config.warm_start and method in ("model1", "model2")
             init_f_d = self.solve("wmmse_fixed")[0].f_d if warm else None
             self.runs[method] = Run(effs, self.solver, init_f_d)
         return self.runs[method]
@@ -456,17 +459,23 @@ class _Cell:
 
 
 def _solver(method: str):
-    return solve_synthesis if method == "model2" else solve_selection
+    return {"model2": solve_synthesis, "zf": _zero_forcing}.get(method, solve_selection)
 
 
-def _zero_forcing_state(cell: _Cell) -> PrecoderState:
-    """BD zero forcing on the baseline pattern, with its decomposition."""
-    solver = cell.solver
-    antenna_matrix = np.ones((cell.fixed_effs[0].n_antennas, 1))
-    channels = [compose(e, antenna_matrix) for e in cell.fixed_effs]
-    f_d = bd_zero_forcing(channels, cell.streams, solver.power)
-    power = np.full(f_d.shape[0], solver.power)
-    return PrecoderState.decomposed(f_d, antenna_matrix, power, solver)
+def _zero_forcing(runs: list[Run], stream_counts) -> list[tuple[PrecoderState, Trace]]:
+    """BD zero forcing on the baseline pattern of each run of a batch, with
+    the precoders decomposed in batches; a trace records the decomposition's
+    seconds only."""
+    n_antennas = runs[0].effs[0].n_antennas
+    antenna_matrix = np.ones((len(runs), n_antennas, 1))
+    f_d = np.stack([
+        bd_zero_forcing([compose(e, antenna_matrix[0]) for e in run.effs], stream_counts,
+                        run.config.power)
+        for run in runs
+    ])
+    power = np.stack([np.full(n_antennas, run.config.power) for run in runs])
+    states = decompose_states(f_d, antenna_matrix, power, [run.config for run in runs])
+    return [(state, Trace(converged=True, decomp_s=seconds)) for state, seconds in states]
 
 
 def run_point(
@@ -479,21 +488,16 @@ def run_point(
     runner spent on them for this row.
     """
     started = time.perf_counter()
-    if method in _WMMSE_METHODS:
-        state, trace = cell.solve(method)
-        effs = cell.run(method).effs
-        if method == "model1":
-            audit_set = cell.candidates
-        elif method == "model2":
-            audit_set = None
-        else:
-            audit_set = cell.baseline_set
-    elif method == "zf":
-        state, trace = _zero_forcing_state(cell), Trace(converged=True)
-        effs = cell.fixed_effs
-        audit_set = cell.baseline_set
-    else:
+    if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
+    state, trace = cell.solve(method)
+    effs = cell.run(method).effs
+    if method == "model1":
+        audit_set = cell.candidates
+    elif method == "model2":
+        audit_set = None
+    else:
+        audit_set = cell.baseline_set
 
     channels = [compose(e, state.antenna_matrix) for e in effs]
     noise = cell.solver.noise
@@ -526,10 +530,10 @@ def run_point(
 
 
 def _solve_order(config: ExperimentConfig) -> list[str]:
-    """The WMMSE methods in the order their batches run: method order, with
-    the fixed-pattern solve first when the others start from it."""
-    methods = [m for m in config.methods if m in _WMMSE_METHODS]
-    if config.warm_start and any(m != "wmmse_fixed" for m in methods):
+    """The methods in the order their batches run: method order, with the
+    fixed-pattern solve first when the pattern methods start from it."""
+    methods = list(config.methods)
+    if config.warm_start and any(m in ("model1", "model2") for m in methods):
         return ["wmmse_fixed"] + [m for m in methods if m != "wmmse_fixed"]
     return methods
 
@@ -585,8 +589,8 @@ def _solve_batches(cells: list[_Cell], method: str) -> None:
 
 def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
     """Every method of the given (sweep value, scenario seed) cells, one
-    `run_point` call per results row, after the cells' WMMSE runs are
-    solved in batches.
+    `run_point` call per results row, after the cells' runs are solved in
+    batches.
 
     Returns, per cell, its rows in method order and no error, or no rows
     and the error of the run that raised.  A configuration error ends the

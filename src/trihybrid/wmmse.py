@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import decompose_precoder, feasibility_scale
+from .decomp import decompose_precoders, feasibility_scale
 from .sphere_opt import (
     isotropic_coefficients,
     lift_coefficients,
@@ -111,13 +111,6 @@ class PrecoderState:
     antenna_matrix: np.ndarray
     power: np.ndarray
     decomp_residual: float
-
-    @classmethod
-    def decomposed(cls, f_d, antenna_matrix, power, config: SolverConfig) -> "PrecoderState":
-        """State of the digital precoder `f_d`, factored into analog and
-        digital stages with `config.rf_chains` chains."""
-        decomp = decompose_precoder(f_d, config.rf_chains, power, seed=config.seed)
-        return cls(f_d, decomp.f_rf, decomp.f_bb, antenna_matrix, power, decomp.residual)
 
     @property
     def n_antennas(self) -> int:
@@ -427,7 +420,6 @@ class _SweepWorkspace:
         self.offset += self.align
         self.rows = np.empty(f_d.shape[::2], dtype=complex)
         self.vectors = np.empty(antenna_matrix.shape[::2])
-        self.indices = [0] * n_runs
 
     @functools.cached_property
     def row_quads(self) -> np.ndarray:
@@ -550,42 +542,52 @@ def candidate_quads(quad_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_pattern_and_row(
-    linear: np.ndarray, quads: np.ndarray, inv_quads: np.ndarray, budget: float
+    linear: np.ndarray, quads, inv_quads, budgets, rows: np.ndarray | None = None
 ):
-    """Enumerate candidate patterns and pick the jointly optimal pair.
+    """Enumerate candidate patterns and pick the jointly optimal pair, for
+    one antenna in every run of a batch.
 
-    `linear` is the antenna's (D, W) linear term, and `quads` and
-    `inv_quads` the diagonal of its quad term and the guarded inverse from
-    :func:`candidate_quads` (lists or arrays); `budget` is non-negative.
-    Returns (candidate index, row, objective value).  Each candidate gets
-    the closed-form row of :func:`_row_solution`: a zero direction gives a
-    zero row and value 0, a vanishing quadratic coefficient the boundary
-    step.  Ties go to the lowest index.
+    `linear` holds each run's (D, W) linear term, (B, D, W), and `quads[b]`
+    and `inv_quads[b]` run b's diagonal of the quad term and its guarded
+    inverse from :func:`candidate_quads` (nested lists or arrays);
+    `budgets[b]` is non-negative.  Run b's row is written into `rows[b]`,
+    a (B, D) buffer made when none is given.  Returns (candidate indices,
+    rows, objective values), the indices and values as lists.  Each
+    candidate gets the closed-form row of :func:`_row_solution`: a zero
+    direction gives a zero row and value 0, a vanishing quadratic
+    coefficient the boundary step.  Ties go to the lowest index.
 
-    The W candidates are scored one by one on Python floats, which costs
-    less than numpy's dispatch on arrays this small.  Every boundary, step
-    and value takes the same IEEE operations in the same order as the
-    whole-array form, so the result is the same to the bit.  A value is NaN
-    only for non-finite input or when a direction so small that its
-    boundary step overflows meets a quad at most `_TINY_QUAD`; as with
-    numpy's `argmin`, the first NaN is then taken.
+    The squared norms of every run's candidates take one pass over the
+    batch; then each run's W candidates are scored one by one on Python
+    floats, which costs less than numpy's dispatch on arrays this small.
+    Every boundary, step and value takes the same IEEE operations in the
+    same order as the whole-array form, so the result is the same to the
+    bit.  A value is NaN only for non-finite input or when a direction so
+    small that its boundary step overflows meets a quad at most
+    `_TINY_QUAD`; as with numpy's `argmin`, the first NaN is then taken.
     """
+    if rows is None:
+        rows = np.empty(linear.shape[:2], dtype=complex)
     norms_sq = np.abs(linear)
     np.square(norms_sq, out=norms_sq)
-    best, best_value, best_step = 0, math.nan, 0.0
-    for s, (norm_sq, quad, inv_quad) in enumerate(
-        zip(np.add.reduce(norms_sq, axis=0).tolist(), quads, inv_quads)
-    ):
-        # A zero direction divides by 1 instead: its value is 0 whatever the step.
-        boundary = math.sqrt(budget / (norm_sq if norm_sq > 0.0 else 1.0))
-        step = min(inv_quad, boundary)
-        value = norm_sq * (quad * (step * step) - 2.0 * step)
-        if value != value:  # NaN: numpy's argmin takes the first one
-            best, best_value, best_step = s, value, step
-            break
-        if s == 0 or value < best_value:
-            best, best_value, best_step = s, value, step
-    return best, -best_step * linear[:, best], float(best_value)
+    norms_sq = np.add.reduce(norms_sq, axis=1).tolist()
+    indices, values = [], []
+    for b, budget in enumerate(budgets):
+        best, best_value, best_step = 0, math.nan, 0.0
+        for s, (norm_sq, quad, inv_quad) in enumerate(zip(norms_sq[b], quads[b], inv_quads[b])):
+            # A zero direction divides by 1 instead: its value is 0 whatever the step.
+            boundary = math.sqrt(budget / (norm_sq if norm_sq > 0.0 else 1.0))
+            step = min(inv_quad, boundary)
+            value = norm_sq * (quad * (step * step) - 2.0 * step)
+            if value != value:  # NaN: numpy's argmin takes the first one
+                best, best_value, best_step = s, value, step
+                break
+            if s == 0 or value < best_value:
+                best, best_value, best_step = s, value, step
+        rows[b] = -best_step * linear[b, :, best]
+        indices.append(best)
+        values.append(float(best_value))
+    return indices, rows, values
 
 
 def synthesize_pattern_and_row(
@@ -631,6 +633,31 @@ def synthesize_pattern_and_row(
 # ---------------------------------------------------------------------------
 # Shared solver loop
 # ---------------------------------------------------------------------------
+
+def decompose_states(f_d, antenna_matrix, power, configs) -> list[tuple[PrecoderState, float]]:
+    """The state of each run's digital precoder f_d[b], (B, N, D), factored
+    into analog and digital stages with configs[b]'s chain count and seed.
+
+    `antenna_matrix` and `power` hold each run's pattern matrix and
+    per-antenna budgets.  The runs that share a chain count are decomposed
+    in one batched call.  Returns one (state, seconds) per run, the seconds
+    its equal share of its call.
+    """
+    groups: dict = {}  # chain count -> its runs
+    for b, config in enumerate(configs):
+        groups.setdefault(config.rf_chains, []).append(b)
+    states: list = [None] * len(configs)
+    for n_rf, group in groups.items():
+        started = time.perf_counter()
+        parts = decompose_precoders(f_d[group], n_rf, power[group], [configs[b].seed for b in group])
+        share = (time.perf_counter() - started) / len(group)
+        for b, part in zip(group, parts):
+            states[b] = (
+                PrecoderState(f_d[b], part.f_rf, part.f_bb, antenna_matrix[b], power[b], part.residual),
+                share,
+            )
+    return states
+
 
 def _initial_precoders(rng, n_antennas, n_chains, n_streams, power):
     """Random constant-modulus analog stage, Gaussian digital stage, composed
@@ -698,9 +725,11 @@ def _run_bcd(
     Every batched operation acts on each run alone, so a run's iterates do
     not depend on which runs share its batch.  A run leaves the batch in
     the iteration where its own stop test fires or it reaches its own
-    iteration cap, and is decomposed then.  Each iteration's seconds, and
-    each of its phase seconds, are split evenly among the runs active in
-    it.  `block_monitor(label, objectives)` gets every active run's
+    iteration cap, and is decomposed then, in one batched call with every
+    run that leaves in the same iteration with the same chain count.  Each
+    iteration's seconds, and each of its phase seconds, are split evenly
+    among the runs active in it, and each call's seconds among the runs it
+    decomposes.  `block_monitor(label, objectives)` gets every active run's
     objective after each block.  Returns one (state, trace) per run.
     """
     shapes = {run.shapes for run in runs}
@@ -784,14 +813,14 @@ def _run_bcd(
             if trace.converged or iteration >= runs[r].config.max_outer_iterations:
                 leaving.append(b)
 
-        for b in leaving:
-            r = active[b]
-            decomposed = time.perf_counter()
-            results[r] = PrecoderState.decomposed(
-                f_d[b].copy(), antenna_matrix[b].copy(), users.power[b].copy(), runs[r].config
-            )
-            traces[r].decomp_s = time.perf_counter() - decomposed
         if leaving:
+            states = decompose_states(
+                f_d[leaving], antenna_matrix[leaving], users.power[leaving],
+                [runs[active[b]].config for b in leaving],
+            )
+            for b, (state, seconds) in zip(leaving, states):
+                results[active[b]] = state
+                traces[active[b]].decomp_s = seconds
             kept = [b for b in range(len(active)) if b not in leaving]
             active = [active[b] for b in kept]
             users, cov = users.take(kept), cov.take(kept)
@@ -802,10 +831,9 @@ def _run_bcd(
 
 def _select_step(workspace: _SweepWorkspace, n: int) -> None:
     quads, inv_quads = workspace.step_quads
-    linear, quads, inv_quads = workspace.linear(n), quads[n], inv_quads[n]
-    indices, rows = workspace.indices, workspace.rows
-    for b, budget in enumerate(workspace.budgets[n]):
-        indices[b], rows[b], _ = select_pattern_and_row(linear[b], quads[b], inv_quads[b], budget)
+    indices, rows, _ = select_pattern_and_row(
+        workspace.linear(n), quads[n], inv_quads[n], workspace.budgets[n], workspace.rows
+    )
     workspace.select(n, indices, rows)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import sympy as sp
 
 from trihybrid.channel import to_spherical
+from trihybrid.decomp import _LSTSQ_RCOND, _relative_residual, rescale_per_antenna
 
 
 def legendre_rodrigues(degree: int, order: int, x: float) -> float:
@@ -162,18 +163,65 @@ def block_objective(quad, linear, row: np.ndarray, vector: np.ndarray) -> float:
     return float(np.real(row @ row.conj()) * a + 2.0 * float(np.real(row.conj() @ dvec)))
 
 
-def select_pattern_and_row_vectorized(linear, quads, inv_quads, budget: float):
+def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=None):
     """The selection step of :func:`trihybrid.wmmse.select_pattern_and_row`
-    computed on whole arrays: every candidate's boundary, step and value at
-    once, then `argmin`.  The library scores the candidates one by one on
-    Python floats; the two must agree bit for bit."""
-    norms_sq = np.square(np.abs(linear)).sum(axis=0)
-    # A zero direction divides by 1 instead: its value is 0 whatever the step.
-    boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
-    steps = np.minimum(inv_quads, boundary)
-    values = norms_sq * (quads * steps**2 - 2.0 * steps)
-    best = int(values.argmin())
-    return best, -steps[best] * linear[:, best], float(values[best])
+    computed on whole arrays, run by run: every candidate's boundary, step
+    and value at once, then `argmin`.  The library scores the candidates one
+    by one on Python floats; the two must agree bit for bit.  Same
+    signature and return as the library's step."""
+    if rows is None:
+        rows = np.empty(np.shape(linear)[:2], dtype=complex)
+    indices, values = [], []
+    for b, budget in enumerate(budgets):
+        norms_sq = np.square(np.abs(linear[b])).sum(axis=0)
+        # A zero direction divides by 1 instead: its value is 0 whatever the step.
+        boundary = np.sqrt(budget / np.where(norms_sq > 0.0, norms_sq, 1.0))
+        steps = np.minimum(inv_quads[b], boundary)
+        run_values = norms_sq * (np.asarray(quads[b]) * steps**2 - 2.0 * steps)
+        best = int(run_values.argmin())
+        rows[b] = -steps[best] * linear[b][:, best]
+        indices.append(best)
+        values.append(float(run_values[best]))
+    return indices, rows, values
+
+
+def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: int = 0):
+    """The analog/digital decomposition of one precoder with its own
+    two-dimensional alternation: (f_rf, f_bb, residual, scale, history).
+    The library decomposes a stack in one batched alternation; each of its
+    runs must equal this bit for bit."""
+    n_antennas, n_streams = f_d.shape
+    lead = min(n_rf, n_streams)
+    phases = np.angle(f_d[:, :lead])
+    if n_rf > lead:
+        pad = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n_antennas, n_rf - lead))
+        phases = np.concatenate([phases, pad], axis=1)
+    f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
+    f_bb = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)[0]
+    residual = _relative_residual(f_d, f_rf, f_bb)
+    history = [residual]
+    for _ in range(iterations):
+        if residual < 1e-15:
+            break
+        f_rf = f_rf.copy()
+        mismatch = f_d - f_rf @ f_bb
+        for j in range(n_rf):
+            without = mismatch + f_rf[:, j, None] * f_bb[j]
+            match = without @ f_bb[j].conj()
+            keep = np.abs(match) == 0.0
+            column = np.exp(1j * np.angle(match)) / np.sqrt(n_antennas)
+            column[keep] = f_rf[keep, j]
+            f_rf[:, j] = column
+            mismatch = without - column[:, None] * f_bb[j]
+        f_bb = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)[0]
+        new_residual = _relative_residual(f_d, f_rf, f_bb)
+        history.append(min(new_residual, residual))
+        if new_residual >= residual - 1e-15:
+            residual = min(new_residual, residual)
+            break
+        residual = new_residual
+    f_bb, scale = rescale_per_antenna(f_rf, f_bb, power)
+    return f_rf, f_bb, residual, scale, history
 
 
 def antenna_terms(workspace, n: int, run: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -184,7 +184,8 @@ def test_criterion_04_closed_form_row_oracle():
         quad = random_psd(rng, width)
         dmat = random_complex(rng, d_streams, width) - random_complex(rng, d_streams, width)
         budget = float(rng.uniform(0.5, 4.0))
-        _, _, value = select_pattern_and_row(dmat, *candidate_quads(quad), budget)
+        quads, inv_quads = candidate_quads(quad)
+        _, _, (value,) = select_pattern_and_row(dmat[None], [quads], [inv_quads], [budget])
         best_sampled = np.inf
         for s in range(width):
             a = float(np.real(quad[s, s]))

@@ -172,6 +172,35 @@ def test_within_bound_compares_medians_with_the_relative_bound():
     assert "within_bound" not in metrics["wall_s"]
 
 
+def _traced(pair, side, metrics):
+    run = _run(pair, side, 0.0, trace=1)
+    run["result"]["metrics"] = {
+        name: {"value": value, "unit": "count"} for name, value in metrics.items()
+    }
+    return run
+
+
+def test_layers_compare_traced_medians_per_side():
+    runs = [
+        _traced(1, "base", {"decomp.s": 0.30, "decomp.calls": 120, "zf.s": 0.0, "only": 1.0}),
+        _traced(1, "change", {"decomp.s": 0.10, "decomp.calls": 0, "zf.s": 0.02}),
+        _traced(2, "change", {"decomp.s": 0.14, "decomp.calls": 0, "zf.s": 0.04}),
+        _traced(2, "base", {"decomp.s": 0.50, "decomp.calls": 120, "zf.s": 0.0}),
+        _traced(3, "base", {"decomp.s": 0.40, "decomp.calls": 120, "zf.s": 0.0}),
+        _run(4, "base", 3.0),  # untraced runs do not count
+        _run(4, "change", 2.0),
+    ]
+    layers = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]["layers"]
+    assert layers["decomp.s"] == pytest.approx({"base": 0.40, "change": 0.12, "ratio": 0.3})
+    assert layers["decomp.calls"] == {"base": 120, "change": 0, "ratio": 0.0}
+    # Where the base median is 0 the change is given as a difference.
+    assert layers["zf.s"] == pytest.approx({"base": 0.0, "change": 0.03, "difference": 0.03})
+    assert "only" not in layers  # traced on one side only
+    assert "wall_s" not in layers
+    untraced = bench_pairs.summarize(runs[-2:], DIRECTIONS)["power_sweep"]
+    assert untraced["layers"] == {}
+
+
 def test_exits_1_after_writing_when_a_run_is_incorrect(tmp_path, monkeypatch):
     outcomes = iter([_run(1, "base", 3.0), _run(1, "change", 2.0, correct=False, failed=1)])
     monkeypatch.setattr(

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import random_complex
-from trihybrid.decomp import decompose_precoder, rescale_per_antenna
+from helpers import decompose_precoder_loop, random_complex
+from trihybrid.decomp import (
+    _refine_phases,
+    decompose_precoder,
+    decompose_precoders,
+    rescale_per_antenna,
+)
 
 
 class TestDecompose:
@@ -68,6 +73,80 @@ class TestDecompose:
             decompose_precoder(f_d, 5, power=1.0)
         with pytest.raises(ValueError):
             decompose_precoder(f_d, 0, power=1.0)
+
+
+class TestBatchedDecomposition:
+    N, D, CHAINS = 8, 2, 7
+
+    def _stack(self):
+        """Targets of every kind of stop: the iteration cap, a residual
+        that drops below 1e-15 after some alternations, a stall, an exactly
+        factorable target that stops before the first alternation, and a
+        zero precoder."""
+        rng = np.random.default_rng(1)
+        kinds = {}  # kind -> (target, seed)
+        for seed in range(60):
+            f_d = random_complex(rng, self.N, self.D)
+            history = decompose_precoder_loop(f_d, self.CHAINS, 1.0, seed=seed)[4]
+            if len(history) == 31:
+                kind = "cap"
+            elif history[-1] < 1e-15 and history[-2] - history[-1] > 1e-15:
+                kind = "below"
+            else:
+                kind = "stall"
+            kinds.setdefault(kind, (f_d, seed))
+        assert set(kinds) == {"cap", "below", "stall"}
+        phases = rng.uniform(0.0, 2.0 * np.pi, (self.N, self.D))
+        factorable = np.exp(1j * phases) / np.sqrt(self.N) * np.array([0.5, 2.0])
+        zero = np.zeros((self.N, self.D), dtype=complex)
+        (cap, cap_seed), (stall, stall_seed), (below, below_seed) = (
+            kinds["cap"], kinds["stall"], kinds["below"]
+        )
+        f_d = np.stack([cap, factorable, stall, zero, below, 3.0 * cap])
+        power = [1.0, 0.5, 1.0, np.linspace(0.2, 2.0, self.N), 1.0, 0.1]
+        seeds = [cap_seed, 3, stall_seed, 7, below_seed, 61]
+        return f_d, power, seeds
+
+    def test_each_run_equals_its_two_dimensional_decomposition_bit_for_bit(self):
+        f_d, power, seeds = self._stack()
+        batched = decompose_precoders(f_d, self.CHAINS, power, seeds)
+        lengths = []
+        for target, budget, seed, result in zip(f_d, power, seeds, batched):
+            f_rf, f_bb, residual, scale, history = decompose_precoder_loop(
+                target, self.CHAINS, budget, seed=seed
+            )
+            alone = decompose_precoder(target, self.CHAINS, budget, seed=seed)
+            for got in (result, alone):
+                assert got.f_rf.tobytes() == f_rf.tobytes()
+                assert got.f_bb.tobytes() == f_bb.tobytes()
+                assert got.residual == residual and got.scale == scale
+                assert got.history == history
+            lengths.append(len(history))
+        # The cap, the factorable and zero targets before any alternation,
+        # and the stall and the drop below 1e-15 in between.
+        assert lengths[0] == lengths[5] == 31 and lengths[1] == lengths[3] == 1
+        assert 1 < lengths[2] < 31 and 1 < lengths[4] < 31
+        assert batched[3].residual == 0.0 and batched[4].residual < 1e-15
+
+    def test_zero_match_keeps_its_phase(self, rng):
+        # A chain with no digital gain matches nothing: its analog column
+        # keeps its phases, bit for bit, and the other columns still move.
+        f_d = random_complex(rng, 2, 6, 2)
+        f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 6, 3))) / np.sqrt(6)
+        f_bb = random_complex(rng, 2, 3, 2)
+        f_bb[1, 1] = 0.0
+        refined = _refine_phases(f_d, f_rf.copy(), f_bb)
+        assert refined[1, :, 1].tobytes() == f_rf[1, :, 1].tobytes()
+        assert not np.any(refined[1, :, 0] == f_rf[1, :, 0])
+        assert not np.any(refined[0, :, 1] == f_rf[0, :, 1])
+        for b in range(2):
+            before = np.linalg.norm(f_d[b] - f_rf[b] @ f_bb[b])
+            assert np.linalg.norm(f_d[b] - refined[b] @ f_bb[b]) <= before
+
+    def test_chain_count_validation(self, rng):
+        f_d = random_complex(rng, 2, 4, 2)
+        with pytest.raises(ValueError):
+            decompose_precoders(f_d, 5, [1.0, 1.0], [0, 1])
 
 
 class TestRescale:

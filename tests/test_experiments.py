@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trihybrid import channel, experiments
+from trihybrid import channel, experiments, wmmse
 from trihybrid.cli import main
 from trihybrid.exceptions import ConfigurationError, GenerationError
 from trihybrid.experiments import audit_results, emit_plotdata, load_config, run_experiment
@@ -160,8 +160,9 @@ class TestRun:
         assert all(float(r["seconds"]) > 0 for r in rows)
         for row in rows:
             spent = [float(row[p]) for p in phases]
-            if row["method"] == "zf":
-                assert spent == [0.0] * 4
+            if row["method"] == "zf":  # its share of the decomposition batch only
+                assert spent[:3] == [0.0] * 3 and spent[3] > 0, row
+                assert spent[3] <= float(row["seconds"]), row
             else:  # each solve is timed inside its own row here
                 assert all(t > 0 for t in spent), row
                 assert sum(spent) <= float(row["seconds"]) + 1e-5, row
@@ -248,7 +249,8 @@ class TestRun:
     def test_every_timing_row_phases_within_its_seconds(self, tmp_path, text):
         # Each batched solve's seconds and phase seconds land in the one row
         # that first reads it: with warm starts, model1 pays for the
-        # fixed-pattern solve and the wmmse_fixed row holds no solve.
+        # fixed-pattern solve and the wmmse_fixed row holds no solve.  A zf
+        # row holds its share of the zero-forcing decomposition batch.
         out = run_experiment(write_config(tmp_path, text.replace("seeds = 1", "seeds = 1 2")))
         phases = ["receivers_s", "sweep_s", "objective_s", "decomp_s"]
         timing = read_rows(Path(out).with_name("results_timing.csv"))
@@ -256,10 +258,36 @@ class TestRun:
         for row in timing:
             spent = [float(row[p]) for p in phases]
             assert sum(spent) <= float(row["seconds"]) + 1e-5, row
+            if row["method"] == "zf":
+                assert spent[:3] == [0.0] * 3, row
+                assert 0.0 < spent[3] <= float(row["seconds"]), row
+                continue
             paid = row["method"] in ("model1", "model2") or (
                 row["method"] == "wmmse_fixed" and text is MINI
             )
             assert all(t > 0 for t in spent) if paid else spent == [0.0] * 4, row
+
+    def test_one_decomposition_per_chain_count_of_a_batch(self, tmp_path, monkeypatch):
+        # Four cells of one array shape: the wmmse_fixed runs make one batch
+        # and all leave in their last iteration, and so do the zero-forcing
+        # precoders; each batch decomposes once per chain count.
+        calls = []
+        decompose = wmmse.decompose_precoders
+
+        def counted(f_d, n_rf, *args, **kwargs):
+            calls.append((n_rf, len(f_d)))
+            return decompose(f_d, n_rf, *args, **kwargs)
+
+        monkeypatch.setattr(wmmse, "decompose_precoders", counted)
+        text = MINI.replace("axis = power", "axis = rfchains").replace(
+            "values = 0", "values = 0 2"
+        ).replace("methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf").replace(
+            "objective_tol = 1e-6", "objective_tol = 0"
+        ).replace("seeds = 1", "seeds = 1 2")
+        rows = read_rows(run_experiment(write_config(tmp_path, text)))
+        assert sorted(calls) == [(4, 2), (4, 2), (6, 2), (6, 2)]
+        assert [r["rf_chains"] for r in rows] == ["4"] * 4 + ["6"] * 4
+        assert {r["outer_iterations"] for r in rows if r["method"] == "wmmse_fixed"} == {"6"}
 
     def test_satisfied_constraints_read_positive_zero(self, tmp_path):
         rows = read_rows(run_experiment(write_config(tmp_path)))
@@ -541,6 +569,37 @@ class TestCli:
         assert "value -10.0, seed 1: FloatingPointError: diverged" in err
         rows = read_rows(tmp_path / "results.csv")
         assert [(r["sweep_value"], r["method"]) for r in rows] == [("0.0", "model1"), ("0.0", "zf")]
+        alone = read_rows(run_experiment(write_config(
+            tmp_path, text.replace("values = -10 0", "values = 0"), "alone.ini"
+        )))
+        assert rows == alone
+
+    def test_zero_forcing_that_raises_is_named_and_others_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        zero_forcing = experiments.bd_zero_forcing
+        batches = []
+
+        def flaky(channels, stream_counts, power):
+            batches.append(power)
+            if power < 1.0:  # the -10 dBm cell
+                raise FloatingPointError("no null space")
+            return zero_forcing(channels, stream_counts, power)
+
+        monkeypatch.setattr(experiments, "bd_zero_forcing", flaky)
+        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
+        text = MINI.replace("values = 0", "values = -10 0").replace(
+            "methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf"
+        )
+        assert main(["run", str(write_config(tmp_path, text))]) == 1
+        assert len(batches) == 3  # the batch stops at its first cell, then each cell alone
+        err = capsys.readouterr().err
+        assert "1 of 2 sweep cells failed" in err
+        assert "value -10.0, seed 1: FloatingPointError: no null space" in err
+        rows = read_rows(tmp_path / "results.csv")
+        assert [(r["sweep_value"], r["method"]) for r in rows] == [
+            ("0.0", "wmmse_fixed"), ("0.0", "zf")
+        ]
         alone = read_rows(run_experiment(write_config(
             tmp_path, text.replace("values = -10 0", "values = 0"), "alone.ini"
         )))

@@ -490,14 +490,17 @@ class TestPerAntennaTerms:
         def checked_step(linear, *args):
             workspace, n = workspaces[-1], len(checked)
             quad, want = antenna_terms(workspace, n)
-            assert np.linalg.norm(linear - want) <= 1e-12 * np.linalg.norm(want), n
             out = step(linear, *args)
-            budget = args[-1] if mode == "selection" else args[-2]
+            if mode == "selection":  # one call for the batch of one run
+                linear, budget = linear[0], args[2][0]
+            else:
+                budget = args[-2]
+            assert np.linalg.norm(linear - want) <= 1e-12 * np.linalg.norm(want), n
             if mode == "selection":
                 rows = [_row_solution(float(quad[s, s].real), want[:, s], budget) for s in range(4)]
                 index = int(np.argmin([value for _, value in rows]))
-                assert out[0] == index, n
-                want_row, row = rows[index][0], out[1]
+                assert out[0] == [index], n
+                want_row, row = rows[index][0], out[1][0]
             else:
                 vector = workspace.antenna_matrix[0, n]
                 a = float(np.real(vector @ quad @ vector))
@@ -553,7 +556,10 @@ class TestClosedFormRow:
 
 
 def _select(quad, linear, budget):
-    return select_pattern_and_row(linear, *candidate_quads(quad), budget)
+    """The selection step on a batch of one: (index, row, value)."""
+    quads, inv_quads = candidate_quads(quad)
+    indices, rows, values = select_pattern_and_row(linear[None], [quads], [inv_quads], [budget])
+    return indices[0], rows[0], values[0]
 
 
 class TestSelectPattern:
@@ -647,25 +653,33 @@ _STEP_QUADS = st.sampled_from(
 
 @st.composite
 def _selection_steps(draw):
-    """A (D, W) linear term, its quad diagonal and guarded inverse (as
-    lists or arrays) and a budget.  Candidates are copies of a few distinct
-    ones, so exact ties occur, and some distinct columns are zero."""
+    """One antenna's selection step in a batch of 1-3 runs: (B, D, W)
+    linear terms, each run's quad diagonal and guarded inverse (as nested
+    lists or arrays) and budgets.  Each run's candidates are copies of a
+    few distinct ones, so exact ties occur, and some distinct columns are
+    zero."""
     d_streams = draw(st.integers(1, 4))
     width = draw(st.integers(1, 8))
-    distinct = draw(st.integers(1, width))
-    ids = draw(st.lists(st.integers(0, distinct - 1), min_size=width, max_size=width))
-    size = 2 * d_streams * distinct
-    parts = np.array(draw(st.lists(_STEP_ENTRIES, min_size=size, max_size=size)))
-    parts = parts.reshape(2, d_streams, distinct)
-    columns = parts[0] + 1j * parts[1]
-    zero = np.array(draw(st.lists(st.booleans(), min_size=distinct, max_size=distinct)))
-    columns[:, zero] = 0.0
-    pool = np.array(draw(st.lists(_STEP_QUADS, min_size=distinct, max_size=distinct)))
-    quads, inv_quads = candidate_quads(np.diag(pool[ids]))
+    linear, quads, inv_quads, budgets = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        distinct = draw(st.integers(1, width))
+        ids = draw(st.lists(st.integers(0, distinct - 1), min_size=width, max_size=width))
+        size = 2 * d_streams * distinct
+        parts = np.array(draw(st.lists(_STEP_ENTRIES, min_size=size, max_size=size)))
+        parts = parts.reshape(2, d_streams, distinct)
+        columns = parts[0] + 1j * parts[1]
+        zero = np.array(draw(st.lists(st.booleans(), min_size=distinct, max_size=distinct)))
+        columns[:, zero] = 0.0
+        pool = np.array(draw(st.lists(_STEP_QUADS, min_size=distinct, max_size=distinct)))
+        run_quads, run_inv_quads = candidate_quads(np.diag(pool[ids]))
+        linear.append(columns[:, ids])
+        quads.append(run_quads)
+        inv_quads.append(run_inv_quads)
+        budgets.append(draw(st.sampled_from([1e-3, 0.7, 1.0, 4.0]) | st.floats(1e-6, 1e3)))
+    quads, inv_quads = np.array(quads), np.array(inv_quads)
     if draw(st.booleans()):
         quads, inv_quads = quads.tolist(), inv_quads.tolist()
-    budget = draw(st.sampled_from([1e-3, 0.7, 1.0, 4.0]) | st.floats(1e-6, 1e3))
-    return columns[:, ids], quads, inv_quads, budget
+    return np.array(linear), quads, inv_quads, budgets
 
 
 @settings(max_examples=400, deadline=None)
@@ -674,14 +688,16 @@ def test_select_matches_vectorized_step_bit_for_bit(step):
     # The step scores candidates one by one on Python floats; the same
     # operations in the same order as the whole-array form give the same
     # index (ties and NaN values go to the lowest index, as with argmin)
-    # and the same bits in the row and the value.
+    # and the same bits in the row and the value, in every run of the batch.
     with np.errstate(all="ignore"):
         want = select_pattern_and_row_vectorized(*step)
-        got = select_pattern_and_row(*step)
+        rows = np.full(step[0].shape[:2], np.nan, dtype=complex)
+        got = select_pattern_and_row(*step, rows)
     assert got[0] == want[0]
+    assert got[1] is rows
     assert got[1].tobytes() == want[1].tobytes()
-    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
-    assert type(got[2]) is float
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert all(type(value) is float for value in got[2])
 
 
 def _synthesize(quad, linear, tail_spectrum, coefficients, budget, rho):
@@ -878,9 +894,10 @@ class TestTracedStepNames:
     def test_step_functions_called_once_per_antenna_step(self, small_setup, monkeypatch):
         # perfbench's tracer times the antenna step and the sphere solve by
         # wrapping these module-level names, so the sweep must call them:
-        # one selection or synthesis call per antenna step, and one sphere
-        # solve per synthesis step that solves on the sphere (rho < 1 and a
-        # nonzero row).
+        # one selection call per antenna step for the whole batch, one
+        # synthesis call per antenna step and run, and one sphere solve per
+        # synthesis step that solves on the sphere (rho < 1 and a nonzero
+        # row).
         scenario, candidates, streams = small_setup
         calls = {"select": 0, "synthesize": 0, "solving": 0, "sphere": 0}
         select = wmmse.select_pattern_and_row
@@ -908,13 +925,17 @@ class TestTracedStepNames:
         assert config.rho < 1.0
         sel = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         syn = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
-        _, trace_sel = run_selection(sel, streams, config)
+        state_sel, trace_sel = run_selection(sel, streams, config)
         _, trace_syn = run_synthesis(syn, streams, config)
         n_antennas = sel[0].n_antennas
         assert trace_sel.n_iterations == trace_syn.n_iterations == 3
         assert calls["select"] == 3 * n_antennas
         assert calls["synthesize"] == 3 * n_antennas
         assert calls["sphere"] == calls["solving"] > 0
+        # A batch of two runs still makes one selection call per step.
+        solved = solve_selection([Run(sel, config), Run(sel, config, init_f_d=state_sel.f_d)], streams)
+        assert [trace.n_iterations for _, trace in solved] == [3, 3]
+        assert calls["select"] == 2 * 3 * n_antennas
 
 
 class TestRunSynthesis:

@@ -28,9 +28,12 @@ parent's by more than the parent's quartile spread (q3 - q1), and
 most the metric's relative `bound` in `BENCHMARK.json`.
 `digest_mismatches` counts the untraced pairs
 whose two sides wrote different results CSVs (different `results_sha256`),
-so 0 means the change kept the results byte-identical on every seed.  The
-medians include every run; the script exits 1 after writing the file when
-any run in it is incorrect.
+so 0 means the change kept the results byte-identical on every seed.
+`layers` reads which layer moved: from the traced runs, each per-layer
+metric's median per side and `ratio`, change over base, or `difference`,
+change minus base, where the base median is 0.  The medians include every
+run; the script exits 1 after writing the file when any run in it is
+incorrect.
 
 Given the same checkout as `--base` and `--change`, the file is an A/A
 record: its summary shows how far the host alone moves each metric between
@@ -87,18 +90,28 @@ def _verdicts(entry: dict, better: str, bound: float | None) -> dict:
     return verdicts
 
 
+def _layer(values: dict) -> dict:
+    """Each side's median of one per-layer metric, and how the change moved it."""
+    base, change = (statistics.median(values[side]) for side in SIDES)
+    if base == 0.0:
+        return {"base": base, "change": change, "difference": change - base}
+    return {"base": base, "change": change, "ratio": change / base}
+
+
 def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) -> dict:
     """Per workload: each side's run totals, the pairs whose results
-    digests differ, and per metric each side's quartiles, the pairs won,
-    the largest relative pair difference and the verdicts of
-    :func:`_verdicts`; `bounds` maps a metric to its relative bound."""
+    digests differ, per metric each side's quartiles, the pairs won, the
+    largest relative pair difference and the verdicts of :func:`_verdicts`,
+    and per traced metric the :func:`_layer` comparison; `bounds` maps a
+    metric to its relative bound."""
     summary: dict = {}
     pairs: dict = {}  # (workload, pair) -> side -> run
+    traced: dict = {}  # workload -> metric -> side -> values
     for run in runs:
         workload = run["record"]["workload"]
         result = run["result"]
         sides = summary.setdefault(
-            workload, {"runs": {}, "digest_mismatches": 0, "metrics": {}}
+            workload, {"runs": {}, "digest_mismatches": 0, "metrics": {}, "layers": {}}
         )["runs"]
         totals = sides.setdefault(
             run["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect": 0}
@@ -109,6 +122,10 @@ def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) ->
         totals["incorrect"] += not result["correct"]
         if not run["record"]["trace"]:
             pairs.setdefault((workload, run["pair"]), {})[run["side"]] = run
+            continue
+        for name, metric in result["metrics"].items():
+            values = traced.setdefault(workload, {}).setdefault(name, {side: [] for side in SIDES})
+            values[run["side"]].append(metric["value"])
     for (workload, _), sides in sorted(pairs.items()):
         if set(sides) != set(SIDES):
             continue
@@ -132,6 +149,10 @@ def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) ->
             if base != change:
                 change_better = change < base if better == "lower" else change > base
                 entry["change_wins" if change_better else "base_wins"] += 1
+    for workload, metrics in traced.items():
+        summary[workload]["layers"] = {
+            name: _layer(values) for name, values in sorted(metrics.items()) if all(values.values())
+        }
     for workload in summary.values():
         for name, entry in workload["metrics"].items():
             entry["pairs"] = len(entry["base"])
