@@ -33,7 +33,8 @@ from .sphere_opt import (
     lift_coefficients,
     minimize_on_sphere,
     reduced_coefficient_problem,
-    reduced_spectrum,
+    reduction_factors,
+    sphere_terms,
 )
 from .sphharm import FOUR_PI
 
@@ -278,8 +279,9 @@ class _Users:
 
     Per run: the users' lifted channels, (B, K, M, N W), their conjugated
     per-antenna blocks from :func:`_per_antenna`, the noise powers, the
-    per-antenna power budgets and the synthesis power share rho; the stream
-    masks are shared.
+    per-antenna power budgets and, in a synthesis solve, the
+    :func:`reduction_factors` of its power share rho; the stream masks are
+    shared.
     """
 
     lifted: np.ndarray
@@ -287,10 +289,10 @@ class _Users:
     masks: np.ndarray
     noise: np.ndarray  # (B, K, 1, 1)
     power: np.ndarray  # (B, N)
-    rho: list[float]
+    factors: np.ndarray | None  # (B, 5), or None in a selection solve
 
     @classmethod
-    def of(cls, runs, stream_counts) -> "_Users":
+    def of(cls, runs, stream_counts, factors=None) -> "_Users":
         lifted = np.stack([_stack_users([eff.matrix for eff in run.effs]) for run in runs])
         n_runs, n_users, n_rx, n_cols = lifted.shape
         n_antennas = runs[0].effs[0].n_antennas
@@ -306,7 +308,7 @@ class _Users:
             masks=stream_masks(stream_counts),
             noise=np.stack(noise),
             power=np.stack([_budgets(run.config, n_antennas) for run in runs]),
-            rho=[run.config.rho for run in runs],
+            factors=factors,
         )
 
     @property
@@ -328,7 +330,7 @@ class _Users:
         """The users of the given runs of the batch."""
         return _Users(
             self.lifted[runs], self.blocks_conj[:, runs], self.masks, self.noise[runs],
-            self.power[runs], [self.rho[b] for b in runs],
+            self.power[runs], None if self.factors is None else self.factors[runs],
         )
 
     def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
@@ -378,13 +380,13 @@ class _SweepWorkspace:
 
     The step closed forms read what else the sweep cannot change: the real
     diagonals of the quad terms and their guarded inverses
-    (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n) and
-    Re Q_n[1:, 0] for synthesis.  Each is built on first use:
-    `step_quads` as nested Python lists and the selection state only by
-    selection steps, `row_quads` and `pinned` only by synthesis steps, and
-    `tail_spectrum` decomposes every antenna in one batched call only in
-    sweeps that solve on the sphere.  `rows` and `vectors` are buffers the
-    steps fill with every run's new row and pattern vector before one
+    (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n),
+    Re Q_n[1:, 0] and the :func:`sphere_terms` for synthesis.  Each is
+    built on first use: `step_quads` as nested Python lists and the
+    selection state only by selection steps, `row_quads` and `pinned` only
+    by synthesis steps, and `sphere_terms` decomposes every antenna in one
+    batched call only in sweeps that solve on the sphere.  `rows` is a
+    buffer the selection step fills with every run's new row before one
     commit.
     """
 
@@ -393,7 +395,7 @@ class _SweepWorkspace:
         n_antennas = users.n_antennas
         self.antenna_matrix = antenna_matrix
         self.budgets = users.budgets
-        self.rho = users.rho
+        self.factors = users.factors
         self.blocks_conj = users.blocks_conj
         beta = np.asarray(beta, dtype=float)
         receivers_h = _herm(receivers)
@@ -419,14 +421,14 @@ class _SweepWorkspace:
         self.offset = self.rows_conj[..., None] * self._pattern_quad[..., None, :]
         self.offset += self.align
         self.rows = np.empty(f_d.shape[::2], dtype=complex)
-        self.vectors = np.empty(antenna_matrix.shape[::2])
 
     @functools.cached_property
-    def row_quads(self) -> np.ndarray:
-        """Re(a_n^T Q_n a_n) of every antenna and run, (N, B)."""
+    def row_quads(self) -> list[list[float]]:
+        """Re(a_n^T Q_n a_n) of every antenna and run as Python floats,
+        indexed [n][b]."""
         return np.einsum(
             "...w,...w->...", self._pattern_quad.real, self.antenna_matrix.swapaxes(0, 1)
-        )
+        ).tolist()
 
     @functools.cached_property
     def pinned(self) -> np.ndarray:
@@ -434,8 +436,13 @@ class _SweepWorkspace:
         return self.quad[..., 1:, 0].real
 
     @functools.cached_property
-    def _tail_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        return reduced_spectrum(self.quad)
+    def sphere_terms(self) -> tuple:
+        """Every antenna's :func:`sphere_terms` in every run, indexed
+        [n][b], from one batched call on the quad terms and the current
+        pattern vectors.  Built at the first step that solves on the
+        sphere, when every antenna still to step holds the vector it had
+        at the start of the sweep and keeps until its own step."""
+        return sphere_terms(self.quad, self.antenna_matrix.swapaxes(0, 1))
 
     @functools.cached_property
     def step_quads(self) -> tuple[list, list]:
@@ -452,12 +459,6 @@ class _SweepWorkspace:
         n_antennas, n_runs = selected.shape
         columns = self.blocks_conj[np.arange(n_antennas)[:, None], np.arange(n_runs), :, selected]
         return selected.tolist(), columns[..., None]
-
-    def tail_spectrum(self, n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Antenna n's :func:`reduced_spectrum` in run b, from the sweep's
-        batched decomposition."""
-        eigenvalues, eigenvectors = self._tail_spectra
-        return eigenvalues[n, b], eigenvectors[n, b]
 
     def linear(self, n: int) -> np.ndarray:
         """Antenna n's (B, D, W) linear terms: one cross-term product and the
@@ -512,21 +513,11 @@ class _SweepWorkspace:
 # Closed-form row update and pattern updates
 # ---------------------------------------------------------------------------
 
-def _row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):
-    """Minimizer of a ||f||^2 + 2 Re(f^H d) over the power ball.
-
-    The optimum is anti-parallel to d with step min(1/a, sqrt(P)/||d||);
-    when the quadratic coefficient vanishes the step sits on the power
-    boundary.  Returns the row and its objective value.
-    """
-    norm_sq = float(np.vdot(dvec, dvec).real)
-    if norm_sq == 0.0:
-        return np.zeros_like(dvec), 0.0
-    boundary = math.sqrt(budget / norm_sq)
-    step = boundary if quad_scalar <= _TINY_QUAD else min(1.0 / quad_scalar, boundary)
-    value = norm_sq * (quad_scalar * step**2 - 2.0 * step)
-    return -step * dvec, value
-
+# The row update minimizes a ||f||^2 + 2 Re(f^H d) over the power ball
+# ||f||^2 <= P for the row-step coefficient a and direction d: the optimum is
+# -step d with step min(1/a, sqrt(P)/||d||), the boundary step when a is at
+# most _TINY_QUAD, and a zero row when d = 0.  Both steps take the step
+# lengths on Python floats and the rows in one array operation.
 
 def candidate_quads(quad_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real diagonal of one (W, W) quad term or of a stack, and its guarded
@@ -534,7 +525,7 @@ def candidate_quads(quad_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Entry s is candidate s's row-step coefficient a = Re Q[s, s]; the
     inverse is 1/a, or inf where a is at most `_TINY_QUAD`, so that the
-    step min(inverse, boundary) is the closed form of :func:`_row_solution`.
+    step min(inverse, boundary) is the closed-form row step.
     """
     quads = quad_terms.diagonal(axis1=-2, axis2=-1).real
     inv_quads = np.where(quads > _TINY_QUAD, 1.0 / np.maximum(quads, _TINY_QUAD), np.inf)
@@ -553,9 +544,9 @@ def select_pattern_and_row(
     `budgets[b]` is non-negative.  Run b's row is written into `rows[b]`,
     a (B, D) buffer made when none is given.  Returns (candidate indices,
     rows, objective values), the indices and values as lists.  Each
-    candidate gets the closed-form row of :func:`_row_solution`: a zero
-    direction gives a zero row and value 0, a vanishing quadratic
-    coefficient the boundary step.  Ties go to the lowest index.
+    candidate gets the closed-form row: a zero direction gives a zero row
+    and value 0, a vanishing quadratic coefficient the boundary step.  Ties
+    go to the lowest index.
 
     The squared norms of every run's candidates take one pass over the
     batch; then each run's W candidates are scored one by one on Python
@@ -592,42 +583,88 @@ def select_pattern_and_row(
 
 def synthesize_pattern_and_row(
     linear: np.ndarray,
-    row_quad: float,
+    row_quads,
     pinned: np.ndarray,
-    tail_spectrum,
+    terms,
     coefficients: np.ndarray,
-    budget: float,
-    rho: float,
+    budgets,
+    factors: np.ndarray,
 ):
-    """One row update followed by one pattern-coefficient update.
+    """One row update followed by one pattern-coefficient update, for one
+    antenna in every run of a batch.
 
-    `linear` is the antenna's (D, W) linear term, `row_quad` the row step's
-    coefficient Re(c^T Q c) at the current coefficients c, and `pinned`
-    Re Q[1:, 0] of its quad term Q.  The row update is closed form for the
-    current coefficients; the coefficient update keeps the pinned constant
-    component and solves the reduced problem on the unit sphere exactly,
-    never ending above the current coefficients, so the block objective
-    cannot increase.  `tail_spectrum()` returns the
-    :func:`reduced_spectrum` of Q; it is called only when the coefficients
-    are solved for.  Returns (coefficients, row).
+    Per run b: `linear[b]` is the antenna's (D, W) linear term,
+    `row_quads[b]` the row step's coefficient Re(c^T Q c) at the current
+    coefficients c = `coefficients[b]`, `pinned[b]` Re Q[1:, 0] of its
+    quad term Q, `budgets[b]` its power budget (these two floats) and
+    `factors[b]` the :func:`reduction_factors` of its rho.  The row update
+    is closed form for the current coefficients; the coefficient update
+    keeps the pinned constant component and solves the reduced problem on
+    the unit sphere exactly, starting from the current coefficients and
+    never ending above them, so the block objective cannot increase.  A
+    run whose row is zero, or whose rho is 1, keeps its coefficients, as
+    does every run when W = 1.  `terms()` returns every run's
+    :func:`sphere_terms` of Q and c; it is called only when some run
+    solves for its coefficients.  Returns (coefficients, rows), (B, W) and
+    (B, D); the coefficients are the given array itself when no run
+    solves.
+
+    Everything but the step lengths and the secular solve is one array
+    operation over the batch: the row, the reduction, the rotation into
+    each run's eigenbasis and back, and the lift.  The step lengths take a
+    few Python float operations per run, and :func:`minimize_on_sphere`
+    runs once per solving run on Python floats.  Each array operation is
+    the one of a single run, stacked, so a run gets the same bits in any
+    batch.
     """
-    row, _ = _row_solution(row_quad, linear @ coefficients, budget)
-    width = coefficients.size
-    if rho >= 1.0 or width == 1:
-        return coefficients, row
-    scale, reduced_linear = reduced_coefficient_problem(pinned, linear, row, rho)
-    if scale == 0.0:  # a zero row: every coefficient vector scores the same
-        return coefficients, row
-    tail = coefficients[1:]
-    tail_norm = math.sqrt(tail @ tail)
-    if tail_norm == 0.0:
-        start = np.zeros(width - 1)
-        start[0] = 1.0
-    else:
-        start = tail / tail_norm
-    eigenvalues, eigenvectors = tail_spectrum()
-    result = minimize_on_sphere(scale * eigenvalues, eigenvectors, reduced_linear, start)
-    return lift_coefficients(result.point, rho), row
+    directions = linear @ coefficients[:, :, None]
+    norms_sq = (directions.conj().swapaxes(1, 2) @ directions).real.ravel().tolist()
+    negated_steps = []
+    for norm_sq, quad, budget in zip(norms_sq, row_quads, budgets):
+        if norm_sq == 0.0:  # a zero row, written below
+            negated_steps.append(0.0)
+            continue
+        boundary = math.sqrt(budget / norm_sq)
+        negated_steps.append(-(boundary if quad <= _TINY_QUAD else min(1.0 / quad, boundary)))
+    rows = np.array(negated_steps)[:, None] * directions[:, :, 0]
+    if 0.0 in norms_sq:
+        rows[[norm_sq == 0.0 for norm_sq in norms_sq]] = 0.0
+    if coefficients.shape[1] == 1:
+        return coefficients, rows
+    scales, reduced = reduced_coefficient_problem(factors, pinned, linear, rows)
+    solving = [b for b, scale in enumerate(scales.tolist()) if scale != 0.0]
+    if not solving:  # zero rows or rho = 1: every coefficient vector scores the same
+        return coefficients, rows
+    eigenvalues, eigenvectors, starts, coordinates = terms()
+    every = len(solving) == len(scales)
+    if not every:
+        eigenvalues, eigenvectors, starts, scales, reduced, factors = (
+            part[solving] for part in (eigenvalues, eigenvectors, starts, scales, reduced, factors)
+        )
+        coordinates = [coordinates[b] for b in solving]
+    points = []
+    kept = []
+    for i, (lam, w, start, norm_sq) in enumerate(
+        zip(
+            (scales[:, None] * eigenvalues).tolist(),
+            (eigenvectors.swapaxes(1, 2) @ reduced[:, :, None])[:, :, 0].tolist(),
+            coordinates,
+            (reduced[:, None, :] @ reduced[:, :, None]).ravel().tolist(),
+        )
+    ):
+        point = minimize_on_sphere(lam, w, start, math.sqrt(norm_sq)).point
+        points.append(point)
+        if point is start:
+            kept.append(i)
+    points = (eigenvectors @ np.array(points)[:, :, None])[:, :, 0]
+    if kept:  # hand back the start itself, not its round trip through the eigenbasis
+        points[kept] = starts[kept]
+    lifted = lift_coefficients(points, factors)
+    if every:
+        return lifted, rows
+    vectors = coefficients.copy()
+    vectors[solving] = lifted
+    return vectors, rows
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +752,7 @@ def _run_bcd(
     antenna_matrix: np.ndarray,
     row_power_target: float,
     block_monitor=None,
+    factors=None,
 ) -> list[tuple[PrecoderState, Trace]]:
     """Common outer loop of a batch of same-shape runs, in lockstep:
     auxiliaries, antenna sweep, trace, decomposition.
@@ -730,14 +768,16 @@ def _run_bcd(
     iteration's seconds, and each of its phase seconds, are split evenly
     among the runs active in it, and each call's seconds among the runs it
     decomposes.  `block_monitor(label, objectives)` gets every active run's
-    objective after each block.  Returns one (state, trace) per run.
+    objective after each block.  `factors` holds each run's
+    :func:`reduction_factors` in a synthesis solve.  Returns one (state,
+    trace) per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
         raise ValueError(f"the runs of a batch need the same array shapes, got {sorted(shapes)}")
     n_users = len(runs[0].effs)
     d_total = sum(stream_counts)
-    users = _Users.of(runs, stream_counts)
+    users = _Users.of(runs, stream_counts, factors)
     n_antennas = users.n_antennas
     f_d = np.stack(
         [_initial_f_d(run, n_antennas, d_total, power) for run, power in zip(runs, users.power)]
@@ -838,18 +878,15 @@ def _select_step(workspace: _SweepWorkspace, n: int) -> None:
 
 
 def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
-    linear, row_quads, pinned = workspace.linear(n), workspace.row_quads[n], workspace.pinned[n]
-    current, vectors, rows = workspace.antenna_matrix[:, n], workspace.vectors, workspace.rows
-    for b, (budget, rho) in enumerate(zip(workspace.budgets[n], workspace.rho)):
-        vectors[b], rows[b] = synthesize_pattern_and_row(
-            linear[b],
-            row_quads[b],
-            pinned[b],
-            functools.partial(workspace.tail_spectrum, n, b),
-            current[b],
-            budget,
-            rho,
-        )
+    vectors, rows = synthesize_pattern_and_row(
+        workspace.linear(n),
+        workspace.row_quads[n],
+        workspace.pinned[n],
+        lambda: [part[n] for part in workspace.sphere_terms],
+        workspace.antenna_matrix[:, n],
+        workspace.budgets[n],
+        workspace.factors,
+    )
     workspace.apply(n, vectors, rows)
 
 
@@ -880,9 +917,7 @@ def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
     """
     if any(eff.mode != "cof" for run in runs for eff in run.effs):
         raise ValueError("run_synthesis expects synthesis-lifted channels")
-    for run in runs:
-        if not 0.0 < run.config.rho <= 1.0:
-            raise ValueError(f"rho must lie in (0, 1], got {run.config.rho}")
+    factors = np.stack([reduction_factors(run.config.rho) for run in runs])
     effs = runs[0].effs
     antenna_matrix = np.stack(
         [
@@ -891,7 +926,9 @@ def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
             for run in runs
         ]
     )
-    return _run_bcd(runs, stream_counts, _synthesize_step, antenna_matrix, FOUR_PI, block_monitor)
+    return _run_bcd(
+        runs, stream_counts, _synthesize_step, antenna_matrix, FOUR_PI, block_monitor, factors
+    )
 
 
 def _single(block_monitor):

@@ -15,6 +15,8 @@ import sympy as sp
 
 from trihybrid.channel import to_spherical
 from trihybrid.decomp import _LSTSQ_RCOND, _relative_residual, rescale_per_antenna
+from trihybrid.sphere_opt import SphereResult, minimize_on_sphere
+from trihybrid.wmmse import _TINY_QUAD
 
 
 def legendre_rodrigues(degree: int, order: int, x: float) -> float:
@@ -183,6 +185,170 @@ def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=No
         indices.append(best)
         values.append(float(run_values[best]))
     return indices, rows, values
+
+
+def row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):
+    """Minimizer of a ||f||^2 + 2 Re(f^H d) over the power ball, and its
+    value, for one direction on Python floats.
+
+    The optimum is anti-parallel to d with step min(1/a, sqrt(P)/||d||);
+    when the quadratic coefficient vanishes the step sits on the power
+    boundary.  Both library steps must give this row to the bit.
+    """
+    norm_sq = float(np.vdot(dvec, dvec).real)
+    if norm_sq == 0.0:
+        return np.zeros_like(dvec), 0.0
+    boundary = math.sqrt(budget / norm_sq)
+    step = boundary if quad_scalar <= _TINY_QUAD else min(1.0 / quad_scalar, boundary)
+    value = norm_sq * (quad_scalar * step**2 - 2.0 * step)
+    return -step * dvec, value
+
+
+def rotated_sphere_solve(eigenvalues, eigenvectors, linear, start) -> SphereResult:
+    """The library's sphere solve of x^T B x + linear^T x over ||x|| = 1 in
+    the caller's coordinates: B = V diag(eigenvalues) V^T as `np.linalg.eigh`
+    returns it, the problem rotated into the eigenbasis and the point back;
+    a kept start comes back as a copy of `start`."""
+    to_eigen = np.asarray(eigenvectors).T
+    start_y = (to_eigen @ start).tolist()
+    result = minimize_on_sphere(
+        np.asarray(eigenvalues).tolist(),
+        (to_eigen @ linear).tolist(),
+        start_y,
+        math.sqrt(linear @ linear),
+    )
+    point = start.copy() if result.point is start_y else eigenvectors @ result.point
+    return SphereResult(point, result.value, result.iterations, result.converged)
+
+
+# Relative to the problem scale ||B||_F + ||v||; the library's values.
+_CLUSTER_TOL = 1e-9
+_SECULAR_TOL = 1e-12
+_MAX_NEWTON = 50
+
+
+def _sum_sq(values) -> float:
+    return sum(v * v for v in values)
+
+
+def _value(lam, w, y) -> float:
+    return sum((li * yi + wi) * yi for li, wi, yi in zip(lam, w, y))
+
+
+def sphere_solve_full(eigenvalues, eigenvectors, linear, start) -> SphereResult:
+    """Global minimizer of x^T B x + linear^T x over ||x|| = 1, B given by
+    `np.linalg.eigh`'s eigenpairs, solved in one call per problem in the
+    caller's coordinates: both projections, the secular Newton solve or the
+    hard case, and the rotation back.  The library solves in the eigenbasis
+    and rotates a batch at once; through :func:`rotated_sphere_solve` it
+    must give these bits."""
+    n = linear.shape[0]
+    if eigenvalues.shape != (n,) or eigenvectors.shape != (n, n) or start.shape != (n,):
+        raise ValueError("inconsistent problem dimensions")
+    if abs(math.sqrt(start @ start) - 1.0) > 1e-9:
+        raise ValueError("start point must have unit norm")
+    lam = eigenvalues.tolist()
+    w = (eigenvectors.T @ linear).tolist()
+    start_y = (eigenvectors.T @ start).tolist()
+    start_value = _value(lam, w, start_y)
+    scale = math.sqrt(_sum_sq(lam)) + math.sqrt(linear @ linear)
+    if scale == 0.0:
+        return SphereResult(point=start.copy(), value=0.0, iterations=0, converged=True)
+    half_w = [0.5 * wi / scale for wi in w]
+    gaps = [(li - lam[0]) / scale for li in lam]
+    m = sum(gap <= _CLUSTER_TOL for gap in gaps)
+    gaps[:m] = [0.0] * m
+    w_bottom = 2.0 * math.sqrt(_sum_sq(half_w[:m]))
+    y = [0.0] * n
+    iterations = 0
+    converged = True
+    if w_bottom <= _CLUSTER_TOL:
+        w_bottom, first = 0.0, m
+        y[m:] = [-h / g for g, h in zip(gaps[m:], half_w[m:])]
+        hard = _sum_sq(y) <= 1.0
+    else:
+        first, hard = 0, False
+    if hard:
+        fill = start_y[:m]
+        fill_norm = math.sqrt(_sum_sq(fill))
+        if fill_norm <= _CLUSTER_TOL:
+            fill = [1.0] + [0.0] * (m - 1)
+            fill_norm = 1.0
+        tau = math.sqrt(max(0.0, 1.0 - _sum_sq(y))) / fill_norm
+        y[:m] = [tau * f for f in fill]
+    else:
+        g, hw = gaps[first:], half_w[first:]
+        low = max(0.5 * w_bottom, max(abs(h) - gi for gi, h in zip(g, hw)), 0.0)
+        high = math.sqrt(_sum_sq(hw))
+        t = root = low
+        converged = False
+        while iterations < _MAX_NEWTON:
+            iterations += 1
+            root = t
+            norm_sq = slope_sum = 0.0
+            for gi, h in zip(g, hw):
+                denom = gi + t
+                sq = (h / denom) ** 2
+                norm_sq += sq
+                slope_sum += sq / denom
+            norm = math.sqrt(norm_sq)
+            if abs(norm - 1.0) <= _SECULAR_TOL:
+                converged = True
+                break
+            if norm > 1.0:
+                low = t
+            else:
+                high = t
+            slope = slope_sum / (norm * norm_sq)
+            t += (1.0 - 1.0 / norm) / slope
+            if not low <= t <= high:
+                t = 0.5 * (low + high)
+        y[first:] = [-h / (gi + root) for gi, h in zip(g, hw)]
+    norm = math.sqrt(_sum_sq(y))
+    y = [yi / norm for yi in y]
+    value = _value(lam, w, y)
+    if value > start_value:
+        return SphereResult(
+            point=start.copy(), value=start_value, iterations=iterations, converged=converged
+        )
+    return SphereResult(
+        point=eigenvectors @ y, value=value, iterations=iterations, converged=converged
+    )
+
+
+def synthesize_pattern_and_row_single(
+    linear, row_quad: float, pinned, tail_spectrum, coefficients, budget: float, rho: float
+):
+    """The synthesis step of one run, one antenna: the closed-form row of
+    :func:`row_solution`, then the pinned reduction, the start, the solve of
+    :func:`sphere_solve_full` and the lift, each on that run's own arrays.
+    `tail_spectrum()` returns Re Q[1:, 1:]'s eigenpairs.  Returns
+    (coefficients, row).  Every run of
+    :func:`trihybrid.wmmse.synthesize_pattern_and_row` must equal it bit for
+    bit."""
+    row, _ = row_solution(row_quad, linear @ coefficients, budget)
+    width = coefficients.size
+    if rho >= 1.0 or width == 1:
+        return coefficients, row
+    row_power = float(np.vdot(row, row).real)
+    v1 = 4.0 * math.sqrt((1.0 - rho) * math.pi) * (row.conj() @ linear[:, 1:]).real
+    v2 = (8.0 * math.pi * math.sqrt(rho * (1.0 - rho)) * row_power) * pinned
+    scale = 4.0 * math.pi * (1.0 - rho) * row_power
+    if scale == 0.0:
+        return coefficients, row
+    tail = coefficients[1:]
+    tail_norm = math.sqrt(tail @ tail)
+    if tail_norm == 0.0:
+        start = np.zeros(width - 1)
+        start[0] = 1.0
+    else:
+        start = tail / tail_norm
+    eigenvalues, eigenvectors = tail_spectrum()
+    point = sphere_solve_full(scale * eigenvalues, eigenvectors, v1 + v2, start).point
+    lifted = np.empty(width)
+    lifted[0] = 2.0 * math.sqrt(rho * math.pi)
+    np.multiply(2.0 * math.sqrt((1.0 - rho) * math.pi), point, out=lifted[1:])
+    return lifted, row
 
 
 def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: int = 0):

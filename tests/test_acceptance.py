@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_solver
-from helpers import random_complex, random_psd
+from helpers import random_complex, random_psd, rotated_sphere_solve
 from trihybrid.baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
 from trihybrid.channel import (
     ScenarioConfig,
@@ -25,7 +25,6 @@ from trihybrid.channel import (
     synthesis_effective_channel,
 )
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_pattern, isotropic_pattern, most_square_factors
-from trihybrid.sphere_opt import minimize_on_sphere
 from trihybrid.sphharm import FOUR_PI, default_grid
 from trihybrid.wmmse import (
     candidate_quads,
@@ -291,7 +290,7 @@ def test_criterion_08_sphere_solver_oracle():
         linear = rng.standard_normal(8)
         start = rng.standard_normal(8)
         start /= np.linalg.norm(start)
-        result = minimize_on_sphere(*np.linalg.eigh(quad), linear, start)
+        result = rotated_sphere_solve(*np.linalg.eigh(quad), linear, start)
         sampled = (
             np.einsum("ij,jk,ik->i", grid_points, quad, grid_points)
             + grid_points @ linear

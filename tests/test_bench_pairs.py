@@ -220,3 +220,40 @@ def test_exits_1_after_writing_when_a_run_is_incorrect(tmp_path, monkeypatch):
     data = json.loads(out.read_text())
     assert len(data["runs"]) == 2
     assert data["summary"]["power_sweep"]["runs"]["change"]["incorrect"] == 1
+
+
+def _checkout(root: Path) -> Path:
+    """A checkout with bytecode caches inside and outside `src/`."""
+    for cache in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__", "tools/__pycache__"):
+        (root / cache).mkdir(parents=True)
+        (root / cache / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (root / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]})
+    )
+    return root
+
+
+def test_bytecode_under_src_is_cleared_before_the_first_pair(tmp_path, monkeypatch):
+    base, change = _checkout(tmp_path / "base"), _checkout(tmp_path / "change")
+    seen = []
+
+    def run_once(checkout, workload, seed, trace):
+        # Every run finds no cache under either side's src/.
+        seen.append([cache for root in (base, change) for cache in (root / "src").rglob("__pycache__")])
+        run = _run(seed, "base", 1.0)
+        return {"record": run["record"], "result": run["result"]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", str(base), "--change", str(change), "--workload", "power_sweep",
+            "--out", str(out), "--seeds"]
+    assert bench_pairs.main(argv + ["1", "2"]) == 0
+    assert seen == [[]] * 4
+    for root in (base, change):
+        assert (root / "tools" / "__pycache__" / "mod.cpython-311.pyc").exists()
+    runs = json.loads(out.read_text())["runs"]
+    assert [run["pycache_removed"] for run in runs] == [2] * 4
+    # A later invocation records what it found then.
+    assert bench_pairs.main(argv + ["3"]) == 0
+    assert [run["pycache_removed"] for run in json.loads(out.read_text())["runs"]][4:] == [0, 0]
+    assert bench_pairs.clear_bytecode(tmp_path / "nowhere") == 0

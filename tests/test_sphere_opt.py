@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import block_objective, random_complex, random_psd
+from helpers import (
+    block_objective,
+    random_complex,
+    random_psd,
+    rotated_sphere_solve,
+    sphere_solve_full,
+)
 from trihybrid.sphere_opt import (
     isotropic_coefficients,
     lift_coefficients,
     minimize_on_sphere,
     reduced_coefficient_problem,
     reduced_spectrum,
+    reduction_factors,
 )
 from trihybrid.sphharm import FOUR_PI
 
@@ -131,29 +138,38 @@ class TestMinimize:
             _solve(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
 
     def test_dimensions_validated(self):
-        lam, vectors = np.zeros(3), np.eye(3)
+        lam = [0.0] * 3
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam, vectors, np.zeros(2), np.array([1.0, 0.0]))
+            minimize_on_sphere(lam, [0.0] * 2, [1.0, 0.0])
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam[:2], vectors, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+            minimize_on_sphere(lam[:2], [0.0] * 3, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam, vectors, np.zeros(3), np.array([1.0, 0.0]))
+            minimize_on_sphere(lam, [0.0] * 3, [1.0, 0.0])
+
+    def test_kept_start_is_handed_back_itself(self):
+        # The caller then keeps its own start vector instead of rotating
+        # the eigenbasis coordinates back.
+        start = [0.6, 0.8]
+        assert minimize_on_sphere([0.0, 0.0], [0.0, 0.0], start).point is start
+        moved = minimize_on_sphere([0.0, 1.0], [0.0, 0.0], start)
+        assert moved.point is not start
+        assert_allclose(np.abs(moved.point), [1.0, 0.0], atol=1e-12)
 
 
 class TestReducedProblem:
     def test_rho_domain(self, rng):
-        quad, linear = _random_terms(rng, 4)
-        for rho in (0.0, 1.0, -0.2, 1.3):
+        for rho in (0.0, -0.2, 1.3):
             with pytest.raises(ValueError):
-                reduced_coefficient_problem(
-                    _pinned(quad), linear, np.ones(2, dtype=complex), rho
-                )
+                reduction_factors(rho)
+        # rho = 1 pins the whole pattern: the reduced problem is zero.
+        quad, linear_term = _random_terms(rng, 4)
+        scale, linear = _reduce(quad, linear_term, np.ones(2, dtype=complex), 1.0)
+        assert scale == 0.0
+        assert_allclose(linear, 0.0)
 
     def test_zero_row_zeroes_problem(self, rng):
         quad, linear_term = _random_terms(rng, 4)
-        scale, linear = reduced_coefficient_problem(
-            _pinned(quad), linear_term, np.zeros(2, dtype=complex), 0.5
-        )
+        scale, linear = _reduce(quad, linear_term, np.zeros(2, dtype=complex), 0.5)
         assert scale == 0.0
         assert_allclose(linear, 0.0)
 
@@ -162,7 +178,7 @@ class TestReducedProblem:
         row = random_complex(rng, 2)
         sizes = []
         for rho in (0.9, 0.99, 0.999):
-            scale, linear = reduced_coefficient_problem(_pinned(quad), linear_term, row, rho)
+            scale, linear = _reduce(quad, linear_term, row, rho)
             quadratic = _reduced_quadratic(quad, scale)
             sizes.append(np.linalg.norm(quadratic) + np.linalg.norm(linear))
         assert sizes[0] > sizes[1] > sizes[2]
@@ -174,13 +190,13 @@ class TestReducedProblem:
         quad, linear_term = _random_terms(rng, width)
         row = random_complex(rng, 3)
         rho = 0.6
-        scale, linear = reduced_coefficient_problem(_pinned(quad), linear_term, row, rho)
+        scale, linear = _reduce(quad, linear_term, row, rho)
         quadratic = _reduced_quadratic(quad, scale)
         gaps = []
         for _ in range(10):
             point = rng.standard_normal(width - 1)
             point /= np.linalg.norm(point)
-            lifted = lift_coefficients(point, rho)
+            lifted = _lift(point, rho)
             full = block_objective(quad, linear_term, row, lifted)
             reduced = _objective(quadratic, linear, point)
             gaps.append(full - reduced)
@@ -189,7 +205,7 @@ class TestReducedProblem:
     def test_lift_power(self, rng):
         point = rng.standard_normal(8)
         point /= np.linalg.norm(point)
-        c = lift_coefficients(point, 0.7)
+        c = _lift(point, 0.7)
         assert abs(c @ c - FOUR_PI) < 1e-12
         assert c[0] == pytest.approx(2 * np.sqrt(0.7 * np.pi))
 
@@ -209,8 +225,16 @@ def _random_terms(rng, width):
     )
 
 
-def _pinned(quad):
-    return quad[1:, 0].real
+def _reduce(quad, linear_term, row, rho):
+    """reduced_coefficient_problem on a batch of one: (scale, linear)."""
+    scales, linear = reduced_coefficient_problem(
+        reduction_factors(rho)[None], quad[None, 1:, 0].real, linear_term[None], row[None]
+    )
+    return scales[0], linear[0]
+
+
+def _lift(point, rho):
+    return lift_coefficients(point, reduction_factors(rho))
 
 
 def _reduced_quadratic(quad, scale):
@@ -219,7 +243,7 @@ def _reduced_quadratic(quad, scale):
 
 
 def _solve(quadratic, linear, start):
-    return minimize_on_sphere(*np.linalg.eigh(quadratic), linear, start)
+    return rotated_sphere_solve(*np.linalg.eigh(quadratic), linear, start)
 
 
 def _objective(quadratic, linear, point):
@@ -235,7 +259,7 @@ class TestPositivityAudit:
         for _ in range(50):
             point = rng.standard_normal(8)
             point /= np.linalg.norm(point)
-            gains = basis @ lift_coefficients(point, rho)
+            gains = basis @ _lift(point, rho)
             assert np.min(gains) > 0.0
 
     def test_violations_detected_and_logged(self, rng, grid):
@@ -247,7 +271,7 @@ class TestPositivityAudit:
         for _ in range(200):
             point = rng.standard_normal(8)
             point /= np.linalg.norm(point)
-            mins.append(float(np.min(basis @ lift_coefficients(point, rho))))
+            mins.append(float(np.min(basis @ _lift(point, rho))))
         mins = np.asarray(mins)
         assert np.any(mins < 0.0)  # the audit has something to log
         fraction_positive = float(np.mean(mins > 0.0))
@@ -273,3 +297,40 @@ def test_global_minimum_any_dimension(dim, seed):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     sampled = np.einsum("ij,jk,ik->i", pts, quad, pts) + pts @ v
     assert result.value <= float(np.min(sampled)) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["random", "hard", "repeated", "zero_linear", "zero"]),
+)
+def test_eigenbasis_solve_matches_full_coordinate_oracle(dim, seed, kind):
+    # Rotated into the eigenbasis, solved there and rotated back, every
+    # problem gives the full-coordinate solve's bits: point, value,
+    # iterations and converged, in the hard case, with a repeated bottom
+    # eigenvalue and when the start is kept.
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.standard_normal(dim))
+    if kind == "repeated":
+        lam[: (dim + 1) // 2] = lam[0]
+    if kind == "zero":
+        lam[:] = 0.0
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    eigenvalues, eigenvectors = np.linalg.eigh(rotation @ np.diag(lam) @ rotation.T)
+    w = rng.standard_normal(dim)
+    if kind in ("hard", "repeated"):
+        w[0] = 0.0
+        w *= 0.1
+    if kind in ("zero_linear", "zero"):
+        w[:] = 0.0
+    linear = eigenvectors @ w
+    start = rng.standard_normal(dim)
+    start /= np.linalg.norm(start)
+    got = rotated_sphere_solve(eigenvalues, eigenvectors, linear, start)
+    want = sphere_solve_full(eigenvalues, eigenvectors, linear, start)
+    assert got.point.tobytes() == want.point.tobytes()
+    assert (got.value, got.iterations, got.converged) == (
+        want.value, want.iterations, want.converged,
+    )
+    assert type(got.iterations) is int and type(got.converged) is bool

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import warnings
 
 import numpy as np
@@ -21,9 +20,12 @@ from helpers import (
     random_complex,
     random_psd,
     receiver_block,
+    rotated_sphere_solve,
+    row_solution,
     select_pattern_and_row_vectorized,
     split_precoder,
     stream_block,
+    synthesize_pattern_and_row_single,
     weighted_sum_rate_loop,
     wmmse_objective_loop,
 )
@@ -37,9 +39,9 @@ from trihybrid.channel import (
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, isotropic_pattern
 from trihybrid.sphere_opt import (
     lift_coefficients,
-    minimize_on_sphere,
     reduced_coefficient_problem,
-    reduced_spectrum,
+    reduction_factors,
+    sphere_terms,
 )
 from trihybrid.sphharm import FOUR_PI
 from trihybrid import wmmse
@@ -47,7 +49,6 @@ from trihybrid.wmmse import (
     _TINY_QUAD,
     Run,
     SolverConfig,
-    _row_solution,
     _SweepWorkspace,
     _Users,
     candidate_quads,
@@ -491,21 +492,19 @@ class TestPerAntennaTerms:
             workspace, n = workspaces[-1], len(checked)
             quad, want = antenna_terms(workspace, n)
             out = step(linear, *args)
-            if mode == "selection":  # one call for the batch of one run
-                linear, budget = linear[0], args[2][0]
-            else:
-                budget = args[-2]
+            # One call for the batch of one run.
+            linear, budget = linear[0], (args[2] if mode == "selection" else args[4])[0]
             assert np.linalg.norm(linear - want) <= 1e-12 * np.linalg.norm(want), n
             if mode == "selection":
-                rows = [_row_solution(float(quad[s, s].real), want[:, s], budget) for s in range(4)]
+                rows = [row_solution(float(quad[s, s].real), want[:, s], budget) for s in range(4)]
                 index = int(np.argmin([value for _, value in rows]))
                 assert out[0] == [index], n
                 want_row, row = rows[index][0], out[1][0]
             else:
                 vector = workspace.antenna_matrix[0, n]
                 a = float(np.real(vector @ quad @ vector))
-                want_row, _ = _row_solution(a, want @ vector, budget)
-                row = out[1]
+                want_row, _ = row_solution(a, want @ vector, budget)
+                row = out[1][0]
             assert np.linalg.norm(row - want_row) <= 1e-12 * np.linalg.norm(want_row), n
             checked.append(n)
             return out
@@ -517,8 +516,10 @@ class TestPerAntennaTerms:
 
 
 class TestClosedFormRow:
+    """The closed-form row that both steps must give bit for bit."""
+
     def test_zero_direction_gives_zero(self):
-        row, value = _row_solution(1.0, np.zeros(4, dtype=complex), 5.0)
+        row, value = row_solution(1.0, np.zeros(4, dtype=complex), 5.0)
         assert_allclose(row, 0.0)
         assert value == 0.0
 
@@ -526,13 +527,13 @@ class TestClosedFormRow:
         # Unit quadratic, unit direction, large budget: step length one.
         d = np.zeros(3, dtype=complex)
         d[0] = 1.0
-        row, _ = _row_solution(1.0, d, 100.0)
+        row, _ = row_solution(1.0, d, 100.0)
         assert_allclose(row, -d, atol=1e-14)
 
     def test_power_limited_branch(self):
         d = np.zeros(2, dtype=complex)
         d[1] = 1.0
-        row, _ = _row_solution(0.1, d, 4.0)
+        row, _ = row_solution(0.1, d, 4.0)
         # Step is min(1/0.1, sqrt(4)/1) = 2.
         assert_allclose(row, -2.0 * d, atol=1e-14)
 
@@ -545,7 +546,7 @@ class TestClosedFormRow:
         v[1] = 1.0
         a = float(np.real(v @ quad @ v))
         dvec = (cross - align) @ v
-        row, _ = _row_solution(a, dvec, budget)
+        row, _ = row_solution(a, dvec, budget)
         assert np.real(row @ row.conj()) <= budget * (1 + 1e-12)
         value = block_objective(quad, cross - align, row, v)
         samples = ball_samples(rng, 200_000, d_streams, np.sqrt(budget))
@@ -569,7 +570,7 @@ class TestSelectPattern:
         align = random_complex(rng, 3, 1)
         index, row, value = _select(quad, cross - align, 1.0)
         assert index == 0
-        assert_allclose(row, _row_solution(float(quad[0, 0].real), (cross - align)[:, 0], 1.0)[0])
+        assert_allclose(row, row_solution(float(quad[0, 0].real), (cross - align)[:, 0], 1.0)[0])
 
     def test_matches_joint_brute_force(self, rng):
         d_streams, width, budget = 3, 4, 1.5
@@ -604,7 +605,7 @@ class TestSelectPattern:
         # In one call, candidate 1 has no direction, candidate 2 no quadratic
         # coefficient, and candidate 3 one below _TINY_QUAD with a boundary
         # step beyond its inverse.  Every candidate must get the closed form
-        # of _row_solution, and nothing may warn.
+        # of row_solution, and nothing may warn.
         d_streams, width, budget = 3, 5, 0.7
         quad = random_psd(rng, width)
         quad[2:4, :] = quad[:, 2:4] = 0.0
@@ -616,7 +617,7 @@ class TestSelectPattern:
         direction[:, 3] *= 1e-14
         cross = align + direction
         expected = [
-            _row_solution(float(quad[s, s].real), cross[:, s] - align[:, s], budget)
+            row_solution(float(quad[s, s].real), cross[:, s] - align[:, s], budget)
             for s in range(width)
         ]
         with warnings.catch_warnings():
@@ -700,13 +701,21 @@ def test_select_matches_vectorized_step_bit_for_bit(step):
     assert all(type(value) is float for value in got[2])
 
 
-def _synthesize(quad, linear, tail_spectrum, coefficients, budget, rho):
-    """synthesize_pattern_and_row with the row coefficient and the pinned
-    coupling read off a dense quad term."""
-    row_quad = float(np.real(coefficients @ quad @ coefficients))
-    return synthesize_pattern_and_row(
-        linear, row_quad, quad[1:, 0].real, tail_spectrum, coefficients, budget, rho
+def _synthesize(quad, linear, terms, coefficients, budget, rho):
+    """synthesize_pattern_and_row on a batch of one, with the row
+    coefficient and the pinned coupling read off a dense quad term and the
+    sphere terms from `terms(quad_terms, coefficients)`: (coefficients,
+    row)."""
+    vectors, rows = synthesize_pattern_and_row(
+        linear[None],
+        [float(np.real(coefficients @ quad @ coefficients))],
+        quad[None, 1:, 0].real,
+        lambda: terms(quad[None], coefficients[None]),
+        coefficients[None],
+        [budget],
+        reduction_factors(rho)[None],
     )
+    return vectors[0], rows[0]
 
 
 class TestSynthesizeUpdate:
@@ -737,7 +746,7 @@ class TestSynthesizeUpdate:
             row0 = random_complex(rng, 3)
             before = block_objective(quad, linear, row0, coeffs)
             out, row = _synthesize(
-                quad, linear, _tail_spectrum(quad), coeffs, float(np.real(row0 @ row0.conj())), rho
+                quad, linear, sphere_terms, coeffs, float(np.real(row0 @ row0.conj())), rho
             )
             after = block_objective(quad, linear, row, out)
             assert after <= before + 1e-9
@@ -768,26 +777,103 @@ class TestSynthesizeUpdate:
             rho = float(rng.uniform(0.05, 0.95))
             tail = rng.standard_normal(width - 1)
             start = tail / np.linalg.norm(tail)
-            coeffs = lift_coefficients(start, rho)
+            coeffs = lift_coefficients(start, reduction_factors(rho))
             budget = float(rng.uniform(0.1, 4.0))
-            out, row = _synthesize(quad, linear, _tail_spectrum(quad), coeffs, budget, rho)
-            want_row, _ = _row_solution(
+            out, row = _synthesize(quad, linear, sphere_terms, coeffs, budget, rho)
+            want_row, _ = row_solution(
                 float(np.real(coeffs @ quad @ coeffs)), linear @ coeffs, budget
             )
             assert np.array_equal(row, want_row)
-            scale, reduced = reduced_coefficient_problem(quad[1:, 0].real, linear, row, rho)
-            dense = minimize_on_sphere(
+            factors = reduction_factors(rho)
+            (scale,), (reduced,) = reduced_coefficient_problem(
+                factors[None], quad[None, 1:, 0].real, linear[None], row[None]
+            )
+            dense = rotated_sphere_solve(
                 *np.linalg.eigh(scale * np.real(quad[1:, 1:])), reduced, start
             )
-            assert_allclose(out, lift_coefficients(dense.point, rho), rtol=0.0, atol=1e-12)
+            assert_allclose(out, lift_coefficients(dense.point, factors), rtol=0.0, atol=1e-12)
 
 
-def _tail_spectrum(quad):
-    return functools.partial(reduced_spectrum, quad)
+_SYNTHESIS_KINDS = ("random", "zero_direction", "zero_scale", "hard", "zero_tail")
 
 
-def _never_called():
-    raise AssertionError("the spectrum is read only when coefficients are solved for")
+@st.composite
+def _synthesis_steps(draw):
+    """One antenna's synthesis step in a batch of 1-4 runs sharing D and
+    W: per run a kind from _SYNTHESIS_KINDS, a rho of 0.7, 1.0 or between,
+    and a budget.  A zero direction has a zero linear term; a zero scale
+    has a direction so small and a row coefficient so large that the row's
+    power underflows to 0 while the row does not; a hard-case problem has
+    a diagonal Re Q[1:, 1:] and no bottom component in the reduced linear
+    term; a zero tail starts from e_0.  The coefficients and the pinned
+    coupling are strided views, as the sweep passes them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    d_streams = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 2, 4, 9]))
+    n_runs = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(_SYNTHESIS_KINDS), min_size=n_runs, max_size=n_runs))
+    rhos = draw(
+        st.lists(
+            st.sampled_from([0.7, 1.0]) | st.floats(0.05, 0.95), min_size=n_runs, max_size=n_runs
+        )
+    )
+    quads = np.stack([random_psd(rng, width) for _ in range(n_runs)])
+    linear = random_complex(rng, n_runs, d_streams, width)
+    antenna_matrix = rng.standard_normal((n_runs, 3, width))
+    for b, kind in enumerate(kinds):
+        if kind == "zero_direction":
+            linear[b] = 0.0
+        elif kind == "zero_scale":
+            linear[b] *= 1e-150
+            quads[b] *= 1e16
+        elif kind == "hard" and width > 1:
+            quads[b, 1:, 1:] = np.diag(np.sort(rng.uniform(1.0, 5.0, width - 1)))
+            quads[b, 1:, 0] = quads[b, 0, 1:] = 0.0
+            linear[b, :, 1] = 0.0
+            linear[b] *= 1e-3
+        elif kind == "zero_tail":
+            antenna_matrix[b, 1, 1:] = 0.0
+    coefficients = antenna_matrix[:, 1]
+    row_quads = np.einsum("bv,bvw,bw->b", coefficients, quads, coefficients).real
+    budgets = draw(
+        st.lists(st.sampled_from([0.7, 1.0]) | st.floats(1e-3, 1e3), min_size=n_runs,
+                 max_size=n_runs)
+    )
+    return linear, row_quads, quads, coefficients, budgets, rhos
+
+
+@settings(max_examples=300, deadline=None)
+@given(_synthesis_steps())
+def test_synthesize_matches_single_run_oracle_bit_for_bit(step):
+    # The batched step gives every run the rows and coefficient vectors of
+    # the per-run step byte for byte, whatever the other runs of its batch
+    # are, and warns about nothing (warnings are errors in this suite).
+    linear, row_quads, quads, coefficients, budgets, rhos = step
+    pinned = quads[..., 1:, 0].real
+    eigenvalues, eigenvectors, *_ = terms = sphere_terms(quads, coefficients)
+    calls = []
+
+    def step_terms():
+        calls.append(1)
+        return terms
+
+    vectors, rows = synthesize_pattern_and_row(
+        linear, row_quads.tolist(), pinned, step_terms, coefficients, budgets,
+        np.stack([reduction_factors(rho) for rho in rhos]),
+    )
+    assert len(calls) <= 1
+    for b, rho in enumerate(rhos):
+        want_vector, want_row = synthesize_pattern_and_row_single(
+            linear[b], float(row_quads[b]), pinned[b],
+            lambda b=b: (eigenvalues[b], eigenvectors[b]), coefficients[b], budgets[b], rho,
+        )
+        assert rows[b].tobytes() == want_row.tobytes(), b
+        assert vectors[b].tobytes() == want_vector.tobytes(), b
+
+
+def _never_called(*_):
+    raise AssertionError("the sphere terms are read only when coefficients are solved for")
 
 
 # ---------------------------------------------------------------------------
@@ -894,10 +980,9 @@ class TestTracedStepNames:
     def test_step_functions_called_once_per_antenna_step(self, small_setup, monkeypatch):
         # perfbench's tracer times the antenna step and the sphere solve by
         # wrapping these module-level names, so the sweep must call them:
-        # one selection call per antenna step for the whole batch, one
-        # synthesis call per antenna step and run, and one sphere solve per
-        # synthesis step that solves on the sphere (rho < 1 and a nonzero
-        # row).
+        # one selection or synthesis call per antenna step for the whole
+        # batch, and one sphere solve per run of a synthesis step that
+        # solves on the sphere (rho < 1 and a nonzero row).
         scenario, candidates, streams = small_setup
         calls = {"select": 0, "synthesize": 0, "solving": 0, "sphere": 0}
         select = wmmse.select_pattern_and_row
@@ -910,9 +995,9 @@ class TestTracedStepNames:
 
         def counted_synthesize(*args):
             calls["synthesize"] += 1
-            coefficients, row = synthesize(*args)
-            calls["solving"] += bool(np.any(row))
-            return coefficients, row
+            coefficients, rows = synthesize(*args)
+            calls["solving"] += int(np.count_nonzero(np.any(rows, axis=1)))
+            return coefficients, rows
 
         def counted_sphere(*args):
             calls["sphere"] += 1
@@ -932,10 +1017,16 @@ class TestTracedStepNames:
         assert calls["select"] == 3 * n_antennas
         assert calls["synthesize"] == 3 * n_antennas
         assert calls["sphere"] == calls["solving"] > 0
-        # A batch of two runs still makes one selection call per step.
+        # A batch of two runs still makes one selection or synthesis call
+        # per step, and one sphere solve per run that solves.
         solved = solve_selection([Run(sel, config), Run(sel, config, init_f_d=state_sel.f_d)], streams)
         assert [trace.n_iterations for _, trace in solved] == [3, 3]
         assert calls["select"] == 2 * 3 * n_antennas
+        sphere_calls = calls["sphere"]
+        solved = solve_synthesis([Run(syn, config), Run(syn, config, init_f_d=state_sel.f_d)], streams)
+        assert [trace.n_iterations for _, trace in solved] == [3, 3]
+        assert calls["synthesize"] == 2 * 3 * n_antennas
+        assert calls["sphere"] == calls["solving"] > 2 * sphere_calls
 
 
 class TestRunSynthesis:

@@ -8,9 +8,14 @@ Usage, from anywhere:
 For each workload seed, runs `python3 perfbench/run.py` once in each
 checkout: one pair per seed, the first pair base first, the next change
 first, and so on.  Both checkouts run their own perfbench with the same
-options and its own run length.  Every run's record line (workload, seed, machine, results digest)
-and result line (metrics) go into the `runs` list of `--out`, with the side,
-the pair number and which side ran first.  An existing file is extended, so
+options and its own run length.  Before the first pair, every `__pycache__`
+directory under each checkout's `src/` is deleted, so that both sides
+compile the package alike instead of one importing bytecode that an earlier
+run left behind.  Every run's record line (workload, seed, machine, results
+digest) and result line (metrics) go into the `runs` list of `--out`, with
+the side, the pair number, which side ran first and `pycache_removed`, the
+number of cache directories deleted from that side's `src/` before the
+first pair.  An existing file is extended, so
 one file collects every workload and the traced runs.
 
 The file's `summary` is recomputed from all its runs.  Per workload, `runs`
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +68,15 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if done.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(command)} in {checkout} failed:\n{done.stderr}")
     return {"record": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def clear_bytecode(checkout: Path) -> int:
+    """Delete every `__pycache__` directory under the checkout's `src/` and
+    return how many there were."""
+    caches = sorted((checkout / "src").rglob("__pycache__"))
+    for cache in caches:
+        shutil.rmtree(cache)
+    return len(caches)
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -186,12 +201,18 @@ def main(argv=None) -> int:
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     first_pair = 1 + max((run["pair"] for run in data["runs"]), default=0)
     checkouts = {"base": args.base, "change": args.change}
+    removed = {side: clear_bytecode(checkouts[side]) for side in SIDES}
     for offset, seed in enumerate(args.seeds):
         pair = first_pair + offset
         order = SIDES if offset % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             run = run_once(checkouts[side], args.workload, seed, args.trace)
-            data["runs"].append({"pair": pair, "side": side, "first": position == 0, **run})
+            data["runs"].append(
+                {
+                    "pair": pair, "side": side, "first": position == 0,
+                    "pycache_removed": removed[side], **run,
+                }
+            )
             print(f"pair {pair} seed {seed} {side}: correct={run['result']['correct']}", flush=True)
         data["summary"] = summarize(data["runs"], directions, bounds)
         args.out.write_text(json.dumps(data, indent=1) + "\n")
