@@ -46,22 +46,22 @@ class SphereResult:
     converged: bool  # the secular residual met its tolerance
 
 
-def minimize_on_sphere(eigenvalues, linear, start, linear_norm: float | None = None) -> SphereResult:
+def minimize_on_sphere(eigenvalues, linear, start, linear_norm: float) -> SphereResult:
     """Global minimizer of sum(eigenvalues y^2) + linear^T y over ||y|| = 1.
 
     The problem is given in the eigenbasis of B = V diag(eigenvalues) V^T:
-    `eigenvalues` is ascending, as `np.linalg.eigh` returns it, and
-    `linear` and the unit vector `start` are V^T v and V^T x0 for the
-    caller's linear term v and start x0; all three are sequences of n
-    floats, best Python lists.  `linear_norm` is ||v|| as the caller
-    computed it in its own coordinates, where it may differ from the norm
-    of V^T v in the last bits; it scales the tolerances and defaults to the
-    norm of `linear`.  The start point only breaks ties: in the hard case
-    the bottom-eigenspace component points along the start's projection
-    onto that space.  The returned value never exceeds the objective at the
-    start.  The point is a list of n floats in the eigenbasis, or `start`
-    itself when no point improves on it, so that a caller can hand back its
-    own start vector instead of rotating V^T x0 back.
+    `eigenvalues` is ascending, as `np.linalg.eigh` returns it, and `linear`
+    and the unit vector `start` are V^T v and V^T x0 for the caller's linear
+    term v and start x0; all three are sequences of n floats, best Python
+    lists.  `linear_norm` is ||v|| as the caller computed it in its own
+    coordinates, where it may differ from the norm of V^T v in the last
+    bits; it sets the problem scale.  The start point only breaks ties: in
+    the hard case the bottom-eigenspace component points along the start's
+    projection onto that space.  The returned value never exceeds the
+    objective at the start.  The point is a list of n floats in the
+    eigenbasis, or `start` itself when no point improves on it, so that a
+    caller can hand back its own start vector instead of rotating V^T x0
+    back.
     """
     n = len(linear)
     if len(eigenvalues) != n or len(start) != n:
@@ -74,8 +74,6 @@ def minimize_on_sphere(eigenvalues, linear, start, linear_norm: float | None = N
     lam, w = eigenvalues, linear
     start_value = _value(lam, w, start)
     # ||B||_F is the 2-norm of its eigenvalues.
-    if linear_norm is None:
-        linear_norm = math.sqrt(_sum_sq(w))
     scale = math.sqrt(_sum_sq(lam)) + linear_norm
     if scale == 0.0:
         return SphereResult(point=start, value=0.0, iterations=0, converged=True)

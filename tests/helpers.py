@@ -15,7 +15,13 @@ import sympy as sp
 
 from trihybrid.channel import to_spherical
 from trihybrid.decomp import _LSTSQ_RCOND, _relative_residual, rescale_per_antenna
-from trihybrid.sphere_opt import SphereResult, minimize_on_sphere
+from trihybrid.sphere_opt import (
+    _CLUSTER_TOL,
+    _MAX_NEWTON,
+    _SECULAR_TOL,
+    SphereResult,
+    minimize_on_sphere,
+)
 from trihybrid.wmmse import _TINY_QUAD
 
 
@@ -219,12 +225,6 @@ def rotated_sphere_solve(eigenvalues, eigenvectors, linear, start) -> SphereResu
     )
     point = start.copy() if result.point is start_y else eigenvectors @ result.point
     return SphereResult(point, result.value, result.iterations, result.converged)
-
-
-# Relative to the problem scale ||B||_F + ||v||; the library's values.
-_CLUSTER_TOL = 1e-9
-_SECULAR_TOL = 1e-12
-_MAX_NEWTON = 50
 
 
 def _sum_sq(values) -> float:

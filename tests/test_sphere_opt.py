@@ -140,18 +140,18 @@ class TestMinimize:
     def test_dimensions_validated(self):
         lam = [0.0] * 3
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam, [0.0] * 2, [1.0, 0.0])
+            minimize_on_sphere(lam, [0.0] * 2, [1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam[:2], [0.0] * 3, [1.0, 0.0, 0.0])
+            minimize_on_sphere(lam[:2], [0.0] * 3, [1.0, 0.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam, [0.0] * 3, [1.0, 0.0])
+            minimize_on_sphere(lam, [0.0] * 3, [1.0, 0.0], 0.0)
 
     def test_kept_start_is_handed_back_itself(self):
         # The caller then keeps its own start vector instead of rotating
         # the eigenbasis coordinates back.
         start = [0.6, 0.8]
-        assert minimize_on_sphere([0.0, 0.0], [0.0, 0.0], start).point is start
-        moved = minimize_on_sphere([0.0, 1.0], [0.0, 0.0], start)
+        assert minimize_on_sphere([0.0, 0.0], [0.0, 0.0], start, 0.0).point is start
+        moved = minimize_on_sphere([0.0, 1.0], [0.0, 0.0], start, 0.0)
         assert moved.point is not start
         assert_allclose(np.abs(moved.point), [1.0, 0.0], atol=1e-12)
 

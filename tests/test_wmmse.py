@@ -794,19 +794,27 @@ class TestSynthesizeUpdate:
             assert_allclose(out, lift_coefficients(dense.point, factors), rtol=0.0, atol=1e-12)
 
 
-_SYNTHESIS_KINDS = ("random", "zero_direction", "zero_scale", "hard", "zero_tail")
+_SYNTHESIS_KINDS = (
+    "random", "zero_direction", "underflow", "zero_scale", "tiny_quad", "hard", "at_minimum",
+    "zero_tail",
+)
 
 
 @st.composite
 def _synthesis_steps(draw):
     """One antenna's synthesis step in a batch of 1-4 runs sharing D and
     W: per run a kind from _SYNTHESIS_KINDS, a rho of 0.7, 1.0 or between,
-    and a budget.  A zero direction has a zero linear term; a zero scale
-    has a direction so small and a row coefficient so large that the row's
-    power underflows to 0 while the row does not; a hard-case problem has
-    a diagonal Re Q[1:, 1:] and no bottom component in the reduced linear
-    term; a zero tail starts from e_0.  The coefficients and the pinned
-    coupling are strided views, as the sweep passes them."""
+    and a budget.  A zero direction has a zero linear term, and an
+    underflow one so small that its squared norm is 0; a zero scale has a
+    direction so small and a row coefficient so large that the row's power
+    underflows to 0 while the row does not; a tiny quad has a row
+    coefficient at or below _TINY_QUAD and a boundary step beyond its
+    inverse; a hard-case problem has a diagonal Re Q[1:, 1:] and no bottom
+    component in the reduced linear term; at a minimum, the reduced
+    linear term is zero and the start is a bottom eigenvector, so the
+    solve may keep its start; a zero tail starts from e_0.  The
+    coefficients and the pinned coupling are strided views, as the sweep
+    passes them."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     d_streams = draw(st.integers(1, 4))
@@ -824,18 +832,29 @@ def _synthesis_steps(draw):
     for b, kind in enumerate(kinds):
         if kind == "zero_direction":
             linear[b] = 0.0
+        elif kind == "underflow":
+            linear[b] *= 1e-170
         elif kind == "zero_scale":
             linear[b] *= 1e-150
             quads[b] *= 1e16
+        elif kind == "tiny_quad":
+            linear[b] *= 1e-13
         elif kind == "hard" and width > 1:
             quads[b, 1:, 1:] = np.diag(np.sort(rng.uniform(1.0, 5.0, width - 1)))
             quads[b, 1:, 0] = quads[b, 0, 1:] = 0.0
             linear[b, :, 1] = 0.0
             linear[b] *= 1e-3
+        elif kind == "at_minimum" and width > 1:
+            quads[b, 1:, 0] = quads[b, 0, 1:] = 0.0
+            linear[b, :, 1:] = 0.0
+            antenna_matrix[b, 1, 1:] = 3.0 * np.linalg.eigh(quads[b, 1:, 1:].real)[1][:, 0]
         elif kind == "zero_tail":
             antenna_matrix[b, 1, 1:] = 0.0
     coefficients = antenna_matrix[:, 1]
     row_quads = np.einsum("bv,bvw,bw->b", coefficients, quads, coefficients).real
+    for b, kind in enumerate(kinds):
+        if kind == "tiny_quad":
+            row_quads[b] = draw(st.sampled_from([0.0, -1e-15, 0.5 * _TINY_QUAD, _TINY_QUAD]))
     budgets = draw(
         st.lists(st.sampled_from([0.7, 1.0]) | st.floats(1e-3, 1e3), min_size=n_runs,
                  max_size=n_runs)
@@ -1200,9 +1219,15 @@ class TestBatchedSolves:
         runs = self._runs(drops, lambda g: selection_effective_channel(g, candidates))
         self._check(solve_selection, run_selection, runs)
 
-    @pytest.mark.parametrize("rho", [0.7, 1.0])
+    @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
     def test_synthesis(self, drops, rho):
-        runs = self._runs(drops, lambda g: synthesis_effective_channel(g, 2), rho=rho)
+        runs = self._runs(drops, lambda g: synthesis_effective_channel(g, 2), rho=rho or 0.7)
+        if rho is None:  # every other run pins its whole pattern
+            runs = [
+                dataclasses.replace(run, config=dataclasses.replace(run.config, rho=1.0))
+                if i % 2 else run
+                for i, run in enumerate(runs)
+            ]
         self._check(solve_synthesis, run_synthesis, runs)
 
     def test_runs_of_unequal_shapes_rejected(self, drops):
