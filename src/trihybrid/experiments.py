@@ -6,7 +6,7 @@ results CSV.  The methods of one (sweep point, scenario seed) cell share its
 scenario and fixed-pattern solve, and every cell shares the candidate grid.
 The WMMSE runs of all cells that share a solver and array shapes are solved
 in one lockstep batch, and their zero-forcing precoders decomposed in one
-batch, before the rows are made.  Runs are deterministic
+batch, before the rows are made; the rows only read.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
 are fixed, a run's results do not depend on its batch, and rows are written
 in sweep order regardless of worker count.  Wall-clock timings go to a
@@ -77,39 +77,6 @@ RESULT_COLUMNS = (
     "min_pattern_gain",
     "decomp_residual",
 )
-
-_SCENARIO_KEYS = {
-    "carrier_hz",
-    "bs_rows",
-    "bs_cols",
-    "bs_spacing_wl",
-    "ue_rows",
-    "ue_cols",
-    "ue_spacing_wl",
-    "users",
-    "paths_per_user",
-    "user_positions",
-    "user_box",
-    "scatterer_box",
-    "pathloss_exponent",
-}
-
-_SOLVER_KEYS = {
-    "max_outer_iterations",
-    "objective_tol",
-    "rf_chains_offset",
-    "candidates",
-    "beamwidth_deg",
-    "sh_degree",
-    "rho",
-    "noise_dbm",
-    "power_dbm",
-    "streams_per_user",
-    "seed",
-    "warm_start",
-}
-
-_SWEEP_KEYS = {"axis", "values", "methods", "seeds", "output", "traces_dir"}
 
 # Solver phase seconds of the timing sidecar, named as the `Trace` fields.
 _PHASE_COLUMNS = ("receivers_s", "sweep_s", "objective_s", "decomp_s")
@@ -183,40 +150,27 @@ def _parse_box(text: str) -> tuple[float, ...]:
     return values
 
 
-def _check_keys(section: str, parser: configparser.ConfigParser, allowed) -> None:
-    if not parser.has_section(section):
-        return
-    unknown = set(parser.options(section)) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"[{section}] has unknown keys: {', '.join(sorted(unknown))}"
-        )
-
-
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file.
+
+    The `get` calls are the list of accepted keys: once every value has
+    parsed, a key that no call read is rejected.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = parser.read(path)
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
-    for section, allowed in (
-        ("scenario", _SCENARIO_KEYS),
-        ("solver", _SOLVER_KEYS),
-        ("sweep", _SWEEP_KEYS),
-    ):
-        _check_keys(section, parser, allowed)
+    sc, so, sw = "scenario", "solver", "sweep"
+    asked: dict[str, set] = {sc: set(), so: set(), sw: set()}  # the keys `get` read
     for section in parser.sections():
-        if section not in ("scenario", "solver", "sweep"):
+        if section not in asked:
             raise ConfigurationError(f"unknown config section [{section}]")
 
-    sc = parser["scenario"] if parser.has_section("scenario") else {}
-    so = parser["solver"] if parser.has_section("solver") else {}
-    sw = parser["sweep"] if parser.has_section("sweep") else {}
-
     def get(section, key, cast, default):
-        if key in section:
+        asked[section].add(key)
+        if parser.has_option(section, key):
             try:
-                return cast(section[key])
+                return cast(parser[section][key])
             except (ValueError, KeyError, ConfigurationError) as exc:
                 raise ConfigurationError(f"bad value for {key}: {exc}") from exc
         return default
@@ -273,6 +227,10 @@ def load_config(path) -> ExperimentConfig:
         output=get(sw, "output", str, "results.csv"),
         traces_dir=get(sw, "traces_dir", str, None),
     )
+    for section, keys in asked.items():
+        unknown = set(parser.options(section)) - keys if parser.has_section(section) else ()
+        if unknown:
+            raise ConfigurationError(f"[{section}] has unknown keys: {', '.join(sorted(unknown))}")
     _validate(config)
     return config
 
@@ -290,6 +248,11 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigurationError(f"paths_per_user lists {len(paths)} counts for {n_users} users")
     if not config.values or not config.seeds:
         raise ConfigurationError("the sweep needs at least one value and one seed")
+    for name in ("values", "methods", "seeds"):
+        entries = getattr(config, name)
+        repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+        if repeated:
+            raise ConfigurationError(f"{name} lists {repeated[0]!r} more than once")
     solver = config.solver
     if solver.seed < 0 or min(config.seeds) < 0:
         raise ConfigurationError("seeds must be nonnegative")
@@ -377,21 +340,22 @@ class _Sweep:
 class _Cell:
     """What every method of one (sweep value, scenario seed) cell shares.
 
-    Each part is built on first use.  The fixed-pattern WMMSE solve serves
-    both the `wmmse_fixed` row and the warm starts.  The runner solves the
-    cell's runs, the WMMSE runs and the zero-forcing one, in batches with
-    other cells' before any of its rows (`solved`); the seconds it spends
-    on the cell then, building the cell's inputs and the cell's share of
-    each batch, wait in `owed` for the row that first reads the run, in
-    method order, and so do the solve's phase seconds.  A run its batch did
-    not give is solved alone, inside the row that first needs it.
+    The runner's batch stage builds each method's run (`runs`), its inputs
+    on first use, and solves it in a batch with other cells' runs before
+    any of the cell's rows are made (`solved`).  The fixed-pattern WMMSE
+    solve serves both the `wmmse_fixed` row and the warm starts.  A run
+    whose inputs or solve raised holds the exception instead, and its row
+    raises it again; rows only read.  The seconds the stage spends on the
+    cell, building a run and the cell's share of each batch it is in, wait
+    in `owed` for the first row, in method order, that reads the run
+    (`_reads`), and so do the solve's phase seconds.
     """
 
     sweep: _Sweep
     value: float
     seed: int
     runs: dict = field(default_factory=dict)  # method -> Run
-    solved: dict = field(default_factory=dict)  # method -> (PrecoderState, Trace)
+    solved: dict = field(default_factory=dict)  # method -> (PrecoderState, Trace) or exception
     owed: dict = field(default_factory=dict)  # method -> [seconds, *phase seconds]
 
     @property
@@ -410,13 +374,9 @@ class _Cell:
     def streams(self) -> tuple[int, ...]:
         return (self.config.streams_per_user,) * self.config.scenario.n_users
 
-    @property
-    def candidates(self) -> CandidateSet:
-        return self.sweep.candidates
-
     @cached_property
     def baseline_set(self) -> CandidateSet:
-        return CandidateSet((self.candidates.baseline,))
+        return CandidateSet((self.sweep.candidates.baseline,))
 
     @cached_property
     def fixed_effs(self) -> list[EffectiveChannel]:
@@ -425,29 +385,26 @@ class _Cell:
         ]
 
     def run(self, method: str) -> Run:
-        """The run of `method`: a WMMSE run, warm-started from the
-        fixed-pattern solve when the config asks for it, or the zero-forcing
-        one on the baseline channels."""
-        if method not in self.runs:
-            geometries = self.scenario.geometries
-            if method == "model1":
-                effs = [selection_effective_channel(g, self.candidates) for g in geometries]
-            elif method == "model2":
-                effs = [synthesis_effective_channel(g, self.config.sh_degree) for g in geometries]
-            else:
-                effs = self.fixed_effs
-            warm = self.config.warm_start and method in ("model1", "model2")
-            init_f_d = self.solve("wmmse_fixed")[0].f_d if warm else None
-            self.runs[method] = Run(effs, self.solver, init_f_d)
-        return self.runs[method]
+        """Build `method`'s run: a WMMSE run, started from the solves it
+        reads first (the fixed-pattern one under `warm_start`), or the
+        zero-forcing one on the baseline channels."""
+        geometries = self.scenario.geometries
+        if method == "model1":
+            effs = [selection_effective_channel(g, self.sweep.candidates) for g in geometries]
+        elif method == "model2":
+            effs = [synthesis_effective_channel(g, self.config.sh_degree) for g in geometries]
+        else:
+            effs = self.fixed_effs
+        starts = _reads(self.config, method)[:-1]
+        init_f_d = self.solution(starts[0])[0].f_d if starts else None
+        return Run(effs, self.solver, init_f_d)
 
-    def solve(self, method: str) -> tuple[PrecoderState, Trace]:
-        """The solve of `method`'s run: from its batch, or alone."""
-        if method not in self.solved:
-            self.solved[method] = _solver(method)([self.run(method)], self.streams)[0]
-            # Its seconds count in the row or the batch set-up that asked for it.
-            self.owe(_reader(self.config, method), 0.0, self.solved[method][1])
-        return self.solved[method]
+    def solution(self, method: str) -> tuple[PrecoderState, Trace]:
+        """The solve of `method`'s run, or what building or solving it raised."""
+        outcome = self.solved[method]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def owe(self, method: str, seconds: float, trace: Trace | None = None) -> None:
         """Add seconds, and the phase seconds of a solve, to `method`'s row."""
@@ -483,17 +440,15 @@ def run_point(
 ) -> RunResult:
     """Run one method on one (sweep value, scenario seed) cell.
 
-    `cell` carries the inputs and solves the cell's other methods or the
-    runner's batches already built; the row's seconds include what the
-    runner spent on them for this row.
+    `cell` carries the run and its solve, which the runner's batch stage
+    made; the row only reads them, and its seconds include what the stage
+    spent on the runs this row pays for.
     """
     started = time.perf_counter()
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}")
-    state, trace = cell.solve(method)
-    effs = cell.run(method).effs
+    state, trace = cell.solution(method)
+    effs = cell.runs[method].effs
     if method == "model1":
-        audit_set = cell.candidates
+        audit_set = cell.sweep.candidates
     elif method == "model2":
         audit_set = None
     else:
@@ -529,62 +484,66 @@ def run_point(
     return RunResult(row=row, trace=trace, seconds=seconds, phases=tuple(owed[1:]))
 
 
-def _solve_order(config: ExperimentConfig) -> list[str]:
-    """The methods in the order their batches run: method order, with the
-    fixed-pattern solve first when the pattern methods start from it."""
-    methods = list(config.methods)
-    if config.warm_start and any(m in ("model1", "model2") for m in methods):
-        return ["wmmse_fixed"] + [m for m in methods if m != "wmmse_fixed"]
-    return methods
-
-
-def _reader(config: ExperimentConfig, method: str) -> str:
-    """The first method, in method order, whose row reads `method`'s run."""
-    readers = {method}
-    if method == "wmmse_fixed" and config.warm_start:
-        readers |= {"model1", "model2"}
-    return next(m for m in config.methods if m in readers)
+def _reads(config: ExperimentConfig, method: str) -> tuple[str, ...]:
+    """The runs `method`'s row reads, in solve order: the fixed-pattern
+    solve first when `warm_start` starts `method` from it, then its own."""
+    if config.warm_start and method in ("model1", "model2"):
+        return ("wmmse_fixed", method)
+    return (method,)
 
 
 def _solve_batches(cells: list[_Cell], method: str) -> None:
-    """Solve `method`'s run of every cell, one lockstep batch per set of
-    array shapes.
+    """Build and solve `method`'s run of every cell, one lockstep batch per
+    set of array shapes.
 
-    A cell whose inputs cannot be built, or whose batch raises, is left
-    unsolved: its rows solve it alone and name the cell if it fails again.
-    A configuration error ends the sweep.  The seconds spent on a cell are
-    owed to the first row that reads the run; a batch's seconds outside its
-    runs' iterations and decompositions are split evenly among its runs.
+    A batch of more than one run that raises is solved again run by run,
+    so one failing run loses only its own cell.  A run whose inputs or solve
+    raise keeps the exception, which its row raises again; a configuration
+    error ends the sweep.  The seconds spent on a cell are owed to the
+    first row that reads the run; a batch's seconds outside its runs'
+    iterations and decompositions are split evenly among its runs.
     """
-    reader = _reader(cells[0].config, method)
+    config = cells[0].config
+    payer = next(m for m in config.methods if method in _reads(config, m))
     batches: dict = {}
     for cell in cells:
         started = time.perf_counter()
         try:
-            run = cell.run(method)
+            run = cell.runs[method] = cell.run(method)
         except ConfigurationError:
             raise
-        except Exception:  # raised again, and named, by the cell's own rows
+        except Exception as exc:  # raised again, and named, by the cell's rows
+            cell.solved[method] = exc
             continue
         finally:
-            cell.owe(reader, time.perf_counter() - started)
+            cell.owe(payer, time.perf_counter() - started)
         batches.setdefault(run.shapes, []).append(cell)
     for batch in batches.values():
-        started = time.perf_counter()
-        try:
-            solved = _solver(method)([cell.run(method) for cell in batch], batch[0].streams)
-        except ConfigurationError:
-            raise
-        except Exception:  # each run is solved alone in its cell's rows
-            solved = []
-        own = [sum(trace.iter_seconds) + trace.decomp_s for _, trace in solved]
-        shared = (time.perf_counter() - started - sum(own)) / len(batch)
-        if not solved:
+        if not _solve_batch(batch, method, payer) and len(batch) > 1:
             for cell in batch:
-                cell.owe(reader, shared)
-        for cell, seconds, outcome in zip(batch, own, solved):
-            cell.solved[method] = outcome
-            cell.owe(reader, seconds + shared, outcome[1])
+                _solve_batch([cell], method, payer)
+
+
+def _solve_batch(batch: list[_Cell], method: str, payer: str) -> bool:
+    """Solve `method`'s runs of `batch` in one call and owe its seconds to
+    each cell's `payer` row; False when the call raised."""
+    started = time.perf_counter()
+    try:
+        solved = _solver(method)([cell.runs[method] for cell in batch], batch[0].streams)
+    except ConfigurationError:
+        raise
+    except Exception as exc:  # kept for the rows, unless the runs are solved again alone
+        shared = (time.perf_counter() - started) / len(batch)
+        for cell in batch:
+            cell.solved[method] = exc
+            cell.owe(payer, shared)
+        return False
+    own = [sum(trace.iter_seconds) + trace.decomp_s for _, trace in solved]
+    shared = (time.perf_counter() - started - sum(own)) / len(batch)
+    for cell, seconds, outcome in zip(batch, own, solved):
+        cell.solved[method] = outcome
+        cell.owe(payer, seconds + shared, outcome[1])
+    return True
 
 
 def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
@@ -599,7 +558,7 @@ def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
     config, keys = args
     sweep = _Sweep(config)
     cells = [_Cell(sweep, value, seed) for value, seed in keys]
-    for method in _solve_order(config):
+    for method in dict.fromkeys(run for m in config.methods for run in _reads(config, m)):
         _solve_batches(cells, method)
     outcomes = []
     for cell in cells:
@@ -655,6 +614,7 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
     config = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_path = os.path.join(base_dir, config.output)
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
 
     cells = [(value, seed) for value in config.values for seed in config.seeds]
     if worker_count > 1:

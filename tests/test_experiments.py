@@ -1,4 +1,6 @@
+import configparser
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from trihybrid import channel, experiments, wmmse
 from trihybrid.cli import main
-from trihybrid.exceptions import ConfigurationError, GenerationError
+from trihybrid.exceptions import ConfigurationError, GenerationError, SweepError
 from trihybrid.experiments import audit_results, emit_plotdata, load_config, run_experiment
 
 MINI = """
@@ -34,6 +36,9 @@ methods = model1 model2 wmmse_fixed zf
 seeds = 1
 output = results.csv
 """
+
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 
 def write_config(tmp_path: Path, text: str = MINI, name: str = "config.ini") -> Path:
@@ -90,6 +95,29 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "nope.ini")
+
+    def test_every_documented_key_is_read(self, tmp_path):
+        # The keys of the [scenario], [solver] and [sweep] tables of the
+        # config reference, each set to junk in its own section: the loader
+        # may reject the value, but never the key.
+        documented, section = [], None
+        for line in CONFIG_DOC.read_text().splitlines():
+            if line.startswith("## "):
+                section = line[4:-1] if line.startswith("## [") else None
+            elif section and line.startswith("| `"):
+                documented += [(section, key) for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert {section for section, _ in documented} == {"scenario", "solver", "sweep"}
+        for section, key in documented:
+            parser = configparser.ConfigParser()
+            parser.read_string(MINI)
+            parser[section][key] = "junk"
+            path = tmp_path / f"{key}.ini"
+            with open(path, "w") as fh:
+                parser.write(fh)
+            try:
+                load_config(path)
+            except ConfigurationError as exc:
+                assert "unknown keys" not in str(exc), (section, key)
 
 
 class TestRun:
@@ -251,7 +279,7 @@ class TestRun:
         # that first reads it: with warm starts, model1 pays for the
         # fixed-pattern solve and the wmmse_fixed row holds no solve.  A zf
         # row holds its share of the zero-forcing decomposition batch.
-        out = run_experiment(write_config(tmp_path, text.replace("seeds = 1", "seeds = 1 2")))
+        out = run_experiment(write_config(tmp_path, text.replace("seeds = 1\n", "seeds = 1 2\n")))
         phases = ["receivers_s", "sweep_s", "objective_s", "decomp_s"]
         timing = read_rows(Path(out).with_name("results_timing.csv"))
         assert len(timing) == len(read_rows(out))
@@ -288,6 +316,68 @@ class TestRun:
         assert sorted(calls) == [(4, 2), (4, 2), (6, 2), (6, 2)]
         assert [r["rf_chains"] for r in rows] == ["4"] * 4 + ["6"] * 4
         assert {r["outer_iterations"] for r in rows if r["method"] == "wmmse_fixed"} == {"6"}
+
+    @pytest.mark.parametrize("fault", ["none", "batch", "scenario"])
+    def test_rows_build_nothing_and_solve_nothing(self, tmp_path, monkeypatch, fault):
+        # Every scenario, lift and solve happens in the batch stage, also
+        # when a batch raises (the -10 dBm runs) or a scenario does (seed 2).
+        def fails(name, args):
+            if fault == "batch" and name == "solve_selection":
+                return any(run.config.power < 1.0 for run in args[0])
+            return fault == "scenario" and name == "generate_scenario" and args[1] == 2
+
+        in_row, calls = [], []
+
+        def spy(name):
+            original = getattr(experiments, name)
+
+            def spied(*args, **kwargs):
+                if in_row:
+                    calls.append(name)
+                if fails(name, args):
+                    raise FloatingPointError(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, spied)
+
+        for name in ("generate_scenario", "selection_effective_channel",
+                     "synthesis_effective_channel", "solve_selection", "solve_synthesis",
+                     "_zero_forcing"):
+            spy(name)
+        row = experiments.run_point
+
+        def reading(*args, **kwargs):
+            in_row.append(True)
+            try:
+                return row(*args, **kwargs)
+            finally:
+                in_row.pop()
+
+        monkeypatch.setattr(experiments, "run_point", reading)
+        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
+        cfg = write_config(tmp_path, GRID)
+        if fault == "none":
+            assert len(read_rows(run_experiment(cfg))) == 16
+        else:
+            with pytest.raises(SweepError, match="2 of 4 sweep cells failed"):
+                run_experiment(cfg)
+        assert calls == []
+
+    def test_output_directory_made_before_any_cell(self, tmp_path, monkeypatch):
+        made = []
+        row = experiments.run_point
+
+        def checked(*args, **kwargs):
+            made.append((tmp_path / "nodir").is_dir())
+            return row(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_point", checked)
+        text = MINI.replace("output = results.csv", "output = nodir/results.csv")
+        out = run_experiment(write_config(tmp_path, text))
+        assert Path(out) == tmp_path / "nodir" / "results.csv"
+        assert made == [True] * 4
+        assert len(read_rows(out)) == 4
+        assert (tmp_path / "nodir" / "results_timing.csv").exists()
 
     def test_satisfied_constraints_read_positive_zero(self, tmp_path):
         rows = read_rows(run_experiment(write_config(tmp_path)))
@@ -439,6 +529,9 @@ class TestCli:
             ("values = 0", "values = 0 4000"),  # inf mW
             ("seed = 0", "seed = 0\nnoise_dbm = -4000"),  # 0 mW
             ("seed = 0", "seed = 0\nnoise_dbm = 4000"),  # inf mW
+            ("values = 0", "values = 0 0.0"),
+            ("methods = model1 model2 wmmse_fixed zf", "methods = model1 model1 zf"),
+            ("seeds = 1", "seeds = 1 1"),
         ],
         ids=[
             "seeds",
@@ -473,6 +566,9 @@ class TestCli:
             "infinite_power",
             "zero_noise",
             "infinite_noise",
+            "repeated_value",
+            "repeated_method",
+            "repeated_seed",
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, monkeypatch, old, new):
