@@ -358,21 +358,17 @@ class _Cell:
     solved: dict = field(default_factory=dict)  # method -> (PrecoderState, Trace) or exception
     owed: dict = field(default_factory=dict)  # method -> [seconds, *phase seconds]
 
-    @property
-    def config(self) -> ExperimentConfig:
-        return self.sweep.config
-
     @cached_property
     def scenario(self) -> Scenario:
-        return generate_scenario(_scenario_for(self.config, self.value), self.seed)
+        return generate_scenario(_scenario_for(self.sweep.config, self.value), self.seed)
 
     @cached_property
     def solver(self) -> SolverConfig:
-        return _solver_for(self.config, self.value)
+        return _solver_for(self.sweep.config, self.value)
 
     @cached_property
     def streams(self) -> tuple[int, ...]:
-        return (self.config.streams_per_user,) * self.config.scenario.n_users
+        return (self.sweep.config.streams_per_user,) * self.sweep.config.scenario.n_users
 
     @cached_property
     def baseline_set(self) -> CandidateSet:
@@ -392,10 +388,10 @@ class _Cell:
         if method == "model1":
             effs = [selection_effective_channel(g, self.sweep.candidates) for g in geometries]
         elif method == "model2":
-            effs = [synthesis_effective_channel(g, self.config.sh_degree) for g in geometries]
+            effs = [synthesis_effective_channel(g, self.sweep.config.sh_degree) for g in geometries]
         else:
             effs = self.fixed_effs
-        starts = _reads(self.config, method)[:-1]
+        starts = _reads(self.sweep.config, method)[:-1]
         init_f_d = self.solution(starts[0])[0].f_d if starts else None
         return Run(effs, self.solver, init_f_d)
 
@@ -503,7 +499,7 @@ def _solve_batches(cells: list[_Cell], method: str) -> None:
     first row that reads the run; a batch's seconds outside its runs'
     iterations and decompositions are split evenly among its runs.
     """
-    config = cells[0].config
+    config = cells[0].sweep.config
     payer = next(m for m in config.methods if method in _reads(config, m))
     batches: dict = {}
     for cell in cells:
@@ -558,7 +554,9 @@ def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
     config, keys = args
     sweep = _Sweep(config)
     cells = [_Cell(sweep, value, seed) for value, seed in keys]
-    for method in dict.fromkeys(run for m in config.methods for run in _reads(config, m)):
+    reads = [_reads(config, m) for m in config.methods]
+    # The runs that rows start from first, then each row's own, in method order.
+    for method in dict.fromkeys([run for r in reads for run in r[:-1]] + [r[-1] for r in reads]):
         _solve_batches(cells, method)
     outcomes = []
     for cell in cells:
