@@ -32,11 +32,12 @@ class DecompositionResult:
     history: list[float] = field(default_factory=list)
 
 
-def _relative_residual(f_d, f_rf, f_bb) -> float:
-    denom = np.linalg.norm(f_d)
-    if denom == 0.0:
+def _relative_residual(f_d, f_rf, f_bb, norm: float) -> float:
+    """||f_d - f_rf f_bb|| / ||f_d|| for the target's norm `norm`; 0 for a
+    zero target."""
+    if norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(f_d - f_rf @ f_bb) / denom)
+    return float(np.linalg.norm(f_d - f_rf @ f_bb) / norm)
 
 
 def feasibility_scale(f: np.ndarray, power) -> float:
@@ -125,7 +126,8 @@ def decompose_precoders(
     f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
 
     f_bb = np.stack([np.linalg.lstsq(a, b, rcond=_LSTSQ_RCOND)[0] for a, b in zip(f_rf, f_d)])
-    residuals = [_relative_residual(*parts) for parts in zip(f_d, f_rf, f_bb)]
+    norms = [np.linalg.norm(target) for target in f_d]
+    residuals = [_relative_residual(*parts) for parts in zip(f_d, f_rf, f_bb, norms)]
     histories = [[residual] for residual in residuals]
     active = [b for b, residual in enumerate(residuals) if not residual < 1e-15]
     for _ in range(iterations):
@@ -138,7 +140,8 @@ def decompose_precoders(
         going = []
         for b in active:
             f_bb[b] = np.linalg.lstsq(f_rf[b], f_d[b], rcond=_LSTSQ_RCOND)[0]
-            residual, new_residual = residuals[b], _relative_residual(f_d[b], f_rf[b], f_bb[b])
+            residual = residuals[b]
+            new_residual = _relative_residual(f_d[b], f_rf[b], f_bb[b], norms[b])
             histories[b].append(min(new_residual, residual))
             if new_residual >= residual - 1e-15:
                 residuals[b] = min(new_residual, residual)

@@ -325,7 +325,9 @@ def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
 @dataclass
 class _Sweep:
     """What every cell of a sweep, or of one worker's share of it, shares:
-    the config and the candidate grid, built on first use."""
+    the config, the candidate grid and the set of its baseline pattern
+    alone, each built on first use, so that the audit evaluates each
+    candidate's gains once per sweep."""
 
     config: ExperimentConfig
 
@@ -334,6 +336,10 @@ class _Sweep:
         return gaussian_beam_grid(
             self.config.candidates, beamwidth=np.deg2rad(self.config.beamwidth_deg)
         )
+
+    @cached_property
+    def baseline_set(self) -> CandidateSet:
+        return CandidateSet((self.candidates.baseline,))
 
 
 @dataclass
@@ -371,13 +377,10 @@ class _Cell:
         return (self.sweep.config.streams_per_user,) * self.sweep.config.scenario.n_users
 
     @cached_property
-    def baseline_set(self) -> CandidateSet:
-        return CandidateSet((self.sweep.candidates.baseline,))
-
-    @cached_property
     def fixed_effs(self) -> list[EffectiveChannel]:
         return [
-            selection_effective_channel(g, self.baseline_set) for g in self.scenario.geometries
+            selection_effective_channel(g, self.sweep.baseline_set)
+            for g in self.scenario.geometries
         ]
 
     def run(self, method: str) -> Run:
@@ -448,7 +451,7 @@ def run_point(
     elif method == "model2":
         audit_set = None
     else:
-        audit_set = cell.baseline_set
+        audit_set = cell.sweep.baseline_set
 
     channels = [compose(e, state.antenna_matrix) for e in effs]
     noise = cell.solver.noise

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .patterns import CandidateSet
-from .sphharm import FOUR_PI, SphereGrid, default_grid
+from .sphharm import FOUR_PI, default_grid
 from .wmmse import PrecoderState
 
 
@@ -31,15 +31,15 @@ class ConstraintReport:
 
 
 def audit_constraints(
-    state: PrecoderState,
-    candidates: CandidateSet | None = None,
-    grid: SphereGrid | None = None,
+    state: PrecoderState, candidates: CandidateSet | None = None
 ) -> ConstraintReport:
-    """Recompute every constraint of a solver state from scratch.
+    """Recompute every constraint of a solver state from scratch, the
+    pattern gains over the :func:`default_grid`.
 
     With `candidates` the antenna-matrix rows are selections from that set
-    and must be exactly one-hot; without, they are harmonic coefficient
-    vectors of squared norm 4*pi.
+    and must be exactly one-hot, and the smallest gain is read from the
+    set's per-candidate minima (:attr:`CandidateSet.min_gains`); without,
+    they are harmonic coefficient vectors of squared norm 4*pi.
     """
     per_antenna = np.sum(np.abs(state.f_d) ** 2, axis=1)
     power_violation = max(0.0, float(np.max(per_antenna / state.power - 1.0)))
@@ -47,19 +47,16 @@ def audit_constraints(
     modulus_deviation = float(np.max(np.abs(np.abs(state.f_rf) ** 2 * n - 1.0)))
 
     matrix = state.antenna_matrix
-    grid = grid or default_grid()
     if candidates is not None:
         selection = np.argmax(matrix, axis=1)
         one_hot = np.eye(matrix.shape[1])[selection]
         antenna_deviation = float(np.max(np.abs(matrix - one_hot)))
-        tg, pg = grid.mesh()
-        min_gain = min(
-            float(np.min(candidates.patterns[s].gain(tg, pg))) for s in np.unique(selection)
-        )
+        min_gains = candidates.min_gains
+        min_gain = min(min_gains[s] for s in np.unique(selection).tolist())
     else:
         norms = np.sum(matrix**2, axis=1)
         antenna_deviation = float(np.max(np.abs(norms - FOUR_PI)))
-        basis = grid.basis(int(np.sqrt(matrix.shape[1])) - 1)
+        basis = default_grid().basis(int(np.sqrt(matrix.shape[1])) - 1)
         min_gain = float(np.min(basis @ matrix.T))  # (n_theta, n_phi, N) gains
     return ConstraintReport(
         max_power_violation=power_violation,

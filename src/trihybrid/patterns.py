@@ -10,6 +10,7 @@ fixed-baseline pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -157,6 +158,13 @@ class CandidateSet:
     def gain_vector(self, theta, phi) -> np.ndarray:
         """Per-candidate gains at a direction, stacked along the last axis."""
         return np.stack([p.gain(theta, phi) for p in self.patterns], axis=-1)
+
+    @cached_property
+    def min_gains(self) -> tuple[float, ...]:
+        """Each candidate's smallest gain over the :func:`default_grid`,
+        evaluated once per set."""
+        tg, pg = default_grid().mesh()
+        return tuple(float(np.min(p.gain(tg, pg))) for p in self.patterns)
 
 
 def gaussian_beam_grid(count: int, beamwidth: float = np.deg2rad(85.0)) -> CandidateSet:

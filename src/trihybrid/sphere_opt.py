@@ -1,5 +1,5 @@
 """Exact minimization of a quadratic over the unit sphere for the reduced
-coefficient step.
+coefficient step, for every run of a batch.
 
 Minimizes x^T B x + v^T x subject to ||x|| = 1 globally (Moré & Sorensen,
 "Computing a trust region step", 1983; Hager, "Minimizing a quadratic over a
@@ -16,10 +16,17 @@ the reduced pattern step B is a positive scalar times Re Q[1:, 1:] of the
 antenna's quad term Q, which is fixed for a whole antenna sweep, so the
 sweep decomposes every antenna's Re Q[1:, 1:] in one batched call.  The
 synthesis step of a lockstep batch reduces every run's problem to the
-sphere, rotates it into its eigenbasis and lifts the solutions back in
-array operations over the batch (:func:`reduced_coefficient_problem`,
-:func:`lift_coefficients`); only the secular solve,
-:func:`minimize_on_sphere`, runs once per run, on Python floats.
+sphere and rotates it into its eigenbasis in array operations over the
+batch (:func:`reduced_coefficient_problem`).  :func:`secular_problems` then
+sets up every run's secular equation at once, :func:`minimize_on_sphere`
+runs the one part that stays per run, the Newton iteration on Python
+floats, and :meth:`SecularProblems.finish` forms the points, their values
+and the kept-start test over the batch again.
+
+The array set-up and finish take every sum in Python's order, left to right
+from 0, with `np.add.accumulate`, so that a run gets the bits of its problem
+solved alone on Python floats: `np.add.reduce` sums pairwise along a
+contiguous axis of 8 or more entries.
 """
 
 from __future__ import annotations
@@ -40,122 +47,201 @@ _MAX_NEWTON = 50
 
 @dataclass
 class SphereResult:
-    point: list  # eigenbasis coordinates, or the start itself when it is kept
-    value: float
+    root: float  # t = lam_min - mu; 0 where the set-up found the point itself
     iterations: int  # Newton steps on the secular equation
     converged: bool  # the secular residual met its tolerance
 
 
-def minimize_on_sphere(eigenvalues, linear, start, linear_norm: float) -> SphereResult:
-    """Global minimizer of sum(eigenvalues y^2) + linear^T y over ||y|| = 1.
+def _sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum over the last axis as Python's `sum` takes it: left to
+    right, from 0 (which turns a sum of negative zeros into +0)."""
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
-    The problem is given in the eigenbasis of B = V diag(eigenvalues) V^T:
-    `eigenvalues` is ascending, as `np.linalg.eigh` returns it, and `linear`
-    and the unit vector `start` are V^T v and V^T x0 for the caller's linear
-    term v and start x0; all three are sequences of n floats, best Python
-    lists.  `linear_norm` is ||v|| as the caller computed it in its own
-    coordinates, where it may differ from the norm of V^T v in the last
-    bits; it sets the problem scale.  The start point only breaks ties: in
-    the hard case the bottom-eigenspace component points along the start's
-    projection onto that space.  The returned value never exceeds the
-    objective at the start.  The point is a list of n floats in the
-    eigenbasis, or `start` itself when no point improves on it, so that a
-    caller can hand back its own start vector instead of rotating V^T x0
-    back.
+
+@dataclass
+class SecularProblems:
+    """The secular equations of a batch of sphere problems, set up over the
+    (B, n) arrays of every run by :func:`secular_problems`.
+
+    A run is settled when the set-up finds its point without a root: a zero
+    problem keeps its start, and in the hard case the point is x(0) off the
+    bottom eigenspace plus the bottom fill, already in `points`.  Every
+    other run solves for its root over the entries from `first[b]` on: all
+    of them, or those off the bottom eigenspace when w has no bottom
+    component there (`secular` marks the entries the root sets).
     """
-    n = len(linear)
-    if len(eigenvalues) != n or len(start) != n:
-        raise ValueError("inconsistent problem dimensions")
-    if abs(math.sqrt(_sum_sq(start)) - 1.0) > 1e-9:
-        raise ValueError("start point must have unit norm")
 
-    # Everything runs on Python floats: on a handful of entries numpy's
-    # per-call overhead would cost more than the arithmetic.
-    lam, w = eigenvalues, linear
-    start_value = _value(lam, w, start)
-    # ||B||_F is the 2-norm of its eigenvalues.
-    scale = math.sqrt(_sum_sq(lam)) + linear_norm
-    if scale == 0.0:
-        return SphereResult(point=start, value=0.0, iterations=0, converged=True)
-    half_w = [0.5 * wi / scale for wi in w]
-    gaps = [(li - lam[0]) / scale for li in lam]
-    # Eigenvalues come sorted, so the bottom eigenspace is the first m.
-    m = len([gap for gap in gaps if gap <= _CLUSTER_TOL])
-    gaps[:m] = [0.0] * m
-    w_bottom = 2.0 * math.sqrt(_sum_sq(half_w[:m]))
+    eigenvalues: np.ndarray  # (B, n)
+    linear: np.ndarray  # (B, n)
+    start_values: np.ndarray  # (B,) the objective at each start; 0 for a zero problem
+    zero: np.ndarray  # (B,) zero problems, which keep their start
+    settled: list[bool]
+    half_w: np.ndarray  # (B, n) w / (2 scale)
+    gaps: np.ndarray  # (B, n) (lam - lam_min) / scale, 0 across the bottom eigenspace
+    first: list[int]  # the first entry of each run's secular sum
+    low: np.ndarray  # (B,) the root's bracket
+    high: np.ndarray
+    points: np.ndarray  # (B, n) the settled points; 0 where x(t) has no component
+    secular: np.ndarray | bool  # (B, n) the entries the roots set, or True for all
 
-    # Coordinates of x(t) in the eigenbasis: y = -half_w / (gaps + t), t >= 0.
-    y = [0.0] * n
-    iterations = 0
-    converged = True
-    if w_bottom <= _CLUSTER_TOL:
-        # No bottom component: x(t) stays finite at t = 0, and if it is
-        # inside the sphere there, a bottom eigenvector fills the norm.
-        w_bottom, first = 0.0, m
-        y[m:] = [-h / g for g, h in zip(gaps[m:], half_w[m:])]
-        hard = _sum_sq(y) <= 1.0
-    else:
-        first, hard = 0, False
-    if hard:
-        fill = start[:m]
-        fill_norm = math.sqrt(_sum_sq(fill))
-        if fill_norm <= _CLUSTER_TOL:
-            fill = [1.0] + [0.0] * (m - 1)
-            fill_norm = 1.0
-        tau = math.sqrt(max(0.0, 1.0 - _sum_sq(y))) / fill_norm
-        y[:m] = [tau * f for f in fill]
-    else:
-        g, hw = gaps[first:], half_w[first:]
-        # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`.
-        low = max(0.5 * w_bottom, max([abs(h) - gi for gi, h in zip(g, hw)]), 0.0)
-        high = math.sqrt(_sum_sq(hw))
-        t = root = low
-        converged = False
-        while iterations < _MAX_NEWTON:
-            iterations += 1
-            root = t
-            norm_sq = slope_sum = 0.0
-            for gi, h in zip(g, hw):
-                denom = gi + t
-                sq = (h / denom) ** 2
-                norm_sq += sq
-                slope_sum += sq / denom
-            norm = math.sqrt(norm_sq)
-            if abs(norm - 1.0) <= _SECULAR_TOL:
-                converged = True
-                break
-            if norm > 1.0:
-                low = t
-            else:
-                high = t
-            # 1/||x(t)|| is concave and increasing in t, so Newton steps from
-            # the left of the root stay left of it; bisect if rounding
-            # throws a step out of the bracket.
-            slope = slope_sum / (norm * norm_sq)
-            t += (1.0 - 1.0 / norm) / slope
-            if not low <= t <= high:
-                t = 0.5 * (low + high)
-        y[first:] = [-h / (gi + root) for gi, h in zip(g, hw)]
+    def arguments(self) -> list[tuple]:
+        """The arguments of :func:`minimize_on_sphere` for every run: the
+        gaps and half_w its secular sum runs over, as Python lists, and the
+        bracket; no entries for a settled run."""
+        gaps, half_w = self.gaps.tolist(), self.half_w.tolist()
+        low, high = self.low.tolist(), self.high.tolist()
+        return [
+            ((), (), 0.0, 0.0) if settled else (gaps[b][first:], half_w[b][first:], low[b], high[b])
+            for b, (settled, first) in enumerate(zip(self.settled, self.first))
+        ]
 
-    norm = math.sqrt(_sum_sq(y))
-    y = [yi / norm for yi in y]
-    value = _value(lam, w, y)
-    if value > start_value:
-        return SphereResult(
-            point=start, value=start_value, iterations=iterations, converged=converged
+    def finish(self, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every run's point from its secular root (a sequence of B floats,
+        read for unsettled runs only): x(root) normalized, or its settled
+        point, written into `points`.  Returns (points, values, kept), (B, n),
+        (B,) and (B,): a run whose point scores above its start, or a zero
+        problem, keeps its start, and its value is the start's."""
+        points = np.divide(
+            -self.half_w, self.gaps + np.array(roots)[:, None], out=self.points, where=self.secular
         )
-    return SphereResult(point=y, value=value, iterations=iterations, converged=converged)
+        points /= np.sqrt(_sums(points * points))[:, None]
+        values = _sums((self.eigenvalues * points + self.linear) * points)
+        kept = self.zero | (values > self.start_values)
+        return points, np.where(kept, self.start_values, values), kept
 
 
-# List comprehensions rather than generators: the same sums in the same
-# order, with less interpreter overhead on a handful of entries.
-def _sum_sq(values) -> float:
-    return sum([v * v for v in values])
+def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProblems:
+    """Set up the problems min sum(eigenvalues y^2) + linear^T y over
+    ||y|| = 1 of a batch: everything before the Newton iteration, in array
+    operations over the batch.
+
+    Each problem is given in the eigenbasis of its B = V diag(eigenvalues)
+    V^T: `eigenvalues[b]` is ascending, as `np.linalg.eigh` returns it, and
+    `linear[b]` and the unit vector `starts[b]` are V^T v and V^T x0 for the
+    caller's linear term v and start x0; all three are (B, n).
+    `linear_norms[b]` is ||v|| as the caller computed it in its own
+    coordinates, where it may differ from the norm of V^T v in the last
+    bits; it sets the problem scale.  The start only breaks ties: in the
+    hard case the bottom-eigenspace component points along the start's
+    projection onto that space, or along the first eigenvector when that
+    projection vanishes.  The hard case and an absent bottom component take
+    their extra work only in a batch that has them.
+    """
+    lam, w, starts = (np.asarray(a, dtype=float) for a in (eigenvalues, linear, starts))
+    if w.ndim != 2 or lam.shape != w.shape or starts.shape != w.shape:
+        raise ValueError("inconsistent problem dimensions")
+    # The start's squared norm and value, and ||B||_F^2, the squared
+    # 2-norm of the eigenvalues.
+    starts_sq = starts * starts
+    start_values = lam * starts
+    start_values += w
+    start_values *= starts
+    norms_sq, start_values, lam_sq = _sums(np.array([starts_sq, start_values, lam * lam]))
+    if np.count_nonzero(np.abs(np.sqrt(norms_sq) - 1.0) > 1e-9):
+        raise ValueError("start point must have unit norm")
+    scales = np.sqrt(lam_sq)
+    scales += linear_norms
+    zero = scales == 0.0
+    if np.count_nonzero(zero):  # scale 1 keeps a zero problem's arithmetic finite
+        scales[zero] = 1.0
+        start_values[zero] = 0.0
+    half_w = 0.5 * w / scales[:, None]
+    gaps = (lam - lam[:, :1]) / scales[:, None]
+    # Eigenvalues come sorted, so the bottom eigenspace is a leading block.
+    bottom = gaps <= _CLUSTER_TOL
+    gaps[bottom] = 0.0
+    half_w_sq = half_w * half_w
+    bottom_sq, high = _sums(np.array([np.where(bottom, half_w_sq, 0.0), half_w_sq]))
+    w_bottom = 2.0 * np.sqrt(bottom_sq)
+    # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`.
+    reach = np.abs(half_w) - gaps
+    points = np.zeros_like(gaps)
+    off_bottom = w_bottom <= _CLUSTER_TOL
+    settled, first, secular = zero, [0] * len(w), True
+    if np.count_nonzero(off_bottom):
+        # No bottom component: the secular sum skips the bottom eigenspace,
+        # where x(t) is finite at t = 0, and if x(0) is inside the sphere
+        # there, a bottom eigenvector fills the norm (the hard case).
+        w_bottom[off_bottom] = 0.0
+        skipped = bottom & off_bottom[:, None]
+        reach[skipped] = -np.inf
+        np.divide(-half_w, gaps, out=points, where=~bottom)
+        top_sq, points_sq, fill_sq = _sums(
+            np.array([np.where(bottom, 0.0, half_w_sq), points * points,
+                      np.where(bottom, starts_sq, 0.0)])
+        )
+        high = np.where(off_bottom, top_sq, high)
+        hard = off_bottom & (points_sq <= 1.0)
+        if np.count_nonzero(hard):
+            fill_norms = np.sqrt(fill_sq)
+            unset = fill_norms <= _CLUSTER_TOL
+            fills = np.where(unset[:, None], np.eye(1, w.shape[1]), starts)
+            taus = np.sqrt(np.maximum(0.0, 1.0 - points_sq)) / np.where(unset, 1.0, fill_norms)
+            points = np.where(bottom & hard[:, None], taus[:, None] * fills, points)
+            settled = zero | hard
+        first = np.count_nonzero(skipped, axis=1).tolist()
+        secular = ~(skipped | settled[:, None])
+    elif np.count_nonzero(zero):
+        secular = ~zero[:, None]
+    return SecularProblems(
+        eigenvalues=lam,
+        linear=w,
+        start_values=start_values,
+        zero=zero,
+        settled=settled.tolist(),
+        half_w=half_w,
+        gaps=gaps,
+        first=first,
+        # 0.5 w_bottom >= 0, so the bracket starts at t >= 0.
+        low=np.maximum(0.5 * w_bottom, reach.max(axis=1)),
+        high=np.sqrt(high),
+        points=points,
+        secular=secular,
+    )
 
 
-def _value(lam, w, y) -> float:
-    """sum(lam y^2) + w^T y on Python floats."""
-    return sum([(li * yi + wi) * yi for li, wi, yi in zip(lam, w, y)])
+def minimize_on_sphere(gaps, half_w, low: float, high: float) -> SphereResult:
+    """The root t >= 0 of one run's secular equation ||x(t)|| = 1, with
+    x(t) = -half_w / (gaps + t), by safeguarded Newton iteration on Python
+    floats.
+
+    `gaps` and `half_w` are the entries the secular sum runs over and
+    [low, high] brackets the root, as :meth:`SecularProblems.arguments`
+    gives them; empty entries mark a run the set-up settled, which takes no
+    step.  On a handful of entries numpy's per-call overhead would cost
+    more than the arithmetic, and `** 2` here is libm's `pow`, which
+    numpy's square does not match in every last bit.
+    """
+    iterations = 0
+    if not gaps:
+        return SphereResult(root=0.0, iterations=iterations, converged=True)
+    t = root = low
+    converged = False
+    while iterations < _MAX_NEWTON:
+        iterations += 1
+        root = t
+        norm_sq = slope_sum = 0.0
+        for gi, h in zip(gaps, half_w):
+            denom = gi + t
+            sq = (h / denom) ** 2
+            norm_sq += sq
+            slope_sum += sq / denom
+        norm = math.sqrt(norm_sq)
+        if abs(norm - 1.0) <= _SECULAR_TOL:
+            converged = True
+            break
+        if norm > 1.0:
+            low = t
+        else:
+            high = t
+        # 1/||x(t)|| is concave and increasing in t, so Newton steps from
+        # the left of the root stay left of it; bisect if rounding throws
+        # a step out of the bracket.
+        slope = slope_sum / (norm * norm_sq)
+        t += (1.0 - 1.0 / norm) / slope
+        if not low <= t <= high:
+            t = 0.5 * (low + high)
+    return SphereResult(root=root, iterations=iterations, converged=converged)
 
 
 def reduction_factors(rho: float) -> np.ndarray:
@@ -226,8 +312,7 @@ def sphere_terms(quad_terms: np.ndarray, coefficients: np.ndarray) -> tuple:
     the same leading axes: the :func:`reduced_spectrum` (eigenvalues,
     eigenvectors), the unit start (the free coefficients normalized, or e_0
     where they are all zero) and the start's coordinates in the eigenbasis,
-    V^T start, as nested Python lists.  Everything is one array operation
-    over the stack."""
+    V^T start.  Everything is one array operation over the stack."""
     eigenvalues, eigenvectors = reduced_spectrum(quad_terms)
     tails = coefficients[..., 1:]
     norms = np.sqrt(tails[..., None, :] @ tails[..., :, None])[..., 0]
@@ -235,7 +320,7 @@ def sphere_terms(quad_terms: np.ndarray, coefficients: np.ndarray) -> tuple:
     starts = tails / np.where(empty[..., None], 1.0, norms)
     starts[empty] = np.eye(1, starts.shape[-1])[0]
     coordinates = (eigenvectors.swapaxes(-1, -2) @ starts[..., None])[..., 0]
-    return eigenvalues, eigenvectors, starts, coordinates.tolist()
+    return eigenvalues, eigenvectors, starts, coordinates
 
 
 def lift_coefficients(points: np.ndarray, factors: np.ndarray) -> np.ndarray:

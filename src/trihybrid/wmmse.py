@@ -34,6 +34,7 @@ from .sphere_opt import (
     minimize_on_sphere,
     reduced_coefficient_problem,
     reduction_factors,
+    secular_problems,
     sphere_terms,
 )
 from .sphharm import FOUR_PI
@@ -550,19 +551,21 @@ def select_pattern_and_row(
 
     The squared norms of every run's candidates take one pass over the
     batch; then each run's W candidates are scored one by one on Python
-    floats, which costs less than numpy's dispatch on arrays this small.
-    Every boundary, step and value takes the same IEEE operations in the
-    same order as the whole-array form, so the result is the same to the
-    bit.  A value is NaN only for non-finite input or when a direction so
-    small that its boundary step overflows meets a quad at most
-    `_TINY_QUAD`; as with numpy's `argmin`, the first NaN is then taken.
+    floats, which costs less than numpy's dispatch on arrays this small,
+    and every run's row, its negated step times its chosen candidate's
+    direction, is written in one operation.  Every boundary, step and
+    value takes the same IEEE operations in the same order as the
+    whole-array form, so the result is the same to the bit.  A value is
+    NaN only for non-finite input or when a direction so small that its
+    boundary step overflows meets a quad at most `_TINY_QUAD`; as with
+    numpy's `argmin`, the first NaN is then taken.
     """
     if rows is None:
         rows = np.empty(linear.shape[:2], dtype=complex)
     norms_sq = np.abs(linear)
     np.square(norms_sq, out=norms_sq)
     norms_sq = np.add.reduce(norms_sq, axis=1).tolist()
-    indices, values = [], []
+    indices, values, negated_steps = [], [], []
     for b, budget in enumerate(budgets):
         best, best_value, best_step = 0, math.nan, 0.0
         for s, (norm_sq, quad, inv_quad) in enumerate(zip(norms_sq[b], quads[b], inv_quads[b])):
@@ -575,9 +578,12 @@ def select_pattern_and_row(
                 break
             if s == 0 or value < best_value:
                 best, best_value, best_step = s, value, step
-        rows[b] = -best_step * linear[b, :, best]
         indices.append(best)
         values.append(float(best_value))
+        negated_steps.append(-best_step)
+    np.multiply(
+        np.array(negated_steps)[:, None], linear[np.arange(len(indices)), :, indices], out=rows
+    )
     return indices, rows, values
 
 
@@ -609,13 +615,15 @@ def synthesize_pattern_and_row(
     (B, D); the coefficients are the given array itself when no run
     solves.
 
-    Everything but the step lengths and the secular solve is one array
+    Everything but the step lengths and the Newton iteration is one array
     operation over the batch: the row, the reduction, the rotation into
-    each run's eigenbasis and back, and the lift.  The step lengths take a
-    few Python float operations per run, and :func:`minimize_on_sphere`
-    runs once per solving run on Python floats.  Each array operation is
-    the one of a single run, stacked, so a run gets the same bits in any
-    batch.
+    each run's eigenbasis, the set-up of the secular equations
+    (:func:`secular_problems`), the points from their roots with the
+    kept-start test, the rotation back and the lift.  The step lengths take
+    a few Python float operations per run, and :func:`minimize_on_sphere`
+    finds the root of each solving run on Python floats.  Each array
+    operation is the one of a single run, stacked, so a run gets the same
+    bits in any batch.
     """
     directions = linear @ coefficients[:, :, None]
     norms_sq = (directions.conj().swapaxes(1, 2) @ directions).real.ravel().tolist()
@@ -638,26 +646,20 @@ def synthesize_pattern_and_row(
     eigenvalues, eigenvectors, starts, coordinates = terms()
     every = len(solving) == len(scales)
     if not every:
-        eigenvalues, eigenvectors, starts, scales, reduced, factors = (
-            part[solving] for part in (eigenvalues, eigenvectors, starts, scales, reduced, factors)
+        eigenvalues, eigenvectors, starts, coordinates, scales, reduced, factors = (
+            part[solving]
+            for part in (eigenvalues, eigenvectors, starts, coordinates, scales, reduced, factors)
         )
-        coordinates = [coordinates[b] for b in solving]
-    points = []
-    kept = []
-    for i, (lam, w, start, norm_sq) in enumerate(
-        zip(
-            (scales[:, None] * eigenvalues).tolist(),
-            (eigenvectors.swapaxes(1, 2) @ reduced[:, :, None])[:, :, 0].tolist(),
-            coordinates,
-            (reduced[:, None, :] @ reduced[:, :, None]).ravel().tolist(),
-        )
-    ):
-        point = minimize_on_sphere(lam, w, start, math.sqrt(norm_sq)).point
-        points.append(point)
-        if point is start:
-            kept.append(i)
-    points = (eigenvectors @ np.array(points)[:, :, None])[:, :, 0]
-    if kept:  # hand back the start itself, not its round trip through the eigenbasis
+    problems = secular_problems(
+        scales[:, None] * eigenvalues,
+        (eigenvectors.swapaxes(1, 2) @ reduced[:, :, None])[:, :, 0],
+        coordinates,
+        np.sqrt((reduced[:, None, :] @ reduced[:, :, None]).ravel()),
+    )
+    roots = [minimize_on_sphere(*arguments).root for arguments in problems.arguments()]
+    points, _, kept = problems.finish(roots)
+    points = (eigenvectors @ points[:, :, None])[:, :, 0]
+    if kept.any():  # hand back the start itself, not its round trip through the eigenbasis
         points[kept] = starts[kept]
     lifted = lift_coefficients(points, factors)
     if every:
@@ -763,11 +765,11 @@ def _run_bcd(
     Every batched operation acts on each run alone, so a run's iterates do
     not depend on which runs share its batch.  A run leaves the batch in
     the iteration where its own stop test fires or it reaches its own
-    iteration cap, and is decomposed then, in one batched call with every
-    run that leaves in the same iteration with the same chain count.  Each
-    iteration's seconds, and each of its phase seconds, are split evenly
-    among the runs active in it, and each call's seconds among the runs it
-    decomposes.  `block_monitor(label, objectives)` gets every active run's
+    iteration cap; its precoder, pattern matrix and budgets are kept, and
+    when the batch ends every run is decomposed in one batched call per
+    chain count.  Each iteration's seconds, and each of its phase seconds,
+    are split evenly among the runs active in it, and each call's seconds
+    among the runs it decomposes.  `block_monitor(label, objectives)` gets every active run's
     objective after each block.  `factors` holds each run's
     :func:`reduction_factors` in a synthesis solve.  Returns one (state,
     trace) per run.
@@ -786,8 +788,8 @@ def _run_bcd(
 
     active = list(range(len(runs)))  # the run of each row of the batch arrays
     traces = [Trace() for _ in runs]
-    results: list = [None] * len(runs)
     previous: list = [None] * len(runs)
+    left: list = []  # (runs, f_d, antenna_matrix, power) of each iteration's leaving runs
     weights = np.broadcast_to(
         np.eye(d_total, dtype=complex), (len(runs), n_users, d_total, d_total)
     )
@@ -854,18 +856,25 @@ def _run_bcd(
                 leaving.append(b)
 
         if leaving:
-            states = decompose_states(
-                f_d[leaving], antenna_matrix[leaving], users.power[leaving],
-                [runs[active[b]].config for b in leaving],
+            left.append(
+                ([active[b] for b in leaving], f_d[leaving], antenna_matrix[leaving],
+                 users.power[leaving])
             )
-            for b, (state, seconds) in zip(leaving, states):
-                results[active[b]] = state
-                traces[active[b]].decomp_s = seconds
             kept = [b for b in range(len(active)) if b not in leaving]
             active = [active[b] for b in kept]
             users, cov = users.take(kept), cov.take(kept)
             f_d, antenna_matrix, weights = f_d[kept], antenna_matrix[kept], weights[kept]
         started = time.perf_counter()
+
+    order, *parts = zip(*left)
+    order = [r for chunk in order for r in chunk]
+    states = decompose_states(
+        *(np.concatenate(part) for part in parts), [runs[r].config for r in order]
+    )
+    results: list = [None] * len(runs)
+    for r, (state, seconds) in zip(order, states):
+        results[r] = state
+        traces[r].decomp_s = seconds
     return list(zip(results, traces))
 
 

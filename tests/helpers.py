@@ -9,18 +9,19 @@ their far-field limit with shared per-path angles.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from trihybrid.channel import to_spherical
-from trihybrid.decomp import _LSTSQ_RCOND, _relative_residual, rescale_per_antenna
+from trihybrid.decomp import _LSTSQ_RCOND, rescale_per_antenna
 from trihybrid.sphere_opt import (
     _CLUSTER_TOL,
     _MAX_NEWTON,
     _SECULAR_TOL,
-    SphereResult,
     minimize_on_sphere,
+    secular_problems,
 )
 from trihybrid.wmmse import _TINY_QUAD
 
@@ -210,21 +211,32 @@ def row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):
     return -step * dvec, value
 
 
-def rotated_sphere_solve(eigenvalues, eigenvectors, linear, start) -> SphereResult:
+@dataclass
+class SphereSolution:
+    point: np.ndarray | list  # or the start itself when it is kept
+    value: float
+    iterations: int  # Newton steps on the secular equation
+    converged: bool  # the secular residual met its tolerance
+
+
+def rotated_sphere_solve(eigenvalues, eigenvectors, linear, start) -> SphereSolution:
     """The library's sphere solve of x^T B x + linear^T x over ||x|| = 1 in
     the caller's coordinates: B = V diag(eigenvalues) V^T as `np.linalg.eigh`
-    returns it, the problem rotated into the eigenbasis and the point back;
-    a kept start comes back as a copy of `start`."""
+    returns it, the problem rotated into the eigenbasis, set up and
+    finished as a batch of one, and the point rotated back; a kept start
+    comes back as a copy of `start`."""
     to_eigen = np.asarray(eigenvectors).T
-    start_y = (to_eigen @ start).tolist()
-    result = minimize_on_sphere(
-        np.asarray(eigenvalues).tolist(),
-        (to_eigen @ linear).tolist(),
-        start_y,
-        math.sqrt(linear @ linear),
+    problems = secular_problems(
+        np.asarray(eigenvalues)[None],
+        (to_eigen @ linear)[None],
+        (to_eigen @ start)[None],
+        [math.sqrt(linear @ linear)],
     )
-    point = start.copy() if result.point is start_y else eigenvectors @ result.point
-    return SphereResult(point, result.value, result.iterations, result.converged)
+    (arguments,) = problems.arguments()
+    result = minimize_on_sphere(*arguments)
+    points, values, kept = problems.finish([result.root])
+    point = start.copy() if kept[0] else eigenvectors @ points[0]
+    return SphereSolution(point, float(values[0]), result.iterations, result.converged)
 
 
 def _sum_sq(values) -> float:
@@ -235,7 +247,112 @@ def _value(lam, w, y) -> float:
     return sum((li * yi + wi) * yi for li, wi, yi in zip(lam, w, y))
 
 
-def sphere_solve_full(eigenvalues, eigenvectors, linear, start) -> SphereResult:
+def minimize_on_sphere_single(eigenvalues, linear, start, linear_norm: float) -> SphereSolution:
+    """Global minimizer of sum(eigenvalues y^2) + linear^T y over ||y|| = 1,
+    one problem in one call on Python floats: the set-up, the secular
+    Newton solve or the hard case, and the finish.  The library sets up and
+    finishes a batch of problems in array operations; each of its runs must
+    give these bits.
+
+    The problem is given in the eigenbasis of B = V diag(eigenvalues) V^T:
+    `eigenvalues` is ascending, as `np.linalg.eigh` returns it, and `linear`
+    and the unit vector `start` are V^T v and V^T x0 for the caller's linear
+    term v and start x0; all three are sequences of n floats, best Python
+    lists.  `linear_norm` is ||v|| as the caller computed it in its own
+    coordinates, where it may differ from the norm of V^T v in the last
+    bits; it sets the problem scale.  The start point only breaks ties: in
+    the hard case the bottom-eigenspace component points along the start's
+    projection onto that space.  The returned value never exceeds the
+    objective at the start.  The point is a list of n floats in the
+    eigenbasis, or `start` itself when no point improves on it, so that a
+    caller can hand back its own start vector instead of rotating V^T x0
+    back.
+    """
+    n = len(linear)
+    if len(eigenvalues) != n or len(start) != n:
+        raise ValueError("inconsistent problem dimensions")
+    if abs(math.sqrt(_sum_sq(start)) - 1.0) > 1e-9:
+        raise ValueError("start point must have unit norm")
+
+    # Everything runs on Python floats: on a handful of entries numpy's
+    # per-call overhead would cost more than the arithmetic.
+    lam, w = eigenvalues, linear
+    start_value = _value(lam, w, start)
+    # ||B||_F is the 2-norm of its eigenvalues.
+    scale = math.sqrt(_sum_sq(lam)) + linear_norm
+    if scale == 0.0:
+        return SphereSolution(point=start, value=0.0, iterations=0, converged=True)
+    half_w = [0.5 * wi / scale for wi in w]
+    gaps = [(li - lam[0]) / scale for li in lam]
+    # Eigenvalues come sorted, so the bottom eigenspace is the first m.
+    m = len([gap for gap in gaps if gap <= _CLUSTER_TOL])
+    gaps[:m] = [0.0] * m
+    w_bottom = 2.0 * math.sqrt(_sum_sq(half_w[:m]))
+
+    # Coordinates of x(t) in the eigenbasis: y = -half_w / (gaps + t), t >= 0.
+    y = [0.0] * n
+    iterations = 0
+    converged = True
+    if w_bottom <= _CLUSTER_TOL:
+        # No bottom component: x(t) stays finite at t = 0, and if it is
+        # inside the sphere there, a bottom eigenvector fills the norm.
+        w_bottom, first = 0.0, m
+        y[m:] = [-h / g for g, h in zip(gaps[m:], half_w[m:])]
+        hard = _sum_sq(y) <= 1.0
+    else:
+        first, hard = 0, False
+    if hard:
+        fill = start[:m]
+        fill_norm = math.sqrt(_sum_sq(fill))
+        if fill_norm <= _CLUSTER_TOL:
+            fill = [1.0] + [0.0] * (m - 1)
+            fill_norm = 1.0
+        tau = math.sqrt(max(0.0, 1.0 - _sum_sq(y))) / fill_norm
+        y[:m] = [tau * f for f in fill]
+    else:
+        g, hw = gaps[first:], half_w[first:]
+        # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`.
+        low = max(0.5 * w_bottom, max([abs(h) - gi for gi, h in zip(g, hw)]), 0.0)
+        high = math.sqrt(_sum_sq(hw))
+        t = root = low
+        converged = False
+        while iterations < _MAX_NEWTON:
+            iterations += 1
+            root = t
+            norm_sq = slope_sum = 0.0
+            for gi, h in zip(g, hw):
+                denom = gi + t
+                sq = (h / denom) ** 2
+                norm_sq += sq
+                slope_sum += sq / denom
+            norm = math.sqrt(norm_sq)
+            if abs(norm - 1.0) <= _SECULAR_TOL:
+                converged = True
+                break
+            if norm > 1.0:
+                low = t
+            else:
+                high = t
+            # 1/||x(t)|| is concave and increasing in t, so Newton steps from
+            # the left of the root stay left of it; bisect if rounding
+            # throws a step out of the bracket.
+            slope = slope_sum / (norm * norm_sq)
+            t += (1.0 - 1.0 / norm) / slope
+            if not low <= t <= high:
+                t = 0.5 * (low + high)
+        y[first:] = [-h / (gi + root) for gi, h in zip(g, hw)]
+
+    norm = math.sqrt(_sum_sq(y))
+    y = [yi / norm for yi in y]
+    value = _value(lam, w, y)
+    if value > start_value:
+        return SphereSolution(
+            point=start, value=start_value, iterations=iterations, converged=converged
+        )
+    return SphereSolution(point=y, value=value, iterations=iterations, converged=converged)
+
+
+def sphere_solve_full(eigenvalues, eigenvectors, linear, start) -> SphereSolution:
     """Global minimizer of x^T B x + linear^T x over ||x|| = 1, B given by
     `np.linalg.eigh`'s eigenpairs, solved in one call per problem in the
     caller's coordinates: both projections, the secular Newton solve or the
@@ -253,7 +370,7 @@ def sphere_solve_full(eigenvalues, eigenvectors, linear, start) -> SphereResult:
     start_value = _value(lam, w, start_y)
     scale = math.sqrt(_sum_sq(lam)) + math.sqrt(linear @ linear)
     if scale == 0.0:
-        return SphereResult(point=start.copy(), value=0.0, iterations=0, converged=True)
+        return SphereSolution(point=start.copy(), value=0.0, iterations=0, converged=True)
     half_w = [0.5 * wi / scale for wi in w]
     gaps = [(li - lam[0]) / scale for li in lam]
     m = sum(gap <= _CLUSTER_TOL for gap in gaps)
@@ -308,10 +425,10 @@ def sphere_solve_full(eigenvalues, eigenvectors, linear, start) -> SphereResult:
     y = [yi / norm for yi in y]
     value = _value(lam, w, y)
     if value > start_value:
-        return SphereResult(
+        return SphereSolution(
             point=start.copy(), value=start_value, iterations=iterations, converged=converged
         )
-    return SphereResult(
+    return SphereSolution(
         point=eigenvectors @ y, value=value, iterations=iterations, converged=converged
     )
 
@@ -349,6 +466,13 @@ def synthesize_pattern_and_row_single(
     lifted[0] = 2.0 * math.sqrt(rho * math.pi)
     np.multiply(2.0 * math.sqrt((1.0 - rho) * math.pi), point, out=lifted[1:])
     return lifted, row
+
+
+def _relative_residual(f_d, f_rf, f_bb) -> float:
+    denom = np.linalg.norm(f_d)
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(f_d - f_rf @ f_bb) / denom)
 
 
 def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: int = 0):

@@ -317,6 +317,24 @@ class TestRun:
         assert [r["rf_chains"] for r in rows] == ["4"] * 4 + ["6"] * 4
         assert {r["outer_iterations"] for r in rows if r["method"] == "wmmse_fixed"} == {"6"}
 
+    def test_example_decomposes_once_per_batch(self, tmp_path, monkeypatch):
+        # The example's three WMMSE methods each solve their 21 cells in
+        # one batch, whose runs leave in many different iterations, and the
+        # zero-forcing precoders make a fourth: four decompositions in all.
+        calls = []
+        decompose = wmmse.decompose_precoders
+
+        def counted(f_d, n_rf, *args, **kwargs):
+            calls.append(len(f_d))
+            return decompose(f_d, n_rf, *args, **kwargs)
+
+        monkeypatch.setattr(wmmse, "decompose_precoders", counted)
+        text = (Path(__file__).resolve().parents[1] / "docs" / "example.ini").read_text()
+        rows = read_rows(run_experiment(write_config(tmp_path, text)))
+        assert calls == [21] * 4
+        assert len(rows) == 84
+        assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
+
     @pytest.mark.parametrize("fault", ["none", "batch", "scenario"])
     def test_rows_build_nothing_and_solve_nothing(self, tmp_path, monkeypatch, fault):
         # Every scenario, lift and solve happens in the batch stage, also

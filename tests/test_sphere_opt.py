@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     block_objective,
+    minimize_on_sphere_single,
     random_complex,
     random_psd,
     rotated_sphere_solve,
@@ -18,6 +21,7 @@ from trihybrid.sphere_opt import (
     reduced_coefficient_problem,
     reduced_spectrum,
     reduction_factors,
+    secular_problems,
 )
 from trihybrid.sphharm import FOUR_PI
 
@@ -138,22 +142,37 @@ class TestMinimize:
             _solve(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
 
     def test_dimensions_validated(self):
-        lam = [0.0] * 3
+        lam = np.zeros((1, 3))
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam, [0.0] * 2, [1.0, 0.0], 0.0)
+            secular_problems(lam, np.zeros((1, 2)), [[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam[:2], [0.0] * 3, [1.0, 0.0, 0.0], 0.0)
+            secular_problems(lam[:, :2], np.zeros((1, 3)), [[1.0, 0.0, 0.0]], [0.0])
         with pytest.raises(ValueError, match="dimensions"):
-            minimize_on_sphere(lam, [0.0] * 3, [1.0, 0.0], 0.0)
+            secular_problems(lam, np.zeros((1, 3)), [[1.0, 0.0]], [0.0])
+        with pytest.raises(ValueError, match="dimensions"):
+            secular_problems(lam[0], np.zeros(3), [1.0, 0.0, 0.0], [0.0])
 
     def test_kept_start_is_handed_back_itself(self):
-        # The caller then keeps its own start vector instead of rotating
-        # the eigenbasis coordinates back.
-        start = [0.6, 0.8]
-        assert minimize_on_sphere([0.0, 0.0], [0.0, 0.0], start, 0.0).point is start
-        moved = minimize_on_sphere([0.0, 1.0], [0.0, 0.0], start, 0.0)
-        assert moved.point is not start
-        assert_allclose(np.abs(moved.point), [1.0, 0.0], atol=1e-12)
+        # The finish flags a kept start, so that the caller hands back its
+        # own start vector instead of rotating the eigenbasis coordinates
+        # back; the start's value comes with it.
+        points, values, kept = _finish([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]] * 2, [[0.6, 0.8]] * 2)
+        assert kept.tolist() == [True, False]
+        assert values[0] == 0.0
+        assert_allclose(np.abs(points[1]), [1.0, 0.0], atol=1e-12)
+        # A start a rounding error better than the point the solve finds.
+        points, values, kept = _finish([[-1.0, 2.0]], [[0.0, 0.0]], [[1.0 + 1e-12, 0.0]])
+        assert kept.tolist() == [True]
+        assert values[0] == -((1.0 + 1e-12) ** 2)
+        assert points[0].tolist() == [1.0, 0.0]
+
+
+def _finish(eigenvalues, linear, starts):
+    """The points, values and kept flags of a batch of problems in the
+    eigenbasis, each with the norm of its own linear term."""
+    linear = np.asarray(linear, dtype=float)
+    problems = secular_problems(eigenvalues, linear, starts, np.sqrt(np.sum(linear**2, axis=1)))
+    return problems.finish([minimize_on_sphere(*a).root for a in problems.arguments()])
 
 
 class TestReducedProblem:
@@ -334,3 +353,76 @@ def test_eigenbasis_solve_matches_full_coordinate_oracle(dim, seed, kind):
         want.value, want.iterations, want.converged,
     )
     assert type(got.iterations) is int and type(got.converged) is bool
+
+
+_SECULAR_KINDS = ("random", "cluster", "hard", "hard_unset", "outside", "zero", "kept", "tiny")
+
+
+@st.composite
+def _secular_batches(draw):
+    """A batch of 1-4 sphere problems in the eigenbasis sharing n in 1-9,
+    each of a kind from _SECULAR_KINDS: a random problem, a bottom cluster
+    of up to five eigenvalues (m > 1) with a bottom component, the hard
+    case (no bottom component, x(0) inside the sphere) with the start's
+    fill or, where the start has no bottom component, the first
+    eigenvector's, no bottom component with x(0) outside the sphere, so
+    that the secular sum skips the bottom entries, a zero problem (scale
+    0), a start a rounding error
+    better than the solved point, so that it is kept, and a problem scaled
+    by 1e-150."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 9))
+    kinds = draw(st.lists(st.sampled_from(_SECULAR_KINDS), min_size=1, max_size=4))
+    lam = np.sort(rng.standard_normal((len(kinds), n)), axis=1)
+    w = rng.standard_normal((len(kinds), n))
+    starts = rng.standard_normal((len(kinds), n))
+    for b, kind in enumerate(kinds):
+        bottom = int(rng.integers(1, min(n, 5) + 1))
+        if kind == "cluster":
+            lam[b, :bottom] = lam[b, 0]
+        elif kind in ("hard", "hard_unset", "outside"):
+            lam[b, :bottom] = lam[b, 0]
+            lam[b, bottom:] += 1.0
+            w[b, :bottom] = 0.0
+            w[b] *= 10.0 if kind == "outside" else 0.1
+            if kind == "hard_unset" and bottom < n:
+                starts[b, :bottom] = 0.0
+        elif kind == "zero":
+            lam[b] = w[b] = 0.0
+        elif kind == "kept":
+            lam[b, 0] = -1.0 - abs(lam[b, 0])
+            lam[b] = np.sort(lam[b])
+            w[b] = 0.0
+            starts[b] = np.eye(1, n)[0] * (1.0 + 1e-12)
+            continue
+        elif kind == "tiny":
+            lam[b] *= 1e-150
+            w[b] *= 1e-150
+        starts[b] /= math.sqrt(starts[b] @ starts[b])
+    norms = [math.sqrt(v @ v) for v in w]
+    return kinds, lam, w, starts, norms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_secular_batches())
+def test_batched_secular_solve_matches_single_problem_oracle(batch):
+    # Set up and finished over the batch, with the Newton iteration per
+    # run, every problem gives the one-problem solve's bits: its point
+    # (or the kept start), value, iterations and converged flag, whatever
+    # else is in its batch.  Settled runs take no Newton step.
+    kinds, lam, w, starts, norms = batch
+    problems = secular_problems(lam, w, starts, norms)
+    results = [minimize_on_sphere(*arguments) for arguments in problems.arguments()]
+    points, values, kept = problems.finish([result.root for result in results])
+    for b, result in enumerate(results):
+        start = starts[b].tolist()
+        want = minimize_on_sphere_single(lam[b].tolist(), w[b].tolist(), start, norms[b])
+        assert type(result.iterations) is int and type(result.converged) is bool
+        assert (result.iterations, result.converged) == (want.iterations, want.converged), b
+        assert values[b].tobytes() == np.float64(want.value).tobytes(), b
+        assert bool(kept[b]) == (want.point is start), b
+        if not kept[b]:
+            assert points[b].tobytes() == np.array(want.point).tobytes(), b
+    if "kept" in kinds:
+        assert kept[kinds.index("kept")]

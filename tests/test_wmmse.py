@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import types
 import warnings
 
 import numpy as np
@@ -1175,8 +1177,8 @@ class TestBatchedSolves:
     def _runs(self, drops, lift, **overrides):
         """One run per drop with its own budgets, seed and stop rule: a
         loose tolerance that stops within a few iterations, per-antenna
-        budgets, a warm start from the fixed-pattern solve, and a run that
-        goes to its cap."""
+        budgets and five analog chains instead of seven, a warm start from
+        the fixed-pattern solve, and a run that goes to its cap."""
         baseline = gaussian_beam_grid(8).baseline
         runs = []
         for i, scenario in enumerate(drops):
@@ -1186,6 +1188,7 @@ class TestBatchedSolves:
                 seed=i,
                 max_outer_iterations=12,
                 objective_tol=[1e-2, 1e-6, 1e-6, 0.0][i],
+                rf_chains=5 if i == 1 else 7,
                 **overrides,
             )
             init_f_d = None
@@ -1194,8 +1197,27 @@ class TestBatchedSolves:
             runs.append(Run([lift(g) for g in scenario.geometries], config, init_f_d))
         return runs
 
-    def _check(self, solve, single, runs):
-        batched = solve(runs, self.STREAMS)
+    def _check(self, solve, single, runs, monkeypatch):
+        # The runs that leave in different iterations are decomposed in one
+        # call per chain count when the batch ends, each run charged an
+        # equal share of its call's seconds: under a clock that ticks once
+        # per reading, a call lasts one second.
+        calls = []
+        decompose = wmmse.decompose_precoders
+
+        def counted(f_d, n_rf, *args):
+            calls.append((n_rf, len(f_d)))
+            return decompose(f_d, n_rf, *args)
+
+        ticks = itertools.count()
+        with monkeypatch.context() as patch:
+            patch.setattr(wmmse, "decompose_precoders", counted)
+            clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+            patch.setattr(wmmse, "time", clock)
+            batched = solve(runs, self.STREAMS)
+        assert sorted(calls) == [(5, 1), (7, 3)]
+        shares = [trace.decomp_s for _, trace in batched]
+        assert shares[1] == 1.0 and shares[0] == shares[2] == shares[3] == 1.0 / 3.0
         iterations = []
         for run, (state, trace) in zip(runs, batched):
             want_state, want_trace = single(
@@ -1212,15 +1234,15 @@ class TestBatchedSolves:
         return batched
 
     @pytest.mark.parametrize("width", [8, 1])
-    def test_selection(self, drops, width):
+    def test_selection(self, drops, width, monkeypatch):
         candidates = gaussian_beam_grid(8)
         if width == 1:
             candidates = CandidateSet((candidates.baseline,))
         runs = self._runs(drops, lambda g: selection_effective_channel(g, candidates))
-        self._check(solve_selection, run_selection, runs)
+        self._check(solve_selection, run_selection, runs, monkeypatch)
 
     @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
-    def test_synthesis(self, drops, rho):
+    def test_synthesis(self, drops, rho, monkeypatch):
         runs = self._runs(drops, lambda g: synthesis_effective_channel(g, 2), rho=rho or 0.7)
         if rho is None:  # every other run pins its whole pattern
             runs = [
@@ -1228,7 +1250,7 @@ class TestBatchedSolves:
                 if i % 2 else run
                 for i, run in enumerate(runs)
             ]
-        self._check(solve_synthesis, run_synthesis, runs)
+        self._check(solve_synthesis, run_synthesis, runs, monkeypatch)
 
     def test_runs_of_unequal_shapes_rejected(self, drops):
         candidates = gaussian_beam_grid(8)
