@@ -66,9 +66,9 @@ class SecularProblems:
     A run is settled when the set-up finds its point without a root: a zero
     problem keeps its start, and in the hard case the point is x(0) off the
     bottom eigenspace plus the bottom fill, already in `points`.  Every
-    other run solves for its root over the entries from `first[b]` on: all
-    of them, or those off the bottom eigenspace when w has no bottom
-    component there (`secular` marks the entries the root sets).
+    other run solves for its root over all entries, or, where w has no
+    bottom component (`skips`), over those off the bottom eigenspace, the
+    entries whose gap is not 0; `secular` marks the entries the roots set.
     """
 
     eigenvalues: np.ndarray  # (B, n)
@@ -76,24 +76,31 @@ class SecularProblems:
     start_values: np.ndarray  # (B,) the objective at each start; 0 for a zero problem
     zero: np.ndarray  # (B,) zero problems, which keep their start
     settled: list[bool]
+    skips: list[bool]  # the secular sum skips the bottom eigenspace
     half_w: np.ndarray  # (B, n) w / (2 scale)
     gaps: np.ndarray  # (B, n) (lam - lam_min) / scale, 0 across the bottom eigenspace
-    first: list[int]  # the first entry of each run's secular sum
     low: np.ndarray  # (B,) the root's bracket
     high: np.ndarray
     points: np.ndarray  # (B, n) the settled points; 0 where x(t) has no component
-    secular: np.ndarray | bool  # (B, n) the entries the roots set, or True for all
+    secular: np.ndarray  # (B, n) the entries the roots set
 
     def arguments(self) -> list[tuple]:
         """The arguments of :func:`minimize_on_sphere` for every run: the
         gaps and half_w its secular sum runs over, as Python lists, and the
         bracket; no entries for a settled run."""
-        gaps, half_w = self.gaps.tolist(), self.half_w.tolist()
-        low, high = self.low.tolist(), self.high.tolist()
-        return [
-            ((), (), 0.0, 0.0) if settled else (gaps[b][first:], half_w[b][first:], low[b], high[b])
-            for b, (settled, first) in enumerate(zip(self.settled, self.first))
-        ]
+        out = []
+        for gaps, half_w, low, high, settled, skips in zip(
+            self.gaps.tolist(), self.half_w.tolist(), self.low.tolist(), self.high.tolist(),
+            self.settled, self.skips,
+        ):
+            if settled:
+                out.append(((), (), 0.0, 0.0))
+                continue
+            if skips:
+                first = gaps.count(0.0)
+                gaps, half_w = gaps[first:], half_w[first:]
+            out.append((gaps, half_w, low, high))
+        return out
 
     def finish(self, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every run's point from its secular root (a sequence of B floats,
@@ -104,7 +111,7 @@ class SecularProblems:
         points = np.divide(
             -self.half_w, self.gaps + np.array(roots)[:, None], out=self.points, where=self.secular
         )
-        points /= np.sqrt(_sums(points * points))[:, None]
+        points /= np.sqrt(np.add.accumulate(points * points, axis=1)[:, -1:])
         values = _sums((self.eigenvalues * points + self.linear) * points)
         kept = self.zero | (values > self.start_values)
         return points, np.where(kept, self.start_values, values), kept
@@ -124,8 +131,7 @@ def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProble
     bits; it sets the problem scale.  The start only breaks ties: in the
     hard case the bottom-eigenspace component points along the start's
     projection onto that space, or along the first eigenvector when that
-    projection vanishes.  The hard case and an absent bottom component take
-    their extra work only in a batch that has them.
+    projection vanishes.
     """
     lam, w, starts = (np.asarray(a, dtype=float) for a in (eigenvalues, linear, starts))
     if w.ndim != 2 or lam.shape != w.shape or starts.shape != w.shape:
@@ -145,58 +151,54 @@ def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProble
     if np.count_nonzero(zero):  # scale 1 keeps a zero problem's arithmetic finite
         scales[zero] = 1.0
         start_values[zero] = 0.0
-    half_w = 0.5 * w / scales[:, None]
-    gaps = (lam - lam[:, :1]) / scales[:, None]
-    # Eigenvalues come sorted, so the bottom eigenspace is a leading block.
+    scales = scales[:, None]
+    half_w = 0.5 * w / scales
+    gaps = (lam - lam[:, :1]) / scales
+    # Eigenvalues come sorted, so the bottom eigenspace is a leading block;
+    # off it, x(t) is finite at t = 0.
     bottom = gaps <= _CLUSTER_TOL
     gaps[bottom] = 0.0
+    top = ~bottom
+    points = np.divide(-half_w, gaps, out=np.zeros_like(gaps), where=top)
     half_w_sq = half_w * half_w
-    bottom_sq, high = _sums(np.array([np.where(bottom, half_w_sq, 0.0), half_w_sq]))
+    # Sums of squares over the bottom eigenspace, all entries and the rest
+    # (a masked entry adds +0 and changes nothing).
+    bottom_sq, full_sq, top_sq, points_sq, fill_sq = np.add.accumulate(
+        np.array([half_w_sq * bottom, half_w_sq, half_w_sq * top, points * points,
+                  starts_sq * bottom]),
+        axis=-1,
+    )[..., -1]
     w_bottom = 2.0 * np.sqrt(bottom_sq)
-    # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`.
+    # No bottom component: the secular sum skips the bottom eigenspace, and
+    # if x(0) is inside the sphere there, a bottom eigenvector fills the
+    # norm (the hard case).
+    skips = w_bottom <= _CLUSTER_TOL
+    skipped = bottom & skips[:, None]
+    hard = skips & (points_sq <= 1.0)
+    settled = zero | hard
+    if np.count_nonzero(hard):
+        fill_norms = np.sqrt(fill_sq)
+        unset = fill_norms <= _CLUSTER_TOL
+        fills = np.where(unset[:, None], np.eye(1, w.shape[1]), starts)
+        taus = np.sqrt(np.maximum(0.0, 1.0 - points_sq)) / np.where(unset, 1.0, fill_norms)
+        points = np.where(bottom & hard[:, None], taus[:, None] * fills, points)
+    # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`; 0.5 w_bottom >= 0,
+    # so the bracket starts at t >= 0.
     reach = np.abs(half_w) - gaps
-    points = np.zeros_like(gaps)
-    off_bottom = w_bottom <= _CLUSTER_TOL
-    settled, first, secular = zero, [0] * len(w), True
-    if np.count_nonzero(off_bottom):
-        # No bottom component: the secular sum skips the bottom eigenspace,
-        # where x(t) is finite at t = 0, and if x(0) is inside the sphere
-        # there, a bottom eigenvector fills the norm (the hard case).
-        w_bottom[off_bottom] = 0.0
-        skipped = bottom & off_bottom[:, None]
-        reach[skipped] = -np.inf
-        np.divide(-half_w, gaps, out=points, where=~bottom)
-        top_sq, points_sq, fill_sq = _sums(
-            np.array([np.where(bottom, 0.0, half_w_sq), points * points,
-                      np.where(bottom, starts_sq, 0.0)])
-        )
-        high = np.where(off_bottom, top_sq, high)
-        hard = off_bottom & (points_sq <= 1.0)
-        if np.count_nonzero(hard):
-            fill_norms = np.sqrt(fill_sq)
-            unset = fill_norms <= _CLUSTER_TOL
-            fills = np.where(unset[:, None], np.eye(1, w.shape[1]), starts)
-            taus = np.sqrt(np.maximum(0.0, 1.0 - points_sq)) / np.where(unset, 1.0, fill_norms)
-            points = np.where(bottom & hard[:, None], taus[:, None] * fills, points)
-            settled = zero | hard
-        first = np.count_nonzero(skipped, axis=1).tolist()
-        secular = ~(skipped | settled[:, None])
-    elif np.count_nonzero(zero):
-        secular = ~zero[:, None]
+    reach[skipped] = -np.inf
     return SecularProblems(
         eigenvalues=lam,
         linear=w,
         start_values=start_values,
         zero=zero,
         settled=settled.tolist(),
+        skips=skips.tolist(),
         half_w=half_w,
         gaps=gaps,
-        first=first,
-        # 0.5 w_bottom >= 0, so the bracket starts at t >= 0.
-        low=np.maximum(0.5 * w_bottom, reach.max(axis=1)),
-        high=np.sqrt(high),
+        low=np.maximum(np.where(skips, 0.0, 0.5 * w_bottom), reach.max(axis=1)),
+        high=np.sqrt(np.where(skips, top_sq, full_sq)),
         points=points,
-        secular=secular,
+        secular=~(skipped | settled[:, None]),
     )
 
 

@@ -581,8 +581,12 @@ def select_pattern_and_row(
         indices.append(best)
         values.append(float(best_value))
         negated_steps.append(-best_step)
+    # Complex steps, so that each product takes the operations of a Python
+    # float times a complex array: a real array takes another loop, which
+    # can differ in the sign of an underflowed zero.
     np.multiply(
-        np.array(negated_steps)[:, None], linear[np.arange(len(indices)), :, indices], out=rows
+        np.array(negated_steps, dtype=complex)[:, None], linear[np.arange(len(indices)), :, indices],
+        out=rows,
     )
     return indices, rows, values
 
@@ -634,7 +638,8 @@ def synthesize_pattern_and_row(
             continue
         boundary = math.sqrt(budget / norm_sq)
         negated_steps.append(-(boundary if quad <= _TINY_QUAD else min(1.0 / quad, boundary)))
-    rows = np.array(negated_steps)[:, None] * directions[:, :, 0]
+    # Complex steps, as in the selection step.
+    rows = np.array(negated_steps, dtype=complex)[:, None] * directions[:, :, 0]
     if 0.0 in norms_sq:
         rows[[norm_sq == 0.0 for norm_sq in norms_sq]] = 0.0
     if coefficients.shape[1] == 1:
@@ -659,7 +664,8 @@ def synthesize_pattern_and_row(
     roots = [minimize_on_sphere(*arguments).root for arguments in problems.arguments()]
     points, _, kept = problems.finish(roots)
     points = (eigenvectors @ points[:, :, None])[:, :, 0]
-    if kept.any():  # hand back the start itself, not its round trip through the eigenbasis
+    # Hand back a kept start itself, not its round trip through the eigenbasis.
+    if np.count_nonzero(kept):
         points[kept] = starts[kept]
     lifted = lift_coefficients(points, factors)
     if every:
@@ -769,10 +775,10 @@ def _run_bcd(
     when the batch ends every run is decomposed in one batched call per
     chain count.  Each iteration's seconds, and each of its phase seconds,
     are split evenly among the runs active in it, and each call's seconds
-    among the runs it decomposes.  `block_monitor(label, objectives)` gets every active run's
-    objective after each block.  `factors` holds each run's
-    :func:`reduction_factors` in a synthesis solve.  Returns one (state,
-    trace) per run.
+    among the runs it decomposes.  `block_monitor(label, objectives)` gets
+    every active run's objective after each block.  `factors` holds each
+    run's :func:`reduction_factors` in a synthesis solve.  Returns one
+    (state, trace) per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
@@ -866,10 +872,11 @@ def _run_bcd(
             f_d, antenna_matrix, weights = f_d[kept], antenna_matrix[kept], weights[kept]
         started = time.perf_counter()
 
-    order, *parts = zip(*left)
-    order = [r for chunk in order for r in chunk]
+    left_runs, left_f_d, left_matrices, left_power = zip(*left)
+    order = [r for chunk in left_runs for r in chunk]
     states = decompose_states(
-        *(np.concatenate(part) for part in parts), [runs[r].config for r in order]
+        np.concatenate(left_f_d), np.concatenate(left_matrices), np.concatenate(left_power),
+        [runs[r].config for r in order],
     )
     results: list = [None] * len(runs)
     for r, (state, seconds) in zip(order, states):

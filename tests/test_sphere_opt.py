@@ -163,7 +163,7 @@ class TestMinimize:
         # A start a rounding error better than the point the solve finds.
         points, values, kept = _finish([[-1.0, 2.0]], [[0.0, 0.0]], [[1.0 + 1e-12, 0.0]])
         assert kept.tolist() == [True]
-        assert values[0] == -((1.0 + 1e-12) ** 2)
+        assert values[0] == -(1.0 + 1e-12) * (1.0 + 1e-12)
         assert points[0].tolist() == [1.0, 0.0]
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -687,6 +687,10 @@ def _selection_steps(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_selection_steps())
+# A huge direction with a tiny imaginary part: the row's imaginary part
+# underflows, to -0.0 with a Python float step.
+@example((np.array([[[1e150 + 1.32014017e-280j]]]), np.array([[0.0]]), np.array([[np.inf]]),
+          [1e-3]))
 def test_select_matches_vectorized_step_bit_for_bit(step):
     # The step scores candidates one by one on Python floats; the same
     # operations in the same order as the whole-array form give the same
@@ -798,7 +802,7 @@ class TestSynthesizeUpdate:
 
 _SYNTHESIS_KINDS = (
     "random", "zero_direction", "underflow", "zero_scale", "tiny_quad", "hard", "at_minimum",
-    "zero_tail",
+    "zero_tail", "lopsided",
 )
 
 
@@ -814,9 +818,10 @@ def _synthesis_steps(draw):
     inverse; a hard-case problem has a diagonal Re Q[1:, 1:] and no bottom
     component in the reduced linear term; at a minimum, the reduced
     linear term is zero and the start is a bottom eigenvector, so the
-    solve may keep its start; a zero tail starts from e_0.  The
-    coefficients and the pinned coupling are strided views, as the sweep
-    passes them."""
+    solve may keep its start; a zero tail starts from e_0; a lopsided
+    linear term has huge real parts and tiny imaginary ones, so that the
+    row's imaginary parts underflow.  The coefficients and the pinned
+    coupling are strided views, as the sweep passes them."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     d_streams = draw(st.integers(1, 4))
@@ -852,6 +857,8 @@ def _synthesis_steps(draw):
             antenna_matrix[b, 1, 1:] = 3.0 * np.linalg.eigh(quads[b, 1:, 1:].real)[1][:, 0]
         elif kind == "zero_tail":
             antenna_matrix[b, 1, 1:] = 0.0
+        elif kind == "lopsided":
+            linear[b] = 1e100 * linear[b].real + 1e-300j * linear[b].imag
     coefficients = antenna_matrix[:, 1]
     row_quads = np.einsum("bv,bvw,bw->b", coefficients, quads, coefficients).real
     for b, kind in enumerate(kinds):
