@@ -82,7 +82,7 @@ class SecularProblems:
     low: np.ndarray  # (B,) the root's bracket
     high: np.ndarray
     points: np.ndarray  # (B, n) the settled points; 0 where x(t) has no component
-    secular: np.ndarray  # (B, n) the entries the roots set
+    secular: np.ndarray | bool  # (B, n) the entries the roots set, or True for all
 
     def arguments(self) -> list[tuple]:
         """The arguments of :func:`minimize_on_sphere` for every run: the
@@ -131,7 +131,8 @@ def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProble
     bits; it sets the problem scale.  The start only breaks ties: in the
     hard case the bottom-eigenspace component points along the start's
     projection onto that space, or along the first eigenvector when that
-    projection vanishes.
+    projection vanishes.  A batch with no run whose w lacks a bottom
+    component, and no zero problem, skips the work of those cases.
     """
     lam, w, starts = (np.asarray(a, dtype=float) for a in (eigenvalues, linear, starts))
     if w.ndim != 2 or lam.shape != w.shape or starts.shape != w.shape:
@@ -154,38 +155,42 @@ def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProble
     scales = scales[:, None]
     half_w = 0.5 * w / scales
     gaps = (lam - lam[:, :1]) / scales
-    # Eigenvalues come sorted, so the bottom eigenspace is a leading block;
-    # off it, x(t) is finite at t = 0.
+    # Eigenvalues come sorted, so the bottom eigenspace is a leading block.
     bottom = gaps <= _CLUSTER_TOL
     gaps[bottom] = 0.0
-    top = ~bottom
-    points = np.divide(-half_w, gaps, out=np.zeros_like(gaps), where=top)
     half_w_sq = half_w * half_w
-    # Sums of squares over the bottom eigenspace, all entries and the rest
-    # (a masked entry adds +0 and changes nothing).
-    bottom_sq, full_sq, top_sq, points_sq, fill_sq = np.add.accumulate(
-        np.array([half_w_sq * bottom, half_w_sq, half_w_sq * top, points * points,
-                  starts_sq * bottom]),
-        axis=-1,
-    )[..., -1]
+    # Sums of squares over the bottom eigenspace and over all entries (a
+    # masked entry adds +0 and changes nothing).
+    bottom_sq, high = np.add.accumulate(np.array([half_w_sq * bottom, half_w_sq]), axis=-1)[..., -1]
     w_bottom = 2.0 * np.sqrt(bottom_sq)
-    # No bottom component: the secular sum skips the bottom eigenspace, and
-    # if x(0) is inside the sphere there, a bottom eigenvector fills the
-    # norm (the hard case).
-    skips = w_bottom <= _CLUSTER_TOL
-    skipped = bottom & skips[:, None]
-    hard = skips & (points_sq <= 1.0)
-    settled = zero | hard
-    if np.count_nonzero(hard):
-        fill_norms = np.sqrt(fill_sq)
-        unset = fill_norms <= _CLUSTER_TOL
-        fills = np.where(unset[:, None], np.eye(1, w.shape[1]), starts)
-        taus = np.sqrt(np.maximum(0.0, 1.0 - points_sq)) / np.where(unset, 1.0, fill_norms)
-        points = np.where(bottom & hard[:, None], taus[:, None] * fills, points)
     # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`; 0.5 w_bottom >= 0,
     # so the bracket starts at t >= 0.
     reach = np.abs(half_w) - gaps
-    reach[skipped] = -np.inf
+    skips = w_bottom <= _CLUSTER_TOL
+    points = np.zeros_like(gaps)
+    settled, secular = zero, True
+    if np.count_nonzero(skips | zero):
+        # No bottom component: the secular sum skips the bottom eigenspace,
+        # where x(t) is finite at t = 0, and if x(0) is inside the sphere
+        # there, a bottom eigenvector fills the norm (the hard case).
+        top = ~bottom
+        np.divide(-half_w, gaps, out=points, where=top)
+        top_sq, points_sq, fill_sq = np.add.accumulate(
+            np.array([half_w_sq * top, points * points, starts_sq * bottom]), axis=-1
+        )[..., -1]
+        skipped = bottom & skips[:, None]
+        reach[skipped] = -np.inf
+        w_bottom[skips] = 0.0
+        high = np.where(skips, top_sq, high)
+        hard = skips & (points_sq <= 1.0)
+        if np.count_nonzero(hard):
+            fill_norms = np.sqrt(fill_sq)
+            unset = fill_norms <= _CLUSTER_TOL
+            fills = np.where(unset[:, None], np.eye(1, w.shape[1]), starts)
+            taus = np.sqrt(np.maximum(0.0, 1.0 - points_sq)) / np.where(unset, 1.0, fill_norms)
+            points = np.where(bottom & hard[:, None], taus[:, None] * fills, points)
+        settled = zero | hard
+        secular = ~(skipped | settled[:, None])
     return SecularProblems(
         eigenvalues=lam,
         linear=w,
@@ -195,10 +200,10 @@ def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProble
         skips=skips.tolist(),
         half_w=half_w,
         gaps=gaps,
-        low=np.maximum(np.where(skips, 0.0, 0.5 * w_bottom), reach.max(axis=1)),
-        high=np.sqrt(np.where(skips, top_sq, full_sq)),
+        low=np.maximum(0.5 * w_bottom, reach.max(axis=1)),
+        high=np.sqrt(high),
         points=points,
-        secular=~(skipped | settled[:, None]),
+        secular=secular,
     )
 
 
