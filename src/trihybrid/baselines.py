@@ -27,9 +27,9 @@ def fixed_pattern_wmmse(
 
     Identical to the selection solver run on a single-candidate set, so the
     selection step is forced and only the precoder rows move.  This is the
-    reference form of the baseline, used by acceptance criterion 06 and the
-    acceptance fixture; the sweep runner solves the same run from each
-    cell's lifted baseline channels, batched across cells.
+    reference form of the baseline, used by acceptance criterion 06; the
+    sweep runner, and with it the acceptance fixture, solves the same run
+    from each cell's lifted baseline channels, batched across cells.
     """
     single = CandidateSet((pattern,))
     effs = [selection_effective_channel(geom, single) for geom in scenario.geometries]

@@ -545,22 +545,27 @@ def _solve_batch(batch: list[_Cell], method: str, payer: str) -> bool:
     return True
 
 
-def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
-    """Every method of the given (sweep value, scenario seed) cells, one
-    `run_point` call per results row, after the cells' runs are solved in
-    batches.
-
-    Returns, per cell, its rows in method order and no error, or no rows
-    and the error of the run that raised.  A configuration error ends the
-    whole sweep.
-    """
-    config, keys = args
+def _solve_cells(config: ExperimentConfig, keys) -> list[_Cell]:
+    """The runner's batch stage: the cells of the given (sweep value,
+    scenario seed) keys, with every run their rows read solved in batches."""
     sweep = _Sweep(config)
     cells = [_Cell(sweep, value, seed) for value, seed in keys]
     reads = [_reads(config, m) for m in config.methods]
     # The runs that rows start from first, then each row's own, in method order.
     for method in dict.fromkeys([run for r in reads for run in r[:-1]] + [r[-1] for r in reads]):
         _solve_batches(cells, method)
+    return cells
+
+
+def _cell_rows(
+    config: ExperimentConfig, cells: list[_Cell]
+) -> list[tuple[list[RunResult], str | None]]:
+    """Every method's row of the solved cells, one `run_point` call each.
+
+    Returns, per cell, its rows in method order and no error, or no rows
+    and the error of the run that raised.  A configuration error ends the
+    whole sweep.
+    """
     outcomes = []
     for cell in cells:
         try:
@@ -575,6 +580,13 @@ def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
         else:
             outcomes.append((rows, None))
     return outcomes
+
+
+def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
+    """The batch stage and then the rows of the given (sweep value, scenario
+    seed) cells, as `_cell_rows` returns them."""
+    config, keys = args
+    return _cell_rows(config, _solve_cells(config, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +702,36 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
 # Aggregation and audits
 # ---------------------------------------------------------------------------
 
+def _read_results(results_path, **columns) -> list[dict]:
+    """The rows of a results CSV, numbered from 1, each with the named
+    columns read by their casts (`str` keeps the text as written).
+
+    A missing column, a row without one value per column or a number that
+    does not parse is a configuration error naming the row and the column.
+    """
+    with open(results_path, "r", encoding="ascii") as fh:
+        reader = csv.DictReader(fh)
+        missing = sorted(set(columns) - set(reader.fieldnames or ()))
+        if missing:
+            raise ConfigurationError(f"{results_path}: missing columns {missing}")
+        rows = []
+        for i, row in enumerate(reader, 1):
+            if None in row or None in row.values():  # extra or absent values
+                raise ConfigurationError(
+                    f"{results_path}: row {i} does not have one value per column"
+                )
+            read = {}
+            for name, cast in columns.items():
+                try:
+                    read[name] = cast(row[name])
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{results_path}: row {i}, column {name}: {row[name]!r} is not a number"
+                    ) from None
+            rows.append(read)
+    return rows
+
+
 def emit_plotdata(results_path, figure: str, out_path=None) -> str:
     """Aggregate a results CSV to mean and standard error per sweep point.
 
@@ -700,16 +742,11 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
     """
     if figure not in _AXES:
         raise ConfigurationError(f"figure must be one of {sorted(_AXES)}")
-    with open(results_path, "r", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        required = {
-            "axis", "sweep_value", "method", "sum_rate_digital", "sum_rate_hybrid", "converged"
-        }
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ConfigurationError(
-                f"{results_path}: missing columns {sorted(required - set(reader.fieldnames or []))}"
-            )
-        rows = list(reader)
+    rows = _read_results(
+        results_path,
+        axis=str, sweep_value=float, method=str,
+        sum_rate_digital=float, sum_rate_hybrid=float, converged=str,
+    )
     if rows and rows[0]["axis"] != figure:
         raise ConfigurationError(
             f"results were swept over {rows[0]['axis']!r}, not {figure!r}"
@@ -718,12 +755,8 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
     # (sweep value, method) -> (digital rate, hybrid rate, unconverged) per run
     groups: dict[tuple[float, str], list[tuple[float, float, bool]]] = {}
     for row in rows:
-        groups.setdefault((float(row["sweep_value"]), row["method"]), []).append(
-            (
-                float(row["sum_rate_digital"]),
-                float(row["sum_rate_hybrid"]),
-                row["converged"] == "0",
-            )
+        groups.setdefault((row["sweep_value"], row["method"]), []).append(
+            (row["sum_rate_digital"], row["sum_rate_hybrid"], row["converged"] == "0")
         )
 
     def stats(samples):
@@ -785,21 +818,25 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
     """
     failures = []
     warnings = []
-    with open(results_path, "r", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader):
-            where = f"row {i + 1} ({row['method']}, value {row['sweep_value']}, seed {row['scenario_seed']})"
-            if float(row["max_power_violation"]) > power_tol:
-                failures.append(f"{where}: per-antenna power violated")
-            if float(row["modulus_deviation"]) > 1e-9:
-                failures.append(f"{where}: analog stage modulus deviates")
-            if float(row["antenna_deviation"]) > 1e-8:
-                failures.append(f"{where}: pattern constraint deviates")
-            if float(row["min_pattern_gain"]) <= 0.0:
-                warnings.append(f"{where}: synthesized pattern dips non-positive")
-            if row["method"] in _WMMSE_METHODS and row["converged"] == "0":
-                warnings.append(
-                    f"{where}: stopped at the cap of {row['outer_iterations']} "
-                    "outer iterations without converging"
-                )
+    rows = _read_results(
+        results_path,
+        method=str, sweep_value=str, scenario_seed=str, converged=str, outer_iterations=str,
+        max_power_violation=float, modulus_deviation=float, antenna_deviation=float,
+        min_pattern_gain=float,
+    )
+    for i, row in enumerate(rows, 1):
+        where = f"row {i} ({row['method']}, value {row['sweep_value']}, seed {row['scenario_seed']})"
+        if row["max_power_violation"] > power_tol:
+            failures.append(f"{where}: per-antenna power violated")
+        if row["modulus_deviation"] > 1e-9:
+            failures.append(f"{where}: analog stage modulus deviates")
+        if row["antenna_deviation"] > 1e-8:
+            failures.append(f"{where}: pattern constraint deviates")
+        if row["min_pattern_gain"] <= 0.0:
+            warnings.append(f"{where}: synthesized pattern dips non-positive")
+        if row["method"] in _WMMSE_METHODS and row["converged"] == "0":
+            warnings.append(
+                f"{where}: stopped at the cap of {row['outer_iterations']} "
+                "outer iterations without converging"
+            )
     return failures, warnings

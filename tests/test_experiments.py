@@ -447,20 +447,49 @@ class TestPlotdata:
         with pytest.raises(ConfigurationError):
             emit_plotdata(out, "antennas")
 
-    def test_missing_columns_rejected(self, tmp_path):
+    def test_missing_columns_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigurationError):
             emit_plotdata(bad, "power")
         rows = read_rows(run_experiment(write_config(tmp_path)))
-        columns = [c for c in rows[0] if c != "converged"]
-        without_converged = tmp_path / "no_converged.csv"
-        with open(without_converged, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, columns, extrasaction="ignore")
-            writer.writeheader()
-            writer.writerows(rows)
+
+        def rewritten(name, rows, dropped=None):
+            path = tmp_path / name
+            with open(path, "w", newline="") as fh:
+                columns = [c for c in rows[0] if c != dropped]
+                writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+                writer.writeheader()
+                writer.writerows(rows)
+            return path
+
         with pytest.raises(ConfigurationError, match="converged"):
-            emit_plotdata(without_converged, "power")
+            emit_plotdata(rewritten("no_converged.csv", rows, "converged"), "power")
+        # Through the CLI: each command names what it cannot read, in one
+        # line, and exits 2.
+        malformed = [rows[0], {**rows[1], "sum_rate_digital": "x", "max_power_violation": "x"}]
+        cases = [
+            (bad, "missing columns", "missing columns"),
+            (rewritten("no_method.csv", rows, "method"), "missing columns ['method']",
+             "missing columns ['method']"),
+            (rewritten("malformed.csv", malformed), "row 2, column max_power_violation: 'x'",
+             "row 2, column sum_rate_digital: 'x'"),
+        ]
+        short = tmp_path / "short.csv"
+        lines = rewritten("full.csv", rows[:2]).read_text().splitlines()
+        short.write_text("\n".join([*lines[:2], lines[2].rsplit(",", 1)[0]]) + "\n")
+        cases.append((short, "row 2 does not have one value per column",
+                      "row 2 does not have one value per column"))
+        for path, audit_says, plotdata_says in cases:
+            for argv, says in (
+                (["audit", str(path)], audit_says),
+                (["plotdata", str(path), "--figure", "power"], plotdata_says),
+            ):
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("configuration error: ") and err.count("\n") == 1
+                assert says in err
 
 
 class TestAuditCommand:
