@@ -814,13 +814,15 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
     deviations are failures.  A non-positive synthesized pattern gain is
     reported as a warning only, since the solvers bound the constant
     component but do not enforce pointwise positivity; so is a WMMSE run
-    that stopped at the iteration cap without converging.
+    that stopped at the iteration cap without converging.  A row whose
+    rates or constraint columns do not parse is a configuration error.
     """
     failures = []
     warnings = []
     rows = _read_results(
         results_path,
         method=str, sweep_value=str, scenario_seed=str, converged=str, outer_iterations=str,
+        sum_rate_digital=float, sum_rate_hybrid=float,
         max_power_violation=float, modulus_deviation=float, antenna_deviation=float,
         min_pattern_gain=float,
     )

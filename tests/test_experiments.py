@@ -467,24 +467,18 @@ class TestPlotdata:
             emit_plotdata(rewritten("no_converged.csv", rows, "converged"), "power")
         # Through the CLI: each command names what it cannot read, in one
         # line, and exits 2.
-        malformed = [rows[0], {**rows[1], "sum_rate_digital": "x", "max_power_violation": "x"}]
-        cases = [
-            (bad, "missing columns", "missing columns"),
-            (rewritten("no_method.csv", rows, "method"), "missing columns ['method']",
-             "missing columns ['method']"),
-            (rewritten("malformed.csv", malformed), "row 2, column max_power_violation: 'x'",
-             "row 2, column sum_rate_digital: 'x'"),
-        ]
         short = tmp_path / "short.csv"
         lines = rewritten("full.csv", rows[:2]).read_text().splitlines()
         short.write_text("\n".join([*lines[:2], lines[2].rsplit(",", 1)[0]]) + "\n")
-        cases.append((short, "row 2 does not have one value per column",
-                      "row 2 does not have one value per column"))
-        for path, audit_says, plotdata_says in cases:
-            for argv, says in (
-                (["audit", str(path)], audit_says),
-                (["plotdata", str(path), "--figure", "power"], plotdata_says),
-            ):
+        cases = [
+            (bad, "missing columns"),
+            (rewritten("no_method.csv", rows, "method"), "missing columns ['method']"),
+            (rewritten("malformed.csv", [rows[0], {**rows[1], "sum_rate_digital": "x"}]),
+             "row 2, column sum_rate_digital: 'x' is not a number"),
+            (short, "row 2 does not have one value per column"),
+        ]
+        for path, says in cases:
+            for argv in (["audit", str(path)], ["plotdata", str(path), "--figure", "power"]):
                 assert main(argv) == 2
                 out, err = capsys.readouterr()
                 assert out == ""
