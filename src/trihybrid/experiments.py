@@ -77,6 +77,10 @@ RESULT_COLUMNS = (
     "min_pattern_gain",
     "decomp_residual",
 )
+# The columns of :func:`metrics.audit_constraints`, which `audit` checks.
+_CONSTRAINT_COLUMNS = (
+    "max_power_violation", "modulus_deviation", "antenna_deviation", "min_pattern_gain"
+)
 
 # Solver phase seconds of the timing sidecar, named as the `Trace` fields.
 _PHASE_COLUMNS = ("receivers_s", "sweep_s", "objective_s", "decomp_s")
@@ -707,28 +711,35 @@ def _read_results(results_path, **columns) -> list[dict]:
     columns read by their casts (`str` keeps the text as written).
 
     A missing column, a row without one value per column or a number that
-    does not parse is a configuration error naming the row and the column.
+    does not parse is a configuration error naming the row and the column;
+    so is a byte that is not ASCII, naming the file.
     """
     with open(results_path, "r", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        missing = sorted(set(columns) - set(reader.fieldnames or ()))
-        if missing:
-            raise ConfigurationError(f"{results_path}: missing columns {missing}")
-        rows = []
-        for i, row in enumerate(reader, 1):
-            if None in row or None in row.values():  # extra or absent values
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"{results_path}: byte {exc.object[exc.start]:#04x} is not ASCII"
+            ) from None
+    reader = csv.DictReader(lines)
+    missing = sorted(set(columns) - set(reader.fieldnames or ()))
+    if missing:
+        raise ConfigurationError(f"{results_path}: missing columns {missing}")
+    rows = []
+    for i, row in enumerate(reader, 1):
+        if None in row or None in row.values():  # extra or absent values
+            raise ConfigurationError(
+                f"{results_path}: row {i} does not have one value per column"
+            )
+        read = {}
+        for name, cast in columns.items():
+            try:
+                read[name] = cast(row[name])
+            except ValueError:
                 raise ConfigurationError(
-                    f"{results_path}: row {i} does not have one value per column"
-                )
-            read = {}
-            for name, cast in columns.items():
-                try:
-                    read[name] = cast(row[name])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{results_path}: row {i}, column {name}: {row[name]!r} is not a number"
-                    ) from None
-            rows.append(read)
+                    f"{results_path}: row {i}, column {name}: {row[name]!r} is not a number"
+                ) from None
+        rows.append(read)
     return rows
 
 
@@ -811,10 +822,11 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
     """Check recorded constraint columns.
 
     Returns (failures, warnings): power, modulus and pattern-constraint
-    deviations are failures.  A non-positive synthesized pattern gain is
-    reported as a warning only, since the solvers bound the constant
-    component but do not enforce pointwise positivity; so is a WMMSE run
-    that stopped at the iteration cap without converging.  A row whose
+    deviations are failures, and so is a constraint value that is not
+    finite, one failure per column.  A non-positive synthesized pattern
+    gain is reported as a warning only, since the solvers bound the
+    constant component but do not enforce pointwise positivity; so is a
+    WMMSE run that stopped at the iteration cap without converging.  A row whose
     rates or constraint columns do not parse is a configuration error.
     """
     failures = []
@@ -823,11 +835,13 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
         results_path,
         method=str, sweep_value=str, scenario_seed=str, converged=str, outer_iterations=str,
         sum_rate_digital=float, sum_rate_hybrid=float,
-        max_power_violation=float, modulus_deviation=float, antenna_deviation=float,
-        min_pattern_gain=float,
+        **dict.fromkeys(_CONSTRAINT_COLUMNS, float),
     )
     for i, row in enumerate(rows, 1):
         where = f"row {i} ({row['method']}, value {row['sweep_value']}, seed {row['scenario_seed']})"
+        for name in _CONSTRAINT_COLUMNS:
+            if not math.isfinite(row[name]):
+                failures.append(f"{where}: {name} is {row[name]!r}, not a finite number")
         if row["max_power_violation"] > power_tol:
             failures.append(f"{where}: per-antenna power violated")
         if row["modulus_deviation"] > 1e-9:

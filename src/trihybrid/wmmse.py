@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,11 +323,6 @@ class _Users:
         n_runs, n_users, n_rx, n_cols = self.lifted.shape
         return self.lifted.reshape(n_runs, n_users * n_rx, n_cols)
 
-    @property
-    def budgets(self) -> list[list[float]]:
-        """Antenna n's power budget in run b at [n][b], as Python floats."""
-        return self.power.T.tolist()
-
     def take(self, runs: list[int]) -> "_Users":
         """The users of the given runs of the batch."""
         return _Users(
@@ -383,19 +379,18 @@ class _SweepWorkspace:
     diagonals of the quad terms and their guarded inverses
     (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n),
     Re Q_n[1:, 0] and the :func:`sphere_terms` for synthesis.  Each is
-    built on first use: `step_quads` as nested Python lists and the
-    selection state only by selection steps, `row_quads` and `pinned` only
-    by synthesis steps, and `sphere_terms` decomposes every antenna in one
-    batched call only in sweeps that solve on the sphere.  `rows` is a
-    buffer the selection step fills with every run's new row before one
-    commit.
+    built on first use: `step_quads` and the selection state only by
+    selection steps, `row_quads` and `pinned` only by synthesis steps, and
+    `sphere_terms` decomposes every antenna in one batched call only in
+    sweeps that solve on the sphere.  `rows` is a buffer the selection step
+    fills with every run's new row before one commit.
     """
 
     def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
         n_runs, n_users, n_rx, n_cols = users.lifted.shape
         n_antennas = users.n_antennas
         self.antenna_matrix = antenna_matrix
-        self.budgets = users.budgets
+        self.budgets = users.power.T  # (N, B)
         self.factors = users.factors
         self.blocks_conj = users.blocks_conj
         beta = np.asarray(beta, dtype=float)
@@ -446,11 +441,9 @@ class _SweepWorkspace:
         return sphere_terms(self.quad, self.antenna_matrix.swapaxes(0, 1))
 
     @functools.cached_property
-    def step_quads(self) -> tuple[list, list]:
-        """Every antenna's :func:`candidate_quads` as nested Python lists,
-        indexed [n][b][s]."""
-        quads, inv_quads = candidate_quads(self.quad)
-        return quads.tolist(), inv_quads.tolist()
+    def step_quads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every antenna's :func:`candidate_quads`, (N, B, W) each."""
+        return candidate_quads(self.quad)
 
     @functools.cached_property
     def _selection(self) -> tuple[list[list[int]], np.ndarray]:
@@ -517,8 +510,9 @@ class _SweepWorkspace:
 # The row update minimizes a ||f||^2 + 2 Re(f^H d) over the power ball
 # ||f||^2 <= P for the row-step coefficient a and direction d: the optimum is
 # -step d with step min(1/a, sqrt(P)/||d||), the boundary step when a is at
-# most _TINY_QUAD, and a zero row when d = 0.  Both steps take the step
-# lengths on Python floats and the rows in one array operation.
+# most _TINY_QUAD, and a zero row when d = 0.  The selection step takes
+# every run's step lengths in one array pass, the synthesis step on Python
+# floats; both write the rows in one array operation.
 
 def candidate_quads(quad_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real diagonal of one (W, W) quad term or of a stack, and its guarded
@@ -539,56 +533,74 @@ def select_pattern_and_row(
     """Enumerate candidate patterns and pick the jointly optimal pair, for
     one antenna in every run of a batch.
 
-    `linear` holds each run's (D, W) linear term, (B, D, W), and `quads[b]`
-    and `inv_quads[b]` run b's diagonal of the quad term and its guarded
-    inverse from :func:`candidate_quads` (nested lists or arrays);
-    `budgets[b]` is non-negative.  Run b's row is written into `rows[b]`,
-    a (B, D) buffer made when none is given.  Returns (candidate indices,
-    rows, objective values), the indices and values as lists.  Each
-    candidate gets the closed-form row: a zero direction gives a zero row
-    and value 0, a vanishing quadratic coefficient the boundary step.  Ties
-    go to the lowest index.
+    `linear` holds each run's (D, W) linear term, (B, D, W), and `quads`
+    and `inv_quads` every run's diagonal of the quad term and its guarded
+    inverse from :func:`candidate_quads`, (B, W); `budgets` holds the
+    runs' positive power budgets, (B,).  Run b's row is written into
+    `rows[b]`, a (B, D) buffer made when none is given.  Returns (candidate
+    indices, rows, objective values): the indices as a list, the values
+    as a sequence of Python floats that is made on its first read, since
+    the sweep never reads them.  Each candidate gets the closed-form row:
+    a zero direction gives a zero row and value 0, a vanishing quadratic
+    coefficient the boundary step.  Ties go to the lowest index.
 
-    The squared norms of every run's candidates take one pass over the
-    batch; then each run's W candidates are scored one by one on Python
-    floats, which costs less than numpy's dispatch on arrays this small,
-    and every run's row, its negated step times its chosen candidate's
-    direction, is written in one operation.  Every boundary, step and
-    value takes the same IEEE operations in the same order as the
-    whole-array form, so the result is the same to the bit.  A value is
-    NaN only for non-finite input or when a direction so small that its
-    boundary step overflows meets a quad at most `_TINY_QUAD`; as with
-    numpy's `argmin`, the first NaN is then taken.
+    One array pass over (B, D, W) scores every candidate of every run: the
+    squared norms, boundaries, steps and values, then one `argmin` along
+    the candidate axis, and every run's row, its negated step times its
+    chosen candidate's direction, is written in one operation.  With a
+    single candidate (W = 1) there is nothing to choose: the rows are that
+    candidate's closed-form steps, and its values are scored only when
+    read.  A value is NaN only for non-finite input or when a direction so
+    small that its boundary step overflows meets a quad at most
+    `_TINY_QUAD`; `argmin` then takes the first NaN.
     """
     if rows is None:
         rows = np.empty(linear.shape[:2], dtype=complex)
     norms_sq = np.abs(linear)
     np.square(norms_sq, out=norms_sq)
-    norms_sq = np.add.reduce(norms_sq, axis=1).tolist()
-    indices, values, negated_steps = [], [], []
-    for b, budget in enumerate(budgets):
-        best, best_value, best_step = 0, math.nan, 0.0
-        for s, (norm_sq, quad, inv_quad) in enumerate(zip(norms_sq[b], quads[b], inv_quads[b])):
-            # A zero direction divides by 1 instead: its value is 0 whatever the step.
-            boundary = math.sqrt(budget / (norm_sq if norm_sq > 0.0 else 1.0))
-            step = min(inv_quad, boundary)
-            value = norm_sq * (quad * (step * step) - 2.0 * step)
-            if value != value:  # NaN: numpy's argmin takes the first one
-                best, best_value, best_step = s, value, step
-                break
-            if s == 0 or value < best_value:
-                best, best_value, best_step = s, value, step
-        indices.append(best)
-        values.append(float(best_value))
-        negated_steps.append(-best_step)
+    norms_sq = np.add.reduce(norms_sq, axis=1)
+    # A zero direction divides by 1 instead: its value is 0 whatever the step.
+    steps = np.divide(
+        np.asarray(budgets, dtype=float)[:, None], np.where(norms_sq > 0.0, norms_sq, 1.0)
+    )
+    np.sqrt(steps, out=steps)
+    np.minimum(inv_quads, steps, out=steps)
+
+    def scored():
+        return norms_sq * (quads * (steps * steps) - 2.0 * steps)
+
     # Complex steps, so that each product takes the operations of a Python
     # float times a complex array: a real array takes another loop, which
     # can differ in the sign of an underflowed zero.
+    if linear.shape[2] == 1:
+        np.multiply(np.negative(steps).astype(complex), linear[:, :, 0], out=rows)
+        return [0] * len(rows), rows, _Floats(lambda: scored()[:, 0].tolist())
+    values = scored()
+    indices = values.argmin(axis=1)
+    runs = np.arange(len(indices))
     np.multiply(
-        np.array(negated_steps, dtype=complex)[:, None], linear[np.arange(len(indices)), :, indices],
+        np.negative(steps[runs, indices]).astype(complex)[:, None], linear[runs, :, indices],
         out=rows,
     )
-    return indices, rows, values
+    return indices.tolist(), rows, _Floats(lambda: values[runs, indices].tolist())
+
+
+class _Floats(Sequence):
+    """The list of Python floats that `make()` returns, made on the first
+    read."""
+
+    def __init__(self, make):
+        self._make = make
+
+    @functools.cached_property
+    def _items(self) -> list[float]:
+        return self._make()
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 def synthesize_pattern_and_row(
@@ -900,7 +912,7 @@ def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
         workspace.pinned[n],
         lambda: [part[n] for part in workspace.sphere_terms],
         workspace.antenna_matrix[:, n],
-        workspace.budgets[n],
+        workspace.budgets[n].tolist(),
         workspace.factors,
     )
     workspace.apply(n, vectors, rows)

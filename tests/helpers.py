@@ -175,9 +175,9 @@ def block_objective(quad, linear, row: np.ndarray, vector: np.ndarray) -> float:
 def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=None):
     """The selection step of :func:`trihybrid.wmmse.select_pattern_and_row`
     computed on whole arrays, run by run: every candidate's boundary, step
-    and value at once, then `argmin`.  The library scores the candidates one
-    by one on Python floats; the two must agree bit for bit.  Same
-    signature and return as the library's step."""
+    and value at once, then `argmin`.  The library scores every run of the
+    batch in one pass; the two must agree bit for bit.  Same signature and
+    return as the library's step."""
     if rows is None:
         rows = np.empty(np.shape(linear)[:2], dtype=complex)
     indices, values = [], []
@@ -191,6 +191,38 @@ def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=No
         rows[b] = -steps[best] * linear[b][:, best]
         indices.append(best)
         values.append(float(run_values[best]))
+    return indices, rows, values
+
+
+def select_pattern_and_row_loop(linear, quads, inv_quads, budgets, rows=None):
+    """The selection step of :func:`trihybrid.wmmse.select_pattern_and_row`
+    scored one candidate at a time on Python floats: per run, each
+    candidate's boundary, step and value in turn, keeping the first
+    smallest value, or the first NaN as `argmin` does.  The squared norms
+    are the library's pass, so that both sum the streams in one order; the
+    rest shares no code with the library.  Same signature and return as
+    the library's step."""
+    if rows is None:
+        rows = np.empty(np.shape(linear)[:2], dtype=complex)
+    norms_sq = np.add.reduce(np.square(np.abs(linear)), axis=1).tolist()
+    quads, inv_quads = np.asarray(quads).tolist(), np.asarray(inv_quads).tolist()
+    indices, values = [], []
+    for b, budget in enumerate(np.asarray(budgets, dtype=float).tolist()):
+        best, best_value, best_step = 0, math.nan, 0.0
+        for s, (norm_sq, quad, inv_quad) in enumerate(zip(norms_sq[b], quads[b], inv_quads[b])):
+            # A zero direction divides by 1 instead: its value is 0 whatever the step.
+            boundary = math.sqrt(budget / (norm_sq if norm_sq > 0.0 else 1.0))
+            step = min(inv_quad, boundary)
+            value = norm_sq * (quad * (step * step) - 2.0 * step)
+            if value != value:  # NaN: argmin takes the first one
+                best, best_value, best_step = s, value, step
+                break
+            if s == 0 or value < best_value:
+                best, best_value, best_step = s, value, step
+        # A complex step: a Python float times a complex array.
+        rows[b] = complex(-best_step) * linear[b, :, best]
+        indices.append(best)
+        values.append(best_value)
     return indices, rows, values
 
 

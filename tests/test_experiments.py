@@ -470,8 +470,13 @@ class TestPlotdata:
         short = tmp_path / "short.csv"
         lines = rewritten("full.csv", rows[:2]).read_text().splitlines()
         short.write_text("\n".join([*lines[:2], lines[2].rsplit(",", 1)[0]]) + "\n")
+        accented = tmp_path / "accented.csv"
+        accented.write_bytes(
+            rewritten("ascii.csv", rows).read_bytes().replace(b"model1", "mod\u00e9l1".encode(), 1)
+        )
         cases = [
             (bad, "missing columns"),
+            (accented, f"{accented}: byte 0xc3 is not ASCII"),
             (rewritten("no_method.csv", rows, "method"), "missing columns ['method']"),
             (rewritten("malformed.csv", [rows[0], {**rows[1], "sum_rate_digital": "x"}]),
              "row 2, column sum_rate_digital: 'x' is not a number"),
@@ -520,6 +525,32 @@ class TestAuditCommand:
         Path(out).write_text("\n".join([text[0], ",".join(parts)] + text[2:]) + "\n")
         failures, _ = audit_results(out)
         assert failures
+
+
+    @pytest.mark.parametrize(
+        "column", ["max_power_violation", "modulus_deviation", "antenna_deviation", "min_pattern_gain"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constraint_fails_its_row(self, tmp_path, capsys, column, value):
+        # A comparison with NaN is False, so each check needs its own
+        # finiteness test; the failure keeps the "row N (" prefix that
+        # counts one bad row.
+        out = run_experiment(write_config(tmp_path))
+        capsys.readouterr()
+        text = Path(out).read_text().splitlines()
+        header, parts = text[0].split(","), text[2].split(",")
+        parts[header.index(column)] = value
+        Path(out).write_text("\n".join([*text[:2], ",".join(parts), *text[3:]]) + "\n")
+        failures, _ = audit_results(out)
+        assert [f"{column} is {float(value)!r}, not a finite number" in f for f in failures].count(
+            True
+        ) == 1
+        assert {failure.split(" (")[0] for failure in failures} == {"row 2"}
+        assert main(["audit", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert "all constraint audits pass" not in stdout
+        assert stderr.startswith(f"row 2 ({parts[header.index('method')]}, ")
+        assert column in stderr
 
 
 class TestCli:

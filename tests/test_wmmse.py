@@ -24,6 +24,7 @@ from helpers import (
     receiver_block,
     rotated_sphere_solve,
     row_solution,
+    select_pattern_and_row_loop,
     select_pattern_and_row_vectorized,
     split_precoder,
     stream_block,
@@ -656,33 +657,39 @@ _STEP_QUADS = st.sampled_from(
 
 @st.composite
 def _selection_steps(draw):
-    """One antenna's selection step in a batch of 1-3 runs: (B, D, W)
-    linear terms, each run's quad diagonal and guarded inverse (as nested
-    lists or arrays) and budgets.  Each run's candidates are copies of a
-    few distinct ones, so exact ties occur, and some distinct columns are
-    zero."""
+    """One antenna's selection step in a batch of 1-21 runs: (B, D, W)
+    linear terms, every run's quad diagonal and guarded inverse, (B, W)
+    each, and budgets, (B,).  The batch draws a few distinct candidates
+    (columns and quads), some of them zero columns, and each run's
+    candidates are copies of these, so exact ties occur within and across
+    runs.  A single candidate (W = 1) is drawn about half the time."""
     d_streams = draw(st.integers(1, 4))
-    width = draw(st.integers(1, 8))
-    linear, quads, inv_quads, budgets = [], [], [], []
-    for _ in range(draw(st.integers(1, 3))):
-        distinct = draw(st.integers(1, width))
-        ids = draw(st.lists(st.integers(0, distinct - 1), min_size=width, max_size=width))
-        size = 2 * d_streams * distinct
-        parts = np.array(draw(st.lists(_STEP_ENTRIES, min_size=size, max_size=size)))
-        parts = parts.reshape(2, d_streams, distinct)
-        columns = parts[0] + 1j * parts[1]
-        zero = np.array(draw(st.lists(st.booleans(), min_size=distinct, max_size=distinct)))
-        columns[:, zero] = 0.0
-        pool = np.array(draw(st.lists(_STEP_QUADS, min_size=distinct, max_size=distinct)))
-        run_quads, run_inv_quads = candidate_quads(np.diag(pool[ids]))
-        linear.append(columns[:, ids])
-        quads.append(run_quads)
-        inv_quads.append(run_inv_quads)
-        budgets.append(draw(st.sampled_from([1e-3, 0.7, 1.0, 4.0]) | st.floats(1e-6, 1e3)))
-    quads, inv_quads = np.array(quads), np.array(inv_quads)
-    if draw(st.booleans()):
-        quads, inv_quads = quads.tolist(), inv_quads.tolist()
-    return np.array(linear), quads, inv_quads, budgets
+    width = draw(st.just(1) | st.integers(1, 8))
+    n_runs = draw(st.sampled_from([1, 21]) | st.integers(1, 21))
+    distinct = draw(st.integers(1, 8))
+    size = 2 * d_streams * distinct
+    parts = np.array(draw(st.lists(_STEP_ENTRIES, min_size=size, max_size=size)))
+    parts = parts.reshape(2, d_streams, distinct)
+    columns = parts[0] + 1j * parts[1]
+    zero = np.array(draw(st.lists(st.booleans(), min_size=distinct, max_size=distinct)))
+    columns[:, zero] = 0.0
+    pool = np.array(draw(st.lists(_STEP_QUADS, min_size=distinct, max_size=distinct)))
+    ids = np.array(
+        draw(
+            st.lists(
+                st.lists(st.integers(0, distinct - 1), min_size=width, max_size=width),
+                min_size=n_runs, max_size=n_runs,
+            )
+        )
+    )
+    quads, inv_quads = candidate_quads(np.apply_along_axis(np.diag, 1, pool[ids]))
+    budgets = draw(
+        st.lists(
+            st.sampled_from([1e-3, 0.7, 1.0, 4.0]) | st.floats(1e-6, 1e3),
+            min_size=n_runs, max_size=n_runs,
+        )
+    )
+    return columns[:, ids].transpose(1, 0, 2), quads, inv_quads, np.array(budgets)
 
 
 @settings(max_examples=400, deadline=None)
@@ -690,20 +697,29 @@ def _selection_steps(draw):
 # A huge direction with a tiny imaginary part: the row's imaginary part
 # underflows, to -0.0 with a Python float step.
 @example((np.array([[[1e150 + 1.32014017e-280j]]]), np.array([[0.0]]), np.array([[np.inf]]),
-          [1e-3]))
+          np.array([1e-3])))
+# Two runs: exact ties in the first, and in the second a NaN direction
+# after a finite candidate and before a smaller one; the first smallest
+# value and the first NaN are taken.
+@example((np.array([[[1.0, 1.0, 0.5]], [[0.5, np.nan, 3.0]]], dtype=complex),
+          np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+          np.array([1.0, 1.0])))
 def test_select_matches_vectorized_step_bit_for_bit(step):
-    # The step scores candidates one by one on Python floats; the same
-    # operations in the same order as the whole-array form give the same
-    # index (ties and NaN values go to the lowest index, as with argmin)
-    # and the same bits in the row and the value, in every run of the batch.
+    # The library scores every candidate of every run in one array pass.
+    # Scoring the candidates one by one on Python floats and the
+    # whole-array form run by run must give the same index (ties and NaN
+    # values go to the lowest index, as with argmin) and the same bits in
+    # the row and the value, in every run of the batch.
     with np.errstate(all="ignore"):
-        want = select_pattern_and_row_vectorized(*step)
         rows = np.full(step[0].shape[:2], np.nan, dtype=complex)
         got = select_pattern_and_row(*step, rows)
-    assert got[0] == want[0]
+        for reference in (select_pattern_and_row_loop, select_pattern_and_row_vectorized):
+            want = reference(*step)
+            assert got[0] == want[0], reference.__name__
+            assert got[1].tobytes() == want[1].tobytes(), reference.__name__
+            assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes(), reference.__name__
     assert got[1] is rows
-    assert got[1].tobytes() == want[1].tobytes()
-    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert all(type(index) is int for index in got[0])
     assert all(type(value) is float for value in got[2])
 
 
