@@ -40,10 +40,13 @@ def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:
     """Block-diagonalization zero-forcing precoder.
 
     Each user's precoder lives in the null space of every other user's
-    channel; within that space the strongest right singular directions of
-    the projected channel carry the streams.  Streams start with equal
-    power (the total budget split evenly) and the stacked precoder is then
-    scaled down once so every antenna meets its budget.
+    channel.  The user's channel is projected off the others' row space,
+    H_k - (H_k V) V^H with V the others' right singular vectors, and the
+    strongest right singular directions of the projection carry the
+    streams.  Only thin SVDs are taken, so no N x N factor is formed.
+    Streams start with equal power (the total budget split evenly) and the
+    stacked precoder is then scaled down once so every antenna meets its
+    budget.
     """
     K = len(channels)
     stream_counts = tuple(stream_counts)
@@ -59,28 +62,38 @@ def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:
     blocks = []
     for k in range(K):
         others = [channels[i] for i in range(K) if i != k]
+        row_space = np.zeros((n, 0))  # (N, rank), conjugates spanning the others' rows
         if others:
             stacked = np.vstack(others)
-            _, singulars, vh = np.linalg.svd(stacked, full_matrices=True)
-            tol = max(stacked.shape) * np.finfo(float).eps * (
-                singulars[0] if singulars.size else 0.0
-            )
-            rank = int(np.sum(singulars > tol))
-            null_basis = vh[rank:].conj().T  # (N, N - rank)
-        else:
-            null_basis = np.eye(n, dtype=complex)
-        projected = channels[k] @ null_basis
-        _, _, vh_proj = np.linalg.svd(projected, full_matrices=False)
-        if vh_proj.shape[0] < stream_counts[k]:  # min(M_k, null space dimension)
+            _, singulars, vh = np.linalg.svd(stacked, full_matrices=False)
+            row_space = vh[: _rank(singulars, stacked.shape)].conj().T
+        # A second pass removes what cancellation left of the others' rows.
+        projected = _project_off(_project_off(channels[k], row_space), row_space)
+        _, singulars, vh = np.linalg.svd(projected, full_matrices=False)
+        directions = _rank(singulars, projected.shape)
+        if directions < stream_counts[k]:
             raise ConfigurationError(
-                f"user {k}: the projected channel has {vh_proj.shape[0]} directions for "
+                f"user {k}: the projected channel has {directions} directions for "
                 f"{stream_counts[k]} streams"
             )
-        directions = null_basis @ vh_proj.conj().T[:, : stream_counts[k]]
-        blocks.append(np.sqrt(per_stream) * directions)
+        # Projecting the chosen rows once more keeps a weak stream's
+        # direction as far from the others' rows as a strong one's.
+        rows = _project_off(vh[: stream_counts[k]], row_space)
+        blocks.append(np.sqrt(per_stream) * rows.conj().T)
 
     f_d = np.hstack(blocks)
     return f_d * min(1.0, feasibility_scale(f_d, power))
+
+
+def _rank(singulars: np.ndarray, shape) -> int:
+    """The number of singular values above max(shape) * eps times the
+    largest, numpy's `matrix_rank` rule."""
+    return int(np.sum(singulars > max(shape) * np.finfo(float).eps * singulars[0]))
+
+
+def _project_off(rows: np.ndarray, row_space: np.ndarray) -> np.ndarray:
+    """`rows` less their projection onto the row space: rows - (rows V) V^H."""
+    return rows - (rows @ row_space) @ row_space.conj().T
 
 
 def interference_leakage(channels, f_d: np.ndarray, stream_counts) -> float:

@@ -3,12 +3,13 @@
 The analog stage is phase-only with entries of squared modulus 1/N; the
 digital stage is unconstrained.  Alternating minimization under a relaxed
 total-power view: the digital stage is the least-squares fit (minimum norm,
-singular values below 1e-9 of the largest dropped), and the analog stage is
-refined one entry at a time, each phase set to its exact per-coordinate
-minimizer, so the Frobenius mismatch never increases.  A final scalar
-rescaling of the digital stage restores the per-antenna power budgets.
-A stack of precoders is factored in one batched alternation, each run
-with the bits it would get alone.
+singular values at or below 1e-9 of the largest dropped), and the analog
+stage is refined one entry at a time, each phase set to its exact
+per-coordinate minimizer, so the Frobenius mismatch never increases.  A
+final scalar rescaling of the digital stage restores the per-antenna power
+budgets.  A stack of precoders is factored in one batched alternation: each
+alternation makes one phase pass, one least-squares fit and one residual
+for every run still alternating, each run with the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -32,12 +33,28 @@ class DecompositionResult:
     history: list[float] = field(default_factory=list)
 
 
-def _relative_residual(f_d, f_rf, f_bb, norm: float) -> float:
-    """||f_d - f_rf f_bb|| / ||f_d|| for the target's norm `norm`; 0 for a
-    zero target."""
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(f_d - f_rf @ f_bb) / norm)
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of every matrix of a stack, (B, m, n) -> (B,),
+    each summed alone along one contiguous axis."""
+    return np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
+
+
+def _least_squares(f_rf: np.ndarray, f_d: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares digital stage of every run of a stack,
+    from one SVD of the analog stages, (B, N, N_RF): singular values at or
+    below `_LSTSQ_RCOND` times the run's largest are dropped, as
+    `np.linalg.lstsq` drops them."""
+    u, singulars, vh = np.linalg.svd(f_rf, full_matrices=False)
+    kept = singulars > _LSTSQ_RCOND * singulars[:, :1]
+    inverse = np.divide(1.0, singulars, out=np.zeros_like(singulars), where=kept)
+    return vh.conj().swapaxes(1, 2) @ (inverse[:, :, None] * (u.conj().swapaxes(1, 2) @ f_d))
+
+
+def _relative_residuals(f_d, f_rf, f_bb, norms: np.ndarray) -> np.ndarray:
+    """||f_d - f_rf f_bb|| / ||f_d|| of every run of a stack, given the
+    targets' norms; 0 for a zero target."""
+    mismatch = _frobenius(f_d - f_rf @ f_bb)
+    return np.divide(mismatch, norms, out=np.zeros_like(norms), where=norms > 0.0)
 
 
 def feasibility_scale(f: np.ndarray, power) -> float:
@@ -74,15 +91,13 @@ def _refine_phases(f_d, f_rf, f_bb) -> np.ndarray:
     targets = f_bb.conj()[..., None]  # conj(f_bb[:, j]) as (B, D, 1) columns
     residual = f_d - f_rf @ f_bb
     for j in range(f_rf.shape[2]):
-        old, gains = f_rf[:, :, j, None], f_bb[:, j, None, :]
-        without = residual + old * gains
+        column, gains = f_rf[:, :, j, None], f_bb[:, j, None, :]
+        without = residual + column * gains
         match = without @ targets[:, j]
-        column = np.exp(1j * np.angle(match))
-        column /= root
-        if np.count_nonzero(match) < match.size:  # a zero match keeps its phase
-            keep = match == 0.0
-            column[keep] = old[keep]
-        old[...] = column
+        magnitude = np.abs(match)
+        magnitude *= root
+        # Each entry becomes match / (|match| sqrt(N)); a zero match keeps its phase.
+        np.divide(match, magnitude, out=column, where=magnitude > 0.0)
         residual = without - column * gains
     return f_rf
 
@@ -100,11 +115,12 @@ def decompose_precoders(
     `power` holds each run's budgets (a scalar or one per antenna) and
     `seeds` each run's seed.  The analog stage starts from the phases of
     the leading columns of the target; random phases from the run's own
-    generator pad any extra chains.  The phase refinement of every run
-    still alternating is one batched pass; the least-squares fit and the
-    residual stay per run.  A run stops on its own tests: a residual below
-    1e-15, an improvement that stalls, or the iteration cap.  Its recorded
-    residual history is non-increasing.  After the alternation each run's
+    generator pad any extra chains.  Each alternation makes one batched
+    phase pass, one batched least-squares fit (`_least_squares`) and one
+    batched residual for every run still alternating; the loop over runs
+    only records.  A run stops on its own tests: a residual below 1e-15, an
+    improvement that stalls, or the iteration cap.  Its recorded residual
+    history is non-increasing.  After the alternation each run's
     digital stage is rescaled for per-antenna feasibility.  Returns one
     result per run, each equal to the bit to the run decomposed alone.
     """
@@ -125,34 +141,32 @@ def decompose_precoders(
         phases = np.concatenate([phases, np.stack(pads)], axis=2)
     f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
 
-    f_bb = np.stack([np.linalg.lstsq(a, b, rcond=_LSTSQ_RCOND)[0] for a, b in zip(f_rf, f_d)])
-    norms = [np.linalg.norm(target) for target in f_d]
-    residuals = [_relative_residual(*parts) for parts in zip(f_d, f_rf, f_bb, norms)]
-    histories = [[residual] for residual in residuals]
-    active = [b for b, residual in enumerate(residuals) if not residual < 1e-15]
+    f_bb = _least_squares(f_rf, f_d)
+    norms = _frobenius(f_d)
+    residuals = _relative_residuals(f_d, f_rf, f_bb, norms)
+    histories = [[residual] for residual in residuals.tolist()]
+    active = np.flatnonzero(~(residuals < 1e-15))
     for _ in range(iterations):
-        if not active:
+        if not active.size:
             break
-        if len(active) == n_runs:  # no run has stopped: refine in place, with no gather
+        if active.size == n_runs:  # no run has stopped: work in place, with no gather
             _refine_phases(f_d, f_rf, f_bb)
+            f_bb = _least_squares(f_rf, f_d)
+            new = _relative_residuals(f_d, f_rf, f_bb, norms)
         else:
-            f_rf[active] = _refine_phases(f_d[active], f_rf[active], f_bb[active])
-        going = []
-        for b in active:
-            f_bb[b] = np.linalg.lstsq(f_rf[b], f_d[b], rcond=_LSTSQ_RCOND)[0]
-            residual = residuals[b]
-            new_residual = _relative_residual(f_d[b], f_rf[b], f_bb[b], norms[b])
-            histories[b].append(min(new_residual, residual))
-            if new_residual >= residual - 1e-15:
-                residuals[b] = min(new_residual, residual)
-                continue
-            residuals[b] = new_residual
-            if not new_residual < 1e-15:
-                going.append(b)
-        active = going
+            targets = f_d[active]
+            f_rf[active] = analog = _refine_phases(targets, f_rf[active], f_bb[active])
+            f_bb[active] = digital = _least_squares(analog, targets)
+            new = _relative_residuals(targets, analog, digital, norms[active])
+        old = residuals[active]
+        residuals[active] = kept = np.minimum(new, old)
+        for b, residual in zip(active.tolist(), kept.tolist()):
+            histories[b].append(residual)
+        # A run stops when its improvement stalls or its residual drops below 1e-15.
+        active = active[~(new >= old - 1e-15) & ~(new < 1e-15)]
 
     results = []
-    for b, (residual, history) in enumerate(zip(residuals, histories)):
+    for b, (residual, history) in enumerate(zip(residuals.tolist(), histories)):
         f_bb_scaled, scale = rescale_per_antenna(f_rf[b], f_bb[b], power[b])
         results.append(
             DecompositionResult(

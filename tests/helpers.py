@@ -500,11 +500,25 @@ def synthesize_pattern_and_row_single(
     return lifted, row
 
 
+def _frobenius(a) -> float:
+    """Frobenius norm of a matrix, summed along its flattened entries."""
+    return float(np.linalg.norm(a.ravel(), axis=0))
+
+
 def _relative_residual(f_d, f_rf, f_bb) -> float:
-    denom = np.linalg.norm(f_d)
+    denom = _frobenius(f_d)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(f_d - f_rf @ f_bb) / denom)
+    return _frobenius(f_d - f_rf @ f_bb) / denom
+
+
+def least_squares_2d(f_rf, f_d):
+    """The minimum-norm least-squares fit f_rf^+ f_d of one analog stage,
+    from its thin SVD with singular values at or below `_LSTSQ_RCOND`
+    times the largest dropped."""
+    u, singulars, vh = np.linalg.svd(f_rf, full_matrices=False)
+    inverse = np.array([1.0 / s if s > _LSTSQ_RCOND * singulars[0] else 0.0 for s in singulars])
+    return vh.conj().T @ (inverse[:, None] * (u.conj().T @ f_d))
 
 
 def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: int = 0):
@@ -519,7 +533,7 @@ def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: i
         pad = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n_antennas, n_rf - lead))
         phases = np.concatenate([phases, pad], axis=1)
     f_rf = np.exp(1j * phases) / np.sqrt(n_antennas)
-    f_bb = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)[0]
+    f_bb = least_squares_2d(f_rf, f_d)
     residual = _relative_residual(f_d, f_rf, f_bb)
     history = [residual]
     for _ in range(iterations):
@@ -530,12 +544,13 @@ def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: i
         for j in range(n_rf):
             without = mismatch + f_rf[:, j, None] * f_bb[j]
             match = without @ f_bb[j].conj()
-            keep = np.abs(match) == 0.0
-            column = np.exp(1j * np.angle(match)) / np.sqrt(n_antennas)
-            column[keep] = f_rf[keep, j]
+            magnitude = np.abs(match) * np.sqrt(n_antennas)
+            column = f_rf[:, j].copy()
+            moved = magnitude > 0.0
+            column[moved] = match[moved] / magnitude[moved]
             f_rf[:, j] = column
             mismatch = without - column[:, None] * f_bb[j]
-        f_bb = np.linalg.lstsq(f_rf, f_d, rcond=_LSTSQ_RCOND)[0]
+        f_bb = least_squares_2d(f_rf, f_d)
         new_residual = _relative_residual(f_d, f_rf, f_bb)
         history.append(min(new_residual, residual))
         if new_residual >= residual - 1e-15:

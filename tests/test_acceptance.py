@@ -291,6 +291,8 @@ def test_criterion_09_decomposition_quality(suite):
             worst_ratio = min(
                 worst_ratio, float(rates["sum_rate_hybrid"]) / float(rates["sum_rate_digital"])
             )
+        # Every decomposed state, the zero-forcing ones included.
+        for method in (*_WMMSE_METHODS, "zf"):
             state, _ = cell.solution(method)
             n = state.f_rf.shape[0]
             exact &= float(np.abs(np.abs(state.f_rf) ** 2 * n - 1).max()) <= 1e-12

@@ -56,6 +56,29 @@ class TestZeroForcing:
         with pytest.raises(ConfigurationError, match="2 directions for 3 streams"):
             bd_zero_forcing(channels, (3, 3), power=1.0)
 
+    def test_too_few_null_space_directions_rejected(self, rng):
+        # Two 3 x 4 users: each sees a one-dimensional null space of the
+        # other, so two streams cannot be zero-forced; rounding left in the
+        # projected channel must not count as a direction.
+        for _ in range(50):
+            channels = [random_complex(rng, 3, 4) for _ in range(2)]
+            with pytest.raises(ConfigurationError, match="1 directions for 2 streams"):
+                bd_zero_forcing(channels, (2, 2), power=1.0)
+
+    @pytest.mark.parametrize("weak", [1.0, 1e-6])
+    def test_leakage_at_rounding_level_for_a_user_near_the_others_rows(self, rng, weak):
+        # User 0 is mostly inside user 1's row space, with a null-space
+        # part whose two directions differ in strength by `weak`: the
+        # projection cancels almost all of the channel, yet both streams
+        # must stay orthogonal to user 1 to rounding.
+        n = 8
+        h1 = random_complex(rng, 2, n)
+        null = np.linalg.svd(h1)[2][2:].conj().T  # (n, n - 2)
+        part = np.diag([1.0, weak]) @ null[:, :2].conj().T
+        h0 = 1e3 * random_complex(rng, 2, 2) @ h1 + part
+        f = bd_zero_forcing([h0, h1], (2, 2), power=1.0)
+        assert interference_leakage([h0, h1], f, (2, 2)) < 1e-14
+
     def test_on_scenario_channels(self):
         scenario = desk_scenario(2, n_users=3, bs_shape=(4, 4), paths_per_user=4)
         channels = [assemble_channel(g, isotropic_pattern()) for g in scenario.geometries]

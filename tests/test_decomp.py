@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from helpers import decompose_precoder_loop, random_complex
 from trihybrid.decomp import (
+    _LSTSQ_RCOND,
+    _least_squares,
     _refine_phases,
     decompose_precoder,
     decompose_precoders,
@@ -128,6 +130,25 @@ class TestBatchedDecomposition:
         assert 1 < lengths[2] < 31 and 1 < lengths[4] < 31
         assert batched[3].residual == 0.0 and batched[4].residual < 1e-15
 
+    @pytest.mark.parametrize("picks", [(2, 4), (4, 2), (5, 3), (1, 0), (3, 5, 0, 2, 4, 1)])
+    def test_a_runs_bits_do_not_depend_on_its_batch(self, picks):
+        # Stacks of 2 and 6 runs with mixed exits, in other orders than the
+        # full stack: every run keeps the bits it gets in the full stack
+        # and alone.
+        f_d, power, seeds = self._stack()
+        full = decompose_precoders(f_d, self.CHAINS, power, seeds)
+        picked = decompose_precoders(
+            f_d[list(picks)], self.CHAINS, [power[b] for b in picks], [seeds[b] for b in picks]
+        )
+        for b, got in zip(picks, picked):
+            alone = decompose_precoder(f_d[b], self.CHAINS, power[b], seed=seeds[b])
+            for reference in (full[b], alone):
+                assert got.f_rf.tobytes() == reference.f_rf.tobytes()
+                assert got.f_bb.tobytes() == reference.f_bb.tobytes()
+                assert got.residual == reference.residual and got.scale == reference.scale
+                assert got.history == reference.history
+        assert len({len(got.history) for got in picked}) > 1  # mixed exits
+
     def test_zero_match_keeps_its_phase(self, rng):
         # A chain with no digital gain matches nothing: its analog column
         # keeps its phases, bit for bit, and the other columns still move.
@@ -147,6 +168,54 @@ class TestBatchedDecomposition:
         f_d = random_complex(rng, 2, 4, 2)
         with pytest.raises(ValueError):
             decompose_precoders(f_d, 5, [1.0, 1.0], [0, 1])
+
+
+def _lstsq_per_run(f_rf, f_d):
+    return np.stack(
+        [np.linalg.lstsq(a, b, rcond=_LSTSQ_RCOND)[0] for a, b in zip(f_rf, f_d)]
+    )
+
+
+class TestLeastSquares:
+    """The batched fit against `np.linalg.lstsq` with the same cutoff, run
+    by run.  Two backward-stable solvers of a problem with condition number
+    kappa agree to about kappa * eps relative: 1e-12 of the largest entry
+    for the well-conditioned stacks (kappa below 1e3), 1e-6 for kappa of 1e8
+    and more, still far below the O(1) gap between keeping and dropping a
+    singular value."""
+
+    @pytest.mark.parametrize("shape", [(5, 16, 7), (3, 100, 7), (4, 8, 8), (2, 36, 1)])
+    def test_random_phase_stacks(self, rng, shape):
+        n_runs, n_antennas, n_rf = shape
+        f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape)) / np.sqrt(n_antennas)
+        f_d = random_complex(rng, n_runs, n_antennas, 4)
+        got, expected = _least_squares(f_rf, f_d), _lstsq_per_run(f_rf, f_d)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_repeated_column_gives_the_minimum_norm_solution(self, rng):
+        # An exactly repeated analog column is a zero singular value, dropped
+        # by both: the two copies then share their gain equally.
+        f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 16, 7))) / 4.0
+        f_rf[:, :, 3] = f_rf[:, :, 0]
+        f_d = random_complex(rng, 3, 16, 4)
+        got, expected = _least_squares(f_rf, f_d), _lstsq_per_run(f_rf, f_d)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(got[:, 3] - got[:, 0]).max() <= 1e-12 * np.abs(got).max()
+
+    @pytest.mark.parametrize("ratio", [10.0 * _LSTSQ_RCOND, 0.1 * _LSTSQ_RCOND])
+    def test_singular_value_near_the_cutoff(self, rng, ratio):
+        # Smallest singular value 10x above the cutoff (kept by both) or
+        # 10x below it (dropped by both), the others at least 0.2 of the
+        # largest; keeping it puts entries of about 1 / ratio in the fit.
+        u = np.linalg.qr(random_complex(rng, 3, 16, 7))[0]
+        v = np.linalg.qr(random_complex(rng, 3, 7, 7))[0]
+        singulars = np.array([1.0, 0.8, 0.6, 0.4, 0.3, 0.2, ratio])
+        f_rf = u @ (singulars[:, None] * v.conj().swapaxes(1, 2))
+        f_d = random_complex(rng, 3, 16, 4)
+        got, expected = _least_squares(f_rf, f_d), _lstsq_per_run(f_rf, f_d)
+        assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+        kept = ratio > _LSTSQ_RCOND
+        assert (np.abs(got).max() > 1e3 * np.abs(f_d).max()) == kept
 
 
 class TestRescale:

@@ -1,6 +1,10 @@
 import configparser
 import csv
+import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +218,33 @@ class TestRun:
         serial = Path(run_experiment(cfg, worker_count=1)).read_bytes()
         parallel = Path(run_experiment(cfg, worker_count=2)).read_bytes()
         assert serial == parallel
+
+    def test_results_independent_of_blas_thread_count(self, tmp_path):
+        # At N = 100 a full SVD of the zero-forcing step changed its last
+        # bits between one and two OpenBLAS threads.  The fixed-pattern and
+        # zero-forcing rows (their precoders and their batched
+        # decompositions) must be byte-identical under both, each run in
+        # one of exactly two subprocesses.
+        text = (
+            MINI.replace("bs_rows = 3", "bs_rows = 10")
+            .replace("bs_cols = 3", "bs_cols = 10")
+            .replace("max_outer_iterations = 6", "max_outer_iterations = 3")
+            .replace("methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf")
+            .replace("seeds = 1", "seeds = 1 2 3")
+        )
+        cfg = write_config(tmp_path, text)
+        package_root = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        command = "from trihybrid.cli import main; raise SystemExit(main())"
+        digests = []
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-c", command, "run", str(cfg), "--workers", "1"],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                check=True, capture_output=True,
+            )
+            digests.append(hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize(
         "methods", ["model1 model2 wmmse_fixed zf", "model1 model2 zf"]
