@@ -4,9 +4,10 @@ Reads a flat key-value config (INI sections: scenario, solver, sweep), runs
 every sweep point x method x scenario seed, and appends one row per run to a
 results CSV.  The methods of one (sweep point, scenario seed) cell share its
 scenario and fixed-pattern solve, and every cell shares the candidate grid.
-The WMMSE runs of all cells that share a solver and array shapes are solved
-in one lockstep batch, and their zero-forcing precoders decomposed in one
-batch, before the rows are made; the rows only read.  Runs are deterministic
+The WMMSE runs of all cells that share a solver, pattern width and receive
+counts are solved in one lockstep batch whatever their antenna counts, and
+their zero-forcing precoders decomposed in batches, before the rows are
+made; the rows only read.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
 are fixed, a run's results do not depend on its batch, and rows are written
 in sweep order regardless of worker count.  Wall-clock timings go to a
@@ -426,15 +427,13 @@ def _zero_forcing(runs: list[Run], stream_counts) -> list[tuple[PrecoderState, T
     """BD zero forcing on the baseline pattern of each run of a batch, with
     the precoders decomposed in batches; a trace records the decomposition's
     seconds only."""
-    n_antennas = runs[0].effs[0].n_antennas
-    antenna_matrix = np.ones((len(runs), n_antennas, 1))
-    f_d = np.stack([
-        bd_zero_forcing([compose(e, antenna_matrix[0]) for e in run.effs], stream_counts,
-                        run.config.power)
-        for run in runs
-    ])
-    power = np.stack([np.full(n_antennas, run.config.power) for run in runs])
-    states = decompose_states(f_d, antenna_matrix, power, [run.config for run in runs])
+    matrices = [np.ones((run.effs[0].n_antennas, 1)) for run in runs]
+    f_d = [
+        bd_zero_forcing([compose(e, matrix) for e in run.effs], stream_counts, run.config.power)
+        for run, matrix in zip(runs, matrices)
+    ]
+    power = [np.full(len(matrix), run.config.power) for run, matrix in zip(runs, matrices)]
+    states = decompose_states(f_d, matrices, power, [run.config for run in runs])
     return [(state, Trace(converged=True, decomp_s=seconds)) for state, seconds in states]
 
 
@@ -497,7 +496,8 @@ def _reads(config: ExperimentConfig, method: str) -> tuple[str, ...]:
 
 def _solve_batches(cells: list[_Cell], method: str) -> None:
     """Build and solve `method`'s run of every cell, one lockstep batch per
-    set of array shapes.
+    :attr:`Run.shapes`: the runs' pattern width and receive counts, so that
+    the cells of every antenna count share a batch.
 
     A batch of more than one run that raises is solved again run by run,
     so one failing run loses only its own cell.  A run whose inputs or solve

@@ -13,9 +13,12 @@ Two solvers are provided: :func:`run_selection` for a finite candidate set
 per antenna and :func:`run_synthesis` for freely synthesized patterns with a
 pinned constant component.  Both record a per-iteration trace and decompose
 the optimized digital precoder into analog and digital stages at the end.
-:func:`solve_selection` and :func:`solve_synthesis` run a batch of
-same-shape solves in lockstep through the same loop, one array operation
-for every run at once; a run's results do not depend on its batch.
+:func:`solve_selection` and :func:`solve_synthesis` run a batch of solves
+with the same pattern width and receive counts in lockstep through the same
+loop, whatever their antenna counts: antenna step n is one array operation
+over every run that has antenna n, and the work that sums over a run's
+antennas runs once per antenna count.  A run's results do not depend on its
+batch.
 """
 
 from __future__ import annotations
@@ -268,75 +271,163 @@ def wmmse_objective(weights: np.ndarray, mse: np.ndarray, masks: np.ndarray, bet
 # ||f||^2 v^T Q_n v + 2 Re(f^H L_n v), with Q_n the (W, W) Hermitian PSD quad
 # term and L_n the (D, W) linear term.
 
-def _per_antenna(matrix: np.ndarray, n_antennas: int) -> np.ndarray:
-    """(B, rows, N W) -> (N, B, rows, W): antenna-major, so that one
-    antenna's blocks of every run are one contiguous slice."""
-    blocks = matrix.reshape(*matrix.shape[:2], n_antennas, -1)
-    return np.ascontiguousarray(blocks.transpose(2, 0, 1, 3))
+class _Pairs:
+    """Where the (antenna, run) pairs of a batch sit in its arrays.
+
+    The runs are ordered by antenna count, largest first, so the runs that
+    have antenna n are the leading `counts[n]` runs.  Pair arrays are
+    antenna-major over the pairs that exist: antenna n of every run that
+    has it is the contiguous slice `slices[n]`, run b at its start plus b.
+    When every run has every antenna this is the (N, B) order.  Run-major
+    arrays hold each run's antennas as consecutive rows, run after run, so
+    that the runs of one antenna count form one contiguous (runs, N) block;
+    `groups` holds each block's (runs, rows, N).  The antennas that a group
+    has and no smaller group has form one regular (antennas, runs) block of
+    pairs, its `segments` entry (pairs, antennas, runs).  Nothing is padded.
+    """
+
+    def __init__(self, n_antennas: list[int]):
+        self.n_antennas = n_antennas
+        counts = np.count_nonzero(
+            np.arange(n_antennas[0])[:, None] < np.array(n_antennas), axis=1
+        )
+        self.counts = counts.tolist()
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        firsts = np.concatenate([[0], np.cumsum(n_antennas)])
+        self.firsts = firsts[:-1]  # each run's first row
+        # The row of every pair, and the pair of every row.
+        self.antenna_major = np.concatenate(
+            [firsts[:count] + n for n, count in enumerate(self.counts)]
+        )
+        self.run_major = np.concatenate([starts[:size] + b for b, size in enumerate(n_antennas)])
+        starts = starts.tolist()
+        self.slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        self.groups = []
+        lo = 0
+        for hi in range(1, len(n_antennas) + 1):
+            if hi == len(n_antennas) or n_antennas[hi] != n_antennas[lo]:
+                self.groups.append((slice(lo, hi), slice(firsts[lo], firsts[hi]), n_antennas[lo]))
+                lo = hi
+        lows = [size for _, _, size in self.groups[1:]] + [0]
+        self.segments = [
+            (slice(starts[low], starts[size]), slice(low, size), runs.stop)
+            for (runs, _, size), low in zip(self.groups, lows)
+        ]
+
+    def rows_of(self, runs: list[int]) -> np.ndarray:
+        """The rows of the given runs, run after run."""
+        return np.concatenate(
+            [np.arange(self.firsts[b], self.firsts[b] + self.n_antennas[b]) for b in runs]
+        )
+
+    def maxima(self, values: np.ndarray) -> list[float]:
+        """Every run's largest entry of a run-major (rows,) array."""
+        return np.maximum.reduceat(values, self.firsts).tolist()
+
+    def per_antenna(self, matrices: list[np.ndarray]) -> np.ndarray:
+        """Every group's (runs, rows, N W) stack of matrices as one pair
+        array, (pairs, rows, W): each pair's own block of columns, copied
+        segment by segment with no temporary."""
+        rows, columns = matrices[0].shape[1:]
+        width = columns // self.n_antennas[0]
+        out = np.empty((len(self.run_major), rows, width), complex)
+        for g, ((runs, _, size), matrix) in enumerate(zip(self.groups, matrices)):
+            blocks = matrix.reshape(len(matrix), rows, size, width).transpose(2, 0, 1, 3)
+            for pairs, antennas, count in self.segments[g:]:
+                out[pairs].reshape(-1, count, rows, width)[:, runs] = blocks[antennas]
+        return out
 
 
 @dataclass(frozen=True)
 class _Users:
     """What a batch of solves keeps of its runs' users and budgets.
 
-    Per run: the users' lifted channels, (B, K, M, N W), their conjugated
-    per-antenna blocks from :func:`_per_antenna`, the noise powers, the
-    per-antenna power budgets and, in a synthesis solve, the
-    :func:`reduction_factors` of its power share rho; the stream masks are
+    Per group of runs with one antenna count, the users' lifted channels,
+    (runs, K, M, N W); per pair, their conjugated blocks, (pairs, K M, W);
+    per run, the noise powers and, in a synthesis solve, the
+    :func:`reduction_factors` of its power share rho; the per-antenna
+    power budgets per run-major row and per pair.  The stream masks are
     shared.
     """
 
-    lifted: np.ndarray
+    layout: _Pairs
+    lifted: list[np.ndarray]
     blocks_conj: np.ndarray
     masks: np.ndarray
     noise: np.ndarray  # (B, K, 1, 1)
-    power: np.ndarray  # (B, N)
+    power: np.ndarray  # (rows,)
     factors: np.ndarray | None  # (B, 5), or None in a selection solve
+
+    @functools.cached_property
+    def budgets(self) -> np.ndarray:
+        """The per-antenna power budgets per pair, (pairs,)."""
+        return self.power[self.layout.antenna_major]
 
     @classmethod
     def of(cls, runs, stream_counts, factors=None) -> "_Users":
-        lifted = np.stack([_stack_users([eff.matrix for eff in run.effs]) for run in runs])
-        n_runs, n_users, n_rx, n_cols = lifted.shape
-        n_antennas = runs[0].effs[0].n_antennas
+        layout = _Pairs([run.effs[0].n_antennas for run in runs])
+        lifted = [
+            np.stack([_stack_users([eff.matrix for eff in run.effs]) for run in runs[group]])
+            for group, _, _ in layout.groups
+        ]
+        n_users, n_rx = lifted[0].shape[1:3]
         noise = [
             np.broadcast_to(np.reshape(run.config.noise, (-1, 1, 1)), (n_users, 1, 1))
             for run in runs
         ]
         return cls(
+            layout=layout,
             lifted=lifted,
-            blocks_conj=_per_antenna(
-                lifted.reshape(n_runs, n_users * n_rx, n_cols).conj(), n_antennas
-            ),
+            blocks_conj=layout.per_antenna(
+                [stack.reshape(len(stack), n_users * n_rx, -1) for stack in lifted]
+            ).conj(),
             masks=stream_masks(stream_counts),
             noise=np.stack(noise),
-            power=np.stack([_budgets(run.config, n_antennas) for run in runs]),
+            power=np.concatenate(
+                [_budgets(run.config, n) for run, n in zip(runs, layout.n_antennas)]
+            ),
             factors=factors,
         )
 
-    @property
-    def n_antennas(self) -> int:
-        return self.blocks_conj.shape[0]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """Every run's users stacked into one (K M) x N W channel."""
-        n_runs, n_users, n_rx, n_cols = self.lifted.shape
-        return self.lifted.reshape(n_runs, n_users * n_rx, n_cols)
-
     def take(self, runs: list[int]) -> "_Users":
-        """The users of the given runs of the batch."""
+        """The users of the given runs of the batch, in order."""
+        layout = _Pairs([self.layout.n_antennas[b] for b in runs])
+        rows = self.layout.rows_of(runs)
+        lifted = []
+        for (group, _, _), stack in zip(self.layout.groups, self.lifted):
+            kept = [b - group.start for b in runs if group.start <= b < group.stop]
+            if kept:
+                lifted.append(stack[kept])
         return _Users(
-            self.lifted[runs], self.blocks_conj[:, runs], self.masks, self.noise[runs],
-            self.power[runs], None if self.factors is None else self.factors[runs],
+            layout, lifted, self.blocks_conj[self.layout.run_major[rows[layout.antenna_major]]],
+            self.masks, self.noise[runs], self.power[rows],
+            None if self.factors is None else self.factors[runs],
         )
 
     def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
-        """The covariance pass of every run's composed channel and `f_d`."""
-        n_runs, n_users, n_rx, _ = self.lifted.shape
-        blocks = self.lifted.reshape(n_runs, n_users * n_rx, self.n_antennas, -1)
-        channel = np.einsum("bmnw,bnw->bmn", blocks, antenna_matrix)
-        return received_covariances(
-            channel.reshape(n_runs, n_users, n_rx, -1), f_d, self.masks, self.noise
+        """The covariance pass of every run's composed channel and `f_d`,
+        given run-major, (rows, W) and (rows, D): one pass per antenna
+        count."""
+        parts = []
+        for (group, rows, n_antennas), lifted in zip(self.layout.groups, self.lifted):
+            n_runs, n_users, n_rx, _ = lifted.shape
+            channel = np.einsum(
+                "bmnw,bnw->bmn",
+                lifted.reshape(n_runs, n_users * n_rx, n_antennas, -1),
+                antenna_matrix[rows].reshape(n_runs, n_antennas, -1),
+            )
+            parts.append(received_covariances(
+                channel.reshape(n_runs, n_users, n_rx, -1),
+                f_d[rows].reshape(n_runs, n_antennas, -1),
+                self.masks,
+                self.noise[group],
+            ))
+        if len(parts) == 1:
+            return parts[0]
+        return Covariances(
+            *(np.concatenate([getattr(part, name) for part in parts])
+              for name in ("received", "own", "interference", "total")),
+            self.masks,
         )
 
 
@@ -351,29 +442,33 @@ def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
 
 class _SweepWorkspace:
     """What one antenna sweep of a batch shares, built once per sweep and
-    batched over antennas and runs.
+    batched over the (antenna, run) pairs of :class:`_Pairs`.
 
-    Arrays are antenna-major, (N, B, ...), so that an antenna step reads one
-    contiguous slice for every run.  `antenna_matrix` (B, N, W) is the
-    solver loop's own array and every commit updates it in place; the rows
-    are kept in `rows_conj`, and :meth:`precoders` hands them back as the
-    loop's (B, N, D) digital precoders.
+    Arrays are antenna-major over the pairs, so that an antenna step reads
+    one contiguous slice, `slices[n]`, for every run that has the antenna;
+    those are the leading runs of the run axis, and `runs[n]` holds the
+    run-axis views an antenna step uses, cut to them.  `antenna_matrix`
+    (pairs, W) holds every pair's pattern vector and every commit updates
+    it; the rows are kept in `rows_conj`, and :meth:`precoders` and
+    :meth:`patterns` hand both back run-major, as the loop keeps them.
 
     The users' weighted receive projections beta_k U_k W_k U_k^H applied to
-    the stacked lifted channel give `proj`; antenna n's quad term Q_n and the
+    the lifted channels give `proj`; antenna n's quad term Q_n and the
     alignment part of its linear term depend only on these.  The linear
     term is R^T P_n - O_n: R is the received signal of the composed channel
     times the digital precoder, kept conjugated, and the offset
-    O_n = conj(f_n) (a_n^T Q_n) + align_n takes antenna n's own signal out
+    O_n = align_n + conj(f_n) (a_n^T Q_n) takes antenna n's own signal out
     of the coupling.  In a Gauss-Seidel sweep f_n and a_n do not change
-    before antenna n's own step, so every offset is built here, once; each
-    antenna reads its linear term once, before it commits.  R starts from
-    the covariance pass's copy and is corrected at every commit (rank two,
-    or one column per one-hot vector for a selection), so it stays exact
-    under any order of commits.  The correction reads the old row from a
-    running conjugate copy of the rows, `rows_conj`, which every commit
-    updates; a selection also keeps each antenna's current candidate as a
-    Python list and its block column as an array.
+    before antenna n's own step, so every offset is built here, once, in
+    the alignment's buffer; each antenna reads its linear term once, before
+    it commits.  R starts from the covariance pass's copy and is corrected
+    at every commit (rank two, or one column per one-hot vector for a
+    selection), so it stays exact under any order of commits.  The
+    correction reads the old row from a running conjugate copy of the rows,
+    `rows_conj`, which every commit updates; a selection also keeps each
+    antenna's current candidate as a Python list and its block column as an
+    array.  `proj` and the alignment are formed from the lifted channels of
+    each antenna count, one product per count.
 
     The step closed forms read what else the sweep cannot change: the real
     diagonals of the quad terms and their guarded inverses
@@ -381,16 +476,17 @@ class _SweepWorkspace:
     Re Q_n[1:, 0] and the :func:`sphere_terms` for synthesis.  Each is
     built on first use: `step_quads` and the selection state only by
     selection steps, `row_quads` and `pinned` only by synthesis steps, and
-    `sphere_terms` decomposes every antenna in one batched call only in
+    `sphere_terms` decomposes every pair in one batched call only in
     sweeps that solve on the sphere.  `rows` is a buffer the selection step
     fills with every run's new row before one commit.
     """
 
     def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
-        n_runs, n_users, n_rx, n_cols = users.lifted.shape
-        n_antennas = users.n_antennas
-        self.antenna_matrix = antenna_matrix
-        self.budgets = users.power.T  # (N, B)
+        layout = users.layout
+        n_runs, n_users, n_rx, _ = received.shape
+        self.slices, self._run_major = layout.slices, layout.run_major
+        self.antenna_matrix = antenna_matrix[layout.antenna_major]
+        self.budgets = users.budgets
         self.factors = users.factors
         self.blocks_conj = users.blocks_conj
         beta = np.asarray(beta, dtype=float)
@@ -402,105 +498,125 @@ class _SweepWorkspace:
             n_runs, -1, n_users * n_rx
         )
         stream_beta = beta @ users.masks
-        self.proj = _per_antenna(
-            (proj @ users.lifted).reshape(n_runs, n_users * n_rx, n_cols), n_antennas
-        )
-        self.align = _per_antenna(stream_beta[:, None] * (align @ users.stacked), n_antennas)
+        groups = [(group, lifted) for (group, _, _), lifted in zip(layout.groups, users.lifted)]
+        self.proj = layout.per_antenna([
+            (proj[group] @ lifted).reshape(len(lifted), n_users * n_rx, -1)
+            for group, lifted in groups
+        ])
+        # The alignment terms, to which the offset's own-signal part is added.
+        self.offset = layout.per_antenna([
+            stream_beta[:, None] * (align[group] @ lifted.reshape(len(lifted), n_users * n_rx, -1))
+            for group, lifted in groups
+        ])
         self.quad = self.blocks_conj.swapaxes(-1, -2) @ self.proj
         self.quad += self.quad.conj().swapaxes(-1, -2)  # Hermitian part, in place
         self.quad *= 0.5
         self.received_conj = received.reshape(n_runs, n_users * n_rx, -1).conj()
-        self._received_t = self.received_conj.swapaxes(1, 2)
-        self.rows_conj = np.ascontiguousarray(f_d.swapaxes(0, 1)).conj()
-        # a_n^T Q_n, (N, B, W)
-        self._pattern_quad = (antenna_matrix.swapaxes(0, 1)[..., None, :] @ self.quad)[..., 0, :]
-        self.offset = self.rows_conj[..., None] * self._pattern_quad[..., None, :]
-        self.offset += self.align
-        self.rows = np.empty(f_d.shape[::2], dtype=complex)
+        self.rows_conj = f_d[layout.antenna_major]
+        np.conjugate(self.rows_conj, out=self.rows_conj)
+        # a_n^T Q_n, (pairs, W)
+        self._pattern_quad = (self.antenna_matrix[:, None, :] @ self.quad)[:, 0, :]
+        self.offset += self.rows_conj[..., None] * self._pattern_quad[..., None, :]
+        self.rows = np.empty((n_runs, f_d.shape[1]), dtype=complex)
+        # Per antenna: R^T, R and the row buffer of its runs, and their
+        # factors; one set of views per segment.
+        self.runs = []
+        for _, antennas, count in reversed(layout.segments):
+            received = self.received_conj[:count]
+            factors = None if self.factors is None else self.factors[:count]
+            views = (received.swapaxes(1, 2), received, self.rows[:count], factors)
+            self.runs += [views] * (antennas.stop - antennas.start)
 
     @functools.cached_property
-    def row_quads(self) -> list[list[float]]:
-        """Re(a_n^T Q_n a_n) of every antenna and run as Python floats,
-        indexed [n][b]."""
-        return np.einsum(
-            "...w,...w->...", self._pattern_quad.real, self.antenna_matrix.swapaxes(0, 1)
-        ).tolist()
+    def row_quads(self) -> list[float]:
+        """Re(a_n^T Q_n a_n) of every pair as Python floats."""
+        return np.einsum("...w,...w->...", self._pattern_quad.real, self.antenna_matrix).tolist()
 
     @functools.cached_property
     def pinned(self) -> np.ndarray:
-        """Re Q_n[1:, 0] of every antenna and run, (N, B, W - 1)."""
-        return self.quad[..., 1:, 0].real
+        """Re Q_n[1:, 0] of every pair, (pairs, W - 1)."""
+        return self.quad[:, 1:, 0].real
 
     @functools.cached_property
     def sphere_terms(self) -> tuple:
-        """Every antenna's :func:`sphere_terms` in every run, indexed
-        [n][b], from one batched call on the quad terms and the current
-        pattern vectors.  Built at the first step that solves on the
-        sphere, when every antenna still to step holds the vector it had
-        at the start of the sweep and keeps until its own step."""
-        return sphere_terms(self.quad, self.antenna_matrix.swapaxes(0, 1))
+        """Every pair's :func:`sphere_terms` from one batched call on the
+        quad terms and the current pattern vectors.  Built at the first
+        step that solves on the sphere, when every antenna still to step
+        holds the vector it had at the start of the sweep and keeps until
+        its own step."""
+        return sphere_terms(self.quad, self.antenna_matrix)
 
     @functools.cached_property
     def step_quads(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every antenna's :func:`candidate_quads`, (N, B, W) each."""
+        """Every pair's :func:`candidate_quads`, (pairs, W) each."""
         return candidate_quads(self.quad)
 
     @functools.cached_property
     def _selection(self) -> tuple[list[list[int]], np.ndarray]:
-        """Every antenna's current candidate, indexed [n][b], and its block
-        column, (N, B, K M, 1)."""
-        selected = self.antenna_matrix.argmax(axis=2).T
-        n_antennas, n_runs = selected.shape
-        columns = self.blocks_conj[np.arange(n_antennas)[:, None], np.arange(n_runs), :, selected]
-        return selected.tolist(), columns[..., None]
+        """Every antenna's current candidate in each of its runs, indexed
+        [n][b], and every pair's block column, (pairs, K M, 1)."""
+        selected = self.antenna_matrix.argmax(axis=1)
+        columns = self.blocks_conj[np.arange(len(selected)), :, selected]
+        selected = selected.tolist()
+        return [selected[pairs] for pairs in self.slices], columns[..., None]
 
     def linear(self, n: int) -> np.ndarray:
-        """Antenna n's (B, D, W) linear terms: one cross-term product and the
-        offset."""
-        return self._received_t @ self.proj[n] - self.offset[n]
+        """Antenna n's (runs, D, W) linear terms: one cross-term product and
+        the offset."""
+        pairs = self.slices[n]
+        return self.runs[n][0] @ self.proj[pairs] - self.offset[pairs]
 
     def apply(self, n: int, vectors: np.ndarray, rows: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row in every
-        run, (B, W) and (B, D)."""
-        self.received_conj += self.blocks_conj[n] @ (
+        run that has it, (runs, W) and (runs, D)."""
+        pairs, received_conj = self.slices[n], self.runs[n][1]
+        received_conj += self.blocks_conj[pairs] @ (
             vectors[:, :, None] * rows[:, None, :]
-            - self.antenna_matrix[:, n, :, None] * self.rows_conj[n][:, None, :]
+            - self.antenna_matrix[pairs, :, None] * self.rows_conj[pairs][:, None, :]
         )
-        self.antenna_matrix[:, n] = vectors
-        self.rows_conj[n] = rows
+        self.antenna_matrix[pairs] = vectors
+        self.rows_conj[pairs] = rows
 
     def select(self, n: int, indices: list[int], rows: np.ndarray) -> None:
         """Commit candidate indices[b] and precoder row rows[b] of a one-hot
-        antenna n in every run b: the received signal moves by one column of
-        the antenna's block per vector, col (row - old_row) in a run that
-        keeps its candidate and col_new row - col_old old_row in one that
-        changes it.  A step that keeps every run's candidate, by far the
-        most common, commits all runs in one operation; one that changes
-        some commits run by run."""
+        antenna n in every run b that has it: the received signal moves by
+        one column of the antenna's block per vector, col (row - old_row)
+        in a run that keeps its candidate and col_new row - col_old old_row
+        in one that changes it.  The runs that keep their candidates, in a
+        step by far the most common, commit in one operation; the others
+        commit run by run."""
         selection, columns = self._selection
-        selection, columns, old_rows = selection[n], columns[n], self.rows_conj[n]
+        pairs = self.slices[n]
+        selection, columns, old_rows = selection[n], columns[pairs], self.rows_conj[pairs]
+        received_conj = self.runs[n][1]
         if indices == selection:
-            self.received_conj += columns * (rows - old_rows)[:, None]
+            received_conj += columns * (rows - old_rows)[:, None]
         else:
-            for b, (new, old) in enumerate(zip(indices, selection)):
-                if new == old:
-                    self.received_conj[b] += columns[b] * (rows[b] - old_rows[b])
-                    continue
-                blocks = self.blocks_conj[n, b]
-                self.received_conj[b] += (
+            changed = [b for b, (new, old) in enumerate(zip(indices, selection)) if new != old]
+            if len(changed) < len(indices):
+                kept = [b for b, (new, old) in enumerate(zip(indices, selection)) if new == old]
+                received_conj[kept] += columns[kept] * (rows[kept] - old_rows[kept])[:, None]
+            for b in changed:
+                new, old, blocks = indices[b], selection[b], self.blocks_conj[pairs.start + b]
+                received_conj[b] += (
                     blocks[:, new, None] * rows[b] - blocks[:, old, None] * old_rows[b]
                 )
                 columns[b] = blocks[:, new, None]
-                self.antenna_matrix[b, n, old] = 0.0
-                self.antenna_matrix[b, n, new] = 1.0
+                self.antenna_matrix[pairs.start + b, old] = 0.0
+                self.antenna_matrix[pairs.start + b, new] = 1.0
                 selection[b] = new
-        self.rows_conj[n] = rows
+        self.rows_conj[pairs] = rows
 
     def precoders(self, out: np.ndarray | None = None) -> np.ndarray:
         """Every run's digital precoder with the rows committed so far,
-        (B, N, D), written into `out` when given."""
-        rows = self.rows_conj.swapaxes(0, 1)
-        return np.conjugate(rows, out=np.empty(rows.shape, dtype=complex) if out is None else out)
+        run-major (rows, D), written into `out` when given."""
+        rows = np.take(self.rows_conj, self._run_major, axis=0, out=out)
+        return np.conjugate(rows, out=rows)
+
+    def patterns(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Every run's pattern vectors, run-major (rows, W), written into
+        `out` when given."""
+        return np.take(self.antenna_matrix, self._run_major, axis=0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -692,21 +808,24 @@ def synthesize_pattern_and_row(
 # ---------------------------------------------------------------------------
 
 def decompose_states(f_d, antenna_matrix, power, configs) -> list[tuple[PrecoderState, float]]:
-    """The state of each run's digital precoder f_d[b], (B, N, D), factored
+    """The state of each run's digital precoder f_d[b], (N_b, D), factored
     into analog and digital stages with configs[b]'s chain count and seed.
 
-    `antenna_matrix` and `power` hold each run's pattern matrix and
-    per-antenna budgets.  The runs that share a chain count are decomposed
-    in one batched call.  Returns one (state, seconds) per run, the seconds
-    its equal share of its call.
+    `antenna_matrix[b]` and `power[b]` hold run b's pattern matrix and
+    per-antenna budgets.  The runs that share a chain count and an antenna
+    count are decomposed in one batched call.  Returns one (state, seconds)
+    per run, the seconds its equal share of its call.
     """
-    groups: dict = {}  # chain count -> its runs
+    groups: dict = {}  # (chain count, antenna count) -> its runs
     for b, config in enumerate(configs):
-        groups.setdefault(config.rf_chains, []).append(b)
+        groups.setdefault((config.rf_chains, len(f_d[b])), []).append(b)
     states: list = [None] * len(configs)
-    for n_rf, group in groups.items():
+    for (n_rf, _), group in groups.items():
         started = time.perf_counter()
-        parts = decompose_precoders(f_d[group], n_rf, power[group], [configs[b].seed for b in group])
+        parts = decompose_precoders(
+            np.stack([f_d[b] for b in group]), n_rf, [power[b] for b in group],
+            [configs[b].seed for b in group],
+        )
         share = (time.perf_counter() - started) / len(group)
         for b, part in zip(group, parts):
             states[b] = (
@@ -729,12 +848,6 @@ def _initial_precoders(rng, n_antennas, n_chains, n_streams, power):
     return f_d * feasibility_scale(f_d, power)
 
 
-def _power_violation(f_d: np.ndarray, power: np.ndarray) -> list[float]:
-    """Every run's largest relative excess of an antenna's power."""
-    per_antenna = np.sum(np.abs(f_d) ** 2, axis=-1)
-    return np.max(per_antenna / power - 1.0, axis=-1).tolist()
-
-
 @dataclass(frozen=True)
 class Run:
     """One solve of a batch: one lifted channel per user, the solver
@@ -746,8 +859,9 @@ class Run:
 
     @property
     def shapes(self) -> tuple:
-        """The array shapes that the runs of one batch share."""
-        return tuple((eff.block_width, eff.matrix.shape) for eff in self.effs)
+        """What the runs of one batch share: each user's pattern width and
+        receive count.  Their antenna counts may differ."""
+        return tuple((eff.block_width, eff.n_rx) for eff in self.effs)
 
 
 def _initial_f_d(run: Run, n_antennas: int, d_total: int, power: np.ndarray) -> np.ndarray:
@@ -769,45 +883,55 @@ def _run_bcd(
     runs: list[Run],
     stream_counts,
     step,
-    antenna_matrix: np.ndarray,
+    starts: np.ndarray,
     row_power_target: float,
     block_monitor=None,
     factors=None,
 ) -> list[tuple[PrecoderState, Trace]]:
-    """Common outer loop of a batch of same-shape runs, in lockstep:
-    auxiliaries, antenna sweep, trace, decomposition.
+    """Common outer loop of a batch of runs with the same pattern width and
+    receive counts, in lockstep: auxiliaries, antenna sweep, trace,
+    decomposition.
 
-    `antenna_matrix` (B, N, W) holds every run's start pattern vectors.
-    `step(workspace, n)` updates antenna n of every run through the
-    workspace, which writes the new pattern vectors into `antenna_matrix`.
-    Every batched operation acts on each run alone, so a run's iterates do
-    not depend on which runs share its batch.  A run leaves the batch in
-    the iteration where its own stop test fires or it reaches its own
-    iteration cap; its precoder, pattern matrix and budgets are kept, and
-    when the batch ends every run is decomposed in one batched call per
-    chain count.  Each iteration's seconds, and each of its phase seconds,
-    are split evenly among the runs active in it, and each call's seconds
-    among the runs it decomposes.  `block_monitor(label, objectives)` gets
-    every active run's objective after each block.  `factors` holds each
-    run's :func:`reduction_factors` in a synthesis solve.  Returns one
-    (state, trace) per run.
+    `starts` (B, W) holds the pattern vector every antenna of each run
+    starts from.  The runs are ordered by antenna count, largest first
+    (:class:`_Pairs`), and the results handed back in the given order.
+    `step(workspace, n)` updates antenna n of every run that has it
+    through the workspace.  Every batched operation acts on each run alone,
+    so a run's iterates do not depend on which runs share its batch.  A run
+    leaves the batch in the iteration where its own stop test fires or it
+    reaches its own iteration cap; its precoder, pattern matrix and budgets
+    are kept, and when the batch ends every run is decomposed in one
+    batched call per chain count and antenna count.  Each iteration's
+    receiver and objective seconds are split evenly among the runs active
+    in it, its sweep seconds in proportion to their antenna counts, and
+    each call's seconds among the runs it decomposes.
+    `block_monitor(label, objectives)` gets every active run's objective
+    after each block.  `factors` holds each run's :func:`reduction_factors`
+    in a synthesis solve.  Returns one (state, trace) per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
-        raise ValueError(f"the runs of a batch need the same array shapes, got {sorted(shapes)}")
+        raise ValueError(
+            "the runs of a batch need the same array shapes apart from the antenna count, "
+            f"got {sorted(shapes)}"
+        )
+    order = sorted(range(len(runs)), key=lambda r: -runs[r].effs[0].n_antennas)
+    runs = [runs[r] for r in order]
     n_users = len(runs[0].effs)
     d_total = sum(stream_counts)
-    users = _Users.of(runs, stream_counts, factors)
-    n_antennas = users.n_antennas
-    f_d = np.stack(
-        [_initial_f_d(run, n_antennas, d_total, power) for run, power in zip(runs, users.power)]
-    )
+    users = _Users.of(runs, stream_counts, None if factors is None else factors[order])
+    layout = users.layout
+    f_d = np.concatenate([
+        _initial_f_d(run, n, d_total, users.power[first : first + n])
+        for run, first, n in zip(runs, layout.firsts.tolist(), layout.n_antennas)
+    ])
+    antenna_matrix = np.repeat(starts[order], layout.n_antennas, axis=0)
     beta = np.ones(n_users) / n_users
 
-    active = list(range(len(runs)))  # the run of each row of the batch arrays
+    active = list(range(len(runs)))  # the run at each place of the batch's run axis
     traces = [Trace() for _ in runs]
     previous: list = [None] * len(runs)
-    left: list = []  # (runs, f_d, antenna_matrix, power) of each iteration's leaving runs
+    left: list = []  # (run, f_d, antenna_matrix, power) of each run that left
     weights = np.broadcast_to(
         np.eye(d_total, dtype=complex), (len(runs), n_users, d_total, d_total)
     )
@@ -831,16 +955,18 @@ def _run_bcd(
         workspace = _SweepWorkspace(
             users, antenna_matrix, f_d, cov.received, receivers, weights, beta
         )
-        for n in range(n_antennas):
+        for n in range(layout.n_antennas[0]):
             step(workspace, n)
             if block_monitor is not None:
                 block_monitor(
                     f"antenna_{n}",
                     objective_of(
-                        users.covariances(antenna_matrix, workspace.precoders()), receivers, weights
+                        users.covariances(workspace.patterns(), workspace.precoders()),
+                        receivers, weights,
                     ),
                 )
         workspace.precoders(out=f_d)
+        workspace.patterns(out=antenna_matrix)
         del workspace  # so the next sweep does not build its own beside it
         evaluated = time.perf_counter()
 
@@ -848,12 +974,14 @@ def _run_bcd(
         cov = users.covariances(antenna_matrix, f_d)
         objectives = objective_of(cov, receivers, weights)
         rates, _ = weighted_sum_rate(cov, beta)
-        violations = _power_violation(f_d, users.power)
-        deviations = np.max(
-            np.abs(np.sum(antenna_matrix**2, axis=-1) - row_power_target), axis=-1
-        ).tolist()
+        violations = layout.maxima(np.sum(np.abs(f_d) ** 2, axis=-1) / users.power - 1.0)
+        deviations = layout.maxima(
+            np.abs(np.sum(antenna_matrix**2, axis=-1) - row_power_target)
+        )
         finished = time.perf_counter()
 
+        shared = ((swept - started) + (finished - evaluated)) / len(active)
+        per_step = (evaluated - swept) / sum(layout.n_antennas)
         leaving = []
         for b, r in enumerate(active):
             trace, objective = traces[r], objectives[b]
@@ -861,10 +989,11 @@ def _run_bcd(
             trace.sum_rate.append(rates[b])
             trace.max_power_violation.append(violations[b])
             trace.antenna_deviation.append(deviations[b])
+            sweep = per_step * layout.n_antennas[b]
             trace.receivers_s += (swept - started) / len(active)
-            trace.sweep_s += (evaluated - swept) / len(active)
+            trace.sweep_s += sweep
             trace.objective_s += (finished - evaluated) / len(active)
-            trace.iter_seconds.append((finished - started) / len(active))
+            trace.iter_seconds.append(shared + sweep)
             if previous[r] is not None:
                 drop = (previous[r] - objective) / max(1.0, abs(previous[r]))
                 if drop < runs[r].config.objective_tol:
@@ -874,53 +1003,57 @@ def _run_bcd(
                 leaving.append(b)
 
         if leaving:
-            left.append(
-                ([active[b] for b in leaving], f_d[leaving], antenna_matrix[leaving],
-                 users.power[leaving])
-            )
+            for b in leaving:  # copies, which keep no batch array alive
+                rows = layout.rows_of([b])
+                left.append((active[b], f_d[rows], antenna_matrix[rows], users.power[rows]))
             kept = [b for b in range(len(active)) if b not in leaving]
             active = [active[b] for b in kept]
-            users, cov = users.take(kept), cov.take(kept)
-            f_d, antenna_matrix, weights = f_d[kept], antenna_matrix[kept], weights[kept]
+            if kept:
+                rows = layout.rows_of(kept)
+                users, cov = users.take(kept), cov.take(kept)
+                layout = users.layout
+                f_d, antenna_matrix, weights = f_d[rows], antenna_matrix[rows], weights[kept]
         started = time.perf_counter()
 
     left_runs, left_f_d, left_matrices, left_power = zip(*left)
-    order = [r for chunk in left_runs for r in chunk]
     states = decompose_states(
-        np.concatenate(left_f_d), np.concatenate(left_matrices), np.concatenate(left_power),
-        [runs[r].config for r in order],
+        left_f_d, left_matrices, left_power, [runs[r].config for r in left_runs]
     )
     results: list = [None] * len(runs)
-    for r, (state, seconds) in zip(order, states):
-        results[r] = state
+    for r, (state, seconds) in zip(left_runs, states):
         traces[r].decomp_s = seconds
-    return list(zip(results, traces))
+        results[order[r]] = (state, traces[r])
+    return results
 
 
 def _select_step(workspace: _SweepWorkspace, n: int) -> None:
+    pairs = workspace.slices[n]
     quads, inv_quads = workspace.step_quads
     indices, rows, _ = select_pattern_and_row(
-        workspace.linear(n), quads[n], inv_quads[n], workspace.budgets[n], workspace.rows
+        workspace.linear(n), quads[pairs], inv_quads[pairs], workspace.budgets[pairs],
+        workspace.runs[n][2],
     )
     workspace.select(n, indices, rows)
 
 
 def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
+    pairs = workspace.slices[n]
     vectors, rows = synthesize_pattern_and_row(
         workspace.linear(n),
-        workspace.row_quads[n],
-        workspace.pinned[n],
-        lambda: [part[n] for part in workspace.sphere_terms],
-        workspace.antenna_matrix[:, n],
-        workspace.budgets[n].tolist(),
-        workspace.factors,
+        workspace.row_quads[pairs],
+        workspace.pinned[pairs],
+        lambda: [part[pairs] for part in workspace.sphere_terms],
+        workspace.antenna_matrix[pairs],
+        workspace.budgets[pairs].tolist(),
+        workspace.runs[n][3],
     )
     workspace.apply(n, vectors, rows)
 
 
 def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
     """Precoding over a finite per-antenna pattern candidate set for a batch
-    of runs with the same array shapes, solved in lockstep.
+    of runs with the same pattern width and receive counts, solved in
+    lockstep; their antenna counts may differ.
 
     Each run's `effs` holds one selection-lifted channel per user.  Antennas
     start on candidate 0; a run's `init_f_d` overrides its random digital
@@ -930,32 +1063,23 @@ def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
     """
     if any(eff.mode != "sel" for run in runs for eff in run.effs):
         raise ValueError("run_selection expects selection-lifted channels")
-    effs = runs[0].effs
-    antenna_matrix = np.eye(effs[0].block_width)[
-        np.zeros((len(runs), effs[0].n_antennas), dtype=int)
-    ]
-    return _run_bcd(runs, stream_counts, _select_step, antenna_matrix, 1.0, block_monitor)
+    starts = np.eye(runs[0].effs[0].block_width)[np.zeros(len(runs), dtype=int)]
+    return _run_bcd(runs, stream_counts, _select_step, starts, 1.0, block_monitor)
 
 
 def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
     """Precoding with per-antenna harmonic pattern synthesis for a batch of
-    runs with the same array shapes, solved in lockstep; see
-    :func:`run_synthesis`.  Returns one (state, trace) per run, each equal
-    to the bit to :func:`run_synthesis` of that run alone.
+    runs with the same pattern width and receive counts, solved in
+    lockstep; see :func:`run_synthesis`.  Returns one (state, trace) per
+    run, each equal to the bit to :func:`run_synthesis` of that run alone.
     """
     if any(eff.mode != "cof" for run in runs for eff in run.effs):
         raise ValueError("run_synthesis expects synthesis-lifted channels")
     factors = np.stack([reduction_factors(run.config.rho) for run in runs])
-    effs = runs[0].effs
-    antenna_matrix = np.stack(
-        [
-            np.tile(isotropic_coefficients(effs[0].block_width, run.config.rho),
-                    (effs[0].n_antennas, 1))
-            for run in runs
-        ]
-    )
+    width = runs[0].effs[0].block_width
+    starts = np.stack([isotropic_coefficients(width, run.config.rho) for run in runs])
     return _run_bcd(
-        runs, stream_counts, _synthesize_step, antenna_matrix, FOUR_PI, block_monitor, factors
+        runs, stream_counts, _synthesize_step, starts, FOUR_PI, block_monitor, factors
     )
 
 

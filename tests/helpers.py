@@ -561,21 +561,33 @@ def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: i
     return f_rf, f_bb, residual, scale, history
 
 
-def antenna_terms(workspace, n: int, run: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def antenna_terms(workspace, n: int, align: np.ndarray, run: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Antenna n's quad and linear terms in one run of the sweep workspace,
     formed from its current state: its running received signal, rows and
-    pattern vectors.
+    pattern vectors, read at the pair of (antenna n, run).
 
     The coupling to the other antennas is R^T P_n minus antenna n's own
-    signal conj(f_n) (a_n^T Q_n), and the alignment term is subtracted
-    after it, all taken afresh, with no offset cached at the sweep start.
+    signal conj(f_n) (a_n^T Q_n), and the alignment term `align` (from
+    :func:`alignment_term`) is subtracted after it, all taken afresh, with
+    no offset cached at the sweep start.
     """
-    quad = workspace.quad[n, run]
-    row = workspace.rows_conj[n, run]
-    cross = workspace.received_conj[run].T @ workspace.proj[n, run] - row[:, None] * (
-        workspace.antenna_matrix[run, n] @ quad
+    pair = workspace.slices[n].start + run
+    quad = workspace.quad[pair]
+    row = workspace.rows_conj[pair]
+    cross = workspace.received_conj[run].T @ workspace.proj[pair] - row[:, None] * (
+        workspace.antenna_matrix[pair] @ quad
     )
-    return quad, cross - workspace.align[n, run]
+    return quad, cross - align
+
+
+def alignment_term(effs, receivers, weights, beta, n: int) -> np.ndarray:
+    """Antenna n's alignment term sum_k beta_k W_k U_k^H H_{k,n}, (D, W),
+    user by user, from the embedded receivers (K, M, D) and weights
+    (K, D, D) and each user's lifted block of antenna n."""
+    return sum(
+        beta[k] * (weights[k] @ receivers[k].conj().T @ eff.blocks()[:, n, :])
+        for k, eff in enumerate(effs)
+    )
 
 
 # ---------------------------------------------------------------------------

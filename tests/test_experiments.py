@@ -179,6 +179,37 @@ class TestRun:
         rows = read_rows(out)
         assert [r["n_antennas"] for r in rows] == ["9", "16"]
 
+    def test_antennas_sweep_solves_one_batch_per_method(self, tmp_path, monkeypatch):
+        # The cells of every antenna count share one batch per method and
+        # pattern width, and a worker that holds cells of two antenna
+        # counts batches them together, so worker counts agree byte for byte.
+        calls = []
+        text = MINI.replace("axis = power", "axis = antennas").replace(
+            "values = 0", "values = 9 16"
+        ).replace("seeds = 1", "seeds = 1 2")
+        cfg = write_config(tmp_path, text)
+        with monkeypatch.context() as patch:
+            for name in ("solve_selection", "solve_synthesis", "_zero_forcing"):
+                solve = getattr(experiments, name)
+
+                def counted(runs, *args, _name=name, _solve=solve, **kwargs):
+                    sizes = sorted(run.effs[0].n_antennas for run in runs)
+                    calls.append((_name, runs[0].effs[0].block_width, sizes))
+                    return _solve(runs, *args, **kwargs)
+
+                patch.setattr(experiments, name, counted)
+            serial = Path(run_experiment(cfg, worker_count=1)).read_bytes()
+        sizes = [9, 9, 16, 16]
+        assert sorted(calls) == [
+            ("_zero_forcing", 1, sizes),
+            ("solve_selection", 1, sizes),  # wmmse_fixed
+            ("solve_selection", 4, sizes),  # model1
+            ("solve_synthesis", 4, sizes),  # model2
+        ]
+        assert Path(run_experiment(cfg, worker_count=2)).read_bytes() == serial
+        rows = read_rows(tmp_path / "results.csv")
+        assert [r["n_antennas"] for r in rows] == ["9"] * 8 + ["16"] * 8
+
     def test_timing_sidecar(self, tmp_path):
         out = run_experiment(write_config(tmp_path))
         sidecar = Path(out).with_name("results_timing.csv")

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from conftest import desk_scenario, desk_solver
 from helpers import (
+    alignment_term,
     antenna_terms,
     ball_samples,
     block_objective,
@@ -382,10 +383,9 @@ def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
 
 
 def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users):
-    """The sweep workspace of a batch of one run; it updates `antenna_matrix`
-    in place."""
+    """The sweep workspace of a batch of one run, whose pairs and rows are
+    its antennas in order."""
     stack = _Users.of([Run(effs, SolverConfig(noise=0.3))], users)
-    antenna_matrix, f_d = antenna_matrix[None], f_d[None]
     received = stack.covariances(antenna_matrix, f_d).received
     return _SweepWorkspace(
         stack, antenna_matrix, f_d, received, receivers[None], weights[None], beta
@@ -403,7 +403,7 @@ class TestPerAntennaTerms:
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         receivers = np.zeros_like(receivers)
         workspace = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
-        assert_allclose(workspace.quad[1, 0], 0.0, atol=1e-15)
+        assert_allclose(workspace.quad[1], 0.0, atol=1e-15)
         assert_allclose(workspace.linear(1)[0], 0.0, atol=1e-15)
 
     def test_single_antenna_has_no_cross_coupling(self, rng):
@@ -411,10 +411,11 @@ class TestPerAntennaTerms:
         effs, _, f_d, receivers, weights, beta, users = _random_block_state(rng, n=1)
         antenna_matrix = np.eye(2)[[0]]
         workspace = _workspace(effs, antenna_matrix, f_d[:1], receivers, weights, beta, users)
-        assert_allclose(workspace.linear(0)[0], -workspace.align[0, 0], atol=1e-12)
+        align = alignment_term(effs, receivers, weights, beta, 0)
+        assert_allclose(workspace.linear(0)[0], -align, atol=1e-12)
 
     def test_quad_term_hermitian_psd(self, rng):
-        quad = _workspace(*_random_block_state(rng)).quad[0, 0]
+        quad = _workspace(*_random_block_state(rng)).quad[0]
         assert_allclose(quad, quad.conj().T, atol=1e-13)
         assert np.min(np.linalg.eigvalsh(quad)) >= -1e-12
 
@@ -424,7 +425,7 @@ class TestPerAntennaTerms:
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(rng)
         n = 1
         workspace = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
-        quad, linear = workspace.quad[n, 0], workspace.linear(n)[0]
+        quad, linear = workspace.quad[n], workspace.linear(n)[0]
         width = antenna_matrix.shape[1]
         gaps = []
         for _ in range(10):
@@ -460,10 +461,11 @@ class TestPerAntennaTerms:
             else:
                 running.apply(n, rng.standard_normal((1, width)), row[None])
         fresh = _workspace(
-            effs, antenna_matrix.copy(), running.precoders()[0], receivers, weights, beta, users
+            effs, running.patterns(), running.precoders(), receivers, weights, beta, users
         )
         for n in range(5):
-            got, want = antenna_terms(running, n), antenna_terms(fresh, n)
+            align = alignment_term(effs, receivers, weights, beta, n)
+            got, want = antenna_terms(running, n, align), antenna_terms(fresh, n, align)
             for name, a, b in zip(("quad", "linear"), got, want):
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (n, name)
 
@@ -486,6 +488,7 @@ class TestPerAntennaTerms:
         class Recorded(wmmse._SweepWorkspace):
             def __init__(self, *args):
                 super().__init__(*args)
+                self.inputs = args  # (users, patterns, f_d, received, receivers, weights, beta)
                 workspaces.append(self)
 
         step = getattr(wmmse, step_name)
@@ -493,7 +496,9 @@ class TestPerAntennaTerms:
 
         def checked_step(linear, *args):
             workspace, n = workspaces[-1], len(checked)
-            quad, want = antenna_terms(workspace, n)
+            receivers, weights, beta = workspace.inputs[4:]
+            align = alignment_term(effs, receivers[0], weights[0], beta, n)
+            quad, want = antenna_terms(workspace, n, align)
             out = step(linear, *args)
             # One call for the batch of one run.
             linear, budget = linear[0], (args[2] if mode == "selection" else args[4])[0]
@@ -504,7 +509,7 @@ class TestPerAntennaTerms:
                 assert out[0] == [index], n
                 want_row, row = rows[index][0], out[1][0]
             else:
-                vector = workspace.antenna_matrix[0, n]
+                vector = workspace.antenna_matrix[n]
                 a = float(np.real(vector @ quad @ vector))
                 want_row, _ = row_solution(a, want @ vector, budget)
                 row = out[1][0]
@@ -1093,7 +1098,7 @@ class TestRunSynthesis:
         assert calls == []  # nor do synthesis sweeps that keep the patterns
         _, trace = run_synthesis(effs, streams, config)
         assert trace.n_iterations == 3
-        assert calls == [(effs[0].n_antennas, 1, 8, 8)] * 3  # (N, runs, W - 1, W - 1)
+        assert calls == [(effs[0].n_antennas, 8, 8)] * 3  # (pairs, W - 1, W - 1)
 
     def test_only_selection_sweeps_build_candidate_quads(self, small_setup, monkeypatch):
         scenario, candidates, streams = small_setup
@@ -1111,7 +1116,7 @@ class TestRunSynthesis:
         assert calls == []
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         run_selection(effs, streams, config)
-        assert calls == [(effs[0].n_antennas, 1, 8, 8)] * 3  # (N, runs, W, W)
+        assert calls == [(effs[0].n_antennas, 8, 8)] * 3  # (pairs, W, W)
 
     def test_selection_sweeps_never_build_synthesis_terms(self, small_setup, monkeypatch):
         # A spy in place of the workspace's lazy synthesis inputs.
@@ -1189,13 +1194,22 @@ class TestRunSynthesis:
 
 class TestBatchedSolves:
     """A run solved in a lockstep batch gets exactly the bits of its solve
-    alone, whatever else is in the batch."""
+    alone, whatever else is in the batch, antenna counts included."""
 
     STREAMS = (2, 2)
 
     @pytest.fixture(scope="class")
     def drops(self):
         return [desk_scenario(seed) for seed in (1, 2, 3, 4)]
+
+    @pytest.fixture(scope="class")
+    def mixed_drops(self):
+        # 16, 9, 12 and 12 antennas: the batch reorders its runs, the last
+        # two share an antenna count and a decomposition, and the runs that
+        # have antenna n fall from four to three to one as n grows.  The
+        # first run leaves early, and with it the batch's last four antennas.
+        shapes = [(4, 4), (3, 3), (3, 4), (3, 4)]
+        return [desk_scenario(seed, bs_shape=shape) for seed, shape in zip((1, 2, 3, 4), shapes)]
 
     def _runs(self, drops, lift, **overrides):
         """One run per drop with its own budgets, seed and stop rule: a
@@ -1222,14 +1236,17 @@ class TestBatchedSolves:
 
     def _check(self, solve, single, runs, monkeypatch):
         # The runs that leave in different iterations are decomposed in one
-        # call per chain count when the batch ends, each run charged an
-        # equal share of its call's seconds: under a clock that ticks once
-        # per reading, a call lasts one second.
+        # call per chain count and antenna count when the batch ends, each
+        # run charged an equal share of its call's seconds.  Under a clock
+        # that ticks once per reading, a call lasts one second, and so does
+        # each phase of an iteration: its receiver and objective seconds
+        # are split evenly among the runs active in it, its sweep second in
+        # proportion to their antenna counts.
         calls = []
         decompose = wmmse.decompose_precoders
 
         def counted(f_d, n_rf, *args):
-            calls.append((n_rf, len(f_d)))
+            calls.append((n_rf, f_d.shape[1], len(f_d)))
             return decompose(f_d, n_rf, *args)
 
         ticks = itertools.count()
@@ -1238,34 +1255,50 @@ class TestBatchedSolves:
             clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
             patch.setattr(wmmse, "time", clock)
             batched = solve(runs, self.STREAMS)
-        assert sorted(calls) == [(5, 1), (7, 3)]
-        shares = [trace.decomp_s for _, trace in batched]
-        assert shares[1] == 1.0 and shares[0] == shares[2] == shares[3] == 1.0 / 3.0
-        iterations = []
+        sizes = [run.effs[0].n_antennas for run in runs]
+        groups = {}  # (chains, antennas) -> runs
+        for b, run in enumerate(runs):
+            groups.setdefault((run.config.rf_chains, sizes[b]), []).append(b)
+        assert sorted(calls) == sorted((*key, len(group)) for key, group in groups.items())
+        counts = [trace.n_iterations for _, trace in batched]
+        for group in groups.values():
+            for b in group:
+                trace = batched[b][1]
+                assert trace.decomp_s == 1.0 / len(group)
+                receivers = sweep = 0.0
+                iter_seconds = []
+                for i in range(counts[b]):
+                    active = [c for c in range(len(runs)) if counts[c] > i]
+                    share = 1.0 / sum(sizes[c] for c in active) * sizes[b]
+                    receivers += 1.0 / len(active)
+                    sweep += share
+                    iter_seconds.append(2.0 / len(active) + share)
+                assert trace.receivers_s == trace.objective_s == receivers, b
+                assert trace.sweep_s == sweep, b
+                assert trace.iter_seconds == iter_seconds, b
+        assert sum(trace.sweep_s for _, trace in batched) == pytest.approx(max(counts))
         for run, (state, trace) in zip(runs, batched):
             want_state, want_trace = single(
                 run.effs, self.STREAMS, run.config, init_f_d=run.init_f_d
             )
-            for name in ("f_d", "f_rf", "f_bb", "antenna_matrix"):
+            for name in ("f_d", "f_rf", "f_bb", "antenna_matrix", "power"):
                 assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
-            assert trace.objective == want_trace.objective
+            assert state.decomp_residual == want_state.decomp_residual
+            for name in ("objective", "sum_rate", "max_power_violation", "antenna_deviation"):
+                assert getattr(trace, name) == getattr(want_trace, name), name
             assert trace.n_iterations == want_trace.n_iterations
             assert trace.converged == want_trace.converged
-            iterations.append(trace.n_iterations)
         # The runs leave the batch in different iterations.
-        assert iterations[0] < max(iterations) and iterations[-1] == 12
+        assert counts[0] < max(counts) and counts[-1] == 12
         return batched
 
-    @pytest.mark.parametrize("width", [8, 1])
-    def test_selection(self, drops, width, monkeypatch):
+    def _selection_runs(self, drops, width):
         candidates = gaussian_beam_grid(8)
         if width == 1:
             candidates = CandidateSet((candidates.baseline,))
-        runs = self._runs(drops, lambda g: selection_effective_channel(g, candidates))
-        self._check(solve_selection, run_selection, runs, monkeypatch)
+        return self._runs(drops, lambda g: selection_effective_channel(g, candidates))
 
-    @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
-    def test_synthesis(self, drops, rho, monkeypatch):
+    def _synthesis_runs(self, drops, rho):
         runs = self._runs(drops, lambda g: synthesis_effective_channel(g, 2), rho=rho or 0.7)
         if rho is None:  # every other run pins its whole pattern
             runs = [
@@ -1273,13 +1306,40 @@ class TestBatchedSolves:
                 if i % 2 else run
                 for i, run in enumerate(runs)
             ]
+        return runs
+
+    @pytest.mark.parametrize("width", [8, 1])
+    def test_selection(self, drops, width, monkeypatch):
+        runs = self._selection_runs(drops, width)
+        self._check(solve_selection, run_selection, runs, monkeypatch)
+
+    @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
+    def test_synthesis(self, drops, rho, monkeypatch):
+        self._check(solve_synthesis, run_synthesis, self._synthesis_runs(drops, rho), monkeypatch)
+
+    @pytest.mark.parametrize("width", [8, 1])
+    def test_selection_of_mixed_antenna_counts(self, mixed_drops, width, monkeypatch):
+        runs = self._selection_runs(mixed_drops, width)
+        batched = self._check(solve_selection, run_selection, runs, monkeypatch)
+        assert [len(state.f_d) for state, _ in batched] == [16, 9, 12, 12]
+
+    @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
+    def test_synthesis_of_mixed_antenna_counts(self, mixed_drops, rho, monkeypatch):
+        runs = self._synthesis_runs(mixed_drops, rho)
         self._check(solve_synthesis, run_synthesis, runs, monkeypatch)
 
-    def test_runs_of_unequal_shapes_rejected(self, drops):
+    def test_runs_of_unequal_shapes_rejected(self, drops, mixed_drops):
+        # Runs of unequal pattern widths or receive counts cannot share a
+        # batch; runs of unequal antenna counts can.
         candidates = gaussian_beam_grid(8)
-        runs = self._runs(drops[:2], lambda g: selection_effective_channel(g, candidates))
         fewer = CandidateSet(candidates.patterns[:4])
-        runs[1] = Run([selection_effective_channel(g, fewer) for g in drops[1].geometries],
-                      runs[1].config)
-        with pytest.raises(ValueError, match="same array shapes"):
-            solve_selection(runs, self.STREAMS)
+        wide = self._selection_runs(drops[:2], 8)
+        narrow = self._runs(drops[:2], lambda g: selection_effective_channel(g, fewer))
+        more_rx = self._runs(
+            [desk_scenario(2, ue_shape=(3, 1))], lambda g: selection_effective_channel(g, candidates)
+        )
+        for runs in ([wide[0], narrow[1]], [wide[0], more_rx[0]]):
+            with pytest.raises(ValueError, match="same array shapes"):
+                solve_selection(runs, self.STREAMS)
+        mixed = self._selection_runs(mixed_drops[:2], 8)
+        assert [len(state.f_d) for state, _ in solve_selection(mixed, self.STREAMS)] == [16, 9]
