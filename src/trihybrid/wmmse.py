@@ -17,8 +17,11 @@ the optimized digital precoder into analog and digital stages at the end.
 with the same pattern width and receive counts in lockstep through the same
 loop, whatever their antenna counts: antenna step n is one array operation
 over every run that has antenna n, and the work that sums over a run's
-antennas runs once per antenna count.  A run's results do not depend on its
-batch.
+antennas runs once per antenna count.  Every per-run array of a batch lives
+in one `_Batch`, tagged with its axis (run, run-major row or (antenna, run)
+pair); a run that stops leaves with copies of its rows, and the runs that
+stay go on in the batch's one `take`, which cuts every tagged array by its
+axis.  A run's results do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -168,7 +171,7 @@ class Covariances:
     total: np.ndarray  # (K, M, M) interference plus the own signal
     masks: np.ndarray  # (K, D) from :func:`stream_masks`
 
-    def take(self, runs) -> "Covariances":
+    def __getitem__(self, runs) -> "Covariances":
         """The covariances of the given runs of a batch."""
         return Covariances(
             self.received[runs], self.own[runs], self.interference[runs], self.total[runs],
@@ -338,33 +341,45 @@ class _Pairs:
         return out
 
 
-@dataclass(frozen=True)
-class _Users:
-    """What a batch of solves keeps of its runs' users and budgets.
+def _axis(axis: str):
+    """A :class:`_Batch` field of one entry per run, row or pair."""
+    return field(metadata={"axis": axis})
 
-    Per group of runs with one antenna count, the users' lifted channels,
-    (runs, K, M, N W); per pair, their conjugated blocks, (pairs, K M, W);
-    per run, the noise powers and, in a synthesis solve, the
-    :func:`reduction_factors` of its power share rho; the per-antenna
-    power budgets per run-major row and per pair.  The stream masks are
-    shared.
+
+@dataclass
+class _Batch:
+    """Every per-run array of a lockstep batch of solves, each field tagged
+    with its axis: per run, ordered by antenna count, largest first, with
+    `ids` each run's index in the solve's order; per run-major row; or per
+    (antenna, run) pair of the :class:`_Pairs` layout.  The fields on
+    `SHARED` serve every run.  The loop assigns the weights and the
+    covariance pass of the current iterate and writes the rows in place; a
+    run leaves through :meth:`leave`, and the runs that stay go on in
+    :meth:`take`, which cuts every tagged field by its axis.
     """
 
-    layout: _Pairs
-    lifted: list[np.ndarray]
-    blocks_conj: np.ndarray
-    masks: np.ndarray
-    noise: np.ndarray  # (B, K, 1, 1)
-    power: np.ndarray  # (rows,)
-    factors: np.ndarray | None  # (B, 5), or None in a selection solve
+    SHARED: ClassVar[tuple[str, ...]] = ("layout", "lifted", "masks")
 
-    @functools.cached_property
-    def budgets(self) -> np.ndarray:
-        """The per-antenna power budgets per pair, (pairs,)."""
-        return self.power[self.layout.antenna_major]
+    layout: _Pairs
+    lifted: list[np.ndarray]  # per group of one antenna count, (runs, K, M, N W)
+    masks: np.ndarray  # (K, D)
+    ids: np.ndarray = _axis("run")
+    noise: np.ndarray = _axis("run")  # (B, K, 1, 1)
+    factors: np.ndarray | None = _axis("run")  # (B, 5) reduction factors, or None
+    weights: np.ndarray = _axis("run")  # (B, K, D, D)
+    cov: Covariances | None = _axis("run")  # None before the first pass
+    f_d: np.ndarray = _axis("row")  # (rows, D)
+    antenna_matrix: np.ndarray = _axis("row")  # (rows, W)
+    power: np.ndarray = _axis("row")  # (rows,)
+    blocks_conj: np.ndarray = _axis("pair")  # (pairs, K M, W)
+    budgets: np.ndarray = _axis("pair")  # (pairs,)
 
     @classmethod
-    def of(cls, runs, stream_counts, factors=None) -> "_Users":
+    def of(cls, runs, stream_counts, starts: np.ndarray, factors=None) -> "_Batch":
+        """The runs at their start, every antenna on its run's row of
+        `starts` (B, W), with identity weights and no covariance pass."""
+        ids = sorted(range(len(runs)), key=lambda r: -runs[r].effs[0].n_antennas)
+        runs = [runs[r] for r in ids]
         layout = _Pairs([run.effs[0].n_antennas for run in runs])
         lifted = [
             np.stack([_stack_users([eff.matrix for eff in run.effs]) for run in runs[group]])
@@ -375,34 +390,58 @@ class _Users:
             np.broadcast_to(np.reshape(run.config.noise, (-1, 1, 1)), (n_users, 1, 1))
             for run in runs
         ]
+        power = np.concatenate(
+            [_budgets(run.config, n) for run, n in zip(runs, layout.n_antennas)]
+        )
+        d_total = sum(stream_counts)
+        f_d = np.concatenate([
+            _initial_f_d(run, n, d_total, power[first : first + n])
+            for run, first, n in zip(runs, layout.firsts.tolist(), layout.n_antennas)
+        ])
         return cls(
-            layout=layout,
-            lifted=lifted,
+            layout,
+            lifted,
+            stream_masks(stream_counts),
+            ids=np.array(ids),
+            noise=np.stack(noise),
+            factors=None if factors is None else factors[ids],
+            weights=np.broadcast_to(
+                np.eye(d_total, dtype=complex), (len(runs), n_users, d_total, d_total)
+            ),
+            cov=None,
+            f_d=f_d,
+            antenna_matrix=np.repeat(starts[ids], layout.n_antennas, axis=0),
+            power=power,
             blocks_conj=layout.per_antenna(
                 [stack.reshape(len(stack), n_users * n_rx, -1) for stack in lifted]
             ).conj(),
-            masks=stream_masks(stream_counts),
-            noise=np.stack(noise),
-            power=np.concatenate(
-                [_budgets(run.config, n) for run, n in zip(runs, layout.n_antennas)]
-            ),
-            factors=factors,
+            budgets=power[layout.antenna_major],
         )
 
-    def take(self, runs: list[int]) -> "_Users":
-        """The users of the given runs of the batch, in order."""
-        layout = _Pairs([self.layout.n_antennas[b] for b in runs])
-        rows = self.layout.rows_of(runs)
+    def take(self, kept: list[int]) -> "_Batch":
+        """The batch of the runs at the given places, in order: every
+        tagged array indexed by its axis's indices, computed once."""
+        layout = _Pairs([self.layout.n_antennas[b] for b in kept])
+        rows = self.layout.rows_of(kept)
+        pairs = self.layout.run_major[rows[layout.antenna_major]]
+        index = {"run": kept, "row": rows, "pair": pairs}
         lifted = []
         for (group, _, _), stack in zip(self.layout.groups, self.lifted):
-            kept = [b - group.start for b in runs if group.start <= b < group.stop]
-            if kept:
-                lifted.append(stack[kept])
-        return _Users(
-            layout, lifted, self.blocks_conj[self.layout.run_major[rows[layout.antenna_major]]],
-            self.masks, self.noise[runs], self.power[rows],
-            None if self.factors is None else self.factors[runs],
-        )
+            members = [b - group.start for b in kept if group.start <= b < group.stop]
+            if members:
+                lifted.append(stack[members])
+        taken = {}
+        for part in fields(self):
+            if part.name not in self.SHARED:
+                value = getattr(self, part.name)
+                taken[part.name] = None if value is None else value[index[part.metadata["axis"]]]
+        return _Batch(layout, lifted, self.masks, **taken)
+
+    def leave(self, b: int) -> tuple:
+        """The run at place b: its id and copies of its rows of f_d, the
+        pattern matrix and the budgets, which keep no batch array alive."""
+        rows = self.layout.rows_of([b])
+        return int(self.ids[b]), self.f_d[rows], self.antenna_matrix[rows], self.power[rows]
 
     def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
         """The covariance pass of every run's composed channel and `f_d`,
@@ -441,8 +480,12 @@ def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
 
 
 class _SweepWorkspace:
-    """What one antenna sweep of a batch shares, built once per sweep and
-    batched over the (antenna, run) pairs of :class:`_Pairs`.
+    """What one antenna sweep of a batch shares, built once per sweep from
+    the :class:`_Batch` (its current precoders, patterns, covariance pass
+    and weights, and its per-pair blocks and budgets) with the new
+    receivers, and batched over the (antenna, run) pairs of :class:`_Pairs`.
+    The workspace keeps no run's state past its sweep: the loop copies the
+    rows and patterns back into the batch when the sweep ends.
 
     Arrays are antenna-major over the pairs, so that an antenna step reads
     one contiguous slice, `slices[n]`, for every run that has the antenna;
@@ -481,14 +524,13 @@ class _SweepWorkspace:
     fills with every run's new row before one commit.
     """
 
-    def __init__(self, users, antenna_matrix, f_d, received, receivers, weights, beta):
-        layout = users.layout
+    def __init__(self, batch: _Batch, receivers: np.ndarray, beta):
+        layout, received, weights = batch.layout, batch.cov.received, batch.weights
         n_runs, n_users, n_rx, _ = received.shape
         self.slices, self._run_major = layout.slices, layout.run_major
-        self.antenna_matrix = antenna_matrix[layout.antenna_major]
-        self.budgets = users.budgets
-        self.factors = users.factors
-        self.blocks_conj = users.blocks_conj
+        self.antenna_matrix = batch.antenna_matrix[layout.antenna_major]
+        self.budgets, self.factors = batch.budgets, batch.factors
+        self.blocks_conj = batch.blocks_conj
         beta = np.asarray(beta, dtype=float)
         receivers_h = _herm(receivers)
         proj = beta[:, None, None] * (receivers @ weights @ receivers_h)  # beta U W U^H
@@ -497,8 +539,8 @@ class _SweepWorkspace:
         align = (weights @ receivers_h).transpose(0, 2, 1, 3).reshape(
             n_runs, -1, n_users * n_rx
         )
-        stream_beta = beta @ users.masks
-        groups = [(group, lifted) for (group, _, _), lifted in zip(layout.groups, users.lifted)]
+        stream_beta = beta @ batch.masks
+        groups = [(group, lifted) for (group, _, _), lifted in zip(layout.groups, batch.lifted)]
         self.proj = layout.per_antenna([
             (proj[group] @ lifted).reshape(len(lifted), n_users * n_rx, -1)
             for group, lifted in groups
@@ -512,12 +554,12 @@ class _SweepWorkspace:
         self.quad += self.quad.conj().swapaxes(-1, -2)  # Hermitian part, in place
         self.quad *= 0.5
         self.received_conj = received.reshape(n_runs, n_users * n_rx, -1).conj()
-        self.rows_conj = f_d[layout.antenna_major]
+        self.rows_conj = batch.f_d[layout.antenna_major]
         np.conjugate(self.rows_conj, out=self.rows_conj)
         # a_n^T Q_n, (pairs, W)
         self._pattern_quad = (self.antenna_matrix[:, None, :] @ self.quad)[:, 0, :]
         self.offset += self.rows_conj[..., None] * self._pattern_quad[..., None, :]
-        self.rows = np.empty((n_runs, f_d.shape[1]), dtype=complex)
+        self.rows = np.empty((n_runs, batch.f_d.shape[1]), dtype=complex)
         # Per antenna: R^T, R and the row buffer of its runs, and their
         # factors; one set of views per segment.
         self.runs = []
@@ -654,21 +696,20 @@ def select_pattern_and_row(
     inverse from :func:`candidate_quads`, (B, W); `budgets` holds the
     runs' positive power budgets, (B,).  Run b's row is written into
     `rows[b]`, a (B, D) buffer made when none is given.  Returns (candidate
-    indices, rows, objective values): the indices as a list, the values
-    as a sequence of Python floats that is made on its first read, since
-    the sweep never reads them.  Each candidate gets the closed-form row:
-    a zero direction gives a zero row and value 0, a vanishing quadratic
-    coefficient the boundary step.  Ties go to the lowest index.
+    indices, rows), the indices as a list.  Each candidate gets the
+    closed-form row: a zero direction gives a zero row and value 0, a
+    vanishing quadratic coefficient the boundary step.  Ties go to the
+    lowest index.
 
     One array pass over (B, D, W) scores every candidate of every run: the
     squared norms, boundaries, steps and values, then one `argmin` along
     the candidate axis, and every run's row, its negated step times its
     chosen candidate's direction, is written in one operation.  With a
     single candidate (W = 1) there is nothing to choose: the rows are that
-    candidate's closed-form steps, and its values are scored only when
-    read.  A value is NaN only for non-finite input or when a direction so
-    small that its boundary step overflows meets a quad at most
-    `_TINY_QUAD`; `argmin` then takes the first NaN.
+    candidate's closed-form steps, and nothing is scored.  A value is NaN
+    only for non-finite input or when a direction so small that its
+    boundary step overflows meets a quad at most `_TINY_QUAD`; `argmin`
+    then takes the first NaN.
     """
     if rows is None:
         rows = np.empty(linear.shape[:2], dtype=complex)
@@ -681,42 +722,20 @@ def select_pattern_and_row(
     )
     np.sqrt(steps, out=steps)
     np.minimum(inv_quads, steps, out=steps)
-
-    def scored():
-        return norms_sq * (quads * (steps * steps) - 2.0 * steps)
-
     # Complex steps, so that each product takes the operations of a Python
     # float times a complex array: a real array takes another loop, which
     # can differ in the sign of an underflowed zero.
     if linear.shape[2] == 1:
         np.multiply(np.negative(steps).astype(complex), linear[:, :, 0], out=rows)
-        return [0] * len(rows), rows, _Floats(lambda: scored()[:, 0].tolist())
-    values = scored()
+        return [0] * len(rows), rows
+    values = norms_sq * (quads * (steps * steps) - 2.0 * steps)
     indices = values.argmin(axis=1)
     runs = np.arange(len(indices))
     np.multiply(
         np.negative(steps[runs, indices]).astype(complex)[:, None], linear[runs, :, indices],
         out=rows,
     )
-    return indices.tolist(), rows, _Floats(lambda: values[runs, indices].tolist())
-
-
-class _Floats(Sequence):
-    """The list of Python floats that `make()` returns, made on the first
-    read."""
-
-    def __init__(self, make):
-        self._make = make
-
-    @functools.cached_property
-    def _items(self) -> list[float]:
-        return self._make()
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __len__(self) -> int:
-        return len(self._items)
+    return indices.tolist(), rows
 
 
 def synthesize_pattern_and_row(
@@ -893,21 +912,23 @@ def _run_bcd(
     decomposition.
 
     `starts` (B, W) holds the pattern vector every antenna of each run
-    starts from.  The runs are ordered by antenna count, largest first
-    (:class:`_Pairs`), and the results handed back in the given order.
-    `step(workspace, n)` updates antenna n of every run that has it
-    through the workspace.  Every batched operation acts on each run alone,
-    so a run's iterates do not depend on which runs share its batch.  A run
-    leaves the batch in the iteration where its own stop test fires or it
-    reaches its own iteration cap; its precoder, pattern matrix and budgets
-    are kept, and when the batch ends every run is decomposed in one
-    batched call per chain count and antenna count.  Each iteration's
-    receiver and objective seconds are split evenly among the runs active
-    in it, its sweep seconds in proportion to their antenna counts, and
-    each call's seconds among the runs it decomposes.
-    `block_monitor(label, objectives)` gets every active run's objective
-    after each block.  `factors` holds each run's :func:`reduction_factors`
-    in a synthesis solve.  Returns one (state, trace) per run.
+    starts from, and `factors` each run's :func:`reduction_factors` in a
+    synthesis solve.  Every per-run array lives in one :class:`_Batch`,
+    whose runs are ordered by antenna count, largest first; the results
+    are handed back in the given order.  `step(workspace, n)` updates
+    antenna n of every run that has it through the workspace.  Every
+    batched operation acts on each run alone, so a run's iterates do not
+    depend on which runs share its batch.  A run leaves the batch in the
+    iteration where its own stop test fires or it reaches its own
+    iteration cap: :meth:`_Batch.leave` keeps its precoder, pattern matrix
+    and budgets, and :meth:`_Batch.take` cuts the others' arrays.  When the
+    batch ends every run is decomposed in one batched call per chain
+    count and antenna count.  Each iteration's receiver and objective
+    seconds are split evenly among the runs active in it, its sweep
+    seconds in proportion to their antenna counts, and each call's seconds
+    among the runs it decomposes.  `block_monitor(label, objectives)` gets
+    every active run's objective after each block.  Returns one (state,
+    trace) per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
@@ -915,121 +936,98 @@ def _run_bcd(
             "the runs of a batch need the same array shapes apart from the antenna count, "
             f"got {sorted(shapes)}"
         )
-    order = sorted(range(len(runs)), key=lambda r: -runs[r].effs[0].n_antennas)
-    runs = [runs[r] for r in order]
+    batch = _Batch.of(runs, stream_counts, starts, factors)
     n_users = len(runs[0].effs)
-    d_total = sum(stream_counts)
-    users = _Users.of(runs, stream_counts, None if factors is None else factors[order])
-    layout = users.layout
-    f_d = np.concatenate([
-        _initial_f_d(run, n, d_total, users.power[first : first + n])
-        for run, first, n in zip(runs, layout.firsts.tolist(), layout.n_antennas)
-    ])
-    antenna_matrix = np.repeat(starts[order], layout.n_antennas, axis=0)
     beta = np.ones(n_users) / n_users
-
-    active = list(range(len(runs)))  # the run at each place of the batch's run axis
     traces = [Trace() for _ in runs]
-    previous: list = [None] * len(runs)
-    left: list = []  # (run, f_d, antenna_matrix, power) of each run that left
-    weights = np.broadcast_to(
-        np.eye(d_total, dtype=complex), (len(runs), n_users, d_total, d_total)
-    )
+    left: list = []  # what _Batch.leave gives of each run that left
 
     def objective_of(cov, receivers, weights):
-        return wmmse_objective(weights, mse_matrix(cov, receivers), users.masks, beta)
+        return wmmse_objective(weights, mse_matrix(cov, receivers), batch.masks, beta)
 
     started = time.perf_counter()
-    cov = users.covariances(antenna_matrix, f_d)
+    batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
     iteration = 0
-    while active:
+    while True:
         iteration += 1
+        cov = batch.cov
         receivers = mmse_receivers(cov)
         if block_monitor is not None:
-            block_monitor("receivers", objective_of(cov, receivers, weights))
-        weights = mse_weights(cov, receivers)
+            block_monitor("receivers", objective_of(cov, receivers, batch.weights))
+        batch.weights = weights = mse_weights(cov, receivers)
         if block_monitor is not None:
             block_monitor("weights", objective_of(cov, receivers, weights))
         swept = time.perf_counter()
 
-        workspace = _SweepWorkspace(
-            users, antenna_matrix, f_d, cov.received, receivers, weights, beta
-        )
+        workspace = _SweepWorkspace(batch, receivers, beta)
+        layout = batch.layout
         for n in range(layout.n_antennas[0]):
             step(workspace, n)
             if block_monitor is not None:
                 block_monitor(
                     f"antenna_{n}",
                     objective_of(
-                        users.covariances(workspace.patterns(), workspace.precoders()),
+                        batch.covariances(workspace.patterns(), workspace.precoders()),
                         receivers, weights,
                     ),
                 )
-        workspace.precoders(out=f_d)
-        workspace.patterns(out=antenna_matrix)
+        workspace.precoders(out=batch.f_d)
+        workspace.patterns(out=batch.antenna_matrix)
         del workspace  # so the next sweep does not build its own beside it
         evaluated = time.perf_counter()
 
         # Also the covariances of the next iteration's receivers.
-        cov = users.covariances(antenna_matrix, f_d)
+        batch.cov = cov = batch.covariances(batch.antenna_matrix, batch.f_d)
         objectives = objective_of(cov, receivers, weights)
         rates, _ = weighted_sum_rate(cov, beta)
-        violations = layout.maxima(np.sum(np.abs(f_d) ** 2, axis=-1) / users.power - 1.0)
+        violations = layout.maxima(np.sum(np.abs(batch.f_d) ** 2, axis=-1) / batch.power - 1.0)
         deviations = layout.maxima(
-            np.abs(np.sum(antenna_matrix**2, axis=-1) - row_power_target)
+            np.abs(np.sum(batch.antenna_matrix**2, axis=-1) - row_power_target)
         )
         finished = time.perf_counter()
 
-        shared = ((swept - started) + (finished - evaluated)) / len(active)
+        n_active = len(batch.ids)
+        shared = ((swept - started) + (finished - evaluated)) / n_active
         per_step = (evaluated - swept) / sum(layout.n_antennas)
-        leaving = []
-        for b, r in enumerate(active):
-            trace, objective = traces[r], objectives[b]
+        kept = []
+        for b, r in enumerate(batch.ids.tolist()):
+            trace, objective, config = traces[r], objectives[b], runs[r].config
             trace.objective.append(objective)
             trace.sum_rate.append(rates[b])
             trace.max_power_violation.append(violations[b])
             trace.antenna_deviation.append(deviations[b])
             sweep = per_step * layout.n_antennas[b]
-            trace.receivers_s += (swept - started) / len(active)
+            trace.receivers_s += (swept - started) / n_active
             trace.sweep_s += sweep
-            trace.objective_s += (finished - evaluated) / len(active)
+            trace.objective_s += (finished - evaluated) / n_active
             trace.iter_seconds.append(shared + sweep)
-            if previous[r] is not None:
-                drop = (previous[r] - objective) / max(1.0, abs(previous[r]))
-                if drop < runs[r].config.objective_tol:
+            if iteration > 1:
+                previous = trace.objective[-2]
+                if (previous - objective) / max(1.0, abs(previous)) < config.objective_tol:
                     trace.converged = True
-            previous[r] = objective
-            if trace.converged or iteration >= runs[r].config.max_outer_iterations:
-                leaving.append(b)
-
-        if leaving:
-            for b in leaving:  # copies, which keep no batch array alive
-                rows = layout.rows_of([b])
-                left.append((active[b], f_d[rows], antenna_matrix[rows], users.power[rows]))
-            kept = [b for b in range(len(active)) if b not in leaving]
-            active = [active[b] for b in kept]
-            if kept:
-                rows = layout.rows_of(kept)
-                users, cov = users.take(kept), cov.take(kept)
-                layout = users.layout
-                f_d, antenna_matrix, weights = f_d[rows], antenna_matrix[rows], weights[kept]
+            if trace.converged or iteration >= config.max_outer_iterations:
+                left.append(batch.leave(b))
+            else:
+                kept.append(b)
+        if not kept:
+            break
+        if len(kept) < n_active:
+            batch = batch.take(kept)
         started = time.perf_counter()
 
-    left_runs, left_f_d, left_matrices, left_power = zip(*left)
-    states = decompose_states(
-        left_f_d, left_matrices, left_power, [runs[r].config for r in left_runs]
-    )
+    ids, *rows = zip(*left)
+    states = decompose_states(*rows, [runs[r].config for r in ids])
     results: list = [None] * len(runs)
-    for r, (state, seconds) in zip(left_runs, states):
+    for r, (state, seconds) in zip(ids, states):
         traces[r].decomp_s = seconds
-        results[order[r]] = (state, traces[r])
+        results[r] = (state, traces[r])
     return results
 
 
 def _select_step(workspace: _SweepWorkspace, n: int) -> None:
     pairs = workspace.slices[n]
     quads, inv_quads = workspace.step_quads
-    indices, rows, _ = select_pattern_and_row(
+    indices, rows = select_pattern_and_row(
         workspace.linear(n), quads[pairs], inv_quads[pairs], workspace.budgets[pairs],
         workspace.runs[n][2],
     )

@@ -180,7 +180,7 @@ def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=No
     return as the library's step."""
     if rows is None:
         rows = np.empty(np.shape(linear)[:2], dtype=complex)
-    indices, values = [], []
+    indices = []
     for b, budget in enumerate(budgets):
         norms_sq = np.square(np.abs(linear[b])).sum(axis=0)
         # A zero direction divides by 1 instead: its value is 0 whatever the step.
@@ -190,8 +190,7 @@ def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=No
         best = int(run_values.argmin())
         rows[b] = -steps[best] * linear[b][:, best]
         indices.append(best)
-        values.append(float(run_values[best]))
-    return indices, rows, values
+    return indices, rows
 
 
 def select_pattern_and_row_loop(linear, quads, inv_quads, budgets, rows=None):
@@ -206,7 +205,7 @@ def select_pattern_and_row_loop(linear, quads, inv_quads, budgets, rows=None):
         rows = np.empty(np.shape(linear)[:2], dtype=complex)
     norms_sq = np.add.reduce(np.square(np.abs(linear)), axis=1).tolist()
     quads, inv_quads = np.asarray(quads).tolist(), np.asarray(inv_quads).tolist()
-    indices, values = [], []
+    indices = []
     for b, budget in enumerate(np.asarray(budgets, dtype=float).tolist()):
         best, best_value, best_step = 0, math.nan, 0.0
         for s, (norm_sq, quad, inv_quad) in enumerate(zip(norms_sq[b], quads[b], inv_quads[b])):
@@ -222,8 +221,7 @@ def select_pattern_and_row_loop(linear, quads, inv_quads, budgets, rows=None):
         # A complex step: a Python float times a complex array.
         rows[b] = complex(-best_step) * linear[b, :, best]
         indices.append(best)
-        values.append(best_value)
-    return indices, rows, values
+    return indices, rows
 
 
 def row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):

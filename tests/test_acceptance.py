@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_solver
-from helpers import random_complex, random_psd, rotated_sphere_solve
+from helpers import block_objective, random_complex, random_psd, rotated_sphere_solve
 from trihybrid.baselines import fixed_pattern_wmmse
 from trihybrid.channel import (
     EffectiveChannel,
@@ -153,7 +153,8 @@ def test_criterion_04_closed_form_row_oracle():
         dmat = random_complex(rng, d_streams, width) - random_complex(rng, d_streams, width)
         budget = float(rng.uniform(0.5, 4.0))
         quads, inv_quads = candidate_quads(quad)
-        _, _, (value,) = select_pattern_and_row(dmat[None], [quads], [inv_quads], [budget])
+        (index,), (row,) = select_pattern_and_row(dmat[None], [quads], [inv_quads], [budget])
+        value = block_objective(quad, dmat, row, np.eye(width)[index])
         best_sampled = np.inf
         for s in range(width):
             a = float(np.real(quad[s, s]))

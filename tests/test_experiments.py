@@ -383,6 +383,8 @@ class TestRun:
         # The example's three WMMSE methods each solve their 21 cells in
         # one batch, whose runs leave in many different iterations, and the
         # zero-forcing precoders make a fourth: four decompositions in all.
+        # The results are pinned byte for byte: a change that alters them
+        # updates this hash and lists every changed number in CHANGES.md.
         calls = []
         decompose = wmmse.decompose_precoders
 
@@ -392,9 +394,13 @@ class TestRun:
 
         monkeypatch.setattr(wmmse, "decompose_precoders", counted)
         text = (Path(__file__).resolve().parents[1] / "docs" / "example.ini").read_text()
-        rows = read_rows(run_experiment(write_config(tmp_path, text)))
+        path = run_experiment(write_config(tmp_path, text))
+        rows = read_rows(path)
         assert calls == [21] * 4
         assert len(rows) == 84
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
+            "6825d01108a32979ca3a98740b93653ae1c98d7d8e003054a5b2427a88f2cc41"
+        )
         assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
 
     @pytest.mark.parametrize("fault", ["none", "batch", "scenario"])

@@ -42,6 +42,7 @@ from trihybrid.channel import (
 )
 from trihybrid.patterns import CandidateSet, gaussian_beam_grid, isotropic_pattern
 from trihybrid.sphere_opt import (
+    isotropic_coefficients,
     lift_coefficients,
     reduced_coefficient_problem,
     reduction_factors,
@@ -53,8 +54,8 @@ from trihybrid.wmmse import (
     _TINY_QUAD,
     Run,
     SolverConfig,
+    _Batch,
     _SweepWorkspace,
-    _Users,
     candidate_quads,
     mmse_receivers,
     mse_matrix,
@@ -384,12 +385,13 @@ def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
 
 def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users):
     """The sweep workspace of a batch of one run, whose pairs and rows are
-    its antennas in order."""
-    stack = _Users.of([Run(effs, SolverConfig(noise=0.3))], users)
-    received = stack.covariances(antenna_matrix, f_d).received
-    return _SweepWorkspace(
-        stack, antenna_matrix, f_d, received, receivers[None], weights[None], beta
+    its antennas in order, at the given state."""
+    batch = _Batch.of([Run(effs, SolverConfig(noise=0.3))], users, antenna_matrix[:1])
+    batch = dataclasses.replace(
+        batch, f_d=f_d, antenna_matrix=antenna_matrix, weights=weights[None],
+        cov=batch.covariances(antenna_matrix, f_d),
     )
+    return _SweepWorkspace(batch, receivers[None], beta)
 
 
 def _full_objective(effs, antenna_matrix, f_d, receivers, weights, beta, users, sigma=0.3):
@@ -486,9 +488,9 @@ class TestPerAntennaTerms:
         workspaces = []
 
         class Recorded(wmmse._SweepWorkspace):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.inputs = args  # (users, patterns, f_d, received, receivers, weights, beta)
+            def __init__(self, batch, receivers, beta):
+                super().__init__(batch, receivers, beta)
+                self.inputs = (receivers, batch.weights, beta)
                 workspaces.append(self)
 
         step = getattr(wmmse, step_name)
@@ -496,7 +498,7 @@ class TestPerAntennaTerms:
 
         def checked_step(linear, *args):
             workspace, n = workspaces[-1], len(checked)
-            receivers, weights, beta = workspace.inputs[4:]
+            receivers, weights, beta = workspace.inputs
             align = alignment_term(effs, receivers[0], weights[0], beta, n)
             quad, want = antenna_terms(workspace, n, align)
             out = step(linear, *args)
@@ -565,10 +567,12 @@ class TestClosedFormRow:
 
 
 def _select(quad, linear, budget):
-    """The selection step on a batch of one: (index, row, value)."""
+    """The selection step on a batch of one: (index, row, value), the value
+    the block objective of the row and candidate it picks."""
     quads, inv_quads = candidate_quads(quad)
-    indices, rows, values = select_pattern_and_row(linear[None], [quads], [inv_quads], [budget])
-    return indices[0], rows[0], values[0]
+    indices, rows = select_pattern_and_row(linear[None], [quads], [inv_quads], [budget])
+    index, row = indices[0], rows[0]
+    return index, row, block_objective(quad, linear, row, np.eye(len(quad))[index])
 
 
 class TestSelectPattern:
@@ -714,7 +718,7 @@ def test_select_matches_vectorized_step_bit_for_bit(step):
     # Scoring the candidates one by one on Python floats and the
     # whole-array form run by run must give the same index (ties and NaN
     # values go to the lowest index, as with argmin) and the same bits in
-    # the row and the value, in every run of the batch.
+    # the row, in every run of the batch.
     with np.errstate(all="ignore"):
         rows = np.full(step[0].shape[:2], np.nan, dtype=complex)
         got = select_pattern_and_row(*step, rows)
@@ -722,10 +726,8 @@ def test_select_matches_vectorized_step_bit_for_bit(step):
             want = reference(*step)
             assert got[0] == want[0], reference.__name__
             assert got[1].tobytes() == want[1].tobytes(), reference.__name__
-            assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes(), reference.__name__
     assert got[1] is rows
     assert all(type(index) is int for index in got[0])
-    assert all(type(value) is float for value in got[2])
 
 
 def _synthesize(quad, linear, terms, coefficients, budget, rho):
@@ -1327,6 +1329,71 @@ class TestBatchedSolves:
     def test_synthesis_of_mixed_antenna_counts(self, mixed_drops, rho, monkeypatch):
         runs = self._synthesis_runs(mixed_drops, rho)
         self._check(solve_synthesis, run_synthesis, runs, monkeypatch)
+
+    def _batch(self, runs):
+        """The batch of a synthesis solve of the runs after its first
+        covariance pass and weight update."""
+        width = runs[0].effs[0].block_width
+        starts = np.stack([isotropic_coefficients(width, run.config.rho) for run in runs])
+        factors = np.stack([reduction_factors(run.config.rho) for run in runs])
+        batch = _Batch.of(runs, self.STREAMS, starts, factors)
+        batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        batch.weights = mse_weights(batch.cov, mmse_receivers(batch.cov))
+        return batch
+
+    @staticmethod
+    def _arrays(batch):
+        """Every lifted stack and tagged array of a batch but its ids, by
+        name, the covariance pass's arrays one by one."""
+        arrays = {f"lifted[{g}]": stack for g, stack in enumerate(batch.lifted)}
+        for part in dataclasses.fields(batch):
+            value = getattr(batch, part.name)
+            if part.name == "cov":
+                for name in ("received", "own", "interference", "total"):
+                    arrays[f"cov.{name}"] = getattr(value, name)
+            elif "axis" in part.metadata and part.name != "ids":
+                arrays[part.name] = value
+        return arrays
+
+    # Places in the batch's order of 16, 12, 12 and 9 antennas: every run;
+    # the two that empty the 16- and the 9-antenna groups; two that empty
+    # the 12-antenna group; one of that group's two runs; a single run.
+    @pytest.mark.parametrize("kept", [[0, 1, 2, 3], [1, 2], [0, 3], [0, 2, 3], [3]])
+    def test_batch_take_equals_batch_of_kept_runs(self, mixed_drops, kept):
+        runs = self._synthesis_runs(mixed_drops, None)
+        full = self._batch(runs)
+        assert full.layout.n_antennas == [16, 12, 12, 9]
+        taken = full.take(kept)
+        fresh = self._batch([runs[r] for r in full.ids[kept]])
+        assert taken.ids.tolist() == full.ids[kept].tolist()
+        assert fresh.ids.tolist() == list(range(len(kept)))
+        assert taken.layout.n_antennas == fresh.layout.n_antennas
+        got, want = self._arrays(taken), self._arrays(fresh)
+        assert got.keys() == want.keys()
+        for name, array in want.items():
+            assert got[name].shape == array.shape, name
+            assert got[name].tobytes() == array.tobytes(), name
+
+    def test_leave_gives_rows_of_one_run_batch(self, mixed_drops):
+        runs = self._synthesis_runs(mixed_drops, None)
+        full = self._batch(runs)
+        for b, r in enumerate(full.ids.tolist()):
+            alone = self._batch([runs[r]])
+            run, *rows = full.leave(b)
+            assert run == r
+            wants = (alone.f_d, alone.antenna_matrix, alone.power)
+            for got, want, of_batch in zip(rows, wants, (full.f_d, full.antenna_matrix, full.power)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), b
+                assert not np.shares_memory(got, of_batch), b
+
+    def test_every_batch_field_is_tagged_or_shared(self):
+        # take() cuts each field by its axis tag: a field with neither a
+        # tag nor a place on the shared list would reach a smaller batch
+        # uncut.
+        for part in dataclasses.fields(_Batch):
+            axis = part.metadata.get("axis")
+            assert (axis is None) == (part.name in _Batch.SHARED), part.name
+            assert axis in (None, "run", "row", "pair"), part.name
 
     def test_runs_of_unequal_shapes_rejected(self, drops, mixed_drops):
         # Runs of unequal pattern widths or receive counts cannot share a
