@@ -3,11 +3,13 @@
 Reads a flat key-value config (INI sections: scenario, solver, sweep), runs
 every sweep point x method x scenario seed, and appends one row per run to a
 results CSV.  The methods of one (sweep point, scenario seed) cell share its
-scenario and fixed-pattern solve, and every cell shares the candidate grid.
-The WMMSE runs of all cells that share a solver, pattern width and receive
-counts are solved in one lockstep batch whatever their antenna counts, and
-their zero-forcing precoders decomposed in batches, before the rows are
-made; the rows only read.  Runs are deterministic
+fixed-pattern solve; the cells of one array shape and scenario seed share
+their scenario and lifted channels, and every cell shares the candidate
+grid.  The WMMSE runs of all cells that share a solver, pattern width and
+receive counts are solved in one lockstep batch whatever their antenna
+counts, and the zero-forcing precoders in one more; then every solved run
+of the sweep is decomposed, one call per chain count and antenna count,
+before the rows are made; the rows only read.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
 are fixed, a run's results do not depend on its batch, and rows are written
 in sweep order regardless of worker count.  Wall-clock timings go to a
@@ -22,7 +24,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -31,7 +32,6 @@ import numpy as np
 from .baselines import bd_zero_forcing, interference_leakage
 from .channel import (
     EffectiveChannel,
-    Scenario,
     ScenarioConfig,
     compose,
     generate_scenario,
@@ -43,14 +43,14 @@ from .metrics import audit_constraints
 from .patterns import CandidateSet, gaussian_beam_grid, most_square_factors
 from .units import dbm_to_milliwatts
 from .wmmse import (
-    PrecoderState,
+    Iterate,
     Run,
     SolverConfig,
     Trace,
     decompose_states,
+    iterate_selection,
+    iterate_synthesis,
     received_covariances,
-    solve_selection,
-    solve_synthesis,
     stream_masks,
     weighted_sum_rate,
 )
@@ -329,12 +329,16 @@ def _solver_for(config: ExperimentConfig, value: float) -> SolverConfig:
 
 @dataclass
 class _Sweep:
-    """What every cell of a sweep, or of one worker's share of it, shares:
-    the config, the candidate grid and the set of its baseline pattern
-    alone, each built on first use, so that the audit evaluates each
-    candidate's gains once per sweep."""
+    """What every cell of a sweep, or of one worker's share of it, shares,
+    each built on first use: the config, the candidate grid and the set of
+    its baseline pattern alone, so that the audit evaluates each
+    candidate's gains once per sweep; and per array shape and scenario seed
+    the scenario and its lifted channels, so that the cells of a power or
+    chain-count sweep share them."""
 
     config: ExperimentConfig
+    scenarios: dict = field(default_factory=dict)  # (array shape, scenario seed) -> scenario
+    lifts: dict = field(default_factory=dict)  # (array shape, scenario seed, lift) -> channels
 
     @cached_property
     def candidates(self) -> CandidateSet:
@@ -346,32 +350,55 @@ class _Sweep:
     def baseline_set(self) -> CandidateSet:
         return CandidateSet((self.candidates.baseline,))
 
+    def effs(self, value: float, seed: int, method: str) -> list[EffectiveChannel]:
+        """The lifted channels of `method`'s run in the cell of `value` and
+        `seed`: one per user, over the candidate grid (`model1`), the
+        harmonic basis (`model2`) or the baseline pattern, which the
+        `wmmse_fixed` and `zf` runs and the warm starts share.  The
+        scenario comes first, so that it is the first thing a sweep builds;
+        a build that raises is tried again by the next run that asks."""
+        scenario = _scenario_for(self.config, value)
+        drop = (scenario.bs_shape, seed)
+        if drop not in self.scenarios:
+            self.scenarios[drop] = generate_scenario(scenario, seed)
+        key = (*drop, method if method in ("model1", "model2") else "baseline")
+        if key not in self.lifts:
+            geometries = self.scenarios[drop].geometries
+            if method == "model1":
+                effs = [selection_effective_channel(g, self.candidates) for g in geometries]
+            elif method == "model2":
+                effs = [synthesis_effective_channel(g, self.config.sh_degree) for g in geometries]
+            else:
+                effs = [selection_effective_channel(g, self.baseline_set) for g in geometries]
+            self.lifts[key] = effs
+        return self.lifts[key]
+
 
 @dataclass
 class _Cell:
     """What every method of one (sweep value, scenario seed) cell shares.
 
-    The runner's batch stage builds each method's run (`runs`), its inputs
-    on first use, and solves it in a batch with other cells' runs before
-    any of the cell's rows are made (`solved`).  The fixed-pattern WMMSE
-    solve serves both the `wmmse_fixed` row and the warm starts.  A run
-    whose inputs or solve raised holds the exception instead, and its row
-    raises it again; rows only read.  The seconds the stage spends on the
-    cell, building a run and the cell's share of each batch it is in, wait
-    in `owed` for the first row, in method order, that reads the run
-    (`_reads`), and so do the solve's phase seconds.
+    The runner's batch stage builds each method's run (`runs`) from the
+    sweep's lifted channels and the cell's solver, and solves it in a
+    batch with other cells' runs (`solved` holds its :class:`Iterate`); the
+    decomposition stage then factors every solved run of the sweep and
+    leaves its (state, trace) there, all before any of the cell's rows are
+    made.  The fixed-pattern
+    WMMSE solve serves both the `wmmse_fixed` row and the warm starts.  A
+    run whose inputs, solve or decomposition raised holds the exception
+    instead, and its row raises it again; rows only read.  The seconds the
+    stages spend on the cell, building a run and the cell's share of each
+    batch and decomposition it is in, wait in `owed` for the first row, in
+    method order, that reads the run (`_payer`), and so do the solve's
+    phase seconds.
     """
 
     sweep: _Sweep
     value: float
     seed: int
     runs: dict = field(default_factory=dict)  # method -> Run
-    solved: dict = field(default_factory=dict)  # method -> (PrecoderState, Trace) or exception
+    solved: dict = field(default_factory=dict)  # method -> Iterate, (state, trace) or exception
     owed: dict = field(default_factory=dict)  # method -> [seconds, *phase seconds]
-
-    @cached_property
-    def scenario(self) -> Scenario:
-        return generate_scenario(_scenario_for(self.sweep.config, self.value), self.seed)
 
     @cached_property
     def solver(self) -> SolverConfig:
@@ -381,30 +408,19 @@ class _Cell:
     def streams(self) -> tuple[int, ...]:
         return (self.sweep.config.streams_per_user,) * self.sweep.config.scenario.n_users
 
-    @cached_property
-    def fixed_effs(self) -> list[EffectiveChannel]:
-        return [
-            selection_effective_channel(g, self.sweep.baseline_set)
-            for g in self.scenario.geometries
-        ]
-
     def run(self, method: str) -> Run:
         """Build `method`'s run: a WMMSE run, started from the solves it
         reads first (the fixed-pattern one under `warm_start`), or the
         zero-forcing one on the baseline channels."""
-        geometries = self.scenario.geometries
-        if method == "model1":
-            effs = [selection_effective_channel(g, self.sweep.candidates) for g in geometries]
-        elif method == "model2":
-            effs = [synthesis_effective_channel(g, self.sweep.config.sh_degree) for g in geometries]
-        else:
-            effs = self.fixed_effs
+        effs = self.sweep.effs(self.value, self.seed, method)
         starts = _reads(self.sweep.config, method)[:-1]
-        init_f_d = self.solution(starts[0])[0].f_d if starts else None
+        init_f_d = self.solution(starts[0]).f_d if starts else None
         return Run(effs, self.solver, init_f_d)
 
-    def solution(self, method: str) -> tuple[PrecoderState, Trace]:
-        """The solve of `method`'s run, or what building or solving it raised."""
+    def solution(self, method: str):
+        """What `solved` holds for `method`: its iterate in the batch stage,
+        its (state, trace) after the decomposition stage; or what building,
+        solving or decomposing it raised."""
         outcome = self.solved[method]
         if isinstance(outcome, Exception):
             raise outcome
@@ -420,21 +436,20 @@ class _Cell:
 
 
 def _solver(method: str):
-    return {"model2": solve_synthesis, "zf": _zero_forcing}.get(method, solve_selection)
+    return {"model2": iterate_synthesis, "zf": _zero_forcing}.get(method, iterate_selection)
 
 
-def _zero_forcing(runs: list[Run], stream_counts) -> list[tuple[PrecoderState, Trace]]:
-    """BD zero forcing on the baseline pattern of each run of a batch, with
-    the precoders decomposed in batches; a trace records the decomposition's
-    seconds only."""
-    matrices = [np.ones((run.effs[0].n_antennas, 1)) for run in runs]
-    f_d = [
-        bd_zero_forcing([compose(e, matrix) for e in run.effs], stream_counts, run.config.power)
-        for run, matrix in zip(runs, matrices)
-    ]
-    power = [np.full(len(matrix), run.config.power) for run, matrix in zip(runs, matrices)]
-    states = decompose_states(f_d, matrices, power, [run.config for run in runs])
-    return [(state, Trace(converged=True, decomp_s=seconds)) for state, seconds in states]
+def _zero_forcing(runs: list[Run], stream_counts) -> list[Iterate]:
+    """BD zero forcing on the baseline pattern of each run of a batch,
+    undecomposed; a trace records the decomposition's seconds only."""
+    iterates = []
+    for run in runs:
+        matrix = np.ones((run.effs[0].n_antennas, 1))
+        channels = [compose(e, matrix) for e in run.effs]
+        f_d = bd_zero_forcing(channels, stream_counts, run.config.power)
+        power = np.full(len(matrix), run.config.power)
+        iterates.append(Iterate(f_d, matrix, power, run.config, Trace(converged=True)))
+    return iterates
 
 
 def run_point(
@@ -494,6 +509,12 @@ def _reads(config: ExperimentConfig, method: str) -> tuple[str, ...]:
     return (method,)
 
 
+def _payer(config: ExperimentConfig, method: str) -> str:
+    """The first row, in method order, that reads `method`'s run: the row
+    that pays for building, solving and decomposing it."""
+    return next(m for m in config.methods if method in _reads(config, m))
+
+
 def _solve_batches(cells: list[_Cell], method: str) -> None:
     """Build and solve `method`'s run of every cell, one lockstep batch per
     :attr:`Run.shapes`: the runs' pattern width and receive counts, so that
@@ -504,10 +525,9 @@ def _solve_batches(cells: list[_Cell], method: str) -> None:
     raise keeps the exception, which its row raises again; a configuration
     error ends the sweep.  The seconds spent on a cell are owed to the
     first row that reads the run; a batch's seconds outside its runs'
-    iterations and decompositions are split evenly among its runs.
+    iterations are split evenly among its runs.
     """
-    config = cells[0].sweep.config
-    payer = next(m for m in config.methods if method in _reads(config, m))
+    payer = _payer(cells[0].sweep.config, method)
     batches: dict = {}
     for cell in cells:
         started = time.perf_counter()
@@ -541,23 +561,66 @@ def _solve_batch(batch: list[_Cell], method: str, payer: str) -> bool:
             cell.solved[method] = exc
             cell.owe(payer, shared)
         return False
-    own = [sum(trace.iter_seconds) + trace.decomp_s for _, trace in solved]
+    own = [sum(iterate.trace.iter_seconds) for iterate in solved]
     shared = (time.perf_counter() - started - sum(own)) / len(batch)
-    for cell, seconds, outcome in zip(batch, own, solved):
-        cell.solved[method] = outcome
-        cell.owe(payer, seconds + shared, outcome[1])
+    for cell, seconds, iterate in zip(batch, own, solved):
+        cell.solved[method] = iterate
+        cell.owe(payer, seconds + shared)
     return True
 
 
+def _decompose_all(cells: list[_Cell]) -> None:
+    """The decomposition stage: factor every solved run of every method of
+    the cells, one :func:`decompose_states` call per chain count and
+    antenna count.
+
+    A call of more than one run that raises is made again run by run, so
+    one failing run loses only its own cell.  The row that pays for a run
+    is owed an equal share of its call's seconds, and the run's solve
+    phases with the decomposition's share as `decomp_s`.
+    """
+    groups: dict = {}  # (chain count, antenna count) -> its (cell, method, iterate)
+    for cell in cells:
+        for method, iterate in cell.solved.items():
+            if isinstance(iterate, Iterate):
+                key = (iterate.config.rf_chains, len(iterate.f_d))
+                groups.setdefault(key, []).append((cell, method, iterate))
+    for group in groups.values():
+        if not _decompose(group) and len(group) > 1:
+            for member in group:
+                _decompose([member])
+
+
+def _decompose(group: list[tuple]) -> bool:
+    """Decompose the (cell, method, iterate) runs of `group` in one call
+    and owe its seconds to each run's paying row; False when the call
+    raised."""
+    started = time.perf_counter()
+    try:
+        states = decompose_states([iterate for _, _, iterate in group])
+    except ConfigurationError:
+        raise
+    except Exception as exc:  # kept for the rows, unless the runs are decomposed again alone
+        states = [exc] * len(group)
+    shared = (time.perf_counter() - started) / len(group)
+    for (cell, method, _), outcome in zip(group, states):
+        cell.solved[method] = outcome
+        trace = None if isinstance(outcome, Exception) else outcome[1]
+        cell.owe(_payer(cell.sweep.config, method), shared, trace)
+    return not isinstance(states[0], Exception)
+
+
 def _solve_cells(config: ExperimentConfig, keys) -> list[_Cell]:
-    """The runner's batch stage: the cells of the given (sweep value,
-    scenario seed) keys, with every run their rows read solved in batches."""
+    """The runner's batch and decomposition stages: the cells of the given
+    (sweep value, scenario seed) keys, with every run their rows read
+    solved in batches, then decomposed together."""
     sweep = _Sweep(config)
     cells = [_Cell(sweep, value, seed) for value, seed in keys]
     reads = [_reads(config, m) for m in config.methods]
     # The runs that rows start from first, then each row's own, in method order.
     for method in dict.fromkeys([run for r in reads for run in r[:-1]] + [r[-1] for r in reads]):
         _solve_batches(cells, method)
+    _decompose_all(cells)
     return cells
 
 
@@ -635,6 +698,9 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
 
     cells = [(value, seed) for value in config.values for seed in config.seeds]
     if worker_count > 1:
+        # Imported here: a single-worker run does not load the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Each worker batches its own share of the cells.
         shares = min(worker_count, len(cells))
         with ProcessPoolExecutor(max_workers=shares) as pool:

@@ -21,7 +21,10 @@ antennas runs once per antenna count.  Every per-run array of a batch lives
 in one `_Batch`, tagged with its axis (run, run-major row or (antenna, run)
 pair); a run that stops leaves with copies of its rows, and the runs that
 stay go on in the batch's one `take`, which cuts every tagged array by its
-axis.  A run's results do not depend on its batch.
+axis.  A run's results do not depend on its batch.  The loop alone is
+:func:`iterate_selection` / :func:`iterate_synthesis`, which leave the
+decomposition (:func:`decompose_states`) to the caller, so that a sweep can
+decompose the runs of all its batches together.
 """
 
 from __future__ import annotations
@@ -826,30 +829,48 @@ def synthesize_pattern_and_row(
 # Shared solver loop
 # ---------------------------------------------------------------------------
 
-def decompose_states(f_d, antenna_matrix, power, configs) -> list[tuple[PrecoderState, float]]:
-    """The state of each run's digital precoder f_d[b], (N_b, D), factored
-    into analog and digital stages with configs[b]'s chain count and seed.
+@dataclass
+class Iterate:
+    """A run as its loop left it: the digital precoder, the pattern matrix
+    and the per-antenna budgets, not yet decomposed; its solver config and
+    its trace."""
 
-    `antenna_matrix[b]` and `power[b]` hold run b's pattern matrix and
-    per-antenna budgets.  The runs that share a chain count and an antenna
-    count are decomposed in one batched call.  Returns one (state, seconds)
-    per run, the seconds its equal share of its call.
+    f_d: np.ndarray
+    antenna_matrix: np.ndarray
+    power: np.ndarray
+    config: SolverConfig
+    trace: Trace
+
+
+def decompose_states(iterates: list[Iterate]) -> list[tuple[PrecoderState, Trace]]:
+    """The state of each run's iterate, its digital precoder (N_b, D)
+    factored into analog and digital stages with its config's chain count
+    and seed.
+
+    The runs that share a chain count and an antenna count are decomposed
+    in one batched call.  Returns one (state, trace) per run, the trace's
+    `decomp_s` set to its equal share of its call's seconds.
     """
     groups: dict = {}  # (chain count, antenna count) -> its runs
-    for b, config in enumerate(configs):
-        groups.setdefault((config.rf_chains, len(f_d[b])), []).append(b)
-    states: list = [None] * len(configs)
+    for b, iterate in enumerate(iterates):
+        groups.setdefault((iterate.config.rf_chains, len(iterate.f_d)), []).append(b)
+    states: list = [None] * len(iterates)
     for (n_rf, _), group in groups.items():
         started = time.perf_counter()
         parts = decompose_precoders(
-            np.stack([f_d[b] for b in group]), n_rf, [power[b] for b in group],
-            [configs[b].seed for b in group],
+            np.stack([iterates[b].f_d for b in group]), n_rf,
+            [iterates[b].power for b in group], [iterates[b].config.seed for b in group],
         )
         share = (time.perf_counter() - started) / len(group)
         for b, part in zip(group, parts):
+            iterate = iterates[b]
+            iterate.trace.decomp_s = share
             states[b] = (
-                PrecoderState(f_d[b], part.f_rf, part.f_bb, antenna_matrix[b], power[b], part.residual),
-                share,
+                PrecoderState(
+                    iterate.f_d, part.f_rf, part.f_bb, iterate.antenna_matrix, iterate.power,
+                    part.residual,
+                ),
+                iterate.trace,
             )
     return states
 
@@ -906,10 +927,9 @@ def _run_bcd(
     row_power_target: float,
     block_monitor=None,
     factors=None,
-) -> list[tuple[PrecoderState, Trace]]:
+) -> list[Iterate]:
     """Common outer loop of a batch of runs with the same pattern width and
-    receive counts, in lockstep: auxiliaries, antenna sweep, trace,
-    decomposition.
+    receive counts, in lockstep: auxiliaries, antenna sweep, trace.
 
     `starts` (B, W) holds the pattern vector every antenna of each run
     starts from, and `factors` each run's :func:`reduction_factors` in a
@@ -921,14 +941,12 @@ def _run_bcd(
     depend on which runs share its batch.  A run leaves the batch in the
     iteration where its own stop test fires or it reaches its own
     iteration cap: :meth:`_Batch.leave` keeps its precoder, pattern matrix
-    and budgets, and :meth:`_Batch.take` cuts the others' arrays.  When the
-    batch ends every run is decomposed in one batched call per chain
-    count and antenna count.  Each iteration's receiver and objective
-    seconds are split evenly among the runs active in it, its sweep
-    seconds in proportion to their antenna counts, and each call's seconds
-    among the runs it decomposes.  `block_monitor(label, objectives)` gets
-    every active run's objective after each block.  Returns one (state,
-    trace) per run.
+    and budgets, and :meth:`_Batch.take` cuts the others' arrays.  Each
+    iteration's receiver and objective seconds are split evenly among the
+    runs active in it, and its sweep seconds in proportion to their antenna
+    counts.  `block_monitor(label, objectives)` gets every active run's
+    objective after each block.  Returns one undecomposed :class:`Iterate`
+    per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
@@ -1015,12 +1033,9 @@ def _run_bcd(
             batch = batch.take(kept)
         started = time.perf_counter()
 
-    ids, *rows = zip(*left)
-    states = decompose_states(*rows, [runs[r].config for r in ids])
     results: list = [None] * len(runs)
-    for r, (state, seconds) in zip(ids, states):
-        traces[r].decomp_s = seconds
-        results[r] = (state, traces[r])
+    for r, *rows in left:
+        results[r] = Iterate(*rows, runs[r].config, traces[r])
     return results
 
 
@@ -1048,16 +1063,15 @@ def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
     workspace.apply(n, vectors, rows)
 
 
-def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
+def iterate_selection(runs: list[Run], stream_counts, block_monitor=None) -> list[Iterate]:
     """Precoding over a finite per-antenna pattern candidate set for a batch
-    of runs with the same pattern width and receive counts, solved in
+    of runs with the same pattern width and receive counts, iterated in
     lockstep; their antenna counts may differ.
 
     Each run's `effs` holds one selection-lifted channel per user.  Antennas
     start on candidate 0; a run's `init_f_d` overrides its random digital
     initialization (used for paired comparisons against a fixed-pattern
-    run).  Returns one (state, trace) per run, each equal to the bit to
-    :func:`run_selection` of that run alone.
+    run).  Returns one undecomposed :class:`Iterate` per run.
     """
     if any(eff.mode != "sel" for run in runs for eff in run.effs):
         raise ValueError("run_selection expects selection-lifted channels")
@@ -1065,11 +1079,11 @@ def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
     return _run_bcd(runs, stream_counts, _select_step, starts, 1.0, block_monitor)
 
 
-def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
+def iterate_synthesis(runs: list[Run], stream_counts, block_monitor=None) -> list[Iterate]:
     """Precoding with per-antenna harmonic pattern synthesis for a batch of
-    runs with the same pattern width and receive counts, solved in
-    lockstep; see :func:`run_synthesis`.  Returns one (state, trace) per
-    run, each equal to the bit to :func:`run_synthesis` of that run alone.
+    runs with the same pattern width and receive counts, iterated in
+    lockstep; see :func:`run_synthesis`.  Returns one undecomposed
+    :class:`Iterate` per run.
     """
     if any(eff.mode != "cof" for run in runs for eff in run.effs):
         raise ValueError("run_synthesis expects synthesis-lifted channels")
@@ -1079,6 +1093,22 @@ def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
     return _run_bcd(
         runs, stream_counts, _synthesize_step, starts, FOUR_PI, block_monitor, factors
     )
+
+
+def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
+    """:func:`iterate_selection`, then :func:`decompose_states`.  Returns
+    one (state, trace) per run, each equal to the bit to
+    :func:`run_selection` of that run alone.
+    """
+    return decompose_states(iterate_selection(runs, stream_counts, block_monitor))
+
+
+def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
+    """:func:`iterate_synthesis`, then :func:`decompose_states`.  Returns
+    one (state, trace) per run, each equal to the bit to
+    :func:`run_synthesis` of that run alone.
+    """
+    return decompose_states(iterate_synthesis(runs, stream_counts, block_monitor))
 
 
 def _single(block_monitor):

@@ -1,10 +1,12 @@
 import configparser
 import csv
+import gc
 import hashlib
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +191,7 @@ class TestRun:
         ).replace("seeds = 1", "seeds = 1 2")
         cfg = write_config(tmp_path, text)
         with monkeypatch.context() as patch:
-            for name in ("solve_selection", "solve_synthesis", "_zero_forcing"):
+            for name in ("iterate_selection", "iterate_synthesis", "_zero_forcing"):
                 solve = getattr(experiments, name)
 
                 def counted(runs, *args, _name=name, _solve=solve, **kwargs):
@@ -202,9 +204,9 @@ class TestRun:
         sizes = [9, 9, 16, 16]
         assert sorted(calls) == [
             ("_zero_forcing", 1, sizes),
-            ("solve_selection", 1, sizes),  # wmmse_fixed
-            ("solve_selection", 4, sizes),  # model1
-            ("solve_synthesis", 4, sizes),  # model2
+            ("iterate_selection", 1, sizes),  # wmmse_fixed
+            ("iterate_selection", 4, sizes),  # model1
+            ("iterate_synthesis", 4, sizes),  # model2
         ]
         assert Path(run_experiment(cfg, worker_count=2)).read_bytes() == serial
         rows = read_rows(tmp_path / "results.csv")
@@ -223,7 +225,7 @@ class TestRun:
         assert all(float(r["seconds"]) > 0 for r in rows)
         for row in rows:
             spent = [float(row[p]) for p in phases]
-            if row["method"] == "zf":  # its share of the decomposition batch only
+            if row["method"] == "zf":  # its share of its decomposition call only
                 assert spent[:3] == [0.0] * 3 and spent[3] > 0, row
                 assert spent[3] <= float(row["seconds"]), row
             else:  # each solve is timed inside its own row here
@@ -283,36 +285,62 @@ class TestRun:
     def test_one_fixed_solve_per_cell(self, tmp_path, monkeypatch, methods):
         # The fixed-pattern runs are the selection runs over one candidate.
         calls = []
-        solve = experiments.solve_selection
+        solve = experiments.iterate_selection
 
         def counted(runs, *args, **kwargs):
             calls.extend(run for run in runs if run.effs[0].block_width == 1)
             return solve(runs, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "solve_selection", counted)
+        monkeypatch.setattr(experiments, "iterate_selection", counted)
         text = GRID.replace("methods = model1 model2 wmmse_fixed zf", f"methods = {methods}")
         rows = read_rows(run_experiment(write_config(tmp_path, text)))
         assert len(calls) == 4  # 2 values x 2 seeds
-        monkeypatch.setattr(experiments, "solve_selection", solve)
+        monkeypatch.setattr(experiments, "iterate_selection", solve)
         reference = read_rows(run_experiment(write_config(tmp_path, GRID, "all.ini")))
         warm = [r for r in rows if r["method"] in ("model1", "model2")]
         assert warm == [r for r in reference if r["method"] in ("model1", "model2")]
 
-    def test_each_channel_lifted_once_per_cell(self, tmp_path, monkeypatch):
-        lifts = []
-        lift = channel._lift
+    def test_each_channel_lifted_once_per_scenario(self, tmp_path, monkeypatch):
+        # Two powers by two seeds: the two cells of a seed share its
+        # scenario and its lifts, whatever their power.
+        lifts, seeds = [], []
+        lift, generate = channel._lift, experiments.generate_scenario
 
         def counted(geom, gains, mode):
-            lifts.append(mode)
+            lifts.append((mode, geom))
             return lift(geom, gains, mode)
 
+        def generated(config, seed):
+            seeds.append(seed)
+            return generate(config, seed)
+
         monkeypatch.setattr(channel, "_lift", counted)
-        run_experiment(write_config(tmp_path, GRID))
-        # 4 cells x 2 users: the candidate grid and the baseline pattern
+        monkeypatch.setattr(experiments, "generate_scenario", generated)
+        run_experiment(write_config(tmp_path, GRID), worker_count=1)
+        assert seeds == [1, 2]
+        geometries = {id(geom): geom for _, geom in lifts}
+        assert len(geometries) == 2 * 2  # two seeds by two users
+        # Per user channel: the candidate grid and the baseline pattern
         # (selection), the harmonic basis (synthesis); the warm starts and
         # the wmmse_fixed and zf rows share the baseline lift.
-        assert lifts.count("sel") == 4 * 2 * 2
-        assert lifts.count("cof") == 4 * 2
+        for geom in geometries.values():
+            assert sorted(mode for mode, g in lifts if g is geom) == ["cof", "sel", "sel"]
+
+    def test_sweep_freed_without_the_cycle_collector(self, tmp_path):
+        # The sweep keeps every scenario and lift of its cells.  Held in a
+        # reference cycle, they would outlive the run until the cycle
+        # collector happens to run, and memory would grow run after run.
+        config = load_config(write_config(tmp_path, GRID))
+        keys = [(value, seed) for value in config.values for seed in config.seeds]
+        gc.disable()
+        try:
+            cells = experiments._solve_cells(config, keys)
+            sweep = weakref.ref(cells[0].sweep)
+            assert sweep().lifts
+            del cells
+            assert sweep() is None
+        finally:
+            gc.enable()
 
     def test_candidate_grid_built_once_per_sweep_after_the_first_scenario(
         self, tmp_path, monkeypatch
@@ -332,7 +360,7 @@ class TestRun:
         monkeypatch.setattr(experiments, "generate_scenario", counted_scenario)
         run_experiment(write_config(tmp_path, GRID), worker_count=1)
         assert events.count("grid") == 1
-        assert events.count("scenario") == 4
+        assert events.count("scenario") == 2  # one per seed, shared by both powers
         assert events[0] == "scenario"
 
     @pytest.mark.parametrize("text", [MINI, GRID], ids=["cold", "warm"])
@@ -340,7 +368,7 @@ class TestRun:
         # Each batched solve's seconds and phase seconds land in the one row
         # that first reads it: with warm starts, model1 pays for the
         # fixed-pattern solve and the wmmse_fixed row holds no solve.  A zf
-        # row holds its share of the zero-forcing decomposition batch.
+        # row holds its share of its decomposition call.
         out = run_experiment(write_config(tmp_path, text.replace("seeds = 1\n", "seeds = 1 2\n")))
         phases = ["receivers_s", "sweep_s", "objective_s", "decomp_s"]
         timing = read_rows(Path(out).with_name("results_timing.csv"))
@@ -360,7 +388,8 @@ class TestRun:
     def test_one_decomposition_per_chain_count_of_a_batch(self, tmp_path, monkeypatch):
         # Four cells of one array shape: the wmmse_fixed runs make one batch
         # and all leave in their last iteration, and so do the zero-forcing
-        # precoders; each batch decomposes once per chain count.
+        # precoders; the runs of both batches are decomposed together, one
+        # call per chain count.
         calls = []
         decompose = wmmse.decompose_precoders
 
@@ -375,14 +404,16 @@ class TestRun:
             "objective_tol = 1e-6", "objective_tol = 0"
         ).replace("seeds = 1", "seeds = 1 2")
         rows = read_rows(run_experiment(write_config(tmp_path, text)))
-        assert sorted(calls) == [(4, 2), (4, 2), (6, 2), (6, 2)]
+        assert calls == [(4, 4), (6, 4)]
         assert [r["rf_chains"] for r in rows] == ["4"] * 4 + ["6"] * 4
         assert {r["outer_iterations"] for r in rows if r["method"] == "wmmse_fixed"} == {"6"}
 
     def test_example_decomposes_once_per_batch(self, tmp_path, monkeypatch):
         # The example's three WMMSE methods each solve their 21 cells in
         # one batch, whose runs leave in many different iterations, and the
-        # zero-forcing precoders make a fourth: four decompositions in all.
+        # zero-forcing precoders make a fourth; all 84 runs share a chain
+        # count and an antenna count, so the sweep decomposes them in one
+        # call.
         # The results are pinned byte for byte: a change that alters them
         # updates this hash and lists every changed number in CHANGES.md.
         calls = []
@@ -396,19 +427,76 @@ class TestRun:
         text = (Path(__file__).resolve().parents[1] / "docs" / "example.ini").read_text()
         path = run_experiment(write_config(tmp_path, text))
         rows = read_rows(path)
-        assert calls == [21] * 4
+        assert calls == [84]
         assert len(rows) == 84
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
             "6825d01108a32979ca3a98740b93653ae1c98d7d8e003054a5b2427a88f2cc41"
         )
         assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
 
+    def test_antennas_sweep_decomposes_once_per_antenna_count(self, tmp_path, monkeypatch):
+        # Every method's runs of one antenna count share a decomposition
+        # call.  The results are pinned byte for byte, as the runner wrote
+        # them when each batch decomposed its own runs.
+        calls = []
+        decompose = wmmse.decompose_precoders
+
+        def counted(f_d, n_rf, *args, **kwargs):
+            calls.append((n_rf, f_d.shape[1], len(f_d)))
+            return decompose(f_d, n_rf, *args, **kwargs)
+
+        monkeypatch.setattr(wmmse, "decompose_precoders", counted)
+        text = MINI.replace("axis = power", "axis = antennas").replace(
+            "values = 0", "values = 9 16"
+        ).replace(
+            "methods = model1 model2 wmmse_fixed zf", "methods = model1 wmmse_fixed zf"
+        ).replace("seeds = 1", "seeds = 1 2").replace(
+            "max_outer_iterations = 6", "max_outer_iterations = 3"
+        )
+        path = run_experiment(write_config(tmp_path, text), worker_count=1)
+        assert calls == [(6, 9, 6), (6, 16, 6)]  # 3 methods x 2 seeds each
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
+            "978f5af51bd54677c29e66367588664e7d063fc8b6be2829a839b4070717148a"
+        )
+
+    def test_run_whose_decomposition_raises_is_named_and_others_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The -10 dBm zero-forcing run (no iterations, one pattern column)
+        # fails its decomposition: the call of all twelve runs raises, each
+        # run is decomposed again alone, and only its cell is lost.
+        calls = []
+        decompose = experiments.decompose_states
+
+        def flaky(iterates):
+            calls.append(len(iterates))
+            for iterate in iterates:
+                zero_forcing = iterate.trace.n_iterations == 0
+                if zero_forcing and iterate.config.power < 1.0:
+                    raise FloatingPointError("no factorization")
+            return decompose(iterates)
+
+        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
+        text = MINI.replace("values = 0", "values = -10 0 10")
+        reference = Path(run_experiment(write_config(tmp_path, text, "reference.ini")))
+        expected = [line for line in reference.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"power,-10.0,")]
+        monkeypatch.setattr(experiments, "decompose_states", flaky)
+        assert main(["run", str(write_config(tmp_path, text))]) == 1
+        assert calls == [12] + [1] * 12
+        err = capsys.readouterr().err
+        assert "1 of 3 sweep cells failed" in err
+        assert "value -10.0, seed 1: FloatingPointError: no factorization" in err
+        assert "value 0.0" not in err and "value 10.0" not in err
+        assert (tmp_path / "results.csv").read_bytes().splitlines(keepends=True) == expected
+        assert len(expected) == 1 + 8
+
     @pytest.mark.parametrize("fault", ["none", "batch", "scenario"])
     def test_rows_build_nothing_and_solve_nothing(self, tmp_path, monkeypatch, fault):
         # Every scenario, lift and solve happens in the batch stage, also
         # when a batch raises (the -10 dBm runs) or a scenario does (seed 2).
         def fails(name, args):
-            if fault == "batch" and name == "solve_selection":
+            if fault == "batch" and name == "iterate_selection":
                 return any(run.config.power < 1.0 for run in args[0])
             return fault == "scenario" and name == "generate_scenario" and args[1] == 2
 
@@ -427,8 +515,8 @@ class TestRun:
             monkeypatch.setattr(experiments, name, spied)
 
         for name in ("generate_scenario", "selection_effective_channel",
-                     "synthesis_effective_channel", "solve_selection", "solve_synthesis",
-                     "_zero_forcing"):
+                     "synthesis_effective_channel", "iterate_selection", "iterate_synthesis",
+                     "_zero_forcing", "decompose_states"):
             spy(name)
         row = experiments.run_point
 
@@ -785,7 +873,7 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch
     ):
         batches = []
-        solve = experiments.solve_selection
+        solve = experiments.iterate_selection
 
         def flaky(runs, *args, **kwargs):
             batches.append(len(runs))
@@ -793,7 +881,7 @@ class TestCli:
                 raise FloatingPointError("diverged")
             return solve(runs, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "solve_selection", flaky)
+        monkeypatch.setattr(experiments, "iterate_selection", flaky)
         monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
         text = MINI.replace("values = 0", "values = -10 0").replace(
             "methods = model1 model2 wmmse_fixed zf", "methods = model1 zf"

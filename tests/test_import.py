@@ -19,6 +19,17 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_runner_import_leaves_the_process_pool_out():
+    # The pool is imported only by a run with more than one worker.
+    src = str(Path(trihybrid.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import trihybrid.experiments; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_readme_library_section_runs_as_written_and_names_every_export():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
