@@ -17,8 +17,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the sweep described by a config file")
     run.add_argument("config", help="path to an INI config with scenario/solver/sweep sections")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: TRIHYBRID_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
 
     plot = sub.add_parser("plotdata", help="aggregate results to mean/stderr per sweep point")
     plot.add_argument("results", help="results CSV produced by `run`")

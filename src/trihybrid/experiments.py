@@ -8,8 +8,8 @@ their scenario and lifted channels, and every cell shares the candidate
 grid.  The WMMSE runs of all cells that share a solver, pattern width and
 receive counts are solved in one lockstep batch whatever their antenna
 counts, and the zero-forcing precoders in one more; then every solved run
-of the sweep is decomposed, one call per chain count and antenna count,
-before the rows are made; the rows only read.  Runs are deterministic
+that a row reports is decomposed, one call per chain count and antenna
+count, before the rows are made; the rows only read.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
 are fixed, a run's results do not depend on its batch, and rows are written
 in sweep order regardless of worker count.  Wall-clock timings go to a
@@ -54,8 +54,6 @@ from .wmmse import (
     stream_masks,
     weighted_sum_rate,
 )
-
-WORKER_ENV = "TRIHYBRID_WORKERS"
 
 METHODS = ("model1", "model2", "wmmse_fixed", "zf")
 _WMMSE_METHODS = ("model1", "model2", "wmmse_fixed")
@@ -134,6 +132,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _parse_paths(text: str) -> int | tuple[int, ...]:
     counts = tuple(_count(v) for v in text.split())
     return counts[0] if len(counts) == 1 else counts
+
+
+def _output_path(text: str) -> str:
+    """A results file path: its last component names a file."""
+    if os.path.basename(text) in ("", ".", ".."):
+        raise ConfigurationError(f"{text!r} does not name a file")
+    return text
 
 
 def _parse_positions(text: str) -> np.ndarray:
@@ -229,7 +234,7 @@ def load_config(path) -> ExperimentConfig:
         values=values,
         methods=methods,
         seeds=seeds,
-        output=get(sw, "output", str, "results.csv"),
+        output=get(sw, "output", _output_path, "results.csv"),
         traces_dir=get(sw, "traces_dir", str, None),
     )
     for section, keys in asked.items():
@@ -381,16 +386,15 @@ class _Cell:
     The runner's batch stage builds each method's run (`runs`) from the
     sweep's lifted channels and the cell's solver, and solves it in a
     batch with other cells' runs (`solved` holds its :class:`Iterate`); the
-    decomposition stage then factors every solved run of the sweep and
-    leaves its (state, trace) there, all before any of the cell's rows are
-    made.  The fixed-pattern
-    WMMSE solve serves both the `wmmse_fixed` row and the warm starts.  A
-    run whose inputs, solve or decomposition raised holds the exception
-    instead, and its row raises it again; rows only read.  The seconds the
-    stages spend on the cell, building a run and the cell's share of each
-    batch and decomposition it is in, wait in `owed` for the first row, in
-    method order, that reads the run (`_payer`), and so do the solve's
-    phase seconds.
+    decomposition stage then factors every solved run that a row reports
+    and leaves its (state, trace) there, all before any of the cell's rows
+    are made.  The fixed-pattern WMMSE solve serves both the `wmmse_fixed`
+    row and the warm starts.  A run whose inputs, solve or decomposition
+    raised holds the exception instead, and its row raises it again; rows
+    only read.  The seconds the stages spend on the cell, building a run
+    and the cell's share of each batch and decomposition it is in, wait in
+    `owed` for the first row, in method order, that reads the run
+    (`_payer`), and so do the phase seconds of its solve and decomposition.
     """
 
     sweep: _Sweep
@@ -426,13 +430,14 @@ class _Cell:
             raise outcome
         return outcome
 
-    def owe(self, method: str, seconds: float, trace: Trace | None = None) -> None:
-        """Add seconds, and the phase seconds of a solve, to `method`'s row."""
+    def owe(self, method: str, seconds: float, trace: Trace | None = None, phases=()) -> None:
+        """Add seconds, and the named phase seconds of a trace, to `method`'s row."""
         owed = self.owed.setdefault(method, [0.0] * (1 + len(_PHASE_COLUMNS)))
         owed[0] += seconds
         if trace is not None:
             for i, phase in enumerate(_PHASE_COLUMNS, 1):
-                owed[i] += getattr(trace, phase)
+                if phase in phases:
+                    owed[i] += getattr(trace, phase)
 
 
 def _solver(method: str):
@@ -515,99 +520,101 @@ def _payer(config: ExperimentConfig, method: str) -> str:
     return next(m for m in config.methods if method in _reads(config, m))
 
 
+def _in_batches(items: list, key, call, settle) -> None:
+    """Make one `call` per group of `items` that share a `key`, and hand
+    each group, its outcomes and the call's seconds to `settle`.
+
+    The outcomes are what the call returned, one per item, or the
+    exception it raised for every item; a configuration error ends the
+    sweep.  A group of more than one item whose call raises is called
+    again item by item, so one failing item loses only its own outcome.
+    """
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    for group in groups.values():
+        started = time.perf_counter()
+        try:
+            outcomes = call(group)
+        except ConfigurationError:
+            raise
+        except Exception as exc:  # kept, unless the items are called again alone
+            outcomes = [exc] * len(group)
+        settle(group, outcomes, time.perf_counter() - started)
+        if isinstance(outcomes[0], Exception) and len(group) > 1:
+            for item in group:
+                _in_batches([item], key, call, settle)
+
+
 def _solve_batches(cells: list[_Cell], method: str) -> None:
     """Build and solve `method`'s run of every cell, one lockstep batch per
     :attr:`Run.shapes`: the runs' pattern width and receive counts, so that
     the cells of every antenna count share a batch.
 
-    A batch of more than one run that raises is solved again run by run,
-    so one failing run loses only its own cell.  A run whose inputs or solve
-    raise keeps the exception, which its row raises again; a configuration
-    error ends the sweep.  The seconds spent on a cell are owed to the
-    first row that reads the run; a batch's seconds outside its runs'
-    iterations are split evenly among its runs.
+    A run whose inputs or solve raise keeps the exception, which its row
+    raises again.  The seconds spent on a cell are owed to the first row
+    that reads the run: building it, its own iterations and their phases,
+    and an even share of the rest of its batch call.
     """
     payer = _payer(cells[0].sweep.config, method)
-    batches: dict = {}
+    built = []
     for cell in cells:
         started = time.perf_counter()
         try:
-            run = cell.runs[method] = cell.run(method)
+            cell.runs[method] = cell.run(method)
         except ConfigurationError:
             raise
         except Exception as exc:  # raised again, and named, by the cell's rows
             cell.solved[method] = exc
-            continue
+        else:
+            built.append(cell)
         finally:
             cell.owe(payer, time.perf_counter() - started)
-        batches.setdefault(run.shapes, []).append(cell)
-    for batch in batches.values():
-        if not _solve_batch(batch, method, payer) and len(batch) > 1:
-            for cell in batch:
-                _solve_batch([cell], method, payer)
 
+    def settle(batch, outcomes, seconds):
+        traces = [None if isinstance(it, Exception) else it.trace for it in outcomes]
+        own = [sum(trace.iter_seconds) if trace else 0.0 for trace in traces]
+        shared = (seconds - sum(own)) / len(batch)
+        for cell, outcome, trace, spent in zip(batch, outcomes, traces, own):
+            cell.solved[method] = outcome
+            cell.owe(payer, spent + shared, trace, _PHASE_COLUMNS[:-1])  # all but decomp_s
 
-def _solve_batch(batch: list[_Cell], method: str, payer: str) -> bool:
-    """Solve `method`'s runs of `batch` in one call and owe its seconds to
-    each cell's `payer` row; False when the call raised."""
-    started = time.perf_counter()
-    try:
-        solved = _solver(method)([cell.runs[method] for cell in batch], batch[0].streams)
-    except ConfigurationError:
-        raise
-    except Exception as exc:  # kept for the rows, unless the runs are solved again alone
-        shared = (time.perf_counter() - started) / len(batch)
-        for cell in batch:
-            cell.solved[method] = exc
-            cell.owe(payer, shared)
-        return False
-    own = [sum(iterate.trace.iter_seconds) for iterate in solved]
-    shared = (time.perf_counter() - started - sum(own)) / len(batch)
-    for cell, seconds, iterate in zip(batch, own, solved):
-        cell.solved[method] = iterate
-        cell.owe(payer, seconds + shared)
-    return True
+    _in_batches(
+        built,
+        lambda cell: cell.runs[method].shapes,
+        lambda batch: _solver(method)([cell.runs[method] for cell in batch], batch[0].streams),
+        settle,
+    )
 
 
 def _decompose_all(cells: list[_Cell]) -> None:
-    """The decomposition stage: factor every solved run of every method of
-    the cells, one :func:`decompose_states` call per chain count and
-    antenna count.
+    """The decomposition stage: factor every solved run that a row reports,
+    one :func:`decompose_states` call per chain count and antenna count.
 
-    A call of more than one run that raises is made again run by run, so
-    one failing run loses only its own cell.  The row that pays for a run
-    is owed an equal share of its call's seconds, and the run's solve
-    phases with the decomposition's share as `decomp_s`.
+    A warm start that no row reports is not decomposed.  The row that pays
+    for a run is owed an equal share of its call's seconds, also as the
+    run's `decomp_s`.
     """
-    groups: dict = {}  # (chain count, antenna count) -> its (cell, method, iterate)
-    for cell in cells:
-        for method, iterate in cell.solved.items():
-            if isinstance(iterate, Iterate):
-                key = (iterate.config.rf_chains, len(iterate.f_d))
-                groups.setdefault(key, []).append((cell, method, iterate))
-    for group in groups.values():
-        if not _decompose(group) and len(group) > 1:
-            for member in group:
-                _decompose([member])
+    config = cells[0].sweep.config
+    runs = [  # (cell, method, iterate)
+        (cell, method, iterate)
+        for cell in cells
+        for method, iterate in cell.solved.items()
+        if method in config.methods and isinstance(iterate, Iterate)
+    ]
 
+    def settle(group, outcomes, seconds):
+        for (cell, method, _), outcome in zip(group, outcomes):
+            cell.solved[method] = outcome
+            trace = None if isinstance(outcome, Exception) else outcome[1]
+            cell.owe(_payer(config, method), seconds / len(group), trace, ("decomp_s",))
 
-def _decompose(group: list[tuple]) -> bool:
-    """Decompose the (cell, method, iterate) runs of `group` in one call
-    and owe its seconds to each run's paying row; False when the call
-    raised."""
-    started = time.perf_counter()
-    try:
-        states = decompose_states([iterate for _, _, iterate in group])
-    except ConfigurationError:
-        raise
-    except Exception as exc:  # kept for the rows, unless the runs are decomposed again alone
-        states = [exc] * len(group)
-    shared = (time.perf_counter() - started) / len(group)
-    for (cell, method, _), outcome in zip(group, states):
-        cell.solved[method] = outcome
-        trace = None if isinstance(outcome, Exception) else outcome[1]
-        cell.owe(_payer(cell.sweep.config, method), shared, trace)
-    return not isinstance(states[0], Exception)
+    _in_batches(
+        runs,
+        lambda run: (run[2].config.rf_chains, len(run[2].f_d)),
+        lambda group: decompose_states([iterate for _, _, iterate in group]),
+        settle,
+    )
 
 
 def _solve_cells(config: ExperimentConfig, keys) -> list[_Cell]:
@@ -660,29 +667,13 @@ def _run_cells(args) -> list[tuple[list[RunResult], str | None]]:
 # Full experiments
 # ---------------------------------------------------------------------------
 
-def _worker_count(worker_count: int | None) -> int:
-    """The given worker count, or TRIHYBRID_WORKERS (default 1) when none is
-    given; anything but an integer of at least 1 is a configuration error."""
-    if worker_count is None:
-        text = os.environ.get(WORKER_ENV, "1")
-        try:
-            worker_count = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"worker count {WORKER_ENV}={text!r} is not an integer"
-            ) from None
-    if not isinstance(worker_count, numbers.Integral) or worker_count < 1:
-        raise ConfigurationError(f"worker count must be an integer >= 1, got {worker_count!r}")
-    return worker_count
-
-
-def run_experiment(config_path, worker_count: int | None = None) -> str:
+def run_experiment(config_path, worker_count: int = 1) -> str:
     """Run every sweep cell and write the results CSV.
 
     Returns the path of the results file.  The job unit is one (sweep
-    value, scenario seed) cell.  Worker count comes from the
-    TRIHYBRID_WORKERS environment variable unless given, and anything but
-    an integer of at least 1 raises ConfigurationError; each worker solves
+    value, scenario seed) cell.  A worker count that is not an integer of
+    at least 1 raises ConfigurationError, and so does an output path that
+    names an existing directory, both before any cell; each worker solves
     the WMMSE runs of its share of the cells in batches.  Results are
     merged in sweep order so the output does not depend on parallelism,
     and the timing sidecar lists the rows cell by cell, in the order of the
@@ -690,10 +681,13 @@ def run_experiment(config_path, worker_count: int | None = None) -> str:
     every cell that completed are written even when others fail; a
     SweepError naming each failed cell is raised afterwards.
     """
-    worker_count = _worker_count(worker_count)
+    if not isinstance(worker_count, numbers.Integral) or worker_count < 1:
+        raise ConfigurationError(f"worker count must be an integer >= 1, got {worker_count!r}")
     config = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_path = os.path.join(base_dir, config.output)
+    if os.path.isdir(out_path):
+        raise ConfigurationError(f"output {config.output!r} is a directory")
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
 
     cells = [(value, seed) for value in config.values for seed in config.seeds]
@@ -865,7 +859,7 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
             h_mean, h_err = stats([s[1] for s in samples])
             if figure == "rfchains":
                 offset = int(value)
-                label = "D" if offset == 0 else f"D+{offset}"
+                label = "D" if offset == 0 else f"D{offset:+d}"
             else:
                 label = repr(value)
             writer.writerow(

@@ -13,18 +13,18 @@ Two solvers are provided: :func:`run_selection` for a finite candidate set
 per antenna and :func:`run_synthesis` for freely synthesized patterns with a
 pinned constant component.  Both record a per-iteration trace and decompose
 the optimized digital precoder into analog and digital stages at the end.
-:func:`solve_selection` and :func:`solve_synthesis` run a batch of solves
-with the same pattern width and receive counts in lockstep through the same
-loop, whatever their antenna counts: antenna step n is one array operation
+Their loop, :func:`iterate_selection` / :func:`iterate_synthesis`, runs a
+batch of solves with the same pattern width and receive counts in lockstep,
+whatever their antenna counts: antenna step n is one array operation
 over every run that has antenna n, and the work that sums over a run's
 antennas runs once per antenna count.  Every per-run array of a batch lives
 in one `_Batch`, tagged with its axis (run, run-major row or (antenna, run)
 pair); a run that stops leaves with copies of its rows, and the runs that
 stay go on in the batch's one `take`, which cuts every tagged array by its
-axis.  A run's results do not depend on its batch.  The loop alone is
-:func:`iterate_selection` / :func:`iterate_synthesis`, which leave the
-decomposition (:func:`decompose_states`) to the caller, so that a sweep can
-decompose the runs of all its batches together.
+axis.  A run's results do not depend on its batch.  The loop returns each
+run undecomposed, and :func:`decompose_states` factors the runs of one
+chain count and antenna count in one call, so that a sweep can decompose
+the runs of all its batches together.
 """
 
 from __future__ import annotations
@@ -845,33 +845,29 @@ class Iterate:
 def decompose_states(iterates: list[Iterate]) -> list[tuple[PrecoderState, Trace]]:
     """The state of each run's iterate, its digital precoder (N_b, D)
     factored into analog and digital stages with its config's chain count
-    and seed.
+    and seed, in one batched call.
 
-    The runs that share a chain count and an antenna count are decomposed
-    in one batched call.  Returns one (state, trace) per run, the trace's
-    `decomp_s` set to its equal share of its call's seconds.
+    The runs must share a chain count and an antenna count; a mixed list
+    raises ValueError.  Returns one (state, trace) per run, the trace's
+    `decomp_s` set to its equal share of the call's seconds.
     """
-    groups: dict = {}  # (chain count, antenna count) -> its runs
-    for b, iterate in enumerate(iterates):
-        groups.setdefault((iterate.config.rf_chains, len(iterate.f_d)), []).append(b)
-    states: list = [None] * len(iterates)
-    for (n_rf, _), group in groups.items():
-        started = time.perf_counter()
-        parts = decompose_precoders(
-            np.stack([iterates[b].f_d for b in group]), n_rf,
-            [iterates[b].power for b in group], [iterates[b].config.seed for b in group],
+    n_rf, n_antennas = iterates[0].config.rf_chains, len(iterates[0].f_d)
+    if any((it.config.rf_chains, len(it.f_d)) != (n_rf, n_antennas) for it in iterates):
+        raise ValueError("decompose_states takes runs of one chain count and antenna count")
+    started = time.perf_counter()
+    parts = decompose_precoders(
+        np.stack([it.f_d for it in iterates]), n_rf,
+        [it.power for it in iterates], [it.config.seed for it in iterates],
+    )
+    share = (time.perf_counter() - started) / len(iterates)
+    states = []
+    for iterate, part in zip(iterates, parts):
+        iterate.trace.decomp_s = share
+        state = PrecoderState(
+            iterate.f_d, part.f_rf, part.f_bb, iterate.antenna_matrix, iterate.power,
+            part.residual,
         )
-        share = (time.perf_counter() - started) / len(group)
-        for b, part in zip(group, parts):
-            iterate = iterates[b]
-            iterate.trace.decomp_s = share
-            states[b] = (
-                PrecoderState(
-                    iterate.f_d, part.f_rf, part.f_bb, iterate.antenna_matrix, iterate.power,
-                    part.residual,
-                ),
-                iterate.trace,
-            )
+        states.append((state, iterate.trace))
     return states
 
 
@@ -1095,22 +1091,6 @@ def iterate_synthesis(runs: list[Run], stream_counts, block_monitor=None) -> lis
     )
 
 
-def solve_selection(runs: list[Run], stream_counts, block_monitor=None):
-    """:func:`iterate_selection`, then :func:`decompose_states`.  Returns
-    one (state, trace) per run, each equal to the bit to
-    :func:`run_selection` of that run alone.
-    """
-    return decompose_states(iterate_selection(runs, stream_counts, block_monitor))
-
-
-def solve_synthesis(runs: list[Run], stream_counts, block_monitor=None):
-    """:func:`iterate_synthesis`, then :func:`decompose_states`.  Returns
-    one (state, trace) per run, each equal to the bit to
-    :func:`run_synthesis` of that run alone.
-    """
-    return decompose_states(iterate_synthesis(runs, stream_counts, block_monitor))
-
-
 def _single(block_monitor):
     """A batch monitor that hands a one-run monitor its run's objective."""
     if block_monitor is None:
@@ -1130,9 +1110,10 @@ def run_selection(
     `effs` holds one selection-lifted channel per user.  Antennas start on
     candidate 0; `init_f_d` overrides the random digital initialization
     (used for paired comparisons against a fixed-pattern run).  This is
-    :func:`solve_selection` on a batch of one.
+    :func:`iterate_selection` on a batch of one, then :func:`decompose_states`.
     """
-    return solve_selection([Run(effs, config, init_f_d)], stream_counts, _single(block_monitor))[0]
+    run = Run(effs, config, init_f_d)
+    return decompose_states(iterate_selection([run], stream_counts, _single(block_monitor)))[0]
 
 
 def run_synthesis(
@@ -1153,6 +1134,8 @@ def run_synthesis(
     sqrt(rho) - sqrt(3 (1 - rho)), -0.11 at rho = 0.7.  Positive gain is
     not enforced; the audit reports the smallest gain.  With rho = 1 (or a
     single basis function) patterns stay isotropic and only the precoder
-    rows are updated.  This is :func:`solve_synthesis` on a batch of one.
+    rows are updated.  This is :func:`iterate_synthesis` on a batch of one,
+    then :func:`decompose_states`.
     """
-    return solve_synthesis([Run(effs, config, init_f_d)], stream_counts, _single(block_monitor))[0]
+    run = Run(effs, config, init_f_d)
+    return decompose_states(iterate_synthesis([run], stream_counts, _single(block_monitor)))[0]

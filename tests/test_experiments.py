@@ -284,17 +284,25 @@ class TestRun:
     )
     def test_one_fixed_solve_per_cell(self, tmp_path, monkeypatch, methods):
         # The fixed-pattern runs are the selection runs over one candidate.
-        calls = []
-        solve = experiments.iterate_selection
+        # Only the runs of a row are decomposed: without a wmmse_fixed row
+        # the warm starts are not.
+        calls, decomposed = [], []
+        solve, decompose = experiments.iterate_selection, experiments.decompose_states
 
         def counted(runs, *args, **kwargs):
             calls.extend(run for run in runs if run.effs[0].block_width == 1)
             return solve(runs, *args, **kwargs)
 
+        def counted_decompose(iterates):
+            decomposed.extend(iterates)
+            return decompose(iterates)
+
         monkeypatch.setattr(experiments, "iterate_selection", counted)
+        monkeypatch.setattr(experiments, "decompose_states", counted_decompose)
         text = GRID.replace("methods = model1 model2 wmmse_fixed zf", f"methods = {methods}")
         rows = read_rows(run_experiment(write_config(tmp_path, text)))
         assert len(calls) == 4  # 2 values x 2 seeds
+        assert len(decomposed) == len(rows) == 4 * len(methods.split())
         monkeypatch.setattr(experiments, "iterate_selection", solve)
         reference = read_rows(run_experiment(write_config(tmp_path, GRID, "all.ini")))
         warm = [r for r in rows if r["method"] in ("model1", "model2")]
@@ -476,7 +484,6 @@ class TestRun:
                     raise FloatingPointError("no factorization")
             return decompose(iterates)
 
-        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
         text = MINI.replace("values = 0", "values = -10 0 10")
         reference = Path(run_experiment(write_config(tmp_path, text, "reference.ini")))
         expected = [line for line in reference.read_bytes().splitlines(keepends=True)
@@ -528,7 +535,6 @@ class TestRun:
                 in_row.pop()
 
         monkeypatch.setattr(experiments, "run_point", reading)
-        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
         cfg = write_config(tmp_path, GRID)
         if fault == "none":
             assert len(read_rows(run_experiment(cfg))) == 16
@@ -591,12 +597,12 @@ class TestPlotdata:
 
     def test_rfchain_labels_offset_from_streams(self, tmp_path):
         text = MINI.replace("axis = power", "axis = rfchains").replace(
-            "values = 0", "values = 0 1 2"
+            "values = 0", "values = -1 0 1 2"
         ).replace("methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed")
         out = run_experiment(write_config(tmp_path, text))
         plot = emit_plotdata(out, "rfchains")
         labels = [r["label"] for r in read_rows(plot)]
-        assert labels == ["D", "D+1", "D+2"]
+        assert labels == ["D-1", "D", "D+1", "D+2"]
 
     def test_wrong_axis_rejected(self, tmp_path):
         out = run_experiment(write_config(tmp_path))
@@ -760,6 +766,10 @@ class TestCli:
             ("values = 0", "values = 0 0.0"),
             ("methods = model1 model2 wmmse_fixed zf", "methods = model1 model1 zf"),
             ("seeds = 1", "seeds = 1 1"),
+            ("output = results.csv", "output ="),
+            ("output = results.csv", "output = sub/"),
+            ("output = results.csv", "output = ."),
+            ("output = results.csv", "output = taken"),  # an existing directory
         ],
         ids=[
             "seeds",
@@ -797,10 +807,15 @@ class TestCli:
             "repeated_value",
             "repeated_method",
             "repeated_seed",
+            "empty_output",
+            "output_ends_in_separator",
+            "output_dot",
+            "output_names_directory",
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, monkeypatch, old, new):
         calls = []
+        (tmp_path / "taken").mkdir()
         monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
         assert main(["run", str(write_config(tmp_path, MINI.replace(old, new)))]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -821,36 +836,16 @@ class TestCli:
         assert calls == []
         assert not (tmp_path / "results.csv").exists()
 
-    @pytest.mark.parametrize(
-        "env, flag",
-        [
-            ("abc", None),
-            ("1.5", None),
-            ("0", None),
-            ("-2", None),
-            (None, "0"),
-            (None, "-1"),
-            ("2", "0"),  # the flag wins over the environment
-        ],
-        ids=["env_text", "env_fraction", "env_zero", "env_negative", "flag_zero", "flag_negative",
-             "flag_over_env"],
-    )
-    def test_bad_worker_count_exits_2_before_any_cell(
-        self, tmp_path, capsys, monkeypatch, env, flag
-    ):
+    @pytest.mark.parametrize("flag", ["0", "-1"], ids=["flag_zero", "flag_negative"])
+    def test_bad_worker_count_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, flag):
         calls = []
         monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
-        if env is None:
-            monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
-        else:
-            monkeypatch.setenv(experiments.WORKER_ENV, env)
-        argv = ["run", str(write_config(tmp_path))] + (["--workers", flag] if flag else [])
-        assert main(argv) == 2
+        assert main(["run", str(write_config(tmp_path)), "--workers", flag]) == 2
         assert "configuration error: worker count" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "results.csv").exists()
         with pytest.raises(ConfigurationError):
-            run_experiment(write_config(tmp_path), None if flag is None else int(flag))
+            run_experiment(write_config(tmp_path), int(flag))
 
     @pytest.mark.parametrize(
         "sweep",
@@ -882,7 +877,6 @@ class TestCli:
             return solve(runs, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "iterate_selection", flaky)
-        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
         text = MINI.replace("values = 0", "values = -10 0").replace(
             "methods = model1 model2 wmmse_fixed zf", "methods = model1 zf"
         )
@@ -911,7 +905,6 @@ class TestCli:
             return zero_forcing(channels, stream_counts, power)
 
         monkeypatch.setattr(experiments, "bd_zero_forcing", flaky)
-        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
         text = MINI.replace("values = 0", "values = -10 0").replace(
             "methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf"
         )
@@ -938,7 +931,6 @@ class TestCli:
             return generate(config, seed)
 
         monkeypatch.setattr(experiments, "generate_scenario", flaky)
-        monkeypatch.delenv(experiments.WORKER_ENV, raising=False)
         cfg = write_config(tmp_path, MINI.replace("seeds = 1", "seeds = 1 2"))
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err

@@ -52,11 +52,16 @@ from trihybrid.sphharm import FOUR_PI
 from trihybrid import wmmse
 from trihybrid.wmmse import (
     _TINY_QUAD,
+    Iterate,
     Run,
     SolverConfig,
+    Trace,
     _Batch,
     _SweepWorkspace,
     candidate_quads,
+    decompose_states,
+    iterate_selection,
+    iterate_synthesis,
     mmse_receivers,
     mse_matrix,
     mse_weights,
@@ -64,8 +69,6 @@ from trihybrid.wmmse import (
     run_selection,
     run_synthesis,
     select_pattern_and_row,
-    solve_selection,
-    solve_synthesis,
     stream_masks,
     synthesize_pattern_and_row,
     weighted_sum_rate,
@@ -1070,12 +1073,16 @@ class TestTracedStepNames:
         assert calls["sphere"] == calls["solving"] > 0
         # A batch of two runs still makes one selection or synthesis call
         # per step, and one sphere solve per run that solves.
-        solved = solve_selection([Run(sel, config), Run(sel, config, init_f_d=state_sel.f_d)], streams)
-        assert [trace.n_iterations for _, trace in solved] == [3, 3]
+        solved = iterate_selection(
+            [Run(sel, config), Run(sel, config, init_f_d=state_sel.f_d)], streams
+        )
+        assert [iterate.trace.n_iterations for iterate in solved] == [3, 3]
         assert calls["select"] == 2 * 3 * n_antennas
         sphere_calls = calls["sphere"]
-        solved = solve_synthesis([Run(syn, config), Run(syn, config, init_f_d=state_sel.f_d)], streams)
-        assert [trace.n_iterations for _, trace in solved] == [3, 3]
+        solved = iterate_synthesis(
+            [Run(syn, config), Run(syn, config, init_f_d=state_sel.f_d)], streams
+        )
+        assert [iterate.trace.n_iterations for iterate in solved] == [3, 3]
         assert calls["synthesize"] == 2 * 3 * n_antennas
         assert calls["sphere"] == calls["solving"] > 2 * sphere_calls
 
@@ -1236,9 +1243,9 @@ class TestBatchedSolves:
             runs.append(Run([lift(g) for g in scenario.geometries], config, init_f_d))
         return runs
 
-    def _check(self, solve, single, runs, monkeypatch):
+    def _check(self, iterate, single, runs, monkeypatch):
         # The runs that leave in different iterations are decomposed in one
-        # call per chain count and antenna count when the batch ends, each
+        # call per chain count and antenna count after the batch ends, each
         # run charged an equal share of its call's seconds.  Under a clock
         # that ticks once per reading, a call lasts one second, and so does
         # each phase of an iteration: its receiver and objective seconds
@@ -1256,11 +1263,16 @@ class TestBatchedSolves:
             patch.setattr(wmmse, "decompose_precoders", counted)
             clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
             patch.setattr(wmmse, "time", clock)
-            batched = solve(runs, self.STREAMS)
-        sizes = [run.effs[0].n_antennas for run in runs]
-        groups = {}  # (chains, antennas) -> runs
-        for b, run in enumerate(runs):
-            groups.setdefault((run.config.rf_chains, sizes[b]), []).append(b)
+            iterates = iterate(runs, self.STREAMS)
+            sizes = [run.effs[0].n_antennas for run in runs]
+            groups = {}  # (chains, antennas) -> runs
+            for b, run in enumerate(runs):
+                groups.setdefault((run.config.rf_chains, sizes[b]), []).append(b)
+            batched = [None] * len(runs)
+            for group in groups.values():
+                states = decompose_states([iterates[b] for b in group])
+                for b, state in zip(group, states):
+                    batched[b] = state
         assert sorted(calls) == sorted((*key, len(group)) for key, group in groups.items())
         counts = [trace.n_iterations for _, trace in batched]
         for group in groups.values():
@@ -1313,22 +1325,22 @@ class TestBatchedSolves:
     @pytest.mark.parametrize("width", [8, 1])
     def test_selection(self, drops, width, monkeypatch):
         runs = self._selection_runs(drops, width)
-        self._check(solve_selection, run_selection, runs, monkeypatch)
+        self._check(iterate_selection, run_selection, runs, monkeypatch)
 
     @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
     def test_synthesis(self, drops, rho, monkeypatch):
-        self._check(solve_synthesis, run_synthesis, self._synthesis_runs(drops, rho), monkeypatch)
+        self._check(iterate_synthesis, run_synthesis, self._synthesis_runs(drops, rho), monkeypatch)
 
     @pytest.mark.parametrize("width", [8, 1])
     def test_selection_of_mixed_antenna_counts(self, mixed_drops, width, monkeypatch):
         runs = self._selection_runs(mixed_drops, width)
-        batched = self._check(solve_selection, run_selection, runs, monkeypatch)
+        batched = self._check(iterate_selection, run_selection, runs, monkeypatch)
         assert [len(state.f_d) for state, _ in batched] == [16, 9, 12, 12]
 
     @pytest.mark.parametrize("rho", [0.7, 1.0, None], ids=["0.7", "1.0", "mixed"])
     def test_synthesis_of_mixed_antenna_counts(self, mixed_drops, rho, monkeypatch):
         runs = self._synthesis_runs(mixed_drops, rho)
-        self._check(solve_synthesis, run_synthesis, runs, monkeypatch)
+        self._check(iterate_synthesis, run_synthesis, runs, monkeypatch)
 
     def _batch(self, runs):
         """The batch of a synthesis solve of the runs after its first
@@ -1407,6 +1419,20 @@ class TestBatchedSolves:
         )
         for runs in ([wide[0], narrow[1]], [wide[0], more_rx[0]]):
             with pytest.raises(ValueError, match="same array shapes"):
-                solve_selection(runs, self.STREAMS)
+                iterate_selection(runs, self.STREAMS)
         mixed = self._selection_runs(mixed_drops[:2], 8)
-        assert [len(state.f_d) for state, _ in solve_selection(mixed, self.STREAMS)] == [16, 9]
+        assert [len(it.f_d) for it in iterate_selection(mixed, self.STREAMS)] == [16, 9]
+
+    @pytest.mark.parametrize(
+        "shapes", [[(16, 7), (16, 5)], [(16, 7), (9, 7)]], ids=["chains", "antennas"]
+    )
+    def test_decompose_states_rejects_runs_of_two_groups(self, shapes):
+        # One call decomposes the runs of one chain count and antenna
+        # count; grouping is the caller's.
+        iterates = [
+            Iterate(np.ones((n, 4), complex), np.ones((n, 1)), np.ones(n),
+                    desk_solver(rf_chains=chains), Trace())
+            for n, chains in shapes
+        ]
+        with pytest.raises(ValueError, match="one chain count and antenna count"):
+            decompose_states(iterates)
