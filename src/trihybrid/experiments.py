@@ -672,14 +672,15 @@ def run_experiment(config_path, worker_count: int = 1) -> str:
 
     Returns the path of the results file.  The job unit is one (sweep
     value, scenario seed) cell.  A worker count that is not an integer of
-    at least 1 raises ConfigurationError, and so does an output path that
-    names an existing directory, both before any cell; each worker solves
-    the WMMSE runs of its share of the cells in batches.  Results are
-    merged in sweep order so the output does not depend on parallelism,
-    and the timing sidecar lists the rows cell by cell, in the order of the
-    `run_point` calls of each cell.  The rows of
-    every cell that completed are written even when others fail; a
-    SweepError naming each failed cell is raised afterwards.
+    at least 1 raises ConfigurationError, and so do an output path or a
+    timing sidecar path that names an existing directory and a
+    `traces_dir` that names an existing file, all before any cell; each
+    worker solves the WMMSE runs of its share of the cells in batches.
+    Results are merged in sweep order so the output does not depend on
+    parallelism, and the timing sidecar lists the rows cell by cell, in
+    the order of the `run_point` calls of each cell.  The rows of every
+    cell that completed are written even when others fail; a SweepError
+    naming each failed cell is raised afterwards.
     """
     if not isinstance(worker_count, numbers.Integral) or worker_count < 1:
         raise ConfigurationError(f"worker count must be an integer >= 1, got {worker_count!r}")
@@ -688,6 +689,13 @@ def run_experiment(config_path, worker_count: int = 1) -> str:
     out_path = os.path.join(base_dir, config.output)
     if os.path.isdir(out_path):
         raise ConfigurationError(f"output {config.output!r} is a directory")
+    timing = os.path.splitext(config.output)[0] + "_timing.csv"
+    timing_path = os.path.join(base_dir, timing)
+    if os.path.isdir(timing_path):
+        raise ConfigurationError(f"timing sidecar {timing!r} is a directory")
+    traces_dir = config.traces_dir and os.path.join(base_dir, config.traces_dir)
+    if traces_dir and os.path.exists(traces_dir) and not os.path.isdir(traces_dir):
+        raise ConfigurationError(f"traces_dir {config.traces_dir!r} is not a directory")
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
 
     cells = [(value, seed) for value in config.values for seed in config.seeds]
@@ -727,7 +735,6 @@ def run_experiment(config_path, worker_count: int = 1) -> str:
         for (value, seed), (results, _) in zip(cells, outcomes)
         for method, result in zip(config.methods, results)
     ]
-    timing_path = os.path.splitext(out_path)[0] + "_timing.csv"
     with open(timing_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep_value", "method", "scenario_seed", "seconds", *_PHASE_COLUMNS])
@@ -735,8 +742,7 @@ def run_experiment(config_path, worker_count: int = 1) -> str:
             seconds = (result.seconds, *result.phases)
             writer.writerow([value, method, seed, *(f"{s:.6f}" for s in seconds)])
 
-    if config.traces_dir:
-        traces_dir = os.path.join(base_dir, config.traces_dir)
+    if traces_dir:
         os.makedirs(traces_dir, exist_ok=True)
         for value, method, seed, result in runs:
             if not result.trace.n_iterations:

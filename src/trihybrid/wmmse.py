@@ -21,8 +21,10 @@ antennas runs once per antenna count.  Every per-run array of a batch lives
 in one `_Batch`, tagged with its axis (run, run-major row or (antenna, run)
 pair); a run that stops leaves with copies of its rows, and the runs that
 stay go on in the batch's one `take`, which cuts every tagged array by its
-axis.  A run's results do not depend on its batch.  The loop returns each
-run undecomposed, and :func:`decompose_states` factors the runs of one
+axis.  Every sweep of one batch layout refills the same per-pair buffers,
+made on the layout's first sweep together with the per-antenna views that
+the steps read.  A run's results do not depend on its batch.  The loop
+returns each run undecomposed, and :func:`decompose_states` factors the runs of one
 chain count and antenna count in one call, so that a sweep can decompose
 the runs of all its batches together.
 """
@@ -33,7 +35,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -330,13 +332,14 @@ class _Pairs:
         """Every run's largest entry of a run-major (rows,) array."""
         return np.maximum.reduceat(values, self.firsts).tolist()
 
-    def per_antenna(self, matrices: list[np.ndarray]) -> np.ndarray:
+    def per_antenna(self, matrices: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         """Every group's (runs, rows, N W) stack of matrices as one pair
         array, (pairs, rows, W): each pair's own block of columns, copied
-        segment by segment with no temporary."""
+        segment by segment with no temporary, into `out` when given."""
         rows, columns = matrices[0].shape[1:]
         width = columns // self.n_antennas[0]
-        out = np.empty((len(self.run_major), rows, width), complex)
+        if out is None:
+            out = np.empty((len(self.run_major), rows, width), complex)
         for g, ((runs, _, size), matrix) in enumerate(zip(self.groups, matrices)):
             blocks = matrix.reshape(len(matrix), rows, size, width).transpose(2, 0, 1, 3)
             for pairs, antennas, count in self.segments[g:]:
@@ -423,7 +426,10 @@ class _Batch:
 
     def take(self, kept: list[int]) -> "_Batch":
         """The batch of the runs at the given places, in order: every
-        tagged array indexed by its axis's indices, computed once."""
+        tagged array indexed by its axis's indices, computed once.  This
+        batch's sweep buffers are dropped first, so that they are freed
+        before the new batch's arrays are made."""
+        self.__dict__.pop("buffers", None)
         layout = _Pairs([self.layout.n_antennas[b] for b in kept])
         rows = self.layout.rows_of(kept)
         pairs = self.layout.run_major[rows[layout.antenna_major]]
@@ -439,6 +445,12 @@ class _Batch:
                 value = getattr(self, part.name)
                 taken[part.name] = None if value is None else value[index[part.metadata["axis"]]]
         return _Batch(layout, lifted, self.masks, **taken)
+
+    @functools.cached_property
+    def buffers(self) -> "_SweepBuffers":
+        """The arrays every sweep of this layout writes, made on its first
+        sweep and not a field: :meth:`take` does not carry them over."""
+        return _SweepBuffers(self)
 
     def leave(self, b: int) -> tuple:
         """The run at place b: its id and copies of its rows of f_d, the
@@ -482,18 +494,86 @@ def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
     return power
 
 
+class _Views(NamedTuple):
+    """Antenna n's views of the sweep buffers and the batch, cut to its
+    pairs or to the leading runs that have it."""
+
+    pairs: slice
+    received_t: np.ndarray  # R^T, (runs, D, K M)
+    received: np.ndarray  # R, (runs, K M, D)
+    rows: np.ndarray  # the selection step's row buffer, (runs, D)
+    factors: np.ndarray | None
+    proj: np.ndarray  # (runs, K M, W)
+    offset: np.ndarray  # (runs, D, W)
+    budgets: np.ndarray  # (runs,)
+    budget_list: list[float]
+    blocks_conj: np.ndarray  # (runs, K M, W)
+    antenna_matrix: np.ndarray  # (runs, W)
+    rows_conj: np.ndarray  # (runs, D)
+
+
+class _SweepBuffers:
+    """Every array a sweep of one :class:`_Batch` layout writes, and the
+    per-antenna :class:`_Views` of them, made once per layout: each sweep
+    refills the same memory.  `scratch` holds, in turn, every antenna
+    count's products of the lifted channels, for `proj` and then for the
+    offset, and the conjugate of the quad terms and the own-signal part of
+    the offset (`groups` has each count's two product views, `hermitian`
+    and `own_signal` the other two)."""
+
+    def __init__(self, batch: _Batch):
+        layout = batch.layout
+        n_pairs, n_rx_total, width = batch.blocks_conj.shape
+        n_runs, n_streams = len(batch.ids), batch.f_d.shape[1]
+        self.proj = np.empty((n_pairs, n_rx_total, width), complex)
+        self.offset = np.empty((n_pairs, n_streams, width), complex)
+        self.quad = np.empty((n_pairs, width, width), complex)
+        self.received_conj = np.empty((n_runs, n_rx_total, n_streams), complex)
+        self.rows_conj = np.empty((n_pairs, n_streams), complex)
+        self.antenna_matrix = np.empty((n_pairs, width))
+        self.pattern_quad = np.empty((n_pairs, 1, width), complex)
+        self.rows = np.empty((n_runs, n_streams), complex)
+        scratch = np.empty(n_pairs * width * max(width, n_rx_total, n_streams), complex)
+        self.hermitian = scratch[: self.quad.size].reshape(self.quad.shape)
+        self.own_signal = scratch[: self.offset.size].reshape(self.offset.shape)
+        self.groups = []
+        at = 0
+        for lifted in batch.lifted:
+            n_group, columns = len(lifted), lifted.shape[-1]
+            proj = scratch[at : at + lifted.size].reshape(lifted.shape)
+            offset = scratch[at : at + n_group * n_streams * columns]
+            self.groups.append((proj, offset.reshape(n_group, n_streams, columns)))
+            at += max(lifted.size, offset.size)
+        budgets = batch.budgets.tolist()
+        self.views = []
+        for _, antennas, count in reversed(layout.segments):
+            received = self.received_conj[:count]
+            factors = None if batch.factors is None else batch.factors[:count]
+            shared = (received.swapaxes(1, 2), received, self.rows[:count], factors)
+            for pairs in layout.slices[antennas]:
+                self.views.append(_Views(
+                    pairs, *shared, self.proj[pairs], self.offset[pairs], batch.budgets[pairs],
+                    budgets[pairs], batch.blocks_conj[pairs], self.antenna_matrix[pairs],
+                    self.rows_conj[pairs],
+                ))
+
+
 class _SweepWorkspace:
     """What one antenna sweep of a batch shares, built once per sweep from
     the :class:`_Batch` (its current precoders, patterns, covariance pass
     and weights, and its per-pair blocks and budgets) with the new
     receivers, and batched over the (antenna, run) pairs of :class:`_Pairs`.
     The workspace keeps no run's state past its sweep: the loop copies the
-    rows and patterns back into the batch when the sweep ends.
+    rows and patterns back into the batch when the sweep ends.  Its arrays
+    are the batch's :class:`_SweepBuffers`, which outlive the sweep: every
+    sweep of one layout writes the same memory, and reads the per-antenna
+    views made with it, so that a sweep allocates no per-pair array but
+    its lazily built step inputs.
 
     Arrays are antenna-major over the pairs, so that an antenna step reads
     one contiguous slice, `slices[n]`, for every run that has the antenna;
-    those are the leading runs of the run axis, and `runs[n]` holds the
-    run-axis views an antenna step uses, cut to them.  `antenna_matrix`
+    those are the leading runs of the run axis, and `views[n]` holds the
+    views an antenna step uses, cut to them.  `antenna_matrix`
     (pairs, W) holds every pair's pattern vector and every commit updates
     it; the rows are kept in `rows_conj`, and :meth:`precoders` and
     :meth:`patterns` hand both back run-major, as the loop keeps them.
@@ -530,9 +610,11 @@ class _SweepWorkspace:
     def __init__(self, batch: _Batch, receivers: np.ndarray, beta):
         layout, received, weights = batch.layout, batch.cov.received, batch.weights
         n_runs, n_users, n_rx, _ = received.shape
-        self.slices, self._run_major = layout.slices, layout.run_major
-        self.antenna_matrix = batch.antenna_matrix[layout.antenna_major]
-        self.budgets, self.factors = batch.budgets, batch.factors
+        buffers = batch.buffers
+        self.slices, self._run_major, self.views = layout.slices, layout.run_major, buffers.views
+        self.antenna_matrix = np.take(
+            batch.antenna_matrix, layout.antenna_major, axis=0, out=buffers.antenna_matrix
+        )
         self.blocks_conj = batch.blocks_conj
         beta = np.asarray(beta, dtype=float)
         receivers_h = _herm(receivers)
@@ -543,34 +625,36 @@ class _SweepWorkspace:
             n_runs, -1, n_users * n_rx
         )
         stream_beta = beta @ batch.masks
-        groups = [(group, lifted) for (group, _, _), lifted in zip(layout.groups, batch.lifted)]
+        groups = [
+            (group, lifted, products)
+            for (group, _, _), lifted, products in zip(layout.groups, batch.lifted, buffers.groups)
+        ]
         self.proj = layout.per_antenna([
-            (proj[group] @ lifted).reshape(len(lifted), n_users * n_rx, -1)
-            for group, lifted in groups
-        ])
+            np.matmul(proj[group], lifted, out=out).reshape(len(lifted), n_users * n_rx, -1)
+            for group, lifted, (out, _) in groups
+        ], out=buffers.proj)
         # The alignment terms, to which the offset's own-signal part is added.
-        self.offset = layout.per_antenna([
-            stream_beta[:, None] * (align[group] @ lifted.reshape(len(lifted), n_users * n_rx, -1))
-            for group, lifted in groups
-        ])
-        self.quad = self.blocks_conj.swapaxes(-1, -2) @ self.proj
-        self.quad += self.quad.conj().swapaxes(-1, -2)  # Hermitian part, in place
+        offsets = []
+        for group, lifted, (_, out) in groups:
+            np.matmul(align[group], lifted.reshape(len(lifted), n_users * n_rx, -1), out=out)
+            offsets.append(np.multiply(stream_beta[:, None], out, out=out))
+        self.offset = layout.per_antenna(offsets, out=buffers.offset)
+        self.quad = np.matmul(self.blocks_conj.swapaxes(-1, -2), self.proj, out=buffers.quad)
+        # Hermitian part, in place
+        self.quad += np.conjugate(self.quad, out=buffers.hermitian).swapaxes(-1, -2)
         self.quad *= 0.5
-        self.received_conj = received.reshape(n_runs, n_users * n_rx, -1).conj()
-        self.rows_conj = batch.f_d[layout.antenna_major]
+        self.received_conj = np.conjugate(
+            received.reshape(n_runs, n_users * n_rx, -1), out=buffers.received_conj
+        )
+        self.rows_conj = np.take(batch.f_d, layout.antenna_major, axis=0, out=buffers.rows_conj)
         np.conjugate(self.rows_conj, out=self.rows_conj)
         # a_n^T Q_n, (pairs, W)
-        self._pattern_quad = (self.antenna_matrix[:, None, :] @ self.quad)[:, 0, :]
-        self.offset += self.rows_conj[..., None] * self._pattern_quad[..., None, :]
-        self.rows = np.empty((n_runs, batch.f_d.shape[1]), dtype=complex)
-        # Per antenna: R^T, R and the row buffer of its runs, and their
-        # factors; one set of views per segment.
-        self.runs = []
-        for _, antennas, count in reversed(layout.segments):
-            received = self.received_conj[:count]
-            factors = None if self.factors is None else self.factors[:count]
-            views = (received.swapaxes(1, 2), received, self.rows[:count], factors)
-            self.runs += [views] * (antennas.stop - antennas.start)
+        self._pattern_quad = np.matmul(
+            self.antenna_matrix[:, None, :], self.quad, out=buffers.pattern_quad
+        )[:, 0, :]
+        self.offset += np.multiply(
+            self.rows_conj[..., None], self._pattern_quad[..., None, :], out=buffers.own_signal
+        )
 
     @functools.cached_property
     def row_quads(self) -> list[float]:
@@ -608,19 +692,20 @@ class _SweepWorkspace:
     def linear(self, n: int) -> np.ndarray:
         """Antenna n's (runs, D, W) linear terms: one cross-term product and
         the offset."""
-        pairs = self.slices[n]
-        return self.runs[n][0] @ self.proj[pairs] - self.offset[pairs]
+        views = self.views[n]
+        return views.received_t @ views.proj - views.offset
 
     def apply(self, n: int, vectors: np.ndarray, rows: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row in every
         run that has it, (runs, W) and (runs, D)."""
-        pairs, received_conj = self.slices[n], self.runs[n][1]
-        received_conj += self.blocks_conj[pairs] @ (
+        views = self.views[n]
+        received_conj = views.received
+        received_conj += views.blocks_conj @ (
             vectors[:, :, None] * rows[:, None, :]
-            - self.antenna_matrix[pairs, :, None] * self.rows_conj[pairs][:, None, :]
+            - views.antenna_matrix[:, :, None] * views.rows_conj[:, None, :]
         )
-        self.antenna_matrix[pairs] = vectors
-        self.rows_conj[pairs] = rows
+        views.antenna_matrix[...] = vectors
+        views.rows_conj[...] = rows
 
     def select(self, n: int, indices: list[int], rows: np.ndarray) -> None:
         """Commit candidate indices[b] and precoder row rows[b] of a one-hot
@@ -631,9 +716,9 @@ class _SweepWorkspace:
         step by far the most common, commit in one operation; the others
         commit run by run."""
         selection, columns = self._selection
-        pairs = self.slices[n]
-        selection, columns, old_rows = selection[n], columns[pairs], self.rows_conj[pairs]
-        received_conj = self.runs[n][1]
+        views = self.views[n]
+        pairs, received_conj, old_rows = views.pairs, views.received, views.rows_conj
+        selection, columns = selection[n], columns[pairs]
         if indices == selection:
             received_conj += columns * (rows - old_rows)[:, None]
         else:
@@ -650,7 +735,7 @@ class _SweepWorkspace:
                 self.antenna_matrix[pairs.start + b, old] = 0.0
                 self.antenna_matrix[pairs.start + b, new] = 1.0
                 selection[b] = new
-        self.rows_conj[pairs] = rows
+        old_rows[...] = rows
 
     def precoders(self, out: np.ndarray | None = None) -> np.ndarray:
         """Every run's digital precoder with the rows committed so far,
@@ -1036,25 +1121,26 @@ def _run_bcd(
 
 
 def _select_step(workspace: _SweepWorkspace, n: int) -> None:
-    pairs = workspace.slices[n]
+    views = workspace.views[n]
     quads, inv_quads = workspace.step_quads
     indices, rows = select_pattern_and_row(
-        workspace.linear(n), quads[pairs], inv_quads[pairs], workspace.budgets[pairs],
-        workspace.runs[n][2],
+        workspace.linear(n), quads[views.pairs], inv_quads[views.pairs], views.budgets,
+        views.rows,
     )
     workspace.select(n, indices, rows)
 
 
 def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
-    pairs = workspace.slices[n]
+    views = workspace.views[n]
+    pairs = views.pairs
     vectors, rows = synthesize_pattern_and_row(
         workspace.linear(n),
         workspace.row_quads[pairs],
         workspace.pinned[pairs],
         lambda: [part[pairs] for part in workspace.sphere_terms],
-        workspace.antenna_matrix[pairs],
-        workspace.budgets[pairs].tolist(),
-        workspace.runs[n][3],
+        views.antenna_matrix,
+        views.budget_list,
+        views.factors,
     )
     workspace.apply(n, vectors, rows)
 

@@ -770,6 +770,8 @@ class TestCli:
             ("output = results.csv", "output = sub/"),
             ("output = results.csv", "output = ."),
             ("output = results.csv", "output = taken"),  # an existing directory
+            ("output = results.csv", "output = held.csv"),  # its sidecar is a directory
+            ("output = results.csv", "output = results.csv\ntraces_dir = occupied"),  # a file
         ],
         ids=[
             "seeds",
@@ -811,16 +813,21 @@ class TestCli:
             "output_ends_in_separator",
             "output_dot",
             "output_names_directory",
+            "timing_sidecar_names_directory",
+            "traces_dir_names_file",
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, monkeypatch, old, new):
         calls = []
         (tmp_path / "taken").mkdir()
+        (tmp_path / "held_timing.csv").mkdir()
+        (tmp_path / "occupied").touch()
         monkeypatch.setattr(experiments, "run_point", lambda *args, **kw: calls.append(args))
         assert main(["run", str(write_config(tmp_path, MINI.replace(old, new)))]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "results.csv").exists()
+        assert not (tmp_path / "held.csv").exists()
 
     def test_more_streams_than_antennas_exits_2_before_any_cell(
         self, tmp_path, capsys, monkeypatch

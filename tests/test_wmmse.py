@@ -1342,6 +1342,51 @@ class TestBatchedSolves:
         runs = self._synthesis_runs(mixed_drops, rho)
         self._check(iterate_synthesis, run_synthesis, runs, monkeypatch)
 
+    @pytest.mark.parametrize("mode", ["selection", "synthesis"])
+    def test_runs_with_own_iteration_caps(self, mixed_drops, mode, monkeypatch):
+        # Every run stops at its own cap, so the batch loses a run, and with
+        # the first one its last four antennas, in three different
+        # iterations.
+        if mode == "selection":
+            runs, iterate, single = self._selection_runs(mixed_drops, 8), iterate_selection, run_selection
+        else:
+            runs, iterate, single = self._synthesis_runs(mixed_drops, 0.7), iterate_synthesis, run_synthesis
+        runs = [
+            dataclasses.replace(run, config=dataclasses.replace(
+                run.config, max_outer_iterations=cap, objective_tol=0.0
+            ))
+            for run, cap in zip(runs, (3, 7, 5, 12))
+        ]
+        batched = self._check(iterate, single, runs, monkeypatch)
+        assert [trace.n_iterations for _, trace in batched] == [3, 7, 5, 12]
+
+    def test_sweeps_of_one_layout_share_their_buffers(self, mixed_drops, monkeypatch):
+        # Consecutive sweeps of one batch write the same per-pair arrays;
+        # the first sweep after a run leaves gets new ones.
+        sweeps = []
+
+        class Recorded(wmmse._SweepWorkspace):
+            def __init__(self, batch, receivers, beta):
+                super().__init__(batch, receivers, beta)
+                sweeps.append((batch, self.quad, self.proj, self.offset))
+
+        runs = [
+            dataclasses.replace(run, config=dataclasses.replace(
+                run.config, max_outer_iterations=cap, objective_tol=0.0
+            ))
+            for run, cap in zip(self._selection_runs(mixed_drops, 8), (2, 4, 4, 6))
+        ]
+        monkeypatch.setattr(wmmse, "_SweepWorkspace", Recorded)
+        iterate_selection(runs, self.STREAMS)
+        assert len(sweeps) == 6
+        layouts = []
+        for (batch, *arrays), (next_batch, *next_arrays) in zip(sweeps, sweeps[1:]):
+            same = batch is next_batch
+            layouts.append(same)
+            for array, next_array in zip(arrays, next_arrays):
+                assert np.shares_memory(array, next_array) == same
+        assert layouts == [True, False, True, False, True]
+
     def _batch(self, runs):
         """The batch of a synthesis solve of the runs after its first
         covariance pass and weight update."""
