@@ -26,7 +26,7 @@ import numpy as np
 
 from . import sphharm
 from .exceptions import GenerationError
-from .patterns import CandidateSet, RadiationPattern
+from .patterns import CandidateSet
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -284,10 +284,10 @@ def _base_factors(geom: PathGeometry):
 def assemble_channel(geom: PathGeometry, tx_patterns) -> np.ndarray:
     """Plain per-antenna channel (M x N) from exact pair geometry.
 
-    `tx_patterns` is either one pattern shared by all transmit antennas or a
-    sequence with one pattern per antenna.
+    `tx_patterns` is one object with a `gain(theta, phi)` method, shared by
+    all transmit antennas, or a sequence of them, one per antenna.
     """
-    if isinstance(tx_patterns, RadiationPattern):
+    if hasattr(tx_patterns, "gain"):
         tx_patterns = [tx_patterns] * geom.n_tx
     if len(tx_patterns) != geom.n_tx:
         raise ValueError(

@@ -52,7 +52,7 @@ def audit_constraints(
         one_hot = np.eye(matrix.shape[1])[selection]
         antenna_deviation = float(np.max(np.abs(matrix - one_hot)))
         min_gains = candidates.min_gains
-        min_gain = min(min_gains[s] for s in np.unique(selection).tolist())
+        min_gain = min(min_gains[s] for s in sorted(set(selection.tolist())))
     else:
         norms = np.sum(matrix**2, axis=1)
         antenna_deviation = float(np.max(np.abs(norms - FOUR_PI)))

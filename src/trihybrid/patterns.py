@@ -1,15 +1,17 @@
 """Radiation patterns and candidate sets for pattern-reconfigurable antennas.
 
-A pattern is a strictly positive magnitude gain over the sphere.  Normalized
-patterns radiate total power 4*pi, i.e. the squared gain integrates to the
-full solid angle.  Candidate sets hold an ordered list of normalized patterns
-from which each transmit antenna selects one; index 0 is the designated
-fixed-baseline pattern.
+A pattern is a Gaussian beam: a strictly positive magnitude gain over the
+sphere, peaked at a steering direction, plus a nonnegative gain floor.
+Normalized patterns radiate total power 4*pi, i.e. the squared gain
+integrates to the full solid angle.  Candidate sets hold an ordered list of
+normalized beams from which each transmit antenna selects one; index 0 is
+the designated fixed-baseline pattern.  Synthesized (harmonic) patterns
+are coefficient rows of the antenna matrix, not pattern objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isqrt
 
@@ -51,43 +53,30 @@ def most_square_factors(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class RadiationPattern:
-    """Magnitude gain over the sphere.
+    """Gaussian beam: magnitude gain over the sphere.
 
-    `kind` selects the representation: "isotropic", "gaussian" (a parametric
-    beam) or "harmonic" (coefficients of the real spherical basis).  `scale`
-    is the multiplicative factor applied by normalization.
+    The unscaled gain is exp(-ln 2 / 2 (2 delta / beamwidth)^2) + floor,
+    with delta the angle from the beam center (theta0, phi0); `scale` is
+    the multiplicative factor applied by normalization.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    theta0: float
+    phi0: float
+    beamwidth: float
+    floor: float
     scale: float = 1.0
 
     def gain(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        if self.kind == "isotropic":
-            raw = np.ones(np.broadcast_shapes(theta.shape, phi.shape))
-        elif self.kind == "gaussian":
-            delta = great_circle_angle(
-                theta, phi, self.params["theta0"], self.params["phi0"]
-            )
-            ratio = 2.0 * delta / self.params["beamwidth"]
-            raw = np.exp(-0.5 * _LN2 * ratio**2) + self.params["floor"]
-        elif self.kind == "harmonic":
-            raw = np.asarray(
-                sphharm.synthesize_gain(self.params["coefficients"], theta, phi)
-            )
-        else:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
+        delta = great_circle_angle(theta, phi, self.theta0, self.phi0)
+        ratio = 2.0 * delta / self.beamwidth
+        raw = np.exp(-0.5 * _LN2 * ratio**2) + self.floor
         out = self.scale * raw
         return out if out.ndim else float(out)
 
     def scaled(self, factor: float) -> "RadiationPattern":
         return replace(self, scale=self.scale * factor)
-
-
-def isotropic_pattern() -> RadiationPattern:
-    return RadiationPattern(kind="isotropic")
 
 
 def gaussian_beam(
@@ -108,23 +97,11 @@ def gaussian_beam(
     if floor < 0.0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     return RadiationPattern(
-        kind="gaussian",
-        params={
-            "theta0": float(center_inclination),
-            "phi0": float(center_azimuth),
-            "beamwidth": float(beamwidth),
-            "floor": float(floor),
-        },
+        theta0=float(center_inclination),
+        phi0=float(center_azimuth),
+        beamwidth=float(beamwidth),
+        floor=float(floor),
     )
-
-
-def harmonic_pattern(coeffs: np.ndarray) -> RadiationPattern:
-    """Pattern synthesized from a harmonic coefficient vector.
-
-    Positivity is the caller's responsibility; audit with
-    :func:`trihybrid.metrics.audit_constraints` when in doubt.
-    """
-    return RadiationPattern(kind="harmonic", params={"coefficients": coeffs})
 
 
 def normalize_pattern(
@@ -193,7 +170,7 @@ def gaussian_beam_grid(count: int, beamwidth: float = np.deg2rad(85.0)) -> Candi
             beam = gaussian_beam(t0, p0, beamwidth, BEAM_FLOOR)
             beams.append(normalize_pattern(beam, quad))
 
-    centers = np.array([(b.params["theta0"], b.params["phi0"]) for b in beams])
+    centers = np.array([(b.theta0, b.phi0) for b in beams])
     best = int(np.argmin(great_circle_angle(centers[:, 0], centers[:, 1], *BROADSIDE)))
     beams[0], beams[best] = beams[best], beams[0]
     return CandidateSet(tuple(beams))

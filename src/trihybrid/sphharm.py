@@ -1,8 +1,10 @@
 """Real spherical harmonics and surface quadrature.
 
-Provides the orthonormal real harmonic basis on the unit sphere, synthesis
-of gain functions from coefficients, and numerical integration over the
-sphere on a Gauss-Legendre (inclination) x uniform (azimuth) grid.
+Provides the orthonormal real harmonic basis on the unit sphere, sampled at
+given directions or cached on a quadrature grid, and numerical integration
+over the sphere on a Gauss-Legendre (inclination) x uniform (azimuth) grid.
+A synthesized gain is the basis times a coefficient vector; the pipeline
+forms it only through the lifted channels and the audit's grid basis.
 
 Basis ordering: the pair (degree u, order q) with u >= 0 and |q| <= u is
 flattened to t = u^2 + u + q + 1, so truncating at degree U keeps
@@ -14,7 +16,7 @@ pinned by the orthonormality tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, isqrt
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -113,16 +115,6 @@ def sh_basis(theta, phi, degree: int) -> np.ndarray:
         for q in range(-u, u + 1):
             out[..., u * u + u + q] = real_sph_harm(u, q, theta, phi)
     return out
-
-
-def synthesize_gain(coeffs, theta, phi):
-    """Evaluate the gain synthesized from harmonic coefficients at (theta, phi)."""
-    values = np.asarray(coeffs, dtype=float)
-    degree = isqrt(values.size) - 1
-    if truncation_length(degree) != values.size:
-        raise ValueError(f"coefficient length {values.size} is not a perfect square")
-    out = np.asarray(sh_basis(theta, phi, degree) @ values)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .sphere_opt import (
     secular_problems,
     sphere_terms,
 )
-from .sphharm import FOUR_PI
 
 _TINY_QUAD = 1e-12  # below this the quadratic term is treated as zero
 
@@ -84,7 +83,6 @@ class Trace:
     objective: list[float] = field(default_factory=list)
     sum_rate: list[float] = field(default_factory=list)
     max_power_violation: list[float] = field(default_factory=list)
-    antenna_deviation: list[float] = field(default_factory=list)
     iter_seconds: list[float] = field(default_factory=list)
     converged: bool = False
     # Seconds per phase, summed over iterations.
@@ -1005,7 +1003,6 @@ def _run_bcd(
     stream_counts,
     step,
     starts: np.ndarray,
-    row_power_target: float,
     block_monitor=None,
     factors=None,
 ) -> list[Iterate]:
@@ -1080,9 +1077,6 @@ def _run_bcd(
         objectives = objective_of(cov, receivers, weights)
         rates, _ = weighted_sum_rate(cov, beta)
         violations = layout.maxima(np.sum(np.abs(batch.f_d) ** 2, axis=-1) / batch.power - 1.0)
-        deviations = layout.maxima(
-            np.abs(np.sum(batch.antenna_matrix**2, axis=-1) - row_power_target)
-        )
         finished = time.perf_counter()
 
         n_active = len(batch.ids)
@@ -1094,7 +1088,6 @@ def _run_bcd(
             trace.objective.append(objective)
             trace.sum_rate.append(rates[b])
             trace.max_power_violation.append(violations[b])
-            trace.antenna_deviation.append(deviations[b])
             sweep = per_step * layout.n_antennas[b]
             trace.receivers_s += (swept - started) / n_active
             trace.sweep_s += sweep
@@ -1158,7 +1151,7 @@ def iterate_selection(runs: list[Run], stream_counts, block_monitor=None) -> lis
     if any(eff.mode != "sel" for run in runs for eff in run.effs):
         raise ValueError("run_selection expects selection-lifted channels")
     starts = np.eye(runs[0].effs[0].block_width)[np.zeros(len(runs), dtype=int)]
-    return _run_bcd(runs, stream_counts, _select_step, starts, 1.0, block_monitor)
+    return _run_bcd(runs, stream_counts, _select_step, starts, block_monitor)
 
 
 def iterate_synthesis(runs: list[Run], stream_counts, block_monitor=None) -> list[Iterate]:
@@ -1172,9 +1165,7 @@ def iterate_synthesis(runs: list[Run], stream_counts, block_monitor=None) -> lis
     factors = np.stack([reduction_factors(run.config.rho) for run in runs])
     width = runs[0].effs[0].block_width
     starts = np.stack([isotropic_coefficients(width, run.config.rho) for run in runs])
-    return _run_bcd(
-        runs, stream_counts, _synthesize_step, starts, FOUR_PI, block_monitor, factors
-    )
+    return _run_bcd(runs, stream_counts, _synthesize_step, starts, block_monitor, factors)
 
 
 def _single(block_monitor):

@@ -3,19 +3,22 @@
 These deliberately avoid the library's own code paths: Legendre functions
 come from the Rodrigues formula evaluated symbolically, surface integrals
 from dense trapezoid grids, and channels from entry-by-entry loops or from
-their far-field limit with shared per-path angles.
+their far-field limit with shared per-path angles.  The isotropic and
+harmonic patterns live here too: the library builds only Gaussian beams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import sympy as sp
 
 from trihybrid.channel import to_spherical
 from trihybrid.decomp import _LSTSQ_RCOND, rescale_per_antenna
+from trihybrid.sphharm import sh_basis, truncation_length
 from trihybrid.sphere_opt import (
     _CLUSTER_TOL,
     _MAX_NEWTON,
@@ -86,6 +89,46 @@ def channel_entry_loops(geom, tx_patterns) -> np.ndarray:
                 )
                 out[m, n] += c * a * g_bs
     return np.sqrt(N * M / L) * out
+
+
+def synthesize_gain(coeffs, theta, phi):
+    """Gain synthesized from a harmonic coefficient vector at (theta, phi),
+    on the library's basis (pinned against the Rodrigues oracle above)."""
+    values = np.asarray(coeffs, dtype=float)
+    degree = math.isqrt(values.size) - 1
+    if truncation_length(degree) != values.size:
+        raise ValueError(f"coefficient length {values.size} is not a perfect square")
+    out = np.asarray(sh_basis(theta, phi, degree) @ values)
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class OraclePattern:
+    """A gain function times a scale, with the `gain` and `scaled` of a
+    library pattern: the isotropic and harmonic reference patterns that the
+    channel, reduction and normalization tests use beside the library's
+    Gaussian beams."""
+
+    raw: Callable
+    scale: float = 1.0
+
+    def gain(self, theta, phi):
+        raw = self.raw(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+        out = self.scale * np.asarray(raw)
+        return out if out.ndim else float(out)
+
+    def scaled(self, factor: float) -> "OraclePattern":
+        return replace(self, scale=self.scale * factor)
+
+
+def isotropic_pattern() -> OraclePattern:
+    """Unit gain in every direction."""
+    return OraclePattern(lambda theta, phi: np.ones(np.broadcast_shapes(theta.shape, phi.shape)))
+
+
+def harmonic_pattern(coeffs) -> OraclePattern:
+    """The gain synthesized from `coeffs`; positivity is not checked."""
+    return OraclePattern(lambda theta, phi: synthesize_gain(coeffs, theta, phi))
 
 
 def _centered_response(layout, theta, phi, wavelength) -> np.ndarray:

@@ -19,7 +19,14 @@ import numpy as np
 import pytest
 
 from conftest import desk_solver
-from helpers import block_objective, random_complex, random_psd, rotated_sphere_solve
+from helpers import (
+    block_objective,
+    harmonic_pattern,
+    isotropic_pattern,
+    random_complex,
+    random_psd,
+    rotated_sphere_solve,
+)
 from trihybrid.baselines import fixed_pattern_wmmse
 from trihybrid.channel import (
     EffectiveChannel,
@@ -31,7 +38,7 @@ from trihybrid.channel import (
     synthesis_effective_channel,
 )
 from trihybrid.experiments import _WMMSE_METHODS, _cell_rows, _solve_cells, load_config
-from trihybrid.patterns import CandidateSet, gaussian_beam_grid, harmonic_pattern, isotropic_pattern, most_square_factors
+from trihybrid.patterns import CandidateSet, gaussian_beam_grid, most_square_factors
 from trihybrid.sphharm import FOUR_PI, default_grid
 from trihybrid.wmmse import (
     candidate_quads,
@@ -179,10 +186,10 @@ def test_criterion_04_closed_form_row_oracle():
 
 
 def test_criterion_05_bcd_monotone(suite):
-    cells, _, _ = suite
+    cells, rows, _ = suite
     worst_rise = -np.inf
     audits_ok = True
-    for cell in cells:
+    for cell, row in zip(cells, rows):
         for method in _WMMSE_METHODS:
             _, trace = cell.solution(method)
             objective = np.array(trace.objective)
@@ -190,7 +197,9 @@ def test_criterion_05_bcd_monotone(suite):
             if rises.size:
                 worst_rise = max(worst_rise, float(np.max(rises)))
             audits_ok &= max(trace.max_power_violation) <= 1e-9
-            audits_ok &= max(trace.antenna_deviation) <= 1e-8
+            # The pattern constraint of the final antenna matrix, as audited
+            # for the row.
+            audits_ok &= float(row[method]["antenna_deviation"]) <= 1e-8
     ok = worst_rise <= 1e-9 and audits_ok
     report(
         5,

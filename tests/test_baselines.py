@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import desk_scenario, desk_solver
-from helpers import random_complex
+from helpers import isotropic_pattern, random_complex
 from trihybrid.baselines import bd_zero_forcing, fixed_pattern_wmmse, interference_leakage
 from trihybrid.channel import assemble_channel
 from trihybrid.exceptions import ConfigurationError
-from trihybrid.patterns import gaussian_beam_grid, isotropic_pattern
+from trihybrid.patterns import gaussian_beam_grid
 
 
 class TestZeroForcing:

@@ -7,6 +7,8 @@ from helpers import (
     channel_entry_loops,
     far_field_channel,
     far_field_from_scenario,
+    harmonic_pattern,
+    isotropic_pattern,
 )
 from trihybrid.channel import (
     ScenarioConfig,
@@ -19,7 +21,7 @@ from trihybrid.channel import (
     upa_layout,
 )
 from trihybrid.exceptions import GenerationError
-from trihybrid.patterns import gaussian_beam_grid, harmonic_pattern, isotropic_pattern
+from trihybrid.patterns import gaussian_beam_grid
 
 
 class TestLayout:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import trihybrid
+from test_experiments import MINI
 
 
 def test_import_loads_no_scipy():
@@ -17,6 +18,20 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_loads_no_numpy_ma(tmp_path):
+    # numpy's `unique` imports numpy.ma on its first call; a run needs neither.
+    src = str(Path(trihybrid.__file__).parents[1])
+    config = tmp_path / "config.ini"
+    config.write_text(MINI)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from trihybrid.experiments import run_experiment; "
+        f"run_experiment({str(config)!r}); print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_runner_import_leaves_the_process_pool_out():

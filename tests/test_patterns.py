@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import trapezoid_sphere_integral
+from helpers import isotropic_pattern, trapezoid_sphere_integral
 from trihybrid.exceptions import ConfigurationError
 from trihybrid.patterns import (
     BEAM_PHI_RANGE,
@@ -11,8 +11,6 @@ from trihybrid.patterns import (
     gaussian_beam,
     gaussian_beam_grid,
     great_circle_angle,
-    harmonic_pattern,
-    isotropic_pattern,
     most_square_factors,
     normalize_pattern,
 )
@@ -73,7 +71,7 @@ class TestNormalize:
 
     def test_zero_energy_rejected(self, grid):
         with pytest.raises(ValueError):
-            normalize_pattern(isotropic_pattern().scaled(0.0), grid)
+            normalize_pattern(gaussian_beam(1.0, 0.5, np.deg2rad(60.0)).scaled(0.0), grid)
 
 
 class TestFactors:
@@ -95,11 +93,11 @@ class TestBeamGrid:
     def test_default_64(self, grid):
         cands = gaussian_beam_grid(64)
         assert cands.size == 64
-        centers_theta = sorted({p.params["theta0"] for p in cands.patterns})
-        centers_phi = sorted({p.params["phi0"] for p in cands.patterns})
+        centers_theta = sorted({p.theta0 for p in cands.patterns})
+        centers_phi = sorted({p.phi0 for p in cands.patterns})
         assert len(centers_theta) == 8 and len(centers_phi) == 8
         for p in cands.patterns[:4]:
-            assert p.params["beamwidth"] == pytest.approx(np.deg2rad(85.0))
+            assert p.beamwidth == pytest.approx(np.deg2rad(85.0))
             assert abs(pattern_energy(p.gain, grid) - FOUR_PI) < 1e-6
 
     def test_single_beam(self):
@@ -115,13 +113,13 @@ class TestBeamGrid:
         (t_lo, t_hi), (p_lo, p_hi) = BEAM_THETA_RANGE, BEAM_PHI_RANGE
         thetas = (t_lo + 0.25 * (t_hi - t_lo), t_lo + 0.75 * (t_hi - t_lo))
         phis = (p_lo + 0.25 * (p_hi - p_lo), p_lo + 0.75 * (p_hi - p_lo))
-        centers = {(p.params["theta0"], p.params["phi0"]) for p in cands.patterns}
+        centers = {(p.theta0, p.phi0) for p in cands.patterns}
         assert centers == {(t, p) for t in thetas for p in phis}
 
     def test_baseline_first_swaps_broadside_closest(self):
         cands = gaussian_beam_grid(16)
         distances = [
-            great_circle_angle(p.params["theta0"], p.params["phi0"], np.pi / 2, 0.0)
+            great_circle_angle(p.theta0, p.phi0, np.pi / 2, 0.0)
             for p in cands.patterns
         ]
         assert distances[0] == min(distances)
@@ -147,7 +145,7 @@ class TestCandidateSet:
     def test_center_entry_is_max(self):
         cands = gaussian_beam_grid(4)
         p = cands.patterns[2]
-        vec = cands.gain_vector(p.params["theta0"], p.params["phi0"])
+        vec = cands.gain_vector(p.theta0, p.phi0)
         assert int(np.argmax(vec)) == 2
 
     def test_entries_reproducible(self, rng):
@@ -157,12 +155,3 @@ class TestCandidateSet:
         for s, p in enumerate(cands.patterns):
             assert vec[s] == pytest.approx(p.gain(theta, phi))
 
-
-class TestHarmonicPattern:
-    def test_matches_synthesis(self, rng):
-        from trihybrid.sphharm import synthesize_gain
-
-        c = rng.standard_normal(9)
-        pattern = harmonic_pattern(c)
-        theta, phi = 1.3, -0.4
-        assert_allclose(pattern.gain(theta, phi), synthesize_gain(c, theta, phi))

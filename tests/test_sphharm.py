@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import legendre_rodrigues, real_sh_oracle, trapezoid_sphere_integral
+from helpers import legendre_rodrigues, real_sh_oracle, synthesize_gain, trapezoid_sphere_integral
 from trihybrid.sphharm import (
     FOUR_PI,
     assoc_legendre,
@@ -15,7 +15,6 @@ from trihybrid.sphharm import (
     real_sph_harm,
     sh_basis,
     sphere_grid,
-    synthesize_gain,
     truncation_length,
 )
 
