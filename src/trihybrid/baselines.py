@@ -13,13 +13,13 @@ import numpy as np
 from .channel import Scenario, selection_effective_channel
 from .decomp import feasibility_scale
 from .exceptions import ConfigurationError
-from .patterns import CandidateSet, RadiationPattern
+from .patterns import CandidateSet, Pattern
 from .wmmse import PrecoderState, SolverConfig, Trace, run_selection
 
 
 def fixed_pattern_wmmse(
     scenario: Scenario,
-    pattern: RadiationPattern,
+    pattern: Pattern,
     stream_counts,
     config: SolverConfig,
 ) -> tuple[PrecoderState, Trace]:

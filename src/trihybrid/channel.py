@@ -284,8 +284,9 @@ def _base_factors(geom: PathGeometry):
 def assemble_channel(geom: PathGeometry, tx_patterns) -> np.ndarray:
     """Plain per-antenna channel (M x N) from exact pair geometry.
 
-    `tx_patterns` is one object with a `gain(theta, phi)` method, shared by
-    all transmit antennas, or a sequence of them, one per antenna.
+    `tx_patterns` is one :class:`~trihybrid.patterns.Pattern` (any object
+    with a `gain(theta, phi)` method), shared by all transmit antennas, or
+    a sequence of them, one per antenna.
     """
     if hasattr(tx_patterns, "gain"):
         tx_patterns = [tx_patterns] * geom.n_tx

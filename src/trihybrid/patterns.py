@@ -1,7 +1,9 @@
 """Radiation patterns and candidate sets for pattern-reconfigurable antennas.
 
-A pattern is a Gaussian beam: a strictly positive magnitude gain over the
-sphere, peaked at a steering direction, plus a nonnegative gain floor.
+The library builds one kind of pattern, the Gaussian beam: a strictly
+positive magnitude gain over the sphere, peaked at a steering direction,
+plus a nonnegative gain floor.  What the rest of the library reads of a
+pattern is the :class:`Pattern` protocol.
 Normalized patterns radiate total power 4*pi, i.e. the squared gain
 integrates to the full solid angle.  Candidate sets hold an ordered list of
 normalized beams from which each transmit antenna selects one; index 0 is
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isqrt
+from typing import Protocol
 
 import numpy as np
 
@@ -49,6 +52,17 @@ def most_square_factors(n: int) -> tuple[int, int]:
         if n % a == 0:
             return a, n // a
     raise AssertionError("unreachable")
+
+
+class Pattern(Protocol):
+    """What the channel and the candidate sets read of a pattern: its
+    magnitude gain at directions (theta, phi), and a copy with the gain
+    multiplied by a factor.  :class:`RadiationPattern` is the only one the
+    library builds."""
+
+    def gain(self, theta, phi): ...
+
+    def scaled(self, factor: float) -> "Pattern": ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +136,14 @@ def normalize_pattern(
 class CandidateSet:
     """Ordered set of normalized patterns selectable per antenna."""
 
-    patterns: tuple[RadiationPattern, ...]
+    patterns: tuple[Pattern, ...]
 
     @property
     def size(self) -> int:
         return len(self.patterns)
 
     @property
-    def baseline(self) -> RadiationPattern:
+    def baseline(self) -> Pattern:
         return self.patterns[0]
 
     def gain_vector(self, theta, phi) -> np.ndarray:

@@ -222,20 +222,18 @@ def minimize_on_sphere(gaps, half_w, low: float, high: float) -> SphereResult:
     iterations = 0
     if not gaps:
         return SphereResult(root=0.0, iterations=iterations, converged=True)
-    pairs = tuple(zip(gaps, half_w))
-    sqrt = math.sqrt
     t = root = low
     converged = False
     while iterations < _MAX_NEWTON:
         iterations += 1
         root = t
         norm_sq = slope_sum = 0.0
-        for gi, h in pairs:
+        for gi, h in zip(gaps, half_w):
             denom = gi + t
             sq = (h / denom) ** 2
             norm_sq += sq
             slope_sum += sq / denom
-        norm = sqrt(norm_sq)
+        norm = math.sqrt(norm_sq)
         if abs(norm - 1.0) <= _SECULAR_TOL:
             converged = True
             break

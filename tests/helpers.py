@@ -9,16 +9,19 @@ harmonic patterns live here too: the library builds only Gaussian beams.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import pytest
 import sympy as sp
 
+from trihybrid import wmmse
 from trihybrid.channel import to_spherical
 from trihybrid.decomp import _LSTSQ_RCOND, rescale_per_antenna
-from trihybrid.sphharm import sh_basis, truncation_length
+from trihybrid.sphharm import FOUR_PI, sh_basis, truncation_length
 from trihybrid.sphere_opt import (
     _CLUSTER_TOL,
     _MAX_NEWTON,
@@ -619,6 +622,43 @@ def antenna_terms(workspace, n: int, align: np.ndarray, run: int = 0) -> tuple[n
         workspace.antenna_matrix[pair] @ quad
     )
     return quad, cross - align
+
+
+@contextlib.contextmanager
+def pattern_deviations():
+    """Record how far every antenna step of the WMMSE loop, taken while the
+    context is open, leaves the stepped antenna from its pattern constraint.
+
+    Each step's new pattern vectors are read from the sweep workspace right
+    after the step: a selection row's largest entrywise distance from the
+    one-hot vector of its largest entry, and a synthesis row's
+    |sum of squares - 4 pi|.  A sweep steps every antenna once and no later
+    step of it touches that antenna's row, so the values bound the
+    constraint of the antenna matrix at the end of every outer iteration.
+    Yields {"sel": [...], "syn": [...]}, one maximum over the stepped runs
+    per step.
+    """
+    deviations = {"sel": [], "syn": []}
+
+    def one_hot(rows):
+        return float(np.max(np.abs(rows - np.eye(rows.shape[1])[rows.argmax(axis=1)])))
+
+    def sphere_power(rows):
+        return float(np.max(np.abs(np.sum(rows**2, axis=1) - FOUR_PI)))
+
+    def recorded(step, mode, deviation):
+        def spied(workspace, n):
+            step(workspace, n)
+            deviations[mode].append(deviation(workspace.antenna_matrix[workspace.slices[n]]))
+
+        return spied
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wmmse, "_select_step", recorded(wmmse._select_step, "sel", one_hot))
+        patch.setattr(
+            wmmse, "_synthesize_step", recorded(wmmse._synthesize_step, "syn", sphere_power)
+        )
+        yield deviations
 
 
 def alignment_term(effs, receivers, weights, beta, n: int) -> np.ndarray:

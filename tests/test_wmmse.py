@@ -21,6 +21,7 @@ from helpers import (
     mmse_receivers_loop,
     mse_matrix_loop,
     mse_weights_loop,
+    pattern_deviations,
     random_complex,
     random_psd,
     receiver_block,
@@ -958,10 +959,12 @@ class TestRunSelection:
         scenario, candidates, streams = small_setup
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         config = desk_solver(max_outer_iterations=10)
-        state, trace = run_selection(effs, streams, config)
+        with pattern_deviations() as deviations:
+            state, trace = run_selection(effs, streams, config)
         assert max(trace.max_power_violation) <= 1e-12
-        matrix = state.antenna_matrix
-        assert np.array_equal(matrix, np.eye(matrix.shape[1])[matrix.argmax(axis=1)])
+        # Every antenna's row is one-hot after its step in every iteration.
+        assert len(deviations["sel"]) == trace.n_iterations * effs[0].n_antennas
+        assert max(deviations["sel"]) == 0.0
 
     def test_rate_link(self, small_setup):
         scenario, candidates, streams = small_setup
