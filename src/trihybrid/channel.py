@@ -313,7 +313,7 @@ class EffectiveChannel:
     """Lifted channel whose column block n spans antenna n's pattern choices."""
 
     matrix: np.ndarray  # (M, N * block_width) complex
-    mode: str  # "sel" | "cof" | "plain"
+    mode: str  # "sel" (candidate patterns) | "cof" (harmonic coefficients)
     block_width: int
 
     @property

@@ -754,9 +754,31 @@ class _SweepWorkspace:
 # The row update minimizes a ||f||^2 + 2 Re(f^H d) over the power ball
 # ||f||^2 <= P for the row-step coefficient a and direction d: the optimum is
 # -step d with step min(1/a, sqrt(P)/||d||), the boundary step when a is at
-# most _TINY_QUAD, and a zero row when d = 0.  The selection step takes
-# every run's step lengths in one array pass, the synthesis step on Python
-# floats; both write the rows in one array operation.
+# most _TINY_QUAD, and a zero row when d = 0.  `_negated_steps` takes it on
+# Python floats for the synthesis step and a one-candidate selection; a
+# selection with several candidates scores them all in one array pass.
+# Every step writes its rows with `_rows`.
+
+def _negated_steps(norms_sq, quads, budgets) -> list[float]:
+    """Every run's negated row step from its ||d||^2, a and P, Python
+    floats each.  An a at most `_TINY_QUAD` (or NaN) takes the boundary
+    step, and a ||d||^2 that is not positive divides by 1.  One
+    comprehension with comparisons, not `min` and `append`: it runs once
+    per antenna step, and a batch of 21 runs pays every call 21 times."""
+    return [
+        -(boundary if quad <= _TINY_QUAD or not (inverse := 1.0 / quad) < boundary else inverse)
+        for norm_sq, quad, budget in zip(norms_sq, quads, budgets)
+        for boundary in (math.sqrt(budget / (norm_sq if norm_sq > 0.0 else 1.0)),)
+    ]
+
+
+def _rows(negated_steps, directions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Every run's negated step times its direction, (B, D).  Complex steps
+    make each product the one of a Python float times a complex array: a
+    real array takes another loop, which can differ in the sign of an
+    underflowed zero."""
+    return np.multiply(np.asarray(negated_steps, dtype=complex)[:, None], directions, out=out)
+
 
 def candidate_quads(quad_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real diagonal of one (W, W) quad term or of a stack, and its guarded
@@ -791,9 +813,10 @@ def select_pattern_and_row(
     squared norms, boundaries, steps and values, then one `argmin` along
     the candidate axis, and every run's row, its negated step times its
     chosen candidate's direction, is written in one operation.  With a
-    single candidate (W = 1) there is nothing to choose: the rows are that
-    candidate's closed-form steps, and nothing is scored.  A value is NaN
-    only for non-finite input or when a direction so small that its
+    single candidate (W = 1) there is nothing to choose or score: the rows
+    take the closed-form steps of :func:`_negated_steps` from `quads`, the
+    rule of the synthesis step, and `inv_quads` is not read.  A value is
+    NaN only for non-finite input or when a direction so small that its
     boundary step overflows meets a quad at most `_TINY_QUAD`; `argmin`
     then takes the first NaN.
     """
@@ -802,25 +825,18 @@ def select_pattern_and_row(
     norms_sq = np.abs(linear)
     np.square(norms_sq, out=norms_sq)
     norms_sq = np.add.reduce(norms_sq, axis=1)
+    budgets = np.asarray(budgets, dtype=float)
+    if linear.shape[2] == 1:
+        steps = _negated_steps(norms_sq.ravel().tolist(), np.ravel(quads).tolist(), budgets.tolist())
+        return [0] * len(rows), _rows(steps, linear[:, :, 0], rows)
     # A zero direction divides by 1 instead: its value is 0 whatever the step.
-    steps = np.divide(
-        np.asarray(budgets, dtype=float)[:, None], np.where(norms_sq > 0.0, norms_sq, 1.0)
-    )
+    steps = np.divide(budgets[:, None], np.where(norms_sq > 0.0, norms_sq, 1.0))
     np.sqrt(steps, out=steps)
     np.minimum(inv_quads, steps, out=steps)
-    # Complex steps, so that each product takes the operations of a Python
-    # float times a complex array: a real array takes another loop, which
-    # can differ in the sign of an underflowed zero.
-    if linear.shape[2] == 1:
-        np.multiply(np.negative(steps).astype(complex), linear[:, :, 0], out=rows)
-        return [0] * len(rows), rows
     values = norms_sq * (quads * (steps * steps) - 2.0 * steps)
     indices = values.argmin(axis=1)
     runs = np.arange(len(indices))
-    np.multiply(
-        np.negative(steps[runs, indices]).astype(complex)[:, None], linear[runs, :, indices],
-        out=rows,
-    )
+    _rows(np.negative(steps[runs, indices]), linear[runs, :, indices], rows)
     return indices.tolist(), rows
 
 
@@ -856,23 +872,16 @@ def synthesize_pattern_and_row(
     operation over the batch: the row, the reduction, the rotation into
     each run's eigenbasis, the set-up of the secular equations
     (:func:`secular_problems`), the points from their roots with the
-    kept-start test, the rotation back and the lift.  The step lengths take
-    a few Python float operations per run, and :func:`minimize_on_sphere`
+    kept-start test, the rotation back and the lift.  The step lengths are
+    :func:`_negated_steps` on Python floats, and :func:`minimize_on_sphere`
     finds the root of each solving run on Python floats.  Each array
     operation is the one of a single run, stacked, so a run gets the same
     bits in any batch.
     """
     directions = linear @ coefficients[:, :, None]
     norms_sq = (directions.conj().swapaxes(1, 2) @ directions).real.ravel().tolist()
-    negated_steps = []
-    for norm_sq, quad, budget in zip(norms_sq, row_quads, budgets):
-        if norm_sq == 0.0:  # a zero row, written below
-            negated_steps.append(0.0)
-            continue
-        boundary = math.sqrt(budget / norm_sq)
-        negated_steps.append(-(boundary if quad <= _TINY_QUAD else min(1.0 / quad, boundary)))
-    # Complex steps, as in the selection step.
-    rows = np.array(negated_steps, dtype=complex)[:, None] * directions[:, :, 0]
+    rows = _rows(_negated_steps(norms_sq, row_quads, budgets), directions[:, :, 0])
+    # A zero squared norm gives a zero row, even where the direction underflowed.
     if 0.0 in norms_sq:
         rows[[norm_sq == 0.0 for norm_sq in norms_sq]] = 0.0
     if coefficients.shape[1] == 1:

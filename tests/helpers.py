@@ -276,7 +276,14 @@ def row_solution(quad_scalar: float, dvec: np.ndarray, budget: float):
 
     The optimum is anti-parallel to d with step min(1/a, sqrt(P)/||d||);
     when the quadratic coefficient vanishes the step sits on the power
-    boundary.  Both library steps must give this row to the bit.
+    boundary.  The synthesis step gives this row to the bit, zero rows
+    included (:func:`synthesize_pattern_and_row_single` pins it).  The
+    selection step sums ||d||^2 in its own way, so it matches this row to
+    rounding where ||d||^2 is positive, and not at all where it is zero:
+    this returns +0.0, while the selection step writes -step d, whose real
+    parts carry the sign bit for an all-zero direction (as
+    :func:`select_pattern_and_row_loop` pins) and whose entries stay tiny
+    for an underflowed one.
     """
     norm_sq = float(np.vdot(dvec, dvec).real)
     if norm_sq == 0.0:

@@ -1,9 +1,12 @@
+import ast
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import trihybrid
 from test_experiments import MINI
@@ -18,6 +21,26 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_runtime_dependencies_are_the_third_party_imports():
+    # pyproject.toml's runtime dependencies name exactly the top-level
+    # modules outside the standard library that the package imports.
+    import tomllib
+
+    package = Path(trihybrid.__file__).parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {package.name}
+    with open(package.parents[1] / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    assert {re.match(r"[A-Za-z0-9_.-]+", spec)[0] for spec in dependencies} == third_party
 
 
 def test_run_loads_no_numpy_ma(tmp_path):
