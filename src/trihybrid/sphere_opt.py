@@ -7,9 +7,10 @@ sphere", SIAM J. Optim. 2001).  With B = Q diag(lam) Q^T and w = Q^T v, a
 global minimizer is x = -Q (diag(lam) - mu)^{-1} w / 2 for the multiplier
 mu < lam_min at which that vector has unit norm.  Writing t = lam_min - mu,
 the root of the secular equation 1/||x(t)|| = 1 is found by safeguarded
-Newton iteration.  In the hard case, where w has no component in the bottom
-eigenspace and ||x|| stays below one as mu approaches lam_min, mu = lam_min
-and a bottom eigenvector fills the missing norm.
+Newton iteration, started from the left end of a bracket of the root or
+from a hint inside it.  In the hard case, where w has no component in the
+bottom eigenspace and ||x|| stays below one as mu approaches lam_min,
+mu = lam_min and a bottom eigenvector fills the missing norm.
 
 The solver works in the eigenbasis of B and decomposes nothing itself.  In
 the reduced pattern step B is a positive scalar times Re Q[1:, 1:] of the
@@ -21,7 +22,10 @@ batch (:func:`reduced_coefficient_problem`).  :func:`secular_problems` then
 sets up every run's secular equation at once, :func:`minimize_on_sphere`
 runs the one part that stays per run, the Newton iteration on Python
 floats, and :meth:`SecularProblems.finish` forms the points, their values
-and the kept-start test over the batch again.
+and the kept-start test over the batch again.  The synthesis step hands
+each solve the root that its antenna's problem in the same run had in the
+last sweep as the hint: the problem moves little from sweep to sweep, so
+the iteration starts close to its root.
 
 The array set-up and finish take every sum in Python's order, left to right
 from 0, with `np.add.accumulate`, so that a run gets the bits of its problem
@@ -207,7 +211,9 @@ def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProble
     )
 
 
-def minimize_on_sphere(gaps, half_w, low: float, high: float) -> SphereResult:
+def minimize_on_sphere(
+    gaps, half_w, low: float, high: float, hint: float = math.nan
+) -> SphereResult:
     """The root t >= 0 of one run's secular equation ||x(t)|| = 1, with
     x(t) = -half_w / (gaps + t), by safeguarded Newton iteration on Python
     floats.
@@ -215,25 +221,31 @@ def minimize_on_sphere(gaps, half_w, low: float, high: float) -> SphereResult:
     `gaps` and `half_w` are the entries the secular sum runs over and
     [low, high] brackets the root, as :meth:`SecularProblems.arguments`
     gives them; empty entries mark a run the set-up settled, which takes no
-    step.  On a handful of entries numpy's per-call overhead would cost
-    more than the arithmetic, and `** 2` here is libm's `pow`, which
-    numpy's square does not match in every last bit.
+    step.  The iteration starts at `hint`, such as the root of the same
+    antenna's problem in the last sweep, when low < hint < high, and at
+    `low` otherwise (no hint, NaN, or a hint on or outside the bracket),
+    where it takes the bits it takes without a hint.  On a handful of
+    entries numpy's per-call overhead would cost more than the arithmetic,
+    and `** 2` here is libm's `pow`, which numpy's square does not match in
+    every last bit.
     """
     iterations = 0
     if not gaps:
-        return SphereResult(root=0.0, iterations=iterations, converged=True)
-    t = root = low
+        return SphereResult(0.0, iterations, True)
+    entries = list(zip(gaps, half_w))
+    sqrt = math.sqrt
+    t = root = hint if low < hint < high else low
     converged = False
     while iterations < _MAX_NEWTON:
         iterations += 1
         root = t
         norm_sq = slope_sum = 0.0
-        for gi, h in zip(gaps, half_w):
+        for gi, h in entries:
             denom = gi + t
             sq = (h / denom) ** 2
             norm_sq += sq
             slope_sum += sq / denom
-        norm = math.sqrt(norm_sq)
+        norm = sqrt(norm_sq)
         if abs(norm - 1.0) <= _SECULAR_TOL:
             converged = True
             break
@@ -242,13 +254,14 @@ def minimize_on_sphere(gaps, half_w, low: float, high: float) -> SphereResult:
         else:
             high = t
         # 1/||x(t)|| is concave and increasing in t, so Newton steps from
-        # the left of the root stay left of it; bisect if rounding throws
-        # a step out of the bracket.
+        # the left of the root stay left of it, and a step from a start
+        # right of it lands left of it; bisect if a step leaves the
+        # bracket.
         slope = slope_sum / (norm * norm_sq)
         t += (1.0 - 1.0 / norm) / slope
         if not low <= t <= high:
             t = 0.5 * (low + high)
-    return SphereResult(root=root, iterations=iterations, converged=converged)
+    return SphereResult(root, iterations, converged)
 
 
 def reduction_factors(rho: float) -> np.ndarray:

@@ -23,7 +23,9 @@ pair); a run that stops leaves with copies of its rows, and the runs that
 stay go on in the batch's one `take`, which cuts every tagged array by its
 axis.  Every sweep of one batch layout refills the same per-pair buffers,
 made on the layout's first sweep together with the per-antenna views that
-the steps read.  A run's results do not depend on its batch.  The loop
+the steps read.  A synthesis batch keeps every pair's last secular root,
+where the pair's next sphere solve starts.  A run's results do not depend
+on its batch.  The loop
 returns each run undecomposed, and :func:`decompose_states` factors the runs of one
 chain count and antenna count in one call, so that a sweep can decompose
 the runs of all its batches together.
@@ -377,6 +379,9 @@ class _Batch:
     power: np.ndarray = _axis("row")  # (rows,)
     blocks_conj: np.ndarray = _axis("pair")  # (pairs, K M, W)
     budgets: np.ndarray = _axis("pair")  # (pairs,)
+    # (pairs,) each pair's last scaled secular root, NaN before its first
+    # solve, or None in a selection batch
+    roots: np.ndarray | None = _axis("pair")
 
     @classmethod
     def of(cls, runs, stream_counts, starts: np.ndarray, factors=None) -> "_Batch":
@@ -420,6 +425,7 @@ class _Batch:
                 [stack.reshape(len(stack), n_users * n_rx, -1) for stack in lifted]
             ).conj(),
             budgets=power[layout.antenna_major],
+            roots=None if factors is None else np.full(len(power), math.nan),
         )
 
     def take(self, kept: list[int]) -> "_Batch":
@@ -501,6 +507,7 @@ class _Views(NamedTuple):
     received: np.ndarray  # R, (runs, K M, D)
     rows: np.ndarray  # the selection step's row buffer, (runs, D)
     factors: np.ndarray | None
+    roots: np.ndarray | None  # (runs,)
     proj: np.ndarray  # (runs, K M, W)
     offset: np.ndarray  # (runs, D, W)
     budgets: np.ndarray  # (runs,)
@@ -549,10 +556,11 @@ class _SweepBuffers:
             factors = None if batch.factors is None else batch.factors[:count]
             shared = (received.swapaxes(1, 2), received, self.rows[:count], factors)
             for pairs in layout.slices[antennas]:
+                roots = None if batch.roots is None else batch.roots[pairs]
                 self.views.append(_Views(
-                    pairs, *shared, self.proj[pairs], self.offset[pairs], batch.budgets[pairs],
-                    budgets[pairs], batch.blocks_conj[pairs], self.antenna_matrix[pairs],
-                    self.rows_conj[pairs],
+                    pairs, *shared, roots, self.proj[pairs], self.offset[pairs],
+                    batch.budgets[pairs], budgets[pairs], batch.blocks_conj[pairs],
+                    self.antenna_matrix[pairs], self.rows_conj[pairs],
                 ))
 
 
@@ -595,9 +603,10 @@ class _SweepWorkspace:
     each antenna count, one product per count.
 
     The step closed forms read what else the sweep cannot change: the real
-    diagonals of the quad terms and their guarded inverses
-    (:func:`candidate_quads`) for selection, and Re(a_n^T Q_n a_n),
-    Re Q_n[1:, 0] and the :func:`sphere_terms` for synthesis.  Each is
+    diagonals of the quad terms and, with more than one candidate, their
+    guarded inverses (:func:`candidate_quads`) for selection, and
+    Re(a_n^T Q_n a_n), Re Q_n[1:, 0] and the :func:`sphere_terms` for
+    synthesis.  Each is
     built on first use: `step_quads` and the selection state only by
     selection steps, `row_quads` and `pinned` only by synthesis steps, and
     `sphere_terms` decomposes every pair in one batched call only in
@@ -674,8 +683,12 @@ class _SweepWorkspace:
         return sphere_terms(self.quad, self.antenna_matrix)
 
     @functools.cached_property
-    def step_quads(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair's :func:`candidate_quads`, (pairs, W) each."""
+    def step_quads(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every pair's :func:`candidate_quads`, (pairs, W) each.  With one
+        candidate, the diagonal and None: :func:`select_pattern_and_row`
+        does not read the inverse then."""
+        if self.quad.shape[-1] == 1:
+            return self.quad[:, :, 0].real, None
         return candidate_quads(self.quad)
 
     @functools.cached_property
@@ -848,6 +861,7 @@ def synthesize_pattern_and_row(
     coefficients: np.ndarray,
     budgets,
     factors: np.ndarray,
+    roots: np.ndarray,
 ):
     """One row update followed by one pattern-coefficient update, for one
     antenna in every run of a batch.
@@ -864,9 +878,12 @@ def synthesize_pattern_and_row(
     run whose row is zero, or whose rho is 1, keeps its coefficients, as
     does every run when W = 1.  `terms()` returns every run's
     :func:`sphere_terms` of Q and c; it is called only when some run
-    solves for its coefficients.  Returns (coefficients, rows), (B, W) and
-    (B, D); the coefficients are the given array itself when no run
-    solves.
+    solves for its coefficients.  `roots[b]` is run b's scaled secular
+    root from its last solve, NaN before the first: a solving run's Newton
+    iteration starts there when it lies inside the new bracket, and its
+    new root is written back in place.  Returns (coefficients, rows),
+    (B, W) and (B, D); the coefficients are the given array itself when no
+    run solves.
 
     Everything but the step lengths and the Newton iteration is one array
     operation over the batch: the row, the reduction, the rotation into
@@ -892,6 +909,7 @@ def synthesize_pattern_and_row(
         return coefficients, rows
     eigenvalues, eigenvectors, starts, coordinates = terms()
     every = len(solving) == len(scales)
+    picked = slice(None) if every else solving  # a slice reads and writes faster
     if not every:
         eigenvalues, eigenvectors, starts, coordinates, scales, reduced, factors = (
             part[solving]
@@ -903,8 +921,12 @@ def synthesize_pattern_and_row(
         coordinates,
         np.sqrt((reduced[:, None, :] @ reduced[:, :, None]).ravel()),
     )
-    roots = [minimize_on_sphere(*arguments).root for arguments in problems.arguments()]
-    points, _, kept = problems.finish(roots)
+    found = [
+        minimize_on_sphere(*arguments, hint).root
+        for arguments, hint in zip(problems.arguments(), roots[picked].tolist())
+    ]
+    roots[picked] = found
+    points, _, kept = problems.finish(found)
     points = (eigenvectors @ points[:, :, None])[:, :, 0]
     # Hand back a kept start itself, not its round trip through the eigenbasis.
     if np.count_nonzero(kept):
@@ -1126,8 +1148,8 @@ def _select_step(workspace: _SweepWorkspace, n: int) -> None:
     views = workspace.views[n]
     quads, inv_quads = workspace.step_quads
     indices, rows = select_pattern_and_row(
-        workspace.linear(n), quads[views.pairs], inv_quads[views.pairs], views.budgets,
-        views.rows,
+        workspace.linear(n), quads[views.pairs],
+        None if inv_quads is None else inv_quads[views.pairs], views.budgets, views.rows,
     )
     workspace.select(n, indices, rows)
 
@@ -1143,6 +1165,7 @@ def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
         views.antenna_matrix,
         views.budget_list,
         views.factors,
+        views.roots,
     )
     workspace.apply(n, vectors, rows)
 

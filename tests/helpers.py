@@ -223,9 +223,16 @@ def select_pattern_and_row_vectorized(linear, quads, inv_quads, budgets, rows=No
     computed on whole arrays, run by run: every candidate's boundary, step
     and value at once, then `argmin`.  The library scores every run of the
     batch in one pass; the two must agree bit for bit.  Same signature and
-    return as the library's step."""
+    return as the library's step; an `inv_quads` of None, as a sweep passes
+    it for a single candidate, is formed here: 1/a, or inf where a is at
+    most `_TINY_QUAD`."""
     if rows is None:
         rows = np.empty(np.shape(linear)[:2], dtype=complex)
+    if inv_quads is None:
+        inv_quads = [
+            [1.0 / quad if quad > _TINY_QUAD else math.inf for quad in run]
+            for run in np.asarray(quads).tolist()
+        ]
     indices = []
     for b, budget in enumerate(budgets):
         norms_sq = np.square(np.abs(linear[b])).sum(axis=0)
@@ -524,8 +531,8 @@ def synthesize_pattern_and_row_single(
     :func:`sphere_solve_full` and the lift, each on that run's own arrays.
     `tail_spectrum()` returns Re Q[1:, 1:]'s eigenpairs.  Returns
     (coefficients, row).  Every run of
-    :func:`trihybrid.wmmse.synthesize_pattern_and_row` must equal it bit for
-    bit."""
+    :func:`trihybrid.wmmse.synthesize_pattern_and_row` without a root from
+    an earlier solve must equal it bit for bit."""
     row, _ = row_solution(row_quad, linear @ coefficients, budget)
     width = coefficients.size
     if rho >= 1.0 or width == 1:

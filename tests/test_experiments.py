@@ -438,7 +438,7 @@ class TestRun:
         assert calls == [84]
         assert len(rows) == 84
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "6825d01108a32979ca3a98740b93653ae1c98d7d8e003054a5b2427a88f2cc41"
+            "32cdd252069048f10731d6c78632f1a5d88ccffe7d18f337eee81230d906d6f6"
         )
         assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
 

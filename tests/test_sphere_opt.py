@@ -15,6 +15,7 @@ from helpers import (
     sphere_solve_full,
 )
 from trihybrid.sphere_opt import (
+    _SECULAR_TOL,
     isotropic_coefficients,
     lift_coefficients,
     minimize_on_sphere,
@@ -426,3 +427,45 @@ def test_batched_secular_solve_matches_single_problem_oracle(batch):
             assert points[b].tobytes() == np.array(want.point).tobytes(), b
     if "kept" in kinds:
         assert kept[kinds.index("kept")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_secular_batches(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_hint_inside_bracket_finds_the_root(batch, where):
+    # A Newton iteration started anywhere strictly inside the bracket, as
+    # the synthesis step starts it from the last sweep's root, meets the
+    # secular tolerance, and its point has the value of the solve from
+    # the bracket's left end to 1e-12 of the problem scale.
+    kinds, lam, w, starts, norms = batch
+    cold = secular_problems(lam, w, starts, norms)
+    warm = secular_problems(lam, w, starts, norms)
+    cold_roots, warm_roots = [], []
+    for gaps, half_w, low, high in cold.arguments():
+        cold_roots.append(minimize_on_sphere(gaps, half_w, low, high).root)
+        hint = low + where * (high - low)
+        result = minimize_on_sphere(gaps, half_w, low, high, hint)
+        warm_roots.append(result.root)
+        if gaps and low < hint < high:
+            assert result.converged
+            norm = math.sqrt(sum((h / (g + result.root)) ** 2 for g, h in zip(gaps, half_w)))
+            assert abs(norm - 1.0) <= _SECULAR_TOL
+    _, cold_values, _ = cold.finish(cold_roots)
+    _, warm_values, _ = warm.finish(warm_roots)
+    scales = np.sqrt(np.sum(lam * lam, axis=1)) + norms
+    assert np.all(np.abs(warm_values - cold_values) <= 1e-12 * scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_secular_batches())
+def test_hint_off_the_open_bracket_starts_at_its_left_end(batch):
+    # A hint on either end of the bracket, outside it or NaN is not used:
+    # the iteration gives the bits of the solve without a hint, root,
+    # iterations and converged flag.
+    kinds, lam, w, starts, norms = batch
+    for gaps, half_w, low, high in secular_problems(lam, w, starts, norms).arguments():
+        want = minimize_on_sphere(gaps, half_w, low, high)
+        for hint in (low, high, low - 1.0, -math.inf, high + 1.0, math.inf, math.nan):
+            got = minimize_on_sphere(gaps, half_w, low, high, hint)
+            assert (got.root.hex(), got.iterations, got.converged) == (
+                want.root.hex(), want.iterations, want.converged,
+            ), hint

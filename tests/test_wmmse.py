@@ -748,6 +748,7 @@ def _synthesize(quad, linear, terms, coefficients, budget, rho):
         coefficients[None],
         [budget],
         reduction_factors(rho)[None],
+        np.array([np.nan]),
     )
     return vectors[0], rows[0]
 
@@ -904,7 +905,8 @@ def _synthesis_steps(draw):
 def test_synthesize_matches_single_run_oracle_bit_for_bit(step):
     # The batched step gives every run the rows and coefficient vectors of
     # the per-run step byte for byte, whatever the other runs of its batch
-    # are, and warns about nothing (warnings are errors in this suite).
+    # are, when no run has a root from an earlier solve, and warns about
+    # nothing (warnings are errors in this suite).
     linear, row_quads, quads, coefficients, budgets, rhos = step
     pinned = quads[..., 1:, 0].real
     eigenvalues, eigenvectors, *_ = terms = sphere_terms(quads, coefficients)
@@ -916,7 +918,7 @@ def test_synthesize_matches_single_run_oracle_bit_for_bit(step):
 
     vectors, rows = synthesize_pattern_and_row(
         linear, row_quads.tolist(), pinned, step_terms, coefficients, budgets,
-        np.stack([reduction_factors(rho) for rho in rhos]),
+        np.stack([reduction_factors(rho) for rho in rhos]), np.full(len(rhos), np.nan),
     )
     assert len(calls) <= 1
     for b, rho in enumerate(rhos):
@@ -1364,6 +1366,60 @@ class TestBatchedSolves:
         ]
         batched = self._check(iterate, single, runs, monkeypatch)
         assert [trace.n_iterations for _, trace in batched] == [3, 7, 5, 12]
+
+    def test_sphere_hints_follow_their_runs(self, mixed_drops, monkeypatch):
+        # Every sphere solve of a (run, antenna) pair gets the root that
+        # the pair's solve found in the sweep before as its hint, and its
+        # first solve gets NaN, while the batch loses a run, and with the
+        # first one its last four antennas, in three different iterations.
+        runs = [
+            dataclasses.replace(run, config=dataclasses.replace(
+                run.config, max_outer_iterations=cap, objective_tol=0.0
+            ))
+            for run, cap in zip(self._synthesis_runs(mixed_drops, 0.7), (2, 4, 3, 5))
+        ]
+        sweeps = [0] * len(runs)  # each run's sweeps so far
+        places = []  # the run at each place of the sweeping batch
+        found = []  # (hint, root) of each solve in the current step
+        solves = {}  # (run, antenna) -> [(sweep, hint, root)]
+        sphere, step = wmmse.minimize_on_sphere, wmmse._synthesize_step
+
+        class Counted(wmmse._SweepWorkspace):
+            def __init__(self, batch, receivers, beta):
+                super().__init__(batch, receivers, beta)
+                places[:] = batch.ids.tolist()
+                for r in places:
+                    sweeps[r] += 1
+
+        def spied_sphere(*args):
+            result = sphere(*args)
+            found.append((args[4] if len(args) > 4 else None, result.root))
+            return result
+
+        def spied_step(workspace, n):
+            found.clear()
+            step(workspace, n)
+            # The runs that solve on the sphere are those with a nonzero row.
+            rows = workspace.rows_conj[workspace.slices[n]]
+            solving = np.flatnonzero(np.any(rows, axis=1)).tolist()
+            assert len(solving) == len(found)
+            for b, (hint, root) in zip(solving, found):
+                r = places[b]
+                solves.setdefault((r, n), []).append((sweeps[r], hint, root))
+
+        monkeypatch.setattr(wmmse, "_SweepWorkspace", Counted)
+        monkeypatch.setattr(wmmse, "minimize_on_sphere", spied_sphere)
+        monkeypatch.setattr(wmmse, "_synthesize_step", spied_step)
+        iterate_synthesis(runs, self.STREAMS)
+        assert sweeps == [2, 4, 3, 5]
+        sizes = [run.effs[0].n_antennas for run in runs]
+        assert solves.keys() == {(r, n) for r, size in enumerate(sizes) for n in range(size)}
+        for pair, entries in solves.items():
+            assert [sweep for sweep, _, _ in entries] == list(range(1, sweeps[pair[0]] + 1)), pair
+            first = entries[0][1]
+            assert type(first) is float and np.isnan(first), pair
+            for (_, _, root), (_, hint, _) in zip(entries, entries[1:]):
+                assert type(hint) is float and hint == root, pair
 
     def test_sweeps_of_one_layout_share_their_buffers(self, mixed_drops, monkeypatch):
         # Consecutive sweeps of one batch write the same per-pair arrays;
