@@ -3,7 +3,9 @@
 Two benchmarks against which the reconfigurable-pattern solvers are judged:
 the same weighted-MMSE descent with every antenna locked to one pattern, and
 block-diagonalization zero forcing with equal stream powers rescaled for
-per-antenna feasibility.
+per-antenna feasibility.  Zero-forcing directions depend on the channels
+alone, so one call computes them once and scales them for every power
+budget that shares the channels.
 """
 
 from __future__ import annotations
@@ -36,29 +38,28 @@ def fixed_pattern_wmmse(
     return run_selection(effs, stream_counts, config)
 
 
-def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:
-    """Block-diagonalization zero-forcing precoder.
+def bd_zero_forcing(channels, stream_counts, powers) -> list[np.ndarray]:
+    """Block-diagonalization zero-forcing precoders, one per power budget.
 
     Each user's precoder lives in the null space of every other user's
     channel.  The user's channel is projected off the others' row space,
     H_k - (H_k V) V^H with V the others' right singular vectors, and the
     strongest right singular directions of the projection carry the
     streams.  Only thin SVDs are taken, so no N x N factor is formed.
-    Streams start with equal power (the total budget split evenly) and the
-    stacked precoder is then scaled down once so every antenna meets its
-    budget.
+    These directions are computed once.  `powers` holds the budgets to
+    precode for, each a scalar or one per antenna; for each, streams start
+    with equal power (the total budget split evenly) and the stacked
+    precoder is then scaled down once so every antenna meets its budget.
     """
     K = len(channels)
     stream_counts = tuple(stream_counts)
     n = channels[0].shape[1]
-    power = np.broadcast_to(np.asarray(power, dtype=float), (n,))
     d_total = sum(stream_counts)
     if d_total > n:
         raise ConfigurationError(
             f"cannot zero-force {d_total} streams with {n} antennas"
         )
 
-    per_stream = float(np.sum(power)) / d_total
     blocks = []
     for k in range(K):
         others = [channels[i] for i in range(K) if i != k]
@@ -70,19 +71,23 @@ def bd_zero_forcing(channels, stream_counts, power) -> np.ndarray:
         # A second pass removes what cancellation left of the others' rows.
         projected = _project_off(_project_off(channels[k], row_space), row_space)
         _, singulars, vh = np.linalg.svd(projected, full_matrices=False)
-        directions = _rank(singulars, projected.shape)
-        if directions < stream_counts[k]:
+        found = _rank(singulars, projected.shape)
+        if found < stream_counts[k]:
             raise ConfigurationError(
-                f"user {k}: the projected channel has {directions} directions for "
+                f"user {k}: the projected channel has {found} directions for "
                 f"{stream_counts[k]} streams"
             )
         # Projecting the chosen rows once more keeps a weak stream's
         # direction as far from the others' rows as a strong one's.
-        rows = _project_off(vh[: stream_counts[k]], row_space)
-        blocks.append(np.sqrt(per_stream) * rows.conj().T)
+        blocks.append(_project_off(vh[: stream_counts[k]], row_space).conj().T)
+    directions = np.hstack(blocks)
 
-    f_d = np.hstack(blocks)
-    return f_d * min(1.0, feasibility_scale(f_d, power))
+    precoders = []
+    for power in powers:
+        power = np.broadcast_to(np.asarray(power, dtype=float), (n,))
+        f_d = np.sqrt(float(np.sum(power)) / d_total) * directions
+        precoders.append(f_d * min(1.0, feasibility_scale(f_d, power)))
+    return precoders
 
 
 def _rank(singulars: np.ndarray, shape) -> int:

@@ -50,11 +50,10 @@ def _least_squares(f_rf: np.ndarray, f_d: np.ndarray) -> np.ndarray:
     return vh.conj().swapaxes(1, 2) @ (inverse[:, :, None] * (u.conj().swapaxes(1, 2) @ f_d))
 
 
-def _relative_residuals(f_d, f_rf, f_bb, norms: np.ndarray) -> np.ndarray:
-    """||f_d - f_rf f_bb|| / ||f_d|| of every run of a stack, given the
-    targets' norms; 0 for a zero target."""
-    mismatch = _frobenius(f_d - f_rf @ f_bb)
-    return np.divide(mismatch, norms, out=np.zeros_like(norms), where=norms > 0.0)
+def _relative_residuals(mismatch: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """||f_d - f_rf f_bb|| / ||f_d|| of every run of a stack, given its
+    mismatch f_d - f_rf f_bb and the targets' norms; 0 for a zero target."""
+    return np.divide(_frobenius(mismatch), norms, out=np.zeros_like(norms), where=norms > 0.0)
 
 
 def feasibility_scale(f: np.ndarray, power) -> float:
@@ -80,25 +79,25 @@ def rescale_per_antenna(
     return f_bb * scale, scale
 
 
-def _refine_phases(f_d, f_rf, f_bb) -> np.ndarray:
+def _refine_phases(residual, f_rf, f_bb) -> np.ndarray:
     """One cyclic pass of exact per-column phase updates on the analog stage
-    of every run of a stack, (B, N, N_RF), in place.
+    of every run of a stack, (B, N, N_RF), in place, given the runs'
+    mismatch f_d - f_rf f_bb, which the pass keeps up to date in place.
 
     Column j's entries each minimize the true mismatch with everything else
     held fixed, so the pass cannot increase the residual.
     """
     root = np.sqrt(f_rf.shape[1])
     targets = f_bb.conj()[..., None]  # conj(f_bb[:, j]) as (B, D, 1) columns
-    residual = f_d - f_rf @ f_bb
     for j in range(f_rf.shape[2]):
         column, gains = f_rf[:, :, j, None], f_bb[:, j, None, :]
-        without = residual + column * gains
-        match = without @ targets[:, j]
+        residual += column * gains  # the mismatch without column j
+        match = residual @ targets[:, j]
         magnitude = np.abs(match)
         magnitude *= root
         # Each entry becomes match / (|match| sqrt(N)); a zero match keeps its phase.
         np.divide(match, magnitude, out=column, where=magnitude > 0.0)
-        residual = without - column * gains
+        residual -= column * gains
     return f_rf
 
 
@@ -117,8 +116,9 @@ def decompose_precoders(
     the leading columns of the target; random phases from the run's own
     generator pad any extra chains.  Each alternation makes one batched
     phase pass, one batched least-squares fit (`_least_squares`) and one
-    batched residual for every run still alternating; the loop over runs
-    only records.  A run stops on its own tests: a residual below 1e-15, an
+    batched mismatch for every run still alternating, the phase pass
+    updating the mismatch it is handed in place; the loop over runs only
+    records.  A run stops on its own tests: a residual below 1e-15, an
     improvement that stalls, or the iteration cap.  Its recorded residual
     history is non-increasing.  After the alternation each run's
     digital stage is rescaled for per-antenna feasibility.  Returns one
@@ -143,27 +143,33 @@ def decompose_precoders(
 
     f_bb = _least_squares(f_rf, f_d)
     norms = _frobenius(f_d)
-    residuals = _relative_residuals(f_d, f_rf, f_bb, norms)
+    mismatch = f_d - f_rf @ f_bb
+    residuals = _relative_residuals(mismatch, norms)
     histories = [[residual] for residual in residuals.tolist()]
     active = np.flatnonzero(~(residuals < 1e-15))
+    mismatch = mismatch[active]  # the active runs' mismatch, in `active` order
     for _ in range(iterations):
         if not active.size:
             break
         if active.size == n_runs:  # no run has stopped: work in place, with no gather
-            _refine_phases(f_d, f_rf, f_bb)
+            _refine_phases(mismatch, f_rf, f_bb)
             f_bb = _least_squares(f_rf, f_d)
-            new = _relative_residuals(f_d, f_rf, f_bb, norms)
+            mismatch = f_d - f_rf @ f_bb
+            new = _relative_residuals(mismatch, norms)
         else:
             targets = f_d[active]
-            f_rf[active] = analog = _refine_phases(targets, f_rf[active], f_bb[active])
+            f_rf[active] = analog = _refine_phases(mismatch, f_rf[active], f_bb[active])
             f_bb[active] = digital = _least_squares(analog, targets)
-            new = _relative_residuals(targets, analog, digital, norms[active])
+            mismatch = targets - analog @ digital
+            new = _relative_residuals(mismatch, norms[active])
         old = residuals[active]
         residuals[active] = kept = np.minimum(new, old)
         for b, residual in zip(active.tolist(), kept.tolist()):
             histories[b].append(residual)
         # A run stops when its improvement stalls or its residual drops below 1e-15.
-        active = active[~(new >= old - 1e-15) & ~(new < 1e-15)]
+        going = ~(new >= old - 1e-15) & ~(new < 1e-15)
+        if not going.all():
+            active, mismatch = active[going], mismatch[going]
 
     results = []
     for b, (residual, history) in enumerate(zip(residuals.tolist(), histories)):

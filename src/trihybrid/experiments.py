@@ -4,10 +4,11 @@ Reads a flat key-value config (INI sections: scenario, solver, sweep), runs
 every sweep point x method x scenario seed, and appends one row per run to a
 results CSV.  The methods of one (sweep point, scenario seed) cell share its
 fixed-pattern solve; the cells of one array shape and scenario seed share
-their scenario and lifted channels, and every cell shares the candidate
-grid.  The WMMSE runs of all cells that share a solver, pattern width and
-receive counts are solved in one lockstep batch whatever their antenna
-counts, and the zero-forcing precoders in one more; then every solved run
+their scenario, lifted channels and zero-forcing directions, and every
+cell shares the candidate grid.  The WMMSE runs of all cells that share a
+solver, pattern width and receive counts are solved in one lockstep batch
+whatever their antenna counts, and the zero-forcing precoders in one more,
+which zero-forces each drop once for all its cells; then every solved run
 that a row reports is decomposed, one call per chain count and antenna
 count, before the rows are made; the rows only read.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
@@ -446,14 +447,25 @@ def _solver(method: str):
 
 def _zero_forcing(runs: list[Run], stream_counts) -> list[Iterate]:
     """BD zero forcing on the baseline pattern of each run of a batch,
-    undecomposed; a trace records the decomposition's seconds only."""
-    iterates = []
-    for run in runs:
-        matrix = np.ones((run.effs[0].n_antennas, 1))
-        channels = [compose(e, matrix) for e in run.effs]
-        f_d = bd_zero_forcing(channels, stream_counts, run.config.power)
-        power = np.full(len(matrix), run.config.power)
-        iterates.append(Iterate(f_d, matrix, power, run.config, Trace(converged=True)))
+    undecomposed; a trace records the decomposition's seconds only.
+
+    The runs of one drop share its lifted channels (one list, from
+    :meth:`_Sweep.effs`), so each drop's channels are composed once and
+    zero-forced in one call for the budgets of all its runs.
+    """
+    drops: dict = {}  # id of a lifted-channel list -> indices of its runs
+    for i, run in enumerate(runs):
+        drops.setdefault(id(run.effs), []).append(i)
+    iterates = [None] * len(runs)
+    for drop in drops.values():
+        effs = runs[drop[0]].effs
+        matrix = np.ones((effs[0].n_antennas, 1))
+        channels = [compose(e, matrix) for e in effs]
+        configs = [runs[i].config for i in drop]
+        precoders = bd_zero_forcing(channels, stream_counts, [c.power for c in configs])
+        for i, config, f_d in zip(drop, configs, precoders):
+            power = np.full(len(matrix), config.power)
+            iterates[i] = Iterate(f_d, matrix, power, config, Trace(converged=True))
     return iterates
 
 

@@ -12,7 +12,7 @@ from trihybrid.patterns import gaussian_beam_grid
 class TestZeroForcing:
     def test_single_user_reduces_to_svd_directions(self, rng):
         h = random_complex(rng, 2, 8)
-        f = bd_zero_forcing([h], (2,), power=1.0)
+        f = bd_zero_forcing([h], (2,), [1.0])[0]
         _, _, vh = np.linalg.svd(h)
         top = vh.conj().T[:, :2]
         # Same column space as the leading right singular vectors.
@@ -24,8 +24,8 @@ class TestZeroForcing:
         basis = np.linalg.qr(random_complex(rng, n, n))[0]
         h1 = random_complex(rng, 2, 2) @ basis[:, :2].conj().T
         h2 = random_complex(rng, 2, 2) @ basis[:, 2:4].conj().T
-        f = bd_zero_forcing([h1, h2], (2, 2), power=1.0)
-        joint = bd_zero_forcing([h1], (2,), power=1.0)
+        f = bd_zero_forcing([h1, h2], (2, 2), [1.0])[0]
+        joint = bd_zero_forcing([h1], (2,), [1.0])[0]
         # User 1's block spans the same subspace as its solo SVD precoder.
         block = f[:, :2]
         solo = joint[:, :2] if joint.shape[1] >= 2 else joint
@@ -34,27 +34,40 @@ class TestZeroForcing:
 
     def test_leakage_small(self, rng):
         channels = [random_complex(rng, 2, 16) for _ in range(3)]
-        f = bd_zero_forcing(channels, (2, 2, 2), power=1.0)
+        f = bd_zero_forcing(channels, (2, 2, 2), [1.0])[0]
         assert interference_leakage(channels, f, (2, 2, 2)) < 1e-9
 
     def test_per_antenna_power_feasible(self, rng):
         channels = [random_complex(rng, 2, 12) for _ in range(2)]
         power = rng.uniform(0.5, 1.5, 12)
-        f = bd_zero_forcing(channels, (2, 2), power=power)
+        f = bd_zero_forcing(channels, (2, 2), [power])[0]
         per_antenna = np.sum(np.abs(f) ** 2, axis=1)
         assert np.max(per_antenna - power) <= 1e-12
+
+    def test_several_budgets_equal_one_call_each(self, rng):
+        # The directions are computed once and scaled per budget, with the
+        # bits each budget gets alone: scalars and a per-antenna budget.
+        channels = [random_complex(rng, 2, 12) for _ in range(3)]
+        powers = [0.01, 1.0, rng.uniform(0.5, 1.5, 12), 10.0]
+        together = bd_zero_forcing(channels, (2, 2, 2), powers)
+        assert len(together) == len(powers)
+        for power, f in zip(powers, together):
+            alone = bd_zero_forcing(channels, (2, 2, 2), [power])
+            assert len(alone) == 1
+            assert f.tobytes() == alone[0].tobytes()
+        assert bd_zero_forcing(channels, (2, 2, 2), []) == []
 
     def test_dimension_guard(self, rng):
         channels = [random_complex(rng, 3, 4) for _ in range(2)]
         with pytest.raises(ConfigurationError):
-            bd_zero_forcing(channels, (3, 3), power=1.0)
+            bd_zero_forcing(channels, (3, 3), [1.0])
 
     def test_fewer_user_antennas_than_streams_rejected(self, rng):
         # Each 2 x 16 user has a 14-dimensional null space of the other user
         # but only 2 directions to carry its 3 streams.
         channels = [random_complex(rng, 2, 16) for _ in range(2)]
         with pytest.raises(ConfigurationError, match="2 directions for 3 streams"):
-            bd_zero_forcing(channels, (3, 3), power=1.0)
+            bd_zero_forcing(channels, (3, 3), [1.0])
 
     def test_too_few_null_space_directions_rejected(self, rng):
         # Two 3 x 4 users: each sees a one-dimensional null space of the
@@ -63,7 +76,7 @@ class TestZeroForcing:
         for _ in range(50):
             channels = [random_complex(rng, 3, 4) for _ in range(2)]
             with pytest.raises(ConfigurationError, match="1 directions for 2 streams"):
-                bd_zero_forcing(channels, (2, 2), power=1.0)
+                bd_zero_forcing(channels, (2, 2), [1.0])
 
     @pytest.mark.parametrize("weak", [1.0, 1e-6])
     def test_leakage_at_rounding_level_for_a_user_near_the_others_rows(self, rng, weak):
@@ -76,13 +89,13 @@ class TestZeroForcing:
         null = np.linalg.svd(h1)[2][2:].conj().T  # (n, n - 2)
         part = np.diag([1.0, weak]) @ null[:, :2].conj().T
         h0 = 1e3 * random_complex(rng, 2, 2) @ h1 + part
-        f = bd_zero_forcing([h0, h1], (2, 2), power=1.0)
+        f = bd_zero_forcing([h0, h1], (2, 2), [1.0])[0]
         assert interference_leakage([h0, h1], f, (2, 2)) < 1e-14
 
     def test_on_scenario_channels(self):
         scenario = desk_scenario(2, n_users=3, bs_shape=(4, 4), paths_per_user=4)
         channels = [assemble_channel(g, isotropic_pattern()) for g in scenario.geometries]
-        f = bd_zero_forcing(channels, (2, 2, 2), power=1.0)
+        f = bd_zero_forcing(channels, (2, 2, 2), [1.0])[0]
         assert interference_leakage(channels, f, (2, 2, 2)) < 1e-9
 
 

@@ -334,6 +334,36 @@ class TestRun:
         for geom in geometries.values():
             assert sorted(mode for mode, g in lifts if g is geom) == ["cof", "sel", "sel"]
 
+    def test_zero_forcing_once_per_drop(self, tmp_path, monkeypatch):
+        # Two powers by two seeds: the two cells of a seed share its
+        # zero-forcing directions, one call for both budgets, and each
+        # row has the bits of its power swept alone.
+        calls = []
+        zero_forcing = experiments.bd_zero_forcing
+
+        def counted(channels, stream_counts, powers):
+            calls.append(len(powers))
+            return zero_forcing(channels, stream_counts, powers)
+
+        monkeypatch.setattr(experiments, "bd_zero_forcing", counted)
+        text = MINI.replace("values = 0", "values = -10 0").replace(
+            "seeds = 1", "seeds = 1 2"
+        ).replace("methods = model1 model2 wmmse_fixed zf", "methods = zf")
+        rows = read_rows(run_experiment(write_config(tmp_path, text)))
+        assert calls == [2, 2]
+        alone = [
+            row
+            for value in ("-10", "0")
+            for row in read_rows(run_experiment(write_config(
+                tmp_path, text.replace("values = -10 0", f"values = {value}"), f"{value}.ini"
+            )))
+        ]
+        assert calls[2:] == [1] * 4
+        assert [(r["sweep_value"], r["scenario_seed"]) for r in rows] == [
+            ("-10.0", "1"), ("-10.0", "2"), ("0.0", "1"), ("0.0", "2")
+        ]
+        assert rows == alone
+
     def test_sweep_freed_without_the_cycle_collector(self, tmp_path):
         # The sweep keeps every scenario and lift of its cells.  Held in a
         # reference cycle, they would outlive the run until the cycle
@@ -902,30 +932,37 @@ class TestCli:
     def test_zero_forcing_that_raises_is_named_and_others_written(
         self, tmp_path, capsys, monkeypatch
     ):
+        # Zero-forcing directions do not depend on power, so the fault is
+        # in one seed's drop: seed 2's channels, at both powers.
         zero_forcing = experiments.bd_zero_forcing
+        text = MINI.replace("values = 0", "values = -10 0").replace(
+            "seeds = 1", "seeds = 1 2"
+        ).replace("methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf")
+        cfg = write_config(tmp_path, text)
+        lift = experiments._Sweep(load_config(cfg)).effs(0.0, 2, "zf")[0]
+        faulty = channel.compose(lift, np.ones((lift.n_antennas, 1)))
         batches = []
 
-        def flaky(channels, stream_counts, power):
-            batches.append(power)
-            if power < 1.0:  # the -10 dBm cell
+        def flaky(channels, stream_counts, powers):
+            batches.append(len(powers))
+            if np.array_equal(channels[0], faulty):
                 raise FloatingPointError("no null space")
-            return zero_forcing(channels, stream_counts, power)
+            return zero_forcing(channels, stream_counts, powers)
 
         monkeypatch.setattr(experiments, "bd_zero_forcing", flaky)
-        text = MINI.replace("values = 0", "values = -10 0").replace(
-            "methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf"
-        )
-        assert main(["run", str(write_config(tmp_path, text))]) == 1
-        assert len(batches) == 3  # the batch stops at its first cell, then each cell alone
+        assert main(["run", str(cfg)]) == 1
+        # The batch, one call per drop until seed 2's raises, then each cell alone.
+        assert batches == [2, 2, 1, 1, 1, 1]
         err = capsys.readouterr().err
-        assert "1 of 2 sweep cells failed" in err
-        assert "value -10.0, seed 1: FloatingPointError: no null space" in err
+        assert "2 of 4 sweep cells failed" in err
+        assert "value -10.0, seed 2: FloatingPointError: no null space" in err
+        assert "value 0.0, seed 2: FloatingPointError: no null space" in err
         rows = read_rows(tmp_path / "results.csv")
-        assert [(r["sweep_value"], r["method"]) for r in rows] == [
-            ("0.0", "wmmse_fixed"), ("0.0", "zf")
+        assert [(r["sweep_value"], r["method"], r["scenario_seed"]) for r in rows] == [
+            (value, method, "1") for value in ("-10.0", "0.0") for method in ("wmmse_fixed", "zf")
         ]
         alone = read_rows(run_experiment(write_config(
-            tmp_path, text.replace("values = -10 0", "values = 0"), "alone.ini"
+            tmp_path, text.replace("seeds = 1 2", "seeds = 1"), "alone.ini"
         )))
         assert rows == alone
 
