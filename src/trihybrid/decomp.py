@@ -167,9 +167,8 @@ def decompose_precoders(
         for b, residual in zip(active.tolist(), kept.tolist()):
             histories[b].append(residual)
         # A run stops when its improvement stalls or its residual drops below 1e-15.
-        going = ~(new >= old - 1e-15) & ~(new < 1e-15)
-        if not going.all():
-            active, mismatch = active[going], mismatch[going]
+        keep = ~(new >= old - 1e-15) & ~(new < 1e-15)
+        active, mismatch = active[keep], mismatch[keep]
 
     results = []
     for b, (residual, history) in enumerate(zip(residuals.tolist(), histories)):

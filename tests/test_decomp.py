@@ -156,10 +156,14 @@ class TestBatchedDecomposition:
         f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 6, 3))) / np.sqrt(6)
         f_bb = random_complex(rng, 2, 3, 2)
         f_bb[1, 1] = 0.0
-        refined = _refine_phases(f_d, f_rf.copy(), f_bb)
+        # The pass is handed the mismatch f_d - f_rf f_bb and keeps it up
+        # to date in place.
+        mismatch = f_d - f_rf @ f_bb
+        refined = _refine_phases(mismatch, f_rf.copy(), f_bb)
         assert refined[1, :, 1].tobytes() == f_rf[1, :, 1].tobytes()
         assert not np.any(refined[1, :, 0] == f_rf[1, :, 0])
         assert not np.any(refined[0, :, 1] == f_rf[0, :, 1])
+        np.testing.assert_allclose(mismatch, f_d - refined @ f_bb, rtol=0.0, atol=1e-13)
         for b in range(2):
             before = np.linalg.norm(f_d[b] - f_rf[b] @ f_bb[b])
             assert np.linalg.norm(f_d[b] - refined[b] @ f_bb[b]) <= before
