@@ -5,7 +5,8 @@ the same weighted-MMSE descent with every antenna locked to one pattern, and
 block-diagonalization zero forcing with equal stream powers rescaled for
 per-antenna feasibility.  Zero-forcing directions depend on the channels
 alone, so one call computes them once and scales them for every power
-budget that shares the channels.
+budget that shares the channels, and hands them back with each budget's
+factor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,19 @@ def fixed_pattern_wmmse(
     return run_selection(effs, stream_counts, config)
 
 
-def bd_zero_forcing(channels, stream_counts, powers) -> list[np.ndarray]:
+class ZeroForcing(list):
+    """The precoders of :func:`bd_zero_forcing`, one per power budget, with
+    what they share: the `directions` (N, D), and each budget's positive
+    factor in `factors`, so that precoder i is factors[i] times the
+    directions up to rounding."""
+
+    def __init__(self, precoders, directions: np.ndarray, factors: list[float]):
+        super().__init__(precoders)
+        self.directions = directions
+        self.factors = factors
+
+
+def bd_zero_forcing(channels, stream_counts, powers) -> ZeroForcing:
     """Block-diagonalization zero-forcing precoders, one per power budget.
 
     Each user's precoder lives in the null space of every other user's
@@ -50,6 +63,9 @@ def bd_zero_forcing(channels, stream_counts, powers) -> list[np.ndarray]:
     precode for, each a scalar or one per antenna; for each, streams start
     with equal power (the total budget split evenly) and the stacked
     precoder is then scaled down once so every antenna meets its budget.
+    The precoders come back with the directions and each budget's factor,
+    the product of the two scalars, so that a caller can decompose the
+    directions once for every budget (:class:`ZeroForcing`).
     """
     K = len(channels)
     stream_counts = tuple(stream_counts)
@@ -82,12 +98,15 @@ def bd_zero_forcing(channels, stream_counts, powers) -> list[np.ndarray]:
         blocks.append(_project_off(vh[: stream_counts[k]], row_space).conj().T)
     directions = np.hstack(blocks)
 
-    precoders = []
+    precoders, factors = [], []
     for power in powers:
         power = np.broadcast_to(np.asarray(power, dtype=float), (n,))
-        f_d = np.sqrt(float(np.sum(power)) / d_total) * directions
-        precoders.append(f_d * min(1.0, feasibility_scale(f_d, power)))
-    return precoders
+        stream_power = np.sqrt(float(np.sum(power)) / d_total)
+        f_d = stream_power * directions
+        scale = min(1.0, feasibility_scale(f_d, power))
+        precoders.append(f_d * scale)
+        factors.append(stream_power * scale)
+    return ZeroForcing(precoders, directions, factors)
 
 
 def _rank(singulars: np.ndarray, shape) -> int:

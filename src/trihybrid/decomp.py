@@ -111,8 +111,9 @@ def decompose_precoders(
     """Alternate digital least squares and analog phase refinement on a
     stack of precoders, (B, N, D), all with `n_rf` chains.
 
-    `power` holds each run's budgets (a scalar or one per antenna) and
-    `seeds` each run's seed.  The analog stage starts from the phases of
+    `power` holds each run's budgets (a scalar or one per antenna), or
+    None for a run whose digital stage is left unscaled, and `seeds` each
+    run's seed.  The analog stage starts from the phases of
     the leading columns of the target; random phases from the run's own
     generator pad any extra chains.  Each alternation makes one batched
     phase pass, one batched least-squares fit (`_least_squares`) and one
@@ -121,7 +122,8 @@ def decompose_precoders(
     records.  A run stops on its own tests: a residual below 1e-15, an
     improvement that stalls, or the iteration cap.  Its recorded residual
     history is non-increasing.  After the alternation each run's
-    digital stage is rescaled for per-antenna feasibility.  Returns one
+    digital stage is rescaled for per-antenna feasibility, unless its
+    budget is None (scale 1).  Returns one
     result per run, each equal to the bit to the run decomposed alone.
     """
     f_d = np.asarray(f_d, dtype=complex)
@@ -172,7 +174,9 @@ def decompose_precoders(
 
     results = []
     for b, (residual, history) in enumerate(zip(residuals.tolist(), histories)):
-        f_bb_scaled, scale = rescale_per_antenna(f_rf[b], f_bb[b], power[b])
+        f_bb_scaled, scale = f_bb[b], 1.0
+        if power[b] is not None:
+            f_bb_scaled, scale = rescale_per_antenna(f_rf[b], f_bb[b], power[b])
         results.append(
             DecompositionResult(
                 f_rf=f_rf[b], f_bb=f_bb_scaled, residual=residual, scale=scale, history=history

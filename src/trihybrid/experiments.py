@@ -3,14 +3,16 @@
 Reads a flat key-value config (INI sections: scenario, solver, sweep), runs
 every sweep point x method x scenario seed, and appends one row per run to a
 results CSV.  The methods of one (sweep point, scenario seed) cell share its
-fixed-pattern solve; the cells of one array shape and scenario seed share
-their scenario, lifted channels and zero-forcing directions, and every
-cell shares the candidate grid.  The WMMSE runs of all cells that share a
-solver, pattern width and receive counts are solved in one lockstep batch
-whatever their antenna counts, and the zero-forcing precoders in one more,
-which zero-forces each drop once for all its cells; then every solved run
-that a row reports is decomposed, one call per chain count and antenna
-count, before the rows are made; the rows only read.  Runs are deterministic
+fixed-pattern solve; the cells of one array shape and scenario seed (a
+drop) share their scenario, lifted channels, channels on the baseline
+pattern and zero-forcing directions, and every cell shares the candidate
+grid.  The WMMSE runs of all cells that share a solver, pattern width and
+receive counts are solved in one lockstep batch whatever their antenna
+counts, and the zero-forcing precoders in one more, which zero-forces each
+drop once for all its cells; then every solved run that a row reports is
+decomposed, one call per chain count and antenna count, in which the
+zero-forcing runs of a drop share one split of its directions, before the
+rows are made; the rows only read.  Runs are deterministic
 for a fixed config: scenario seeds are taken from the config, solver seeds
 are fixed, a run's results do not depend on its batch, and rows are written
 in sweep order regardless of worker count.  Wall-clock timings go to a
@@ -339,12 +341,13 @@ class _Sweep:
     each built on first use: the config, the candidate grid and the set of
     its baseline pattern alone, so that the audit evaluates each
     candidate's gains once per sweep; and per array shape and scenario seed
-    the scenario and its lifted channels, so that the cells of a power or
-    chain-count sweep share them."""
+    the scenario, its lifted channels and its channels on the baseline
+    pattern, so that the cells of a power or chain-count sweep share them."""
 
     config: ExperimentConfig
     scenarios: dict = field(default_factory=dict)  # (array shape, scenario seed) -> scenario
     lifts: dict = field(default_factory=dict)  # (array shape, scenario seed, lift) -> channels
+    composed: dict = field(default_factory=dict)  # (array shape, scenario seed) -> channels
 
     @cached_property
     def candidates(self) -> CandidateSet:
@@ -378,6 +381,18 @@ class _Sweep:
                 effs = [selection_effective_channel(g, self.baseline_set) for g in geometries]
             self.lifts[key] = effs
         return self.lifts[key]
+
+    def baseline_channels(self, value: float, seed: int) -> list[np.ndarray]:
+        """The plain channels of the drop of `value` and `seed` with the
+        baseline pattern on every antenna: its baseline lifts composed with
+        the all-ones pattern matrix, once per drop.  Zero forcing and the
+        `wmmse_fixed` and `zf` rows read them."""
+        drop = (_scenario_for(self.config, value).bs_shape, seed)
+        if drop not in self.composed:
+            effs = self.effs(value, seed, "zf")
+            matrix = np.ones((effs[0].n_antennas, 1))
+            self.composed[drop] = [compose(e, matrix) for e in effs]
+        return self.composed[drop]
 
 
 @dataclass
@@ -441,31 +456,38 @@ class _Cell:
                     owed[i] += getattr(trace, phase)
 
 
-def _solver(method: str):
-    return {"model2": iterate_synthesis, "zf": _zero_forcing}.get(method, iterate_selection)
+def _solve(method: str, cells: list[_Cell]) -> list[Iterate]:
+    """`method`'s run of each of the cells, solved in one batch."""
+    runs = [cell.runs[method] for cell in cells]
+    if method == "zf":
+        channels = [cell.sweep.baseline_channels(cell.value, cell.seed) for cell in cells]
+        return _zero_forcing(runs, cells[0].streams, channels)
+    solve = iterate_synthesis if method == "model2" else iterate_selection
+    return solve(runs, cells[0].streams)
 
 
-def _zero_forcing(runs: list[Run], stream_counts) -> list[Iterate]:
+def _zero_forcing(runs: list[Run], stream_counts, channels) -> list[Iterate]:
     """BD zero forcing on the baseline pattern of each run of a batch,
     undecomposed; a trace records the decomposition's seconds only.
 
-    The runs of one drop share its lifted channels (one list, from
-    :meth:`_Sweep.effs`), so each drop's channels are composed once and
-    zero-forced in one call for the budgets of all its runs.
+    `channels` holds each run's plain channels on the baseline pattern,
+    one list per drop (:meth:`_Sweep.baseline_channels`), which its runs
+    share: each drop is zero-forced in one call for the budgets of all its
+    runs, and each run's iterate holds the drop's directions and its own
+    factor, which the decomposition stage splits once per drop.
     """
-    drops: dict = {}  # id of a lifted-channel list -> indices of its runs
-    for i, run in enumerate(runs):
-        drops.setdefault(id(run.effs), []).append(i)
+    drops: dict = {}  # id of a drop's channel list -> indices of its runs
+    for i, drop_channels in enumerate(channels):
+        drops.setdefault(id(drop_channels), []).append(i)
     iterates = [None] * len(runs)
     for drop in drops.values():
-        effs = runs[drop[0]].effs
-        matrix = np.ones((effs[0].n_antennas, 1))
-        channels = [compose(e, matrix) for e in effs]
         configs = [runs[i].config for i in drop]
-        precoders = bd_zero_forcing(channels, stream_counts, [c.power for c in configs])
-        for i, config, f_d in zip(drop, configs, precoders):
+        zf = bd_zero_forcing(channels[drop[0]], stream_counts, [c.power for c in configs])
+        matrix = np.ones((len(zf.directions), 1))
+        for i, config, f_d, factor in zip(drop, configs, zf, zf.factors):
             power = np.full(len(matrix), config.power)
-            iterates[i] = Iterate(f_d, matrix, power, config, Trace(converged=True))
+            trace = Trace(converged=True)
+            iterates[i] = Iterate(f_d, matrix, power, config, trace, zf.directions, factor)
     return iterates
 
 
@@ -480,15 +502,12 @@ def run_point(
     """
     started = time.perf_counter()
     state, trace = cell.solution(method)
-    effs = cell.runs[method].effs
-    if method == "model1":
-        audit_set = cell.sweep.candidates
-    elif method == "model2":
-        audit_set = None
-    else:
+    if method in ("model1", "model2"):
+        audit_set = cell.sweep.candidates if method == "model1" else None
+        channels = [compose(e, state.antenna_matrix) for e in cell.runs[method].effs]
+    else:  # the baseline pattern on every antenna
         audit_set = cell.sweep.baseline_set
-
-    channels = [compose(e, state.antenna_matrix) for e in effs]
+        channels = cell.sweep.baseline_channels(value, seed)
     noise = cell.solver.noise
     masks = stream_masks(cell.streams)
     digital, _ = weighted_sum_rate(received_covariances(channels, state.f_d, masks, noise))
@@ -594,7 +613,7 @@ def _solve_batches(cells: list[_Cell], method: str) -> None:
     _in_batches(
         built,
         lambda cell: cell.runs[method].shapes,
-        lambda batch: _solver(method)([cell.runs[method] for cell in batch], batch[0].streams),
+        lambda batch: _solve(method, batch),
         settle,
     )
 
@@ -602,10 +621,13 @@ def _solve_batches(cells: list[_Cell], method: str) -> None:
 def _decompose_all(cells: list[_Cell]) -> None:
     """The decomposition stage: factor every solved run that a row reports,
     one :func:`decompose_states` call per chain count and antenna count.
+    The zero-forcing runs of a drop share one target in the call, their
+    directions, so each drop's directions are split once per chain count.
 
     A warm start that no row reports is not decomposed.  The row that pays
-    for a run is owed an equal share of its call's seconds, also as the
-    run's `decomp_s`.
+    for a run is owed the run's `decomp_s`, its share of its target's
+    share of the call's seconds, and an equal share of the rest of the
+    call, so that the rows' seconds add up to the call's.
     """
     config = cells[0].sweep.config
     runs = [  # (cell, method, iterate)
@@ -616,10 +638,12 @@ def _decompose_all(cells: list[_Cell]) -> None:
     ]
 
     def settle(group, outcomes, seconds):
-        for (cell, method, _), outcome in zip(group, outcomes):
+        traces = [None if isinstance(outcome, Exception) else outcome[1] for outcome in outcomes]
+        own = [trace.decomp_s if trace else 0.0 for trace in traces]
+        shared = (seconds - sum(own)) / len(group)
+        for (cell, method, _), outcome, trace, spent in zip(group, outcomes, traces, own):
             cell.solved[method] = outcome
-            trace = None if isinstance(outcome, Exception) else outcome[1]
-            cell.owe(_payer(config, method), seconds / len(group), trace, ("decomp_s",))
+            cell.owe(_payer(config, method), spent + shared, trace, ("decomp_s",))
 
     _in_batches(
         runs,

@@ -36,12 +36,13 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .decomp import decompose_precoders, feasibility_scale
+from .decomp import decompose_precoders, feasibility_scale, rescale_per_antenna
 from .sphere_opt import (
     isotropic_coefficients,
     lift_coefficients,
@@ -947,41 +948,60 @@ def synthesize_pattern_and_row(
 class Iterate:
     """A run as its loop left it: the digital precoder, the pattern matrix
     and the per-antenna budgets, not yet decomposed; its solver config and
-    its trace."""
+    its trace.  A zero-forcing run also holds its drop's BD-ZF
+    `directions`, of which its precoder is `factor` times up to rounding."""
 
     f_d: np.ndarray
     antenna_matrix: np.ndarray
     power: np.ndarray
     config: SolverConfig
     trace: Trace
+    directions: np.ndarray | None = None
+    factor: float = 1.0
 
 
 def decompose_states(iterates: list[Iterate]) -> list[tuple[PrecoderState, Trace]]:
-    """The state of each run's iterate, its digital precoder (N_b, D)
+    """The state of each run's iterate: its digital precoder (N_b, D)
     factored into analog and digital stages with its config's chain count
-    and seed, in one batched call.
+    and seed, all runs in one batched call.
 
-    The runs must share a chain count and an antenna count; a mixed list
-    raises ValueError.  Returns one (state, trace) per run, the trace's
-    `decomp_s` set to its equal share of the call's seconds.
+    A run's decomposition target is its precoder, or its `directions` when
+    it has them; the runs that share one directions array and a seed share
+    one target in the stack.  Each run gets its target's analog stage and
+    its digital stage times the run's `factor`, rescaled once for the
+    run's own budgets, so that a zero-forcing run of a drop gets the bits
+    it gets alone whatever the budgets of the others.  The runs must share
+    a chain count and an antenna count; a mixed list raises ValueError.
+    Returns one (state, trace) per run, the trace's `decomp_s` set to an
+    equal share of the call's seconds per target, split evenly among the
+    runs that read the target.
     """
     n_rf, n_antennas = iterates[0].config.rf_chains, len(iterates[0].f_d)
     if any((it.config.rf_chains, len(it.f_d)) != (n_rf, n_antennas) for it in iterates):
         raise ValueError("decompose_states takes runs of one chain count and antenna count")
     started = time.perf_counter()
-    parts = decompose_precoders(
-        np.stack([it.f_d for it in iterates]), n_rf,
-        [it.power for it in iterates], [it.config.seed for it in iterates],
+    targets: dict = {}  # (id of a target, seed) -> target
+    keys = []
+    for it in iterates:
+        target = it.f_d if it.directions is None else it.directions
+        keys.append((id(target), it.config.seed))
+        targets.setdefault(keys[-1], target)
+    splits = decompose_precoders(
+        np.stack(list(targets.values())), n_rf, [None] * len(targets), [seed for _, seed in targets]
     )
-    share = (time.perf_counter() - started) / len(iterates)
+    parts = dict(zip(targets, splits))
     states = []
-    for iterate, part in zip(iterates, parts):
-        iterate.trace.decomp_s = share
+    for iterate, key in zip(iterates, keys):
+        part = parts[key]
+        f_bb, _ = rescale_per_antenna(part.f_rf, part.f_bb * iterate.factor, iterate.power)
         state = PrecoderState(
-            iterate.f_d, part.f_rf, part.f_bb, iterate.antenna_matrix, iterate.power,
-            part.residual,
+            iterate.f_d, part.f_rf, f_bb, iterate.antenna_matrix, iterate.power, part.residual
         )
         states.append((state, iterate.trace))
+    share = (time.perf_counter() - started) / len(targets)
+    readers = Counter(keys)
+    for iterate, key in zip(iterates, keys):
+        iterate.trace.decomp_s = share / readers[key]
     return states
 
 
@@ -1034,7 +1054,6 @@ def _run_bcd(
     stream_counts,
     step,
     starts: np.ndarray,
-    block_monitor=None,
     factors=None,
 ) -> list[Iterate]:
     """Common outer loop of a batch of runs with the same pattern width and
@@ -1053,9 +1072,7 @@ def _run_bcd(
     and budgets, and :meth:`_Batch.take` cuts the others' arrays.  Each
     iteration's receiver and objective seconds are split evenly among the
     runs active in it, and its sweep seconds in proportion to their antenna
-    counts.  `block_monitor(label, objectives)` gets every active run's
-    objective after each block.  Returns one undecomposed :class:`Iterate`
-    per run.
+    counts.  Returns one undecomposed :class:`Iterate` per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
@@ -1069,9 +1086,6 @@ def _run_bcd(
     traces = [Trace() for _ in runs]
     left: list = []  # what _Batch.leave gives of each run that left
 
-    def objective_of(cov, receivers, weights):
-        return wmmse_objective(weights, mse_matrix(cov, receivers), batch.masks, beta)
-
     started = time.perf_counter()
     batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
     iteration = 0
@@ -1079,25 +1093,13 @@ def _run_bcd(
         iteration += 1
         cov = batch.cov
         receivers = mmse_receivers(cov)
-        if block_monitor is not None:
-            block_monitor("receivers", objective_of(cov, receivers, batch.weights))
         batch.weights = weights = mse_weights(cov, receivers)
-        if block_monitor is not None:
-            block_monitor("weights", objective_of(cov, receivers, weights))
         swept = time.perf_counter()
 
         workspace = _SweepWorkspace(batch, receivers, beta)
         layout = batch.layout
         for n in range(layout.n_antennas[0]):
             step(workspace, n)
-            if block_monitor is not None:
-                block_monitor(
-                    f"antenna_{n}",
-                    objective_of(
-                        batch.covariances(workspace.patterns(), workspace.precoders()),
-                        receivers, weights,
-                    ),
-                )
         workspace.precoders(out=batch.f_d)
         workspace.patterns(out=batch.antenna_matrix)
         del workspace  # so the next sweep does not build its own beside it
@@ -1105,7 +1107,7 @@ def _run_bcd(
 
         # Also the covariances of the next iteration's receivers.
         batch.cov = cov = batch.covariances(batch.antenna_matrix, batch.f_d)
-        objectives = objective_of(cov, receivers, weights)
+        objectives = wmmse_objective(weights, mse_matrix(cov, receivers), batch.masks, beta)
         rates, _ = weighted_sum_rate(cov, beta)
         violations = layout.maxima(np.sum(np.abs(batch.f_d) ** 2, axis=-1) / batch.power - 1.0)
         finished = time.perf_counter()
@@ -1170,7 +1172,7 @@ def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
     workspace.apply(n, vectors, rows)
 
 
-def iterate_selection(runs: list[Run], stream_counts, block_monitor=None) -> list[Iterate]:
+def iterate_selection(runs: list[Run], stream_counts) -> list[Iterate]:
     """Precoding over a finite per-antenna pattern candidate set for a batch
     of runs with the same pattern width and receive counts, iterated in
     lockstep; their antenna counts may differ.
@@ -1183,10 +1185,10 @@ def iterate_selection(runs: list[Run], stream_counts, block_monitor=None) -> lis
     if any(eff.mode != "sel" for run in runs for eff in run.effs):
         raise ValueError("run_selection expects selection-lifted channels")
     starts = np.eye(runs[0].effs[0].block_width)[np.zeros(len(runs), dtype=int)]
-    return _run_bcd(runs, stream_counts, _select_step, starts, block_monitor)
+    return _run_bcd(runs, stream_counts, _select_step, starts)
 
 
-def iterate_synthesis(runs: list[Run], stream_counts, block_monitor=None) -> list[Iterate]:
+def iterate_synthesis(runs: list[Run], stream_counts) -> list[Iterate]:
     """Precoding with per-antenna harmonic pattern synthesis for a batch of
     runs with the same pattern width and receive counts, iterated in
     lockstep; see :func:`run_synthesis`.  Returns one undecomposed
@@ -1197,14 +1199,7 @@ def iterate_synthesis(runs: list[Run], stream_counts, block_monitor=None) -> lis
     factors = np.stack([reduction_factors(run.config.rho) for run in runs])
     width = runs[0].effs[0].block_width
     starts = np.stack([isotropic_coefficients(width, run.config.rho) for run in runs])
-    return _run_bcd(runs, stream_counts, _synthesize_step, starts, block_monitor, factors)
-
-
-def _single(block_monitor):
-    """A batch monitor that hands a one-run monitor its run's objective."""
-    if block_monitor is None:
-        return None
-    return lambda label, objectives: block_monitor(label, objectives[0])
+    return _run_bcd(runs, stream_counts, _synthesize_step, starts, factors)
 
 
 def run_selection(
@@ -1212,7 +1207,6 @@ def run_selection(
     stream_counts,
     config: SolverConfig,
     init_f_d: np.ndarray | None = None,
-    block_monitor=None,
 ) -> tuple[PrecoderState, Trace]:
     """Precoding over a finite per-antenna pattern candidate set.
 
@@ -1222,7 +1216,7 @@ def run_selection(
     :func:`iterate_selection` on a batch of one, then :func:`decompose_states`.
     """
     run = Run(effs, config, init_f_d)
-    return decompose_states(iterate_selection([run], stream_counts, _single(block_monitor)))[0]
+    return decompose_states(iterate_selection([run], stream_counts))[0]
 
 
 def run_synthesis(
@@ -1230,7 +1224,6 @@ def run_synthesis(
     stream_counts,
     config: SolverConfig,
     init_f_d: np.ndarray | None = None,
-    block_monitor=None,
 ) -> tuple[PrecoderState, Trace]:
     """Precoding with per-antenna harmonic pattern synthesis.
 
@@ -1247,4 +1240,4 @@ def run_synthesis(
     then :func:`decompose_states`.
     """
     run = Run(effs, config, init_f_d)
-    return decompose_states(iterate_synthesis([run], stream_counts, _single(block_monitor)))[0]
+    return decompose_states(iterate_synthesis([run], stream_counts))[0]

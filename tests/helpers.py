@@ -19,7 +19,7 @@ import pytest
 import sympy as sp
 
 from trihybrid import wmmse
-from trihybrid.channel import to_spherical
+from trihybrid.channel import compose, to_spherical
 from trihybrid.decomp import _LSTSQ_RCOND, rescale_per_antenna
 from trihybrid.sphharm import FOUR_PI, sh_basis, truncation_length
 from trihybrid.sphere_opt import (
@@ -636,6 +636,60 @@ def antenna_terms(workspace, n: int, align: np.ndarray, run: int = 0) -> tuple[n
         workspace.antenna_matrix[pair] @ quad
     )
     return quad, cross - align
+
+
+@contextlib.contextmanager
+def block_objectives(effs, noise):
+    """Record the WMMSE objective of a one-run solve, taken while the
+    context is open, after every block of its loop: the receivers, the
+    weights and each antenna step, in loop order.
+
+    The receiver and weight blocks are read through spies on
+    `wmmse.mmse_receivers` and `wmmse.mse_weights`, which see every
+    iteration's covariances; before the first weight update the weights are
+    the identity, as the loop starts them.  An antenna step is read through
+    a spy on the step functions, as :func:`pattern_deviations` does: the
+    objective is taken at the workspace's precoder and patterns right after
+    the step, on the channels composed from `effs` with `noise`, under the
+    iteration's receivers and weights.  Yields the list of objectives.
+    """
+    objectives = []
+    held = {}  # the current receivers, weights and stream masks
+    beta = np.ones(len(effs)) / len(effs)
+    receivers_of, weights_of = wmmse.mmse_receivers, wmmse.mse_weights
+
+    def objective(cov, receivers, weights):
+        return wmmse.wmmse_objective(weights, wmmse.mse_matrix(cov, receivers), cov.masks, beta)
+
+    def receivers_spy(cov):
+        held["receivers"] = receivers = receivers_of(cov)
+        held["masks"] = masks = cov.masks
+        d_total = masks.shape[1]
+        identity = np.broadcast_to(np.eye(d_total, dtype=complex), (*cov.own.shape[:2], d_total, d_total))
+        objectives.append(objective(cov, receivers, held.get("weights", identity))[0])
+        return receivers
+
+    def weights_spy(cov, receivers):
+        held["weights"] = weights = weights_of(cov, receivers)
+        objectives.append(objective(cov, receivers, weights)[0])
+        return weights
+
+    def recorded(step):
+        def spied(workspace, n):
+            step(workspace, n)
+            patterns = workspace.patterns()
+            channels = [compose(eff, patterns) for eff in effs]
+            cov = wmmse.received_covariances(channels, workspace.precoders(), held["masks"], noise)
+            objectives.append(objective(cov, held["receivers"][0], held["weights"][0]))
+
+        return spied
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wmmse, "mmse_receivers", receivers_spy)
+        patch.setattr(wmmse, "mse_weights", weights_spy)
+        patch.setattr(wmmse, "_select_step", recorded(wmmse._select_step))
+        patch.setattr(wmmse, "_synthesize_step", recorded(wmmse._synthesize_step))
+        yield objectives
 
 
 @contextlib.contextmanager

@@ -364,6 +364,62 @@ class TestRun:
         ]
         assert rows == alone
 
+    def test_zero_forcing_split_once_per_drop(self, tmp_path, monkeypatch):
+        # Three powers by two seeds: the decomposition call stacks the six
+        # wmmse_fixed precoders and one target per drop, its zero-forcing
+        # directions, so every zf row of a seed writes the same residual and
+        # the bits of its power swept alone, with any worker count.
+        stacks = []
+        decompose = wmmse.decompose_precoders
+
+        def counted(f_d, n_rf, *args, **kwargs):
+            stacks.append(len(f_d))
+            return decompose(f_d, n_rf, *args, **kwargs)
+
+        monkeypatch.setattr(wmmse, "decompose_precoders", counted)
+        text = MINI.replace("values = 0", "values = -10 0 10").replace(
+            "seeds = 1", "seeds = 1 2"
+        ).replace("methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf")
+        path = Path(run_experiment(write_config(tmp_path, text)))
+        serial = path.read_bytes()
+        assert stacks == [6 + 2]
+        rows = read_rows(path)
+        zf = [r for r in rows if r["method"] == "zf"]
+        assert len(zf) == 6
+        for seed in ("1", "2"):
+            assert len({r["decomp_residual"] for r in zf if r["scenario_seed"] == seed}) == 1
+        alone = [
+            row
+            for value in ("-10", "0", "10")
+            for row in read_rows(run_experiment(write_config(
+                tmp_path, text.replace("values = -10 0 10", f"values = {value}"), f"{value}.ini"
+            )))
+            if row["method"] == "zf"
+        ]
+        assert zf == alone
+        assert Path(run_experiment(write_config(tmp_path, text), worker_count=2)).read_bytes() == (
+            serial
+        )
+
+    def test_baseline_rows_read_their_drops_channels(self, tmp_path, monkeypatch):
+        # Two powers by two seeds: each drop's users are composed on the
+        # baseline pattern once, for its zero forcing and for every
+        # wmmse_fixed and zf row; a model1 row composes its own selection.
+        composed = []
+        compose = experiments.compose
+
+        def counted(eff, antenna_matrix):
+            composed.append(eff.block_width)
+            return compose(eff, antenna_matrix)
+
+        monkeypatch.setattr(experiments, "compose", counted)
+        text = MINI.replace("values = 0", "values = -10 0").replace(
+            "seeds = 1", "seeds = 1 2"
+        ).replace("methods = model1 model2 wmmse_fixed zf", "methods = model1 wmmse_fixed zf")
+        rows = read_rows(run_experiment(write_config(tmp_path, text)))
+        assert len(rows) == 12
+        assert sorted(composed) == [1] * 2 * 2 + [4] * 4 * 2  # drops x users, cells x users
+
     def test_sweep_freed_without_the_cycle_collector(self, tmp_path):
         # The sweep keeps every scenario and lift of its cells.  Held in a
         # reference cycle, they would outlive the run until the cycle
@@ -451,7 +507,8 @@ class TestRun:
         # one batch, whose runs leave in many different iterations, and the
         # zero-forcing precoders make a fourth; all 84 runs share a chain
         # count and an antenna count, so the sweep decomposes them in one
-        # call.
+        # call, which stacks 63 WMMSE precoders and the directions of the
+        # three drops.
         # The results are pinned byte for byte: a change that alters them
         # updates this hash and lists every changed number in CHANGES.md.
         calls = []
@@ -465,17 +522,17 @@ class TestRun:
         text = (Path(__file__).resolve().parents[1] / "docs" / "example.ini").read_text()
         path = run_experiment(write_config(tmp_path, text))
         rows = read_rows(path)
-        assert calls == [84]
+        assert calls == [66]
         assert len(rows) == 84
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "32cdd252069048f10731d6c78632f1a5d88ccffe7d18f337eee81230d906d6f6"
+            "187b276d0db6a1c6bf1c7b64dbfce1bbcb69c03dfebc379ca92e57eb819cf461"
         )
         assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
 
     def test_antennas_sweep_decomposes_once_per_antenna_count(self, tmp_path, monkeypatch):
         # Every method's runs of one antenna count share a decomposition
         # call.  The results are pinned byte for byte, as the runner wrote
-        # them when each batch decomposed its own runs.
+        # them when each zero-forcing run's directions became its target.
         calls = []
         decompose = wmmse.decompose_precoders
 
@@ -494,7 +551,7 @@ class TestRun:
         path = run_experiment(write_config(tmp_path, text), worker_count=1)
         assert calls == [(6, 9, 6), (6, 16, 6)]  # 3 methods x 2 seeds each
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "978f5af51bd54677c29e66367588664e7d063fc8b6be2829a839b4070717148a"
+            "28db30c9f967e08038f84ce20125f29f73a3fa30fcc1b579271938d84d574a5d"
         )
 
     def test_run_whose_decomposition_raises_is_named_and_others_written(
@@ -965,6 +1022,40 @@ class TestCli:
             tmp_path, text.replace("seeds = 1 2", "seeds = 1"), "alone.ini"
         )))
         assert rows == alone
+
+    def test_shared_split_that_raises_fails_each_row_that_reads_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Seed 2's zero-forcing directions fail their split: the call of
+        # every run raises, each run is decomposed again alone, and the
+        # zf runs of seed 2 fail at both powers.  Their cells are named and
+        # every other row keeps its bytes.
+        text = MINI.replace("values = 0", "values = -10 0").replace(
+            "seeds = 1", "seeds = 1 2"
+        ).replace("methods = model1 model2 wmmse_fixed zf", "methods = wmmse_fixed zf")
+        cfg = write_config(tmp_path, text)
+        reference = Path(run_experiment(write_config(tmp_path, text, "reference.ini")))
+        expected = [line for line in reference.read_bytes().splitlines(keepends=True)
+                    if not re.match(rb"power,[^,]+,[^,]+,2,", line)]
+        channels = experiments._Sweep(load_config(cfg)).baseline_channels(0.0, 2)
+        faulty = experiments.bd_zero_forcing(channels, (2, 2), []).directions
+        decompose, stacks = wmmse.decompose_precoders, []
+
+        def flaky(f_d, n_rf, *args):
+            stacks.append(len(f_d))
+            if any(np.array_equal(target, faulty) for target in f_d):
+                raise FloatingPointError("no analog stage")
+            return decompose(f_d, n_rf, *args)
+
+        monkeypatch.setattr(wmmse, "decompose_precoders", flaky)
+        assert main(["run", str(cfg)]) == 1
+        assert stacks == [4 + 2] + [1] * 8  # the call, then each run alone
+        err = capsys.readouterr().err
+        assert "2 of 4 sweep cells failed" in err
+        assert "value -10.0, seed 2: FloatingPointError: no analog stage" in err
+        assert "value 0.0, seed 2: FloatingPointError: no analog stage" in err
+        assert (tmp_path / "results.csv").read_bytes().splitlines(keepends=True) == expected
+        assert len(expected) == 1 + 4
 
     def test_failed_cell_named_and_others_written(self, tmp_path, capsys, monkeypatch):
         generate = experiments.generate_scenario

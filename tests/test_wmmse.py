@@ -15,6 +15,7 @@ from helpers import (
     antenna_terms,
     ball_samples,
     block_objective,
+    block_objectives,
     embed_receivers,
     embed_weights,
     isotropic_pattern,
@@ -35,7 +36,7 @@ from helpers import (
     weighted_sum_rate_loop,
     wmmse_objective_loop,
 )
-from trihybrid.baselines import fixed_pattern_wmmse
+from trihybrid.baselines import bd_zero_forcing, fixed_pattern_wmmse
 from trihybrid.channel import (
     EffectiveChannel,
     compose,
@@ -951,8 +952,10 @@ class TestRunSelection:
         scenario, candidates, streams = small_setup
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
         config = desk_solver(max_outer_iterations=4, objective_tol=0.0)
-        values = []
-        run_selection(effs, streams, config, block_monitor=lambda _, v: values.append(v))
+        with block_objectives(effs, config.noise) as values:
+            _, trace = run_selection(effs, streams, config)
+        # The receivers, the weights, then each antenna, every iteration.
+        assert len(values) == trace.n_iterations * (2 + effs[0].n_antennas)
         values = np.array(values)
         drops = np.diff(values)
         assert np.all(drops <= 1e-9 * np.maximum(1.0, np.abs(values[:-1])))
@@ -1158,8 +1161,9 @@ class TestRunSynthesis:
         scenario, _, streams = small_setup
         effs = [synthesis_effective_channel(g, 2) for g in scenario.geometries]
         config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
-        values = []
-        run_synthesis(effs, streams, config, block_monitor=lambda _, v: values.append(v))
+        with block_objectives(effs, config.noise) as values:
+            _, trace = run_synthesis(effs, streams, config)
+        assert len(values) == trace.n_iterations * (2 + effs[0].n_antennas)
         values = np.array(values)
         drops = np.diff(values)
         assert np.all(drops <= 1e-9 * np.maximum(1.0, np.abs(values[:-1])))
@@ -1542,3 +1546,58 @@ class TestBatchedSolves:
         ]
         with pytest.raises(ValueError, match="one chain count and antenna count"):
             decompose_states(iterates)
+
+    def test_zero_forcing_runs_of_a_drop_share_one_split(self, monkeypatch, rng):
+        # The zero-forcing iterates of a drop hold its directions: the call
+        # stacks them once, and each run gets the analog stage and residual
+        # of that one split and the bits it gets decomposed alone, whatever
+        # the others' budgets.  Under a clock that ticks once per reading
+        # the call lasts one second; each of its three targets (two drops'
+        # directions and a WMMSE precoder) gets a third, split evenly among
+        # the runs that read it.
+        baseline = CandidateSet((gaussian_beam_grid(8).baseline,))
+        config = desk_solver()
+        iterates = []
+        budgets = ([0.01, 1.0, np.linspace(0.5, 2.0, 16)], [10.0])
+        for seed, powers in zip((1, 2), budgets):
+            channels = [
+                compose(selection_effective_channel(g, baseline), np.ones((16, 1)))
+                for g in desk_scenario(seed).geometries
+            ]
+            zf = bd_zero_forcing(channels, self.STREAMS, powers)
+            for f_d, factor, power in zip(zf, zf.factors, powers):
+                power = np.array(np.broadcast_to(power, (16,)))
+                iterates.append(Iterate(
+                    f_d, np.ones((16, 1)), power, config, Trace(), zf.directions, factor
+                ))
+        iterates.append(Iterate(random_complex(rng, 16, 4), np.ones((16, 1)), np.ones(16),
+                                config, Trace()))
+        alone = [
+            decompose_states([dataclasses.replace(it, trace=Trace())])[0][0] for it in iterates
+        ]
+        stacks = []
+        decompose = wmmse.decompose_precoders
+
+        def counted(f_d, n_rf, *args):
+            stacks.append(len(f_d))
+            return decompose(f_d, n_rf, *args)
+
+        ticks = itertools.count()
+        with monkeypatch.context() as patch:
+            patch.setattr(wmmse, "decompose_precoders", counted)
+            clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+            patch.setattr(wmmse, "time", clock)
+            states = decompose_states(iterates)
+        assert stacks == [3]
+        for (state, trace), want in zip(states, alone):
+            for name in ("f_rf", "f_bb"):
+                assert getattr(state, name).tobytes() == getattr(want, name).tobytes(), name
+            assert state.decomp_residual == want.decomp_residual
+            per_antenna = np.sum(np.abs(state.f_rf @ state.f_bb) ** 2, axis=1)
+            assert np.max(per_antenna - state.power) <= 1e-12
+        first = states[0][0]
+        for state, _ in states[1:3]:
+            assert state.f_rf.tobytes() == first.f_rf.tobytes()
+            assert state.decomp_residual == first.decomp_residual
+        assert [trace.decomp_s for _, trace in states] == [1 / 3 / 3] * 3 + [1 / 3] * 2
+        assert sum(trace.decomp_s for _, trace in states) == pytest.approx(1.0)

@@ -12,7 +12,9 @@ that differs, one line:
 then a line for each row and each column that only one file has.  Last
 comes the largest relative move per (method, column) over the changed
 cells: |new - old| / |old|, or |new - old| where old is 0, and `nan` where
-a changed cell is not a number.  Cells are compared as the text the runner
+a changed cell is not a number; beside it the largest absolute move
+|new - old|, so that a move in the last bits of a value near 0 does not
+read as a large one.  Cells are compared as the text the runner
 wrote, so a move in the last bit shows.  Exits 0 when the two files hold
 the same cells and 1 otherwise.
 """
@@ -42,20 +44,23 @@ def read_rows(path: Path) -> tuple[list[str], dict[tuple, dict]]:
         return list(reader.fieldnames or []), rows
 
 
-def relative_move(old: str, new: str) -> float:
-    """|new - old| / |old|, |new - old| where old is 0, or NaN for a cell
-    that is not a number."""
+def moves(old: str, new: str) -> tuple[float, float]:
+    """The relative move, |new - old| / |old| or |new - old| where old is
+    0, and the absolute move |new - old|; both NaN for a cell that is not
+    a number."""
     try:
         old_value, new_value = float(old), float(new)
     except ValueError:
-        return math.nan
+        return math.nan, math.nan
     difference = abs(new_value - old_value)
-    return difference / abs(old_value) if old_value != 0.0 else difference
+    return difference / abs(old_value) if old_value != 0.0 else difference, difference
 
 
-def compare(old_path: Path, new_path: Path) -> tuple[list[str], dict[tuple, float]]:
-    """The report lines of every difference, and the largest relative move
-    of each (method, column) that changed."""
+def compare(
+    old_path: Path, new_path: Path
+) -> tuple[list[str], dict[tuple, tuple[float, float]]]:
+    """The report lines of every difference, and the largest relative and
+    the largest absolute move of each (method, column) that changed."""
     old_columns, old_rows = read_rows(old_path)
     new_columns, new_rows = read_rows(new_path)
     shared = [name for name in old_columns if name in new_columns]
@@ -68,10 +73,12 @@ def compare(old_path: Path, new_path: Path) -> tuple[list[str], dict[tuple, floa
         for name in shared:
             if old[name] != new[name]:
                 lines.append(f"({', '.join(key)}): {name} {old[name]} → {new[name]}")
-                move = relative_move(old[name], new[name])
-                previous = largest.get((key[1], name), -math.inf)
+                previous = largest.get((key[1], name), (-math.inf, -math.inf))
                 # A cell that is not a number leaves NaN for its column.
-                largest[key[1], name] = move if math.isnan(move) or move > previous else previous
+                largest[key[1], name] = tuple(
+                    move if math.isnan(move) or move > most else most
+                    for move, most in zip(moves(old[name], new[name]), previous)
+                )
     lines += [f"({', '.join(key)}): only in {new_path}" for key in new_rows if key not in old_rows]
     lines += [f"column {name}: only in {old_path}" for name in old_columns if name not in new_columns]
     lines += [f"column {name}: only in {new_path}" for name in new_columns if name not in old_columns]
@@ -88,8 +95,8 @@ def main(argv=None) -> int:
         print(line)
     if largest:
         print("largest relative move per (method, column):")
-        for (method, name), move in sorted(largest.items()):
-            print(f"{method} {name}: {move:.3g}")
+        for (method, name), (relative, absolute) in sorted(largest.items()):
+            print(f"{method} {name}: {relative:.3g} (absolute {absolute:.3g})")
     return 1 if lines else 0
 
 
