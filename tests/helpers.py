@@ -665,7 +665,9 @@ def block_objectives(effs, noise):
         held["receivers"] = receivers = receivers_of(cov)
         held["masks"] = masks = cov.masks
         d_total = masks.shape[1]
-        identity = np.broadcast_to(np.eye(d_total, dtype=complex), (*cov.own.shape[:2], d_total, d_total))
+        identity = np.broadcast_to(
+            np.eye(d_total, dtype=complex), (*cov.own.shape[:2], d_total, d_total)
+        )
         objectives.append(objective(cov, receivers, held.get("weights", identity))[0])
         return receivers
 
