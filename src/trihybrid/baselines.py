@@ -120,18 +120,23 @@ def _project_off(rows: np.ndarray, row_space: np.ndarray) -> np.ndarray:
     return rows - (rows @ row_space) @ row_space.conj().T
 
 
-def interference_leakage(channels, f_d: np.ndarray, stream_counts) -> float:
-    """Largest relative cross-user leakage ||H_i F_k|| / (||H_i|| ||F_k||)."""
+def interference_leakage(channels, precoders, stream_counts) -> list[float]:
+    """Largest relative cross-user leakage ||H_i F_k|| / (||H_i|| ||F_k||)
+    of each precoder on the same channels, whose norms are taken once."""
     offsets = np.cumsum([0, *stream_counts])
-    worst = 0.0
-    for k in range(len(channels)):
-        block = f_d[:, offsets[k] : offsets[k + 1]]
-        block_norm = np.linalg.norm(block)
-        if block_norm == 0.0:
-            continue
-        for i, h in enumerate(channels):
-            if i == k:
+    norms = [np.linalg.norm(h) for h in channels]
+    leakages = []
+    for f_d in precoders:
+        worst = 0.0
+        for k in range(len(channels)):
+            block = f_d[:, offsets[k] : offsets[k + 1]]
+            block_norm = np.linalg.norm(block)
+            if block_norm == 0.0:
                 continue
-            rel = np.linalg.norm(h @ block) / (np.linalg.norm(h) * block_norm)
-            worst = max(worst, float(rel))
-    return worst
+            for i, h in enumerate(channels):
+                if i == k:
+                    continue
+                rel = np.linalg.norm(h @ block) / (norms[i] * block_norm)
+                worst = max(worst, float(rel))
+        leakages.append(worst)
+    return leakages

@@ -354,11 +354,12 @@ def synthesis_effective_channel(geom: PathGeometry, degree: int) -> EffectiveCha
 def compose(eff: EffectiveChannel, antenna_matrix: np.ndarray) -> np.ndarray:
     """Plain channel from a lifted one: column n is block n times row n of
     `antenna_matrix` (one-hot rows for selection, coefficient rows for
-    synthesis)."""
+    synthesis).  A stack of antenna matrices, (..., N, W), gives the stack
+    of their channels, (..., M, N), each with the bits it gets alone."""
     antenna_matrix = np.asarray(antenna_matrix)
-    if antenna_matrix.shape != (eff.n_antennas, eff.block_width):
+    if antenna_matrix.shape[-2:] != (eff.n_antennas, eff.block_width):
         raise ValueError(
             f"antenna matrix must have shape {(eff.n_antennas, eff.block_width)}, "
             f"got {antenna_matrix.shape}"
         )
-    return np.einsum("mnw,nw->mn", eff.blocks(), antenna_matrix)
+    return np.einsum("mnw,...nw->...mn", eff.blocks(), antenna_matrix)

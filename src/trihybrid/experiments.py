@@ -11,12 +11,13 @@ receive counts are solved in one lockstep batch whatever their antenna
 counts, and the zero-forcing precoders in one more, which zero-forces each
 drop once for all its cells; then every solved run that a row reports is
 decomposed, one call per chain count and antenna count, in which the
-zero-forcing runs of a drop share one split of its directions, before the
-rows are made; the rows only read.  Runs are deterministic
-for a fixed config: scenario seeds are taken from the config, solver seeds
-are fixed, a run's results do not depend on its batch, and rows are written
-in sweep order regardless of worker count.  Wall-clock timings go to a
-sidecar file so the results CSV is byte-reproducible.
+zero-forcing runs of a drop share one split of its directions; then the
+rates, audits and leakages of every row are evaluated, one call per method
+and antenna count, before the rows are made; the rows only read.  Runs are
+deterministic for a fixed config: scenario seeds are taken from the config,
+solver seeds are fixed, a run's results do not depend on its batch, and
+rows are written in sweep order regardless of worker count.  Wall-clock
+timings go to a sidecar file so the results CSV is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .channel import (
     synthesis_effective_channel,
 )
 from .exceptions import ConfigurationError, SweepError
-from .metrics import audit_constraints
+from .metrics import ConstraintReport, audit_constraints
 from .patterns import CandidateSet, gaussian_beam_grid, most_square_factors
 from .units import dbm_to_milliwatts
 from .wmmse import (
@@ -403,14 +404,17 @@ class _Cell:
     sweep's lifted channels and the cell's solver, and solves it in a
     batch with other cells' runs (`solved` holds its :class:`Iterate`); the
     decomposition stage then factors every solved run that a row reports
-    and leaves its (state, trace) there, all before any of the cell's rows
-    are made.  The fixed-pattern WMMSE solve serves both the `wmmse_fixed`
-    row and the warm starts.  A run whose inputs, solve or decomposition
-    raised holds the exception instead, and its row raises it again; rows
-    only read.  The seconds the stages spend on the cell, building a run
-    and the cell's share of each batch and decomposition it is in, wait in
-    `owed` for the first row, in method order, that reads the run
-    (`_payer`), and so do the phase seconds of its solve and decomposition.
+    and leaves its (state, trace) there, and the evaluation stage leaves
+    each such row's :class:`_Numbers` in `numbered`, all before any of the
+    cell's rows are made.  The fixed-pattern WMMSE solve serves both the
+    `wmmse_fixed` row and the warm starts.  A run whose inputs, solve or
+    decomposition raised holds the exception instead, and so do numbers
+    whose evaluation raised; the row raises it again, and rows only read.
+    The seconds the stages spend on the cell, building a run and the
+    cell's share of each batch and decomposition it is in, wait in `owed`
+    for the first row, in method order, that reads the run (`_payer`), and
+    so do the phase seconds of its solve and decomposition; a row's share
+    of its evaluation call waits there for the row itself.
     """
 
     sweep: _Sweep
@@ -418,6 +422,7 @@ class _Cell:
     seed: int
     runs: dict = field(default_factory=dict)  # method -> Run
     solved: dict = field(default_factory=dict)  # method -> Iterate, (state, trace) or exception
+    numbered: dict = field(default_factory=dict)  # method -> _Numbers or exception
     owed: dict = field(default_factory=dict)  # method -> [seconds, *phase seconds]
 
     @cached_property
@@ -441,10 +446,11 @@ class _Cell:
         """What `solved` holds for `method`: its iterate in the batch stage,
         its (state, trace) after the decomposition stage; or what building,
         solving or decomposing it raised."""
-        outcome = self.solved[method]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return _held(self.solved[method])
+
+    def numbers(self, method: str) -> "_Numbers":
+        """The numbers of `method`'s row, or what evaluating them raised."""
+        return _held(self.numbered[method])
 
     def owe(self, method: str, seconds: float, trace: Trace | None = None, phases=()) -> None:
         """Add seconds, and the named phase seconds of a trace, to `method`'s row."""
@@ -454,6 +460,34 @@ class _Cell:
             for i, phase in enumerate(_PHASE_COLUMNS, 1):
                 if phase in phases:
                     owed[i] += getattr(trace, phase)
+
+
+def _held(outcome):
+    """A stage's outcome, or what the stage raised, raised again."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+@dataclass
+class _Numbers:
+    """What a row reports of its run's state: the sum rates of its digital
+    and of its hybrid precoder, its constraint report and, for a `zf`
+    row, its cross-user leakage."""
+
+    digital: float
+    hybrid: float
+    report: ConstraintReport
+    leakage: float | None
+
+
+def _drops(channel_lists) -> list[list[int]]:
+    """The indices of the runs of each drop, given each run's per-drop
+    channel list, which every run of the drop shares."""
+    drops: dict = {}  # id of a drop's channel list -> indices of its runs
+    for i, channels in enumerate(channel_lists):
+        drops.setdefault(id(channels), []).append(i)
+    return list(drops.values())
 
 
 def _solve(method: str, cells: list[_Cell]) -> list[Iterate]:
@@ -476,11 +510,8 @@ def _zero_forcing(runs: list[Run], stream_counts, channels) -> list[Iterate]:
     runs, and each run's iterate holds the drop's directions and its own
     factor, which the decomposition stage splits once per drop.
     """
-    drops: dict = {}  # id of a drop's channel list -> indices of its runs
-    for i, drop_channels in enumerate(channels):
-        drops.setdefault(id(drop_channels), []).append(i)
     iterates = [None] * len(runs)
-    for drop in drops.values():
+    for drop in _drops(channels):
         configs = [runs[i].config for i in drop]
         zf = bd_zero_forcing(channels[drop[0]], stream_counts, [c.power for c in configs])
         matrix = np.ones((len(zf.directions), 1))
@@ -494,27 +525,15 @@ def _zero_forcing(runs: list[Run], stream_counts, channels) -> list[Iterate]:
 def run_point(
     config: ExperimentConfig, value: float, method: str, seed: int, cell: _Cell
 ) -> RunResult:
-    """Run one method on one (sweep value, scenario seed) cell.
+    """Make one method's row of one (sweep value, scenario seed) cell.
 
-    `cell` carries the run and its solve, which the runner's batch stage
-    made; the row only reads them, and its seconds include what the stage
-    spent on the runs this row pays for.
+    `cell` carries the run, its solve and its numbers, which the runner's
+    stages made; the row only reads and formats them, and its seconds
+    include what the stages spent on the runs this row pays for.
     """
     started = time.perf_counter()
     state, trace = cell.solution(method)
-    if method in ("model1", "model2"):
-        audit_set = cell.sweep.candidates if method == "model1" else None
-        channels = [compose(e, state.antenna_matrix) for e in cell.runs[method].effs]
-    else:  # the baseline pattern on every antenna
-        audit_set = cell.sweep.baseline_set
-        channels = cell.sweep.baseline_channels(value, seed)
-    noise = cell.solver.noise
-    masks = stream_masks(cell.streams)
-    digital, _ = weighted_sum_rate(received_covariances(channels, state.f_d, masks, noise))
-    hybrid, _ = weighted_sum_rate(
-        received_covariances(channels, state.f_rf @ state.f_bb, masks, noise)
-    )
-    report = audit_constraints(state, audit_set)
+    numbers = cell.numbers(method)
     row = {
         "axis": config.axis,
         "sweep_value": _float_repr(value),
@@ -522,16 +541,16 @@ def run_point(
         "scenario_seed": seed,
         "n_antennas": state.n_antennas,
         "rf_chains": cell.solver.rf_chains,
-        "sum_rate_digital": _float_repr(digital),
-        "sum_rate_hybrid": _float_repr(hybrid),
+        "sum_rate_digital": _float_repr(numbers.digital),
+        "sum_rate_hybrid": _float_repr(numbers.hybrid),
         "objective": _float_repr(trace.objective[-1]) if trace.objective else "",
         "outer_iterations": trace.n_iterations,
         "converged": int(trace.converged),
-        **{name: _float_repr(v) for name, v in vars(report).items()},
+        **{name: _float_repr(v) for name, v in vars(numbers.report).items()},
         "decomp_residual": _float_repr(state.decomp_residual),
     }
-    if method == "zf":
-        row["zf_leakage"] = _float_repr(interference_leakage(channels, state.f_d, cell.streams))
+    if numbers.leakage is not None:
+        row["zf_leakage"] = _float_repr(numbers.leakage)
     owed = cell.owed.pop(method, [0.0] * (1 + len(_PHASE_COLUMNS)))
     seconds = time.perf_counter() - started + owed[0]
     return RunResult(row=row, trace=trace, seconds=seconds, phases=tuple(owed[1:]))
@@ -653,10 +672,92 @@ def _decompose_all(cells: list[_Cell]) -> None:
     )
 
 
+def _evaluate(rows: list[tuple[_Cell, str]]) -> list[_Numbers]:
+    """The numbers of rows of one method and antenna count, each row a
+    (cell, method) whose state is decomposed.
+
+    Every row's digital and hybrid precoders go through one covariance
+    pass and one rate call, 2R runs; the states through one audit; and
+    the `zf` precoders of each drop through one leakage call.  A row's
+    channels are its drop's baseline channels, or its drop's lifts
+    composed with its own pattern matrix, one call per drop and user.
+    Each operation is the one of a single row, stacked, so a row gets the
+    same bits in any group.
+    """
+    method = rows[0][1]
+    cells = [cell for cell, _ in rows]
+    states = [cell.solution(method)[0] for cell in cells]
+    first = cells[0]
+    if method in ("model1", "model2"):
+        audit_set = first.sweep.candidates if method == "model1" else None
+        lifts = [cell.runs[method].effs for cell in cells]
+        n_rx, n_antennas = lifts[0][0].n_rx, lifts[0][0].n_antennas
+        channels = np.empty((len(rows), len(lifts[0]), n_rx, n_antennas), complex)
+        for drop in _drops(lifts):
+            matrices = np.stack([states[r].antenna_matrix for r in drop])
+            for k, eff in enumerate(lifts[drop[0]]):
+                channels[drop, k] = compose(eff, matrices)
+    else:  # the baseline pattern on every antenna
+        audit_set = first.sweep.baseline_set
+        baseline = [cell.sweep.baseline_channels(cell.value, cell.seed) for cell in cells]
+        channels = np.array(baseline)
+    precoders = [state.f_d for state in states] + [state.f_rf @ state.f_bb for state in states]
+    noise = np.array([cell.solver.noise for cell in cells] * 2).reshape(-1, 1, 1, 1)
+    rates, _ = weighted_sum_rate(received_covariances(
+        np.concatenate([channels, channels]), np.stack(precoders), stream_masks(first.streams),
+        noise,
+    ))
+    reports = audit_constraints(states, audit_set)
+    leakages = [None] * len(rows)
+    if method == "zf":
+        for drop in _drops(baseline):
+            found = interference_leakage(
+                baseline[drop[0]], [states[r].f_d for r in drop], first.streams
+            )
+            for r, leakage in zip(drop, found):
+                leakages[r] = leakage
+    return [
+        _Numbers(digital, hybrid, report, leakage)
+        for digital, hybrid, report, leakage in zip(
+            rates[: len(rows)], rates[len(rows) :], reports, leakages
+        )
+    ]
+
+
+def _evaluate_all(cells: list[_Cell]) -> None:
+    """The evaluation stage: the numbers of every row whose run is
+    decomposed, one :func:`_evaluate` call per method and antenna count.
+
+    A row's share of its call's seconds, an even one, is owed to the row
+    itself.  A call that raises is made again row by row, so only the
+    failing row holds the exception, which it raises again.
+    """
+    config = cells[0].sweep.config
+    rows = [
+        (cell, method)
+        for cell in cells
+        for method in config.methods
+        if isinstance(cell.solved[method], tuple)
+    ]
+
+    def settle(group, outcomes, seconds):
+        for (cell, method), outcome in zip(group, outcomes):
+            cell.numbered[method] = outcome
+            cell.owe(method, seconds / len(group))
+
+    _in_batches(
+        rows,
+        lambda row: (row[1], row[0].solution(row[1])[0].n_antennas),
+        _evaluate,
+        settle,
+    )
+
+
 def _solve_cells(config: ExperimentConfig, keys) -> list[_Cell]:
-    """The runner's batch and decomposition stages: the cells of the given
-    (sweep value, scenario seed) keys, with every run their rows read
-    solved in batches, then decomposed together."""
+    """The runner's batch, decomposition and evaluation stages: the cells
+    of the given (sweep value, scenario seed) keys, with every run their
+    rows read solved in batches, then decomposed together, and the numbers
+    of every row."""
     sweep = _Sweep(config)
     cells = [_Cell(sweep, value, seed) for value, seed in keys]
     reads = [_reads(config, m) for m in config.methods]
@@ -664,6 +765,7 @@ def _solve_cells(config: ExperimentConfig, keys) -> list[_Cell]:
     for method in dict.fromkeys([run for r in reads for run in r[:-1]] + [r[-1] for r in reads]):
         _solve_batches(cells, method)
     _decompose_all(cells)
+    _evaluate_all(cells)
     return cells
 
 

@@ -31,36 +31,51 @@ class ConstraintReport:
 
 
 def audit_constraints(
-    state: PrecoderState, candidates: CandidateSet | None = None
-) -> ConstraintReport:
-    """Recompute every constraint of a solver state from scratch, the
-    pattern gains over the :func:`default_grid`.
+    states: list[PrecoderState], candidates: CandidateSet | None = None
+) -> list[ConstraintReport]:
+    """Recompute every constraint of each state from scratch, the pattern
+    gains over the :func:`default_grid`; one report per state.
 
     With `candidates` the antenna-matrix rows are selections from that set
     and must be exactly one-hot, and the smallest gain is read from the
     set's per-candidate minima (:attr:`CandidateSet.min_gains`); without,
-    they are harmonic coefficient vectors of squared norm 4*pi.
+    they are harmonic coefficient vectors of squared norm 4*pi.  The states
+    must share their antenna count, stream count and pattern width; their
+    chain counts may differ.  Every check is one array operation over the
+    stacked states, and each is the one of a single state, so a state gets
+    the same report in any list.  Only the harmonic gains are taken state
+    by state: the stacked (states, grid, N) product would hold megabytes.
     """
-    per_antenna = np.sum(np.abs(state.f_d) ** 2, axis=1)
-    power_violation = max(0.0, float(np.max(per_antenna / state.power - 1.0)))
-    n = state.f_rf.shape[0]
-    modulus_deviation = float(np.max(np.abs(np.abs(state.f_rf) ** 2 * n - 1.0)))
+    f_d = np.stack([state.f_d for state in states])
+    per_antenna = np.sum(np.abs(f_d) ** 2, axis=2)
+    power = np.stack([state.power for state in states])
+    violations = np.max(per_antenna / power - 1.0, axis=1).tolist()
+    # Every state's analog stage side by side, (N, chains of every state).
+    f_rf = np.hstack([state.f_rf for state in states])
+    moduli = np.max(np.abs(np.abs(f_rf) ** 2 * len(f_rf) - 1.0), axis=0)
+    firsts = np.cumsum([0] + [state.f_rf.shape[1] for state in states[:-1]])
+    modulus_deviations = np.maximum.reduceat(moduli, firsts).tolist()
 
-    matrix = state.antenna_matrix
+    matrices = np.stack([state.antenna_matrix for state in states])
     if candidates is not None:
-        selection = np.argmax(matrix, axis=1)
-        one_hot = np.eye(matrix.shape[1])[selection]
-        antenna_deviation = float(np.max(np.abs(matrix - one_hot)))
-        min_gains = candidates.min_gains
-        min_gain = min(min_gains[s] for s in sorted(set(selection.tolist())))
+        selection = np.argmax(matrices, axis=2)
+        one_hot = np.eye(matrices.shape[2])[selection]
+        antenna_deviations = np.max(np.abs(matrices - one_hot), axis=(1, 2)).tolist()
+        min_gains = np.min(np.asarray(candidates.min_gains)[selection], axis=1).tolist()
     else:
-        norms = np.sum(matrix**2, axis=1)
-        antenna_deviation = float(np.max(np.abs(norms - FOUR_PI)))
-        basis = default_grid().basis(int(np.sqrt(matrix.shape[1])) - 1)
-        min_gain = float(np.min(basis @ matrix.T))  # (n_theta, n_phi, N) gains
-    return ConstraintReport(
-        max_power_violation=power_violation,
-        modulus_deviation=modulus_deviation,
-        antenna_deviation=antenna_deviation,
-        min_pattern_gain=min_gain,
-    )
+        norms = np.sum(matrices**2, axis=2)
+        antenna_deviations = np.max(np.abs(norms - FOUR_PI), axis=1).tolist()
+        basis = default_grid().basis(int(np.sqrt(matrices.shape[2])) - 1)
+        # (n_theta, n_phi, N) gains of each state
+        min_gains = [float(np.min(basis @ state.antenna_matrix.T)) for state in states]
+    return [
+        ConstraintReport(
+            max_power_violation=max(0.0, violation),
+            modulus_deviation=modulus,
+            antenna_deviation=deviation,
+            min_pattern_gain=gain,
+        )
+        for violation, modulus, deviation, gain in zip(
+            violations, modulus_deviations, antenna_deviations, min_gains
+        )
+    ]

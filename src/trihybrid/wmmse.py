@@ -501,31 +501,34 @@ def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
 
 class _Views(NamedTuple):
     """Antenna n's views of the sweep buffers and the batch, cut to its
-    pairs or to the leading runs that have it."""
+    pairs or to the leading runs that have it.  The leading fields serve
+    every step; a selection step also reads `rows` and `budgets`, a
+    synthesis step the fields after them, and the views of a step kind
+    that does not read a field hold None there."""
 
     pairs: slice
     received_t: np.ndarray  # R^T, (runs, D, K M)
     received: np.ndarray  # R, (runs, K M, D)
-    rows: np.ndarray  # the selection step's row buffer, (runs, D)
-    factors: np.ndarray | None
-    roots: np.ndarray | None  # (runs,)
     proj: np.ndarray  # (runs, K M, W)
     offset: np.ndarray  # (runs, D, W)
-    budgets: np.ndarray  # (runs,)
-    budget_list: list[float]
-    blocks_conj: np.ndarray  # (runs, K M, W)
-    antenna_matrix: np.ndarray  # (runs, W)
     rows_conj: np.ndarray  # (runs, D)
+    rows: np.ndarray | None = None  # the selection step's row buffer, (runs, D)
+    budgets: np.ndarray | None = None  # (runs,)
+    factors: np.ndarray | None = None
+    roots: np.ndarray | None = None  # (runs,)
+    budget_list: list[float] | None = None
+    blocks_conj: np.ndarray | None = None  # (runs, K M, W)
+    antenna_matrix: np.ndarray | None = None  # (runs, W)
 
 
 class _SweepBuffers:
     """Every array a sweep of one :class:`_Batch` layout writes, and the
-    per-antenna :class:`_Views` of them, made once per layout: each sweep
-    refills the same memory.  `scratch` holds, in turn, every antenna
-    count's products of the lifted channels, for `proj` and then for the
-    offset, and the conjugate of the quad terms and the own-signal part of
-    the offset (`groups` has each count's two product views, `hermitian`
-    and `own_signal` the other two)."""
+    per-antenna :class:`_Views` of them that its step kind reads, made
+    once per layout: each sweep refills the same memory.  `scratch` holds,
+    in turn, every antenna count's products of the lifted channels, for
+    `proj` and then for the offset, and the conjugate of the quad terms and
+    the own-signal part of the offset (`groups` has each count's two
+    product views, `hermitian` and `own_signal` the other two)."""
 
     def __init__(self, batch: _Batch):
         layout = batch.layout
@@ -550,19 +553,22 @@ class _SweepBuffers:
             offset = scratch[at : at + n_group * n_streams * columns]
             self.groups.append((proj, offset.reshape(n_group, n_streams, columns)))
             at += max(lifted.size, offset.size)
-        budgets = batch.budgets.tolist()
+        synthesis = batch.roots is not None
+        budgets = batch.budgets.tolist() if synthesis else None
         self.views = []
         for _, antennas, count in reversed(layout.segments):
             received = self.received_conj[:count]
-            factors = None if batch.factors is None else batch.factors[:count]
-            shared = (received.swapaxes(1, 2), received, self.rows[:count], factors)
+            shared = (received.swapaxes(1, 2), received)
+            per_run = batch.factors[:count] if synthesis else self.rows[:count]
             for pairs in layout.slices[antennas]:
-                roots = None if batch.roots is None else batch.roots[pairs]
-                self.views.append(_Views(
-                    pairs, *shared, roots, self.proj[pairs], self.offset[pairs],
-                    batch.budgets[pairs], budgets[pairs], batch.blocks_conj[pairs],
-                    self.antenna_matrix[pairs], self.rows_conj[pairs],
-                ))
+                common = (pairs, *shared, self.proj[pairs], self.offset[pairs], self.rows_conj[pairs])
+                if synthesis:
+                    self.views.append(_Views(
+                        *common, None, None, per_run, batch.roots[pairs], budgets[pairs],
+                        batch.blocks_conj[pairs], self.antenna_matrix[pairs],
+                    ))
+                else:
+                    self.views.append(_Views(*common, per_run, batch.budgets[pairs]))
 
 
 class _SweepWorkspace:

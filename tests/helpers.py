@@ -21,7 +21,8 @@ import sympy as sp
 from trihybrid import wmmse
 from trihybrid.channel import compose, to_spherical
 from trihybrid.decomp import _LSTSQ_RCOND, rescale_per_antenna
-from trihybrid.sphharm import FOUR_PI, sh_basis, truncation_length
+from trihybrid.metrics import ConstraintReport
+from trihybrid.sphharm import FOUR_PI, default_grid, sh_basis, truncation_length
 from trihybrid.sphere_opt import (
     _CLUSTER_TOL,
     _MAX_NEWTON,
@@ -850,3 +851,65 @@ def stream_block(stacked: np.ndarray, k: int, stream_counts) -> np.ndarray:
     """User k's D_k x D_k block of a (K, D, D) stack."""
     cols = _stream_slice(k, stream_counts)
     return stacked[k, cols, cols]
+
+
+# ---------------------------------------------------------------------------
+# One row at a time: references for the runner's evaluation stage
+# ---------------------------------------------------------------------------
+
+def audit_one(state, candidates=None) -> ConstraintReport:
+    """One state's constraint report, each check on its own arrays: the
+    reference of the batched :func:`metrics.audit_constraints`."""
+    per_antenna = np.sum(np.abs(state.f_d) ** 2, axis=1)
+    power_violation = max(0.0, float(np.max(per_antenna / state.power - 1.0)))
+    n = state.f_rf.shape[0]
+    modulus_deviation = float(np.max(np.abs(np.abs(state.f_rf) ** 2 * n - 1.0)))
+    matrix = state.antenna_matrix
+    if candidates is not None:
+        selection = np.argmax(matrix, axis=1)
+        one_hot = np.eye(matrix.shape[1])[selection]
+        antenna_deviation = float(np.max(np.abs(matrix - one_hot)))
+        min_gains = candidates.min_gains
+        min_gain = min(min_gains[s] for s in sorted(set(selection.tolist())))
+    else:
+        norms = np.sum(matrix**2, axis=1)
+        antenna_deviation = float(np.max(np.abs(norms - FOUR_PI)))
+        basis = default_grid().basis(int(np.sqrt(matrix.shape[1])) - 1)
+        min_gain = float(np.min(basis @ matrix.T))
+    return ConstraintReport(power_violation, modulus_deviation, antenna_deviation, min_gain)
+
+
+def leakage_one(channels, f_d: np.ndarray, stream_counts) -> float:
+    """One precoder's largest relative cross-user leakage
+    ||H_i F_k|| / (||H_i|| ||F_k||), pair by pair."""
+    worst = 0.0
+    for k, block in enumerate(split_precoder(f_d, stream_counts)):
+        block_norm = np.linalg.norm(block)
+        if block_norm == 0.0:
+            continue
+        for i, h in enumerate(channels):
+            if i != k:
+                rel = np.linalg.norm(h @ block) / (np.linalg.norm(h) * block_norm)
+                worst = max(worst, float(rel))
+    return worst
+
+
+def row_numbers_one(cell, method: str) -> tuple:
+    """A decomposed row's (digital rate, hybrid rate, constraint report,
+    leakage or None), evaluated for that row alone: its channels composed
+    user by user, one covariance pass and one rate per precoder, its own
+    audit and leakage.  The reference of the runner's evaluation stage."""
+    state, _ = cell.solution(method)
+    if method in ("model1", "model2"):
+        audit_set = cell.sweep.candidates if method == "model1" else None
+        channels = [compose(e, state.antenna_matrix) for e in cell.runs[method].effs]
+    else:
+        audit_set = cell.sweep.baseline_set
+        channels = cell.sweep.baseline_channels(cell.value, cell.seed)
+    masks, noise = wmmse.stream_masks(cell.streams), cell.solver.noise
+    digital, hybrid = (
+        wmmse.weighted_sum_rate(wmmse.received_covariances(channels, f_d, masks, noise))[0]
+        for f_d in (state.f_d, state.f_rf @ state.f_bb)
+    )
+    leakage = leakage_one(channels, state.f_d, cell.streams) if method == "zf" else None
+    return digital, hybrid, audit_one(state, audit_set), leakage

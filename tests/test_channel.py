@@ -297,3 +297,17 @@ class TestSynthesisLift:
         assert_allclose(
             compose(eff, 2.0 * coeffs), 2.0 * compose(eff, coeffs), rtol=1e-14
         )
+
+    def test_stack_composes_each_matrix_with_its_own_bits(self, lifted_setup, rng):
+        # A stack of pattern matrices gives each one's channel bit for bit,
+        # and a matrix of the wrong shape is refused stacked or not.
+        scenario, _ = lifted_setup
+        eff = synthesis_effective_channel(scenario.geometries[0], 2)
+        stack = rng.standard_normal((5, eff.n_antennas, 9))
+        composed = compose(eff, stack)
+        assert composed.shape == (5, eff.n_rx, eff.n_antennas)
+        for matrix, channel in zip(stack, composed):
+            assert np.array_equal(channel, compose(eff, matrix))
+        for bad in (stack[:, :, :4], stack[0, 0]):
+            with pytest.raises(ValueError, match="antenna matrix must have shape"):
+                compose(eff, bad)

@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import row_numbers_one
 from trihybrid import channel, experiments, wmmse
 from trihybrid.cli import main
 from trihybrid.exceptions import ConfigurationError, GenerationError, SweepError
@@ -404,12 +406,13 @@ class TestRun:
     def test_baseline_rows_read_their_drops_channels(self, tmp_path, monkeypatch):
         # Two powers by two seeds: each drop's users are composed on the
         # baseline pattern once, for its zero forcing and for every
-        # wmmse_fixed and zf row; a model1 row composes its own selection.
+        # wmmse_fixed and zf row; the model1 rows of a drop compose their
+        # own selections, stacked, in one call per user.
         composed = []
         compose = experiments.compose
 
         def counted(eff, antenna_matrix):
-            composed.append(eff.block_width)
+            composed.append((eff.block_width, np.shape(antenna_matrix)[:-2]))
             return compose(eff, antenna_matrix)
 
         monkeypatch.setattr(experiments, "compose", counted)
@@ -418,7 +421,7 @@ class TestRun:
         ).replace("methods = model1 model2 wmmse_fixed zf", "methods = model1 wmmse_fixed zf")
         rows = read_rows(run_experiment(write_config(tmp_path, text)))
         assert len(rows) == 12
-        assert sorted(composed) == [1] * 2 * 2 + [4] * 4 * 2  # drops x users, cells x users
+        assert sorted(composed) == [(1, ())] * 2 * 2 + [(4, (2,))] * 2 * 2  # drops x users
 
     def test_sweep_freed_without_the_cycle_collector(self, tmp_path):
         # The sweep keeps every scenario and lift of its cells.  Held in a
@@ -651,6 +654,151 @@ class TestRun:
         for row in rows:
             for column in ("max_power_violation", "modulus_deviation", "antenna_deviation"):
                 assert not row[column].startswith("-"), (row["method"], column)
+
+
+# A power sweep of three powers and a sweep of two antenna counts, each over
+# two seeds with every method: the evaluation stage's groups hold the six
+# rows of a method, or the two rows of a method and antenna count.
+EVALUATED = {
+    "power": MINI.replace("values = 0", "values = -10 0 10").replace("seeds = 1", "seeds = 1 2"),
+    "antennas": MINI.replace("axis = power", "axis = antennas").replace(
+        "values = 0", "values = 9 16"
+    ).replace("seeds = 1", "seeds = 1 2"),
+}
+
+
+def _solved(path):
+    config = load_config(path)
+    return config, experiments._solve_cells(
+        config, [(value, seed) for value in config.values for seed in config.seeds]
+    )
+
+
+class TestEvaluationStage:
+    @pytest.mark.parametrize("sweep", sorted(EVALUATED))
+    def test_each_row_has_the_numbers_it_gets_alone(self, tmp_path, sweep):
+        # Every row's rates, audit and leakage from the stage's stacked
+        # calls carry the bits of the row evaluated on its own.
+        config, cells = _solved(write_config(tmp_path, EVALUATED[sweep]))
+        checked = 0
+        for cell in cells:
+            for method in config.methods:
+                numbers = cell.numbers(method)
+                digital, hybrid, report, leakage = row_numbers_one(cell, method)
+                got = (numbers.digital, numbers.hybrid, *vars(numbers.report).values())
+                want = (digital, hybrid, *vars(report).values())
+                assert [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
+                assert repr(numbers.leakage) == repr(leakage)
+                checked += 1
+        assert checked == 6 * 4 if sweep == "power" else 4 * 4
+
+    @pytest.mark.parametrize("sweep", sorted(EVALUATED))
+    def test_two_workers_write_the_same_bytes(self, tmp_path, sweep):
+        cfg = write_config(tmp_path, EVALUATED[sweep])
+        serial = Path(run_experiment(cfg, worker_count=1)).read_bytes()
+        assert Path(run_experiment(cfg, worker_count=2)).read_bytes() == serial
+
+    def test_evaluation_that_raises_for_one_drop_names_its_cells(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Seed 2's leakage raises: the zf group's call raises, each row is
+        # evaluated again alone, and only the cells of seed 2 fail.
+        text = MINI.replace("values = 0", "values = -10 0").replace("seeds = 1", "seeds = 1 2")
+        cfg = write_config(tmp_path, text)
+        reference = Path(run_experiment(write_config(tmp_path, text, "reference.ini")))
+        expected = [line for line in reference.read_bytes().splitlines(keepends=True)
+                    if not re.match(rb"power,[^,]+,[^,]+,2,", line)]
+        faulty = experiments._Sweep(load_config(cfg)).baseline_channels(0.0, 2)[0]
+        leakage, calls = experiments.interference_leakage, []
+
+        def flaky(channels, precoders, stream_counts):
+            calls.append(len(precoders))
+            if np.array_equal(channels[0], faulty):
+                raise FloatingPointError("no leakage")
+            return leakage(channels, precoders, stream_counts)
+
+        monkeypatch.setattr(experiments, "interference_leakage", flaky)
+        assert main(["run", str(cfg)]) == 1
+        assert calls == [2, 2] + [1] * 4  # one call per drop, then each row alone
+        err = capsys.readouterr().err
+        assert "2 of 4 sweep cells failed" in err
+        assert "value -10.0, seed 2: FloatingPointError: no leakage" in err
+        assert "value 0.0, seed 2: FloatingPointError: no leakage" in err
+        assert "seed 1" not in err
+        assert (tmp_path / "results.csv").read_bytes().splitlines(keepends=True) == expected
+        assert len(expected) == 1 + 2 * 4
+
+    def test_evaluation_seconds_split_evenly_and_counted_once(self, tmp_path, monkeypatch):
+        # On a clock that ticks once per reading, every evaluation call
+        # lasts CALL ticks: the rows of a call each get CALL / len(call),
+        # also when a call raises and its rows are evaluated again alone,
+        # and every tick lands in exactly one row's seconds.
+        CALL = 11
+        config, cells = _solved(write_config(tmp_path, EVALUATED["antennas"]))
+        rows = [(cell, method) for cell in cells for method in config.methods]
+        before = {(id(cell), m): cell.owed.get(m, [0.0])[0] for cell, m in rows}
+        clock = types.SimpleNamespace(now=0.0)
+
+        def perf_counter():
+            clock.now += 1.0
+            return clock.now
+
+        evaluate, calls = experiments._evaluate, []
+        failing = rows[-1]  # the last zf row fails in its group's call
+
+        def timed(group):
+            calls.append([(id(cell), m) for cell, m in group])
+            clock.now += CALL - 1
+            if failing in group and len(group) > 1:
+                raise FloatingPointError("once")
+            return evaluate(group)
+
+        monkeypatch.setattr(experiments, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(experiments, "_evaluate", timed)
+        for cell in cells:
+            cell.numbered.clear()
+        experiments._evaluate_all(cells)
+        assert len(calls) == 4 * 2 + 2  # per method and antenna count, then a retry
+        owed = {}
+        for call in calls:
+            for key in call:
+                owed[key] = owed.get(key, 0.0) + CALL / len(call)
+        by_id = {id(cell): cell for cell in cells}
+        added = {key: by_id[key[0]].owed[key[1]][0] - spent for key, spent in before.items()}
+        assert added == pytest.approx(owed, rel=1e-12, abs=1e-12)
+        assert sum(added.values()) == pytest.approx(CALL * len(calls), rel=1e-12)
+        results = experiments._cell_rows(config, cells)
+        assert [error for _, error in results] == [None] * len(cells)
+        for cell, (made, _) in zip(cells, results):
+            for method, result in zip(config.methods, made):
+                want = before[(id(cell), method)] + added[(id(cell), method)] + 1.0
+                assert result.seconds == pytest.approx(want, rel=1e-12)  # its own tick too
+
+    def test_run_point_called_once_per_sidecar_row_in_sidecar_order(
+        self, tmp_path, monkeypatch
+    ):
+        # A benchmark samples the machine's speed before every run_point
+        # call and pairs the samples with the sidecar's rows, so there is
+        # one call per row, in the sidecar's order, with (config, sweep
+        # value, method, scenario seed, cell).
+        calls = []
+        row = experiments.run_point
+
+        def spied(*args, **kwargs):
+            calls.append(args)
+            return row(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_point", spied)
+        out = run_experiment(write_config(tmp_path, GRID), worker_count=1)
+        timing = read_rows(Path(out).with_name("results_timing.csv"))
+        assert len(calls) == len(timing) == 16
+        assert [(str(v), m, str(s)) for _, v, m, s, _ in calls] == [
+            (r["sweep_value"], r["method"], r["scenario_seed"]) for r in timing
+        ]
+        for config, value, _, seed, cell in calls:
+            assert isinstance(config, experiments.ExperimentConfig)
+            assert isinstance(cell, experiments._Cell)
+            assert (cell.value, cell.seed) == (value, seed)
 
 
 class TestPlotdata:

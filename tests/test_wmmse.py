@@ -389,10 +389,11 @@ def _random_block_state(rng, n=3, width=2, users=(1, 2), m=2):
     return effs, antenna_matrix, f_d, receivers, weights, beta, users
 
 
-def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users):
+def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users, factors=None):
     """The sweep workspace of a batch of one run, whose pairs and rows are
-    its antennas in order, at the given state."""
-    batch = _Batch.of([Run(effs, SolverConfig(noise=0.3))], users, antenna_matrix[:1])
+    its antennas in order, at the given state: a selection batch, or a
+    synthesis batch with the given reduction factors."""
+    batch = _Batch.of([Run(effs, SolverConfig(noise=0.3))], users, antenna_matrix[:1], factors)
     batch = dataclasses.replace(
         batch, f_d=f_d, antenna_matrix=antenna_matrix, weights=weights[None],
         cov=batch.covariances(antenna_matrix, f_d),
@@ -459,9 +460,10 @@ class TestPerAntennaTerms:
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(
             rng, n=5, width=width
         )
+        factors = None if one_hot else reduction_factors(0.7)[None]
         if not one_hot:
             antenna_matrix = rng.standard_normal(antenna_matrix.shape)
-        running = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users)
+        running = _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users, factors)
         for n in (3, 0, 4, 3, 1):
             row = random_complex(rng, f_d.shape[1])
             if one_hot:
@@ -469,7 +471,8 @@ class TestPerAntennaTerms:
             else:
                 running.apply(n, rng.standard_normal((1, width)), row[None])
         fresh = _workspace(
-            effs, running.patterns(), running.precoders(), receivers, weights, beta, users
+            effs, running.patterns(), running.precoders(), receivers, weights, beta, users,
+            factors,
         )
         for n in range(5):
             align = alignment_term(effs, receivers, weights, beta, n)
