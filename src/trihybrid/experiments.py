@@ -888,9 +888,12 @@ def run_experiment(config_path, worker_count: int = 1) -> str:
             name = f"trace_v{config.values.index(value)}_{method}_s{seed}.csv"
             with open(os.path.join(traces_dir, name), "w", newline="", encoding="ascii") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["iter", "objective", "sum_rate_bps_hz", "max_power_violation"])
+                writer.writerow(
+                    ["iter", "objective", "sum_rate_bps_hz", "max_power_violation", "extrapolated"]
+                )
                 writer.writerows(
-                    (i, *map(_float_repr, values)) for i, *values in result.trace.rows()
+                    (i, *map(_float_repr, values), kept)
+                    for i, *values, kept in result.trace.rows()
                 )
 
     failed = [

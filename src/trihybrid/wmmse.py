@@ -8,6 +8,9 @@ fed with the objective and the rate by one covariance pass per outer
 iteration that is batched over users; the transmit side is swept one
 antenna at a time, jointly updating that antenna's precoder row f and its
 pattern variable (a candidate selection or a harmonic coefficient vector).
+After each sweep, a run may go on from a Nesterov extrapolation of its
+digital precoder instead, kept only when it raises the weighted sum rate,
+which costs one more covariance pass and rate call per iteration.
 
 Two solvers are provided: :func:`run_selection` for a finite candidate set
 per antenna and :func:`run_synthesis` for freely synthesized patterns with a
@@ -73,7 +76,7 @@ class SolverConfig:
     power: float | np.ndarray = 1.0
     noise: float | np.ndarray = 1e-9
     rf_chains: int = 1
-    max_outer_iterations: int = 50
+    max_outer_iterations: int = 5000
     objective_tol: float = 1e-6
     rho: float = 0.7
     seed: int = 0
@@ -86,6 +89,8 @@ class Trace:
     objective: list[float] = field(default_factory=list)
     sum_rate: list[float] = field(default_factory=list)
     max_power_violation: list[float] = field(default_factory=list)
+    # Whether the run went on from the iteration's extrapolated trial.
+    extrapolated: list[bool] = field(default_factory=list)
     iter_seconds: list[float] = field(default_factory=list)
     converged: bool = False
     # Seconds per phase, summed over iterations.
@@ -100,13 +105,14 @@ class Trace:
 
     def rows(self):
         """Rows of the trace CSV: iter, objective, sum_rate_bps_hz,
-        max_power_violation."""
+        max_power_violation, extrapolated (0 or 1)."""
         for i in range(self.n_iterations):
             yield (
                 i + 1,
                 self.objective[i],
                 self.sum_rate[i],
                 self.max_power_violation[i],
+                int(self.extrapolated[i]),
             )
 
 
@@ -360,9 +366,10 @@ class _Batch:
     `ids` each run's index in the solve's order; per run-major row; or per
     (antenna, run) pair of the :class:`_Pairs` layout.  The fields on
     `SHARED` serve every run.  The loop assigns the weights and the
-    covariance pass of the current iterate and writes the rows in place; a
-    run leaves through :meth:`leave`, and the runs that stay go on in
-    :meth:`take`, which cuts every tagged field by its axis.
+    covariance pass of the current iterate and writes the rows in place,
+    and :meth:`extrapolate` keeps each run's momentum, last plain rows and
+    gate; a run leaves through :meth:`leave`, and the runs that stay go on
+    in :meth:`take`, which cuts every tagged field by its axis.
     """
 
     SHARED: ClassVar[tuple[str, ...]] = ("layout", "lifted", "masks")
@@ -375,7 +382,10 @@ class _Batch:
     factors: np.ndarray | None = _axis("run")  # (B, 5) reduction factors, or None
     weights: np.ndarray = _axis("run")  # (B, K, D, D)
     cov: Covariances | None = _axis("run")  # None before the first pass
+    momentum: np.ndarray = _axis("run")  # (B,) Nesterov's t, 1 after a restart
+    extrapolated: np.ndarray = _axis("run")  # (B,) bool, the run kept its trial
     f_d: np.ndarray = _axis("row")  # (rows, D)
+    plain: np.ndarray = _axis("row")  # (rows, D) the last sweep's f_d
     antenna_matrix: np.ndarray = _axis("row")  # (rows, W)
     power: np.ndarray = _axis("row")  # (rows,)
     blocks_conj: np.ndarray = _axis("pair")  # (pairs, K M, W)
@@ -419,7 +429,10 @@ class _Batch:
                 np.eye(d_total, dtype=complex), (len(runs), n_users, d_total, d_total)
             ),
             cov=None,
+            momentum=np.ones(len(runs)),
+            extrapolated=np.zeros(len(runs), dtype=bool),
             f_d=f_d,
+            plain=f_d.copy(),
             antenna_matrix=np.repeat(starts[ids], layout.n_antennas, axis=0),
             power=power,
             blocks_conj=layout.per_antenna(
@@ -487,6 +500,47 @@ class _Batch:
             *(np.concatenate([getattr(part, name) for part in parts])
               for name in ("received", "own", "interference", "total")),
             self.masks,
+        )
+
+    def extrapolate(self, rates: list[float], going_on: list[bool], beta: np.ndarray) -> None:
+        """Rate-gated Nesterov extrapolation of the sweep's f_d, the plain
+        iterate, with adaptive restart (O'Donoghue & Candes 2015).
+
+        A run that goes on with t > 1 gets a trial point: its plain rows
+        plus m = (t - 1) / t' times their step from the last plain rows,
+        each row scaled into its power ball, t' = (1 + sqrt(1 + 4 t^2)) / 2,
+        and its pattern matrix as the sweep left it.  The trials of all
+        runs get one covariance pass and one rate call.  A run keeps its
+        trial, and the trial's pass as its next receiver input, only if the
+        trial's weighted sum rate beats `rates`, its plain iterate's;
+        otherwise it keeps the plain iterate and its t restarts at 1.  A run
+        with no trial (t = 1, or one that leaves) keeps its plain iterate
+        and advances t.  Every step acts on each run alone.
+        """
+        t = self.momentum.tolist()
+        t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * x * x)) for x in t]
+        steps = [(x - 1.0) / y if on else 0.0 for x, y, on in zip(t, t_next, going_on)]
+        won = [False] * len(t)
+        if any(steps):
+            plain = self.f_d
+            trial = plain + np.repeat(steps, self.layout.n_antennas)[:, None] * (plain - self.plain)
+            norms_sq = np.sum(np.abs(trial) ** 2, axis=-1)
+            trial *= np.sqrt(self.power / np.maximum(norms_sq, self.power))[:, None]
+            cov = self.covariances(self.antenna_matrix, trial)
+            trial_rates, _ = weighted_sum_rate(cov, beta)
+            won = [step > 0.0 and new > old for step, new, old in zip(steps, trial_rates, rates)]
+        np.copyto(self.plain, self.f_d)
+        self.extrapolated = np.array(won)
+        if all(won):  # the sweep writes the next plain rows into the trial's array
+            self.f_d, self.cov = trial, cov
+        elif any(won):
+            np.copyto(
+                self.f_d, trial, where=np.repeat(self.extrapolated, self.layout.n_antennas)[:, None]
+            )
+            for name in ("received", "own", "interference", "total"):
+                getattr(self.cov, name)[self.extrapolated] = getattr(cov, name)[self.extrapolated]
+        self.momentum = np.array(
+            [y if kept or step == 0.0 else 1.0 for y, kept, step in zip(t_next, won, steps)]
         )
 
 
@@ -1072,13 +1126,17 @@ def _run_bcd(
     are handed back in the given order.  `step(workspace, n)` updates
     antenna n of every run that has it through the workspace.  Every
     batched operation acts on each run alone, so a run's iterates do not
-    depend on which runs share its batch.  A run leaves the batch in the
-    iteration where its own stop test fires or it reaches its own
-    iteration cap: :meth:`_Batch.leave` keeps its precoder, pattern matrix
-    and budgets, and :meth:`_Batch.take` cuts the others' arrays.  Each
-    iteration's receiver and objective seconds are split evenly among the
-    runs active in it, and its sweep seconds in proportion to their antenna
-    counts.  Returns one undecomposed :class:`Iterate` per run.
+    depend on which runs share its batch.  After each sweep the trace
+    records the plain iterate, the stop test judges it, and a run that
+    goes on may continue from an extrapolated trial instead
+    (:meth:`_Batch.extrapolate`).  A run leaves the batch in the iteration
+    where its own stop test fires or it reaches its own iteration cap:
+    :meth:`_Batch.leave` keeps its plain precoder, pattern matrix and
+    budgets, and :meth:`_Batch.take` cuts the others' arrays.  Each
+    iteration's receiver and objective seconds, the trial's pass and rate
+    among the latter, are split evenly among the runs active in it, and
+    its sweep seconds in proportion to their antenna counts.  Returns one
+    undecomposed :class:`Iterate` per run.
     """
     shapes = {run.shapes for run in runs}
     if len(shapes) > 1:
@@ -1111,11 +1169,21 @@ def _run_bcd(
         del workspace  # so the next sweep does not build its own beside it
         evaluated = time.perf_counter()
 
-        # Also the covariances of the next iteration's receivers.
+        # Also the covariances of the next iteration's receivers, unless
+        # the run keeps its trial.
         batch.cov = cov = batch.covariances(batch.antenna_matrix, batch.f_d)
         objectives = wmmse_objective(weights, mse_matrix(cov, receivers), batch.masks, beta)
         rates, _ = weighted_sum_rate(cov, beta)
         violations = layout.maxima(np.sum(np.abs(batch.f_d) ** 2, axis=-1) / batch.power - 1.0)
+        going_on = []
+        for b, r in enumerate(batch.ids.tolist()):
+            trace, config = traces[r], runs[r].config
+            if trace.objective:
+                previous = trace.objective[-1]
+                if (previous - objectives[b]) / max(1.0, abs(previous)) < config.objective_tol:
+                    trace.converged = True
+            going_on.append(not trace.converged and iteration < config.max_outer_iterations)
+        batch.extrapolate(rates, going_on, beta)
         finished = time.perf_counter()
 
         n_active = len(batch.ids)
@@ -1123,23 +1191,20 @@ def _run_bcd(
         per_step = (evaluated - swept) / sum(layout.n_antennas)
         kept = []
         for b, r in enumerate(batch.ids.tolist()):
-            trace, objective, config = traces[r], objectives[b], runs[r].config
-            trace.objective.append(objective)
+            trace = traces[r]
+            trace.objective.append(objectives[b])
             trace.sum_rate.append(rates[b])
             trace.max_power_violation.append(violations[b])
+            trace.extrapolated.append(bool(batch.extrapolated[b]))
             sweep = per_step * layout.n_antennas[b]
             trace.receivers_s += (swept - started) / n_active
             trace.sweep_s += sweep
             trace.objective_s += (finished - evaluated) / n_active
             trace.iter_seconds.append(shared + sweep)
-            if iteration > 1:
-                previous = trace.objective[-2]
-                if (previous - objective) / max(1.0, abs(previous)) < config.objective_tol:
-                    trace.converged = True
-            if trace.converged or iteration >= config.max_outer_iterations:
-                left.append(batch.leave(b))
-            else:
+            if going_on[b]:
                 kept.append(b)
+            else:
+                left.append(batch.leave(b))
         if not kept:
             break
         if len(kept) < n_active:

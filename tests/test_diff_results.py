@@ -74,3 +74,32 @@ def test_repeated_key_rejected(tmp_path):
     path = _write(tmp_path / "old.csv", ["power,0,zf,1,1.0,0,", "power,0,zf,1,2.0,0,"])
     with pytest.raises(ValueError, match="more than one row"):
         diff_results.read_rows(path)
+
+
+def test_iteration_totals_and_capped_counts_per_method(tmp_path, capsys):
+    header = "sweep_value,method,scenario_seed,outer_iterations,converged"
+    old = tmp_path / "old.csv"
+    old.write_text("\n".join([
+        header, "0,model1,1,50,0", "0,model1,2,12,1", "0,zf,1,0,1", "5,model2,1,50,0",
+    ]) + "\n")
+    new = tmp_path / "new.csv"
+    new.write_text("\n".join([
+        header, "0,model1,1,31,1", "0,model1,2,12,1", "0,zf,1,0,1", "5,wmmse_fixed,1,,0",
+    ]) + "\n")
+    assert diff_results.main([str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "(0, model1, 1): outer_iterations 50 → 31",
+        "(0, model1, 1): converged 0 → 1",
+        f"(5, model2, 1): only in {old}",
+        f"(5, wmmse_fixed, 1): only in {new}",
+    ]
+    # After the per-cell lines, every method of either file; a count that
+    # is not an integer adds nothing.
+    assert lines[4:8] == [
+        "model1 outer_iterations 62 → 43, capped 1 → 0",
+        "model2 outer_iterations 50 → 0, capped 1 → 0",
+        "wmmse_fixed outer_iterations 0 → 0, capped 0 → 1",
+        "zf outer_iterations 0 → 0, capped 0 → 0",
+    ]
+    assert lines[8] == "largest relative move per (method, column):"

@@ -165,7 +165,27 @@ class TestRun:
         traces = sorted((tmp_path / "traces").glob("*.csv"))
         assert len(traces) == 3  # zf has no iterative trace
         header = traces[0].read_text().splitlines()[0]
-        assert header == "iter,objective,sum_rate_bps_hz,max_power_violation"
+        assert header == "iter,objective,sum_rate_bps_hz,max_power_violation,extrapolated"
+
+    def test_traces_record_kept_trials(self, tmp_path):
+        # The fifth column says whether the run went on from the iteration's
+        # extrapolated trial: never in the first iteration, where Nesterov's
+        # t starts at 1, nor in the last, which the run leaves with its
+        # plain iterate.
+        text = MINI.replace("max_outer_iterations = 6", "max_outer_iterations = 30")
+        run_experiment(write_config(tmp_path, text + "traces_dir = traces\n"))
+        rows = read_rows(tmp_path / "results.csv")
+        kept = []
+        for path in sorted((tmp_path / "traces").glob("*.csv")):
+            flags = [row["extrapolated"] for row in read_rows(path)]
+            assert set(flags) <= {"0", "1"}
+            assert flags[0] == flags[-1] == "0"
+            method = path.stem.split("_", 2)[2].rsplit("_", 1)[0]
+            assert [len(flags)] == [
+                int(r["outer_iterations"]) for r in rows if r["method"] == method
+            ]
+            kept += flags
+        assert "1" in kept
 
     def test_rfchains_axis(self, tmp_path):
         text = MINI.replace("axis = power", "axis = rfchains").replace(
@@ -528,7 +548,7 @@ class TestRun:
         assert calls == [66]
         assert len(rows) == 84
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "187b276d0db6a1c6bf1c7b64dbfce1bbcb69c03dfebc379ca92e57eb819cf461"
+            "a235b5e306514edf85a1e11d2f3bd9b4003d379ac8922ac2e53e2371b7ecbe67"
         )
         assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
 
@@ -554,7 +574,7 @@ class TestRun:
         path = run_experiment(write_config(tmp_path, text), worker_count=1)
         assert calls == [(6, 9, 6), (6, 16, 6)]  # 3 methods x 2 seeds each
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "28db30c9f967e08038f84ce20125f29f73a3fa30fcc1b579271938d84d574a5d"
+            "314624af7f9dfd8f6c3678636cc04a66890d0f7e9d4e959c58635436c5260d8b"
         )
 
     def test_run_whose_decomposition_raises_is_named_and_others_written(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import types
@@ -1002,7 +1003,10 @@ class TestRunSelection:
 
     def test_one_batched_call_per_outer_iteration(self, monkeypatch):
         # Receivers, weights, objective and rate of all users come from one
-        # solve, inv, cholesky and slogdet per outer iteration.
+        # solve, inv, cholesky and slogdet per outer iteration, and the rate
+        # of an extrapolated trial from one more slogdet.  Only the second
+        # iteration forms a trial: the first has Nesterov's t at 1, and the
+        # run leaves in the last.
         scenario = desk_scenario(5, n_users=3)
         candidates = gaussian_beam_grid(4)
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
@@ -1018,7 +1022,7 @@ class TestRunSelection:
         config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
         _, trace = run_selection(effs, (1, 2, 1), config)
         assert trace.n_iterations == 3
-        assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 3}
+        assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 4}
 
 
 class TestSelectionStepIdentity:
@@ -1215,6 +1219,79 @@ class TestRunSynthesis:
         assert trace_m.sum_rate[-1] >= trace_f.sum_rate[-1] - 1e-6
 
 
+class TestExtrapolationGate:
+    """One user with one receive antenna and one stream sees both antennas
+    of a fixed pattern through h = (1, 1), so the rate grows with |f_1 +
+    f_2|.  The plain rows are (0.5, 0.5) inside unit budgets, and Nesterov's
+    t is 2, so the trial moves m = 1 / t' = 0.39 times the step from the
+    last plain rows further on."""
+
+    def _batch(self, previous):
+        eff = EffectiveChannel(np.ones((1, 2), dtype=complex), "sel", 1)
+        batch = _Batch.of([Run([eff], SolverConfig(power=1.0, noise=0.5))], (1,), np.ones((1, 1)))
+        batch.f_d[...] = 0.5
+        batch.plain[...] = np.reshape(previous, (2, 1))
+        batch.momentum = np.array([2.0])
+        batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        return batch
+
+    @pytest.mark.parametrize("previous", [(0.5, 1.0), (0.5, 0.0)], ids=["lower", "higher"])
+    def test_a_run_keeps_only_a_trial_of_higher_rate(self, previous, monkeypatch):
+        rates = []  # every weighted_sum_rate the gate makes
+        rate = wmmse.weighted_sum_rate
+
+        def spy(cov, *args):
+            rates.extend(rate(cov, *args)[0])
+            return rate(cov, *args)
+
+        batch = self._batch(previous)
+        plain_cov = batch.cov
+        plain_rates, _ = wmmse.weighted_sum_rate(plain_cov)
+        monkeypatch.setattr(wmmse, "weighted_sum_rate", spy)
+        batch.extrapolate(plain_rates, [True], np.ones(1))
+        t_next = (1.0 + np.sqrt(17.0)) / 2.0
+        trial = 0.5 + (0.5 - np.array(previous)) / t_next
+        assert len(rates) == 1  # the trial's one rate call
+        assert np.array_equal(batch.plain, np.full((2, 1), 0.5))
+        if previous == (0.5, 1.0):
+            # The trial (0.5, 0.30) lowers the rate: the run keeps its plain
+            # rows and their covariance pass, and t restarts.
+            assert rates[0] < plain_rates[0]
+            assert np.array_equal(batch.f_d, np.full((2, 1), 0.5))
+            assert batch.cov is plain_cov
+            assert batch.momentum.tolist() == [1.0] and batch.extrapolated.tolist() == [False]
+        else:
+            # The trial (0.5, 0.70) raises it: the run goes on from the
+            # trial, its pass is the next receiver input, and t advances.
+            assert rates[0] > plain_rates[0]
+            assert_allclose(batch.f_d[:, 0], trial, rtol=1e-15)
+            want = batch.covariances(batch.antenna_matrix, batch.f_d)
+            assert np.array_equal(batch.cov.total, want.total)
+            assert batch.momentum.tolist() == [t_next] and batch.extrapolated.tolist() == [True]
+
+    def test_trial_rows_are_scaled_into_their_power_balls(self):
+        # A step of 1 on each row takes the trial to 0.5 + 0.39 > 1 in
+        # magnitude: it is scaled back onto the budget, and it wins.
+        batch = self._batch((-0.5, -0.5))
+        batch.f_d[...] = 0.9
+        batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        plain_rates, _ = wmmse.weighted_sum_rate(batch.cov)
+        batch.extrapolate(plain_rates, [True], np.ones(1))
+        assert batch.extrapolated.tolist() == [True]
+        assert_allclose(batch.f_d, np.ones((2, 1)), rtol=1e-15)
+
+    def test_no_trial_at_t_one_or_for_a_run_that_leaves(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wmmse, "weighted_sum_rate", lambda *args: calls.append(args))
+        for t, going_on in ((1.0, True), (2.0, False)):
+            batch = self._batch((0.5, 0.0))
+            batch.momentum = np.array([t])
+            batch.extrapolate([1.0], [going_on], np.ones(1))
+            assert batch.extrapolated.tolist() == [False]
+            assert np.array_equal(batch.f_d, batch.plain)
+        assert not calls
+
+
 class TestBatchedSolves:
     """A run solved in a lockstep batch gets exactly the bits of its solve
     alone, whatever else is in the batch, antenna counts included."""
@@ -1312,7 +1389,7 @@ class TestBatchedSolves:
             for name in ("f_d", "f_rf", "f_bb", "antenna_matrix", "power"):
                 assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
             assert state.decomp_residual == want_state.decomp_residual
-            for name in ("objective", "sum_rate", "max_power_violation"):
+            for name in ("objective", "sum_rate", "max_power_violation", "extrapolated"):
                 assert getattr(trace, name) == getattr(want_trace, name), name
             assert trace.n_iterations == want_trace.n_iterations
             assert trace.converged == want_trace.converged
@@ -1373,6 +1450,39 @@ class TestBatchedSolves:
         ]
         batched = self._check(iterate, single, runs, monkeypatch)
         assert [trace.n_iterations for _, trace in batched] == [3, 7, 5, 12]
+
+    @pytest.mark.parametrize("mode", ["selection", "synthesis"])
+    def test_runs_reject_trials_in_different_iterations(self, mixed_drops, mode, monkeypatch):
+        # The gate of every run of an extrapolating batch is its own: the
+        # runs' trials lose in different iterations, each losing run's t
+        # restarts alone, and every run still gets the bits of its solve
+        # alone, its record of kept trials included.
+        if mode == "selection":
+            runs, iterate, single = self._selection_runs(mixed_drops, 8), iterate_selection, run_selection
+        else:
+            runs, iterate, single = self._synthesis_runs(mixed_drops, 0.7), iterate_synthesis, run_synthesis
+        iterations = collections.Counter()  # run -> its iterations so far
+        rejected = collections.defaultdict(list)  # run -> the iterations whose trial lost
+        extrapolate = wmmse._Batch.extrapolate
+
+        def spy(batch, rates, going_on, beta):
+            tried = [on and t > 1.0 for on, t in zip(going_on, batch.momentum.tolist())]
+            extrapolate(batch, rates, going_on, beta)
+            ids, kept, momentum = batch.ids.tolist(), batch.extrapolated.tolist(), batch.momentum
+            for r, trial, won, t in zip(ids, tried, kept, momentum.tolist()):
+                iterations[r] += 1
+                if trial and not won:
+                    rejected[r].append(iterations[r])
+                    assert t == 1.0
+
+        def spied(runs, streams):
+            with monkeypatch.context() as patch:
+                patch.setattr(wmmse._Batch, "extrapolate", spy)
+                return iterate(runs, streams)
+
+        batched = self._check(spied, single, runs, monkeypatch)
+        assert len({tuple(rejected[r]) for r in range(len(runs))}) > 1, dict(rejected)
+        assert any(any(trace.extrapolated) for _, trace in batched)
 
     def test_sphere_hints_follow_their_runs(self, mixed_drops, monkeypatch):
         # Every sphere solve of a (run, antenna) pair gets the root that

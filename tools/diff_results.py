@@ -9,8 +9,14 @@ that differs, one line:
 
     (sweep_value, method, scenario_seed): column old → new
 
-then a line for each row and each column that only one file has.  Last
-comes the largest relative move per (method, column) over the changed
+then a line for each row and each column that only one file has.  When
+both files have the `outer_iterations` and `converged` columns, each
+method's total outer iterations and its count of capped rows
+(`converged = 0`) follow, old and new:
+
+    model1 outer_iterations 7187 → 2362, capped 14 → 0
+
+Last comes the largest relative move per (method, column) over the changed
 cells: |new - old| / |old|, or |new - old| where old is 0, and `nan` where
 a changed cell is not a number; beside it the largest absolute move
 |new - old|, so that a move in the last bits of a value near 0 does not
@@ -56,6 +62,20 @@ def moves(old: str, new: str) -> tuple[float, float]:
     return difference / abs(old_value) if old_value != 0.0 else difference, difference
 
 
+def totals(rows: dict[tuple, dict]) -> dict[str, tuple[int, int]]:
+    """Each method's total `outer_iterations` and its count of rows with
+    `converged = 0`; a count that is not an integer adds nothing."""
+    sums: dict[str, tuple[int, int]] = {}
+    for (_, method, _), row in rows.items():
+        iterations, capped = sums.get(method, (0, 0))
+        count = row["outer_iterations"]
+        sums[method] = (
+            iterations + (int(count) if count.isdigit() else 0),
+            capped + (row["converged"] == "0"),
+        )
+    return sums
+
+
 def compare(
     old_path: Path, new_path: Path
 ) -> tuple[list[str], dict[tuple, tuple[float, float]]]:
@@ -82,6 +102,15 @@ def compare(
     lines += [f"({', '.join(key)}): only in {new_path}" for key in new_rows if key not in old_rows]
     lines += [f"column {name}: only in {old_path}" for name in old_columns if name not in new_columns]
     lines += [f"column {name}: only in {new_path}" for name in new_columns if name not in old_columns]
+    if lines and {"outer_iterations", "converged"} <= set(shared):
+        old_totals, new_totals = totals(old_rows), totals(new_rows)
+        for method in sorted(old_totals.keys() | new_totals.keys()):
+            (old_sum, old_capped), (new_sum, new_capped) = (
+                sums.get(method, (0, 0)) for sums in (old_totals, new_totals)
+            )
+            lines.append(
+                f"{method} outer_iterations {old_sum} → {new_sum}, capped {old_capped} → {new_capped}"
+            )
     return lines, largest
 
 
