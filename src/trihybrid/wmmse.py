@@ -476,24 +476,30 @@ class _Batch:
         rows = self.layout.rows_of([b])
         return int(self.ids[b]), self.f_d[rows], self.antenna_matrix[rows], self.power[rows]
 
-    def covariances(self, antenna_matrix: np.ndarray, f_d: np.ndarray) -> Covariances:
-        """The covariance pass of every run's composed channel and `f_d`,
-        given run-major, (rows, W) and (rows, D): one pass per antenna
-        count."""
-        parts = []
-        for (group, rows, n_antennas), lifted in zip(self.layout.groups, self.lifted):
+    def channels(self, antenna_matrix: np.ndarray) -> list[np.ndarray]:
+        """Every run's channels composed with its pattern vectors, given
+        run-major (rows, W): one (runs, K, M, N) stack per antenna count."""
+        stacks = []
+        for (_, rows, n_antennas), lifted in zip(self.layout.groups, self.lifted):
             n_runs, n_users, n_rx, _ = lifted.shape
-            channel = np.einsum(
+            stacks.append(np.einsum(
                 "bmnw,bnw->bmn",
                 lifted.reshape(n_runs, n_users * n_rx, n_antennas, -1),
                 antenna_matrix[rows].reshape(n_runs, n_antennas, -1),
-            )
-            parts.append(received_covariances(
-                channel.reshape(n_runs, n_users, n_rx, -1),
-                f_d[rows].reshape(n_runs, n_antennas, -1),
-                self.masks,
+            ).reshape(n_runs, n_users, n_rx, -1))
+        return stacks
+
+    def covariances(self, channels: list[np.ndarray], f_d: np.ndarray) -> Covariances:
+        """The covariance pass of every run's composed channels, from
+        :meth:`channels`, and `f_d`, given run-major (rows, D): one pass
+        per antenna count."""
+        parts = [
+            received_covariances(
+                channel, f_d[rows].reshape(len(channel), n_antennas, -1), self.masks,
                 self.noise[group],
-            ))
+            )
+            for (group, rows, n_antennas), channel in zip(self.layout.groups, channels)
+        ]
         if len(parts) == 1:
             return parts[0]
         return Covariances(
@@ -502,15 +508,18 @@ class _Batch:
             self.masks,
         )
 
-    def extrapolate(self, rates: list[float], going_on: list[bool], beta: np.ndarray) -> None:
+    def extrapolate(
+        self, channels: list[np.ndarray], rates: list[float], going_on: list[bool], beta: np.ndarray
+    ) -> None:
         """Rate-gated Nesterov extrapolation of the sweep's f_d, the plain
         iterate, with adaptive restart (O'Donoghue & Candes 2015).
 
         A run that goes on with t > 1 gets a trial point: its plain rows
         plus m = (t - 1) / t' times their step from the last plain rows,
         each row scaled into its power ball, t' = (1 + sqrt(1 + 4 t^2)) / 2,
-        and its pattern matrix as the sweep left it.  The trials of all
-        runs get one covariance pass and one rate call.  A run keeps its
+        and its pattern matrix as the sweep left it, whose composed
+        `channels` the plain pass used.  The trials of all runs get one
+        covariance pass on those channels and one rate call.  A run keeps its
         trial, and the trial's pass as its next receiver input, only if the
         trial's weighted sum rate beats `rates`, its plain iterate's;
         otherwise it keeps the plain iterate and its t restarts at 1.  A run
@@ -526,7 +535,7 @@ class _Batch:
             trial = plain + np.repeat(steps, self.layout.n_antennas)[:, None] * (plain - self.plain)
             norms_sq = np.sum(np.abs(trial) ** 2, axis=-1)
             trial *= np.sqrt(self.power / np.maximum(norms_sq, self.power))[:, None]
-            cov = self.covariances(self.antenna_matrix, trial)
+            cov = self.covariances(channels, trial)
             trial_rates, _ = weighted_sum_rate(cov, beta)
             won = [step > 0.0 and new > old for step, new, old in zip(steps, trial_rates, rates)]
         np.copyto(self.plain, self.f_d)
@@ -1151,7 +1160,7 @@ def _run_bcd(
     left: list = []  # what _Batch.leave gives of each run that left
 
     started = time.perf_counter()
-    batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+    batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
     iteration = 0
     while True:
         iteration += 1
@@ -1171,7 +1180,8 @@ def _run_bcd(
 
         # Also the covariances of the next iteration's receivers, unless
         # the run keeps its trial.
-        batch.cov = cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        channels = batch.channels(batch.antenna_matrix)
+        batch.cov = cov = batch.covariances(channels, batch.f_d)
         objectives = wmmse_objective(weights, mse_matrix(cov, receivers), batch.masks, beta)
         rates, _ = weighted_sum_rate(cov, beta)
         violations = layout.maxima(np.sum(np.abs(batch.f_d) ** 2, axis=-1) / batch.power - 1.0)
@@ -1183,7 +1193,7 @@ def _run_bcd(
                 if (previous - objectives[b]) / max(1.0, abs(previous)) < config.objective_tol:
                     trace.converged = True
             going_on.append(not trace.converged and iteration < config.max_outer_iterations)
-        batch.extrapolate(rates, going_on, beta)
+        batch.extrapolate(channels, rates, going_on, beta)
         finished = time.perf_counter()
 
         n_active = len(batch.ids)

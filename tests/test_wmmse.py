@@ -397,7 +397,7 @@ def _workspace(effs, antenna_matrix, f_d, receivers, weights, beta, users, facto
     batch = _Batch.of([Run(effs, SolverConfig(noise=0.3))], users, antenna_matrix[:1], factors)
     batch = dataclasses.replace(
         batch, f_d=f_d, antenna_matrix=antenna_matrix, weights=weights[None],
-        cov=batch.covariances(antenna_matrix, f_d),
+        cov=batch.covariances(batch.channels(antenna_matrix), f_d),
     )
     return _SweepWorkspace(batch, receivers[None], beta)
 
@@ -1232,7 +1232,7 @@ class TestExtrapolationGate:
         batch.f_d[...] = 0.5
         batch.plain[...] = np.reshape(previous, (2, 1))
         batch.momentum = np.array([2.0])
-        batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
         return batch
 
     @pytest.mark.parametrize("previous", [(0.5, 1.0), (0.5, 0.0)], ids=["lower", "higher"])
@@ -1248,7 +1248,7 @@ class TestExtrapolationGate:
         plain_cov = batch.cov
         plain_rates, _ = wmmse.weighted_sum_rate(plain_cov)
         monkeypatch.setattr(wmmse, "weighted_sum_rate", spy)
-        batch.extrapolate(plain_rates, [True], np.ones(1))
+        batch.extrapolate(batch.channels(batch.antenna_matrix), plain_rates, [True], np.ones(1))
         t_next = (1.0 + np.sqrt(17.0)) / 2.0
         trial = 0.5 + (0.5 - np.array(previous)) / t_next
         assert len(rates) == 1  # the trial's one rate call
@@ -1265,7 +1265,7 @@ class TestExtrapolationGate:
             # trial, its pass is the next receiver input, and t advances.
             assert rates[0] > plain_rates[0]
             assert_allclose(batch.f_d[:, 0], trial, rtol=1e-15)
-            want = batch.covariances(batch.antenna_matrix, batch.f_d)
+            want = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
             assert np.array_equal(batch.cov.total, want.total)
             assert batch.momentum.tolist() == [t_next] and batch.extrapolated.tolist() == [True]
 
@@ -1274,9 +1274,9 @@ class TestExtrapolationGate:
         # magnitude: it is scaled back onto the budget, and it wins.
         batch = self._batch((-0.5, -0.5))
         batch.f_d[...] = 0.9
-        batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
         plain_rates, _ = wmmse.weighted_sum_rate(batch.cov)
-        batch.extrapolate(plain_rates, [True], np.ones(1))
+        batch.extrapolate(batch.channels(batch.antenna_matrix), plain_rates, [True], np.ones(1))
         assert batch.extrapolated.tolist() == [True]
         assert_allclose(batch.f_d, np.ones((2, 1)), rtol=1e-15)
 
@@ -1286,7 +1286,7 @@ class TestExtrapolationGate:
         for t, going_on in ((1.0, True), (2.0, False)):
             batch = self._batch((0.5, 0.0))
             batch.momentum = np.array([t])
-            batch.extrapolate([1.0], [going_on], np.ones(1))
+            batch.extrapolate(batch.channels(batch.antenna_matrix), [1.0], [going_on], np.ones(1))
             assert batch.extrapolated.tolist() == [False]
             assert np.array_equal(batch.f_d, batch.plain)
         assert not calls
@@ -1465,9 +1465,9 @@ class TestBatchedSolves:
         rejected = collections.defaultdict(list)  # run -> the iterations whose trial lost
         extrapolate = wmmse._Batch.extrapolate
 
-        def spy(batch, rates, going_on, beta):
+        def spy(batch, channels, rates, going_on, beta):
             tried = [on and t > 1.0 for on, t in zip(going_on, batch.momentum.tolist())]
-            extrapolate(batch, rates, going_on, beta)
+            extrapolate(batch, channels, rates, going_on, beta)
             ids, kept, momentum = batch.ids.tolist(), batch.extrapolated.tolist(), batch.momentum
             for r, trial, won, t in zip(ids, tried, kept, momentum.tolist()):
                 iterations[r] += 1
@@ -1572,7 +1572,7 @@ class TestBatchedSolves:
         starts = np.stack([isotropic_coefficients(width, run.config.rho) for run in runs])
         factors = np.stack([reduction_factors(run.config.rho) for run in runs])
         batch = _Batch.of(runs, self.STREAMS, starts, factors)
-        batch.cov = batch.covariances(batch.antenna_matrix, batch.f_d)
+        batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
         batch.weights = mse_weights(batch.cov, mmse_receivers(batch.cov))
         return batch
 
