@@ -1270,8 +1270,8 @@ class TestExtrapolationGate:
             assert batch.momentum.tolist() == [t_next] and batch.extrapolated.tolist() == [True]
 
     def test_trial_rows_are_scaled_into_their_power_balls(self):
-        # A step of 1 on each row takes the trial to 0.5 + 0.39 > 1 in
-        # magnitude: it is scaled back onto the budget, and it wins.
+        # The step from (-0.5, -0.5) to (0.9, 0.9) takes each trial row to
+        # 0.9 + 0.39 x 1.4 > 1: it is scaled back onto its budget, and wins.
         batch = self._batch((-0.5, -0.5))
         batch.f_d[...] = 0.9
         batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
@@ -1468,8 +1468,8 @@ class TestBatchedSolves:
         def spy(batch, channels, rates, going_on, beta):
             tried = [on and t > 1.0 for on, t in zip(going_on, batch.momentum.tolist())]
             extrapolate(batch, channels, rates, going_on, beta)
-            ids, kept, momentum = batch.ids.tolist(), batch.extrapolated.tolist(), batch.momentum
-            for r, trial, won, t in zip(ids, tried, kept, momentum.tolist()):
+            kept, momentum = batch.extrapolated.tolist(), batch.momentum.tolist()
+            for r, trial, won, t in zip(batch.ids.tolist(), tried, kept, momentum):
                 iterations[r] += 1
                 if trial and not won:
                     rejected[r].append(iterations[r])
