@@ -540,9 +540,7 @@ class _Batch:
             won = [step > 0.0 and new > old for step, new, old in zip(steps, trial_rates, rates)]
         np.copyto(self.plain, self.f_d)
         self.extrapolated = np.array(won)
-        if all(won):  # the sweep writes the next plain rows into the trial's array
-            self.f_d, self.cov = trial, cov
-        elif any(won):
+        if any(won):
             np.copyto(
                 self.f_d, trial, where=np.repeat(self.extrapolated, self.layout.n_antennas)[:, None]
             )
