@@ -9,8 +9,10 @@ iteration that is batched over users; the transmit side is swept one
 antenna at a time, jointly updating that antenna's precoder row f and its
 pattern variable (a candidate selection or a harmonic coefficient vector).
 After each sweep, a run may go on from a Nesterov extrapolation of its
-digital precoder instead, kept only when it raises the weighted sum rate,
-which costs one more covariance pass and rate call per iteration.
+digital precoder instead, kept only when it raises the weighted sum rate;
+the trials ride the plain iterates' covariance pass and rate call, stacked
+on the run axis.  Each batch keeps its composed channels and composes them
+again only after a sweep that moved a pattern.
 
 Two solvers are provided: :func:`run_selection` for a finite candidate set
 per antenna and :func:`run_synthesis` for freely synthesized patterns with a
@@ -198,17 +200,25 @@ def received_covariances(channels, f_d: np.ndarray, masks: np.ndarray, noise) ->
     (N, D); a batch adds a leading run axis to both.  `noise` is one power,
     one per user, or an array that broadcasts as (..., K, 1, 1).
     """
-    channels = _stack_users(channels)
+    return _covariance_tail(_received(_stack_users(channels), f_d), masks, noise)
+
+
+def _received(channels: np.ndarray, f_d: np.ndarray) -> np.ndarray:
+    """The stacked product S = H F, (..., K, M, D)."""
     *runs, n_users, n_rx, n_antennas = channels.shape
-    received = (channels.reshape(*runs, n_users * n_rx, n_antennas) @ f_d).reshape(
+    return (channels.reshape(*runs, n_users * n_rx, n_antennas) @ f_d).reshape(
         *runs, n_users, n_rx, -1
     )
+
+
+def _covariance_tail(received: np.ndarray, masks: np.ndarray, noise) -> Covariances:
+    """The users' covariances of a received signal from :func:`_received`."""
     own = received * masks[:, None, :]
     leak = received - own
     noise = np.asarray(noise, dtype=float)
     if noise.ndim < 3:
         noise = noise.reshape(-1, 1, 1)
-    interference = noise * np.eye(n_rx) + leak @ _herm(leak)
+    interference = noise * np.eye(received.shape[-2]) + leak @ _herm(leak)
     total = interference + own @ _herm(own)
     return Covariances(received, own, interference, total, masks)
 
@@ -367,9 +377,9 @@ class _Batch:
     (antenna, run) pair of the :class:`_Pairs` layout.  The fields on
     `SHARED` serve every run.  The loop assigns the weights and the
     covariance pass of the current iterate and writes the rows in place,
-    and :meth:`extrapolate` keeps each run's momentum, last plain rows and
-    gate; a run leaves through :meth:`leave`, and the runs that stay go on
-    in :meth:`take`, which cuts every tagged field by its axis.
+    and :meth:`trial` and :meth:`gate` keep each run's momentum, last plain
+    rows and gate; a run leaves through :meth:`leave`, and the runs that
+    stay go on in :meth:`take`, which cuts every tagged field by its axis.
     """
 
     SHARED: ClassVar[tuple[str, ...]] = ("layout", "lifted", "masks")
@@ -445,9 +455,10 @@ class _Batch:
     def take(self, kept: list[int]) -> "_Batch":
         """The batch of the runs at the given places, in order: every
         tagged array indexed by its axis's indices, computed once.  This
-        batch's sweep buffers are dropped first, so that they are freed
-        before the new batch's arrays are made."""
+        batch's sweep buffers and composed channels are dropped first, so
+        that they are freed before the new batch's arrays are made."""
         self.__dict__.pop("buffers", None)
+        self.__dict__.pop("composed", None)
         layout = _Pairs([self.layout.n_antennas[b] for b in kept])
         rows = self.layout.rows_of(kept)
         pairs = self.layout.run_major[rows[layout.antenna_major]]
@@ -470,6 +481,13 @@ class _Batch:
         sweep and not a field: :meth:`take` does not carry them over."""
         return _SweepBuffers(self)
 
+    @functools.cached_property
+    def composed(self) -> list[np.ndarray]:
+        """Every run's channels composed with its current pattern matrix,
+        from :meth:`channels`, kept until the loop drops them after a sweep
+        that moved a pattern; not a field: :meth:`take` drops them."""
+        return self.channels(self.antenna_matrix)
+
     def leave(self, b: int) -> tuple:
         """The run at place b: its id and copies of its rows of f_d, the
         pattern matrix and the budgets, which keep no batch array alive."""
@@ -489,66 +507,88 @@ class _Batch:
             ).reshape(n_runs, n_users, n_rx, -1))
         return stacks
 
-    def covariances(self, channels: list[np.ndarray], f_d: np.ndarray) -> Covariances:
+    def covariances(
+        self, channels: list[np.ndarray], f_d: np.ndarray, trial: np.ndarray | None = None
+    ) -> Covariances:
         """The covariance pass of every run's composed channels, from
-        :meth:`channels`, and `f_d`, given run-major (rows, D): one pass
-        per antenna count."""
-        parts = [
-            received_covariances(
-                channel, f_d[rows].reshape(len(channel), n_antennas, -1), self.masks,
-                self.noise[group],
-            )
-            for (group, rows, n_antennas), channel in zip(self.layout.groups, channels)
+        :meth:`channels`, and `f_d`, given run-major (rows, D): one channel
+        product per antenna count, then one covariance tail over the runs.
+        Given `trial` rows too, the pass of `f_d` and then that of `trial`,
+        stacked on the run axis: one product per antenna count and
+        precoder, and one tail over both."""
+        received = [
+            _received(channel, precoder[rows].reshape(len(channel), n_antennas, -1))
+            for precoder in ((f_d,) if trial is None else (f_d, trial))
+            for (_, rows, n_antennas), channel in zip(self.layout.groups, channels)
         ]
-        if len(parts) == 1:
-            return parts[0]
-        return Covariances(
-            *(np.concatenate([getattr(part, name) for part in parts])
-              for name in ("received", "own", "interference", "total")),
-            self.masks,
+        noise = self.noise if trial is None else np.concatenate([self.noise, self.noise])
+        return _covariance_tail(
+            received[0] if len(received) == 1 else np.concatenate(received), self.masks, noise
         )
 
-    def extrapolate(
-        self, channels: list[np.ndarray], rates: list[float], going_on: list[bool], beta: np.ndarray
-    ) -> None:
-        """Rate-gated Nesterov extrapolation of the sweep's f_d, the plain
-        iterate, with adaptive restart (O'Donoghue & Candes 2015).
+    def trial(self, capped: list[bool]) -> tuple[list[float], np.ndarray | None]:
+        """Each run's Nesterov step and the trial rows of a rate-gated
+        extrapolation of the sweep's f_d, the plain iterate, with adaptive
+        restart (O'Donoghue & Candes 2015).
 
-        A run that goes on with t > 1 gets a trial point: its plain rows
-        plus m = (t - 1) / t' times their step from the last plain rows,
-        each row scaled into its power ball, t' = (1 + sqrt(1 + 4 t^2)) / 2,
-        and its pattern matrix as the sweep left it, whose composed
-        `channels` the plain pass used.  The trials of all runs get one
-        covariance pass on those channels and one rate call.  A run keeps its
-        trial, and the trial's pass as its next receiver input, only if the
-        trial's weighted sum rate beats `rates`, its plain iterate's;
-        otherwise it keeps the plain iterate and its t restarts at 1.  A run
-        with no trial (t = 1, or one that leaves) keeps its plain iterate
-        and advances t.  Every step acts on each run alone.
+        A run with t > 1 that is not at its own iteration cap (`capped`)
+        takes the step m = (t - 1) / t', t' = (1 + sqrt(1 + 4 t^2)) / 2, and
+        its trial rows are its plain rows plus m times their step from the
+        last plain rows, each scaled into its power ball; its pattern matrix
+        stays as the sweep left it.  The others take m = 0.  Returns the
+        steps, and the run-major trial rows of every run, or None when no
+        run takes a step.
         """
-        t = self.momentum.tolist()
-        t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * x * x)) for x in t]
-        steps = [(x - 1.0) / y if on else 0.0 for x, y, on in zip(t, t_next, going_on)]
-        won = [False] * len(t)
-        if any(steps):
-            plain = self.f_d
-            trial = plain + np.repeat(steps, self.layout.n_antennas)[:, None] * (plain - self.plain)
-            norms_sq = np.sum(np.abs(trial) ** 2, axis=-1)
-            trial *= np.sqrt(self.power / np.maximum(norms_sq, self.power))[:, None]
-            cov = self.covariances(channels, trial)
-            trial_rates, _ = weighted_sum_rate(cov, beta)
-            won = [step > 0.0 and new > old for step, new, old in zip(steps, trial_rates, rates)]
+        steps = [
+            0.0 if cap else (t - 1.0) / _nesterov(t)
+            for t, cap in zip(self.momentum.tolist(), capped)
+        ]
+        if not any(steps):
+            return steps, None
+        plain = self.f_d
+        trial = plain + np.repeat(steps, self.layout.n_antennas)[:, None] * (plain - self.plain)
+        norms_sq = np.sum(np.abs(trial) ** 2, axis=-1)
+        trial *= np.sqrt(self.power / np.maximum(norms_sq, self.power))[:, None]
+        return steps, trial
+
+    def gate(
+        self, cov: Covariances, rates: list[float], steps: list[float], trial, going_on: list[bool]
+    ) -> None:
+        """Go on from each run's trial or from its plain iterate.
+
+        `steps` and `trial` are :meth:`trial`'s; `cov` and `rates` hold the
+        covariance pass and weighted sum rates of the plain iterates, then,
+        given trial rows, those of the trials (:meth:`covariances`).  A run
+        that goes on and took a step keeps its trial, and the trial's pass
+        as its next receiver input, only if the trial's rate beats its
+        plain iterate's; otherwise it keeps the plain iterate and its t
+        restarts at 1.  A run with no step, or one that leaves, keeps its
+        plain iterate and advances t.  Every step acts on each run alone.
+        """
+        n_runs = len(steps)
+        steps = [step if on else 0.0 for step, on in zip(steps, going_on)]
+        won = [False] * n_runs
+        if trial is not None:
+            won = [step > 0.0 and new > old for step, new, old in zip(steps, rates[n_runs:], rates)]
         np.copyto(self.plain, self.f_d)
         self.extrapolated = np.array(won)
+        self.cov = cov[:n_runs]
         if any(won):
             np.copyto(
                 self.f_d, trial, where=np.repeat(self.extrapolated, self.layout.n_antennas)[:, None]
             )
             for name in ("received", "own", "interference", "total"):
-                getattr(self.cov, name)[self.extrapolated] = getattr(cov, name)[self.extrapolated]
-        self.momentum = np.array(
-            [y if kept or step == 0.0 else 1.0 for y, kept, step in zip(t_next, won, steps)]
-        )
+                part = getattr(cov, name)
+                part[:n_runs][self.extrapolated] = part[n_runs:][self.extrapolated]
+        self.momentum = np.array([
+            _nesterov(t) if kept or step == 0.0 else 1.0
+            for t, kept, step in zip(self.momentum.tolist(), won, steps)
+        ])
+
+
+def _nesterov(t: float) -> float:
+    """Nesterov's next t, (1 + sqrt(1 + 4 t^2)) / 2."""
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
 def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
@@ -603,6 +643,7 @@ class _SweepBuffers:
         self.antenna_matrix = np.empty((n_pairs, width))
         self.pattern_quad = np.empty((n_pairs, 1, width), complex)
         self.rows = np.empty((n_runs, n_streams), complex)
+        self.pairs = np.arange(n_pairs)
         scratch = np.empty(n_pairs * width * max(width, n_rx_total, n_streams), complex)
         self.hermitian = scratch[: self.quad.size].reshape(self.quad.shape)
         self.own_signal = scratch[: self.offset.size].reshape(self.offset.shape)
@@ -651,10 +692,19 @@ class _SweepWorkspace:
     (pairs, W) holds every pair's pattern vector and every commit updates
     it; the rows are kept in `rows_conj`, and :meth:`precoders` and
     :meth:`patterns` hand both back run-major, as the loop keeps them.
+    `moved` turns true at the first commit that changes a pattern vector,
+    so that the loop composes the batch's channels again only then.
 
     The users' weighted receive projections beta_k U_k W_k U_k^H applied to
     the lifted channels give `proj`; antenna n's quad term Q_n and the
-    alignment part of its linear term depend only on these.  The linear
+    alignment part of its linear term depend only on these.  The workspace
+    holds the raw product M_n = B_n^H P_n of the antenna's block and `proj`
+    as `product`; Q_n is its Hermitian part, and only a synthesis sweep
+    forms it, as `quad`, in place.  A selection sweep reads the real
+    diagonal of M_n, which equals Q_n's bit for bit, and the own-signal
+    row a_n^T Q_n = Q_n[s, :] of candidate s as 0.5 (M_n[s, :] +
+    conj M_n[:, s]), so that it never forms the (pairs, W, W) Hermitian
+    part nor multiplies the pattern vectors into it.  The linear
     term is R^T P_n - O_n: R is the received signal of the composed channel
     times the digital precoder, kept conjugated, and the offset
     O_n = align_n + conj(f_n) (a_n^T Q_n) takes antenna n's own signal out
@@ -667,16 +717,15 @@ class _SweepWorkspace:
     correction reads the old row from a running conjugate copy of the rows,
     `rows_conj`, which every commit updates; a selection also keeps each
     antenna's current candidate as a Python list and its block column as an
-    array.  `proj` and the alignment are formed from the lifted channels of
-    each antenna count, one product per count.
+    array, built with the offsets.  `proj` and the alignment are formed
+    from the lifted channels of each antenna count, one product per count.
 
     The step closed forms read what else the sweep cannot change: the real
     diagonals of the quad terms and, with more than one candidate, their
     guarded inverses (:func:`candidate_quads`) for selection, and
     Re(a_n^T Q_n a_n), Re Q_n[1:, 0] and the :func:`sphere_terms` for
-    synthesis.  Each is
-    built on first use: `step_quads` and the selection state only by
-    selection steps, `row_quads` and `pinned` only by synthesis steps, and
+    synthesis.  Each is built on first use: `step_quads` only by selection
+    steps, `row_quads` and `pinned` only by synthesis steps, and
     `sphere_terms` decomposes every pair in one batched call only in
     sweeps that solve on the sphere.  `rows` is a buffer the selection step
     fills with every run's new row before one commit.
@@ -714,22 +763,45 @@ class _SweepWorkspace:
             np.matmul(align[group], lifted.reshape(len(lifted), n_users * n_rx, -1), out=out)
             offsets.append(np.multiply(stream_beta[:, None], out, out=out))
         self.offset = layout.per_antenna(offsets, out=buffers.offset)
-        self.quad = np.matmul(self.blocks_conj.swapaxes(-1, -2), self.proj, out=buffers.quad)
-        # Hermitian part, in place
-        self.quad += np.conjugate(self.quad, out=buffers.hermitian).swapaxes(-1, -2)
-        self.quad *= 0.5
+        self.product = np.matmul(self.blocks_conj.swapaxes(-1, -2), self.proj, out=buffers.quad)
+        self._hermitian = buffers.hermitian
         self.received_conj = np.conjugate(
             received.reshape(n_runs, n_users * n_rx, -1), out=buffers.received_conj
         )
         self.rows_conj = np.take(batch.f_d, layout.antenna_major, axis=0, out=buffers.rows_conj)
         np.conjugate(self.rows_conj, out=self.rows_conj)
-        # a_n^T Q_n, (pairs, W)
-        self._pattern_quad = np.matmul(
-            self.antenna_matrix[:, None, :], self.quad, out=buffers.pattern_quad
-        )[:, 0, :]
+        self.moved = False
+        if batch.roots is None:
+            # a_n^T Q_n of the one-hot a_n of candidate s is Q_n[s, :],
+            # 0.5 (M[s, :] + conj M[:, s]) for the raw product M.
+            every, selected = buffers.pairs, self.antenna_matrix.argmax(axis=1)
+            pattern_quad = np.add(
+                self.product[every, selected], np.conjugate(self.product[every, :, selected])
+            )
+            pattern_quad *= 0.5
+            columns = self.blocks_conj[every, :, selected]
+            selected = selected.tolist()
+            # Every antenna's current candidate in each of its runs, indexed
+            # [n][b], and every pair's block column, (pairs, K M, 1).
+            self._selection = [selected[pairs] for pairs in self.slices], columns[..., None]
+        else:
+            # a_n^T Q_n, (pairs, W)
+            self._pattern_quad = pattern_quad = np.matmul(
+                self.antenna_matrix[:, None, :], self.quad, out=buffers.pattern_quad
+            )[:, 0, :]
         self.offset += np.multiply(
-            self.rows_conj[..., None], self._pattern_quad[..., None, :], out=buffers.own_signal
+            self.rows_conj[..., None], pattern_quad[..., None, :], out=buffers.own_signal
         )
+
+    @functools.cached_property
+    def quad(self) -> np.ndarray:
+        """Every pair's quad term Q_n, (pairs, W, W): the Hermitian part of
+        `product`, formed in place of it on first read.  Its real diagonal
+        is the product's bit for bit, so `step_quads` reads either."""
+        quad = self.product
+        quad += np.conjugate(quad, out=self._hermitian).swapaxes(-1, -2)
+        quad *= 0.5
+        return quad
 
     @functools.cached_property
     def row_quads(self) -> list[float]:
@@ -752,21 +824,12 @@ class _SweepWorkspace:
 
     @functools.cached_property
     def step_quads(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every pair's :func:`candidate_quads`, (pairs, W) each.  With one
-        candidate, the diagonal and None: :func:`select_pattern_and_row`
-        does not read the inverse then."""
-        if self.quad.shape[-1] == 1:
-            return self.quad[:, :, 0].real, None
-        return candidate_quads(self.quad)
-
-    @functools.cached_property
-    def _selection(self) -> tuple[list[list[int]], np.ndarray]:
-        """Every antenna's current candidate in each of its runs, indexed
-        [n][b], and every pair's block column, (pairs, K M, 1)."""
-        selected = self.antenna_matrix.argmax(axis=1)
-        columns = self.blocks_conj[np.arange(len(selected)), :, selected]
-        selected = selected.tolist()
-        return [selected[pairs] for pairs in self.slices], columns[..., None]
+        """Every pair's :func:`candidate_quads` of the raw product, (pairs,
+        W) each.  With one candidate, the diagonal and None:
+        :func:`select_pattern_and_row` does not read the inverse then."""
+        if self.product.shape[-1] == 1:
+            return self.product[:, :, 0].real, None
+        return candidate_quads(self.product)
 
     def linear(self, n: int) -> np.ndarray:
         """Antenna n's (runs, D, W) linear terms: one cross-term product and
@@ -783,7 +846,9 @@ class _SweepWorkspace:
             vectors[:, :, None] * rows[:, None, :]
             - views.antenna_matrix[:, :, None] * views.rows_conj[:, None, :]
         )
-        views.antenna_matrix[...] = vectors
+        if vectors is not views.antenna_matrix:
+            views.antenna_matrix[...] = vectors
+            self.moved = True
         views.rows_conj[...] = rows
 
     def select(self, n: int, indices: list[int], rows: np.ndarray) -> None:
@@ -814,6 +879,7 @@ class _SweepWorkspace:
                 self.antenna_matrix[pairs.start + b, old] = 0.0
                 self.antenna_matrix[pairs.start + b, new] = 1.0
                 selection[b] = new
+            self.moved = True
         old_rows[...] = rows
 
     def precoders(self, out: np.ndarray | None = None) -> np.ndarray:
@@ -1136,12 +1202,17 @@ def _run_bcd(
     depend on which runs share its batch.  After each sweep the trace
     records the plain iterate, the stop test judges it, and a run that
     goes on may continue from an extrapolated trial instead
-    (:meth:`_Batch.extrapolate`).  A run leaves the batch in the iteration
-    where its own stop test fires or it reaches its own iteration cap:
-    :meth:`_Batch.leave` keeps its plain precoder, pattern matrix and
-    budgets, and :meth:`_Batch.take` cuts the others' arrays.  Each
-    iteration's receiver and objective seconds, the trial's pass and rate
-    among the latter, are split evenly among the runs active in it, and
+    (:meth:`_Batch.trial`, formed before the post-sweep pass for every run
+    below its own cap, and :meth:`_Batch.gate`, which judges it after one
+    pass and one rate call of the plain iterates and the trials).  That
+    pass reads the batch's kept composed channels, which the loop drops
+    only after a sweep that moved a pattern.  A run leaves the batch in
+    the iteration where its own stop test fires or it reaches its own
+    iteration cap: :meth:`_Batch.leave` keeps its plain precoder, pattern
+    matrix and budgets, and :meth:`_Batch.take` cuts the others' arrays.
+    Each iteration's receiver and objective seconds, the composition, the
+    trials and the gate among the latter, are split evenly among the runs
+    active in it, and
     its sweep seconds in proportion to their antenna counts.  Returns one
     undecomposed :class:`Iterate` per run.
     """
@@ -1158,7 +1229,7 @@ def _run_bcd(
     left: list = []  # what _Batch.leave gives of each run that left
 
     started = time.perf_counter()
-    batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
+    batch.cov = batch.covariances(batch.composed, batch.f_d)
     iteration = 0
     while True:
         iteration += 1
@@ -1172,33 +1243,40 @@ def _run_bcd(
         for n in range(layout.n_antennas[0]):
             step(workspace, n)
         workspace.precoders(out=batch.f_d)
-        workspace.patterns(out=batch.antenna_matrix)
+        if workspace.moved:
+            workspace.patterns(out=batch.antenna_matrix)
+            batch.__dict__.pop("composed", None)  # composed again when next read
         del workspace  # so the next sweep does not build its own beside it
         evaluated = time.perf_counter()
 
-        # Also the covariances of the next iteration's receivers, unless
-        # the run keeps its trial.
-        channels = batch.channels(batch.antenna_matrix)
-        batch.cov = cov = batch.covariances(channels, batch.f_d)
-        objectives = wmmse_objective(weights, mse_matrix(cov, receivers), batch.masks, beta)
+        # One pass of the plain iterates and the trials, whose plain half
+        # is also the next receivers' input unless the run keeps its trial.
+        ids = batch.ids.tolist()
+        n_active = len(ids)
+        steps, trial = batch.trial(
+            [iteration >= runs[r].config.max_outer_iterations for r in ids]
+        )
+        cov = batch.covariances(batch.composed, batch.f_d, trial)
         rates, _ = weighted_sum_rate(cov, beta)
+        objectives = wmmse_objective(
+            weights, mse_matrix(cov[:n_active], receivers), batch.masks, beta
+        )
         violations = layout.maxima(np.sum(np.abs(batch.f_d) ** 2, axis=-1) / batch.power - 1.0)
         going_on = []
-        for b, r in enumerate(batch.ids.tolist()):
+        for b, r in enumerate(ids):
             trace, config = traces[r], runs[r].config
             if trace.objective:
                 previous = trace.objective[-1]
                 if (previous - objectives[b]) / max(1.0, abs(previous)) < config.objective_tol:
                     trace.converged = True
             going_on.append(not trace.converged and iteration < config.max_outer_iterations)
-        batch.extrapolate(channels, rates, going_on, beta)
+        batch.gate(cov, rates, steps, trial, going_on)
         finished = time.perf_counter()
 
-        n_active = len(batch.ids)
         shared = ((swept - started) + (finished - evaluated)) / n_active
         per_step = (evaluated - swept) / sum(layout.n_antennas)
         kept = []
-        for b, r in enumerate(batch.ids.tolist()):
+        for b, r in enumerate(ids):
             trace = traces[r]
             trace.objective.append(objectives[b])
             trace.sum_rate.append(rates[b])

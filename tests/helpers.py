@@ -742,6 +742,38 @@ def alignment_term(effs, receivers, weights, beta, n: int) -> np.ndarray:
     )
 
 
+def hermitian_sweep_terms(batch, receivers, beta):
+    """A selection sweep's step quads and offsets built from the full
+    Hermitian quad terms, as the workspace built them before it kept the
+    raw product: every pair's Q = (M + M^H) / 2 of M = B^H P, its
+    :func:`wmmse.candidate_quads` (the real diagonal and None for one
+    candidate), and the offsets with the own-signal part conj(f_n)
+    (a_n^T Q_n) taken by a product with the pattern vectors.  Fresh arrays,
+    from the batch at the start of the sweep and its new receivers.
+    Returns (quads, inverse quads or None, offsets)."""
+    layout, received, weights = batch.layout, batch.cov.received, batch.weights
+    n_runs, n_users, n_rx, _ = received.shape
+    beta = np.asarray(beta, dtype=float)
+    receivers_h = receivers.conj().swapaxes(-1, -2)
+    proj = beta[:, None, None] * (receivers @ weights @ receivers_h)
+    align = (weights @ receivers_h).transpose(0, 2, 1, 3).reshape(n_runs, -1, n_users * n_rx)
+    stream_beta = beta @ batch.masks
+    projs, offsets = [], []
+    for (group, _, _), lifted in zip(layout.groups, batch.lifted):
+        flat = lifted.reshape(len(lifted), n_users * n_rx, -1)
+        projs.append((proj[group] @ lifted).reshape(len(lifted), n_users * n_rx, -1))
+        offsets.append(stream_beta[:, None] * (align[group] @ flat))
+    proj, offset = layout.per_antenna(projs), layout.per_antenna(offsets)
+    quad = batch.blocks_conj.swapaxes(-1, -2) @ proj
+    quad = (quad + quad.conj().swapaxes(-1, -2)) * 0.5
+    vectors = batch.antenna_matrix[layout.antenna_major]
+    rows_conj = batch.f_d[layout.antenna_major].conj()
+    offset = offset + rows_conj[..., None] * (vectors[:, None, :] @ quad)
+    if quad.shape[-1] == 1:
+        return quad[:, :, 0].real, None, offset
+    return (*wmmse.candidate_quads(quad), offset)
+
+
 # ---------------------------------------------------------------------------
 # Per-user weighted-MMSE loops: references for the batched covariance pass
 # ---------------------------------------------------------------------------

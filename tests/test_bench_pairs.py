@@ -172,6 +172,37 @@ def test_within_bound_compares_medians_with_the_relative_bound():
     assert "within_bound" not in metrics["wall_s"]
 
 
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    bounds = {"wall_s": 0.25, "pattern_gain": 0.08}
+    # Parent walls 3.0-5.25: q1 3.5625, median 4.125, q3 4.6875, a spread
+    # of 1.125, 27 % of the median.  The change reads 4.0 and 4.2 alike.
+    base = [3.0 + 0.25 * i for i in range(10)]
+    walls = [(b, 4.0 + 0.2 * (i % 2)) for i, b in enumerate(base)]
+    # Gains spread by 1 % of their median, inside the bound of 8 %.
+    gains = [(1.0 + 0.002 * i, 1.0) for i in range(10)]
+    metrics = bench_pairs.summarize(_pairs(walls, gains), DIRECTIONS, bounds)["power_sweep"][
+        "metrics"
+    ]
+    assert metrics["wall_s"]["within_bound"] is True
+    assert metrics["wall_s"]["unresolved"] is True
+    assert metrics["pattern_gain"]["unresolved"] is False
+    # Every change run below every parent run resolves it, in either direction.
+    walls = [(b, 2.9 - 0.1 * (i % 2)) for i, b in enumerate(base)]
+    gains = [(1.0 + 0.1 * i, 2.0) for i in range(10)]  # spread 31 % of the median, all beaten
+    metrics = bench_pairs.summarize(_pairs(walls, gains), DIRECTIONS, bounds)["power_sweep"][
+        "metrics"
+    ]
+    assert metrics["wall_s"]["unresolved"] is False
+    assert metrics["pattern_gain"]["unresolved"] is False
+    # One change run that does not beat every parent run leaves it unresolved.
+    walls[0] = (base[0], 3.1)
+    metrics = bench_pairs.summarize(_pairs(walls), DIRECTIONS, bounds)["power_sweep"]["metrics"]
+    assert metrics["wall_s"]["unresolved"] is True
+    # A metric without a bound gets no unresolved flag.
+    metrics = bench_pairs.summarize(_pairs(walls), DIRECTIONS)["power_sweep"]["metrics"]
+    assert "unresolved" not in metrics["wall_s"]
+
+
 def _traced(pair, side, metrics):
     run = _run(pair, side, 0.0, trace=1)
     run["result"]["metrics"] = {

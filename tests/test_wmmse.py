@@ -19,6 +19,7 @@ from helpers import (
     block_objectives,
     embed_receivers,
     embed_weights,
+    hermitian_sweep_terms,
     isotropic_pattern,
     mmse_receivers_loop,
     mse_matrix_loop,
@@ -1003,10 +1004,10 @@ class TestRunSelection:
 
     def test_one_batched_call_per_outer_iteration(self, monkeypatch):
         # Receivers, weights, objective and rate of all users come from one
-        # solve, inv, cholesky and slogdet per outer iteration, and the rate
-        # of an extrapolated trial from one more slogdet.  Only the second
-        # iteration forms a trial: the first has Nesterov's t at 1, and the
-        # run leaves in the last.
+        # solve, inv, cholesky and slogdet per outer iteration; the rate of
+        # an extrapolated trial shares the plain iterate's slogdet.  Only the
+        # second iteration forms a trial: the first has Nesterov's t at 1,
+        # and the last is at the run's cap.
         scenario = desk_scenario(5, n_users=3)
         candidates = gaussian_beam_grid(4)
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
@@ -1022,7 +1023,7 @@ class TestRunSelection:
         config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
         _, trace = run_selection(effs, (1, 2, 1), config)
         assert trace.n_iterations == 3
-        assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 4}
+        assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 3}
 
 
 class TestSelectionStepIdentity:
@@ -1226,70 +1227,85 @@ class TestExtrapolationGate:
     t is 2, so the trial moves m = 1 / t' = 0.39 times the step from the
     last plain rows further on."""
 
+    T_NEXT = (1.0 + np.sqrt(17.0)) / 2.0
+
     def _batch(self, previous):
         eff = EffectiveChannel(np.ones((1, 2), dtype=complex), "sel", 1)
         batch = _Batch.of([Run([eff], SolverConfig(power=1.0, noise=0.5))], (1,), np.ones((1, 1)))
         batch.f_d[...] = 0.5
         batch.plain[...] = np.reshape(previous, (2, 1))
         batch.momentum = np.array([2.0])
-        batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
         return batch
 
+    @staticmethod
+    def _iteration(batch, capped=False, going_on=True):
+        """The loop's post-sweep work on the batch: the trial, one pass and
+        one rate call for the plain iterate and the trial, and the gate.
+        Returns the steps, the trial rows and both halves' rates."""
+        steps, trial = batch.trial([capped])
+        cov = batch.covariances(batch.composed, batch.f_d, trial)
+        rates, _ = weighted_sum_rate(cov)
+        batch.gate(cov, rates, steps, trial, [going_on])
+        return steps, trial, rates
+
+    @staticmethod
+    def _assert_pass_of(batch, f_d):
+        want = batch.covariances(batch.channels(batch.antenna_matrix), f_d)
+        for name in ("received", "own", "interference", "total"):
+            assert np.array_equal(getattr(batch.cov, name), getattr(want, name)), name
+
     @pytest.mark.parametrize("previous", [(0.5, 1.0), (0.5, 0.0)], ids=["lower", "higher"])
-    def test_a_run_keeps_only_a_trial_of_higher_rate(self, previous, monkeypatch):
-        rates = []  # every weighted_sum_rate the gate makes
-        rate = wmmse.weighted_sum_rate
-
-        def spy(cov, *args):
-            rates.extend(rate(cov, *args)[0])
-            return rate(cov, *args)
-
+    def test_a_run_keeps_only_a_trial_of_higher_rate(self, previous):
         batch = self._batch(previous)
-        plain_cov = batch.cov
-        plain_rates, _ = wmmse.weighted_sum_rate(plain_cov)
-        monkeypatch.setattr(wmmse, "weighted_sum_rate", spy)
-        batch.extrapolate(batch.channels(batch.antenna_matrix), plain_rates, [True], np.ones(1))
-        t_next = (1.0 + np.sqrt(17.0)) / 2.0
-        trial = 0.5 + (0.5 - np.array(previous)) / t_next
-        assert len(rates) == 1  # the trial's one rate call
+        plain_rate = weighted_sum_rate(batch.covariances(batch.composed, batch.f_d))[0][0]
+        steps, trial, rates = self._iteration(batch)
+        assert steps == [1.0 / self.T_NEXT]
+        assert_allclose(trial[:, 0], 0.5 + (0.5 - np.array(previous)) / self.T_NEXT, rtol=1e-15)
+        # The plain half of the one rate call is the plain iterate's rate.
+        assert len(rates) == 2 and rates[0] == plain_rate
         assert np.array_equal(batch.plain, np.full((2, 1), 0.5))
         if previous == (0.5, 1.0):
             # The trial (0.5, 0.30) lowers the rate: the run keeps its plain
             # rows and their covariance pass, and t restarts.
-            assert rates[0] < plain_rates[0]
+            assert rates[1] < rates[0]
             assert np.array_equal(batch.f_d, np.full((2, 1), 0.5))
-            assert batch.cov is plain_cov
             assert batch.momentum.tolist() == [1.0] and batch.extrapolated.tolist() == [False]
         else:
             # The trial (0.5, 0.70) raises it: the run goes on from the
             # trial, its pass is the next receiver input, and t advances.
-            assert rates[0] > plain_rates[0]
-            assert_allclose(batch.f_d[:, 0], trial, rtol=1e-15)
-            want = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
-            assert np.array_equal(batch.cov.total, want.total)
-            assert batch.momentum.tolist() == [t_next] and batch.extrapolated.tolist() == [True]
+            assert rates[1] > rates[0]
+            assert np.array_equal(batch.f_d, trial)
+            assert batch.momentum.tolist() == [self.T_NEXT]
+            assert batch.extrapolated.tolist() == [True]
+        self._assert_pass_of(batch, batch.f_d)
 
     def test_trial_rows_are_scaled_into_their_power_balls(self):
         # The step from (-0.5, -0.5) to (0.9, 0.9) takes each trial row to
         # 0.9 + 0.39 x 1.4 > 1: it is scaled back onto its budget, and wins.
         batch = self._batch((-0.5, -0.5))
         batch.f_d[...] = 0.9
-        batch.cov = batch.covariances(batch.channels(batch.antenna_matrix), batch.f_d)
-        plain_rates, _ = wmmse.weighted_sum_rate(batch.cov)
-        batch.extrapolate(batch.channels(batch.antenna_matrix), plain_rates, [True], np.ones(1))
+        _, trial, _ = self._iteration(batch)
+        assert_allclose(trial, np.ones((2, 1)), rtol=1e-15)
         assert batch.extrapolated.tolist() == [True]
-        assert_allclose(batch.f_d, np.ones((2, 1)), rtol=1e-15)
+        assert np.array_equal(batch.f_d, trial)
 
-    def test_no_trial_at_t_one_or_for_a_run_that_leaves(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(wmmse, "weighted_sum_rate", lambda *args: calls.append(args))
-        for t, going_on in ((1.0, True), (2.0, False)):
+    def test_no_trial_at_t_one_or_for_a_run_that_leaves(self):
+        # No trial at t = 1 or for a run at its own cap.  A run that stops
+        # by its test in this iteration gets a trial, which would win, but
+        # keeps its plain iterate and the plain pass.
+        for t, capped, going_on in ((1.0, False, True), (2.0, True, False), (2.0, False, False)):
             batch = self._batch((0.5, 0.0))
             batch.momentum = np.array([t])
-            batch.extrapolate(batch.channels(batch.antenna_matrix), [1.0], [going_on], np.ones(1))
+            steps, trial, rates = self._iteration(batch, capped, going_on)
+            if t == 1.0 or capped:
+                assert steps == [0.0] and trial is None
+                assert len(rates) == 1  # the plain pass alone
+            else:
+                assert steps[0] > 0.0 and rates[1] > rates[0]
             assert batch.extrapolated.tolist() == [False]
+            assert np.array_equal(batch.f_d, np.full((2, 1), 0.5))
             assert np.array_equal(batch.f_d, batch.plain)
-        assert not calls
+            self._assert_pass_of(batch, batch.f_d)
 
 
 class TestBatchedSolves:
@@ -1463,21 +1479,23 @@ class TestBatchedSolves:
             runs, iterate, single = self._synthesis_runs(mixed_drops, 0.7), iterate_synthesis, run_synthesis
         iterations = collections.Counter()  # run -> its iterations so far
         rejected = collections.defaultdict(list)  # run -> the iterations whose trial lost
-        extrapolate = wmmse._Batch.extrapolate
+        gate = wmmse._Batch.gate
 
-        def spy(batch, channels, rates, going_on, beta):
-            tried = [on and t > 1.0 for on, t in zip(going_on, batch.momentum.tolist())]
-            extrapolate(batch, channels, rates, going_on, beta)
+        def spy(batch, cov, rates, steps, trial, going_on):
+            tried = [on and step > 0.0 for on, step in zip(going_on, steps)]
+            gate(batch, cov, rates, steps, trial, going_on)
             kept, momentum = batch.extrapolated.tolist(), batch.momentum.tolist()
-            for r, trial, won, t in zip(batch.ids.tolist(), tried, kept, momentum):
+            for r, step, tried, won, t in zip(batch.ids.tolist(), steps, tried, kept, momentum):
                 iterations[r] += 1
-                if trial and not won:
+                if iterations[r] == runs[r].config.max_outer_iterations:
+                    assert step == 0.0  # no trial at the run's own cap
+                if tried and not won:
                     rejected[r].append(iterations[r])
                     assert t == 1.0
 
         def spied(runs, streams):
             with monkeypatch.context() as patch:
-                patch.setattr(wmmse._Batch, "extrapolate", spy)
+                patch.setattr(wmmse._Batch, "gate", spy)
                 return iterate(runs, streams)
 
         batched = self._check(spied, single, runs, monkeypatch)
@@ -1714,3 +1732,123 @@ class TestBatchedSolves:
             assert state.decomp_residual == first.decomp_residual
         assert [trace.decomp_s for _, trace in states] == [1 / 3 / 3] * 3 + [1 / 3] * 2
         assert sum(trace.decomp_s for _, trace in states) == pytest.approx(1.0)
+
+
+class TestOuterIterationWork:
+    """What an outer iteration no longer does keeps every bit: the second
+    covariance pass of the trials, the composition of patterns that did not
+    move, and the full Hermitian quad terms of a selection sweep.  The runs
+    are :class:`TestBatchedSolves`'s of 16, 9, 12 and 12 antennas, each
+    with its own cap, so that the batch takes three smaller layouts."""
+
+    STREAMS = TestBatchedSolves.STREAMS
+
+    @pytest.fixture(scope="class")
+    def mixed_drops(self):
+        shapes = [(4, 4), (3, 3), (3, 4), (3, 4)]
+        return [desk_scenario(seed, bs_shape=shape) for seed, shape in zip((1, 2, 3, 4), shapes)]
+
+    @staticmethod
+    def _capped(runs, caps=(3, 7, 5, 12)):
+        return [
+            dataclasses.replace(run, config=dataclasses.replace(
+                run.config, max_outer_iterations=cap, objective_tol=0.0
+            ))
+            for run, cap in zip(runs, caps)
+        ]
+
+    def _solve(self, drops, mode):
+        """The runs of a mode, and their loop: a selection on 8 candidates
+        or 1, or a synthesis in which every other run pins its pattern."""
+        batched = TestBatchedSolves()
+        if mode == "synthesis":
+            return self._capped(batched._synthesis_runs(drops, None)), iterate_synthesis
+        width = 8 if mode == "selection" else 1
+        return self._capped(batched._selection_runs(drops, width)), iterate_selection
+
+    def test_stacked_pass_equals_two_passes(self, mixed_drops, rng):
+        batch = TestBatchedSolves()._batch(TestBatchedSolves()._synthesis_runs(mixed_drops, None))
+        assert batch.layout.n_antennas == [16, 12, 12, 9]
+        trial = batch.f_d + 0.1 * random_complex(rng, *batch.f_d.shape)
+        both = batch.covariances(batch.composed, batch.f_d, trial)
+        halves = [batch.covariances(batch.composed, f_d) for f_d in (batch.f_d, trial)]
+        for name in ("received", "own", "interference", "total"):
+            want = np.concatenate([getattr(half, name) for half in halves])
+            got = getattr(both, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["selection", "fixed", "synthesis"])
+    def test_channels_are_composed_when_a_pattern_moves(self, mixed_drops, mode, monkeypatch):
+        # Every covariance pass of the loop reads channels composed with the
+        # batch's current pattern matrix, and the batch composes them once
+        # per layout and again only after a sweep that moved a pattern.
+        runs, iterate = self._solve(mixed_drops, mode)
+        passes = []  # (batch, its pattern matrix) at each covariance pass
+        composed = []  # (batch, the pattern matrix composed)
+        channels, covariances = _Batch.channels, _Batch.covariances
+
+        def spied_channels(batch, antenna_matrix):
+            composed.append((batch, antenna_matrix.tobytes()))
+            return channels(batch, antenna_matrix)
+
+        def spied_covariances(batch, stacks, *args):
+            passes.append((batch, batch.antenna_matrix.tobytes()))
+            assert composed[-1] == passes[-1]  # the channels of this state
+            return covariances(batch, stacks, *args)
+
+        monkeypatch.setattr(_Batch, "channels", spied_channels)
+        monkeypatch.setattr(_Batch, "covariances", spied_covariances)
+        iterate(runs, self.STREAMS)
+        assert len(passes) == 1 + 12  # the first pass, then one per iteration
+        states = [state for state, previous in zip(passes, [None] + passes) if state != previous]
+        assert composed == states
+        layouts = len({id(batch) for batch, _ in passes})
+        assert layouts == 4
+        if mode == "fixed":  # one candidate never moves
+            assert len(composed) == layouts
+        else:
+            # Some sweeps move a pattern and others do not: a selection
+            # keeps every candidate in some, and the last synthesis layout
+            # holds one run whose pattern is pinned.
+            assert layouts < len(composed) < len(passes)
+
+    @pytest.mark.parametrize("mode", ["selection", "fixed", "synthesis"])
+    def test_recomposing_every_iteration_keeps_the_bits(self, mixed_drops, mode, monkeypatch):
+        runs, iterate = self._solve(mixed_drops, mode)
+        kept = iterate(runs, self.STREAMS)
+        every = property(lambda batch: batch.channels(batch.antenna_matrix))
+        monkeypatch.setattr(_Batch, "composed", every)
+        fresh = iterate(runs, self.STREAMS)
+        for got, want in zip(kept, fresh):
+            for name in ("f_d", "antenna_matrix", "power"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            for name in ("objective", "sum_rate", "max_power_violation", "extrapolated"):
+                assert getattr(got.trace, name) == getattr(want.trace, name), name
+
+    @pytest.mark.parametrize("mode", ["selection", "fixed"])
+    def test_selection_sweeps_match_the_hermitian_oracle(self, mixed_drops, mode, monkeypatch):
+        # On every sweep, the step quads from the raw product and the
+        # offsets with the own-signal row taken from it equal those built
+        # from the full Hermitian quad terms, which no sweep forms.
+        runs, iterate = self._solve(mixed_drops, mode)
+        checked, workspaces = [], []
+
+        class Checked(wmmse._SweepWorkspace):
+            def __init__(self, batch, receivers, beta):
+                want_quads, want_inverses, want_offset = hermitian_sweep_terms(
+                    batch, receivers, beta
+                )
+                super().__init__(batch, receivers, beta)
+                quads, inverses = self.step_quads
+                assert quads.tobytes() == want_quads.tobytes()
+                assert (inverses is None) == (want_inverses is None)
+                if inverses is not None:
+                    assert inverses.tobytes() == want_inverses.tobytes()
+                assert self.offset.tobytes() == want_offset.tobytes()
+                checked.append(len(batch.ids))
+                workspaces.append(self)
+
+        monkeypatch.setattr(wmmse, "_SweepWorkspace", Checked)
+        iterate(runs, self.STREAMS)
+        assert checked == [4] * 3 + [3] * 2 + [2] * 2 + [1] * 5
+        assert not any("quad" in vars(workspace) for workspace in workspaces)

@@ -28,9 +28,13 @@ quartiles per side, the number of pairs the change won by the direction
 absolute difference where base is 0), which shows whether a metric moved
 by more than its last bits.  Two flags judge each metric: `gain_holds`
 when the change won at least 9 of 10 pairs and its median beats the
-parent's by more than the parent's quartile spread (q3 - q1), and
+parent's by more than the parent's quartile spread (q3 - q1),
 `within_bound` when the change median is worse than the parent's by at
-most the metric's relative `bound` in `BENCHMARK.json`.
+most the metric's relative `bound` in `BENCHMARK.json`, and `unresolved`
+when the parent's quartile spread is wider than that bound, relative to
+the parent's median, unless every run of the change reads better than
+every run of the parent: such a metric cannot tell a change within its
+bound from one beyond it, so read it as unresolved, not as unchanged.
 `digest_mismatches` counts the untraced pairs
 whose two sides wrote different results CSVs (different `results_sha256`),
 so 0 means the change kept the results byte-identical on every seed.
@@ -90,18 +94,19 @@ def _relative_difference(base: float, change: float) -> float:
     return abs(change - base) / (abs(base) or 1.0)
 
 
-def _verdicts(entry: dict, better: str, bound: float | None) -> dict:
-    """`gain_holds` and, given a relative bound, `within_bound` of one
-    summarized metric."""
+def _verdicts(entry: dict, values: dict, better: str, bound: float | None) -> dict:
+    """`gain_holds` and, given a relative bound, `within_bound` and
+    `unresolved` of one summarized metric, whose runs per side are
+    `values`."""
     sign = 1.0 if better == "lower" else -1.0
     base = entry["base"]
     gain = sign * (base["median"] - entry["change"]["median"])  # > 0 when the change is better
-    verdicts = {
-        "gain_holds": 10 * entry["change_wins"] >= 9 * entry["pairs"]
-        and gain > base["q3"] - base["q1"]
-    }
+    spread = base["q3"] - base["q1"]
+    verdicts = {"gain_holds": 10 * entry["change_wins"] >= 9 * entry["pairs"] and gain > spread}
     if bound is not None:
         verdicts["within_bound"] = -gain <= bound * abs(base["median"])
+        separated = max(sign * v for v in values["change"]) < min(sign * v for v in values["base"])
+        verdicts["unresolved"] = spread > bound * abs(base["median"]) and not separated
     return verdicts
 
 
@@ -171,9 +176,10 @@ def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) ->
     for workload in summary.values():
         for name, entry in workload["metrics"].items():
             entry["pairs"] = len(entry["base"])
+            values = {side: entry[side] for side in SIDES}
             for side in SIDES:
-                entry[side] = dict(zip(("q1", "median", "q3"), _quartiles(entry[side])))
-            entry.update(_verdicts(entry, directions[name], (bounds or {}).get(name)))
+                entry[side] = dict(zip(("q1", "median", "q3"), _quartiles(values[side])))
+            entry.update(_verdicts(entry, values, directions[name], (bounds or {}).get(name)))
     return summary
 
 
