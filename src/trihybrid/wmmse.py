@@ -635,13 +635,15 @@ class _SweepBuffers:
         layout = batch.layout
         n_pairs, n_rx_total, width = batch.blocks_conj.shape
         n_runs, n_streams = len(batch.ids), batch.f_d.shape[1]
+        synthesis = batch.roots is not None
         self.proj = np.empty((n_pairs, n_rx_total, width), complex)
         self.offset = np.empty((n_pairs, n_streams, width), complex)
         self.quad = np.empty((n_pairs, width, width), complex)
         self.received_conj = np.empty((n_runs, n_rx_total, n_streams), complex)
         self.rows_conj = np.empty((n_pairs, n_streams), complex)
         self.antenna_matrix = np.empty((n_pairs, width))
-        self.pattern_quad = np.empty((n_pairs, 1, width), complex)
+        # a_n^T Q_n of a synthesis sweep; a selection sweep gathers its rows
+        self.pattern_quad = np.empty((n_pairs, 1, width), complex) if synthesis else None
         self.rows = np.empty((n_runs, n_streams), complex)
         self.pairs = np.arange(n_pairs)
         scratch = np.empty(n_pairs * width * max(width, n_rx_total, n_streams), complex)
@@ -655,7 +657,6 @@ class _SweepBuffers:
             offset = scratch[at : at + n_group * n_streams * columns]
             self.groups.append((proj, offset.reshape(n_group, n_streams, columns)))
             at += max(lifted.size, offset.size)
-        synthesis = batch.roots is not None
         budgets = batch.budgets.tolist() if synthesis else None
         self.views = []
         for _, antennas, count in reversed(layout.segments):

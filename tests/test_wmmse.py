@@ -1485,11 +1485,11 @@ class TestBatchedSolves:
             tried = [on and step > 0.0 for on, step in zip(going_on, steps)]
             gate(batch, cov, rates, steps, trial, going_on)
             kept, momentum = batch.extrapolated.tolist(), batch.momentum.tolist()
-            for r, step, tried, won, t in zip(batch.ids.tolist(), steps, tried, kept, momentum):
+            for r, step, formed, won, t in zip(batch.ids.tolist(), steps, tried, kept, momentum):
                 iterations[r] += 1
                 if iterations[r] == runs[r].config.max_outer_iterations:
                     assert step == 0.0  # no trial at the run's own cap
-                if tried and not won:
+                if formed and not won:
                     rejected[r].append(iterations[r])
                     assert t == 1.0
 
