@@ -4,12 +4,14 @@ The analog stage is phase-only with entries of squared modulus 1/N; the
 digital stage is unconstrained.  Alternating minimization under a relaxed
 total-power view: the digital stage is the least-squares fit (minimum norm,
 singular values at or below 1e-9 of the largest dropped), and the analog
-stage is refined one entry at a time, each phase set to its exact
+stage is refined one column at a time, each entry's phase set to its exact
 per-coordinate minimizer, so the Frobenius mismatch never increases.  A
 final scalar rescaling of the digital stage restores the per-antenna power
 budgets.  A stack of precoders is factored in one batched alternation: each
 alternation makes one phase pass, one least-squares fit and one residual
 for every run still alternating, each run with the bits it would get alone.
+The fit takes one Householder QR per run, and an SVD only for a run whose
+analog stage may come near the cutoff.
 """
 
 from __future__ import annotations
@@ -20,8 +22,16 @@ import numpy as np
 
 # Relative singular-value cutoff of the digital least-squares fit.  Nearly
 # parallel analog columns (a rank-deficient target) would otherwise scale
-# last-bit differences of the target into different alternation paths.
+# last-bit differences of the target into different alternation paths.  The
+# QR fit drops nothing, so the cutoff is applied by an SVD fit, made only for
+# the runs whose QR factor cannot prove them well inside it.
 _LSTSQ_RCOND = 1e-9
+# Largest ||R||_F ||R^-1||_F of a run fitted through its QR factor R.  It
+# bounds the condition number s_max / s_min three decades inside the
+# cutoff's 1 / _LSTSQ_RCOND: a run closer to the cutoff is nearly
+# rank-deficient and keeps the SVD's arithmetic, and a run under the bound
+# gets a QR fit within about 1e6 * eps relative of the SVD fit.
+_QR_CONDITION = 1e-3 / _LSTSQ_RCOND
 
 
 @dataclass
@@ -39,7 +49,7 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
 
 
-def _least_squares(f_rf: np.ndarray, f_d: np.ndarray) -> np.ndarray:
+def _svd_least_squares(f_rf: np.ndarray, f_d: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares digital stage of every run of a stack,
     from one SVD of the analog stages, (B, N, N_RF): singular values at or
     below `_LSTSQ_RCOND` times the run's largest are dropped, as
@@ -48,6 +58,30 @@ def _least_squares(f_rf: np.ndarray, f_d: np.ndarray) -> np.ndarray:
     kept = singulars > _LSTSQ_RCOND * singulars[:, :1]
     inverse = np.divide(1.0, singulars, out=np.zeros_like(singulars), where=kept)
     return vh.conj().swapaxes(1, 2) @ (inverse[:, :, None] * (u.conj().swapaxes(1, 2) @ f_d))
+
+
+def _least_squares(f_rf: np.ndarray, f_d: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares digital stage of every run of a stack,
+    (B, N, N_RF), with singular values at or below `_LSTSQ_RCOND` times the
+    run's largest dropped, as `np.linalg.lstsq` drops them.
+
+    Each run is fitted from one Householder QR of its analog stage,
+    R^-1 Q^H f_d.  Its singular values are R's, so s_min >= 1 / ||R^-1||_F
+    and s_max <= ||R||_F: where ||R||_F ||R^-1||_F is at most
+    `_QR_CONDITION` no singular value is dropped, and the unique
+    least-squares fit is the minimum-norm one.  A run over that bound, or
+    with a zero pivot, is fitted by :func:`_svd_least_squares` instead.
+    """
+    q, r = np.linalg.qr(f_rf)
+    solid = np.diagonal(r, axis1=1, axis2=2).all(axis=1)  # no zero pivot
+    if not solid.all():
+        r = np.where(solid[:, None, None], r, np.eye(r.shape[-1]))
+    inverse = np.linalg.inv(r)
+    fit = inverse @ (q.conj().swapaxes(1, 2) @ f_d)
+    near = np.flatnonzero(~(solid & (_frobenius(r) * _frobenius(inverse) <= _QR_CONDITION)))
+    if near.size:
+        fit[near] = _svd_least_squares(f_rf[near], f_d[near])
+    return fit
 
 
 def _relative_residuals(mismatch: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -85,19 +119,24 @@ def _refine_phases(residual, f_rf, f_bb) -> np.ndarray:
     mismatch f_d - f_rf f_bb, which the pass keeps up to date in place.
 
     Column j's entries each minimize the true mismatch with everything else
-    held fixed, so the pass cannot increase the residual.
+    held fixed, so the pass cannot increase the residual.  The mismatch
+    without column j is never formed: column j's match with its gains g_j
+    is residual conj(g_j) + column ||g_j||^2, and the move of the column
+    is one rank-one update of the mismatch.
     """
     root = np.sqrt(f_rf.shape[1])
     targets = f_bb.conj()[..., None]  # conj(f_bb[:, j]) as (B, D, 1) columns
+    start = f_rf.copy()  # each column as the pass finds it
+    own = start * np.sum(f_bb.real**2 + f_bb.imag**2, axis=2)[:, None, :]
     for j in range(f_rf.shape[2]):
         column, gains = f_rf[:, :, j, None], f_bb[:, j, None, :]
-        residual += column * gains  # the mismatch without column j
         match = residual @ targets[:, j]
+        match += own[:, :, j, None]
         magnitude = np.abs(match)
         magnitude *= root
         # Each entry becomes match / (|match| sqrt(N)); a zero match keeps its phase.
         np.divide(match, magnitude, out=column, where=magnitude > 0.0)
-        residual -= column * gains
+        residual += (start[:, :, j, None] - column) * gains
     return f_rf
 
 

@@ -20,7 +20,7 @@ import sympy as sp
 
 from trihybrid import wmmse
 from trihybrid.channel import compose, to_spherical
-from trihybrid.decomp import _LSTSQ_RCOND, rescale_per_antenna
+from trihybrid.decomp import _LSTSQ_RCOND, _QR_CONDITION, rescale_per_antenna
 from trihybrid.metrics import ConstraintReport
 from trihybrid.sphharm import FOUR_PI, default_grid, sh_basis, truncation_length
 from trihybrid.sphere_opt import (
@@ -571,13 +571,25 @@ def _relative_residual(f_d, f_rf, f_bb) -> float:
     return _frobenius(f_d - f_rf @ f_bb) / denom
 
 
-def least_squares_2d(f_rf, f_d):
+def svd_least_squares_2d(f_rf, f_d):
     """The minimum-norm least-squares fit f_rf^+ f_d of one analog stage,
     from its thin SVD with singular values at or below `_LSTSQ_RCOND`
     times the largest dropped."""
     u, singulars, vh = np.linalg.svd(f_rf, full_matrices=False)
     inverse = np.array([1.0 / s if s > _LSTSQ_RCOND * singulars[0] else 0.0 for s in singulars])
     return vh.conj().T @ (inverse[:, None] * (u.conj().T @ f_d))
+
+
+def least_squares_2d(f_rf, f_d):
+    """The least-squares fit of one analog stage as the library makes it:
+    R^-1 Q^H f_d from its reduced QR when ||R||_F ||R^-1||_F is at most
+    `_QR_CONDITION` and R has no zero pivot, else the SVD fit."""
+    q, r = np.linalg.qr(f_rf)
+    if np.all(np.diag(r) != 0.0):
+        inverse = np.linalg.inv(r)
+        if _frobenius(r) * _frobenius(inverse) <= _QR_CONDITION:
+            return inverse @ (q.conj().T @ f_d)
+    return svd_least_squares_2d(f_rf, f_d)
 
 
 def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: int = 0):
@@ -601,14 +613,15 @@ def decompose_precoder_loop(f_d, n_rf: int, power, iterations: int = 30, seed: i
         f_rf = f_rf.copy()
         mismatch = f_d - f_rf @ f_bb
         for j in range(n_rf):
-            without = mismatch + f_rf[:, j, None] * f_bb[j]
-            match = without @ f_bb[j].conj()
+            gains = f_bb[j]
+            gain_power = np.sum(gains.real**2 + gains.imag**2)
+            match = mismatch @ gains.conj() + f_rf[:, j] * gain_power
             magnitude = np.abs(match) * np.sqrt(n_antennas)
             column = f_rf[:, j].copy()
             moved = magnitude > 0.0
             column[moved] = match[moved] / magnitude[moved]
+            mismatch = mismatch + (f_rf[:, j] - column)[:, None] * gains
             f_rf[:, j] = column
-            mismatch = without - column[:, None] * f_bb[j]
         f_bb = least_squares_2d(f_rf, f_d)
         new_residual = _relative_residual(f_d, f_rf, f_bb)
         history.append(min(new_residual, residual))

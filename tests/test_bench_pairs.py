@@ -288,3 +288,77 @@ def test_bytecode_under_src_is_cleared_before_the_first_pair(tmp_path, monkeypat
     assert bench_pairs.main(argv + ["3"]) == 0
     assert [run["pycache_removed"] for run in json.loads(out.read_text())["runs"]][4:] == [0, 0]
     assert bench_pairs.clear_bytecode(tmp_path / "nowhere") == 0
+
+
+def _sidecar(checkout: Path, seed: int, rows) -> None:
+    """A timing sidecar as an untraced perfbench run of power_sweep leaves it."""
+    folder = checkout / ".perfbench" / f"power_sweep-seed{seed}-trace0"
+    folder.mkdir(parents=True)
+    lines = ["sweep_value,method,scenario_seed,seconds,receivers_s,sweep_s,objective_s,decomp_s"]
+    lines += [f"{value},{method},1,1.0,{r},{s},{o},{d}" for value, method, r, s, o, d in rows]
+    (folder / "results_timing.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_read_phases_sums_each_method_and_scales_by_the_last_reference(tmp_path):
+    _sidecar(
+        tmp_path, 7,
+        [(-20.0, "zf", 0.1, 0.0, 0.2, 0.4), (-10.0, "zf", 0.3, 0.0, 0.2, 0.8),
+         (-20.0, "model1", 1.0, 2.0, 3.0, 4.0)],
+    )
+    record = {"workload": "power_sweep", "seed": 7, "reference_ms": [1.0, 4.0]}
+    phases = bench_pairs.read_phases(tmp_path, record)  # scaled by 2 ms / 4 ms
+    assert phases["zf"] == pytest.approx(
+        {"receivers_s": 0.2, "sweep_s": 0.0, "objective_s": 0.2, "decomp_s": 0.6}
+    )
+    assert phases["model1"] == pytest.approx(
+        {"receivers_s": 0.5, "sweep_s": 1.0, "objective_s": 1.5, "decomp_s": 2.0}
+    )
+    assert bench_pairs.read_phases(tmp_path, {**record, "seed": 8}) is None  # no sidecar
+    assert bench_pairs.read_phases(tmp_path, {**record, "reference_ms": []}) is None
+
+
+def test_phases_compare_untraced_medians_per_method_and_phase():
+    def with_phases(run, decomp, sweep=1.0):
+        run["phases"] = {"zf": {"decomp_s": decomp, "sweep_s": sweep}}
+        return run
+
+    runs = [
+        with_phases(_run(1, "base", 3.0), 0.30),
+        with_phases(_run(1, "change", 2.0), 0.10),
+        with_phases(_run(2, "change", 2.5), 0.14),
+        with_phases(_run(2, "base", 3.5), 0.50),
+        with_phases(_run(3, "base", 3.5), 0.40),
+        _run(3, "change", 2.5),  # no sidecar: skipped
+        with_phases(_run(4, "base", 1.0, trace=1), 9.0),  # traced runs do not count
+        with_phases(_run(4, "change", 1.0, trace=1), 9.0),
+        with_phases(_run(5, "base", 1.0), 0.4, sweep=0.0),
+        with_phases(_run(5, "change", 1.0), 0.12, sweep=0.5),
+    ]
+    phases = bench_pairs.summarize(runs, DIRECTIONS)["power_sweep"]["phases"]
+    assert phases["zf"]["decomp_s"] == pytest.approx({"base": 0.40, "change": 0.12, "ratio": 0.3})
+    assert phases["zf"]["sweep_s"] == {"base": 1.0, "change": 1.0, "ratio": 1.0}
+    assert bench_pairs.summarize(runs[5:6], DIRECTIONS)["power_sweep"]["phases"] == {}
+
+
+def test_main_records_each_untraced_runs_phases(tmp_path, monkeypatch):
+    base, change = _checkout(tmp_path / "base"), _checkout(tmp_path / "change")
+    _sidecar(base, 1, [(0.0, "zf", 0.0, 0.0, 0.0, 0.4)])
+    _sidecar(change, 1, [(0.0, "zf", 0.0, 0.0, 0.0, 0.2)])
+
+    def run_once(checkout, workload, seed, trace):
+        run = _run(seed, "base", 1.0, trace=trace)
+        run["record"]["reference_ms"] = [2.0]
+        return {"record": run["record"], "result": run["result"]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", str(base), "--change", str(change), "--workload", "power_sweep",
+            "--out", str(out), "--seeds", "1"]
+    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.main(argv[:-2] + ["--trace", "1", "--seeds", "2"]) == 0
+    data = json.loads(out.read_text())
+    assert [run.get("phases") for run in data["runs"][2:]] == [None, None]  # traced
+    assert {run["side"]: run["phases"]["zf"]["decomp_s"] for run in data["runs"][:2]} == {
+        "base": 0.4, "change": 0.2
+    }
+    assert data["summary"]["power_sweep"]["phases"]["zf"]["decomp_s"]["ratio"] == 0.5

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import decompose_precoder_loop, random_complex
+from helpers import decompose_precoder_loop, random_complex, svd_least_squares_2d
 from trihybrid.decomp import (
     _LSTSQ_RCOND,
     _least_squares,
     _refine_phases,
+    _svd_least_squares,
     decompose_precoder,
     decompose_precoders,
     rescale_per_antenna,
@@ -151,22 +152,24 @@ class TestBatchedDecomposition:
 
     def test_zero_match_keeps_its_phase(self, rng):
         # A chain with no digital gain matches nothing: its analog column
-        # keeps its phases, bit for bit, and the other columns still move.
-        f_d = random_complex(rng, 2, 6, 2)
-        f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 6, 3))) / np.sqrt(6)
-        f_bb = random_complex(rng, 2, 3, 2)
-        f_bb[1, 1] = 0.0
-        # The pass is handed the mismatch f_d - f_rf f_bb and keeps it up
-        # to date in place.
-        mismatch = f_d - f_rf @ f_bb
-        refined = _refine_phases(mismatch, f_rf.copy(), f_bb)
-        assert refined[1, :, 1].tobytes() == f_rf[1, :, 1].tobytes()
-        assert not np.any(refined[1, :, 0] == f_rf[1, :, 0])
-        assert not np.any(refined[0, :, 1] == f_rf[0, :, 1])
-        np.testing.assert_allclose(mismatch, f_d - refined @ f_bb, rtol=0.0, atol=1e-13)
-        for b in range(2):
-            before = np.linalg.norm(f_d[b] - f_rf[b] @ f_bb[b])
-            assert np.linalg.norm(f_d[b] - refined[b] @ f_bb[b]) <= before
+        # keeps its phases, bit for bit, and the other columns still move,
+        # with 6 antennas and with 100.
+        for n in (6, 100):
+            f_d = random_complex(rng, 2, n, 2)
+            f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, n, 3))) / np.sqrt(n)
+            f_bb = random_complex(rng, 2, 3, 2)
+            f_bb[1, 1] = 0.0
+            # The pass is handed the mismatch f_d - f_rf f_bb and keeps it
+            # up to date in place.
+            mismatch = f_d - f_rf @ f_bb
+            refined = _refine_phases(mismatch, f_rf.copy(), f_bb)
+            assert refined[1, :, 1].tobytes() == f_rf[1, :, 1].tobytes()
+            assert not np.any(refined[1, :, 0] == f_rf[1, :, 0])
+            assert not np.any(refined[0, :, 1] == f_rf[0, :, 1])
+            np.testing.assert_allclose(mismatch, f_d - refined @ f_bb, rtol=0.0, atol=1e-13)
+            for b in range(2):
+                before = np.linalg.norm(f_d[b] - f_rf[b] @ f_bb[b])
+                assert np.linalg.norm(f_d[b] - refined[b] @ f_bb[b]) <= before
 
     def test_chain_count_validation(self, rng):
         f_d = random_complex(rng, 2, 4, 2)
@@ -220,6 +223,52 @@ class TestLeastSquares:
         assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
         kept = ratio > _LSTSQ_RCOND
         assert (np.abs(got).max() > 1e3 * np.abs(f_d).max()) == kept
+
+
+class TestQrRoute:
+    """The QR fit against the SVD fit it stands in for, and the runs that
+    must keep the SVD fit."""
+
+    @pytest.mark.parametrize("shape", [(66, 16, 7), (9, 100, 7)])
+    def test_agrees_with_the_svd_fit_on_workload_shapes(self, rng, shape):
+        n_runs, n_antennas, n_rf = shape
+        f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape)) / np.sqrt(n_antennas)
+        f_d = random_complex(rng, n_runs, n_antennas, 4)
+        got, expected = _least_squares(f_rf, f_d), _svd_least_squares(f_rf, f_d)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_runs_near_the_cutoff_take_the_svd_fit(self, rng, monkeypatch):
+        # An exactly repeated analog column, a smallest singular value 10x
+        # above the cutoff and one 10x below it, among random runs: the
+        # three go through the SVD, every run gets the bits it gets alone,
+        # and each matches `np.linalg.lstsq` as in TestLeastSquares.
+        f_rf = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (7, 16, 7))) / 4.0
+        f_rf[1, :, 3] = f_rf[1, :, 0]
+        u = np.linalg.qr(random_complex(rng, 2, 16, 7))[0]
+        v = np.linalg.qr(random_complex(rng, 2, 7, 7))[0]
+        for b, ratio in ((3, 10.0 * _LSTSQ_RCOND), (5, 0.1 * _LSTSQ_RCOND)):
+            singulars = np.array([1.0, 0.8, 0.6, 0.4, 0.3, 0.2, ratio])
+            f_rf[b] = u[b // 4] @ (singulars[:, None] * v[b // 4].conj().T)
+        f_d = random_complex(rng, 7, 16, 4)
+        special = [1, 3, 5]
+        svd_inputs = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            svd_inputs.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        got = _least_squares(f_rf, f_d)
+        assert len(svd_inputs) == 1
+        assert svd_inputs[0].tobytes() == f_rf[special].tobytes()
+        expected = _lstsq_per_run(f_rf, f_d)
+        for b in range(7):
+            assert got[b].tobytes() == _least_squares(f_rf[b, None], f_d[b, None])[0].tobytes()
+            tolerance = 1e-6 if b in (3, 5) else 1e-12
+            assert np.abs(got[b] - expected[b]).max() <= tolerance * np.abs(expected[b]).max()
+        for b in special:
+            assert got[b].tobytes() == svd_least_squares_2d(f_rf[b], f_d[b]).tobytes()
 
 
 class TestRescale:

@@ -548,7 +548,7 @@ class TestRun:
         assert calls == [66]
         assert len(rows) == 84
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "a235b5e306514edf85a1e11d2f3bd9b4003d379ac8922ac2e53e2371b7ecbe67"
+            "89af9f234e3099630c5a386c412bdfdb01a750797ae41f57de53317e8173caf7"
         )
         assert len({r["outer_iterations"] for r in rows if r["method"] == "model2"}) > 2
 
@@ -574,7 +574,7 @@ class TestRun:
         path = run_experiment(write_config(tmp_path, text), worker_count=1)
         assert calls == [(6, 9, 6), (6, 16, 6)]  # 3 methods x 2 seeds each
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
-            "314624af7f9dfd8f6c3678636cc04a66890d0f7e9d4e959c58635436c5260d8b"
+            "296ac6e3d089d5b0d0a965f786c672509c6cbb941dadc0eac066bc01da83496f"
         )
 
     def test_run_whose_decomposition_raises_is_named_and_others_written(

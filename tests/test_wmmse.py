@@ -1007,23 +1007,40 @@ class TestRunSelection:
         # solve, inv, cholesky and slogdet per outer iteration; the rate of
         # an extrapolated trial shares the plain iterate's slogdet.  Only the
         # second iteration forms a trial: the first has Nesterov's t at 1,
-        # and the last is at the run's cap.
+        # and the last is at the run's cap.  The final analog/digital split
+        # adds one inv per least-squares fit: one before its alternations
+        # and one in each.
         scenario = desk_scenario(5, n_users=3)
         candidates = gaussian_beam_grid(4)
         effs = [selection_effective_channel(g, candidates) for g in scenario.geometries]
-        calls = {}
+        calls, split_calls, splits = {}, {}, []
+        splitting = []  # not empty while the split runs
         for name in ("solve", "inv", "cholesky", "slogdet"):
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                counts = split_calls if splitting else calls
+                counts[_name] = counts.get(_name, 0) + 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        decompose = wmmse.decompose_precoders
+
+        def split(*args, **kwargs):
+            splitting.append(True)
+            splits.append(decompose(*args, **kwargs))
+            splitting.pop()
+            return splits[-1]
+
+        monkeypatch.setattr(wmmse, "decompose_precoders", split)
         config = desk_solver(max_outer_iterations=3, objective_tol=0.0)
         _, trace = run_selection(effs, (1, 2, 1), config)
         assert trace.n_iterations == 3
         assert calls == {"solve": 3, "inv": 3, "cholesky": 3, "slogdet": 3}
+        assert len(splits) == 1 and len(splits[0]) == 1
+        alternations = len(splits[0][0].history) - 1
+        assert alternations >= 1
+        assert split_calls == {"inv": alternations + 1}
 
 
 class TestSelectionStepIdentity:

@@ -41,8 +41,16 @@ so 0 means the change kept the results byte-identical on every seed.
 `layers` reads which layer moved: from the traced runs, each per-layer
 metric's median per side and `ratio`, change over base, or `difference`,
 change minus base, where the base median is 0.  The medians include every
-run; the script exits 1 after writing the file when any run in it is
-incorrect.
+run.  `phases` reads which solver phase moved: after each untraced run the
+script reads that checkout's timing sidecar,
+`.perfbench/<workload>-seed<s>-trace0/results_timing.csv`, sums each
+method's `receivers_s`, `sweep_s`, `objective_s` and `decomp_s` over its
+rows, and scales the sums by 2 ms over the run's last `reference_ms` (the
+reference timing taken after that run's sweep), as perfbench scales its
+seconds; a run with no sidecar records no phases.  The summary gives, per
+method and phase, each side's median over the untraced runs and the
+:func:`_layer` comparison.  The script exits 1 after writing the file when
+any run in it is incorrect.
 
 Given the same checkout as `--base` and `--change`, the file is an A/A
 record: its summary shows how far the host alone moves each metric between
@@ -52,6 +60,7 @@ two runs of one program.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import shutil
 import statistics
@@ -60,6 +69,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+PHASES = ("receivers_s", "sweep_s", "objective_s", "decomp_s")
+REFERENCE_MS = 2.0  # perfbench's nominal reference timing
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -72,6 +83,29 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if done.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(command)} in {checkout} failed:\n{done.stderr}")
     return {"record": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def read_phases(checkout: Path, record: dict) -> dict | None:
+    """Each method's phase seconds in the timing sidecar that the untraced
+    perfbench run of `record` left in the checkout, summed over the
+    method's rows and scaled by `REFERENCE_MS` over the run's last
+    reference timing; None when the checkout holds no sidecar or the record
+    no reference timing."""
+    name = f"{record['workload']}-seed{record['seed']}-trace0"
+    path = checkout / ".perfbench" / name / "results_timing.csv"
+    if not path.exists() or not record.get("reference_ms"):
+        return None
+    phases: dict = {}
+    with open(path, newline="", encoding="ascii") as fh:
+        for row in csv.DictReader(fh):
+            sums = phases.setdefault(row["method"], dict.fromkeys(PHASES, 0.0))
+            for phase in PHASES:
+                sums[phase] += float(row[phase])
+    scale = REFERENCE_MS / record["reference_ms"][-1]
+    return {
+        method: {phase: seconds * scale for phase, seconds in sums.items()}
+        for method, sums in phases.items()
+    }
 
 
 def clear_bytecode(checkout: Path) -> int:
@@ -122,16 +156,19 @@ def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) ->
     """Per workload: each side's run totals, the pairs whose results
     digests differ, per metric each side's quartiles, the pairs won, the
     largest relative pair difference and the verdicts of :func:`_verdicts`,
-    and per traced metric the :func:`_layer` comparison; `bounds` maps a
-    metric to its relative bound."""
+    per traced metric the :func:`_layer` comparison, and per method and
+    sidecar phase of the untraced runs the :func:`_layer` comparison;
+    `bounds` maps a metric to its relative bound."""
     summary: dict = {}
     pairs: dict = {}  # (workload, pair) -> side -> run
     traced: dict = {}  # workload -> metric -> side -> values
+    phases: dict = {}  # workload -> method -> phase -> side -> values
     for run in runs:
         workload = run["record"]["workload"]
         result = run["result"]
         sides = summary.setdefault(
-            workload, {"runs": {}, "digest_mismatches": 0, "metrics": {}, "layers": {}}
+            workload,
+            {"runs": {}, "digest_mismatches": 0, "metrics": {}, "layers": {}, "phases": {}},
         )["runs"]
         totals = sides.setdefault(
             run["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect": 0}
@@ -142,6 +179,10 @@ def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) ->
         totals["incorrect"] += not result["correct"]
         if not run["record"]["trace"]:
             pairs.setdefault((workload, run["pair"]), {})[run["side"]] = run
+            for method, sums in (run.get("phases") or {}).items():
+                for phase, value in sums.items():
+                    values = phases.setdefault(workload, {}).setdefault(method, {})
+                    values.setdefault(phase, {side: [] for side in SIDES})[run["side"]].append(value)
             continue
         for name, metric in result["metrics"].items():
             values = traced.setdefault(workload, {}).setdefault(name, {side: [] for side in SIDES})
@@ -172,6 +213,13 @@ def summarize(runs: list[dict], directions: dict, bounds: dict | None = None) ->
     for workload, metrics in traced.items():
         summary[workload]["layers"] = {
             name: _layer(values) for name, values in sorted(metrics.items()) if all(values.values())
+        }
+    for workload, methods in phases.items():
+        summary[workload]["phases"] = {
+            method: {
+                phase: _layer(values) for phase, values in sorted(sums.items()) if all(values.values())
+            }
+            for method, sums in sorted(methods.items())
         }
     for workload in summary.values():
         for name, entry in workload["metrics"].items():
@@ -213,6 +261,8 @@ def main(argv=None) -> int:
         order = SIDES if offset % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             run = run_once(checkouts[side], args.workload, seed, args.trace)
+            if not args.trace:
+                run["phases"] = read_phases(checkouts[side], run["record"])
             data["runs"].append(
                 {
                     "pair": pair, "side": side, "first": position == 0,
