@@ -84,6 +84,11 @@ RESULT_COLUMNS = (
 _CONSTRAINT_COLUMNS = (
     "max_power_violation", "modulus_deviation", "antenna_deviation", "min_pattern_gain"
 )
+# The audit's bounds on max_power_violation, modulus_deviation and
+# antenna_deviation.
+_AUDIT_POWER_TOL = 1e-9
+_AUDIT_MODULUS_TOL = 1e-9
+_AUDIT_PATTERN_TOL = 1e-8
 
 # Solver phase seconds of the timing sidecar, named as the `Trace` fields.
 _PHASE_COLUMNS = ("receivers_s", "sweep_s", "objective_s", "decomp_s")
@@ -1025,16 +1030,17 @@ def emit_plotdata(results_path, figure: str, out_path=None) -> str:
     return out_path
 
 
-def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], list[str]]:
+def audit_results(results_path) -> tuple[list[str], list[str]]:
     """Check recorded constraint columns.
 
     Returns (failures, warnings): power, modulus and pattern-constraint
-    deviations are failures, and so is a constraint value that is not
-    finite, one failure per column.  A non-positive synthesized pattern
-    gain is reported as a warning only, since the solvers bound the
-    constant component but do not enforce pointwise positivity; so is a
-    WMMSE run that stopped at the iteration cap without converging.  A row whose
-    rates or constraint columns do not parse is a configuration error.
+    deviations above their bounds (1e-9, 1e-9 and 1e-8) are failures, and
+    so is a constraint value that is not finite, one failure per column.
+    A non-positive synthesized pattern gain is reported as a warning only,
+    since the solvers bound the constant component but do not enforce
+    pointwise positivity; so is a WMMSE run that stopped at the iteration
+    cap without converging.  A row whose rates or constraint columns do
+    not parse is a configuration error.
     """
     failures = []
     warnings = []
@@ -1049,11 +1055,11 @@ def audit_results(results_path, power_tol: float = 1e-9) -> tuple[list[str], lis
         for name in _CONSTRAINT_COLUMNS:
             if not math.isfinite(row[name]):
                 failures.append(f"{where}: {name} is {row[name]!r}, not a finite number")
-        if row["max_power_violation"] > power_tol:
+        if row["max_power_violation"] > _AUDIT_POWER_TOL:
             failures.append(f"{where}: per-antenna power violated")
-        if row["modulus_deviation"] > 1e-9:
+        if row["modulus_deviation"] > _AUDIT_MODULUS_TOL:
             failures.append(f"{where}: analog stage modulus deviates")
-        if row["antenna_deviation"] > 1e-8:
+        if row["antenna_deviation"] > _AUDIT_PATTERN_TOL:
             failures.append(f"{where}: pattern constraint deviates")
         if row["min_pattern_gain"] <= 0.0:
             warnings.append(f"{where}: synthesized pattern dips non-positive")

@@ -18,19 +18,12 @@ antenna's quad term Q, which is fixed for a whole antenna sweep, so the
 sweep decomposes every antenna's Re Q[1:, 1:] in one batched call.  The
 synthesis step of a lockstep batch reduces every run's problem to the
 sphere and rotates it into its eigenbasis in array operations over the
-batch (:func:`reduced_coefficient_problem`).  :func:`secular_problems` then
-sets up every run's secular equation at once, :func:`minimize_on_sphere`
-runs the one part that stays per run, the Newton iteration on Python
-floats, and :meth:`SecularProblems.finish` forms the points, their values
-and the kept-start test over the batch again.  The synthesis step hands
+batch (:func:`reduced_coefficient_problem`); :func:`minimize_on_sphere`
+then solves each run's problem alone on Python floats, its set-up, Newton
+iteration and finish, whatever the batch size.  The synthesis step hands
 each solve the root that its antenna's problem in the same run had in the
 last sweep as the hint: the problem moves little from sweep to sweep, so
 the iteration starts close to its root.
-
-The array set-up and finish take every sum in Python's order, left to right
-from 0, with `np.add.accumulate`, so that a run gets the bits of its problem
-solved alone on Python floats: `np.add.reduce` sums pairwise along a
-contiguous axis of 8 or more entries.
 """
 
 from __future__ import annotations
@@ -54,186 +47,110 @@ class SphereResult:
     root: float  # t = lam_min - mu; 0 where the set-up found the point itself
     iterations: int  # Newton steps on the secular equation
     converged: bool  # the secular residual met its tolerance
-
-
-def _sums(terms: np.ndarray) -> np.ndarray:
-    """Each row's sum over the last axis as Python's `sum` takes it: left to
-    right, from 0 (which turns a sum of negative zeros into +0)."""
-    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
-
-
-@dataclass
-class SecularProblems:
-    """The secular equations of a batch of sphere problems, set up over the
-    (B, n) arrays of every run by :func:`secular_problems`.
-
-    A run is settled when the set-up finds its point without a root: a zero
-    problem keeps its start, and in the hard case the point is x(0) off the
-    bottom eigenspace plus the bottom fill, already in `points`.  Every
-    other run solves for its root over all entries, or, where w has no
-    bottom component (`skips`), over those off the bottom eigenspace, the
-    entries whose gap is not 0; `secular` marks the entries the roots set.
-    """
-
-    eigenvalues: np.ndarray  # (B, n)
-    linear: np.ndarray  # (B, n)
-    start_values: np.ndarray  # (B,) the objective at each start; 0 for a zero problem
-    zero: np.ndarray  # (B,) zero problems, which keep their start
-    settled: list[bool]
-    skips: list[bool]  # the secular sum skips the bottom eigenspace
-    half_w: np.ndarray  # (B, n) w / (2 scale)
-    gaps: np.ndarray  # (B, n) (lam - lam_min) / scale, 0 across the bottom eigenspace
-    low: np.ndarray  # (B,) the root's bracket
-    high: np.ndarray
-    points: np.ndarray  # (B, n) the settled points; 0 where x(t) has no component
-    secular: np.ndarray | bool  # (B, n) the entries the roots set, or True for all
-
-    def arguments(self) -> list[tuple]:
-        """The arguments of :func:`minimize_on_sphere` for every run: the
-        gaps and half_w its secular sum runs over, as Python lists, and the
-        bracket; no entries for a settled run."""
-        out = []
-        for gaps, half_w, low, high, settled, skips in zip(
-            self.gaps.tolist(), self.half_w.tolist(), self.low.tolist(), self.high.tolist(),
-            self.settled, self.skips,
-        ):
-            if settled:
-                out.append(((), (), 0.0, 0.0))
-                continue
-            if skips:
-                first = gaps.count(0.0)
-                gaps, half_w = gaps[first:], half_w[first:]
-            out.append((gaps, half_w, low, high))
-        return out
-
-    def finish(self, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every run's point from its secular root (a sequence of B floats,
-        read for unsettled runs only): x(root) normalized, or its settled
-        point, written into `points`.  Returns (points, values, kept), (B, n),
-        (B,) and (B,): a run whose point scores above its start, or a zero
-        problem, keeps its start, and its value is the start's."""
-        points = np.divide(
-            -self.half_w, self.gaps + np.array(roots)[:, None], out=self.points, where=self.secular
-        )
-        points /= np.sqrt(np.add.accumulate(points * points, axis=1)[:, -1:])
-        values = _sums((self.eigenvalues * points + self.linear) * points)
-        kept = self.zero | (values > self.start_values)
-        return points, np.where(kept, self.start_values, values), kept
-
-
-def secular_problems(eigenvalues, linear, starts, linear_norms) -> SecularProblems:
-    """Set up the problems min sum(eigenvalues y^2) + linear^T y over
-    ||y|| = 1 of a batch: everything before the Newton iteration, in array
-    operations over the batch.
-
-    Each problem is given in the eigenbasis of its B = V diag(eigenvalues)
-    V^T: `eigenvalues[b]` is ascending, as `np.linalg.eigh` returns it, and
-    `linear[b]` and the unit vector `starts[b]` are V^T v and V^T x0 for the
-    caller's linear term v and start x0; all three are (B, n).
-    `linear_norms[b]` is ||v|| as the caller computed it in its own
-    coordinates, where it may differ from the norm of V^T v in the last
-    bits; it sets the problem scale.  The start only breaks ties: in the
-    hard case the bottom-eigenspace component points along the start's
-    projection onto that space, or along the first eigenvector when that
-    projection vanishes.  A batch with no run whose w lacks a bottom
-    component, and no zero problem, skips the work of those cases.
-    """
-    lam, w, starts = (np.asarray(a, dtype=float) for a in (eigenvalues, linear, starts))
-    if w.ndim != 2 or lam.shape != w.shape or starts.shape != w.shape:
-        raise ValueError("inconsistent problem dimensions")
-    # The start's squared norm and value, and ||B||_F^2, the squared
-    # 2-norm of the eigenvalues.
-    starts_sq = starts * starts
-    start_values = lam * starts
-    start_values += w
-    start_values *= starts
-    norms_sq, start_values, lam_sq = _sums(np.array([starts_sq, start_values, lam * lam]))
-    if np.count_nonzero(np.abs(np.sqrt(norms_sq) - 1.0) > 1e-9):
-        raise ValueError("start point must have unit norm")
-    scales = np.sqrt(lam_sq)
-    scales += linear_norms
-    zero = scales == 0.0
-    if np.count_nonzero(zero):  # scale 1 keeps a zero problem's arithmetic finite
-        scales[zero] = 1.0
-        start_values[zero] = 0.0
-    scales = scales[:, None]
-    half_w = 0.5 * w / scales
-    gaps = (lam - lam[:, :1]) / scales
-    # Eigenvalues come sorted, so the bottom eigenspace is a leading block.
-    bottom = gaps <= _CLUSTER_TOL
-    gaps[bottom] = 0.0
-    half_w_sq = half_w * half_w
-    # Sums of squares over the bottom eigenspace and over all entries (a
-    # masked entry adds +0 and changes nothing).
-    bottom_sq, high = np.add.accumulate(np.array([half_w_sq * bottom, half_w_sq]), axis=-1)[..., -1]
-    w_bottom = 2.0 * np.sqrt(bottom_sq)
-    # ||x(t)|| falls from >= 1 at `low` to <= 1 at `high`; 0.5 w_bottom >= 0,
-    # so the bracket starts at t >= 0.
-    reach = np.abs(half_w) - gaps
-    skips = w_bottom <= _CLUSTER_TOL
-    points = np.zeros_like(gaps)
-    settled, secular = zero, True
-    if np.count_nonzero(skips | zero):
-        # No bottom component: the secular sum skips the bottom eigenspace,
-        # where x(t) is finite at t = 0, and if x(0) is inside the sphere
-        # there, a bottom eigenvector fills the norm (the hard case).
-        top = ~bottom
-        np.divide(-half_w, gaps, out=points, where=top)
-        top_sq, points_sq, fill_sq = np.add.accumulate(
-            np.array([half_w_sq * top, points * points, starts_sq * bottom]), axis=-1
-        )[..., -1]
-        skipped = bottom & skips[:, None]
-        reach[skipped] = -np.inf
-        w_bottom[skips] = 0.0
-        high = np.where(skips, top_sq, high)
-        hard = skips & (points_sq <= 1.0)
-        if np.count_nonzero(hard):
-            fill_norms = np.sqrt(fill_sq)
-            unset = fill_norms <= _CLUSTER_TOL
-            fills = np.where(unset[:, None], np.eye(1, w.shape[1]), starts)
-            taus = np.sqrt(np.maximum(0.0, 1.0 - points_sq)) / np.where(unset, 1.0, fill_norms)
-            points = np.where(bottom & hard[:, None], taus[:, None] * fills, points)
-        settled = zero | hard
-        secular = ~(skipped | settled[:, None])
-    return SecularProblems(
-        eigenvalues=lam,
-        linear=w,
-        start_values=start_values,
-        zero=zero,
-        settled=settled.tolist(),
-        skips=skips.tolist(),
-        half_w=half_w,
-        gaps=gaps,
-        low=np.maximum(0.5 * w_bottom, reach.max(axis=1)),
-        high=np.sqrt(high),
-        points=points,
-        secular=secular,
-    )
+    point: list | None  # the unit minimizer in the eigenbasis; None: the start is kept
+    value: float  # the objective at `point`, or at the start when it is kept
 
 
 def minimize_on_sphere(
-    gaps, half_w, low: float, high: float, hint: float = math.nan
+    eigenvalues, linear, start, linear_norm: float, hint: float = math.nan
 ) -> SphereResult:
-    """The root t >= 0 of one run's secular equation ||x(t)|| = 1, with
-    x(t) = -half_w / (gaps + t), by safeguarded Newton iteration on Python
-    floats.
+    """Minimize sum(eigenvalues y^2) + linear^T y over ||y|| = 1 for one
+    run, on Python floats: the set-up, the secular root by safeguarded
+    Newton iteration, and the finish.
 
-    `gaps` and `half_w` are the entries the secular sum runs over and
-    [low, high] brackets the root, as :meth:`SecularProblems.arguments`
-    gives them; empty entries mark a run the set-up settled, which takes no
-    step.  The iteration starts at `hint`, such as the root of the same
-    antenna's problem in the last sweep, when low < hint < high, and at
-    `low` otherwise (no hint, NaN, or a hint on or outside the bracket),
-    where it takes the bits it takes without a hint.  On a handful of
-    entries numpy's per-call overhead would cost more than the arithmetic,
-    and `** 2` here is libm's `pow`, which numpy's square does not match in
-    every last bit.
+    The problem is given in the eigenbasis of B = V diag(eigenvalues) V^T:
+    `eigenvalues` is ascending, as `np.linalg.eigh` returns it, and
+    `linear` and the unit vector `start` are V^T v and V^T x0 for the
+    caller's linear term v and start x0; all three are sequences of n
+    Python floats, as `tolist` gives them.  `linear_norm` is ||v|| as the
+    caller computed it in its own coordinates, where it may differ from
+    the norm of V^T v in the last bits; it sets the problem scale.  The
+    start only breaks ties: in the hard case the bottom-eigenspace
+    component points along the start's projection onto that space, or
+    along the first eigenvector when that projection vanishes.
+
+    The Newton iteration starts at `hint`, such as the root of the same
+    antenna's problem in the last sweep, when it lies strictly inside the
+    root's bracket, and at the bracket's left end otherwise (no hint, NaN,
+    or a hint on or outside the bracket), where it takes the bits it takes
+    without a hint.  A zero problem, and the hard case, whose point the
+    set-up finds itself, take no step and report root 0.  The result's
+    point is None, and its value the start's, when the solved point scores
+    above the start (a zero problem scores 0), so that the caller hands
+    back its own start vector instead of rotating V^T x0 back.
+
+    Every sum runs left to right from 0.0, whatever the Python version,
+    and `** 2` is libm's `pow`; on a handful of entries numpy's per-call
+    overhead would cost more than the arithmetic.
     """
-    iterations = 0
-    if not gaps:
-        return SphereResult(0.0, iterations, True)
-    entries = list(zip(gaps, half_w))
+    n = len(linear)
+    if len(eigenvalues) != n or len(start) != n:
+        raise ValueError("inconsistent problem dimensions")
+    # The start's squared norm and value, and ||B||_F^2, the squared
+    # 2-norm of the eigenvalues.
+    norm_sq = start_value = lam_sq = 0.0
+    for li, wi, si in zip(eigenvalues, linear, start):
+        norm_sq += si * si
+        start_value += (li * si + wi) * si
+        lam_sq += li * li
     sqrt = math.sqrt
+    if abs(sqrt(norm_sq) - 1.0) > 1e-9:
+        raise ValueError("start point must have unit norm")
+    scale = sqrt(lam_sq) + linear_norm
+    if scale == 0.0:
+        return SphereResult(0.0, 0, True, None, 0.0)
+
+    # half_w = w / (2 scale) and the gaps (lam - lam_min) / scale, 0 across
+    # the bottom eigenspace, a leading block of m since eigenvalues come
+    # sorted.
+    lam_min = eigenvalues[0]
+    half_w = [0.5 * wi / scale for wi in linear]
+    gaps = [(li - lam_min) / scale for li in eigenvalues]
+    m = 0
+    bottom_sq = 0.0
+    while m < n and gaps[m] <= _CLUSTER_TOL:
+        gaps[m] = 0.0
+        bottom_sq += half_w[m] * half_w[m]
+        m += 1
+    w_bottom = 2.0 * sqrt(bottom_sq)
+    first = 0
+    if w_bottom <= _CLUSTER_TOL:
+        # No bottom component: the secular sum skips the bottom
+        # eigenspace, where x(t) is finite at t = 0, and if x(0) is inside
+        # the sphere there, a bottom eigenvector fills the norm (the hard
+        # case).
+        w_bottom, first = 0.0, m
+        point = [0.0] * m + [-h / g for g, h in zip(gaps[m:], half_w[m:])]
+        points_sq = 0.0
+        for y in point:
+            points_sq += y * y
+        if points_sq <= 1.0:
+            fill_sq = 0.0
+            for si in start[:m]:
+                fill_sq += si * si
+            fill_norm = sqrt(fill_sq)
+            tau = sqrt(max(0.0, 1.0 - points_sq))
+            if fill_norm <= _CLUSTER_TOL:
+                point[0] = tau
+            else:
+                tau /= fill_norm
+                point[:m] = [tau * si for si in start[:m]]
+            return _finish(eigenvalues, linear, point, start_value, 0.0, 0, True)
+
+    # x(t) = -half_w / (gaps + t) over the entries from `first`; ||x(t)||
+    # falls from >= 1 at `low` to <= 1 at `high`.
+    entries = list(zip(gaps[first:], half_w[first:]))
+    high_sq = 0.0
+    reach = -math.inf
+    for g, h in entries:
+        high_sq += h * h
+        r = abs(h) - g
+        if r > reach:
+            reach = r
+    low = max(0.5 * w_bottom, reach)
+    high = sqrt(high_sq)
+
+    iterations = 0
     t = root = hint if low < hint < high else low
     converged = False
     while iterations < _MAX_NEWTON:
@@ -261,7 +178,26 @@ def minimize_on_sphere(
         t += (1.0 - 1.0 / norm) / slope
         if not low <= t <= high:
             t = 0.5 * (low + high)
-    return SphereResult(root, iterations, converged)
+    point = [0.0] * first + [-h / (gi + root) for gi, h in entries]
+    return _finish(eigenvalues, linear, point, start_value, root, iterations, converged)
+
+
+def _finish(lam, w, point, start_value, root, iterations, converged) -> SphereResult:
+    """The result for x = `point`: x / ||x|| and its value, or the start
+    when that scores above it."""
+    norm_sq = 0.0
+    for y in point:
+        norm_sq += y * y
+    norm = math.sqrt(norm_sq)
+    unit = []
+    value = 0.0
+    for li, wi, y in zip(lam, w, point):
+        y /= norm
+        unit.append(y)
+        value += (li * y + wi) * y
+    if value > start_value:
+        return SphereResult(root, iterations, converged, None, start_value)
+    return SphereResult(root, iterations, converged, unit, value)
 
 
 def reduction_factors(rho: float) -> np.ndarray:

@@ -28,12 +28,13 @@ pair); a run that stops leaves with copies of its rows, and the runs that
 stay go on in the batch's one `take`, which cuts every tagged array by its
 axis.  Every sweep of one batch layout refills the same per-pair buffers,
 made on the layout's first sweep together with the per-antenna views that
-the steps read.  A synthesis batch keeps every pair's last secular root,
-where the pair's next sphere solve starts.  A run's results do not depend
-on its batch.  The loop
-returns each run undecomposed, and :func:`decompose_states` factors the runs of one
-chain count and antenna count in one call, so that a sweep can decompose
-the runs of all its batches together.
+the steps read.  A synthesis step solves each run's sphere problem alone
+on Python floats, between its array operations over the batch, and the
+batch keeps every pair's last secular root, where the pair's next sphere
+solve starts.  A run's results do not depend on its batch.  The loop
+returns each run undecomposed, and :func:`decompose_states` factors the
+runs of one chain count and antenna count in one call, so that a sweep can
+decompose the runs of all its batches together.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .sphere_opt import (
     minimize_on_sphere,
     reduced_coefficient_problem,
     reduction_factors,
-    secular_problems,
     sphere_terms,
 )
 
@@ -1020,15 +1020,14 @@ def synthesize_pattern_and_row(
     (B, W) and (B, D); the coefficients are the given array itself when no
     run solves.
 
-    Everything but the step lengths and the Newton iteration is one array
-    operation over the batch: the row, the reduction, the rotation into
-    each run's eigenbasis, the set-up of the secular equations
-    (:func:`secular_problems`), the points from their roots with the
-    kept-start test, the rotation back and the lift.  The step lengths are
-    :func:`_negated_steps` on Python floats, and :func:`minimize_on_sphere`
-    finds the root of each solving run on Python floats.  Each array
-    operation is the one of a single run, stacked, so a run gets the same
-    bits in any batch.
+    The row, the reduction, the rotation into each run's eigenbasis, the
+    hand-back of kept starts, the rotation back and the lift are array
+    operations over the batch.  The step lengths are
+    :func:`_negated_steps` on Python floats, and each solving run's sphere
+    problem is one :func:`minimize_on_sphere` call on Python floats: its
+    set-up, Newton iteration, point, value and kept-start test.  Each
+    array operation is the one of a single run, stacked, so a run gets the
+    same bits in any batch.
     """
     directions = linear @ coefficients[:, :, None]
     norms_sq = (directions.conj().swapaxes(1, 2) @ directions).real.ravel().tolist()
@@ -1050,21 +1049,23 @@ def synthesize_pattern_and_row(
             part[solving]
             for part in (eigenvalues, eigenvectors, starts, coordinates, scales, reduced, factors)
         )
-    problems = secular_problems(
-        scales[:, None] * eigenvalues,
-        (eigenvectors.swapaxes(1, 2) @ reduced[:, :, None])[:, :, 0],
-        coordinates,
-        np.sqrt((reduced[:, None, :] @ reduced[:, :, None]).ravel()),
-    )
-    found = [
-        minimize_on_sphere(*arguments, hint).root
-        for arguments, hint in zip(problems.arguments(), roots[picked].tolist())
+    coordinates = coordinates.tolist()
+    results = [
+        minimize_on_sphere(*problem)
+        for problem in zip(
+            (scales[:, None] * eigenvalues).tolist(),
+            (eigenvectors.swapaxes(1, 2) @ reduced[:, :, None])[:, :, 0].tolist(),
+            coordinates,
+            np.sqrt((reduced[:, None, :] @ reduced[:, :, None]).ravel()).tolist(),
+            roots[picked].tolist(),
+        )
     ]
-    roots[picked] = found
-    points, _, kept = problems.finish(found)
+    roots[picked] = [result.root for result in results]
+    points = np.array([result.point or start for result, start in zip(results, coordinates)])
     points = (eigenvectors @ points[:, :, None])[:, :, 0]
     # Hand back a kept start itself, not its round trip through the eigenbasis.
-    if np.count_nonzero(kept):
+    kept = [result.point is None for result in results]
+    if any(kept):
         points[kept] = starts[kept]
     lifted = lift_coefficients(points, factors)
     if every:

@@ -28,7 +28,6 @@ from trihybrid.sphere_opt import (
     _MAX_NEWTON,
     _SECULAR_TOL,
     minimize_on_sphere,
-    secular_problems,
 )
 from trihybrid.wmmse import _TINY_QUAD
 
@@ -313,37 +312,42 @@ class SphereSolution:
 def rotated_sphere_solve(eigenvalues, eigenvectors, linear, start) -> SphereSolution:
     """The library's sphere solve of x^T B x + linear^T x over ||x|| = 1 in
     the caller's coordinates: B = V diag(eigenvalues) V^T as `np.linalg.eigh`
-    returns it, the problem rotated into the eigenbasis, set up and
-    finished as a batch of one, and the point rotated back; a kept start
-    comes back as a copy of `start`."""
+    returns it, the problem rotated into the eigenbasis and solved there on
+    Python floats, and the point rotated back; a kept start comes back as a
+    copy of `start`."""
     to_eigen = np.asarray(eigenvectors).T
-    problems = secular_problems(
-        np.asarray(eigenvalues)[None],
-        (to_eigen @ linear)[None],
-        (to_eigen @ start)[None],
-        [math.sqrt(linear @ linear)],
+    result = minimize_on_sphere(
+        np.asarray(eigenvalues).tolist(),
+        (to_eigen @ linear).tolist(),
+        (to_eigen @ start).tolist(),
+        math.sqrt(linear @ linear),
     )
-    (arguments,) = problems.arguments()
-    result = minimize_on_sphere(*arguments)
-    points, values, kept = problems.finish([result.root])
-    point = start.copy() if kept[0] else eigenvectors @ points[0]
-    return SphereSolution(point, float(values[0]), result.iterations, result.converged)
+    point = start.copy() if result.point is None else eigenvectors @ np.array(result.point)
+    return SphereSolution(point, result.value, result.iterations, result.converged)
 
 
 def _sum_sq(values) -> float:
-    return sum(v * v for v in values)
+    """Left to right from 0.0, as the library sums; the built-in `sum` of
+    floats is compensated from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
 
 
 def _value(lam, w, y) -> float:
-    return sum((li * yi + wi) * yi for li, wi, yi in zip(lam, w, y))
+    total = 0.0
+    for li, wi, yi in zip(lam, w, y):
+        total += (li * yi + wi) * yi
+    return total
 
 
 def minimize_on_sphere_single(eigenvalues, linear, start, linear_norm: float) -> SphereSolution:
     """Global minimizer of sum(eigenvalues y^2) + linear^T y over ||y|| = 1,
     one problem in one call on Python floats: the set-up, the secular
-    Newton solve or the hard case, and the finish.  The library sets up and
-    finishes a batch of problems in array operations; each of its runs must
-    give these bits.
+    Newton solve or the hard case, and the finish, written out apart from
+    the library's :func:`trihybrid.sphere_opt.minimize_on_sphere`, which
+    must give these bits.
 
     The problem is given in the eigenbasis of B = V diag(eigenvalues) V^T:
     `eigenvalues` is ascending, as `np.linalg.eigh` returns it, and `linear`
@@ -443,13 +447,35 @@ def minimize_on_sphere_single(eigenvalues, linear, start, linear_norm: float) ->
     return SphereSolution(point=y, value=value, iterations=iterations, converged=converged)
 
 
+def secular_equation(eigenvalues, linear, linear_norm: float):
+    """The secular equation that :func:`minimize_on_sphere_single` solves
+    for one problem, as (gaps, half_w, low, high): the entries its sum runs
+    over and the bracket [low, high] of its root, with the set-up's bits;
+    no entries where the set-up finds the point itself (a zero problem or
+    the hard case)."""
+    lam, w = eigenvalues, linear
+    scale = math.sqrt(_sum_sq(lam)) + linear_norm
+    if scale == 0.0:
+        return [], [], 0.0, 0.0
+    half_w = [0.5 * wi / scale for wi in w]
+    gaps = [(li - lam[0]) / scale for li in lam]
+    m = len([gap for gap in gaps if gap <= _CLUSTER_TOL])
+    gaps[:m] = [0.0] * m
+    w_bottom = 2.0 * math.sqrt(_sum_sq(half_w[:m]))
+    if w_bottom <= _CLUSTER_TOL:
+        w_bottom, gaps, half_w = 0.0, gaps[m:], half_w[m:]
+        if _sum_sq([-h / g for g, h in zip(gaps, half_w)]) <= 1.0:
+            return [], [], 0.0, 0.0
+    low = max(0.5 * w_bottom, max([abs(h) - g for g, h in zip(gaps, half_w)]), 0.0)
+    return gaps, half_w, low, math.sqrt(_sum_sq(half_w))
+
+
 def sphere_solve_full(eigenvalues, eigenvectors, linear, start) -> SphereSolution:
     """Global minimizer of x^T B x + linear^T x over ||x|| = 1, B given by
     `np.linalg.eigh`'s eigenpairs, solved in one call per problem in the
     caller's coordinates: both projections, the secular Newton solve or the
-    hard case, and the rotation back.  The library solves in the eigenbasis
-    and rotates a batch at once; through :func:`rotated_sphere_solve` it
-    must give these bits."""
+    hard case, and the rotation back.  The library solves in the eigenbasis;
+    through :func:`rotated_sphere_solve` it must give these bits."""
     n = linear.shape[0]
     if eigenvalues.shape != (n,) or eigenvectors.shape != (n, n) or start.shape != (n,):
         raise ValueError("inconsistent problem dimensions")

@@ -12,6 +12,7 @@ from helpers import (
     random_complex,
     random_psd,
     rotated_sphere_solve,
+    secular_equation,
     sphere_solve_full,
 )
 from trihybrid.sphere_opt import (
@@ -22,7 +23,6 @@ from trihybrid.sphere_opt import (
     reduced_coefficient_problem,
     reduced_spectrum,
     reduction_factors,
-    secular_problems,
 )
 from trihybrid.sphharm import FOUR_PI
 
@@ -143,37 +143,65 @@ class TestMinimize:
             _solve(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
 
     def test_dimensions_validated(self):
-        lam = np.zeros((1, 3))
         with pytest.raises(ValueError, match="dimensions"):
-            secular_problems(lam, np.zeros((1, 2)), [[1.0, 0.0]], [0.0])
+            minimize_on_sphere([0.0] * 3, [0.0] * 2, [1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="dimensions"):
-            secular_problems(lam[:, :2], np.zeros((1, 3)), [[1.0, 0.0, 0.0]], [0.0])
+            minimize_on_sphere([0.0] * 2, [0.0] * 3, [1.0, 0.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="dimensions"):
-            secular_problems(lam, np.zeros((1, 3)), [[1.0, 0.0]], [0.0])
+            minimize_on_sphere([0.0] * 3, [0.0] * 3, [1.0, 0.0], 0.0)
+        # A batch of one where one problem is expected.
         with pytest.raises(ValueError, match="dimensions"):
-            secular_problems(lam[0], np.zeros(3), [1.0, 0.0, 0.0], [0.0])
+            minimize_on_sphere([[0.0] * 3], [[0.0] * 3], [1.0, 0.0, 0.0], 0.0)
 
     def test_kept_start_is_handed_back_itself(self):
-        # The finish flags a kept start, so that the caller hands back its
-        # own start vector instead of rotating the eigenbasis coordinates
-        # back; the start's value comes with it.
+        # The solve flags a kept start with no point, so that the caller
+        # hands back its own start vector instead of rotating the eigenbasis
+        # coordinates back; the start's value comes with it.
         points, values, kept = _finish([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]] * 2, [[0.6, 0.8]] * 2)
-        assert kept.tolist() == [True, False]
+        assert kept == [True, False]
         assert values[0] == 0.0
         assert_allclose(np.abs(points[1]), [1.0, 0.0], atol=1e-12)
         # A start a rounding error better than the point the solve finds.
         points, values, kept = _finish([[-1.0, 2.0]], [[0.0, 0.0]], [[1.0 + 1e-12, 0.0]])
-        assert kept.tolist() == [True]
+        assert kept == [True]
         assert values[0] == -(1.0 + 1e-12) * (1.0 + 1e-12)
-        assert points[0].tolist() == [1.0, 0.0]
+        assert points[0] is None
+
+    def test_sums_run_left_to_right_from_zero(self):
+        # The start is kept, so the value is its start value, a sum of one
+        # term near -1 and two terms of 1e-16, each below half an ulp of
+        # the first.  Left to right, from 0.0, the small terms round away
+        # one at a time; a compensated sum (the built-in `sum` of floats
+        # from Python 3.12 on) or an exact one keeps their total.  The
+        # library and the test oracle both give the sequential bits.
+        tiny = math.sqrt(5e-17)
+        lam, w, start = [-1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1.0 + 1e-12, tiny, tiny]
+        terms = [(li * si + wi) * si for li, wi, si in zip(lam, w, start)]
+        sequential = 0.0
+        for term in terms:
+            sequential += term
+        assert sequential == terms[0]
+        assert math.fsum(terms) != sequential
+        result = minimize_on_sphere(lam, w, start, 0.0)
+        assert result.point is None
+        assert result.value.hex() == sequential.hex() == "-0x1.0000000002330p+0"
+        want = minimize_on_sphere_single(lam, w, start, 0.0)
+        assert want.point is start and want.value.hex() == sequential.hex()
 
 
 def _finish(eigenvalues, linear, starts):
-    """The points, values and kept flags of a batch of problems in the
-    eigenbasis, each with the norm of its own linear term."""
-    linear = np.asarray(linear, dtype=float)
-    problems = secular_problems(eigenvalues, linear, starts, np.sqrt(np.sum(linear**2, axis=1)))
-    return problems.finish([minimize_on_sphere(*a).root for a in problems.arguments()])
+    """The points, values and kept flags of problems in the eigenbasis, each
+    solved alone with the norm of its own linear term; a kept start has no
+    point."""
+    results = [
+        minimize_on_sphere(lam, w, start, math.sqrt(sum(wi * wi for wi in w)))
+        for lam, w, start in zip(eigenvalues, linear, starts)
+    ]
+    return (
+        [result.point for result in results],
+        [result.value for result in results],
+        [result.point is None for result in results],
+    )
 
 
 class TestReducedProblem:
@@ -407,26 +435,32 @@ def _secular_batches(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_secular_batches())
-def test_batched_secular_solve_matches_single_problem_oracle(batch):
-    # Set up and finished over the batch, with the Newton iteration per
-    # run, every problem gives the one-problem solve's bits: its point
-    # (or the kept start), value, iterations and converged flag, whatever
-    # else is in its batch.  Settled runs take no Newton step.
+def test_sphere_solve_matches_single_problem_oracle(batch):
+    # Each problem, solved alone, gives the one-problem oracle's bits: its
+    # point (or the kept start), value, iterations and converged flag.
+    # Settled problems take no Newton step.
     kinds, lam, w, starts, norms = batch
-    problems = secular_problems(lam, w, starts, norms)
-    results = [minimize_on_sphere(*arguments) for arguments in problems.arguments()]
-    points, values, kept = problems.finish([result.root for result in results])
-    for b, result in enumerate(results):
+    for b in range(len(kinds)):
         start = starts[b].tolist()
+        result = minimize_on_sphere(lam[b].tolist(), w[b].tolist(), start, norms[b])
         want = minimize_on_sphere_single(lam[b].tolist(), w[b].tolist(), start, norms[b])
         assert type(result.iterations) is int and type(result.converged) is bool
         assert (result.iterations, result.converged) == (want.iterations, want.converged), b
-        assert values[b].tobytes() == np.float64(want.value).tobytes(), b
-        assert bool(kept[b]) == (want.point is start), b
-        if not kept[b]:
-            assert points[b].tobytes() == np.array(want.point).tobytes(), b
-    if "kept" in kinds:
-        assert kept[kinds.index("kept")]
+        assert result.value.hex() == want.value.hex(), b
+        assert (result.point is None) == (want.point is start), b
+        if result.point is not None:
+            assert np.array(result.point).tobytes() == np.array(want.point).tobytes(), b
+        if kinds[b] == "kept":
+            assert result.point is None
+
+
+def _problems(batch):
+    """Each problem of a batch as minimize_on_sphere's first four arguments,
+    with its secular equation."""
+    kinds, lam, w, starts, norms = batch
+    for b in range(len(kinds)):
+        problem = (lam[b].tolist(), w[b].tolist(), starts[b].tolist(), norms[b])
+        yield problem, secular_equation(problem[0], problem[1], norms[b])
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,23 +470,17 @@ def test_hint_inside_bracket_finds_the_root(batch, where):
     # the synthesis step starts it from the last sweep's root, meets the
     # secular tolerance, and its point has the value of the solve from
     # the bracket's left end to 1e-12 of the problem scale.
-    kinds, lam, w, starts, norms = batch
-    cold = secular_problems(lam, w, starts, norms)
-    warm = secular_problems(lam, w, starts, norms)
-    cold_roots, warm_roots = [], []
-    for gaps, half_w, low, high in cold.arguments():
-        cold_roots.append(minimize_on_sphere(gaps, half_w, low, high).root)
+    for problem, (gaps, half_w, low, high) in _problems(batch):
+        cold = minimize_on_sphere(*problem)
         hint = low + where * (high - low)
-        result = minimize_on_sphere(gaps, half_w, low, high, hint)
-        warm_roots.append(result.root)
+        warm = minimize_on_sphere(*problem, hint)
         if gaps and low < hint < high:
-            assert result.converged
-            norm = math.sqrt(sum((h / (g + result.root)) ** 2 for g, h in zip(gaps, half_w)))
+            assert warm.converged
+            norm = math.sqrt(sum((h / (g + warm.root)) ** 2 for g, h in zip(gaps, half_w)))
             assert abs(norm - 1.0) <= _SECULAR_TOL
-    _, cold_values, _ = cold.finish(cold_roots)
-    _, warm_values, _ = warm.finish(warm_roots)
-    scales = np.sqrt(np.sum(lam * lam, axis=1)) + norms
-    assert np.all(np.abs(warm_values - cold_values) <= 1e-12 * scales)
+        lam, _, _, linear_norm = problem
+        scale = math.sqrt(sum(li * li for li in lam)) + linear_norm
+        assert abs(warm.value - cold.value) <= 1e-12 * scale
 
 
 @settings(max_examples=300, deadline=None)
@@ -461,11 +489,10 @@ def test_hint_off_the_open_bracket_starts_at_its_left_end(batch):
     # A hint on either end of the bracket, outside it or NaN is not used:
     # the iteration gives the bits of the solve without a hint, root,
     # iterations and converged flag.
-    kinds, lam, w, starts, norms = batch
-    for gaps, half_w, low, high in secular_problems(lam, w, starts, norms).arguments():
-        want = minimize_on_sphere(gaps, half_w, low, high)
+    for problem, (_, _, low, high) in _problems(batch):
+        want = minimize_on_sphere(*problem)
         for hint in (low, high, low - 1.0, -math.inf, high + 1.0, math.inf, math.nan):
-            got = minimize_on_sphere(gaps, half_w, low, high, hint)
+            got = minimize_on_sphere(*problem, hint)
             assert (got.root.hex(), got.iterations, got.converged) == (
                 want.root.hex(), want.iterations, want.converged,
             ), hint
