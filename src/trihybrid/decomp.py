@@ -32,6 +32,9 @@ _LSTSQ_RCOND = 1e-9
 # rank-deficient and keeps the SVD's arithmetic, and a run under the bound
 # gets a QR fit within about 1e6 * eps relative of the SVD fit.
 _QR_CONDITION = 1e-3 / _LSTSQ_RCOND
+# Cap on the alternations of one run, a safety net: runs stop when their
+# improvement stalls.
+_ALTERNATIONS = 30
 
 
 @dataclass
@@ -145,7 +148,6 @@ def decompose_precoders(
     n_rf: int,
     power,
     seeds,
-    iterations: int = 30,
 ) -> list[DecompositionResult]:
     """Alternate digital least squares and analog phase refinement on a
     stack of precoders, (B, N, D), all with `n_rf` chains.
@@ -159,8 +161,8 @@ def decompose_precoders(
     batched mismatch for every run still alternating, the phase pass
     updating the mismatch it is handed in place; the loop over runs only
     records.  A run stops on its own tests: a residual below 1e-15, an
-    improvement that stalls, or the iteration cap.  Its recorded residual
-    history is non-increasing.  After the alternation each run's
+    improvement that stalls, or the cap of `_ALTERNATIONS` alternations.
+    Its recorded residual history is non-increasing.  After the alternation each run's
     digital stage is rescaled for per-antenna feasibility, unless its
     budget is None (scale 1).  Returns one
     result per run, each equal to the bit to the run decomposed alone.
@@ -189,7 +191,7 @@ def decompose_precoders(
     histories = [[residual] for residual in residuals.tolist()]
     active = np.flatnonzero(~(residuals < 1e-15))
     mismatch = mismatch[active]  # the active runs' mismatch, in `active` order
-    for _ in range(iterations):
+    for _ in range(_ALTERNATIONS):
         if not active.size:
             break
         if active.size == n_runs:  # no run has stopped: work in place, with no gather
@@ -228,7 +230,6 @@ def decompose_precoder(
     f_d: np.ndarray,
     n_rf: int,
     power,
-    iterations: int = 30,
     seed: int = 0,
 ) -> DecompositionResult:
     """Alternate digital least squares and analog phase refinement: the
@@ -240,4 +241,4 @@ def decompose_precoder(
     stalls.  After the alternation the digital stage is rescaled for
     per-antenna feasibility.
     """
-    return decompose_precoders(np.asarray(f_d)[None], n_rf, [power], [seed], iterations)[0]
+    return decompose_precoders(np.asarray(f_d)[None], n_rf, [power], [seed])[0]

@@ -45,7 +45,7 @@ class TestDecompose:
 
     def test_residual_history_monotone(self, rng):
         f_d = random_complex(rng, 16, 4)
-        result = decompose_precoder(f_d, 6, power=1e6, iterations=40)
+        result = decompose_precoder(f_d, 6, power=1e6)
         hist = result.history
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 

@@ -482,6 +482,33 @@ class TestPerAntennaTerms:
             for name, a, b in zip(("quad", "linear"), got, want):
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (n, name)
 
+    def test_apply_moves_only_new_vectors(self, rng):
+        # A step that hands back antenna n's own pattern slice commits its
+        # row alone: nothing moves and the pattern buffer keeps its bytes.
+        # New vectors, even a copy of that slice, move and are written.
+        effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(
+            rng, n=4, width=3
+        )
+        antenna_matrix = rng.standard_normal(antenna_matrix.shape)
+        workspace = _workspace(
+            effs, antenna_matrix, f_d, receivers, weights, beta, users, reduction_factors(0.7)[None]
+        )
+        n, patterns = 2, workspace.antenna_matrix
+        pairs, before = workspace.slices[n], patterns.copy()
+        row = random_complex(rng, 1, f_d.shape[1])
+        workspace.apply(n, patterns[pairs], row)
+        assert not workspace.moved
+        assert patterns.tobytes() == before.tobytes()
+        assert workspace.rows_conj[pairs].tobytes() == row.tobytes()
+        workspace.apply(n, patterns[pairs].copy(), row)
+        assert workspace.moved
+        workspace.moved = False
+        vectors = rng.standard_normal((1, 3))
+        workspace.apply(n, vectors, row)
+        assert workspace.moved
+        before[pairs] = vectors
+        assert patterns.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("mode", ["selection", "synthesis"])
     def test_sweep_steps_match_oracle(self, monkeypatch, mode):
         # One real sweep through the solver's own step functions: at every
