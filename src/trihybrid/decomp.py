@@ -162,9 +162,9 @@ def decompose_precoders(
     updating the mismatch it is handed in place; the loop over runs only
     records.  A run stops on its own tests: a residual below 1e-15, an
     improvement that stalls, or the cap of `_ALTERNATIONS` alternations.
-    Its recorded residual history is non-increasing.  After the alternation each run's
-    digital stage is rescaled for per-antenna feasibility, unless its
-    budget is None (scale 1).  Returns one
+    Its recorded residual history is non-increasing.  After the alternation
+    each run's digital stage is rescaled for per-antenna feasibility,
+    unless its budget is None (scale 1).  Returns one
     result per run, each equal to the bit to the run decomposed alone.
     """
     f_d = np.asarray(f_d, dtype=complex)

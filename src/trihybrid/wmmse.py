@@ -27,15 +27,14 @@ in one `_Batch`, tagged with its axis (run, run-major row or (antenna, run)
 pair); a run that stops leaves with copies of its rows, and the runs that
 stay go on in the batch's one `take`, which cuts every tagged array by its
 axis.  Every sweep of one batch layout refills the same per-pair buffers,
-made on the layout's first sweep, and each antenna step slices from them
-the pairs and runs it reads.  A synthesis step solves each run's sphere
-problem alone on Python floats, between its array operations over the
-batch, and the batch keeps every pair's last secular root, where the
-pair's next sphere solve starts.  A run's results do not depend on its
-batch.  The loop returns each run undecomposed, and
-:func:`decompose_states` factors the runs of one chain count and antenna
-count in one call, so that a sweep can decompose the runs of all its
-batches together.
+made on the layout's first sweep together with the per-antenna views that
+the steps read.  A synthesis step solves each run's sphere problem alone
+on Python floats, between its array operations over the batch, and the
+batch keeps every pair's last secular root, where the pair's next sphere
+solve starts.  A run's results do not depend on its batch.  The loop
+returns each run undecomposed, and :func:`decompose_states` factors the
+runs of one chain count and antenna count in one call, so that a sweep can
+decompose the runs of all its batches together.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -601,20 +600,41 @@ def _budgets(config: SolverConfig, n_antennas: int) -> np.ndarray:
     return power
 
 
+class _Views(NamedTuple):
+    """Antenna n's views of the sweep buffers and the batch, cut to its
+    pairs or to the leading runs that have it.  The leading fields serve
+    every step; a selection step also reads `rows` and `budgets`, a
+    synthesis step the fields after them, and the views of a step kind
+    that does not read a field hold None there."""
+
+    pairs: slice
+    received_t: np.ndarray  # R^T, (runs, D, K M)
+    received: np.ndarray  # R, (runs, K M, D)
+    proj: np.ndarray  # (runs, K M, W)
+    offset: np.ndarray  # (runs, D, W)
+    rows_conj: np.ndarray  # (runs, D)
+    rows: np.ndarray | None = None  # the selection step's row buffer, (runs, D)
+    budgets: np.ndarray | None = None  # (runs,)
+    factors: np.ndarray | None = None
+    roots: np.ndarray | None = None  # (runs,)
+    budget_list: list[float] | None = None
+    blocks_conj: np.ndarray | None = None  # (runs, K M, W)
+    antenna_matrix: np.ndarray | None = None  # (runs, W)
+
+
 class _SweepBuffers:
-    """Every array a sweep of one :class:`_Batch` layout writes, made once
-    per layout: each sweep refills the same memory, and each antenna step
-    slices what it reads.  `scratch` holds, in turn, every antenna count's
-    products of the lifted channels, for `proj` and then for the offset,
-    and the conjugate of the quad terms and the own-signal part of the
-    offset (`groups` has each count's two product views, `hermitian` and
-    `own_signal` the other two).  No two of these are live at once, and
-    separate buffers for them raised the peak resident size of every
-    benchmark run by 0.5-0.7 MB.  `budgets` holds the batch's budgets as
-    Python floats in a synthesis batch, whose step reads them as floats,
-    and the batch's array in a selection batch."""
+    """Every array a sweep of one :class:`_Batch` layout writes, and the
+    per-antenna :class:`_Views` of them that its step kind reads, made
+    once per layout: each sweep refills the same memory.  `scratch` holds,
+    in turn, every antenna count's products of the lifted channels, for
+    `proj` and then for the offset, and the conjugate of the quad terms and
+    the own-signal part of the offset (`groups` has each count's two
+    product views, `hermitian` and `own_signal` the other two).  No two of
+    these are live at once, and separate buffers for them raised the peak
+    resident size of every benchmark run by 0.5-0.7 MB."""
 
     def __init__(self, batch: _Batch):
+        layout = batch.layout
         n_pairs, n_rx_total, width = batch.blocks_conj.shape
         n_runs, n_streams = len(batch.ids), batch.f_d.shape[1]
         synthesis = batch.roots is not None
@@ -626,6 +646,7 @@ class _SweepBuffers:
         self.antenna_matrix = np.empty((n_pairs, width))
         # a_n^T Q_n of a synthesis sweep; a selection sweep gathers its rows
         self.pattern_quad = np.empty((n_pairs, 1, width), complex) if synthesis else None
+        self.rows = np.empty((n_runs, n_streams), complex)
         self.pairs = np.arange(n_pairs)
         scratch = np.empty(n_pairs * width * max(width, n_rx_total, n_streams), complex)
         self.hermitian = scratch[: self.quad.size].reshape(self.quad.shape)
@@ -638,7 +659,21 @@ class _SweepBuffers:
             offset = scratch[at : at + n_group * n_streams * columns]
             self.groups.append((proj, offset.reshape(n_group, n_streams, columns)))
             at += max(lifted.size, offset.size)
-        self.budgets = batch.budgets.tolist() if synthesis else batch.budgets
+        budgets = batch.budgets.tolist() if synthesis else None
+        self.views = []
+        for _, antennas, count in reversed(layout.segments):
+            received = self.received_conj[:count]
+            shared = (received.swapaxes(1, 2), received)
+            per_run = batch.factors[:count] if synthesis else self.rows[:count]
+            for pairs in layout.slices[antennas]:
+                common = (pairs, *shared, self.proj[pairs], self.offset[pairs], self.rows_conj[pairs])
+                if synthesis:
+                    self.views.append(_Views(
+                        *common, None, None, per_run, batch.roots[pairs], budgets[pairs],
+                        batch.blocks_conj[pairs], self.antenna_matrix[pairs],
+                    ))
+                else:
+                    self.views.append(_Views(*common, per_run, batch.budgets[pairs]))
 
 
 class _SweepWorkspace:
@@ -649,13 +684,14 @@ class _SweepWorkspace:
     The workspace keeps no run's state past its sweep: the loop copies the
     rows and patterns back into the batch when the sweep ends.  Its arrays
     are the batch's :class:`_SweepBuffers`, which outlive the sweep: every
-    sweep of one layout writes the same memory, so that a sweep allocates
-    no per-pair array but its lazily built step inputs.
+    sweep of one layout writes the same memory, and reads the per-antenna
+    views made with it, so that a sweep allocates no per-pair array but
+    its lazily built step inputs.
 
     Arrays are antenna-major over the pairs, so that an antenna step reads
     one contiguous slice, `slices[n]`, for every run that has the antenna;
-    those are the leading `counts[n]` runs of the run axis, and each step
-    slices the arrays it reads to them.  `antenna_matrix`
+    those are the leading runs of the run axis, and `views[n]` holds the
+    views an antenna step uses, cut to them.  `antenna_matrix`
     (pairs, W) holds every pair's pattern vector and every commit updates
     it; the rows are kept in `rows_conj`, and :meth:`precoders` and
     :meth:`patterns` hand both back run-major, as the loop keeps them.
@@ -694,16 +730,15 @@ class _SweepWorkspace:
     synthesis.  Each is built on first use: `step_quads` only by selection
     steps, `row_quads` and `pinned` only by synthesis steps, and
     `sphere_terms` decomposes every pair in one batched call only in
-    sweeps that solve on the sphere.
+    sweeps that solve on the sphere.  `rows` is a buffer the selection step
+    fills with every run's new row before one commit.
     """
 
     def __init__(self, batch: _Batch, receivers: np.ndarray, beta):
         layout, received, weights = batch.layout, batch.cov.received, batch.weights
         n_runs, n_users, n_rx, _ = received.shape
         buffers = batch.buffers
-        self.slices, self.counts, self._run_major = layout.slices, layout.counts, layout.run_major
-        self.budgets = buffers.budgets
-        self.factors, self.roots = batch.factors, batch.roots
+        self.slices, self._run_major, self.views = layout.slices, layout.run_major, buffers.views
         self.antenna_matrix = np.take(
             batch.antenna_matrix, layout.antenna_major, axis=0, out=buffers.antenna_matrix
         )
@@ -736,7 +771,6 @@ class _SweepWorkspace:
         self.received_conj = np.conjugate(
             received.reshape(n_runs, n_users * n_rx, -1), out=buffers.received_conj
         )
-        self.received_t = self.received_conj.swapaxes(1, 2)
         self.rows_conj = np.take(batch.f_d, layout.antenna_major, axis=0, out=buffers.rows_conj)
         np.conjugate(self.rows_conj, out=self.rows_conj)
         self.moved = False
@@ -803,24 +837,24 @@ class _SweepWorkspace:
     def linear(self, n: int) -> np.ndarray:
         """Antenna n's (runs, D, W) linear terms: one cross-term product and
         the offset."""
-        pairs = self.slices[n]
-        return self.received_t[: self.counts[n]] @ self.proj[pairs] - self.offset[pairs]
+        views = self.views[n]
+        return views.received_t @ views.proj - views.offset
 
     def apply(self, n: int, vectors: np.ndarray, rows: np.ndarray) -> None:
         """Commit antenna n's new pattern vector and precoder row in every
-        run that has it, (runs, W) and (runs, D).  Vectors that view the
-        pattern buffer are antenna n's own slice handed back: they move
-        nothing and are not written."""
-        pairs = self.slices[n]
-        current, old_rows = self.antenna_matrix[pairs], self.rows_conj[pairs]
-        received_conj = self.received_conj[: self.counts[n]]
-        received_conj += self.blocks_conj[pairs] @ (
-            vectors[:, :, None] * rows[:, None, :] - current[:, :, None] * old_rows[:, None, :]
+        run that has it, (runs, W) and (runs, D).  Antenna n's own pattern
+        view, which a step that keeps its patterns hands back, moves nothing
+        and is not written."""
+        views = self.views[n]
+        received_conj = views.received
+        received_conj += views.blocks_conj @ (
+            vectors[:, :, None] * rows[:, None, :]
+            - views.antenna_matrix[:, :, None] * views.rows_conj[:, None, :]
         )
-        if vectors.base is not self.antenna_matrix:
-            current[...] = vectors
+        if vectors is not views.antenna_matrix:
+            views.antenna_matrix[...] = vectors
             self.moved = True
-        old_rows[...] = rows
+        views.rows_conj[...] = rows
 
     def select(self, n: int, indices: list[int], rows: np.ndarray) -> None:
         """Commit candidate indices[b] and precoder row rows[b] of a one-hot
@@ -831,8 +865,8 @@ class _SweepWorkspace:
         step by far the most common, commit in one operation; the others
         commit run by run."""
         selection, columns = self._selection
-        pairs = self.slices[n]
-        received_conj, old_rows = self.received_conj[: self.counts[n]], self.rows_conj[pairs]
+        views = self.views[n]
+        pairs, received_conj, old_rows = views.pairs, views.received, views.rows_conj
         selection, columns = selection[n], columns[pairs]
         if indices == selection:
             received_conj += columns * (rows - old_rows)[:, None]
@@ -921,7 +955,7 @@ def select_pattern_and_row(
     and `inv_quads` every run's diagonal of the quad term and its guarded
     inverse from :func:`candidate_quads`, (B, W); `budgets` holds the
     runs' positive power budgets, (B,).  Run b's row is written into
-    `rows[b]`, of the (B, D) buffer when one is given.  Returns (candidate
+    `rows[b]`, a (B, D) buffer made when none is given.  Returns (candidate
     indices, rows), the indices as a list.  Each candidate gets the
     closed-form row: a zero direction gives a zero row and value 0, a
     vanishing quadratic coefficient the boundary step.  Ties go to the
@@ -938,13 +972,15 @@ def select_pattern_and_row(
     boundary step overflows meets a quad at most `_TINY_QUAD`; `argmin`
     then takes the first NaN.
     """
+    if rows is None:
+        rows = np.empty(linear.shape[:2], dtype=complex)
     norms_sq = np.abs(linear)
     np.square(norms_sq, out=norms_sq)
     norms_sq = np.add.reduce(norms_sq, axis=1)
     budgets = np.asarray(budgets, dtype=float)
     if linear.shape[2] == 1:
         steps = _negated_steps(norms_sq.ravel().tolist(), np.ravel(quads).tolist(), budgets.tolist())
-        return [0] * len(linear), _rows(steps, linear[:, :, 0], rows)
+        return [0] * len(rows), _rows(steps, linear[:, :, 0], rows)
     # A zero direction divides by 1 instead: its value is 0 whatever the step.
     steps = np.divide(budgets[:, None], np.where(norms_sq > 0.0, norms_sq, 1.0))
     np.sqrt(steps, out=steps)
@@ -952,7 +988,7 @@ def select_pattern_and_row(
     values = norms_sq * (quads * (steps * steps) - 2.0 * steps)
     indices = values.argmin(axis=1)
     runs = np.arange(len(indices))
-    rows = _rows(np.negative(steps[runs, indices]), linear[runs, :, indices], rows)
+    _rows(np.negative(steps[runs, indices]), linear[runs, :, indices], rows)
     return indices.tolist(), rows
 
 
@@ -1274,26 +1310,27 @@ def _run_bcd(
 
 
 def _select_step(workspace: _SweepWorkspace, n: int) -> None:
-    pairs = workspace.slices[n]
+    views = workspace.views[n]
     quads, inv_quads = workspace.step_quads
     indices, rows = select_pattern_and_row(
-        workspace.linear(n), quads[pairs], None if inv_quads is None else inv_quads[pairs],
-        workspace.budgets[pairs],
+        workspace.linear(n), quads[views.pairs],
+        None if inv_quads is None else inv_quads[views.pairs], views.budgets, views.rows,
     )
     workspace.select(n, indices, rows)
 
 
 def _synthesize_step(workspace: _SweepWorkspace, n: int) -> None:
-    pairs = workspace.slices[n]
+    views = workspace.views[n]
+    pairs = views.pairs
     vectors, rows = synthesize_pattern_and_row(
         workspace.linear(n),
         workspace.row_quads[pairs],
         workspace.pinned[pairs],
         lambda: [part[pairs] for part in workspace.sphere_terms],
-        workspace.antenna_matrix[pairs],
-        workspace.budgets[pairs],
-        workspace.factors[: workspace.counts[n]],
-        workspace.roots[pairs],
+        views.antenna_matrix,
+        views.budget_list,
+        views.factors,
+        views.roots,
     )
     workspace.apply(n, vectors, rows)
 

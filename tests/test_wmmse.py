@@ -483,9 +483,9 @@ class TestPerAntennaTerms:
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (n, name)
 
     def test_apply_moves_only_new_vectors(self, rng):
-        # A step that hands back antenna n's own pattern slice commits its
+        # A step that hands back antenna n's own pattern view commits its
         # row alone: nothing moves and the pattern buffer keeps its bytes.
-        # New vectors, even a copy of that slice, move and are written.
+        # New vectors, even a copy of that view, move and are written.
         effs, antenna_matrix, f_d, receivers, weights, beta, users = _random_block_state(
             rng, n=4, width=3
         )
@@ -496,7 +496,7 @@ class TestPerAntennaTerms:
         n, patterns = 2, workspace.antenna_matrix
         pairs, before = workspace.slices[n], patterns.copy()
         row = random_complex(rng, 1, f_d.shape[1])
-        workspace.apply(n, patterns[pairs], row)
+        workspace.apply(n, workspace.views[n].antenna_matrix, row)
         assert not workspace.moved
         assert patterns.tobytes() == before.tobytes()
         assert workspace.rows_conj[pairs].tobytes() == row.tobytes()
